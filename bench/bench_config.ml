@@ -36,6 +36,40 @@ let mean_cards_fig5 =
 
 let variabilities = Blitz_workload.Workload.variability_axis ~count:4 ()
 
+(* Wall-clock seconds for every bench timing, read from CLOCK_MONOTONIC
+   through bechamel's stub so that an NTP step can neither stretch nor
+   shrink a measurement.  Only differences between two readings mean
+   anything. *)
+let wall () = Int64.to_float (Monotonic_clock.now ()) *. 1e-9
+
+(* Mean wall-clock seconds per call of [f]: at least [min_runs] calls
+   and [min_total] accumulated seconds (the paper's footnote-4 protocol
+   on the wall clock). *)
+let time_wall ~min_total ~min_runs f =
+  let t0 = wall () in
+  f ();
+  let once = wall () -. t0 in
+  let runs = ref 1 and total = ref once in
+  while !runs < min_runs || !total < min_total do
+    let t0 = wall () in
+    f ();
+    total := !total +. (wall () -. t0);
+    incr runs
+  done;
+  !total /. float_of_int !runs
+
+(* Best-of-[rounds] {!time_wall} of [a] and of [b], alternating the two
+   so that drift (frequency scaling, competing load) hits both alike. *)
+let interleaved ~rounds ~min_total ~min_runs a b =
+  let best = ref (time_wall ~min_total ~min_runs a, time_wall ~min_total ~min_runs b) in
+  for _ = 2 to rounds do
+    let ta = time_wall ~min_total ~min_runs a in
+    let tb = time_wall ~min_total ~min_runs b in
+    let ba, bb = !best in
+    best := (Float.min ba ta, Float.min bb tb)
+  done;
+  !best
+
 let seconds s = Printf.sprintf "%.4f" s
 
 let header title =

@@ -36,31 +36,6 @@ module Counters = Blitz_core.Counters
 module Rng = Blitz_util.Rng
 module Json = Blitz_util.Json
 
-let wall () = Unix.gettimeofday ()
-
-let time_wall ~min_total ~min_runs f =
-  let t0 = wall () in
-  f ();
-  let once = wall () -. t0 in
-  let runs = ref 1 and total = ref once in
-  while !runs < min_runs || !total < min_total do
-    let t0 = wall () in
-    f ();
-    total := !total +. (wall () -. t0);
-    incr runs
-  done;
-  !total /. float_of_int !runs
-
-let interleaved ~rounds ~min_total ~min_runs off on =
-  let best = ref (time_wall ~min_total ~min_runs off, time_wall ~min_total ~min_runs on) in
-  for _ = 2 to rounds do
-    let o = time_wall ~min_total ~min_runs off in
-    let e = time_wall ~min_total ~min_runs on in
-    let bo, be = !best in
-    best := (Float.min bo o, Float.min be e)
-  done;
-  !best
-
 (* Twelve distinct queries: every (topology, mean-card, variability)
    combination below is unique, so within one batch no query is a
    disguised duplicate of another and a cache can only win through the
@@ -200,7 +175,9 @@ let throughput_row ~model ~repeats ~min_total ~min_runs ~rounds n =
     let cache = Plan_cache.create () in
     Engine.with_session ~model ~cache run_batch
   in
-  let plain_s, cached_s = interleaved ~rounds ~min_total ~min_runs no_cache with_cache in
+  let plain_s, cached_s =
+    Bench_config.interleaved ~rounds ~min_total ~min_runs no_cache with_cache
+  in
   let qps s = float_of_int size /. s in
   (qps plain_s, qps cached_s, cached_s /. plain_s, plain_s /. cached_s)
 

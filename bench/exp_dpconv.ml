@@ -45,8 +45,6 @@ let topologies =
     ("clique", Topology.Clique);
   ]
 
-let wall () = Unix.gettimeofday ()
-
 let problem n topo =
   let catalog = Catalog.uniform ~n ~card:100.0 in
   (catalog, Topology.make topo catalog)
@@ -92,9 +90,9 @@ let run () =
         while (not !stop) && !n <= min cap max_n do
           let catalog, graph = problem !n topo in
           let ctr = Counters.create () in
-          let t0 = wall () in
+          let t0 = Bench_config.wall () in
           let o = Bench_opt.run ~optimizer ~counters:ctr model catalog (Some graph) in
-          let seconds = wall () -. t0 in
+          let seconds = Bench_config.wall () -. t0 in
           let plan = Option.get o.Registry.plan in
           let work =
             if optimizer = "dpccp" then ctr.Counters.ccp_pairs else ctr.Counters.loop_iters

@@ -35,31 +35,6 @@ module Engine = Blitz_engine.Engine
 module Metrics = Blitz_obs.Metrics
 module Json = Blitz_util.Json
 
-let wall () = Unix.gettimeofday ()
-
-let time_wall ~min_total ~min_runs f =
-  let t0 = wall () in
-  f ();
-  let once = wall () -. t0 in
-  let runs = ref 1 and total = ref once in
-  while !runs < min_runs || !total < min_total do
-    let t0 = wall () in
-    f ();
-    total := !total +. (wall () -. t0);
-    incr runs
-  done;
-  !total /. float_of_int !runs
-
-let interleaved ~rounds ~min_total ~min_runs off on =
-  let best = ref (time_wall ~min_total ~min_runs off, time_wall ~min_total ~min_runs on) in
-  for _ = 2 to rounds do
-    let o = time_wall ~min_total ~min_runs off in
-    let e = time_wall ~min_total ~min_runs on in
-    let bo, be = !best in
-    best := (Float.min bo o, Float.min be e)
-  done;
-  !best
-
 (* Same traffic shape as exp_throughput: rotating topologies and
    cardinalities, every sixth query a pure Cartesian product. *)
 let batch ~n ~size =
@@ -129,7 +104,7 @@ let run () =
                        n i off on))
               (List.combine (costs_with false) (costs_with true));
             let off_s, on_s =
-              interleaved ~rounds:7 ~min_total ~min_runs
+              Bench_config.interleaved ~rounds:7 ~min_total ~min_runs
                 (fun () ->
                   Metrics.set_enabled false;
                   run_batch ())

@@ -4,8 +4,9 @@
    domains over n = 12..20 (Cartesian products, kappa_0, equal
    cardinalities — the same pure-3^n kernel as fig2), verifying on every
    point that the parallel cost is bit-identical to the sequential one.
-   Timing is WALL clock (Unix.gettimeofday): Timer.now is CPU time,
-   which sums over domains and would hide any speedup.
+   Timing is WALL clock (Bench_config.wall, on CLOCK_MONOTONIC):
+   Timer.now is CPU time, which sums over domains and would hide any
+   speedup.
 
    Results go to the shared --json collector; `bench parallel --json
    BENCH_parallel.json` seeds the repository's recorded perf trajectory.
@@ -22,24 +23,6 @@ module Registry = Blitz_engine.Registry
 module Json = Blitz_util.Json
 
 let domain_axis = [ 1; 2; 4; 8 ]
-
-let wall () = Unix.gettimeofday ()
-
-(* One wall-clock measurement, repeated adaptively for fast points: at
-   least [min_runs] runs and [min_total] accumulated seconds, mean
-   reported — the paper's footnote-4 protocol on the wall clock. *)
-let time_wall ?(min_total = 0.2) ?(min_runs = 2) f =
-  let t0 = wall () in
-  f ();
-  let once = wall () -. t0 in
-  let runs = ref 1 and total = ref once in
-  while !runs < min_runs || !total < min_total do
-    let t0 = wall () in
-    f ();
-    total := !total +. (wall () -. t0);
-    incr runs
-  done;
-  !total /. float_of_int !runs
 
 let run () =
   Bench_config.header "Parallel: rank-parallel blitzsplit speedup (kappa_0, equal cardinalities)";
@@ -67,7 +50,8 @@ let run () =
     let model = Cost_model.naive in
     let seq_result = ref None in
     let seq_s =
-      time_wall ~min_total (fun () -> seq_result := Some (Bench_opt.run model catalog None))
+      Bench_config.time_wall ~min_total ~min_runs:2 (fun () ->
+          seq_result := Some (Bench_opt.run model catalog None))
     in
     let seq_cost = (Option.get !seq_result).Registry.cost in
     let per_domain =
@@ -82,7 +66,7 @@ let run () =
                    [default_crossover_n]) must not mask it. *)
                 let par_result = ref None in
                 let s =
-                  time_wall ~min_total (fun () ->
+                  Bench_config.time_wall ~min_total ~min_runs:2 (fun () ->
                       par_result :=
                         Some
                           (Parallel_blitzsplit.optimize_product ~pool ~num_domains:d

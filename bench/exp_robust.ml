@@ -65,9 +65,9 @@ let gate_simpli_invariant (r : Regret.report) =
 
 let run () =
   Bench_config.header "Experiment robust: plan-cost regret under estimate error";
-  let t0 = Unix.gettimeofday () in
+  let t0 = Bench_config.wall () in
   let report = Regret.run ~mode:Noise.Lognormal ~levels ~seeds ~n Cost_model.kdnl in
-  let elapsed = Unix.gettimeofday () -. t0 in
+  let elapsed = Bench_config.wall () -. t0 in
   gate_exact_at_zero report;
   gate_simpli_invariant report;
   Format.printf "%a@." Regret.pp report;

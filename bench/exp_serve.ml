@@ -43,8 +43,6 @@ module Plan_cache = Blitz_cache.Plan_cache
 module Json = Blitz_util.Json
 module Rng = Blitz_util.Rng
 
-let wall () = Unix.gettimeofday ()
-
 (* ---------------------------------------------------------------- *)
 (* Socket client                                                     *)
 
@@ -156,10 +154,10 @@ let closed_loop conn specs =
   let latencies =
     Array.mapi
       (fun i spec ->
-        let t0 = wall () in
+        let t0 = Bench_config.wall () in
         send conn (request ~id:i spec);
         let reply = parse_reply (recv conn) in
-        let dt = wall () -. t0 in
+        let dt = Bench_config.wall () -. t0 in
         (dt, reply))
       specs
   in
@@ -174,13 +172,13 @@ let open_loop conn specs =
   let sent = Array.map (fun _ -> 0.0) specs in
   Array.iteri
     (fun i spec ->
-      sent.(i) <- wall ();
+      sent.(i) <- Bench_config.wall ();
       send conn (request ~id:i spec))
     specs;
   Array.mapi
     (fun i _ ->
       let reply = parse_reply (recv conn) in
-      (wall () -. sent.(i), reply))
+      (Bench_config.wall () -. sent.(i), reply))
     specs
   |> fun pairs -> (Array.map fst pairs, Array.map snd pairs)
 
@@ -190,11 +188,11 @@ let summarize latencies =
   (percentile ms 50.0, percentile ms 99.0)
 
 let run_cell ~cell ~mode ~cache conn specs =
-  let t0 = wall () in
+  let t0 = Bench_config.wall () in
   let latencies, replies =
     match mode with `Closed -> closed_loop conn specs | `Open -> open_loop conn specs
   in
-  let elapsed = wall () -. t0 in
+  let elapsed = Bench_config.wall () -. t0 in
   let qps = float_of_int (Array.length specs) /. elapsed in
   let p50, p99 = summarize latencies in
   let hits = Array.fold_left (fun a r -> if r.from_cache then a + 1 else a) 0 replies in
@@ -267,9 +265,9 @@ let run () =
   let rng = Rng.create ~seed:42 in
   let zipf_specs = Array.init draws (fun _ -> zipf_draw rng) in
   let timed_pass conn =
-    let t0 = wall () in
+    let t0 = Bench_config.wall () in
     let latencies, replies = closed_loop conn zipf_specs in
-    let qps = float_of_int draws /. (wall () -. t0) in
+    let qps = float_of_int draws /. (Bench_config.wall () -. t0) in
     Array.iter
       (fun r -> if not r.ok then failwith "serve bench: zipfian request failed")
       replies;

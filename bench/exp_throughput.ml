@@ -30,37 +30,6 @@ module Registry = Blitz_engine.Registry
 module Engine = Blitz_engine.Engine
 module Json = Blitz_util.Json
 
-let wall () = Unix.gettimeofday ()
-
-(* Mean wall-clock seconds per call of [f]: at least [min_runs] calls
-   and [min_total] accumulated seconds (footnote-4 protocol). *)
-let time_wall ~min_total ~min_runs f =
-  let t0 = wall () in
-  f ();
-  let once = wall () -. t0 in
-  let runs = ref 1 and total = ref once in
-  while !runs < min_runs || !total < min_total do
-    let t0 = wall () in
-    f ();
-    total := !total +. (wall () -. t0);
-    incr runs
-  done;
-  !total /. float_of_int !runs
-
-(* The two paths differ by fractions of a microsecond per query, well
-   inside this host's CPU-frequency drift over a single measurement.
-   Interleave the paths over [rounds] and keep each path's best round,
-   so slow-host moments penalize both paths alike. *)
-let interleaved ~rounds ~min_total ~min_runs fresh session =
-  let best = ref (time_wall ~min_total ~min_runs fresh, time_wall ~min_total ~min_runs session) in
-  for _ = 2 to rounds do
-    let f = time_wall ~min_total ~min_runs fresh in
-    let s = time_wall ~min_total ~min_runs session in
-    let bf, bs = !best in
-    best := (Float.min bf f, Float.min bs s)
-  done;
-  !best
-
 (* A batch that looks like repeated-query traffic: topologies, mean
    cardinalities and variabilities rotate query to query, plus a pure
    Cartesian-product query (no graph) every sixth slot. *)
@@ -115,8 +84,11 @@ let run () =
             let entry = Registry.find_exn "exact" in
             let ctr = Engine.counters session in
             let sctx = Engine.ctx ~counters:ctr session in
+            (* The two paths differ by fractions of a microsecond per
+               query, well inside this host's CPU-frequency drift over a
+               single measurement, hence the interleaved best rounds. *)
             let fresh_s, session_s =
-              interleaved ~rounds:7 ~min_total ~min_runs
+              Bench_config.interleaved ~rounds:7 ~min_total ~min_runs
                 (fun () ->
                   List.iter
                     (fun p -> ignore (Registry.optimize (Registry.ctx model) p))

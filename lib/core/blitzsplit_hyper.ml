@@ -57,7 +57,6 @@ let optimize ?arena ?counters ?(threshold = Float.infinity) model catalog hyperg
       completed.(s) <- !now;
       let c = card.(u) *. card.(v) *. !span in
       card.(s) <- c;
-      tbl.Dp_table.pair.((2 * s) + 1) <- c;
       aux.(s) <- model.Cost_model.aux c;
       Split_loop.find_best_split tbl model ctr ~threshold s
     end

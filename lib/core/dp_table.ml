@@ -8,27 +8,14 @@ type t = {
   best_lhs : int array;
   pi_fan : float array;
   aux : float array;
-  pair : float array;
 }
 
 let max_relations = 24
-
-(* The interleaved column starts every 16-byte row at (infinity, 0.0) —
-   the same initial state the [cost] and [card] columns carry. *)
-let reset_pair pair ~slots =
-  Array.fill pair 0 (2 * slots) 0.0;
-  let i = ref 0 in
-  while !i < 2 * slots do
-    Array.unsafe_set pair !i Float.infinity;
-    i := !i + 2
-  done
 
 let create ?(with_pi_fan = true) n =
   if n < 1 || n > max_relations then
     invalid_arg (Printf.sprintf "Dp_table.create: n = %d outside [1, %d]" n max_relations);
   let slots = 1 lsl n in
-  let pair = Array.make (2 * slots) 0.0 in
-  reset_pair pair ~slots;
   {
     n;
     card = Array.make slots 0.0;
@@ -38,7 +25,6 @@ let create ?(with_pi_fan = true) n =
        optimizer leaves it out entirely, saving 8 * 2^n bytes. *)
     pi_fan = (if with_pi_fan then Array.make slots 1.0 else [||]);
     aux = Array.make slots 0.0;
-    pair;
   }
 
 let has_pi_fan t = Array.length t.pi_fan > 0
@@ -51,10 +37,9 @@ let capacity t =
   log2 len 0
 
 let estimate_bytes ?(with_pi_fan = true) ~n () =
-  (* 4 (or 5, with the fan column) unboxed 8-byte columns of 2^n slots,
-     plus the interleaved 16-byte (cost, card) pair column the split
-     kernels read.  Saturate instead of overflowing for absurd n. *)
-  let per_slot = if with_pi_fan then 56 else 48 in
+  (* 4 (or 5, with the fan column) unboxed 8-byte columns of 2^n slots.
+     Saturate instead of overflowing for absurd n. *)
+  let per_slot = if with_pi_fan then 40 else 32 in
   if n >= 50 then max_int else per_slot * (1 lsl n)
 
 let reset_in_place t ~n =
@@ -67,7 +52,6 @@ let reset_in_place t ~n =
   Array.fill t.best_lhs 0 slots 0;
   if has_pi_fan t then Array.fill t.pi_fan 0 slots 1.0;
   Array.fill t.aux 0 slots 0.0;
-  reset_pair t.pair ~slots;
   { t with n }
 
 let add_pi_fan t =

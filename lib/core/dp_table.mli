@@ -3,8 +3,10 @@
     One entry per nonempty subset of the relation set, indexed directly by
     the subset's bitset integer (Section 4.1).  Stored as a struct of
     arrays rather than an array of records so that each column is a flat,
-    unboxed float (or int) array — the moral equivalent of the paper's
-    16-bytes-per-row layout.
+    unboxed float (or int) array.  The split kernels compare operand
+    [cost]s on every iteration and read [card] or [aux] only on the rarer
+    [kappa''] evaluations, so the hot column packs eight subset costs per
+    64-byte cache line.  Each value is stored exactly once.
 
     Columns (Sections 3.2 and 5.4):
     - [card]: (estimated) cardinality of the join over the subset;
@@ -16,14 +18,7 @@
       optimization only; the Cartesian-product path never reads it, so
       the column can be left unallocated — see {!create});
     - [aux]: per-subset memo for the cost model (e.g. [c(1+log c)] for
-      sort-merge, as the appendix suggests);
-    - [pair]: the interleaved hot copy of [(cost, card)] —
-      [pair.(2 s) = cost.(s)] and [pair.(2 s + 1) = card.(s)], one
-      16-byte row per subset exactly as the paper lays the table out.
-      The split kernels that need both fields read this column so each
-      loop iteration touches one cache line per operand instead of two
-      distant ones; every writer of [cost]/[card] mirrors into it.
-      External readers should keep using the struct-of-arrays views. *)
+      sort-merge, as the appendix suggests). *)
 
 module Relset = Blitz_bitset.Relset
 module Plan = Blitz_plan.Plan
@@ -35,15 +30,12 @@ type t = private {
   best_lhs : int array;
   pi_fan : float array;
   aux : float array;
-  pair : float array;  (** Length [2 * 2^n]: interleaved [(cost, card)]. *)
 }
 (** Exposed read-only; the arrays themselves are mutated only by the
-    optimizer in this library.  Code that does write [cost] or [card]
-    directly (the dpccp dense fold) must mirror the write into [pair]
-    to keep the interleaved copy coherent for later kernel calls. *)
+    optimizers (this library and the dpccp dense fold). *)
 
 val max_relations : int
-(** Hard cap on [n] (24): the table takes [7 * 8 * 2^n] bytes. *)
+(** Hard cap on [n] (24): the table takes [5 * 8 * 2^n] bytes. *)
 
 val create : ?with_pi_fan:bool -> int -> t
 (** [create n] allocates the table for [n] relations.  With
@@ -61,10 +53,9 @@ val capacity : t -> int
     earlier query. *)
 
 val estimate_bytes : ?with_pi_fan:bool -> n:int -> unit -> int
-(** Bytes a table for [n] relations occupies: [56 * 2^n] (or [48 * 2^n]
-    without the fan column — see {!create}): the four (five with the
-    fan) 8-byte struct-of-arrays columns plus the 16-byte-per-subset
-    interleaved [pair] column.  Saturates at [max_int]. *)
+(** Bytes a table for [n] relations occupies: [40 * 2^n] (or [32 * 2^n]
+    without the fan column — see {!create}): five (four) 8-byte columns.
+    Saturates at [max_int]. *)
 
 val reset_in_place : t -> n:int -> t
 (** [reset_in_place t ~n] re-initializes slots [0, 2^n) of [t]'s backing

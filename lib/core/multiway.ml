@@ -54,7 +54,6 @@ let consider t (tbl : Dp_table.t) (ctr : Counters.t) ~threshold s =
   with
   | Some cost ->
     tbl.Dp_table.cost.(s) <- cost;
-    tbl.Dp_table.pair.(2 * s) <- cost;
     tbl.Dp_table.best_lhs.(s) <- s;
     ctr.Counters.multiway_wins <- ctr.Counters.multiway_wins + 1
   | None -> ()

@@ -5,31 +5,27 @@ module Cost_model = Blitz_cost.Cost_model
 
 (* Hot-path array accesses use [unsafe_get]/[unsafe_set]: every index is
    a nonempty subset of the n relations, i.e. an integer in [1, 2^n), and
-   the arrays have exactly 2^n slots (the pair column 2 * 2^n) — [lhs]
-   and its complement are nonempty proper subsets of [s], and [s] itself
-   is below [2^n] by construction of the enumeration loops.  The checked
-   variants cost ~15% of the split loop on this kernel (two bounds tests
-   per iteration). *)
+   the arrays have exactly 2^n slots — [lhs] and its complement are
+   nonempty proper subsets of [s], and [s] itself is below [2^n] by
+   construction of the enumeration loops.  The checked variants cost ~15%
+   of the split loop on this kernel (two bounds tests per iteration). *)
 
 
 (* The split loop of find_best_split (Figure 1, realized per Section 4.2)
    as four monomorphized loop bodies in one function, dispatched once per
    subset on [Cost_model.kind]:
 
-   - "zero"       kappa'' = 0 (naive, and any Opaque model that declares
-                  [dprime_is_zero]): no kappa'' tier at all; reads only
-                  the dense [cost] column (eight subset costs per 64-byte
-                  line — denser than the interleaved pair rows, and card
-                  is never needed);
-   - "sum-aux"    sort-merge: kappa'' = laux + raux inlined, read from
-                  the [cost] and [aux] columns;
-   - "dnl-paired" disk nested loops: kappa'' inlined from the model's
-                  captured constants, operand (cost, card) read from the
-                  interleaved 16-byte [pair] rows — one cache line per
-                  operand instead of two distant ones;
-   - "general"    anything [Opaque] with a real kappa'': the closure is
-                  called per evaluation (boxing its float arguments —
-                  the only body that allocates).
+   - "general"  anything [Opaque] with a real kappa'': the closure is
+                called per evaluation (boxing its float arguments — the
+                only body that allocates);
+   - "zero"     kappa'' = 0 (naive, and any Opaque model that declares
+                [dprime_is_zero]): no kappa'' tier at all; reads only the
+                [cost] column;
+   - "sum-aux"  sort-merge: kappa'' = laux + raux inlined, read from the
+                [cost] and [aux] columns;
+   - "dnl"      disk nested loops: kappa'' inlined from the model's
+                captured constants, operand cardinalities read from the
+                [card] column.
 
    The bodies are spelled out inline rather than shared through helper
    functions because no float may cross a function boundary: without
@@ -38,13 +34,19 @@ module Cost_model = Blitz_cost.Cost_model
    each improvement.  Inside one function, local float refs compile to
    unboxed mutable variables (reference elimination), so the paper-model
    bodies are allocation-free — `bench split` gates Gc.minor_words
-   delta = 0 across a warm sweep.  [lhs] walks all nonempty proper
-   subsets of [s] via the successor trick; nested ifs defer the kappa''
-   evaluation until both operand costs and their sum beat the best split
-   so far (Section 6.2).  All bodies reproduce the reference kernel's
-   float expressions and counter updates exactly, so costs, [best_lhs]
-   links and counters are bit-identical to {!Reference}
-   (QCheck-enforced). *)
+   delta = 0 across a warm sweep.  Each arm keeps its own prologue and
+   epilogue: one shared around the four loops stays allocation-free too,
+   but measurably slows the kappa_0 body.  The split counters are tallied
+   in local refs and added to [ctr] once per subset: the zero arm calls
+   an Opaque model's kappa' closure before its loop, which leaves [ctr]
+   on the stack, and a loop that bumps [ctr] fields would reload it on
+   every operand sum.  [lhs] walks all nonempty
+   proper subsets of [s] via the successor trick; nested ifs defer the
+   kappa'' evaluation until both operand costs and their sum beat the
+   best split so far (Section 6.2).  All bodies reproduce the reference
+   kernel's float expressions and counter updates exactly, so costs,
+   [best_lhs] links and counters are bit-identical to it (QCheck-enforced
+   in the test suite). *)
 
 (* kappa' alone already "overflows" the threshold: skip the split loop
    entirely.  Shared across bodies — only word-sized arguments, so the
@@ -53,23 +55,77 @@ let skip_subset (tbl : Dp_table.t) (ctr : Counters.t) s =
   ctr.threshold_skips <- ctr.threshold_skips + 1;
   ctr.infeasible <- ctr.infeasible + 1;
   Array.unsafe_set tbl.cost s Float.infinity;
-  Array.unsafe_set tbl.pair (2 * s) Float.infinity;
   Array.unsafe_set tbl.best_lhs s 0
 
 let find_best_split (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t) ~threshold s =
   ctr.subsets <- ctr.subsets + 1;
   let out = Array.unsafe_get tbl.card s in
   match model.kind with
-  | Cost_model.Paper_naive ->
-    (* kappa' = out, kappa'' = 0 — no closure even once per subset. *)
-    let kp = out in
+  | Cost_model.Opaque when not model.dprime_is_zero ->
+    (* General body: kappa'' through the closure (boxes its float
+       arguments — unavoidable without specialization). *)
+    let kp = model.k_prime out in
+    if kp >= threshold then skip_subset tbl ctr s
+    else begin
+      let cost = tbl.cost and card = tbl.card and aux = tbl.aux in
+      let k_dprime = model.k_dprime in
+      let best_cost = ref (threshold -. kp) in
+      let best_lhs = ref 0 in
+      let lhs = ref (s land (-s)) in
+      let iters = ref 0 and sums = ref 0 and evals = ref 0 and improved = ref 0 in
+      while !lhs <> s do
+        incr iters;
+        let l = !lhs in
+        let cl = Array.unsafe_get cost l in
+        if cl < !best_cost then begin
+          let r = s lxor l in
+          let cr = Array.unsafe_get cost r in
+          if cr < !best_cost then begin
+            incr sums;
+            let oprnd = cl +. cr in
+            if oprnd < !best_cost then begin
+              incr evals;
+              let dpnd =
+                oprnd
+                +. k_dprime ~out ~lcard:(Array.unsafe_get card l)
+                     ~rcard:(Array.unsafe_get card r) ~laux:(Array.unsafe_get aux l)
+                     ~raux:(Array.unsafe_get aux r)
+              in
+              if dpnd < !best_cost then begin
+                incr improved;
+                best_cost := dpnd;
+                best_lhs := l
+              end
+            end
+          end
+        end;
+        lhs := s land (l - s)
+      done;
+      ctr.loop_iters <- ctr.loop_iters + !iters;
+      ctr.operand_sums <- ctr.operand_sums + !sums;
+      ctr.dprime_evals <- ctr.dprime_evals + !evals;
+      ctr.improvements <- ctr.improvements + !improved;
+      if !best_lhs = 0 then begin
+        ctr.infeasible <- ctr.infeasible + 1;
+        Array.unsafe_set cost s Float.infinity;
+        Array.unsafe_set tbl.best_lhs s 0
+      end
+      else begin
+        Array.unsafe_set cost s (!best_cost +. kp);
+        Array.unsafe_set tbl.best_lhs s !best_lhs
+      end
+    end
+  | Cost_model.Paper_naive | Cost_model.Opaque ->
+    (* kappa'' = 0: kappa' = out for the naive model (no closure even
+       once per subset), the model's own kappa' otherwise. *)
+    let kp = match model.kind with Cost_model.Paper_naive -> out | _ -> model.k_prime out in
     if kp >= threshold then skip_subset tbl ctr s
     else begin
       let cost = tbl.cost in
       let best_cost = ref (threshold -. kp) in
       let best_lhs = ref 0 in
       let lhs = ref (s land (-s)) in
-      let iters = ref 0 in
+      let iters = ref 0 and sums = ref 0 and improved = ref 0 in
       while !lhs <> s do
         incr iters;
         let l = !lhs in
@@ -77,10 +133,10 @@ let find_best_split (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t)
         if cl < !best_cost then begin
           let cr = Array.unsafe_get cost (s lxor l) in
           if cr < !best_cost then begin
-            ctr.operand_sums <- ctr.operand_sums + 1;
+            incr sums;
             let oprnd = cl +. cr in
             if oprnd < !best_cost then begin
-              ctr.improvements <- ctr.improvements + 1;
+              incr improved;
               best_cost := oprnd;
               best_lhs := l
             end
@@ -89,16 +145,15 @@ let find_best_split (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t)
         lhs := s land (l - s)
       done;
       ctr.loop_iters <- ctr.loop_iters + !iters;
+      ctr.operand_sums <- ctr.operand_sums + !sums;
+      ctr.improvements <- ctr.improvements + !improved;
       if !best_lhs = 0 then begin
         ctr.infeasible <- ctr.infeasible + 1;
         Array.unsafe_set cost s Float.infinity;
-        Array.unsafe_set tbl.pair (2 * s) Float.infinity;
         Array.unsafe_set tbl.best_lhs s 0
       end
       else begin
-        let c = !best_cost +. kp in
-        Array.unsafe_set cost s c;
-        Array.unsafe_set tbl.pair (2 * s) c;
+        Array.unsafe_set cost s (!best_cost +. kp);
         Array.unsafe_set tbl.best_lhs s !best_lhs
       end
     end
@@ -110,7 +165,7 @@ let find_best_split (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t)
       let best_cost = ref threshold in
       let best_lhs = ref 0 in
       let lhs = ref (s land (-s)) in
-      let iters = ref 0 in
+      let iters = ref 0 and sums = ref 0 and evals = ref 0 and improved = ref 0 in
       while !lhs <> s do
         incr iters;
         let l = !lhs in
@@ -119,13 +174,13 @@ let find_best_split (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t)
           let r = s lxor l in
           let cr = Array.unsafe_get cost r in
           if cr < !best_cost then begin
-            ctr.operand_sums <- ctr.operand_sums + 1;
+            incr sums;
             let oprnd = cl +. cr in
             if oprnd < !best_cost then begin
-              ctr.dprime_evals <- ctr.dprime_evals + 1;
+              incr evals;
               let dpnd = oprnd +. (Array.unsafe_get aux l +. Array.unsafe_get aux r) in
               if dpnd < !best_cost then begin
-                ctr.improvements <- ctr.improvements + 1;
+                incr improved;
                 best_cost := dpnd;
                 best_lhs := l
               end
@@ -135,148 +190,51 @@ let find_best_split (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t)
         lhs := s land (l - s)
       done;
       ctr.loop_iters <- ctr.loop_iters + !iters;
+      ctr.operand_sums <- ctr.operand_sums + !sums;
+      ctr.dprime_evals <- ctr.dprime_evals + !evals;
+      ctr.improvements <- ctr.improvements + !improved;
       if !best_lhs = 0 then begin
         ctr.infeasible <- ctr.infeasible + 1;
         Array.unsafe_set cost s Float.infinity;
-        Array.unsafe_set tbl.pair (2 * s) Float.infinity;
         Array.unsafe_set tbl.best_lhs s 0
       end
       else begin
         (* kappa' = 0: the best split cost IS the subset cost ([+. 0.]
-           preserved for bit-identity with Reference's [+. kp]). *)
-        let c = !best_cost +. 0.0 in
-        Array.unsafe_set cost s c;
-        Array.unsafe_set tbl.pair (2 * s) c;
+           preserved for bit-identity with the reference kernel's
+           [+. kp]). *)
+        Array.unsafe_set cost s (!best_cost +. 0.0);
         Array.unsafe_set tbl.best_lhs s !best_lhs
       end
     end
   | Cost_model.Paper_dnl { k; inner_coeff } ->
-    (* kappa' = 2 out / k; kappa'' inlined from the captured constants.
-       Operand (cost, card) come from the interleaved pair rows: the
-       evaluation tier reads the card 8 bytes after the cost it just
-       compared, on the same cache line. *)
+    (* kappa' = 2 out / k; kappa'' inlined from the captured constants. *)
     let kp = 2.0 *. out /. k in
     if kp >= threshold then skip_subset tbl ctr s
     else begin
-      let pair = tbl.pair in
+      let cost = tbl.cost and card = tbl.card in
       let best_cost = ref (threshold -. kp) in
       let best_lhs = ref 0 in
       let lhs = ref (s land (-s)) in
-      let iters = ref 0 in
-      while !lhs <> s do
-        incr iters;
-        let l = !lhs in
-        let cl = Array.unsafe_get pair (2 * l) in
-        if cl < !best_cost then begin
-          let r = s lxor l in
-          let cr = Array.unsafe_get pair (2 * r) in
-          if cr < !best_cost then begin
-            ctr.operand_sums <- ctr.operand_sums + 1;
-            let oprnd = cl +. cr in
-            if oprnd < !best_cost then begin
-              ctr.dprime_evals <- ctr.dprime_evals + 1;
-              let lcard = Array.unsafe_get pair ((2 * l) + 1) in
-              let rcard = Array.unsafe_get pair ((2 * r) + 1) in
-              let dpnd =
-                oprnd +. ((lcard *. rcard *. inner_coeff) +. (Float.min lcard rcard /. k))
-              in
-              if dpnd < !best_cost then begin
-                ctr.improvements <- ctr.improvements + 1;
-                best_cost := dpnd;
-                best_lhs := l
-              end
-            end
-          end
-        end;
-        lhs := s land (l - s)
-      done;
-      ctr.loop_iters <- ctr.loop_iters + !iters;
-      if !best_lhs = 0 then begin
-        ctr.infeasible <- ctr.infeasible + 1;
-        Array.unsafe_set tbl.cost s Float.infinity;
-        Array.unsafe_set pair (2 * s) Float.infinity;
-        Array.unsafe_set tbl.best_lhs s 0
-      end
-      else begin
-        let c = !best_cost +. kp in
-        Array.unsafe_set tbl.cost s c;
-        Array.unsafe_set pair (2 * s) c;
-        Array.unsafe_set tbl.best_lhs s !best_lhs
-      end
-    end
-  | Cost_model.Opaque ->
-    let kp = model.k_prime out in
-    if kp >= threshold then skip_subset tbl ctr s
-    else if model.dprime_is_zero then begin
-      (* Same body as Paper_naive, under the model's own kappa'. *)
-      let cost = tbl.cost in
-      let best_cost = ref (threshold -. kp) in
-      let best_lhs = ref 0 in
-      let lhs = ref (s land (-s)) in
-      let iters = ref 0 in
+      let iters = ref 0 and sums = ref 0 and evals = ref 0 and improved = ref 0 in
       while !lhs <> s do
         incr iters;
         let l = !lhs in
         let cl = Array.unsafe_get cost l in
         if cl < !best_cost then begin
-          let cr = Array.unsafe_get cost (s lxor l) in
-          if cr < !best_cost then begin
-            ctr.operand_sums <- ctr.operand_sums + 1;
-            let oprnd = cl +. cr in
-            if oprnd < !best_cost then begin
-              ctr.improvements <- ctr.improvements + 1;
-              best_cost := oprnd;
-              best_lhs := l
-            end
-          end
-        end;
-        lhs := s land (l - s)
-      done;
-      ctr.loop_iters <- ctr.loop_iters + !iters;
-      if !best_lhs = 0 then begin
-        ctr.infeasible <- ctr.infeasible + 1;
-        Array.unsafe_set cost s Float.infinity;
-        Array.unsafe_set tbl.pair (2 * s) Float.infinity;
-        Array.unsafe_set tbl.best_lhs s 0
-      end
-      else begin
-        let c = !best_cost +. kp in
-        Array.unsafe_set cost s c;
-        Array.unsafe_set tbl.pair (2 * s) c;
-        Array.unsafe_set tbl.best_lhs s !best_lhs
-      end
-    end
-    else begin
-      (* General body: kappa'' through the closure (boxes its float
-         arguments — unavoidable without specialization).  Operand rows
-         still come interleaved from [pair]. *)
-      let pair = tbl.pair and aux = tbl.aux in
-      let k_dprime = model.k_dprime in
-      let best_cost = ref (threshold -. kp) in
-      let best_lhs = ref 0 in
-      let lhs = ref (s land (-s)) in
-      let iters = ref 0 in
-      while !lhs <> s do
-        incr iters;
-        let l = !lhs in
-        let cl = Array.unsafe_get pair (2 * l) in
-        if cl < !best_cost then begin
           let r = s lxor l in
-          let cr = Array.unsafe_get pair (2 * r) in
+          let cr = Array.unsafe_get cost r in
           if cr < !best_cost then begin
-            ctr.operand_sums <- ctr.operand_sums + 1;
+            incr sums;
             let oprnd = cl +. cr in
             if oprnd < !best_cost then begin
-              ctr.dprime_evals <- ctr.dprime_evals + 1;
+              incr evals;
+              let lcard = Array.unsafe_get card l in
+              let rcard = Array.unsafe_get card r in
               let dpnd =
-                oprnd
-                +. k_dprime ~out
-                     ~lcard:(Array.unsafe_get pair ((2 * l) + 1))
-                     ~rcard:(Array.unsafe_get pair ((2 * r) + 1))
-                     ~laux:(Array.unsafe_get aux l) ~raux:(Array.unsafe_get aux r)
+                oprnd +. ((lcard *. rcard *. inner_coeff) +. (Float.min lcard rcard /. k))
               in
               if dpnd < !best_cost then begin
-                ctr.improvements <- ctr.improvements + 1;
+                incr improved;
                 best_cost := dpnd;
                 best_lhs := l
               end
@@ -286,108 +244,31 @@ let find_best_split (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t)
         lhs := s land (l - s)
       done;
       ctr.loop_iters <- ctr.loop_iters + !iters;
+      ctr.operand_sums <- ctr.operand_sums + !sums;
+      ctr.dprime_evals <- ctr.dprime_evals + !evals;
+      ctr.improvements <- ctr.improvements + !improved;
       if !best_lhs = 0 then begin
         ctr.infeasible <- ctr.infeasible + 1;
-        Array.unsafe_set tbl.cost s Float.infinity;
-        Array.unsafe_set pair (2 * s) Float.infinity;
+        Array.unsafe_set cost s Float.infinity;
         Array.unsafe_set tbl.best_lhs s 0
       end
       else begin
-        let c = !best_cost +. kp in
-        Array.unsafe_set tbl.cost s c;
-        Array.unsafe_set pair (2 * s) c;
+        Array.unsafe_set cost s (!best_cost +. kp);
         Array.unsafe_set tbl.best_lhs s !best_lhs
       end
     end
 
 let variant (model : Cost_model.t) =
   match model.kind with
-  | Cost_model.Paper_naive -> "zero"
+  | Cost_model.Opaque when not model.dprime_is_zero -> "general"
+  | Cost_model.Paper_naive | Cost_model.Opaque -> "zero"
   | Cost_model.Paper_sort_merge -> "sum-aux"
-  | Cost_model.Paper_dnl _ -> "dnl-paired"
-  | Cost_model.Opaque -> if model.dprime_is_zero then "zero" else "general"
-
-(* The pre-refactor kernel, kept verbatim for differential testing and
-   as the baseline the `bench split` speedup gate measures against.  Its
-   only change is mirroring the final cost write into the interleaved
-   pair row, so tables stay coherent when reference and specialized
-   sweeps interleave on the same buffers (the mirror is outside the
-   timed loop: one store per subset). *)
-module Reference = struct
-  let find_best_split (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t) ~threshold s
-      =
-    let cost = tbl.cost and card = tbl.card and aux = tbl.aux in
-    ctr.subsets <- ctr.subsets + 1;
-    let out = Array.unsafe_get card s in
-    let kp = model.k_prime out in
-    if kp >= threshold then begin
-      ctr.threshold_skips <- ctr.threshold_skips + 1;
-      ctr.infeasible <- ctr.infeasible + 1;
-      Array.unsafe_set cost s Float.infinity;
-      Array.unsafe_set tbl.pair (2 * s) Float.infinity;
-      Array.unsafe_set tbl.best_lhs s 0
-    end
-    else begin
-      let k_dprime = model.k_dprime in
-      let dprime_is_zero = model.dprime_is_zero in
-      (* Splits must come in under [threshold - kappa'] for the total
-         plan cost to stay below the threshold. *)
-      let best_cost_so_far = ref (threshold -. kp) in
-      let best_lhs = ref 0 in
-      let lhs = ref (s land (-s)) in
-      let iters = ref 0 in
-      while !lhs <> s do
-        incr iters;
-        let l = !lhs in
-        let cl = Array.unsafe_get cost l in
-        if cl < !best_cost_so_far then begin
-          let r = s lxor l in
-          let cr = Array.unsafe_get cost r in
-          if cr < !best_cost_so_far then begin
-            ctr.operand_sums <- ctr.operand_sums + 1;
-            let oprnd_cost = cl +. cr in
-            if oprnd_cost < !best_cost_so_far then begin
-              let dpnd_cost =
-                if dprime_is_zero then oprnd_cost
-                else begin
-                  ctr.dprime_evals <- ctr.dprime_evals + 1;
-                  oprnd_cost
-                  +. k_dprime ~out ~lcard:(Array.unsafe_get card l)
-                       ~rcard:(Array.unsafe_get card r) ~laux:(Array.unsafe_get aux l)
-                       ~raux:(Array.unsafe_get aux r)
-                end
-              in
-              if dpnd_cost < !best_cost_so_far then begin
-                ctr.improvements <- ctr.improvements + 1;
-                best_cost_so_far := dpnd_cost;
-                best_lhs := l
-              end
-            end
-          end
-        end;
-        lhs := s land (l - s)
-      done;
-      ctr.loop_iters <- ctr.loop_iters + !iters;
-      if !best_lhs = 0 then begin
-        ctr.infeasible <- ctr.infeasible + 1;
-        Array.unsafe_set cost s Float.infinity;
-        Array.unsafe_set tbl.pair (2 * s) Float.infinity;
-        Array.unsafe_set tbl.best_lhs s 0
-      end
-      else begin
-        let c = !best_cost_so_far +. kp in
-        Array.unsafe_set cost s c;
-        Array.unsafe_set tbl.pair (2 * s) c;
-        Array.unsafe_set tbl.best_lhs s !best_lhs
-      end
-    end
-end
+  | Cost_model.Paper_dnl _ -> "dnl"
 
 (* compute_properties for join optimization (Section 5.4): the fan
    recurrence Pi_fan(S) = Pi_fan(U+W) * Pi_fan(U+Z), seeded with raw
    predicate selectivities on doubletons, then
-   card(S) = card(U) * card(V) * Pi_fan(S)  (Equation 11).  Cardinality
-   writes are mirrored into the interleaved pair row. *)
+   card(S) = card(U) * card(V) * Pi_fan(S)  (Equation 11). *)
 let compute_properties_join (tbl : Dp_table.t) (model : Cost_model.t) graph s =
   let pi_fan = tbl.pi_fan and card = tbl.card in
   let u = s land (-s) in
@@ -403,7 +284,6 @@ let compute_properties_join (tbl : Dp_table.t) (model : Cost_model.t) graph s =
   Array.unsafe_set pi_fan s fan;
   let c = Array.unsafe_get card u *. Array.unsafe_get card v *. fan in
   Array.unsafe_set card s c;
-  Array.unsafe_set tbl.pair ((2 * s) + 1) c;
   Array.unsafe_set tbl.aux s (model.aux c)
 
 (* compute_properties for Cartesian products (Figure 1): just the
@@ -415,7 +295,6 @@ let compute_properties_product (tbl : Dp_table.t) (model : Cost_model.t) s =
   let v = s lxor u in
   let c = Array.unsafe_get card u *. Array.unsafe_get card v in
   Array.unsafe_set card s c;
-  Array.unsafe_set tbl.pair ((2 * s) + 1) c;
   Array.unsafe_set tbl.aux s (model.aux c)
 
 let init_singletons (tbl : Dp_table.t) (model : Cost_model.t) catalog =
@@ -427,8 +306,6 @@ let init_singletons (tbl : Dp_table.t) (model : Cost_model.t) catalog =
     tbl.card.(s) <- c;
     tbl.cost.(s) <- 0.0;
     tbl.best_lhs.(s) <- 0;
-    tbl.pair.(2 * s) <- 0.0;
-    tbl.pair.((2 * s) + 1) <- c;
     if fan then tbl.pi_fan.(s) <- 1.0;
     tbl.aux.(s) <- model.aux c
   done

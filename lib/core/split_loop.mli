@@ -12,13 +12,12 @@
     {!find_best_split} dispatches once per subset on
     {!Blitz_cost.Cost_model.kind} to a monomorphized loop body: the
     three paper models run with their [kappa''] arithmetic inlined (no
-    closure call, no float boxing — the loop allocates nothing), and the
-    kernels that need operand cardinalities read the interleaved
-    [(cost, card)] pair column of {!Dp_table} so each iteration touches
-    one cache line per operand.  [Opaque] models fall back to a
+    closure call, no float boxing — the loop allocates nothing), reading
+    the [cost], [card] and [aux] columns of {!Dp_table} directly.
+    [Opaque] models with a nonzero [kappa''] fall back to a
     closure-calling body.  All kernels produce bit-identical costs,
-    [best_lhs] links and counters to the pre-refactor {!Reference}
-    kernel, which is kept for differential tests and benchmarks.
+    [best_lhs] links and counters to the pre-refactor generic kernel,
+    which the test suite and [bench split] keep as their reference.
 
     All kernels use unchecked array accesses internally: callers must
     pass subset indices in [(0, 2^n)] against a table created for [n]
@@ -35,17 +34,8 @@ val find_best_split :
 
 val variant : Blitz_cost.Cost_model.t -> string
 (** Which monomorphized loop body {!find_best_split} runs for the model:
-    ["zero"], ["sum-aux"], ["dnl-paired"] or ["general"].  Diagnostic
+    ["zero"], ["sum-aux"], ["dnl"] or ["general"].  Diagnostic
     (e.g. the [blitz explain] kernel summary line). *)
-
-(** The pre-refactor split kernel, retained verbatim (modulo mirroring
-    its cost store into the pair column) as the baseline for
-    differential tests and for the [bench split] speedup gate.  Same
-    contract as the top-level {!find_best_split}. *)
-module Reference : sig
-  val find_best_split :
-    Dp_table.t -> Blitz_cost.Cost_model.t -> Counters.t -> threshold:float -> int -> unit
-end
 
 val compute_properties_join :
   Dp_table.t -> Blitz_cost.Cost_model.t -> Blitz_graph.Join_graph.t -> int -> unit

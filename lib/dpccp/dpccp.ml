@@ -53,8 +53,7 @@ let fold_dense tbl (model : Cost_model.t) (ctr : Counters.t) ~probe ~mw_check gr
   let cost = tbl.Dp_table.cost
   and card = tbl.Dp_table.card
   and aux = tbl.Dp_table.aux
-  and best_lhs = tbl.Dp_table.best_lhs
-  and pair = tbl.Dp_table.pair in
+  and best_lhs = tbl.Dp_table.best_lhs in
   let k_prime = model.Cost_model.k_prime
   and k_dprime = model.Cost_model.k_dprime
   and dprime_is_zero = model.Cost_model.dprime_is_zero in
@@ -89,7 +88,6 @@ let fold_dense tbl (model : Cost_model.t) (ctr : Counters.t) ~probe ~mw_check gr
       if t1 < Array.unsafe_get cost s then begin
         ctr.Counters.improvements <- ctr.Counters.improvements + 1;
         Array.unsafe_set cost s t1;
-        Array.unsafe_set pair (2 * s) t1;
         Array.unsafe_set best_lhs s s1
       end;
       (* The enumeration emits unordered pairs; an asymmetric kappa''
@@ -104,7 +102,6 @@ let fold_dense tbl (model : Cost_model.t) (ctr : Counters.t) ~probe ~mw_check gr
         if t2 < Array.unsafe_get cost s then begin
           ctr.Counters.improvements <- ctr.Counters.improvements + 1;
           Array.unsafe_set cost s t2;
-          Array.unsafe_set pair (2 * s) t2;
           Array.unsafe_set best_lhs s s2
         end
       end;

@@ -57,12 +57,11 @@ val interrupt : t -> unit -> bool
 
 val table_bytes : ?with_pi_fan:bool -> n:int -> unit -> int
 (** Estimated footprint of the blitzsplit DP table for [n] relations:
-    [56 * 2^n] bytes (five 8-byte columns per subset — the paper's
-    16-byte rows plus the fan and cost-model-memo columns — plus the
-    16-byte interleaved [(cost, card)] pair column the split kernels
-    read), or [48 * 2^n] with [~with_pi_fan:false] (the
-    Cartesian-product path, whose table never allocates the fan
-    column).  Saturates at [max_int] for [n >= 50]. *)
+    [40 * 2^n] bytes (five 8-byte columns per subset — the paper's
+    16-byte rows plus the best-split, fan and cost-model-memo columns),
+    or [32 * 2^n] with [~with_pi_fan:false] (the Cartesian-product path,
+    whose table never allocates the fan column).  Saturates at
+    [max_int] for [n >= 50]. *)
 
 val admits_table : ?with_pi_fan:bool -> t -> n:int -> bool
 (** Whether the table for [n] relations fits under the ceiling (always

@@ -175,8 +175,8 @@ let test_arena_growth_accounting () =
 
 let test_estimate_bytes_saturates () =
   Alcotest.(check int) "n=50 saturates" max_int (Dp_table.estimate_bytes ~n:50 ());
-  Alcotest.(check int) "56 B/slot with fan" (56 * 1024) (Dp_table.estimate_bytes ~n:10 ());
-  Alcotest.(check int) "48 B/slot without fan" (48 * 1024)
+  Alcotest.(check int) "40 B/slot with fan" (40 * 1024) (Dp_table.estimate_bytes ~n:10 ());
+  Alcotest.(check int) "32 B/slot without fan" (32 * 1024)
     (Dp_table.estimate_bytes ~with_pi_fan:false ~n:10 ())
 
 (* {1 Batch API} *)

@@ -31,9 +31,9 @@ let test_budget_basics () =
   Alcotest.check_raises "non-positive ceiling"
     (Invalid_argument "Budget.create: memory ceiling 0 B is not positive") (fun () ->
       ignore (Budget.create ~max_table_bytes:0 ()));
-  Alcotest.(check int) "table footprint n=10" (56 * 1024) (Budget.table_bytes ~n:10 ());
+  Alcotest.(check int) "table footprint n=10" (40 * 1024) (Budget.table_bytes ~n:10 ());
   Alcotest.(check int) "footprint saturates" max_int (Budget.table_bytes ~n:60 ());
-  let b = Budget.create ~max_table_bytes:(56 * 1024) () in
+  let b = Budget.create ~max_table_bytes:(40 * 1024) () in
   Alcotest.(check bool) "n=10 fits exactly" true (Budget.admits_table b ~n:10);
   Alcotest.(check bool) "n=11 does not" false (Budget.admits_table b ~n:11);
   let u = Budget.unlimited () in

@@ -240,9 +240,9 @@ let test_parallel_deadline_aborts_within_one_chunk () =
 (* {1 Lazy fan column} *)
 
 let test_table_bytes_reflects_fan_column () =
-  Alcotest.(check int) "56 bytes/slot with fan" (56 * 1024) (Budget.table_bytes ~n:10 ());
+  Alcotest.(check int) "40 bytes/slot with fan" (40 * 1024) (Budget.table_bytes ~n:10 ());
   Alcotest.(check int)
-    "48 bytes/slot without fan" (48 * 1024)
+    "32 bytes/slot without fan" (32 * 1024)
     (Budget.table_bytes ~with_pi_fan:false ~n:10 ());
   let t = Dp_table.create ~with_pi_fan:false 4 in
   Alcotest.(check bool) "fanless table" false (Dp_table.has_pi_fan t);

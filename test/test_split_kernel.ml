@@ -1,16 +1,17 @@
 (* Differential bit-identity for the monomorphized split kernels.
 
-   The split-loop refactor (specialized per-model loop bodies, operand
-   reads through the interleaved pair column) claims EXACT equivalence
-   with the pre-refactor kernel retained as [Split_loop.Reference]: not
-   approximately-equal costs but identical IEEE bit patterns, identical
-   best_lhs links, and identical execution counters — the float
-   expressions were transplanted associativity-and-all, and this suite
-   is what holds that claim down.  Random problems sweep topology
-   density, all three paper models plus an Opaque min-of combination
-   (the closure fallback body), finite and infinite thresholds (the
-   skip and infeasible paths), against the sequential driver and the
-   rank-parallel driver at 1, 2 and 4 domains. *)
+   The split-loop refactor (specialized per-model loop bodies) claims
+   EXACT equivalence with the pre-refactor kernel retained as
+   [Split_reference]: not approximately-equal costs but identical IEEE
+   bit patterns, identical best_lhs links, and identical execution
+   counters — the float expressions were transplanted
+   associativity-and-all, and this suite is what holds that claim down.
+   Random problems sweep topology density, all three paper models, an
+   Opaque min-of combination (the closure fallback body) and an Opaque
+   model with kappa'' = 0 (the zero body under a closure kappa'), finite
+   and infinite thresholds (the skip and infeasible paths), against the
+   sequential driver and the rank-parallel driver at 1, 2 and 4
+   domains. *)
 
 open Test_helpers
 module Blitzsplit = Blitz_core.Blitzsplit
@@ -46,11 +47,12 @@ let kernel_problem_gen ~max_n =
         let edge_prob = Rng.float rng 1.0 in
         let graph = random_graph rng ~n ~edge_prob ~sel_lo:1e-4 ~sel_hi:1.0 in
         let model =
-          match Rng.int rng 4 with
+          match Rng.int rng 5 with
           | 0 -> Cost_model.naive
           | 1 -> Cost_model.sort_merge
           | 2 -> Cost_model.kdnl
-          | _ -> Cost_model.min_of Cost_model.sort_merge Cost_model.kdnl
+          | 3 -> Cost_model.min_of Cost_model.sort_merge Cost_model.kdnl
+          | _ -> { Cost_model.naive with name = "opaque-k0"; kind = Opaque }
         in
         let threshold_factor =
           match Rng.int rng 3 with 0 -> None | 1 -> Some 0.5 | _ -> Some 2.0
@@ -68,7 +70,7 @@ let reference_pass model catalog graph ~threshold =
   for s = 3 to (1 lsl n) - 1 do
     if s land (s - 1) <> 0 then begin
       Split_loop.compute_properties_join tbl model graph s;
-      Split_loop.Reference.find_best_split tbl model ctr ~threshold s
+      Split_reference.find_best_split tbl model ctr ~threshold s
     end
   done;
   (tbl, ctr)
@@ -84,12 +86,7 @@ let check_against ~what (reft : Dp_table.t) (refc : Counters.t) (tbl : Dp_table.
         tbl.Dp_table.cost.(s);
     if reft.Dp_table.best_lhs.(s) <> tbl.Dp_table.best_lhs.(s) then
       fail "best_lhs diverged at subset %d: %d vs %d" s reft.Dp_table.best_lhs.(s)
-        tbl.Dp_table.best_lhs.(s);
-    (* The interleaved pair rows must mirror the columns exactly. *)
-    if bits tbl.Dp_table.pair.(2 * s) <> bits tbl.Dp_table.cost.(s) then
-      fail "pair cost out of sync at subset %d" s;
-    if bits tbl.Dp_table.pair.((2 * s) + 1) <> bits tbl.Dp_table.card.(s) then
-      fail "pair card out of sync at subset %d" s
+        tbl.Dp_table.best_lhs.(s)
   done;
   let counter name a b = if a <> b then fail "counter %s diverged: %d vs %d" name a b in
   counter "subsets" refc.Counters.subsets ctr.Counters.subsets;
@@ -134,9 +131,11 @@ let prop_kernels_bit_identical =
 let test_variant_names () =
   Alcotest.(check string) "naive" "zero" (Split_loop.variant Cost_model.naive);
   Alcotest.(check string) "sort-merge" "sum-aux" (Split_loop.variant Cost_model.sort_merge);
-  Alcotest.(check string) "dnl" "dnl-paired" (Split_loop.variant Cost_model.kdnl);
+  Alcotest.(check string) "dnl" "dnl" (Split_loop.variant Cost_model.kdnl);
   Alcotest.(check string) "min-of" "general"
-    (Split_loop.variant (Cost_model.min_of Cost_model.naive Cost_model.kdnl))
+    (Split_loop.variant (Cost_model.min_of Cost_model.naive Cost_model.kdnl));
+  Alcotest.(check string) "opaque, kappa'' = 0" "zero"
+    (Split_loop.variant { Cost_model.naive with kind = Opaque })
 
 let suite =
   [
