@@ -6,10 +6,10 @@
    connectivity-pruned dpccp and the C_max dpconv, stopping an optimizer
    once a point exceeds the per-point budget (logged — no silent
    truncation).  An optimizer's FRONTIER is the largest n it finished
-   within budget: the headline of the dpccp PR is that on chains/cycles
-   the product-free DP pushes the frontier from blitzsplit's ~17-18 to
-   the sweep cap, because its csg-cmp pair count is polynomial where the
-   split loop is 3^n.
+   within budget: the headline is that on chains/cycles the product-free
+   DP pushes the frontier from blitzsplit's ~19 to the sweep cap,
+   because its csg-cmp pair count is polynomial where the split loop's
+   is (3^n - 2^(n+1) + 1) / 2.
 
    Gates (failwith — CI-visible):
    - bit-identity: wherever exact and dpccp both finished and the exact
@@ -17,8 +17,9 @@
      (bitwise on the dense backend); where the spaces diverge, dpccp
      must cost >= exact.
    - frontiers (full mode): dpccp >= 22 on chain, >= 20 on cycle, while
-     exact tops out <= 19 under the same budget; fast mode only checks
-     dpccp >= exact on the chain.
+     exact tops out <= 20 under the same budget (one n above the 19 it
+     reaches on a 2-vCPU x86-64 VM; each n costs it ~3x); fast mode only
+     checks dpccp >= exact on the chain.
    - dpconv's minimized bottleneck never exceeds the exact plan's
      largest intermediate (that plan is one of dpconv's candidates).
 
@@ -181,11 +182,16 @@ let run () =
           ("dpccp_frontier_n", Json.Int (f "dpccp"));
           ("dpconv_frontier_n", Json.Int (f "dpconv"));
         ];
-      let last_work pts = match List.rev pts with [] -> 0 | p :: _ -> p.work in
+      let work_at pts n =
+        match List.find_opt (fun (p : point) -> p.n = n) pts with Some p -> p.work | None -> 0
+      in
       Printf.printf
         "  %-7s frontiers within %.2fs: exact n=%d (%d split iters at frontier), dpccp n=%d \
          (%d ccp pairs), dpconv n=%d\n"
-        topo_name budget (f "exact") (last_work exact_pts) (f "dpccp") (last_work dpccp_pts)
+        topo_name budget (f "exact")
+        (work_at exact_pts (f "exact"))
+        (f "dpccp")
+        (work_at dpccp_pts (f "dpccp"))
         (f "dpconv");
       ignore dpconv_pts)
     topologies;
@@ -200,7 +206,7 @@ let run () =
       (Printf.sprintf "got n=%d" (f "chain" "dpccp"));
     gate "frontier cycle dpccp >= 20" (f "cycle" "dpccp" >= 20)
       (Printf.sprintf "got n=%d" (f "cycle" "dpccp"));
-    gate "frontier chain exact <= 19" (f "chain" "exact" <= 19)
+    gate "frontier chain exact <= 20" (f "chain" "exact" <= 20)
       (Printf.sprintf "got n=%d (budget too generous for this host?)" (f "chain" "exact"))
   end;
   match !gate_failures with

@@ -1,7 +1,7 @@
-(* Experiment "split": nanoseconds per split-loop iteration of the
+(* Experiment "split": nanoseconds per ordered split of the
    monomorphized kernels vs the retained reference kernel
-   ([Split_reference], the pre-refactor generic loop), plus the two hard
-   microkernel gates:
+   ([Split_reference], the paper's generic loop over every ordered
+   split), plus the two hard microkernel gates:
 
    - zero-allocation: a warm find_best_split sweep over the whole
      lattice must not move Gc.minor_words for any of the three paper
@@ -13,9 +13,18 @@
      ratio on the densest cell (clique, kappa_0, the largest common n),
      best-of-R interleaved minima on both sides.
 
-   Every cell also asserts bit-identity: costs (compared as IEEE bit
-   patterns), best_lhs links, extracted plans and all split-loop
-   counters must match the reference exactly.  A DP sweep in increasing
+   Both kernels' sweep times are divided by the same count, the
+   reference's ordered splits (2^|s| - 2 per subset): the specialized
+   kernels visit each unordered split once, so per-iteration rates would
+   credit the reference with half its real work.  The speedup gate
+   therefore mostly measures that halving; each cell also records the
+   specialized kernel's ns per its own (unordered) iteration, the figure
+   to watch for a slower loop body.  Every cell also
+   asserts bit-identity: costs (compared as IEEE bit patterns), best_lhs
+   links and extracted plans must match the reference exactly, the
+   specialized kernels' loop_iters must be exactly half the reference's,
+   their operand-sum and kappa'' counts no larger, and every other
+   counter equal.  A DP sweep in increasing
    subset order is idempotent — every proper subset of s is numerically
    smaller than s, so each sweep sees exactly the table state the
    previous one wrote — which is what lets us re-run the kernel over a
@@ -46,13 +55,32 @@ let fill_properties tbl model graph =
     if s land (s - 1) <> 0 then Split_loop.compute_properties_join tbl model graph s
   done
 
+(* A table with every subset's cardinality and aux filled in and the
+   singletons' costs set: ready for [sweep]. *)
+let prepared_table spec =
+  let catalog, graph = Workload.problem spec in
+  let tbl = Dp_table.create ~with_pi_fan:true spec.Workload.n in
+  Split_loop.init_singletons tbl spec.Workload.model catalog;
+  fill_properties tbl spec.Workload.model graph;
+  tbl
+
 (* One full kernel sweep over the non-singleton subsets in increasing
-   order.  [kernel] is either find_best_split or the reference's. *)
+   order.  [kernel] is either find_best_split or the reference's; over a
+   [prepared_table] this is the whole unthresholded DP. *)
 let sweep kernel tbl model ctr =
   let last = Dp_table.size tbl - 1 in
   for s = 3 to last do
     if s land (s - 1) <> 0 then kernel tbl model ctr ~threshold:Float.infinity s
   done
+
+(* The paper's ordered split loop over the whole unthresholded DP of
+   [spec]: [Split_reference] swept over a [prepared_table].  Its counters
+   are the ones Section 6.2's bounds speak about; the "counts" and
+   "ablation" experiments report them next to the production kernel's. *)
+let ordered_counters spec =
+  let tbl = prepared_table spec and ctr = Counters.create () in
+  sweep Split_reference.find_best_split tbl spec.Workload.model ctr;
+  ctr
 
 (* Minor-heap words allocated across [f], net of the sampling overhead
    (Gc.minor_words itself returns a boxed float, so even a noop measures
@@ -69,19 +97,14 @@ type cell = {
   model : Cost_model.t;
   n : int;
   subsets : int;
+  ordered_splits : int;
   iters : int;
   ref_ns : float;
   new_ns : float;
+  new_ns_per_iter : float;
   minor_words_per_call : float;
   rounds : int;
 }
-
-let prepared_table spec =
-  let catalog, graph = Workload.problem spec in
-  let tbl = Dp_table.create ~with_pi_fan:true spec.Workload.n in
-  Split_loop.init_singletons tbl spec.Workload.model catalog;
-  fill_properties tbl spec.Workload.model graph;
-  tbl
 
 let check_bit_identity ~label tblR tblN ctrR ctrN =
   let fail fmt = Printf.ksprintf failwith ("split: " ^^ fmt) in
@@ -99,10 +122,14 @@ let check_bit_identity ~label tblR tblN ctrR ctrN =
   if Dp_table.extract_plan tblR full <> Dp_table.extract_plan tblN full then
     fail "%s: extracted plans diverged" label;
   let check name a b = if a <> b then fail "%s: counter %s diverged: %d vs %d" label name a b in
+  let at_most name a b =
+    if b > a then fail "%s: counter %s exceeds the reference's: %d > %d" label name b a
+  in
   check "subsets" ctrR.Counters.subsets ctrN.Counters.subsets;
-  check "loop_iters" ctrR.Counters.loop_iters ctrN.Counters.loop_iters;
-  check "operand_sums" ctrR.Counters.operand_sums ctrN.Counters.operand_sums;
-  check "dprime_evals" ctrR.Counters.dprime_evals ctrN.Counters.dprime_evals;
+  check "loop_iters (ordered = 2 x unordered)" ctrR.Counters.loop_iters
+    (2 * ctrN.Counters.loop_iters);
+  at_most "operand_sums" ctrR.Counters.operand_sums ctrN.Counters.operand_sums;
+  at_most "dprime_evals" ctrR.Counters.dprime_evals ctrN.Counters.dprime_evals;
   check "improvements" ctrR.Counters.improvements ctrN.Counters.improvements;
   check "threshold_skips" ctrR.Counters.threshold_skips ctrN.Counters.threshold_skips;
   check "infeasible" ctrR.Counters.infeasible ctrN.Counters.infeasible
@@ -117,7 +144,9 @@ let measure_cell ~rounds spec =
   sweep Split_reference.find_best_split tblR model ctrR;
   sweep Split_loop.find_best_split tblN model ctrN;
   check_bit_identity ~label tblR tblN ctrR ctrN;
-  let subsets = ctrN.Counters.subsets and iters = ctrN.Counters.loop_iters in
+  let subsets = ctrN.Counters.subsets
+  and ordered_splits = ctrR.Counters.loop_iters
+  and iters = ctrN.Counters.loop_iters in
   (* Allocation gate input: a warm sweep of the specialized kernel (the
      two sweeps above warmed both tables and the code paths). *)
   let scratch = Counters.create () in
@@ -137,21 +166,23 @@ let measure_cell ~rounds spec =
     sweep Split_loop.find_best_split tblN model scratch;
     new_best := Float.min !new_best (Bench_config.wall () -. t0)
   done;
-  let per_iter s = s *. 1e9 /. float_of_int iters in
+  let per_split s = s *. 1e9 /. float_of_int ordered_splits in
   {
     topology = spec.Workload.topology;
     model;
     n;
     subsets;
+    ordered_splits;
     iters;
-    ref_ns = per_iter !ref_best;
-    new_ns = per_iter !new_best;
+    ref_ns = per_split !ref_best;
+    new_ns = per_split !new_best;
+    new_ns_per_iter = !new_best *. 1e9 /. float_of_int iters;
     minor_words_per_call = minor_words /. float_of_int subsets;
     rounds;
   }
 
 let run () =
-  Bench_config.header "Split: ns per split-loop iteration, specialized kernels vs reference";
+  Bench_config.header "Split: ns per ordered split, specialized kernels vs reference";
   let fast = Bench_config.fast in
   let ns = if fast then [ 10; 12 ] else [ 12; 14; 15; 16; 18 ] in
   let topologies = [ Topology.Chain; Topology.Star; Topology.Clique ] in
@@ -183,10 +214,12 @@ let run () =
                   ("kernel", Json.String (Split_loop.variant model));
                   ("n", Json.Int n);
                   ("subsets", Json.Int cell.subsets);
+                  ("ordered_splits_per_sweep", Json.Int cell.ordered_splits);
                   ("iters_per_sweep", Json.Int cell.iters);
                   ("rounds", Json.Int cell.rounds);
-                  ("reference_ns_per_iter", Json.Float cell.ref_ns);
-                  ("specialized_ns_per_iter", Json.Float cell.new_ns);
+                  ("reference_ns_per_ordered_split", Json.Float cell.ref_ns);
+                  ("specialized_ns_per_ordered_split", Json.Float cell.new_ns);
+                  ("specialized_ns_per_iter", Json.Float cell.new_ns_per_iter);
                   ("speedup", Json.Float (cell.ref_ns /. cell.new_ns));
                   ("minor_words_per_call", Json.Float cell.minor_words_per_call);
                   ("bit_identical", Json.Bool true);
@@ -196,7 +229,17 @@ let run () =
     ns;
   let cells = List.rev !cells in
   let header =
-    [| "topology"; "model"; "kernel"; "n"; "ref ns/it"; "spec ns/it"; "speedup"; "mw/call" |]
+    [|
+      "topology";
+      "model";
+      "kernel";
+      "n";
+      "ref ns/split";
+      "spec ns/split";
+      "speedup";
+      "spec ns/it";
+      "mw/call";
+    |]
   in
   let rows =
     List.map
@@ -209,13 +252,15 @@ let run () =
           Printf.sprintf "%.2f" c.ref_ns;
           Printf.sprintf "%.2f" c.new_ns;
           Printf.sprintf "%.2fx" (c.ref_ns /. c.new_ns);
+          Printf.sprintf "%.2f" c.new_ns_per_iter;
           Printf.sprintf "%.3f" c.minor_words_per_call;
         |])
       cells
   in
   Blitz_util.Ascii_table.print ~header (Array.of_list rows);
   Printf.printf
-    "\nbit-identity: every cell matched the reference (costs, best_lhs, plans, counters)\n";
+    "\nbit-identity: every cell matched the reference (costs, best_lhs, plans; loop_iters \
+     exactly half, operand sums and kappa'' evaluations no more, other counters equal)\n";
   (* Zero-allocation gate: every paper-model cell, not just the gated
      one — the three kernels have different loop bodies and each must
      stay allocation-free. *)
@@ -246,11 +291,16 @@ let run () =
       ("speedup_gate_cell", Json.String (Printf.sprintf "clique/k0/n=%d" gate_n));
       ("speedup_gate_threshold", Json.Float gate);
       ("speedup_measured", Json.Float speedup);
+      ("speedup_per_iter", Json.Float (gated.ref_ns /. gated.new_ns_per_iter));
       ("fast", Json.Bool fast);
     ];
   if speedup < gate then
     failwith
       (Printf.sprintf "split: speedup gate failed on clique/k0/n=%d: %.2fx < %.2fx" gate_n
          speedup gate)
-  else Printf.printf "speedup gate: PASS (%.2fx >= %.2fx on clique/k0/n=%d)\n" speedup gate gate_n;
+  else
+    Printf.printf
+      "speedup gate: PASS (%.2fx >= %.2fx on clique/k0/n=%d; %.2fx per own iteration, not gated)\n"
+      speedup gate gate_n
+      (gated.ref_ns /. gated.new_ns_per_iter);
   Printf.printf "all split gates passed\n"

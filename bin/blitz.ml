@@ -101,7 +101,7 @@ type problem = {
   required_order : int option;  (** From the SQL ORDER BY, when present. *)
 }
 
-let acquire_problem sql n topology mean_card variability =
+let acquire_problem sql n topology mean_card variability model =
   match (sql, n) with
   | Some _, Some _ -> Error "--sql and -n are mutually exclusive"
   | Some path, None -> (
@@ -120,7 +120,7 @@ let acquire_problem sql n topology mean_card variability =
         })
   | None, Some n -> (
     match
-      Workload.spec ~n ~topology ~model:Cost_model.naive ~mean_card ~variability
+      Workload.spec ~n ~topology ~model ~mean_card ~variability
     with
     | spec ->
       let catalog, graph = Workload.problem spec in
@@ -129,13 +129,15 @@ let acquire_problem sql n topology mean_card variability =
   | None, None -> Error "provide either --sql FILE or -n N (see --help)"
 
 let problem_term =
-  let combine sql n topology mean_card variability =
-    match acquire_problem sql n topology mean_card variability with
+  let combine sql n topology mean_card variability model =
+    match acquire_problem sql n topology mean_card variability model with
     | Ok p -> `Ok p
     | Error msg -> `Error (false, msg)
   in
   Term.(
-    ret (const combine $ sql_arg $ n_arg $ topology_arg $ mean_card_arg $ variability_arg))
+    ret
+      (const combine $ sql_arg $ n_arg $ topology_arg $ mean_card_arg $ variability_arg
+     $ model_arg))
 
 (* ---- observability surface (shared by optimize and explain) ---- *)
 
@@ -1000,8 +1002,19 @@ let counters_cmd =
     let n = Catalog.n problem.catalog in
     Printf.printf "query: %s   model: %s\n\n" problem.label model.Cost_model.name;
     Format.printf "%a@." Counters.pp counters;
-    Printf.printf "\nanalytic bounds (Section 3.3): loop iters = %d, kappa'' in [%.0f, %.0f]\n"
-      (Counters.exact_loop_iters n)
+    let unordered = Counters.exact_loop_iters n in
+    let ordered = 2 * unordered in
+    (* An opaque kappa'' may be asymmetric, so its kernel keeps the
+       ordered loop. *)
+    let split_kind, iters =
+      if Blitz_core.Split_loop.variant model = "general" then ("ordered", ordered)
+      else ("unordered", unordered)
+    in
+    Printf.printf
+      "\nanalytic bounds: loop iters = %d (one per %s split; Section 3.3's ordered loop runs \
+       %d),\n\
+      \  kappa'' in [%.0f, %.0f] for the ordered loop (Section 6.2)\n"
+      iters split_kind ordered
       (Counters.predicted_dprime_lower n)
       (Counters.predicted_dprime_upper n)
   in

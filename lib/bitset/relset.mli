@@ -117,7 +117,8 @@ val succ_subset_stride : within:t -> stride:int -> t -> t
 val iter_proper_subsets : (t -> unit) -> t -> unit
 (** [iter_proper_subsets f s] applies [f] to each nonempty proper subset
     of [s], in dilated counting order — [2^(cardinal s) - 2] calls.
-    This is the split loop of [find_best_split]. *)
+    This is the paper's split loop over ordered splits (Figure 1);
+    [find_best_split] stops halfway, visiting each unordered split once. *)
 
 val fold_proper_subsets : ('a -> t -> 'a) -> 'a -> t -> 'a
 

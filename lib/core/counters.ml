@@ -54,7 +54,7 @@ let merge_into ~from ~into =
 let exact_loop_iters n =
   if n < 1 then invalid_arg "Counters.exact_loop_iters: n must be positive";
   let rec pow base k acc = if k = 0 then acc else pow base (k - 1) (acc * base) in
-  pow 3 n 1 - (2 * pow 2 n 1) + 1
+  (pow 3 n 1 - (2 * pow 2 n 1) + 1) / 2
 
 let predicted_dprime_lower n =
   0.5 *. log 2.0 *. float_of_int n *. Blitz_util.Float_more.pow_int 2.0 n

@@ -3,15 +3,22 @@
     Section 3.3 derives the expected counts that dominate running time —
     [3^n] split-loop iterations, between [(ln 2 / 2) n 2^n] and [3^n]
     evaluations of [kappa''] depending on cost spacing (Section 6.2), and
-    [2^n] per-subset straight-line executions.  These counters let the
-    benchmarks verify those predictions empirically (experiment
-    "counts"). *)
+    [2^n] per-subset straight-line executions.  The paper's loop visits
+    every {e ordered} split; under a symmetric [kappa''] (every model but
+    an [Opaque] one with a nonzero [kappa''], which keeps the ordered
+    loop) [Split_loop.find_best_split] visits each unordered split once,
+    so its [loop_iters] is half the paper's count.
+    These counters let the benchmarks verify the predictions empirically
+    (experiments "counts" and "ablation", which run the ordered reference
+    kernel for the paper's columns). *)
 
 type t = {
   mutable subsets : int;
       (** Calls to find_best_split: non-singleton subsets processed. *)
   mutable loop_iters : int;
-      (** Split-loop iterations in aggregate (the [3^n] term). *)
+      (** Split-loop iterations in aggregate: under a symmetric
+          [kappa''], one per unordered split [{lhs, s lxor lhs}] visited,
+          half the paper's ordered [3^n] term (see {!exact_loop_iters}). *)
   mutable operand_sums : int;
       (** Iterations passing the nested-[if] operand-cost checks (both
           operand costs below best-so-far). *)
@@ -53,14 +60,20 @@ val merge_into : from:t -> into:t -> unit
 (** {1 Analytic predictions (Section 3.3)} *)
 
 val exact_loop_iters : int -> int
-(** Exact aggregate split-loop count without thresholds:
-    [3^n - 2^(n+1) + 1]. *)
+(** Exact aggregate split-loop count of [find_best_split] without
+    thresholds under a symmetric [kappa'']: [(3^n - 2^(n+1) + 1) / 2],
+    one iteration per unordered split of every subset.  Section 3.3's
+    ordered loop, which an [Opaque] model with a nonzero [kappa''] still
+    runs, makes twice that; the same number is DPsize's [joins_built]
+    and DPccp's csg-cmp pair count on a clique. *)
 
 val predicted_dprime_lower : int -> float
-(** [(ln 2 / 2) n 2^n], the expected count when cost spacing lets the
-    nested-[if]s reject most splits early. *)
+(** [(ln 2 / 2) n 2^n], Section 6.2's expected [kappa''] count for the
+    paper's ordered loop when cost spacing lets the nested-[if]s reject
+    most splits early. *)
 
 val predicted_dprime_upper : int -> float
-(** [3^n], the worst case when all splits cost alike. *)
+(** [3^n], Section 6.2's worst case for the paper's ordered loop, when
+    all splits cost alike. *)
 
 val pp : Format.formatter -> t -> unit

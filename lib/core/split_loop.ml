@@ -40,13 +40,26 @@ module Cost_model = Blitz_cost.Cost_model
    in local refs and added to [ctr] once per subset: the zero arm calls
    an Opaque model's kappa' closure before its loop, which leaves [ctr]
    on the stack, and a loop that bumps [ctr] fields would reload it on
-   every operand sum.  [lhs] walks all nonempty
-   proper subsets of [s] via the successor trick; nested ifs defer the
-   kappa'' evaluation until both operand costs and their sum beat the
-   best split so far (Section 6.2).  All bodies reproduce the reference
-   kernel's float expressions and counter updates exactly, so costs,
-   [best_lhs] links and counters are bit-identical to it (QCheck-enforced
-   in the test suite). *)
+   every operand sum.  Nested ifs defer the kappa'' evaluation until
+   both operand costs and their sum beat the best split so far
+   (Section 6.2).
+
+   The zero, sum-aux and dnl bodies visit each unordered split
+   {l, s \ l} once.  [lhs] walks the nonempty proper subsets of [s] in
+   increasing order via the successor trick, but stops at the first one
+   holding [s]'s top bit: l < s lxor l iff 2l < s, hence
+   [while !lhs + !lhs < s].  That is 2^(|s|-1) - 1 iterations where the
+   paper's ordered loop (Figure 1) runs 2^|s| - 2.  Dropping the
+   mirrored visits changes nothing for a symmetric kappa'', which these
+   three bodies have: IEEE [+.], [*.] and [Float.min] commute, so (r, l)
+   prices to the same bits as (l, r); the ordered loop meets the smaller
+   side l first; and at its later visit to r every test compares the
+   same quantity against a best that can only have dropped, so that
+   visit never improves.  Costs and [best_lhs] links are therefore
+   bit-identical to the ordered reference kernel's, with exactly half
+   its [loop_iters].  The general body cannot assume symmetry and keeps
+   the ordered walk, so it matches the reference exactly, counters
+   included (both QCheck-enforced in the test suite). *)
 
 (* kappa' alone already "overflows" the threshold: skip the split loop
    entirely.  Shared across bodies — only word-sized arguments, so the
@@ -63,7 +76,9 @@ let find_best_split (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t)
   match model.kind with
   | Cost_model.Opaque when not model.dprime_is_zero ->
     (* General body: kappa'' through the closure (boxes its float
-       arguments — unavoidable without specialization). *)
+       arguments — unavoidable without specialization).  It may be
+       asymmetric, so this body keeps the ordered walk over all
+       2^|s| - 2 splits. *)
     let kp = model.k_prime out in
     if kp >= threshold then skip_subset tbl ctr s
     else begin
@@ -126,7 +141,7 @@ let find_best_split (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t)
       let best_lhs = ref 0 in
       let lhs = ref (s land (-s)) in
       let iters = ref 0 and sums = ref 0 and improved = ref 0 in
-      while !lhs <> s do
+      while !lhs + !lhs < s do
         incr iters;
         let l = !lhs in
         let cl = Array.unsafe_get cost l in
@@ -166,7 +181,7 @@ let find_best_split (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t)
       let best_lhs = ref 0 in
       let lhs = ref (s land (-s)) in
       let iters = ref 0 and sums = ref 0 and evals = ref 0 and improved = ref 0 in
-      while !lhs <> s do
+      while !lhs + !lhs < s do
         incr iters;
         let l = !lhs in
         let cl = Array.unsafe_get cost l in
@@ -216,7 +231,7 @@ let find_best_split (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t)
       let best_lhs = ref 0 in
       let lhs = ref (s land (-s)) in
       let iters = ref 0 and sums = ref 0 and evals = ref 0 and improved = ref 0 in
-      while !lhs <> s do
+      while !lhs + !lhs < s do
         incr iters;
         let l = !lhs in
         let cl = Array.unsafe_get cost l in

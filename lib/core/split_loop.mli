@@ -7,7 +7,10 @@
     subsets are enumerated and in how [compute_properties] fills the
     cardinality column; the split loop — the [O(3^n)] part realized with
     the successor trick and nested-[if] pruning (Sections 4.2, 6.2) —
-    is identical and lives here.
+    is identical and lives here.  Under every model with a symmetric
+    [kappa''] it visits each unordered split [{lhs, s lxor lhs}] once,
+    [(3^n - 2^(n+1) + 1) / 2] iterations in all, half the paper's loop
+    over ordered splits.
 
     {!find_best_split} dispatches once per subset on
     {!Blitz_cost.Cost_model.kind} to a monomorphized loop body: the
@@ -15,9 +18,12 @@
     closure call, no float boxing — the loop allocates nothing), reading
     the [cost], [card] and [aux] columns of {!Dp_table} directly.
     [Opaque] models with a nonzero [kappa''] fall back to a
-    closure-calling body.  All kernels produce bit-identical costs,
-    [best_lhs] links and counters to the pre-refactor generic kernel,
-    which the test suite and [bench split] keep as their reference.
+    closure-calling body that keeps the ordered loop, since such a
+    [kappa''] may be asymmetric.  The paper-model kernels produce costs
+    and [best_lhs] links bit-identical to the generic kernel over
+    ordered splits, which the test suite and [bench split] keep as their
+    reference, with exactly half its [loop_iters]; the closure-calling
+    body matches it exactly, counters included.
 
     All kernels use unchecked array accesses internally: callers must
     pass subset indices in [(0, 2^n)] against a table created for [n]

@@ -1,8 +1,8 @@
-(* The pre-refactor split kernel, kept verbatim for differential testing
+(* The paper's split kernel (Figure 1), kept for differential testing
    and as the baseline the `bench split` speedup gate measures against:
-   one generic loop body for every cost model, kappa' and kappa'' both
-   through the model's closures.  Same contract as
-   [Blitz_core.Split_loop.find_best_split]. *)
+   one generic loop body for every cost model over every ordered split,
+   kappa' and kappa'' both through the model's closures.  Same contract
+   as [Blitz_core.Split_loop.find_best_split]. *)
 
 module Cost_model = Blitz_cost.Cost_model
 module Counters = Blitz_core.Counters

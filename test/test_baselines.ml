@@ -73,9 +73,10 @@ let test_dpsize_enumerator_overhead () =
   let r = B.Dpsize.optimize Cost_model.naive catalog graph in
   Alcotest.(check bool) "pairs considered > joins built" true
     (r.B.Dpsize.pairs_considered > r.B.Dpsize.joins_built);
-  (* joins_built counts each unordered split once: (3^n - 2^(n+1) + 1) / 2. *)
+  (* joins_built counts each unordered split once, as blitzsplit's split
+     loop does: (3^n - 2^(n+1) + 1) / 2. *)
   Alcotest.(check int) "joins built = unordered splits"
-    ((Blitz_core.Counters.exact_loop_iters n) / 2)
+    (Blitz_core.Counters.exact_loop_iters n)
     r.B.Dpsize.joins_built
 
 (* ---- Greedy ---- *)

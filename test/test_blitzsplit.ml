@@ -92,8 +92,9 @@ let test_two_relations_join () =
   check_float "cost = |A||B|s" 50.0 (Blitzsplit.best_cost r)
 
 let test_counters_match_analysis () =
-  (* Without thresholds the split loop runs exactly 3^n - 2^(n+1) + 1
-     times in aggregate (Section 3.3). *)
+  (* Without thresholds the split loop runs exactly
+     (3^n - 2^(n+1) + 1) / 2 times in aggregate: once per unordered
+     split, half Section 3.3's count of ordered splits. *)
   List.iter
     (fun n ->
       let catalog = Catalog.uniform ~n ~card:100.0 in

@@ -28,10 +28,10 @@ let test_dp_table_bounds () =
   Alcotest.(check bool) "fresh extraction fails" true (Dp_table.extract_plan t 0b11 = None)
 
 let test_counters_analytics () =
-  (* 3^n - 2^(n+1) + 1 for small n, by hand. *)
-  Alcotest.(check int) "n=2" 2 (Counters.exact_loop_iters 2);
-  Alcotest.(check int) "n=3" 12 (Counters.exact_loop_iters 3);
-  Alcotest.(check int) "n=4" 50 (Counters.exact_loop_iters 4);
+  (* (3^n - 2^(n+1) + 1) / 2 unordered splits for small n, by hand. *)
+  Alcotest.(check int) "n=2" 1 (Counters.exact_loop_iters 2);
+  Alcotest.(check int) "n=3" 6 (Counters.exact_loop_iters 3);
+  Alcotest.(check int) "n=4" 25 (Counters.exact_loop_iters 4);
   check_float ~rel:1e-12 "lower bound n=4" (0.5 *. log 2.0 *. 4.0 *. 16.0)
     (Counters.predicted_dprime_lower 4);
   check_float "upper bound n=4" 81.0 (Counters.predicted_dprime_upper 4);

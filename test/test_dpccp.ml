@@ -22,7 +22,7 @@ let graph_of topo n =
 (* Closed forms (Moerkotte & Neumann 2006, Table 1). *)
 let chain_ccp n = ((n * n * n) - n) / 6
 let star_ccp n = (n - 1) * (1 lsl (n - 2))
-let clique_ccp n = (Blitz_core.Counters.exact_loop_iters n + 0) / 2
+let clique_ccp n = Blitz_core.Counters.exact_loop_iters n
 
 let test_csg_counts () =
   (* Chains: n(n+1)/2 connected subgraphs; cliques: 2^n - 1;
