@@ -79,7 +79,7 @@ let run () =
         Engine.with_session ~model (fun session ->
             let entry = Registry.find_exn "exact" in
             let ctr = Engine.counters session in
-            let sctx = Engine.ctx ~counters:ctr session in
+            let sctx = Engine.ctx ~counters:ctr ~n session in
             let run_batch () =
               List.iter
                 (fun p ->

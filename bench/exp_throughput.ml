@@ -69,7 +69,7 @@ let run () =
         let fresh_costs =
           List.map (fun p -> (Registry.optimize (Registry.ctx model) p).Registry.cost) problems
         in
-        Engine.with_session ~model (fun session ->
+        Engine.with_session ~model ~num_domains:1 (fun session ->
             (* Bit-identical check before timing: the session path must
                reproduce the fresh path's cost on every query. *)
             let session_outcomes = Engine.optimize_many session (List.to_seq problems) in
@@ -83,7 +83,7 @@ let run () =
               (List.combine fresh_costs session_outcomes);
             let entry = Registry.find_exn "exact" in
             let ctr = Engine.counters session in
-            let sctx = Engine.ctx ~counters:ctr session in
+            let sctx = Engine.ctx ~counters:ctr ~n session in
             (* The two paths differ by fractions of a microsecond per
                query, well inside this host's CPU-frequency drift over a
                single measurement, hence the interleaved best rounds. *)

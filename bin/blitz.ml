@@ -544,7 +544,9 @@ let optimize_cmd =
            which lives on the raw registry ctx (and bypasses the cache:
            thresholded outcomes under a caller threshold are
            caller-dependent). *)
-        Registry.optimize ~optimizer (Engine.ctx ?threshold ~growth ~multiway session) prob
+        Registry.optimize ~optimizer
+          (Engine.ctx ?threshold ~growth ~multiway ~n:(Catalog.n problem.catalog) session)
+          prob
     in
     let outcome = ref (run_once ()) in
     for _ = 2 to repeat do

@@ -5,6 +5,7 @@ module Arena = Blitz_core.Arena
 module Counters = Blitz_core.Counters
 module Blitzsplit = Blitz_core.Blitzsplit
 module Pool = Blitz_parallel.Pool
+module Parallel_blitzsplit = Blitz_parallel.Parallel_blitzsplit
 module Obs = Blitz_obs.Obs
 module Plan = Blitz_plan.Plan
 module Plan_cache = Blitz_cache.Plan_cache
@@ -52,7 +53,8 @@ type t = {
   mutable closed : bool;
 }
 
-let create ?(model = Blitz_cost.Cost_model.kdnl) ?(num_domains = 1) ?(seed = 1) ?cache () =
+let create ?(model = Blitz_cost.Cost_model.kdnl)
+    ?(num_domains = Parallel_blitzsplit.recommended_domains ()) ?(seed = 1) ?cache () =
   if num_domains < 1 || num_domains > 128 then
     invalid_arg (Printf.sprintf "Engine.create: num_domains %d outside [1, 128]" num_domains);
   {
@@ -72,18 +74,24 @@ let num_domains t = t.num_domains
 let arena t = t.arena
 let cache t = t.cache
 
-(* The pool is spawned on first use, not at [create]: single-domain
-   sessions (and multi-domain sessions that only ever run table-free
-   optimizers) never pay the Domain.spawn cost. *)
-let pool t =
-  if t.num_domains <= 1 then None
+(* The pool is spawned by the first query that takes the rank-parallel
+   path, not at [create]: single-domain sessions, and sessions that only
+   ever see queries below the crossover, never pay the Domain.spawn
+   cost, and a closed session never spawns one again.  When the runtime
+   refuses the domains (its 128-domain cap), the query runs on the
+   sequential kernel, whose answer has the same bits; the next large
+   query tries again. *)
+let pool t ~n =
+  if t.closed || t.num_domains <= 1 || n < Parallel_blitzsplit.default_crossover_n then None
   else
     match t.pool with
     | Some _ as p -> p
-    | None ->
-      let p = Pool.create ~num_domains:t.num_domains in
-      t.pool <- Some p;
-      Some p
+    | None -> (
+      match Pool.create ~num_domains:t.num_domains with
+      | p ->
+        t.pool <- Some p;
+        t.pool
+      | exception Failure _ -> None)
 
 let close t =
   (match t.pool with Some p -> Pool.shutdown p | None -> ());
@@ -95,9 +103,13 @@ let with_session ?model ?num_domains ?seed ?cache f =
   let t = create ?model ?num_domains ?seed ?cache () in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 
-let ctx ?interrupt ?threshold ?growth ?max_passes ?counters ?multiway t =
-  Registry.ctx ~arena:t.arena ?pool:(pool t) ~num_domains:t.num_domains ~seed:t.seed ?interrupt
-    ?threshold ?growth ?max_passes ?counters ?multiway t.model
+(* The ctx carries the pool and no width: the rank-parallel optimizer
+   runs on a pool whatever the width says, and without one a width
+   above 1 would have its thresholded form spawn a fresh pool per
+   call. *)
+let ctx ?interrupt ?threshold ?growth ?max_passes ?counters ?multiway ~n t =
+  Registry.ctx ~arena:t.arena ?pool:(pool t ~n) ~seed:t.seed ?interrupt ?threshold ?growth
+    ?max_passes ?counters ?multiway t.model
 
 let counters t = Arena.counters t.arena
 
@@ -171,20 +183,15 @@ let append_note extra (o : Registry.outcome) =
 
 (* Run one problem through the entry, going through the cache when the
    session has one.  The scratch already holds this problem's canonical
-   form on the miss path, so the store needs no recompute.  [cold_ctx],
-   when given, is a prebuilt ctx to run cold (unthresholded) passes
-   with, letting batches share one ctx across queries. *)
+   form on the miss path, so the store needs no recompute. *)
 let run_entry t (entry : Registry.entry) ~optimizer ?interrupt ?threshold ?(multiway = false)
-    ?cache_tag ?cold_ctx ~ctr problem =
+    ?cache_tag ~ctr problem =
   (* Multiway planning is real only for entries that advertise it; the
      flag reaches the cache key only then, so e.g. greedy lookups do not
      fragment across the two modes they cannot distinguish. *)
   let mw = multiway && entry.Registry.caps.Registry.multiway in
-  let cold () =
-    match cold_ctx with
-    | Some c -> c
-    | None -> ctx ?interrupt ?threshold ~multiway:mw ~counters:ctr t
-  in
+  let n = Catalog.n problem.Registry.catalog in
+  let cold () = ctx ?interrupt ?threshold ~multiway:mw ~counters:ctr ~n t in
   let cacheable =
     t.cache <> None && entry.Registry.caps.Registry.cacheable && Option.is_none threshold
   in
@@ -221,7 +228,6 @@ let run_entry t (entry : Registry.entry) ~optimizer ?interrupt ?threshold ?(mult
           match Plan_cache.shape_seed c t.scratch with
           | None -> None
           | Some (plan, _stored_cost) ->
-              let n = Catalog.n problem.Registry.catalog in
               let structurally_ok =
                 Plan.leaf_count plan = n
                 && (match Plan.validate ~n plan with Ok () -> true | Error _ -> false)
@@ -251,7 +257,7 @@ let run_entry t (entry : Registry.entry) ~optimizer ?interrupt ?threshold ?(mult
           | None -> entry.Registry.optimize (cold ()) problem
           | Some (w, _) ->
               entry.Registry.optimize
-                (ctx ?interrupt ~threshold:w ~multiway:mw ~counters:ctr t)
+                (ctx ?interrupt ~threshold:w ~multiway:mw ~counters:ctr ~n t)
                 problem
         in
         (match o.Registry.plan with
@@ -278,10 +284,9 @@ let optimize_many ?(optimizer = "exact") ?interrupt ?multiway ?cache_tag t probl
   if t.closed then invalid_arg "Engine.optimize_many: session is closed";
   (* One registry lookup for the whole batch — per-query work is a
      counter reset, a fingerprint into the session scratch (cache
-     sessions), and the optimizer itself. *)
+     sessions), a ctx sized to the query, and the optimizer itself. *)
   let entry = Registry.find_exn optimizer in
   let ctr = Arena.counters t.arena in
-  let cold_ctx = ctx ?interrupt ?multiway ~counters:ctr t in
   let completed = ref [] in
   Obs.span "engine.optimize_many" ~attrs:[ ("optimizer", optimizer) ] (fun () ->
       try
@@ -290,7 +295,7 @@ let optimize_many ?(optimizer = "exact") ?interrupt ?multiway ?cache_tag t probl
             Counters.reset ctr;
             let o =
               Obs.Metrics.time m_latency (fun () ->
-                  run_entry t entry ~optimizer ?interrupt ?multiway ?cache_tag ~cold_ctx ~ctr p)
+                  run_entry t entry ~optimizer ?interrupt ?multiway ?cache_tag ~ctr p)
             in
             record_outcome t o;
             (* The table is a view of the arena's buffer, overwritten by the

@@ -6,9 +6,12 @@
     win on.  A session owns an {!Blitz_core.Arena} (high-water-mark
     DP-table buffer + reusable counters) and, for multi-domain
     sessions, one lazily spawned {!Blitz_parallel.Pool}, and runs any
-    registered optimizer through them.  Results are bit-identical to
-    fresh-allocation runs for every optimizer and domain count (tested
-    property).
+    registered optimizer through them.  Sessions are multi-domain by
+    default: exact and thresholded queries at or above
+    {!Blitz_parallel.Parallel_blitzsplit.default_crossover_n} relations
+    fill their lattice rank-parallel on the machine's cores.  Results
+    are bit-identical to fresh-allocation runs for every optimizer and
+    domain count (tested property).
 
     A session may also carry a {!Blitz_cache.Plan_cache}: any optimizer
     whose registry entry promises exactness then consults it before
@@ -44,16 +47,22 @@ type t
 
 val create :
   ?model:Cost_model.t -> ?num_domains:int -> ?seed:int -> ?cache:Plan_cache.t -> unit -> t
-(** [model] defaults to [kdnl], [num_domains] to 1 (sequential), [seed]
-    to 1.  Nothing is allocated up front: the first query sizes the
-    arena, and the domain pool spawns on the first parallel run.
-    [cache] plugs a (possibly shared) plan cache into the session; no
-    cache means no lookups and no stores.  Raises [Invalid_argument]
-    when [num_domains] is outside [1, 128]. *)
+(** [model] defaults to [kdnl], [num_domains] to
+    {!Blitz_parallel.Parallel_blitzsplit.recommended_domains} (the
+    runtime's recommended count; 1 on a single-core host), [seed] to 1.
+    Pass [~num_domains:1] for a sequential session: the server does,
+    one domain per worker being its parallelism.  Nothing is allocated
+    up front: the first query sizes the arena, and the domain pool
+    spawns on the first query that takes the rank-parallel path (see
+    {!pool}).  [cache] plugs a (possibly shared) plan cache into the
+    session; no cache means no lookups and no stores.  Raises
+    [Invalid_argument] when [num_domains] is outside [1, 128]. *)
 
 val close : t -> unit
 (** Shut the pool down (if spawned) and drop the arena's buffers.
-    Subsequent {!optimize} calls raise [Invalid_argument]. *)
+    Subsequent {!optimize} calls raise [Invalid_argument].  A session
+    that ran a large query and is never closed keeps its parked worker
+    domains until the process exits. *)
 
 val with_session :
   ?model:Cost_model.t -> ?num_domains:int -> ?seed:int -> ?cache:Plan_cache.t -> (t -> 'a) -> 'a
@@ -109,9 +118,15 @@ val model : t -> Cost_model.t
 val num_domains : t -> int
 val arena : t -> Arena.t
 
-val pool : t -> Pool.t option
-(** Spawns the pool on first call for multi-domain sessions; [None]
-    for single-domain ones. *)
+val pool : t -> n:int -> Pool.t option
+(** The pool an [n]-relation query runs on.  [None] for single-domain
+    and closed sessions and below
+    {!Blitz_parallel.Parallel_blitzsplit.default_crossover_n}, where the
+    rank-parallel optimizer runs the sequential kernel anyway; otherwise
+    the session's pool, spawned by the first such call.  Also [None] when
+    the runtime refuses the domains (it caps a process at 128): the
+    query then runs sequentially with the same answer, and the next call
+    tries again.  Never raises. *)
 
 val counters : t -> Counters.t
 (** The arena's counter block (reset at each {!optimize}). *)
@@ -154,8 +169,10 @@ val ctx :
   ?max_passes:int ->
   ?counters:Counters.t ->
   ?multiway:bool ->
+  n:int ->
   t ->
   Registry.ctx
-(** The registry ctx {!optimize} uses, exposed so budget-holding
-    drivers (Guard/Degrade) can dispatch registry entries through the
-    session themselves. *)
+(** The registry ctx {!optimize} uses for an [n]-relation query,
+    exposed so callers can dispatch registry entries through the
+    session themselves.  It carries [pool t ~n]: the DP entries run on
+    that pool when there is one and sequentially otherwise. *)

@@ -121,23 +121,18 @@ let drive ~budget ~cascade ~seed ~num_domains ~multiway ~session ?cache_tag mode
         from_cache = true;
       }
   | None -> (
-    (* A session plugs its pooled DP table and spawned domain pool into
-       the cascade; its domain count is the default when the caller gave
-       none.  Plans and costs are bit-identical with or without it. *)
-    let arena = Option.map Engine.arena session in
-    let pool = Option.bind session Engine.pool in
-    let cache_bytes =
-      match Option.bind session Engine.cache with
-      | Some c -> Some (Blitz_engine.Engine.Plan_cache.resident_bytes c)
-      | None -> None
-    in
-    let num_domains =
-      match (num_domains, session) with
-      | (Some _ as d), _ -> d
-      | None, Some s -> Some (Engine.num_domains s)
-      | None, None -> None
-    in
     match
+      (* A session plugs its pooled DP table into the cascade and, for a
+         query large enough to run rank-parallel, its domain pool, which
+         the DP tiers run on whatever [num_domains] says.  Plans and
+         costs are bit-identical with or without it. *)
+      let arena = Option.map Engine.arena session in
+      let pool = Option.bind session (fun s -> Engine.pool s ~n:(Catalog.n catalog)) in
+      let cache_bytes =
+        match Option.bind session Engine.cache with
+        | Some c -> Some (Blitz_engine.Engine.Plan_cache.resident_bytes c)
+        | None -> None
+      in
       Degrade.optimize ?cascade ?seed ?num_domains ?multiway ?arena ?pool ?cache_bytes ~budget
         model catalog graph
     with

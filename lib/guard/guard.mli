@@ -66,10 +66,14 @@ val optimize :
     result matches [Blitzsplit.optimize_join] exactly — including with
     [num_domains > 1], which runs the DP tiers rank-parallel on that
     many domains with bit-identical results (see {!Degrade.run_tier}).
-    [session] plugs a [Blitz_engine.Engine] session in: the DP tiers
-    draw their table from its arena and its spawned pool, and its
-    domain count is the default when [num_domains] is omitted — the
-    way to run many guarded queries without per-query allocation.
+    [session] plugs a [Blitz_engine.Engine] session in — the way to run
+    many guarded queries without per-query allocation: the DP tiers
+    draw their table from its arena and, for queries of at least
+    [Blitz_parallel.Parallel_blitzsplit.default_crossover_n] relations,
+    run on its domain pool ([Blitz_engine.Engine.pool]), which a default
+    session sizes to the machine's cores and spawns on the first such
+    query.  When the runtime refuses those domains the tiers run
+    sequentially, with the same answer.
     [multiway] asks capable tiers for n-ary AGM-costed plans (see
     {!Degrade.optimize}); incapable tiers ignore it, so the cascade
     stays valid end to end.  [cache_tag] partitions the session cache

@@ -154,12 +154,15 @@ let parallel_run pool ~graph_opt ~arena ~ctr ~threshold ~interrupt model catalog
   merge_counters ();
   tbl
 
-(* Below this size the rank barriers and chunk scheduling cost more than
-   the split loops they spread out: BENCH_parallel.json on the reference
-   host shows speedups of 0.4-1.0x through n = 13 and the sequential pass
-   finishing in well under a millisecond there, while the parallel win
-   only materializes once per-rank work amortizes the synchronization.
-   n = 14 keeps the CI parallel smoke (n = 15) on the parallel path. *)
+(* Below this size the rank barriers and chunk scheduling eat most of
+   what spreading the split loops buys.  BENCH_parallel.json, on two
+   cores, has two domains at 0.88x for n = 12 (a 0.8 ms sequential pass)
+   and 1.28x at n = 13, against 1.69x at n = 14 and 1.4-1.8x from there
+   to n = 20.  A lower crossover would likely gain on multi-core hosts
+   at n = 13, but no benchmark workload runs an in-process query below
+   n = 18, so the move cannot be sized.  Engine sessions spawn their
+   pool only from here up, and n = 14 keeps the CI parallel smoke
+   (n = 15) on the parallel path. *)
 let default_crossover_n = 14
 
 let run ?pool ~num_domains ?(min_parallel_n = default_crossover_n) ~graph_opt ?arena ?counters

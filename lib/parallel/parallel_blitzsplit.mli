@@ -42,10 +42,11 @@ val default_crossover_n : int
 (** Below this relation count (14) the drivers fall back to the
     sequential kernel even when a pool or domain budget is supplied:
     the committed parallel benchmark shows rank barriers and chunk
-    scheduling erase the win there (speedups of 0.4–1.0x through
-    n = 13), and the results are bit-identical either way.  Override
-    with [min_parallel_n] to force the parallel path (benchmarks,
-    tests). *)
+    scheduling eat most of the win there (two domains on two cores:
+    0.88x at n = 12, 1.28x at n = 13, 1.69x at n = 14), and the results
+    are bit-identical either way.  [Blitz_engine.Engine] sessions spawn
+    their pool only from this size up.  Override with [min_parallel_n]
+    to force the parallel path (benchmarks, tests). *)
 
 val run :
   ?pool:Pool.t ->

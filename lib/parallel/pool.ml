@@ -88,6 +88,16 @@ let worker_body t index =
   in
   park ()
 
+let shutdown t =
+  if not t.shutdown then begin
+    Mutex.lock t.mutex;
+    t.shutdown <- true;
+    Condition.broadcast t.work_ready;
+    Mutex.unlock t.mutex;
+    List.iter Domain.join t.domains;
+    t.domains <- []
+  end
+
 let create ~num_domains =
   if num_domains < 1 || num_domains > 128 then
     invalid_arg (Printf.sprintf "Pool.create: num_domains = %d outside [1, 128]" num_domains);
@@ -107,8 +117,17 @@ let create ~num_domains =
       domains = [];
     }
   in
-  t.domains <-
-    List.init (num_domains - 1) (fun i -> Domain.spawn (fun () -> worker_body t (i + 1)));
+  (* One worker at a time, so that when the runtime refuses one (its
+     domain cap, or a thread it cannot create) the workers already
+     spawned are shut down before the failure propagates. *)
+  (try
+     for i = 1 to num_domains - 1 do
+       t.domains <- Domain.spawn (fun () -> worker_body t i) :: t.domains
+     done
+   with exn ->
+     let bt = Printexc.get_raw_backtrace () in
+     shutdown t;
+     Printexc.raise_with_backtrace exn bt);
   t
 
 let run t ~chunks job =
@@ -137,16 +156,6 @@ let run t ~chunks job =
   t.poisoned <- None;
   Mutex.unlock t.mutex;
   match failure with None -> () | Some exn -> raise exn
-
-let shutdown t =
-  if not t.shutdown then begin
-    Mutex.lock t.mutex;
-    t.shutdown <- true;
-    Condition.broadcast t.work_ready;
-    Mutex.unlock t.mutex;
-    List.iter Domain.join t.domains;
-    t.domains <- []
-  end
 
 let with_pool ~num_domains f =
   let pool = create ~num_domains in

@@ -16,7 +16,11 @@ type t
 val create : num_domains:int -> t
 (** [create ~num_domains] spawns [num_domains - 1] worker domains (the
     caller of {!run} is worker 0).  Raises [Invalid_argument] outside
-    [\[1, 128\]].  A 1-domain pool spawns nothing and runs jobs inline. *)
+    [\[1, 128\]].  A 1-domain pool spawns nothing and runs jobs inline.
+    When the runtime refuses a worker (OCaml caps a process at 128 live
+    domains, the main one included), the workers already spawned are
+    shut down and joined before [Domain.spawn]'s [Failure] is re-raised,
+    so a failed [create] holds no domain. *)
 
 val num_domains : t -> int
 

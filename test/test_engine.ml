@@ -5,7 +5,10 @@
    recycled counters yields bit-identical cost, plan and counter totals
    to a fresh-allocation run — for every registered optimizer, across
    arbitrary query sequences (the arena shrinking and growing between
-   queries), and at every domain count.
+   queries), and at every domain count.  Sessions default to the
+   machine's cores, so queries at or above the rank-parallel crossover
+   are checked through a default session against a one-domain one, and
+   the session must still answer when the runtime refuses its domains.
 
    BLITZ_TEST_DOMAINS=N adds N to the domain axis, as in
    test_parallel.ml. *)
@@ -21,6 +24,9 @@ module Dp_table = Blitz_core.Dp_table
 module Blitzsplit = Blitz_core.Blitzsplit
 module Registry = Blitz_engine.Registry
 module Engine = Blitz_engine.Engine
+module Guard = Blitz_guard.Guard
+module Parallel_blitzsplit = Blitz_parallel.Parallel_blitzsplit
+module Workload = Blitz_workload.Workload
 module B = Blitz_baselines
 
 let env_domains =
@@ -246,6 +252,113 @@ let test_session_close () =
     (Invalid_argument "Engine.optimize: session is closed") (fun () ->
       ignore (Engine.optimize session p))
 
+(* {1 Default width: the machine's cores, from the crossover up} *)
+
+let crossover = Parallel_blitzsplit.default_crossover_n
+
+(* The paper's generated problems, as the benchmark's large cells. *)
+let appendix_spec ?(topology = Topology.Chain) ?(model = Cost_model.kdnl) ?(mean_card = 100.0)
+    ?(variability = 1.0 /. 3.0) n =
+  Workload.spec ~n ~topology ~model ~mean_card ~variability
+
+let registry_problem spec =
+  let catalog, graph = Workload.problem spec in
+  Registry.problem ~graph catalog
+
+(* Session outcomes alias the arena's counters; copy them out before
+   the next query resets them. *)
+let detach (o : Registry.outcome) =
+  { o with Registry.table = None; counters = Option.map Counters.copy o.Registry.counters }
+
+let test_default_width () =
+  let s = Engine.create () in
+  Alcotest.(check int) "a default session runs on the recommended domain count"
+    (Parallel_blitzsplit.recommended_domains ())
+    (Engine.num_domains s);
+  Engine.close s
+
+let guard_optimize session spec =
+  let catalog, graph = Workload.problem spec in
+  match Guard.optimize ~session spec.Workload.model catalog graph with
+  | Ok o -> o
+  | Error e -> Alcotest.fail (Guard.error_message e)
+
+let test_pool_spawns_at_crossover () =
+  (* Counted in runtime domain slots: each session's pool holds
+     [num_domains - 1] of them from its first query at the crossover. *)
+  let free = free_domain_slots () in
+  let below = appendix_spec ~topology:Topology.Clique (crossover - 1) in
+  let at = appendix_spec crossover in
+  Engine.with_session (fun s ->
+      Engine.with_session (fun g ->
+          let workers = Engine.num_domains s - 1 in
+          ignore (Engine.optimize s (registry_problem below));
+          ignore (guard_optimize g below);
+          Alcotest.(check int) "no domain spawned below the crossover" free
+            (free_domain_slots ());
+          ignore (Engine.optimize s (registry_problem at));
+          Alcotest.(check int) "Engine.optimize spawns the pool at the crossover"
+            (free - workers) (free_domain_slots ());
+          ignore (guard_optimize g at);
+          Alcotest.(check int) "Guard.optimize ~session spawns the pool at the crossover"
+            (free - (2 * workers))
+            (free_domain_slots ())));
+  Alcotest.(check int) "close joins the pools" free (free_domain_slots ())
+
+let guard_equal (a : Guard.outcome) (b : Guard.outcome) =
+  compare a.Guard.cost b.Guard.cost = 0
+  && Plan.equal a.Guard.plan b.Guard.plan
+  && a.Guard.provenance.Blitz_guard.Degrade.winner = b.Guard.provenance.Blitz_guard.Degrade.winner
+  && a.Guard.from_cache = b.Guard.from_cache
+
+(* Everything a session answers for [spec]: the exact and thresholded
+   entries through [Engine.optimize], then [Guard.optimize ~session]. *)
+let session_answers ?num_domains spec =
+  let problem = registry_problem spec in
+  Engine.with_session ~model:spec.Workload.model ?num_domains (fun s ->
+      let engine =
+        List.map
+          (fun optimizer -> detach (Engine.optimize ~optimizer s problem))
+          [ "exact"; "thresholded" ]
+      in
+      (engine, guard_optimize s spec))
+
+let answers_equal (e1, g1) (e2, g2) = List.for_all2 outcome_equal e1 e2 && guard_equal g1 g2
+
+let test_session_falls_back_at_domain_cap () =
+  (* With every domain slot held, a multi-domain session cannot spawn
+     its pool: the query runs sequentially, with the same bits. *)
+  let spec = appendix_spec ~topology:Topology.Star (crossover + 1) in
+  let sequential = session_answers ~num_domains:1 spec in
+  with_held_domains (fun _ ->
+      Alcotest.(check int) "every slot held" 0 (free_domain_slots ());
+      List.iter
+        (fun num_domains ->
+          Alcotest.(check bool) "answered, bit-identical to one domain" true
+            (answers_equal sequential (session_answers ?num_domains spec)))
+        [ None; Some 2 ])
+
+let large_spec_gen =
+  QCheck2.Gen.(
+    map
+      (fun (n, model, topology, mean_card, variability) ->
+        appendix_spec ~topology ~model ~mean_card ~variability n)
+      (tup5 (oneofl [ crossover; crossover + 1 ])
+         (oneofl [ Cost_model.naive; Cost_model.sort_merge; Cost_model.kdnl ])
+         (oneofl [ Topology.Chain; Topology.Star; Topology.Cycle_plus 2; Topology.Clique ])
+         (oneofl [ 100.0; 2000.0 ])
+         (oneofl [ 0.0; 1.0 /. 3.0 ])))
+
+let test_default_session_bit_identical =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:16
+       ~name:"default session = one-domain session from the crossover up"
+       ~print:Workload.describe large_spec_gen (fun spec ->
+         let sequential = session_answers ~num_domains:1 spec in
+         List.for_all
+           (fun num_domains -> answers_equal sequential (session_answers ?num_domains spec))
+           (None :: List.map Option.some env_domains)))
+
 (* {1 Registry metadata} *)
 
 let test_registry_metadata () =
@@ -298,5 +411,11 @@ let suite =
       test_optimize_many_interrupt_prefix;
     Alcotest.test_case "closed session rejects queries" `Quick test_session_close;
     Alcotest.test_case "registry metadata" `Quick test_registry_metadata;
+    Alcotest.test_case "default session width" `Quick test_default_width;
+    Alcotest.test_case "session pool spawns at the crossover" `Quick
+      test_pool_spawns_at_crossover;
+    Alcotest.test_case "session falls back at the domain cap" `Quick
+      test_session_falls_back_at_domain_cap;
     test_session_bit_identical;
+    test_default_session_bit_identical;
   ]

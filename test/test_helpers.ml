@@ -73,3 +73,35 @@ let problem_gen ~max_n =
       (int_bound 1_000_000))
 
 let problem_print p = Format.asprintf "%a" pp_problem p
+
+(* Runtime domain slots.  OCaml caps a process at 128 live domains, the
+   main one included; the pool-fallback tests hold slots with parked
+   domains to run up against the cap. *)
+
+(* Spawn parked domains until the runtime refuses one, and run [f] with
+   the number spawned; they are released and joined when [f] returns or
+   raises. *)
+let with_held_domains f =
+  let m = Mutex.create () and c = Condition.create () and released = ref false in
+  let park () =
+    Mutex.lock m;
+    while not !released do
+      Condition.wait c m
+    done;
+    Mutex.unlock m
+  in
+  let rec spawn held =
+    match Domain.spawn park with d -> spawn (d :: held) | exception Failure _ -> held
+  in
+  let held = spawn [] in
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.lock m;
+      released := true;
+      Condition.broadcast c;
+      Mutex.unlock m;
+      List.iter Domain.join held)
+    (fun () -> f (List.length held))
+
+(* How many more domains the runtime would spawn right now. *)
+let free_domain_slots () = with_held_domains Fun.id

@@ -104,6 +104,25 @@ let test_pool_propagates_exception_and_survives () =
       Pool.run pool ~chunks:16 (fun ~worker:_ c -> ignore (Atomic.fetch_and_add total c));
       Alcotest.(check int) "reusable after exception" 120 (Atomic.get total))
 
+let test_pool_create_failure_releases_workers () =
+  (* Hold a pool that leaves [k] domain slots free, then ask for k + 1
+     workers: the runtime refuses the last one, and the k already
+     spawned must be joined, or the pool of k workers that follows could
+     not spawn. *)
+  let k = 3 in
+  let free = free_domain_slots () in
+  Pool.with_pool ~num_domains:(free - k + 1) (fun _ ->
+      Alcotest.(check int) "k slots left free" k (free_domain_slots ());
+      (match Pool.create ~num_domains:(k + 2) with
+      | p ->
+        Pool.shutdown p;
+        Alcotest.fail "a pool past the domain cap spawned"
+      | exception Failure _ -> ());
+      Pool.with_pool ~num_domains:(k + 1) (fun pool ->
+          let total = Atomic.make 0 in
+          Pool.run pool ~chunks:16 (fun ~worker:_ c -> ignore (Atomic.fetch_and_add total c));
+          Alcotest.(check int) "a pool of k workers still spawns and runs" 120 (Atomic.get total)))
+
 (* {1 Parallel = sequential, bit for bit} *)
 
 let check_identical ~msg seq par =
@@ -256,6 +275,8 @@ let suite =
     Alcotest.test_case "binomial table" `Quick test_binomial_table;
     Alcotest.test_case "unrank_subset matches gosper order" `Quick test_unrank_matches_gosper;
     Alcotest.test_case "pool runs every chunk exactly once" `Quick test_pool_runs_every_chunk_once;
+    Alcotest.test_case "pool creation past the domain cap holds no domain" `Quick
+      test_pool_create_failure_releases_workers;
     Alcotest.test_case "pool propagates exceptions and survives" `Quick
       test_pool_propagates_exception_and_survives;
     QCheck_alcotest.to_alcotest prop_parallel_matches_sequential;
