@@ -5,48 +5,57 @@ module Plan = Blitz_plan.Plan
 
 type strategy = Min_result_card | Min_cost_increase
 
-type component = { plan : Plan.t; set : int; card : float }
-
 (* Cardinalities are maintained incrementally via Equation (7):
    card(a ∪ b) = card(a) * card(b) * pi_span(a, b) — no 2^n table, so
-   greedy scales to any number of relations. *)
+   greedy scales to any number of relations.
+
+   The forest lives in three arrays whose first [m] slots hold the [m]
+   remaining components: the merged one goes first and the survivors
+   keep their order.  Each round scans the pairs (i, j), i < j, in that
+   order and keeps the first with the smallest score, so ties and the
+   plan's operand order are settled by position alone.  The scan keeps
+   its best in local refs, so a pair costs no allocation but the span's
+   returned float; [Min_result_card] scores by output cardinality and
+   prices kappa only for the pair it merges. *)
 let optimize ?(strategy = Min_result_card) model catalog graph =
   let n = Catalog.n catalog in
   if Join_graph.n graph <> n then invalid_arg "Greedy.optimize: graph/catalog size mismatch";
-  let components =
-    ref
-      (List.init n (fun i ->
-           { plan = Plan.Leaf i; set = 1 lsl i; card = Catalog.card catalog i }))
-  in
+  let plans = Array.init n (fun i -> Plan.Leaf i) in
+  let sets = Array.init n (fun i -> 1 lsl i) in
+  let cards = Array.init n (Catalog.card catalog) in
   let total_cost = ref 0.0 in
-  let merge_score a b =
-    let out = a.card *. b.card *. Join_graph.pi_span graph a.set b.set in
-    let join_cost = Cost_model.kappa model ~out ~lcard:a.card ~rcard:b.card in
-    let score = match strategy with Min_result_card -> out | Min_cost_increase -> join_cost in
-    (score, out, join_cost)
-  in
-  while List.length !components > 1 do
-    let best = ref None in
-    let rec scan = function
-      | [] | [ _ ] -> ()
-      | a :: rest ->
-        List.iter
-          (fun b ->
-            let score, out, join_cost = merge_score a b in
-            match !best with
-            | Some (s, _, _, _, _) when s <= score -> ()
-            | Some _ | None -> best := Some (score, a, b, out, join_cost))
-          rest;
-        scan rest
-    in
-    scan !components;
-    match !best with
-    | None -> assert false
-    | Some (_, a, b, out, join_cost) ->
-      total_cost := !total_cost +. join_cost;
-      let merged = { plan = Plan.Join (a.plan, b.plan); set = a.set lor b.set; card = out } in
-      components := merged :: List.filter (fun c -> c.set <> a.set && c.set <> b.set) !components
+  for m = n downto 2 do
+    (* A NaN best loses to any score, as the first pair must. *)
+    let best = ref Float.nan and best_out = ref 0.0 and bi = ref 0 and bj = ref 0 in
+    for i = 0 to m - 2 do
+      for j = i + 1 to m - 1 do
+        let out = cards.(i) *. cards.(j) *. Join_graph.pi_span graph sets.(i) sets.(j) in
+        let score =
+          match strategy with
+          | Min_result_card -> out
+          | Min_cost_increase -> Cost_model.kappa model ~out ~lcard:cards.(i) ~rcard:cards.(j)
+        in
+        if not (!best <= score) then begin
+          best := score;
+          best_out := out;
+          bi := i;
+          bj := j
+        end
+      done
+    done;
+    let i = !bi and j = !bj in
+    total_cost :=
+      !total_cost +. Cost_model.kappa model ~out:!best_out ~lcard:cards.(i) ~rcard:cards.(j);
+    let plan = Plan.Join (plans.(i), plans.(j)) and set = sets.(i) lor sets.(j) in
+    (* Close the gap at j, then shift the slots before i up one. *)
+    Array.blit plans (j + 1) plans j (m - 1 - j);
+    Array.blit sets (j + 1) sets j (m - 1 - j);
+    Array.blit cards (j + 1) cards j (m - 1 - j);
+    Array.blit plans 0 plans 1 i;
+    Array.blit sets 0 sets 1 i;
+    Array.blit cards 0 cards 1 i;
+    plans.(0) <- plan;
+    sets.(0) <- set;
+    cards.(0) <- !best_out
   done;
-  match !components with
-  | [ c ] -> (c.plan, !total_cost)
-  | [] | _ :: _ -> assert false
+  (plans.(0), !total_cost)

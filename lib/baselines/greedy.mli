@@ -3,8 +3,12 @@
     Maintains a forest that starts as [n] single-relation components and
     repeatedly merges the pair optimizing a local criterion until one tree
     remains: [O(n^3)] work, no optimality guarantee.  Serves as the cheap
-    heuristic endpoint of the method-comparison experiment and as the
-    starting point for the stochastic searches. *)
+    heuristic endpoint of the method-comparison experiment, as the
+    starting point for the stochastic searches, as the degradation
+    cascade's terminal tier, and, through its cost, as the upper bound
+    the cascade's exact and thresholded tiers prune at — so it runs on
+    every guarded request and allocates little: a candidate pair costs
+    one boxed span, nothing else. *)
 
 module Catalog = Blitz_catalog.Catalog
 module Join_graph = Blitz_graph.Join_graph
@@ -17,6 +21,8 @@ type strategy =
 
 val optimize : ?strategy:strategy -> Cost_model.t -> Catalog.t -> Join_graph.t -> Plan.t * float
 (** Returns the greedy plan and its cost under the model
-    ([strategy] defaults to {!Min_result_card}).  Cardinalities are
+    ([strategy] defaults to {!Min_result_card}).  Each round merges the
+    first pair, in a fixed scan order, with the smallest score, so the
+    result is deterministic to the bit.  Cardinalities are
     maintained incrementally through the span recurrence (Equation 7),
     so this works for any [n] — no [2^n] table. *)

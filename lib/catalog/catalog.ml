@@ -67,6 +67,10 @@ let card t i =
   check_index t i;
   t.cards.(i)
 
+let card_into t i dst k =
+  check_index t i;
+  dst.(k) <- t.cards.(i)
+
 let cards t = Array.copy t.cards
 
 let name t i =

@@ -61,6 +61,11 @@ val card : t -> int -> float
 (** [card t i] is the cardinality of relation [i].  Raises
     [Invalid_argument] on out-of-range indexes. *)
 
+val card_into : t -> int -> float array -> int -> unit
+(** [card_into t i dst k] stores [card t i] in [dst.(k)].  A float
+    returned by a call that is not inlined is boxed; storing it instead
+    keeps the DP's initialization free of allocation. *)
+
 val cards : t -> float array
 (** Fresh copy of all cardinalities, index order. *)
 

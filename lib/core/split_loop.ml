@@ -280,6 +280,22 @@ let variant (model : Cost_model.t) =
   | Cost_model.Paper_sort_merge -> "sum-aux"
   | Cost_model.Paper_dnl _ -> "dnl"
 
+(* The property pass allocates nothing per subset under the paper
+   models, for the same reason the split loop does not: no float crosses
+   a function boundary.  [aux_of] is the model's [aux], dispatched on
+   [Cost_model.kind] as [find_best_split] is: the identity under kappa_0
+   and kappa_dnl, and c(1 + log c) under kappa_sm, spelled as
+   [Cost_model.sort_merge]'s closure spells it so the memo holds the same
+   bits.  Only [Opaque] calls the closure, which boxes.  Inputs read
+   through another module (a relation's cardinality, a doubleton's
+   selectivity) are stored straight into the table by that module, since
+   a returned float would be boxed. *)
+let[@inline] aux_of (model : Cost_model.t) c =
+  match model.kind with
+  | Cost_model.Paper_naive | Cost_model.Paper_dnl _ -> c
+  | Cost_model.Paper_sort_merge -> if c <= 1.0 then c else c *. (1.0 +. log c)
+  | Cost_model.Opaque -> model.aux c
+
 (* compute_properties for join optimization (Section 5.4): the fan
    recurrence Pi_fan(S) = Pi_fan(U+W) * Pi_fan(U+Z), seeded with raw
    predicate selectivities on doubletons, then
@@ -288,18 +304,17 @@ let compute_properties_join (tbl : Dp_table.t) (model : Cost_model.t) graph s =
   let pi_fan = tbl.pi_fan and card = tbl.card in
   let u = s land (-s) in
   let v = s lxor u in
-  let fan =
-    if v land (v - 1) = 0 then Join_graph.selectivity graph (Relset.min_elt u) (Relset.min_elt v)
-    else begin
-      let w = v land (-v) in
-      let z = v lxor w in
-      Array.unsafe_get pi_fan (u lor w) *. Array.unsafe_get pi_fan (u lor z)
-    end
-  in
-  Array.unsafe_set pi_fan s fan;
-  let c = Array.unsafe_get card u *. Array.unsafe_get card v *. fan in
+  if v land (v - 1) = 0 then
+    Join_graph.selectivity_into graph (Relset.min_elt u) (Relset.min_elt v) pi_fan s
+  else begin
+    let w = v land (-v) in
+    let z = v lxor w in
+    Array.unsafe_set pi_fan s
+      (Array.unsafe_get pi_fan (u lor w) *. Array.unsafe_get pi_fan (u lor z))
+  end;
+  let c = Array.unsafe_get card u *. Array.unsafe_get card v *. Array.unsafe_get pi_fan s in
   Array.unsafe_set card s c;
-  Array.unsafe_set tbl.aux s (model.aux c)
+  Array.unsafe_set tbl.aux s (aux_of model c)
 
 (* compute_properties for Cartesian products (Figure 1): just the
    cardinality product.  Never touches [pi_fan] (which the product path
@@ -310,17 +325,16 @@ let compute_properties_product (tbl : Dp_table.t) (model : Cost_model.t) s =
   let v = s lxor u in
   let c = Array.unsafe_get card u *. Array.unsafe_get card v in
   Array.unsafe_set card s c;
-  Array.unsafe_set tbl.aux s (model.aux c)
+  Array.unsafe_set tbl.aux s (aux_of model c)
 
 let init_singletons (tbl : Dp_table.t) (model : Cost_model.t) catalog =
   let n = Catalog.n catalog in
   let fan = Dp_table.has_pi_fan tbl in
   for i = 0 to n - 1 do
     let s = 1 lsl i in
-    let c = Catalog.card catalog i in
-    tbl.card.(s) <- c;
+    Catalog.card_into catalog i tbl.card s;
     tbl.cost.(s) <- 0.0;
     tbl.best_lhs.(s) <- 0;
     if fan then tbl.pi_fan.(s) <- 1.0;
-    tbl.aux.(s) <- model.aux c
+    tbl.aux.(s) <- aux_of model tbl.card.(s)
   done

@@ -26,21 +26,24 @@
     join algorithms (Section 6.5): [kappa = min(kappa_a, kappa_b)]. *)
 
 type kind =
-  | Paper_naive  (** [kappa' = out], [kappa'' = 0]. *)
-  | Paper_sort_merge  (** [kappa' = 0], [kappa'' = laux + raux]. *)
+  | Paper_naive  (** [kappa' = out], [kappa'' = 0], [aux] the identity. *)
+  | Paper_sort_merge
+      (** [kappa' = 0], [kappa'' = laux + raux], [aux c = c (1 + log c)]
+          ([c] when [c <= 1]). *)
   | Paper_dnl of { k : float; inner_coeff : float }
       (** [kappa' = 2 out / k],
           [kappa'' = lcard * rcard * inner_coeff + min(lcard, rcard) / k],
-          with [inner_coeff = 1 / (k^2 (m - 1))] precomputed — the exact
-          floats the record's closures capture, so a kernel inlining
-          these expressions is bit-identical to calling the closures. *)
+          [aux] the identity, with [inner_coeff = 1 / (k^2 (m - 1))]
+          precomputed — the exact floats the record's closures capture,
+          so a kernel inlining these expressions is bit-identical to
+          calling the closures. *)
   | Opaque
       (** Anything else ({!min_of}, user models): kernels must go through
-          the [k_prime]/[k_dprime] closures. *)
-(** Which known shape the model's [kappa'] and [kappa''] have.  The split
-    loop dispatches on this once per subset to run a monomorphized loop
-    body with the arithmetic inlined (no closure call, no per-iteration
-    float boxing); [Opaque] falls back to the closure-calling loop. *)
+          the [aux]/[k_prime]/[k_dprime] closures. *)
+(** Which known shape the model's [aux], [kappa'] and [kappa''] have.
+    The DP dispatches on this once per subset to run monomorphized code
+    with the arithmetic inlined (no closure call, no float boxing);
+    [Opaque] falls back to the closures. *)
 
 type t = {
   name : string;  (** e.g. ["k0"], ["ksm"], ["kdnl"]. *)

@@ -154,16 +154,34 @@ let cache_find ?model ?cache_tag t ~optimizer (p : Registry.problem) =
             p.Registry.graph;
           Plan_cache.find c t.scratch ~optimizer:(tagged ?cache_tag optimizer))
 
-let cache_store ?model ?cache_tag t ~optimizer (p : Registry.problem) (o : Registry.outcome) =
-  match (t.cache, o.Registry.plan) with
-  | Some c, Some plan when Float.is_finite o.Registry.cost ->
+let cache_around ?model ?cache_tag t ~optimizers (p : Registry.problem) ~hit ~miss =
+  match t.cache with
+  | None -> fst (miss ())
+  | Some c -> (
       let m = Option.value ~default:t.model model in
-      Fingerprint.compute t.scratch ~model_digest:(digest_for t m) p.Registry.catalog
-        p.Registry.graph;
-      Plan_cache.store c t.scratch ~optimizer:(tagged ?cache_tag optimizer) ~plan
-        ~cost:o.Registry.cost ~passes:o.Registry.passes
-        ~final_threshold:o.Registry.final_threshold
-  | _ -> ()
+      let found =
+        Obs.Metrics.time m_cache_lookup (fun () ->
+            Fingerprint.compute t.scratch ~model_digest:(digest_for t m) p.Registry.catalog
+              p.Registry.graph;
+            List.find_map
+              (fun optimizer ->
+                Plan_cache.find c t.scratch ~optimizer:(tagged ?cache_tag optimizer)
+                |> Option.map (fun h -> (optimizer, h)))
+              optimizers)
+      in
+      match found with
+      | Some (optimizer, h) -> hit optimizer h
+      | None ->
+          (* The scratch still holds [p]'s canonical form: [miss] runs
+             no cache function of this session. *)
+          let result, outcome = miss () in
+          (match outcome with
+          | Some (optimizer, { Registry.plan = Some plan; cost; passes; final_threshold; _ })
+            when Float.is_finite cost ->
+              Plan_cache.store c t.scratch ~optimizer:(tagged ?cache_tag optimizer) ~plan ~cost
+                ~passes ~final_threshold
+          | _ -> ());
+          result)
 
 let hit_outcome ctr (h : Plan_cache.hit) =
   {

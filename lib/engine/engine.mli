@@ -144,23 +144,29 @@ val cache_find :
     the problem into the session scratch and look it up under the given
     optimizer name.  [None] when the session has no cache or on a miss.
     [model] defaults to the session model; pass it when dispatching
-    under a different cost model (the Guard driver's case).
-    [cache_tag] decorates the key as in {!optimize}.  Exposed for
-    budget-holding drivers that sequence registry entries themselves. *)
+    under a different cost model.  [cache_tag] decorates the key as in
+    {!optimize}. *)
 
-val cache_store :
+val cache_around :
   ?model:Cost_model.t ->
   ?cache_tag:string ->
   t ->
-  optimizer:string ->
+  optimizers:string list ->
   Registry.problem ->
-  Registry.outcome ->
-  unit
-(** Record a completed outcome for the problem (recomputing the
-    fingerprint, so it need not be the last one looked up).  No-ops
-    without a cache, on plan-less outcomes, and on non-finite costs.
-    Callers must only store outcomes that are true optima for the named
-    optimizer. *)
+  hit:(string -> Plan_cache.hit -> 'a) ->
+  miss:(unit -> 'a * (string * Registry.outcome) option) ->
+  'a
+(** One cache round around an optimizer the caller runs itself (the
+    Guard driver's cascade).  The problem is fingerprinted into the
+    session scratch once and looked up under each of [optimizers] in
+    turn; the first hit goes to [hit] with its optimizer name.  On a
+    miss under all of them, [miss ()] runs and its result is returned;
+    the outcome it names is stored under that optimizer's key from the
+    same fingerprint, unless it has no plan or a non-finite cost.
+    [miss] must not use this session's cache functions, since the
+    scratch still holds the fingerprint; callers must only name
+    outcomes that are true optima for that optimizer.  Without a cache,
+    just [miss ()].  [model] and [cache_tag] as in {!cache_find}. *)
 
 val ctx :
   ?interrupt:(unit -> bool) ->

@@ -132,41 +132,29 @@ let tablefree_caps =
     multiway = false;
   }
 
-(* ---- the exact tier: blitzsplit, sequential or rank-parallel ---- *)
+(* ---- the greedy bound ---- *)
 
-(* [Parallel_blitzsplit.run] already folds down to the sequential
-   optimizer when it has neither a pool nor more than one domain, so
-   one call covers every (pool, num_domains) combination; the result is
-   bit-identical across all of them. *)
-let run_exact ctx p =
-  let ctr = counters_of ctx in
-  let r =
-    match p.graph with
-    | Some g when ctx.multiway ->
-      (* The rank-parallel driver has no multiway path: an n-ary planning
-         request always runs the sequential optimizer, pool or not. *)
-      Blitzsplit.optimize_join ?arena:ctx.arena ~counters:ctr ?interrupt:ctx.interrupt
-        ~multiway:true ctx.model p.catalog g
-    | _ ->
-      Parallel_blitzsplit.run ?pool:ctx.pool ~num_domains:ctx.num_domains ~graph_opt:p.graph
-        ?arena:ctx.arena ~counters:ctr ?interrupt:ctx.interrupt ctx.model p.catalog
-  in
-  of_blitzsplit ctr r
+(* Greedy's cost bounds the optimum from above, so a §6.4 pass at a
+   threshold a whisker above it prunes hard yet cannot fail for numeric
+   reasons: the 1e-9 margin is orders of magnitude wider than the DP's
+   rounding, including the few ulps by which the DP's costing of the
+   greedy plan may differ from greedy's own sum.  [None] when greedy's
+   cost is not positive and finite (overflow, or a lone relation). *)
+let greedy_bound model p =
+  let _, cost = B.Greedy.optimize model p.catalog (graph_of p) in
+  if Float.is_finite cost && cost > 0.0 then Some (cost *. (1.0 +. 1e-9)) else None
 
 (* ---- the thresholded tier (Section 6.4 driver) ---- *)
 
 (* With no explicit threshold the first pass is seeded from the greedy
-   bound: greedy's cost upper-bounds the optimum, so the pass prunes
-   aggressively yet cannot fail for numeric reasons alone (the policy
-   the degradation cascade has always used). *)
-let seed_threshold ctx p =
-  let _, greedy_cost = B.Greedy.optimize ctx.model p.catalog (graph_of p) in
-  if Float.is_finite greedy_cost && greedy_cost > 0.0 then greedy_cost *. (1.0 +. 1e-9) else 1e6
-
+   bound, or from 1e6 when there is none (the policy the degradation
+   cascade has always used). *)
 let run_thresholded ctx p =
   let ctr = counters_of ctx in
   let threshold =
-    match ctx.threshold with Some t -> t | None -> seed_threshold ctx p
+    match ctx.threshold with
+    | Some t -> t
+    | None -> Option.value ~default:1e6 (greedy_bound ctx.model p)
   in
   let outcome =
     (* Same fallback as [run_exact]: multiway planning is sequential. *)
@@ -192,6 +180,43 @@ let run_thresholded ctx p =
   in
   of_blitzsplit ~passes:outcome.Threshold.passes
     ~final_threshold:outcome.Threshold.final_threshold ctr outcome.Threshold.result
+
+(* ---- the exact tier: blitzsplit, sequential or rank-parallel ---- *)
+
+(* Without a threshold this is the paper's unthresholded DP.
+   [Parallel_blitzsplit.run] already folds down to the sequential
+   optimizer when it has neither a pool nor more than one domain, so
+   one call covers every (pool, num_domains) combination; the result is
+   bit-identical across all of them.
+
+   A ctx threshold is taken as an upper bound on the optimum (the
+   degradation cascade passes [greedy_bound]): one §6.4 pass at it, and
+   the driver's unthresholded rescue pass only if that pass finds no
+   plan.  The answer cannot move.  Costs are sums of non-negative
+   terms, so every subplan of the optimum costs at most the optimum,
+   which is below the bound: no subset on the optimal plan is skipped,
+   each computes the same minimum from the same operands, and the loop
+   keeps the first split reaching it, as the plain loop does.  A
+   skipped or infeasible subset holds infinity, above any minimum on
+   that plan. *)
+let run_exact ctx p =
+  match ctx.threshold with
+  | Some _ -> run_thresholded { ctx with max_passes = Some 1 } p
+  | None ->
+    let ctr = counters_of ctx in
+    let r =
+      match p.graph with
+      | Some g when ctx.multiway ->
+        (* The rank-parallel driver has no multiway path: an n-ary
+           planning request always runs the sequential optimizer, pool
+           or not. *)
+        Blitzsplit.optimize_join ?arena:ctx.arena ~counters:ctr ?interrupt:ctx.interrupt
+          ~multiway:true ctx.model p.catalog g
+      | _ ->
+        Parallel_blitzsplit.run ?pool:ctx.pool ~num_domains:ctx.num_domains ~graph_opt:p.graph
+          ?arena:ctx.arena ~counters:ctr ?interrupt:ctx.interrupt ctx.model p.catalog
+    in
+    of_blitzsplit ctr r
 
 (* ---- hybrid (Section 7): DP windows inside randomized search ---- *)
 

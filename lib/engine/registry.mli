@@ -45,7 +45,11 @@ type ctx = {
   interrupt : (unit -> bool) option;  (** Deadline/cancellation probe. *)
   threshold : float option;
       (** Initial plan-cost threshold for ["thresholded"]; [None] seeds
-          it from the greedy bound (the cascade's policy). *)
+          it from {!greedy_bound} (the cascade's policy).  For ["exact"]
+          an upper bound on the optimum: one Section 6.4 pass prunes at
+          it, and a plain pass runs only if that one finds no plan, so
+          the answer is the unthresholded one; [None] runs the plain
+          pass alone. *)
   growth : float option;  (** Threshold growth factor between passes. *)
   max_passes : int option;
   seed : int;  (** Drives every stochastic optimizer. *)
@@ -154,6 +158,14 @@ val find : string -> entry option
 
 val find_exn : string -> entry
 (** Raises [Invalid_argument] with the list of known names. *)
+
+val greedy_bound : Cost_model.t -> problem -> float option
+(** The greedy plan's cost times [1 + 1e-9]: an upper bound on the
+    optimum with a margin far wider than the DP's rounding, so a
+    threshold there skips no subset of the optimal plan.  [None] when
+    greedy's cost is not positive and finite.  The cascade's exact tier
+    passes it as [ctx.threshold]; the thresholded tier seeds its first
+    pass from it. *)
 
 val optimize : ?optimizer:string -> ctx -> problem -> outcome
 (** [optimize ~optimizer ctx p] = [(find_exn optimizer).optimize ctx p];

@@ -155,14 +155,19 @@ let run_tier ?(num_domains = 1) ?arena ?pool ?multiway ~budget ~seed tier model 
   (* With several domains the DP tiers run rank-parallel; the result —
      cost and plan — is bit-identical to the sequential search, so the
      exact tier keeps its meaning (Budget.interrupt is domain-safe).
-     The thresholded entry seeds its first pass from the greedy bound
-     when the ctx carries no threshold — the cascade's policy. *)
+     The exact tier prunes at the greedy bound (Section 6.4): one pass
+     that skips every subset whose kappa' alone reaches it, with the
+     optimum's cost and plan bits (see [Registry.run_exact]), or one
+     plain pass when there is no finite bound.  The thresholded entry
+     seeds its first pass from the same bound itself. *)
   (* Tiers whose caps lack the multiway capability simply ignore the
      flag, so one ctx serves the whole cascade and it stays valid end to
      end: an n-ary-capable tier may emit [Plan.Multiway], every tier
      below it still produces plain binary plans. *)
-  let ctx = Registry.ctx ?arena ?pool ~num_domains ~interrupt ~seed ?multiway model in
-  match (tier_entry tier).Registry.optimize ctx (Registry.problem ~graph catalog) with
+  let problem = Registry.problem ~graph catalog in
+  let threshold = match tier with Exact -> Registry.greedy_bound model problem | _ -> None in
+  let ctx = Registry.ctx ?arena ?pool ~num_domains ~interrupt ?threshold ~seed ?multiway model in
+  match (tier_entry tier).Registry.optimize ctx problem with
   | o -> finish (o.Registry.plan, o.Registry.cost)
   | exception Blitzsplit.Interrupted -> Error Deadline
 

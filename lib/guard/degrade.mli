@@ -28,7 +28,12 @@ module Arena = Blitz_core.Arena
 module Pool = Blitz_parallel.Pool
 
 type tier =
-  | Exact  (** Unthresholded blitzsplit: the [O(3^n)] optimum. *)
+  | Exact
+      (** Blitzsplit's optimum, pruned at the greedy bound: one Section
+          6.4 pass at the greedy plan's cost times [1 + 1e-9], which
+          skips no subset of the optimal plan, so cost and plan are the
+          unthresholded DP's bit for bit.  Without a finite bound, or
+          should that pass find no plan, one unthresholded pass. *)
   | Thresholded
       (** Threshold multi-pass (Section 6.4), seeded from the greedy
           cost bound so the first pass prunes hard. *)

@@ -42,43 +42,37 @@ let pp_error ppf e = Format.pp_print_string ppf (error_message e)
    bit-compatible with "exact", "thresholded" with "thresholded"). *)
 let cacheable_tiers = [ Degrade.Exact; Degrade.Thresholded ]
 
-let cache_lookup ~session ~repairs ?cache_tag model catalog graph =
+(* The cache round around the cascade: [Engine.cache_around]
+   fingerprints the problem once, looks it up under both tier keys, and
+   on a miss stores what [run] answered from that same fingerprint.  The
+   cascade uses the session's arena and pool, never its cache, so the
+   fingerprint is still in the scratch when the store comes. *)
+let with_cache ~session ~repairs ?cache_tag model catalog graph ~hit run =
   match session with
-  | Some s when repairs = [] && Engine.cache s <> None ->
-    let problem = Blitz_engine.Registry.problem ~graph catalog in
-    let rec try_tiers = function
-      | [] -> None
-      | tier :: rest -> (
-        match
-          Engine.cache_find ~model ?cache_tag s ~optimizer:(Degrade.tier_name tier) problem
-        with
-        | Some hit -> Some (tier, hit)
-        | None -> try_tiers rest)
-    in
-    try_tiers cacheable_tiers
-  | _ -> None
-
-let cache_record ~session ~repairs ?cache_tag model catalog graph (plan : Plan.t)
-    (provenance : Degrade.provenance) =
-  match session with
-  | Some s
-    when repairs = []
-         && List.exists (fun t -> t = provenance.Degrade.winner) cacheable_tiers ->
-    let problem = Blitz_engine.Registry.problem ~graph catalog in
-    let outcome =
-      {
-        Blitz_engine.Registry.plan = Some plan;
-        cost = provenance.Degrade.winner_cost;
-        passes = 1;
-        final_threshold = infinity;
-        table = None;
-        counters = None;
-        note = None;
-      }
-    in
-    Engine.cache_store ~model ?cache_tag s
-      ~optimizer:(Degrade.tier_name provenance.Degrade.winner) problem outcome
-  | _ -> ()
+  | Some s when repairs = [] ->
+    let tier_of name = List.find (fun t -> Degrade.tier_name t = name) cacheable_tiers in
+    Engine.cache_around ~model ?cache_tag s
+      ~optimizers:(List.map Degrade.tier_name cacheable_tiers)
+      (Blitz_engine.Registry.problem ~graph catalog)
+      ~hit:(fun name h -> hit (tier_of name) h)
+      ~miss:(fun () ->
+        let result = run () in
+        ( result,
+          match result with
+          | Ok o when List.mem o.provenance.Degrade.winner cacheable_tiers ->
+            Some
+              ( Degrade.tier_name o.provenance.Degrade.winner,
+                {
+                  Blitz_engine.Registry.plan = Some o.plan;
+                  cost = o.cost;
+                  passes = 1;
+                  final_threshold = infinity;
+                  table = None;
+                  counters = None;
+                  note = None;
+                } )
+          | Ok _ | Error _ -> None ))
+  | _ -> run ()
 
 (* All entry points funnel here.  The budget is (re-)armed exactly once,
    so every tier of the cascade draws down the same allowance; the
@@ -98,9 +92,8 @@ let drive ~budget ~cascade ~seed ~num_domains ~multiway ~session ?cache_tag mode
     | None when Sanitize.fabricated_stats repairs -> Some Degrade.fabricated_cascade
     | None -> None
   in
-  match cache_lookup ~session ~repairs ?cache_tag model catalog graph with
-  | Some (tier, hit) ->
-    let cost = hit.Blitz_engine.Engine.Plan_cache.cost in
+  let served tier (hit : Engine.Plan_cache.hit) =
+    let cost = hit.Engine.Plan_cache.cost in
     let provenance =
       {
         Degrade.winner = tier;
@@ -112,7 +105,7 @@ let drive ~budget ~cascade ~seed ~num_domains ~multiway ~session ?cache_tag mode
     in
     Ok
       {
-        plan = hit.Blitz_engine.Engine.Plan_cache.plan;
+        plan = hit.Engine.Plan_cache.plan;
         cost;
         provenance;
         repairs;
@@ -120,24 +113,24 @@ let drive ~budget ~cascade ~seed ~num_domains ~multiway ~session ?cache_tag mode
         graph;
         from_cache = true;
       }
-  | None -> (
+  in
+  let run () =
+    (* A session plugs its pooled DP table into the cascade and, for a
+       query large enough to run rank-parallel, its domain pool, which
+       the DP tiers run on whatever [num_domains] says.  Plans and
+       costs are bit-identical with or without it. *)
+    let arena = Option.map Engine.arena session in
+    let pool = Option.bind session (fun s -> Engine.pool s ~n:(Catalog.n catalog)) in
+    let cache_bytes =
+      match Option.bind session Engine.cache with
+      | Some c -> Some (Engine.Plan_cache.resident_bytes c)
+      | None -> None
+    in
     match
-      (* A session plugs its pooled DP table into the cascade and, for a
-         query large enough to run rank-parallel, its domain pool, which
-         the DP tiers run on whatever [num_domains] says.  Plans and
-         costs are bit-identical with or without it. *)
-      let arena = Option.map Engine.arena session in
-      let pool = Option.bind session (fun s -> Engine.pool s ~n:(Catalog.n catalog)) in
-      let cache_bytes =
-        match Option.bind session Engine.cache with
-        | Some c -> Some (Blitz_engine.Engine.Plan_cache.resident_bytes c)
-        | None -> None
-      in
       Degrade.optimize ?cascade ?seed ?num_domains ?multiway ?arena ?pool ?cache_bytes ~budget
         model catalog graph
     with
     | Ok (plan, provenance) ->
-      cache_record ~session ~repairs ?cache_tag model catalog graph plan provenance;
       Ok
         {
           plan;
@@ -149,7 +142,9 @@ let drive ~budget ~cascade ~seed ~num_domains ~multiway ~session ?cache_tag mode
           from_cache = false;
         }
     | Error attempts -> Error (No_tier_produced attempts)
-    | exception exn -> Error (Internal (Printexc.to_string exn)))
+  in
+  try with_cache ~session ~repairs ?cache_tag model catalog graph ~hit:served run
+  with exn -> Error (Internal (Printexc.to_string exn))
 
 let optimize ?budget ?session ?cascade ?seed ?num_domains ?multiway ?cache_tag model catalog
     graph =

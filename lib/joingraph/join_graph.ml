@@ -93,6 +93,10 @@ let selectivity t i j =
   check_pair t i j;
   t.sel.(idx t i j)
 
+let selectivity_into t i j dst k =
+  check_pair t i j;
+  dst.(k) <- t.sel.(idx t i j)
+
 let has_edge t i j =
   check_pair t i j;
   t.edge.(idx t i j)
@@ -171,12 +175,25 @@ let two_edge_connected_subset t s =
 let crosses t u v =
   Relset.exists (fun i -> not (Relset.disjoint t.neighbors.(i) v)) u
 
+(* Two loops over the bitsets with the product in a local float ref, so
+   the only allocation is the returned float's box: folding through
+   [Relset.fold] closures boxes the accumulator at every step.  Pairs
+   are visited as the fold visits them, i ascending in [u] and then j
+   ascending in [v], so the product is rounded in the same order. *)
 let pi_span t u v =
   if not (Relset.disjoint u v) then invalid_arg "Join_graph.pi_span: sets intersect";
-  Relset.fold
-    (fun acc i ->
-      Relset.fold (fun acc j -> if t.edge.(idx t i j) then acc *. t.sel.(idx t i j) else acc) acc v)
-    1.0 u
+  let acc = ref 1.0 and us = ref u in
+  while !us <> 0 do
+    let row = Relset.min_elt !us * t.n in
+    let vs = ref v in
+    while !vs <> 0 do
+      let k = row + Relset.min_elt !vs in
+      if t.edge.(k) then acc := !acc *. t.sel.(k);
+      vs := !vs land (!vs - 1)
+    done;
+    us := !us land (!us - 1)
+  done;
+  !acc
 
 let pi_fan t s =
   if Relset.is_empty s then invalid_arg "Join_graph.pi_fan: empty set";

@@ -66,6 +66,10 @@ val selectivity : t -> int -> int -> float
     [j], or [1.0] when no predicate connects them.  Symmetric.  Raises
     [Invalid_argument] on out-of-range or equal indexes. *)
 
+val selectivity_into : t -> int -> int -> float array -> int -> unit
+(** [selectivity_into t i j dst k] stores [selectivity t i j] in
+    [dst.(k)], without boxing it as a returned float would be. *)
+
 val has_edge : t -> int -> int -> bool
 val degree : t -> int -> int
 val neighbors : t -> int -> Relset.t
@@ -102,8 +106,9 @@ val crosses : t -> Relset.t -> Relset.t -> bool
 
 val pi_span : t -> Relset.t -> Relset.t -> float
 (** Product of the selectivities of all predicates with one endpoint in
-    each argument set (Equation 8).  Raises [Invalid_argument] when the
-    sets intersect. *)
+    each argument set (Equation 8), multiplied in ascending order of the
+    endpoint in [u], then of the endpoint in [v].  Allocates only the
+    returned float.  Raises [Invalid_argument] when the sets intersect. *)
 
 val pi_fan : t -> Relset.t -> float
 (** The fan of [s]: [pi_span {min s} (s - {min s})] (Equation 9).

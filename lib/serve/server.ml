@@ -525,9 +525,10 @@ let process_input t c =
   | Ndjson | Http -> ());
   match c.mode with Http -> handle_http c | Ndjson -> process_lines t c | Sniff -> ()
 
-let on_readable t c =
-  let buf = Bytes.create 4096 in
-  match Unix.read c.fd buf 0 4096 with
+(* [buf] is the event loop's one read buffer: what a read brings in is
+   copied into the connection's own [inbuf] before the next read. *)
+let on_readable t buf c =
+  match Unix.read c.fd buf 0 (Bytes.length buf) with
   | 0 -> c.eof <- true
   | n ->
     Buffer.add_subbytes c.inbuf buf 0 n;
@@ -539,9 +540,12 @@ let loop t () =
   let conns : (int, conn) Hashtbl.t = Hashtbl.create 32 in
   let by_fd : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 32 in
   let next_cid = ref 0 in
+  (* Allocated once: a fresh 4 KiB buffer per readable event would go
+     straight to the major heap, being over the minor heap's size limit
+     for one block. *)
+  let buf = Bytes.create 4096 in
   let drain_wake () =
-    let b = Bytes.create 64 in
-    let rec go () = if Unix.read t.wake_r b 0 64 > 0 then go () in
+    let rec go () = if Unix.read t.wake_r buf 0 (Bytes.length buf) > 0 then go () in
     try go () with Unix.Unix_error _ -> ()
   in
   let close_conn c =
@@ -636,7 +640,7 @@ let loop t () =
       List.iter
         (fun fd ->
           if fd <> t.wake_r && fd <> t.listen_fd then
-            match Hashtbl.find_opt by_fd fd with Some c -> on_readable t c | None -> ())
+            match Hashtbl.find_opt by_fd fd with Some c -> on_readable t buf c | None -> ())
         rs;
       List.iter
         (fun fd -> match Hashtbl.find_opt by_fd fd with Some c -> try_flush c | None -> ())

@@ -92,6 +92,70 @@ let test_greedy_validity () =
         cost)
     [ B.Greedy.Min_result_card; B.Greedy.Min_cost_increase ]
 
+(* The array-based greedy and loop-based span against the list- and
+   fold-based copies kept in [Greedy_reference]: same plans, and costs
+   and spans with the same bits, for both strategies, under the paper
+   models and an Opaque one.  Equal cardinalities make every pair
+   without a predicate tie, so the tie rule (the first such pair in
+   scan order) is held too. *)
+let prop_greedy_matches_reference =
+  QCheck2.Test.make ~count:200 ~name:"greedy and pi_span bit-identical to the reference"
+    ~print:problem_print (problem_gen ~max_n:16)
+    (fun p ->
+      let bits = Int64.bits_of_float in
+      let rng = Rng.create ~seed:p.seed in
+      let models = [ p.model; Cost_model.min_of Cost_model.sort_merge Cost_model.kdnl ] in
+      let n = Catalog.n p.catalog in
+      List.iter
+        (fun catalog ->
+          List.iter
+            (fun model ->
+              List.iter
+                (fun strategy ->
+                  let plan, cost = B.Greedy.optimize ~strategy model catalog p.graph in
+                  let rplan, rcost = Greedy_reference.optimize ~strategy model catalog p.graph in
+                  if plan <> rplan || bits cost <> bits rcost then
+                    QCheck2.Test.fail_reportf "%s: %s at %.17g, reference %s at %.17g"
+                      model.Cost_model.name (Plan.to_compact_string plan) cost
+                      (Plan.to_compact_string rplan) rcost)
+                [ B.Greedy.Min_result_card; B.Greedy.Min_cost_increase ])
+            models)
+        [ p.catalog; Catalog.uniform ~n ~card:100.0 ];
+      for _ = 1 to 20 do
+        (* A random partition of a random subset into two sides. *)
+        let u = ref 0 and v = ref 0 in
+        for i = 0 to n - 1 do
+          match Rng.int rng 3 with 0 -> u := !u lor (1 lsl i) | 1 -> v := !v lor (1 lsl i) | _ -> ()
+        done;
+        let span = Join_graph.pi_span p.graph !u !v
+        and rspan = Greedy_reference.pi_span p.graph !u !v in
+        if bits span <> bits rspan then
+          QCheck2.Test.fail_reportf "pi_span %d %d: %.17g, reference %.17g" !u !v span rspan
+      done;
+      true)
+
+(* A candidate pair costs the array-based greedy one boxed span and
+   nothing else; the reference boxes a score tuple, three floats and
+   every step of its span folds. *)
+let test_greedy_allocation () =
+  let catalog, graph =
+    Blitz_workload.Workload.problem
+      (Blitz_workload.Workload.spec ~n:14 ~topology:Topology.Clique ~model:Cost_model.kdnl
+         ~mean_card:100.0 ~variability:(1.0 /. 3.0))
+  in
+  let words f =
+    ignore (f ());
+    let w0 = Gc.minor_words () in
+    ignore (f ());
+    Gc.minor_words () -. w0
+  in
+  let fresh = words (fun () -> B.Greedy.optimize Cost_model.kdnl catalog graph)
+  and reference = words (fun () -> Greedy_reference.optimize Cost_model.kdnl catalog graph) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words, under a quarter of the reference's %.0f" fresh reference)
+    true
+    (fresh *. 4.0 < reference)
+
 (* ---- Transformations ---- *)
 
 let test_transform_rules () =
@@ -212,6 +276,8 @@ let suite =
     Alcotest.test_case "dpsize enumerator overhead (Section 2)" `Quick
       test_dpsize_enumerator_overhead;
     Alcotest.test_case "greedy validity" `Quick test_greedy_validity;
+    QCheck_alcotest.to_alcotest prop_greedy_matches_reference;
+    Alcotest.test_case "greedy allocation" `Quick test_greedy_allocation;
     Alcotest.test_case "transformation rules" `Quick test_transform_rules;
     Alcotest.test_case "paths and neighbors" `Quick test_internal_paths_and_neighbors;
     Alcotest.test_case "stochastic determinism" `Quick test_stochastic_determinism;

@@ -29,14 +29,6 @@ module Degrade = Blitz_guard.Degrade
 module Budget = Blitz_guard.Budget
 module Rng = Blitz_util.Rng
 
-let env_domains =
-  match Sys.getenv_opt "BLITZ_TEST_DOMAINS" with
-  | None -> []
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some d when d >= 1 && d <= 128 -> [ d ]
-    | _ -> failwith (Printf.sprintf "BLITZ_TEST_DOMAINS=%S is not a domain count in [1, 128]" s))
-
 let domain_axis = List.sort_uniq compare ([ 1; 2; 4 ] @ env_domains)
 
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)

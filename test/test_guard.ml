@@ -4,6 +4,10 @@
 
 open Test_helpers
 module Blitzsplit = Blitz_core.Blitzsplit
+module Registry = Blitz_engine.Registry
+module Engine = Blitz_engine.Engine
+module Workload = Blitz_workload.Workload
+module Obs = Blitz_obs.Obs
 module Budget = Blitz_guard.Budget
 module Sanitize = Blitz_guard.Sanitize
 module Chaos = Blitz_guard.Chaos
@@ -157,8 +161,8 @@ let test_memory_cap_skips_to_hybrid () =
     Alcotest.(check bool) "plan is valid" true (validate_against catalog o.Guard.plan)
 
 let test_unbudgeted_matches_exact () =
-  (* With no budget the guard is exactly blitzsplit, asserted across
-     random problems at several sizes. *)
+  (* With no budget the exact tier answers, at blitzsplit's own cost
+     (bit for bit: see the seeded-exact-tier property below). *)
   for seed = 1 to 12 do
     let rng = Rng.create ~seed in
     let n = 2 + Rng.int rng 9 in
@@ -170,8 +174,159 @@ let test_unbudgeted_matches_exact () =
     | Ok o ->
       Alcotest.(check string) "exact tier wins" "exact"
         (Degrade.tier_name o.Guard.provenance.Degrade.winner);
-      check_float ~rel:1e-9 "same cost as blitzsplit" exact o.Guard.cost
+      Alcotest.(check int64) "same cost bits as blitzsplit" (Int64.bits_of_float exact)
+        (Int64.bits_of_float o.Guard.cost)
   done
+
+(* ---- the exact tier's greedy seed ---- *)
+
+let rescue_passes () = Obs.Metrics.value (Obs.Metrics.counter "blitz_threshold_rescue_passes_total")
+
+(* Recording on for [f], as it was after. *)
+let with_metrics f =
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) f
+
+type seeded_case = {
+  spec : Workload.spec;
+  model : Cost_model.t;
+  multiway : bool;
+  default_session : bool;
+}
+
+let pp_seeded_case ppf c =
+  Format.fprintf ppf "%s model=%s multiway=%b default_session=%b" (Workload.describe c.spec)
+    c.model.Cost_model.name c.multiway c.default_session
+
+(* n 2-14, and 15-16 through a default-width session so the DP runs on
+   the session's pool; four topologies plus grid; the three paper
+   models and an Opaque min-of; cardinality scale and spread; multiway
+   planning on a quarter of the cases up to n = 14 (it runs sequential
+   and takes seconds on a 16-clique). *)
+let seeded_case_gen =
+  QCheck2.Gen.(
+    map
+      (fun seed ->
+        let rng = Rng.create ~seed in
+        let large = Rng.int rng 6 = 0 in
+        let n = if large then 15 + Rng.int rng 2 else 2 + Rng.int rng 13 in
+        let topology =
+          match Rng.int rng 5 with
+          | 0 -> Topology.Chain
+          | 1 -> Topology.Star
+          | 2 when n >= 7 -> Topology.Cycle_plus 2
+          | 2 | 3 -> Topology.Clique
+          | _ -> Topology.grid ~n
+        in
+        let model =
+          match Rng.int rng 4 with
+          | 0 -> Cost_model.naive
+          | 1 -> Cost_model.sort_merge
+          | 2 -> Cost_model.kdnl
+          | _ -> Cost_model.min_of Cost_model.naive Cost_model.kdnl
+        in
+        let mean_card = [| 10.0; 100.0; 2000.0 |].(Rng.int rng 3)
+        and variability = [| 0.0; 1.0 /. 3.0; 0.8 |].(Rng.int rng 3) in
+        {
+          spec = Workload.spec ~n ~topology ~model ~mean_card ~variability;
+          model;
+          multiway = (not large) && Rng.int rng 4 = 0;
+          default_session = large || Rng.int rng 2 = 0;
+        })
+      (int_bound 1_000_000))
+
+(* The cascade's exact tier prunes at the greedy bound yet answers with
+   the unthresholded paper DP's plan and cost bits, and no rescue pass
+   runs: the seeded pass never misses the optimum.  Every execution
+   shape counts: no session, a default-width session (rank-parallel from
+   n = 14 on a multi-core machine), and BLITZ_TEST_DOMAINS widths. *)
+let prop_seeded_exact_tier =
+  QCheck2.Test.make ~count:60 ~name:"seeded exact tier = unthresholded exact, bit for bit"
+    ~print:(Format.asprintf "%a" pp_seeded_case) seeded_case_gen (fun c ->
+      let catalog, graph = Workload.problem c.spec in
+      let problem = Registry.problem ~graph catalog in
+      let plain =
+        Engine.with_session ~model:c.model ~num_domains:1 (fun s ->
+            Engine.optimize ~optimizer:"exact" ~multiway:c.multiway s problem)
+      in
+      let guarded session =
+        Guard.optimize ?session ~multiway:c.multiway c.model catalog graph
+      in
+      let with_width num_domains =
+        Engine.with_session ~model:c.model ?num_domains (fun s -> guarded (Some s))
+      in
+      with_metrics (fun () ->
+          let rescues = rescue_passes () in
+          let answers =
+            (if c.default_session then [ ("default session", with_width None) ]
+             else [ ("no session", guarded None) ])
+            @ List.map
+                (fun d -> (Printf.sprintf "%d-domain session" d, with_width (Some d)))
+                env_domains
+          in
+          List.iter
+            (fun (shape, answer) ->
+              match answer with
+              | Error e -> QCheck2.Test.fail_reportf "%s: %s" shape (Guard.error_message e)
+              | Ok o ->
+                let winner = Degrade.tier_name o.Guard.provenance.Degrade.winner in
+                if winner <> "exact" then QCheck2.Test.fail_reportf "%s: %s won" shape winner;
+                if
+                  Some o.Guard.plan <> plain.Registry.plan
+                  || Int64.bits_of_float o.Guard.cost <> Int64.bits_of_float plain.Registry.cost
+                then
+                  QCheck2.Test.fail_reportf "%s: %s at %.17g, plain exact %s at %.17g" shape
+                    (Plan.to_compact_string o.Guard.plan)
+                    o.Guard.cost
+                    (Option.fold ~none:"no plan" ~some:Plan.to_compact_string
+                       plain.Registry.plan)
+                    plain.Registry.cost)
+            answers;
+          if Registry.greedy_bound c.model problem <> None && rescue_passes () <> rescues then
+            QCheck2.Test.fail_reportf "a rescue pass ran although the greedy bound is finite";
+          true))
+
+(* Four relations and no predicates, under kappa_sm, which prices a
+   join by its operands.  Greedy first merges the smallest product, a and
+   b; every option left then overflows, so it joins an infinite operand
+   and its cost is infinite: there is no bound.  Pairing a with y and b
+   with x keeps every operand finite (only the final result overflows,
+   and it is no operand).  The exact tier takes one unthresholded pass
+   and answers exactly as the plain DP does. *)
+let test_overflowing_greedy_takes_plain_pass () =
+  let catalog = Catalog.of_list [ ("a", 1e100); ("b", 1e105); ("x", 1e110); ("y", 1e199) ] in
+  let graph = Join_graph.of_edges ~n:4 [] in
+  let model = Cost_model.sort_merge in
+  let problem = Registry.problem ~graph catalog in
+  let _, greedy_cost = Blitz_baselines.Greedy.optimize model catalog graph in
+  check_float "greedy cost overflows" Float.infinity greedy_cost;
+  Alcotest.(check bool) "no greedy bound" true (Registry.greedy_bound model problem = None);
+  let plain =
+    Engine.with_session ~model ~num_domains:1 (fun s ->
+        Engine.optimize ~optimizer:"exact" s problem)
+  in
+  Alcotest.(check bool) "the optimum is finite" true (Float.is_finite plain.Registry.cost);
+  with_metrics (fun () ->
+      let passes = Obs.Metrics.counter "blitz_threshold_passes_total" in
+      let before = Obs.Metrics.value passes in
+      (match
+         Degrade.run_tier ~budget:(Budget.unlimited ()) ~seed:1 Degrade.Exact model catalog graph
+       with
+      | Error f -> Alcotest.failf "exact tier failed: %s" (Degrade.failure_message f)
+      | Ok (plan, cost) ->
+        Alcotest.(check bool) "plain exact's plan" true (Some plan = plain.Registry.plan);
+        Alcotest.(check int64) "plain exact's cost bits" (Int64.bits_of_float plain.Registry.cost)
+          (Int64.bits_of_float cost));
+      Alcotest.(check int) "no thresholded pass ran" before (Obs.Metrics.value passes));
+  match Guard.optimize model catalog graph with
+  | Error e -> Alcotest.failf "guard failed: %s" (Guard.error_message e)
+  | Ok o ->
+    Alcotest.(check string) "exact tier wins" "exact"
+      (Degrade.tier_name o.Guard.provenance.Degrade.winner);
+    Alcotest.(check bool)
+      "guard answers the plain plan" true
+      (Some o.Guard.plan = plain.Registry.plan)
 
 let test_every_tier_valid_and_bounded () =
   (* Chain topology so IKKBZ applies: every tier, run in isolation, must
@@ -311,6 +466,9 @@ let suite =
       test_deadline_degrades_to_greedy;
     Alcotest.test_case "memory ceiling skips DP tiers" `Quick test_memory_cap_skips_to_hybrid;
     Alcotest.test_case "no budget: identical to blitzsplit" `Quick test_unbudgeted_matches_exact;
+    QCheck_alcotest.to_alcotest prop_seeded_exact_tier;
+    Alcotest.test_case "overflowing greedy: exact tier takes the plain pass" `Quick
+      test_overflowing_greedy_takes_plain_pass;
     Alcotest.test_case "every tier valid and bounded by the optimum" `Quick
       test_every_tier_valid_and_bounded;
     Alcotest.test_case "cascade without terminal tier fails loudly" `Quick

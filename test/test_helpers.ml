@@ -74,6 +74,16 @@ let problem_gen ~max_n =
 
 let problem_print p = Format.asprintf "%a" pp_problem p
 
+(* BLITZ_TEST_DOMAINS=N adds N to the suites' domain axes, so CI can
+   run the whole suite with the rank-parallel optimizer widened. *)
+let env_domains =
+  match Sys.getenv_opt "BLITZ_TEST_DOMAINS" with
+  | None -> []
+  | Some s -> (
+    match int_of_string_opt (String.trim s) with
+    | Some d when d >= 1 && d <= 128 -> [ d ]
+    | _ -> failwith (Printf.sprintf "BLITZ_TEST_DOMAINS=%S is not a domain count in [1, 128]" s))
+
 (* Runtime domain slots.  OCaml caps a process at 128 live domains, the
    main one included; the pool-fallback tests hold slots with parked
    domains to run up against the cap. *)

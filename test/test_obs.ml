@@ -277,14 +277,6 @@ let test_chrome_golden () =
 
 (* {1 The invariant: observability never changes the answer} *)
 
-let env_domains =
-  match Sys.getenv_opt "BLITZ_TEST_DOMAINS" with
-  | None -> []
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some d when d >= 1 && d <= 128 -> [ d ]
-    | _ -> failwith (Printf.sprintf "BLITZ_TEST_DOMAINS=%S is not a domain count in [1, 128]" s))
-
 let domain_axis = List.sort_uniq compare ([ 1; 2; 4 ] @ env_domains)
 
 let counters_equal a b =

@@ -321,6 +321,59 @@ let test_malformed_line_keeps_connection () =
           expect_bool "healthy afterwards" [ "ok" ] r2 true;
           Alcotest.(check string) "status ok" "ok" (expect_string [ "result"; "status" ] r2)))
 
+(* The event loop reads every connection through one buffer; each read
+   must land in its own connection's line buffer.  Two clients send half
+   a request each, then the rest, interleaved, with pauses so the
+   server sees four separate reads.  Each must get its own answer, the
+   one the same line gets when sent whole. *)
+let test_interleaved_partial_lines () =
+  let line_a = inline_query ~id:1 ~tenant:"default"
+  and line_b =
+    {|{"blitz":1,"id":2,"method":"optimize","params":{"relations":[["p",7],["q",300],["r",20]],"edges":[[0,1,0.05],[1,2,0.2]]}}|}
+  in
+  with_server (Server.config ~port:0 ()) (fun port ->
+      let a = connect port and b = connect port in
+      Fun.protect
+        ~finally:(fun () ->
+          close_client a;
+          close_client b)
+        (fun () ->
+          let send (_, oc) s =
+            output_string oc s;
+            flush oc;
+            Unix.sleepf 0.05
+          in
+          let half s = String.length s / 2 in
+          let head s = String.sub s 0 (half s)
+          and tail s = String.sub s (half s) (String.length s - half s) in
+          send a (head line_a);
+          send b (head line_b);
+          send a (tail line_a ^ "\n");
+          send b (tail line_b ^ "\n");
+          let reply (ic, _) =
+            match input_line ic with
+            | line -> Blitz_util.Err.get (Json.of_string line)
+            | exception End_of_file -> Alcotest.fail "server closed the connection early"
+          in
+          let ra = reply a and rb = reply b in
+          List.iter
+            (fun (name, r, id, whole) ->
+              expect_bool (name ^ " ok") [ "ok" ] r true;
+              Alcotest.(check (option string))
+                (name ^ " id") (Some (string_of_int id))
+                (Option.map Json.to_string (Json.member "id" r));
+              let w =
+                let c = connect port in
+                Fun.protect ~finally:(fun () -> close_client c) (fun () -> rpc c whole)
+              in
+              Alcotest.(check string) (name ^ " plan as sent whole")
+                (expect_string [ "result"; "plan" ] w)
+                (expect_string [ "result"; "plan" ] r);
+              Alcotest.(check (option string)) (name ^ " cost as sent whole")
+                (Option.map Json.to_string (get_field [ "result"; "cost" ] w))
+                (Option.map Json.to_string (get_field [ "result"; "cost" ] r)))
+            [ ("a", ra, 1, line_a); ("b", rb, 2, line_b) ]))
+
 let suite =
   [
     Alcotest.test_case "decode: optimize with inline stats" `Quick test_decode_optimize;
@@ -340,4 +393,5 @@ let suite =
       test_overload_sheds_with_provenance;
     Alcotest.test_case "server: malformed line keeps the connection" `Quick
       test_malformed_line_keeps_connection;
+    Alcotest.test_case "server: interleaved partial lines" `Quick test_interleaved_partial_lines;
   ]

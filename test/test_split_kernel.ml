@@ -167,8 +167,46 @@ let test_variant_names () =
   Alcotest.(check string) "opaque, kappa'' = 0" "zero"
     (Split_loop.variant { Cost_model.naive with kind = Opaque })
 
+(* Neither the property pass nor the split loop allocates per subset
+   under the paper models, so a warm [optimize_join] through an arena
+   allocates the same minor words at every n: its result record and the
+   per-call bookkeeping, nothing that grows with the lattice.  The
+   property pass computes the paper models' aux inline; the memo must
+   hold the bits the model's own [aux] closure gives. *)
+let test_warm_dp_allocation_flat () =
+  let arena = Blitz_core.Arena.create () and ctr = Counters.create () in
+  let words model n =
+    let spec =
+      Blitz_workload.Workload.spec ~n ~topology:Topology.Clique ~model ~mean_card:100.0
+        ~variability:(1.0 /. 3.0)
+    in
+    let catalog, graph = Blitz_workload.Workload.problem spec in
+    let run () = Blitzsplit.optimize_join ~arena ~counters:ctr model catalog graph in
+    ignore (run ());
+    let w0 = Gc.minor_words () in
+    let r = run () in
+    let words = Gc.minor_words () -. w0 in
+    let tbl = r.Blitzsplit.table in
+    for s = 1 to Dp_table.size tbl - 1 do
+      if
+        Int64.bits_of_float tbl.Dp_table.aux.(s)
+        <> Int64.bits_of_float (model.Cost_model.aux tbl.Dp_table.card.(s))
+      then Alcotest.failf "%s n=%d: aux memo of subset %d is not model.aux" model.name n s
+    done;
+    words
+  in
+  List.iter
+    (fun model ->
+      let w14 = words model 14 and w10 = words model 10 in
+      Alcotest.(check (float 0.0))
+        (Printf.sprintf "%s: minor words at n = 10 and n = 14" model.Cost_model.name)
+        w10 w14)
+    Cost_model.all_paper
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_kernels_bit_identical;
     Alcotest.test_case "kernel variant names" `Quick test_variant_names;
+    Alcotest.test_case "warm DP allocation does not grow with n" `Quick
+      test_warm_dp_allocation_flat;
   ]
