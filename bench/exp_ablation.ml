@@ -90,13 +90,13 @@ let run () =
       in
       let catalog, graph = Workload.problem spec in
       let dpsize = B.Dpsize.optimize Cost_model.naive catalog graph in
-      let dpccp = B.Dpccp.optimize Cost_model.naive catalog graph in
+      let dpccp = Blitz_dpccp.Dpccp.optimize Cost_model.naive catalog graph in
       rows :=
         [|
           Topology.name topology;
           string_of_int (Counters.exact_loop_iters n);
           string_of_int dpsize.B.Dpsize.pairs_considered;
-          string_of_int dpccp.B.Dpccp.ccp_pairs;
+          string_of_int dpccp.Blitz_dpccp.Dpccp.ccp_pairs;
         |]
         :: !rows)
     Topology.all_paper;

@@ -236,11 +236,8 @@ let print_cache_line cache =
   | None -> ()
   | Some c ->
     let s = Plan_cache.stats c in
-    Printf.printf
-      "cache:      %d hit(s) (%d rebased), %d miss(es), %d insertion(s), %d shape seed(s), %d \
-       band seed(s)\n"
+    Printf.printf "cache:      %d hit(s) (%d rebased), %d miss(es), %d insertion(s)\n"
       s.Plan_cache.hits s.Plan_cache.rebases s.Plan_cache.misses s.Plan_cache.insertions
-      s.Plan_cache.shape_hits s.Plan_cache.band_hits
 
 (* ---- optimize ---- *)
 
@@ -286,7 +283,7 @@ let optimize_cmd =
     Arg.(
       value & flag
       & info [ "degrade" ]
-          ~doc:"Use the resilient driver: try exact search first, degrade through thresholded, \
+          ~doc:"Use the resilient driver: try exact search first, degrade through DPccp, \
                 hybrid, IKKBZ and greedy tiers as budgets bite, and report the provenance of \
                 the winning plan.  Implied by --deadline-ms and --max-table-mb.")
   in

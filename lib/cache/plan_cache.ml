@@ -14,13 +14,6 @@ let m_rebases =
   Obs.Metrics.counter ~help:"Plan-cache hits renumbered to the caller's labeling"
     "blitz_cache_rebases_total"
 
-let m_shape_hits =
-  Obs.Metrics.counter ~help:"Shape-tier threshold seeds served" "blitz_cache_shape_hits_total"
-
-let m_band_hits =
-  Obs.Metrics.counter ~help:"Banded-ensemble plan seeds served by selectivity band"
-    "blitz_cache_band_hits_total"
-
 type node = {
   key : int;
   fp : Fingerprint.frozen;
@@ -63,19 +56,10 @@ let push_front sent nd =
   sent.next.prev <- nd;
   sent.next <- nd
 
-(* One ensemble member: a plan in shape-canonical index space, with
-   the cost and relation count of the problem that stored it.  The
-   cost is under the {e storing} catalog — a seed consumer must re-cost
-   under its own statistics before trusting it. *)
-type band_entry = { b_plan : Plan.t; b_cost : float; b_n : int }
-
 type shard = {
   lock : Mutex.t;
   tbl : (int, node list) Hashtbl.t;
   sent : node;  (* MRU = [sent.next], LRU tail = [sent.prev] *)
-  shapes : (int, float) Hashtbl.t;  (* shape hash -> best known cost *)
-  bands : (int, (int * band_entry) list) Hashtbl.t;
-      (* shape hash -> per-selectivity-band plan ensemble *)
   budget : int;
   mutable bytes : int;
   mutable hits : int;
@@ -83,25 +67,12 @@ type shard = {
   mutable insertions : int;
   mutable evictions : int;
   mutable rebases : int;
-  mutable shape_hits : int;
-  mutable band_hits : int;
 }
 
-type t = { shards_arr : shard array; mask : int; max_bytes : int; warm_slack : float }
+type t = { shards_arr : shard array; mask : int; max_bytes : int }
 
 let shards t = Array.length t.shards_arr
 let max_bytes t = t.max_bytes
-let warm_slack t = t.warm_slack
-
-(* Bound on the heuristic shape table so an adversarial stream of
-   distinct shapes cannot grow it without limit; dropping it loses only
-   warm-start seeds, never correctness. *)
-let max_shapes_per_shard = 4096
-
-(* Ensemble width: distinct selectivity bands retained per shape.  "One
-   Join Order Does Not Fit All" finds a handful of regimes per query
-   shape; eight decades of total selectivity is generous. *)
-let max_bands_per_shape = 8
 
 let next_pow2 x =
   let r = ref 1 in
@@ -110,10 +81,9 @@ let next_pow2 x =
   done;
   !r
 
-let create ?(shards = 8) ?(max_bytes = 64 * 1024 * 1024) ?(warm_slack = 2.0) () =
+let create ?(shards = 8) ?(max_bytes = 64 * 1024 * 1024) () =
   if shards <= 0 then invalid_arg "Plan_cache.create: shards must be positive";
   if max_bytes <= 0 then invalid_arg "Plan_cache.create: max_bytes must be positive";
-  if not (warm_slack >= 1.0) then invalid_arg "Plan_cache.create: warm_slack must be >= 1";
   let count = next_pow2 shards in
   let budget = max 1 (max_bytes / count) in
   let mk _ =
@@ -121,8 +91,6 @@ let create ?(shards = 8) ?(max_bytes = 64 * 1024 * 1024) ?(warm_slack = 2.0) () 
       lock = Mutex.create ();
       tbl = Hashtbl.create 64;
       sent = make_sentinel ();
-      shapes = Hashtbl.create 64;
-      bands = Hashtbl.create 64;
       budget;
       bytes = 0;
       hits = 0;
@@ -130,11 +98,9 @@ let create ?(shards = 8) ?(max_bytes = 64 * 1024 * 1024) ?(warm_slack = 2.0) () 
       insertions = 0;
       evictions = 0;
       rebases = 0;
-      shape_hits = 0;
-      band_hits = 0;
     }
   in
-  { shards_arr = Array.init count mk; mask = count - 1; max_bytes; warm_slack }
+  { shards_arr = Array.init count mk; mask = count - 1; max_bytes }
 
 let string_hash str = String.fold_left (fun h c -> (h * 31) + Char.code c) 5381 str
 
@@ -234,43 +200,9 @@ let evict_over_budget sh =
   done;
   !evicted
 
-let record_shape sh shape_key cost =
-  match Hashtbl.find_opt sh.shapes shape_key with
-  | Some best -> if cost < best then Hashtbl.replace sh.shapes shape_key cost
-  | None ->
-      if Hashtbl.length sh.shapes < max_shapes_per_shard then
-        Hashtbl.replace sh.shapes shape_key cost
-
-let record_band sh shape_key ~band entry =
-  match Hashtbl.find_opt sh.bands shape_key with
-  | None ->
-      if Hashtbl.length sh.bands < max_shapes_per_shard then
-        Hashtbl.replace sh.bands shape_key [ (band, entry) ]
-  | Some members -> (
-      match List.assoc_opt band members with
-      | Some old ->
-          if entry.b_cost < old.b_cost then
-            Hashtbl.replace sh.bands shape_key
-              ((band, entry) :: List.remove_assoc band members)
-      | None ->
-          if List.length members < max_bands_per_shape then
-            Hashtbl.replace sh.bands shape_key ((band, entry) :: members))
-
-let shape_shard t shape_key = t.shards_arr.((shape_key lsr 1) land t.mask)
-
 let store t scratch ~optimizer ~plan ~cost ~passes ~final_threshold =
   let key = entry_key scratch ~optimizer in
   let sh = shard_of t key in
-  (* The shape record routes by shape key (that is how lookups find it),
-     which may be a different shard; never hold both locks at once. *)
-  let shape_key = Fingerprint.shape_hash scratch in
-  let ssh = shape_shard t shape_key in
-  let band = Fingerprint.selectivity_band scratch in
-  let banded_plan = Fingerprint.shape_canonize_plan scratch plan in
-  let b_entry = { b_plan = banded_plan; b_cost = cost; b_n = Fingerprint.n scratch } in
-  with_lock ssh (fun () ->
-      record_shape ssh shape_key cost;
-      record_band ssh shape_key ~band b_entry);
   (* Canonize and freeze outside the lock; both only read caller state. *)
   let canonical = Fingerprint.canonize_plan scratch plan in
   let fp = Fingerprint.freeze scratch in
@@ -312,49 +244,6 @@ let store t scratch ~optimizer ~plan ~cost ~passes ~final_threshold =
   if inserted then Obs.Metrics.incr m_insertions;
   if evicted > 0 then Obs.Metrics.add m_evictions evicted
 
-let shape_threshold t scratch =
-  let shape_key = Fingerprint.shape_hash scratch in
-  let sh = shape_shard t shape_key in
-  let best =
-    with_lock sh (fun () ->
-        match Hashtbl.find_opt sh.shapes shape_key with
-        | None -> None
-        | Some c ->
-            sh.shape_hits <- sh.shape_hits + 1;
-            Some c)
-  in
-  match best with
-  | None -> None
-  | Some c ->
-      Obs.Metrics.incr m_shape_hits;
-      Some (c *. t.warm_slack)
-
-let shape_seed t scratch =
-  let shape_key = Fingerprint.shape_hash scratch in
-  let band = Fingerprint.selectivity_band scratch in
-  let n = Fingerprint.n scratch in
-  let sh = shape_shard t shape_key in
-  let found =
-    with_lock sh (fun () ->
-        match Hashtbl.find_opt sh.bands shape_key with
-        | None -> None
-        | Some members -> (
-            match List.assoc_opt band members with
-            | Some e when e.b_n = n ->
-                sh.band_hits <- sh.band_hits + 1;
-                Some e
-            | Some _ | None -> None))
-  in
-  match found with
-  | None -> None
-  | Some e ->
-      Obs.Metrics.incr m_band_hits;
-      (* [b_n = n] makes the rebase total (every shape-canonical leaf is
-         below [n]); a shape-hash collision can still hand back a plan
-         for a different problem, which the consumer's re-costing and
-         the threshold driver's rescue pass absorb. *)
-      Some (Fingerprint.shape_rebase_plan scratch e.b_plan, e.b_cost)
-
 let resident_bytes t =
   Array.fold_left
     (fun acc sh -> acc + with_lock sh (fun () -> sh.bytes))
@@ -385,13 +274,12 @@ let stats t =
     (fun acc sh ->
       with_lock sh (fun () ->
           {
+            acc with
             hits = acc.hits + sh.hits;
             misses = acc.misses + sh.misses;
             insertions = acc.insertions + sh.insertions;
             evictions = acc.evictions + sh.evictions;
             rebases = acc.rebases + sh.rebases;
-            shape_hits = acc.shape_hits + sh.shape_hits;
-            band_hits = acc.band_hits + sh.band_hits;
             entries =
               acc.entries + Hashtbl.fold (fun _ nodes n -> n + List.length nodes) sh.tbl 0;
             bytes = acc.bytes + sh.bytes;
@@ -414,8 +302,6 @@ let clear t =
     (fun sh ->
       with_lock sh (fun () ->
           Hashtbl.reset sh.tbl;
-          Hashtbl.reset sh.shapes;
-          Hashtbl.reset sh.bands;
           sh.bytes <- 0;
           let s = sh.sent in
           s.prev <- s;

@@ -14,37 +14,24 @@
     sessions on different domains contend only when their queries land
     on the same shard.  Each shard owns [max_bytes / shards] of the
     byte budget and evicts from its own LRU tail; {!resident_bytes} is
-    what a [Budget] should charge against its table ceiling.
-
-    The shape tier is keyed by the cardinality-free shape hash and has
-    two faces.  {!shape_threshold} serves the best known cost for the
-    shape as an upper-bound seed for the Section 6.4 thresholded driver
-    when the exact lookup misses but a same-shaped problem was solved
-    before.  {!shape_seed} serves a {e banded plan ensemble}: per shape,
-    up to {!max_bands_per_shape} plans keyed by selectivity band
-    ({!Fingerprint.selectivity_band}), because one cached join order
-    does not fit all selectivity regimes of a shape.  Both faces are
-    heuristic by construction — a colliding or badly-scaled seed merely
-    forces the driver's usual threshold escalation, which guarantees
-    the true optimum regardless.
+    what a [Budget] should charge against its table ceiling.  The
+    entries are all the cache holds: nothing it keeps escapes that
+    budget.
 
     Statistics are kept per shard under the shard lock (exact, and
     available even when [Blitz_obs.Metrics] is disabled) and mirrored
     to the process-wide metrics [blitz_cache_hits_total],
     [blitz_cache_misses_total], [blitz_cache_insertions_total],
-    [blitz_cache_evictions_total], [blitz_cache_rebases_total],
-    [blitz_cache_shape_hits_total] and [blitz_cache_band_hits_total]. *)
+    [blitz_cache_evictions_total] and [blitz_cache_rebases_total]. *)
 
 module Plan = Blitz_plan.Plan
 
 type t
 
-val create : ?shards:int -> ?max_bytes:int -> ?warm_slack:float -> unit -> t
+val create : ?shards:int -> ?max_bytes:int -> unit -> t
 (** [shards] (default 8) is rounded up to a power of two; [max_bytes]
     (default 64 MiB) is the whole-cache budget, split evenly across
-    shards; [warm_slack] (default 2.0) scales a shape-tier cost into a
-    threshold seed.  Raises [Invalid_argument] on non-positive values
-    or [warm_slack < 1]. *)
+    shards.  Raises [Invalid_argument] on non-positive values. *)
 
 val shards : t -> int
 (** The shard count actually in use (the power of two {!create} rounded
@@ -53,10 +40,6 @@ val shards : t -> int
 val max_bytes : t -> int
 (** The configured whole-cache byte budget (compare {!resident_bytes}
     for current occupancy). *)
-
-val warm_slack : t -> float
-(** The configured shape-tier threshold multiplier (see
-    {!shape_threshold}). *)
 
 type hit = {
   plan : Plan.t;  (** Rebased to the caller's relation numbering. *)
@@ -84,36 +67,15 @@ val store :
 (** Insert the outcome of a cold optimization ([plan] in the caller's
     numbering; it is canonized for storage).  If an equal entry is
     already resident, its LRU position is refreshed and nothing is
-    inserted.  Also folds [cost] into the shape tier and the plan (in
-    shape-canonical space) into the shape's banded ensemble.  Callers
-    must not store non-finite costs or non-optimal plans. *)
-
-val shape_threshold : t -> Fingerprint.scratch -> float option
-(** [Some (best_known_cost * warm_slack)] when a same-shaped problem
-    has been stored before: a threshold seed for the Section 6.4
-    driver.  Counts a shape hit. *)
-
-val max_bands_per_shape : int
-(** Ensemble width: distinct selectivity bands retained per shape. *)
-
-val shape_seed : t -> Fingerprint.scratch -> (Plan.t * float) option
-(** The ensemble member stored for this problem's shape {e and}
-    selectivity band, rebased to the caller's numbering, with the cost
-    it had under the {e storing} catalog.  The plan is a structurally
-    valid join order over the caller's relation count, but the cost is
-    another problem's: consumers must re-cost under their own catalog
-    (the engine derives a first-pass threshold from that re-costing —
-    a genuine upper bound, so the pass cannot fail for numeric
-    reasons; a shape-hash collision at worst forces the driver's
-    escalation/rescue machinery).  Counts a band hit. *)
+    inserted.  Callers must not store non-finite costs or non-optimal
+    plans. *)
 
 val resident_bytes : t -> int
 (** Current estimated footprint of all shards' entries — the number a
     [Budget] memory ceiling should charge. *)
 
 val entry_count : t -> int
-(** Resident exact-entry count across all shards (shape records not
-    included). *)
+(** Resident entry count across all shards. *)
 
 type stats = {
   hits : int;
@@ -122,7 +84,10 @@ type stats = {
   evictions : int;
   rebases : int;  (** Hits served under a different labeling. *)
   shape_hits : int;
-  band_hits : int;  (** Banded-ensemble plan seeds served. *)
+  band_hits : int;
+      (** [shape_hits] and [band_hits] are always 0.  They are kept only
+          because the benchmark in [ladder/] builds [stats] records field
+          by field; its next revision drops them. *)
   entries : int;
   bytes : int;
 }
@@ -131,4 +96,4 @@ val stats : t -> stats
 (** Exact totals across shards (reads take each shard lock briefly). *)
 
 val clear : t -> unit
-(** Drop every entry and shape record; statistics keep accumulating. *)
+(** Drop every entry; statistics keep accumulating. *)

@@ -13,9 +13,8 @@
     algorithm produces them, which guarantees that when a csg-cmp pair
     [(S1, S2)] is emitted, every pair composing [S1] and every pair
     composing [S2] has been emitted before it.  {!Dpccp} relies on this
-    to fold each pair into the DP table immediately — no collect +
-    sort-by-size pass (the baseline [Blitz_baselines.Dpccp]'s
-    allocation hotspot). *)
+    to fold each pair into the DP table immediately, with no collect +
+    sort-by-size pass. *)
 
 module Relset = Blitz_bitset.Relset
 module Join_graph = Blitz_graph.Join_graph

@@ -36,7 +36,7 @@ let probe_mask = 1023
 let invariant s1 s2 =
   failwith
     (Printf.sprintf
-       "Dpccp: csg-cmp pair (%#x, %#x) emitted before a component was costed — \
+       "Dpccp: csg-cmp pair (%#x, %#x) emitted before a component was reached — \
         enumeration-order invariant violated"
        s1 s2)
 
@@ -45,9 +45,19 @@ let invariant s1 s2 =
    float associativity exactly — [(cl +. cr) +. kappa''] then [+. kappa'] —
    so that on product-free optima the stored minima are bitwise equal to
    blitzsplit's (comparing after the [+. kp] shift preserves the minimum:
-   [kp] is constant per subset and [+.] is monotone). *)
+   [kp] is constant per subset and [+.] is monotone).
+
+   On extreme statistics a candidate overflows to +inf (or NaN), and so
+   may a component's stored cost.  Such a pair fails the strict [<] and
+   improves nothing; if nothing finite ever reaches the full set the
+   result is [plan = None] and the caller degrades.  So the
+   enumeration-order invariant is checked by whether a component was
+   reached, never by its cost. *)
 
 (* ---- dense backend: the pooled blitzsplit table ---- *)
+
+(* A non-singleton set is reached once its [best_lhs] link is set. *)
+let reached best_lhs s = s land (s - 1) = 0 || Array.unsafe_get best_lhs s <> 0
 
 let fold_dense tbl (model : Cost_model.t) (ctr : Counters.t) ~probe ~mw_check graph =
   let cost = tbl.Dp_table.cost
@@ -68,13 +78,13 @@ let fold_dense tbl (model : Cost_model.t) (ctr : Counters.t) ~probe ~mw_check gr
          improvement into every plan built on top). *)
       mw_check s1;
       mw_check s2;
-      let cl = Array.unsafe_get cost s1 and cr = Array.unsafe_get cost s2 in
-      if not (cl < Float.infinity && cr < Float.infinity) then invariant s1 s2;
+      if not (reached best_lhs s1 && reached best_lhs s2) then invariant s1 s2;
       let s = s1 lor s2 in
+      let first = Array.unsafe_get best_lhs s = 0 in
+      let cl = Array.unsafe_get cost s1 and cr = Array.unsafe_get cost s2 in
       let out = Array.unsafe_get card s in
       let kp = k_prime out in
       let oprnd = cl +. cr in
-      let was = Array.unsafe_get cost s in
       let lcard = Array.unsafe_get card s1 and rcard = Array.unsafe_get card s2 in
       let laux = Array.unsafe_get aux s1 and raux = Array.unsafe_get aux s2 in
       let d1 =
@@ -105,7 +115,13 @@ let fold_dense tbl (model : Cost_model.t) (ctr : Counters.t) ~probe ~mw_check gr
           Array.unsafe_set best_lhs s s2
         end
       end;
-      if was = Float.infinity && Array.unsafe_get cost s < Float.infinity then incr sets);
+      if first then begin
+        incr sets;
+        (* Every candidate overflowed: mark the set reached all the same.
+           Its cost stays infinite, so no plan is ever extracted through
+           this link. *)
+        if Array.unsafe_get best_lhs s = 0 then Array.unsafe_set best_lhs s s1
+      end);
   !sets
 
 let optimize_dense ?arena ~mw ~ctr ~probe model catalog graph =
@@ -251,10 +267,11 @@ let fold_sparse st (model : Cost_model.t) (ctr : Counters.t) ~probe ~mw_check ca
       probe ctr.Counters.ccp_pairs;
       mw_check s1;
       mw_check s2;
+      (* Store membership is the reached mark: a set is stored when the
+         first pair producing it is folded, whatever that pair costs. *)
       let i1 = match Store.find_opt st s1 with Some i -> i | None -> invariant s1 s2
       and i2 = match Store.find_opt st s2 with Some i -> i | None -> invariant s1 s2 in
       let cl = st.Store.cost.(i1) and cr = st.Store.cost.(i2) in
-      if not (cl < Float.infinity && cr < Float.infinity) then invariant s1 s2;
       let s = s1 lor s2 in
       let i =
         match Store.find_opt st s with

@@ -130,9 +130,8 @@ let record_outcome t (o : Registry.outcome) =
    entry promises exactness (a cached entry must mean the same thing no
    matter which query stored it), and only when the caller supplied no
    explicit threshold (an explicit threshold makes the outcome
-   caller-dependent).  A hit skips the optimizer entirely; a miss for
-   ["thresholded"] may still warm-start from the shape tier before
-   running cold, and a completed cold optimum is stored. *)
+   caller-dependent).  A hit skips the optimizer entirely; a miss runs
+   it cold and stores the completed optimum. *)
 
 let digest_for t m = if m == t.model then t.digest else Fingerprint.model_digest m
 
@@ -144,44 +143,39 @@ let digest_for t m = if m == t.model then t.digest else Fingerprint.model_digest
 let tagged ?cache_tag optimizer =
   match cache_tag with None -> optimizer | Some tag -> optimizer ^ "@" ^ tag
 
-let cache_find ?model ?cache_tag t ~optimizer (p : Registry.problem) =
-  match t.cache with
-  | None -> None
-  | Some c ->
-      let m = Option.value ~default:t.model model in
-      Obs.Metrics.time m_cache_lookup (fun () ->
-          Fingerprint.compute t.scratch ~model_digest:(digest_for t m) p.Registry.catalog
-            p.Registry.graph;
-          Plan_cache.find c t.scratch ~optimizer:(tagged ?cache_tag optimizer))
+(* The one cache round: fingerprint [p] into the session scratch, look
+   it up under [key], and on a miss store the outcome [miss] names from
+   that same fingerprint, unless it has no plan or a non-finite cost.
+   [miss] runs no cache function of this session, so the scratch still
+   holds [p]'s canonical form when the store comes. *)
+let cache_round t c ~model ~key (p : Registry.problem) ~hit ~miss =
+  let found =
+    Obs.Metrics.time m_cache_lookup (fun () ->
+        Fingerprint.compute t.scratch ~model_digest:(digest_for t model) p.Registry.catalog
+          p.Registry.graph;
+        Plan_cache.find c t.scratch ~optimizer:key)
+  in
+  match found with
+  | Some h -> hit h
+  | None ->
+      let result, outcome = miss () in
+      (match outcome with
+      | Some { Registry.plan = Some plan; cost; passes; final_threshold; _ }
+        when Float.is_finite cost ->
+          Plan_cache.store c t.scratch ~optimizer:key ~plan ~cost ~passes ~final_threshold
+      | _ -> ());
+      result
 
-let cache_around ?model ?cache_tag t ~optimizers (p : Registry.problem) ~hit ~miss =
+let cache_around ?model ?cache_tag t ~optimizer p ~hit ~miss =
   match t.cache with
   | None -> fst (miss ())
-  | Some c -> (
-      let m = Option.value ~default:t.model model in
-      let found =
-        Obs.Metrics.time m_cache_lookup (fun () ->
-            Fingerprint.compute t.scratch ~model_digest:(digest_for t m) p.Registry.catalog
-              p.Registry.graph;
-            List.find_map
-              (fun optimizer ->
-                Plan_cache.find c t.scratch ~optimizer:(tagged ?cache_tag optimizer)
-                |> Option.map (fun h -> (optimizer, h)))
-              optimizers)
-      in
-      match found with
-      | Some (optimizer, h) -> hit optimizer h
-      | None ->
-          (* The scratch still holds [p]'s canonical form: [miss] runs
-             no cache function of this session. *)
-          let result, outcome = miss () in
-          (match outcome with
-          | Some (optimizer, { Registry.plan = Some plan; cost; passes; final_threshold; _ })
-            when Float.is_finite cost ->
-              Plan_cache.store c t.scratch ~optimizer:(tagged ?cache_tag optimizer) ~plan ~cost
-                ~passes ~final_threshold
-          | _ -> ());
-          result)
+  | Some c ->
+      cache_round t c
+        ~model:(Option.value ~default:t.model model)
+        ~key:(tagged ?cache_tag optimizer) p ~hit ~miss
+
+let cache_find ?model ?cache_tag t ~optimizer p =
+  cache_around ?model ?cache_tag t ~optimizer p ~hit:Option.some ~miss:(fun () -> (None, None))
 
 let hit_outcome ctr (h : Plan_cache.hit) =
   {
@@ -195,95 +189,36 @@ let hit_outcome ctr (h : Plan_cache.hit) =
       Some (if h.Plan_cache.rebased then "plan cache: hit (rebased)" else "plan cache: hit");
   }
 
-let append_note extra (o : Registry.outcome) =
-  let note = match o.Registry.note with None -> extra | Some n -> n ^ "; " ^ extra in
-  { o with Registry.note = Some note }
-
 (* Run one problem through the entry, going through the cache when the
-   session has one.  The scratch already holds this problem's canonical
-   form on the miss path, so the store needs no recompute. *)
+   session has one and the entry's result may be cached. *)
 let run_entry t (entry : Registry.entry) ~optimizer ?interrupt ?threshold ?(multiway = false)
     ?cache_tag ~ctr problem =
   (* Multiway planning is real only for entries that advertise it; the
      flag reaches the cache key only then, so e.g. greedy lookups do not
      fragment across the two modes they cannot distinguish. *)
   let mw = multiway && entry.Registry.caps.Registry.multiway in
-  let n = Catalog.n problem.Registry.catalog in
-  let cold () = ctx ?interrupt ?threshold ~multiway:mw ~counters:ctr ~n t in
-  let cacheable =
-    t.cache <> None && entry.Registry.caps.Registry.cacheable && Option.is_none threshold
+  let run () =
+    let n = Catalog.n problem.Registry.catalog in
+    entry.Registry.optimize (ctx ?interrupt ?threshold ~multiway:mw ~counters:ctr ~n t) problem
   in
-  if not cacheable then entry.Registry.optimize (cold ()) problem
-  else
-    let c = Option.get t.cache in
-    (* "+mw" keeps the two plan spaces apart in the cache: a multiway
-       optimum must never be replayed to a caller that cannot execute
-       n-ary joins, and a binary optimum stored by a multiway=false run
-       is not the hybrid space's optimum. *)
-    let cache_key =
-      let base = tagged ?cache_tag optimizer in
-      if mw then base ^ "+mw" else base
-    in
-    let hit =
-      Obs.Metrics.time m_cache_lookup (fun () ->
-          Fingerprint.compute t.scratch ~model_digest:t.digest problem.Registry.catalog
-            problem.Registry.graph;
-          Plan_cache.find c t.scratch ~optimizer:cache_key)
-    in
-    match hit with
-    | Some h when mw || not (Plan.has_multiway h.Plan_cache.plan) -> hit_outcome ctr h
-    | Some _ (* defense in depth: never serve an n-ary plan without mw *) | None ->
-        (* Warm-start ladder for the thresholded driver.  Best seed: a
-           banded-ensemble plan for this shape and selectivity regime,
-           re-costed under the {e current} catalog — a genuine upper
-           bound, so a first-pass threshold a whisker above it cannot
-           fail for numeric reasons, and the rescue pass still
-           guarantees the true optimum if the seed misleads.  Fallback:
-           the shape tier's best-known-cost threshold.  Either way the
-           cold result is what gets stored, so warmth never changes
-           what the cache learns. *)
-        let banded_bound () =
-          match Plan_cache.shape_seed c t.scratch with
-          | None -> None
-          | Some (plan, _stored_cost) ->
-              let structurally_ok =
-                Plan.leaf_count plan = n
-                && (match Plan.validate ~n plan with Ok () -> true | Error _ -> false)
-              in
-              if not structurally_ok then None
-              else
-                let g =
-                  match problem.Registry.graph with
-                  | Some g -> g
-                  | None -> Join_graph.no_predicates ~n
-                in
-                let ub = Plan.cost t.model problem.Registry.catalog g plan in
-                if Float.is_finite ub && ub > 0.0 then Some (ub *. (1.0 +. 1e-9)) else None
-        in
-        let warm =
-          if String.equal optimizer "thresholded" then
-            match banded_bound () with
-            | Some w -> Some (w, "plan cache: banded warm-start")
-            | None -> (
-                match Plan_cache.shape_threshold c t.scratch with
-                | Some w -> Some (w, "plan cache: warm-start")
-                | None -> None)
-          else None
-        in
-        let o =
-          match warm with
-          | None -> entry.Registry.optimize (cold ()) problem
-          | Some (w, _) ->
-              entry.Registry.optimize
-                (ctx ?interrupt ~threshold:w ~multiway:mw ~counters:ctr ~n t)
-                problem
-        in
-        (match o.Registry.plan with
-        | Some plan when Float.is_finite o.Registry.cost ->
-            Plan_cache.store c t.scratch ~optimizer:cache_key ~plan ~cost:o.Registry.cost
-              ~passes:o.Registry.passes ~final_threshold:o.Registry.final_threshold
-        | _ -> ());
-        (match warm with Some (_, note) -> append_note note o | None -> o)
+  match t.cache with
+  | Some c when entry.Registry.caps.Registry.cacheable && Option.is_none threshold ->
+      (* "+mw" keeps the two plan spaces apart in the cache: a multiway
+         optimum must never be replayed to a caller that cannot execute
+         n-ary joins, and a binary optimum stored by a multiway=false run
+         is not the hybrid space's optimum. *)
+      let key =
+        let base = tagged ?cache_tag optimizer in
+        if mw then base ^ "+mw" else base
+      in
+      cache_round t c ~model:t.model ~key problem
+        ~hit:(fun h ->
+          (* Defense in depth: never serve an n-ary plan without mw. *)
+          if mw || not (Plan.has_multiway h.Plan_cache.plan) then hit_outcome ctr h else run ())
+        ~miss:(fun () ->
+          let o = run () in
+          (o, Some o))
+  | Some _ | None -> run ()
 
 let optimize ?(optimizer = "exact") ?interrupt ?threshold ?multiway ?cache_tag t problem =
   if t.closed then invalid_arg "Engine.optimize: session is closed";

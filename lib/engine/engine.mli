@@ -16,9 +16,10 @@
     A session may also carry a {!Blitz_cache.Plan_cache}: any optimizer
     whose registry entry promises exactness then consults it before
     running (skipping the whole DP on a hit, with the cached plan
-    rebased to the caller's relation numbering), stores completed
-    optima, and — for the ["thresholded"] driver — seeds its first pass
-    from the cache's shape tier on an exact miss.  The cache is shared
+    rebased to the caller's relation numbering) and stores completed
+    optima.  A miss runs the optimizer cold, so a ["thresholded"] miss
+    seeds its first pass from {!Registry.greedy_bound} like any
+    thresholded call without a threshold.  The cache is shared
     by whatever sessions were created with it (it is domain-safe);
     omitting it at {!create} is the per-session opt-out.  Each session
     owns one preallocated fingerprint workspace, so cache participation
@@ -151,22 +152,22 @@ val cache_around :
   ?model:Cost_model.t ->
   ?cache_tag:string ->
   t ->
-  optimizers:string list ->
+  optimizer:string ->
   Registry.problem ->
-  hit:(string -> Plan_cache.hit -> 'a) ->
-  miss:(unit -> 'a * (string * Registry.outcome) option) ->
+  hit:(Plan_cache.hit -> 'a) ->
+  miss:(unit -> 'a * Registry.outcome option) ->
   'a
 (** One cache round around an optimizer the caller runs itself (the
-    Guard driver's cascade).  The problem is fingerprinted into the
-    session scratch once and looked up under each of [optimizers] in
-    turn; the first hit goes to [hit] with its optimizer name.  On a
-    miss under all of them, [miss ()] runs and its result is returned;
-    the outcome it names is stored under that optimizer's key from the
-    same fingerprint, unless it has no plan or a non-finite cost.
-    [miss] must not use this session's cache functions, since the
-    scratch still holds the fingerprint; callers must only name
-    outcomes that are true optima for that optimizer.  Without a cache,
-    just [miss ()].  [model] and [cache_tag] as in {!cache_find}. *)
+    Guard driver's cascade): the same round {!optimize} runs around a
+    registry entry.  The problem is fingerprinted into the session
+    scratch once and looked up under [optimizer]; a hit goes to [hit].
+    On a miss, [miss ()] runs and its result is returned; the outcome
+    it returns alongside is stored under [optimizer] from the same
+    fingerprint, unless it has no plan or a non-finite cost.  [miss]
+    must not use this session's cache functions, since the scratch
+    still holds the fingerprint; callers must only return outcomes that
+    are true optima for that optimizer.  Without a cache, just
+    [miss ()].  [model] and [cache_tag] as in {!cache_find}. *)
 
 val ctx :
   ?interrupt:(unit -> bool) ->

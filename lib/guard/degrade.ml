@@ -9,13 +9,12 @@ module Registry = Blitz_engine.Registry
 module B = Blitz_baselines
 module Obs = Blitz_obs.Obs
 
-type tier = Exact | Thresholded | Dpccp | Hybrid_windows | Ikkbz | Greedy | Estimate_free
+type tier = Exact | Dpccp | Hybrid_windows | Ikkbz | Greedy | Estimate_free
 
 (* Tier names double as registry keys: the cascade no longer owns any
    algorithm invocation code, it sequences registry entries. *)
 let tier_name = function
   | Exact -> "exact"
-  | Thresholded -> "thresholded"
   | Dpccp -> "dpccp"
   | Hybrid_windows -> "hybrid"
   | Ikkbz -> "ikkbz"
@@ -24,14 +23,19 @@ let tier_name = function
 
 let tier_entry tier = Registry.find_exn (tier_name tier)
 
-(* Dpccp slots between the thresholded driver and the hybrid: when the
-   2^n table (or the deadline) rules the full-space DP out, the
+(* Dpccp slots between the exact DP and the hybrid: when the 2^n table
+   (or the deadline) rules the full-space DP out, the
    connectivity-pruned search still finds the product-free optimum at
    polynomial cost on sparse graphs — strictly stronger than dropping
    straight to randomized search.  Its eligibility check refuses
-   disconnected graphs, where its plan space is empty. *)
-let default_cascade =
-  [ Exact; Thresholded; Dpccp; Hybrid_windows; Ikkbz; Greedy; Estimate_free ]
+   disconnected graphs, where its plan space is empty.
+
+   No Section 6.4 thresholded tier sits behind [Exact]: it has exact's
+   caps, so size and memory ceilings skip both, a deadline that aborts
+   exact has latched and skips it too, and when exact finds no finite
+   plan its last pass was the plain DP, whose plan space every
+   thresholded pass searches a subset of. *)
+let default_cascade = [ Exact; Dpccp; Hybrid_windows; Ikkbz; Greedy; Estimate_free ]
 
 (* When Sanitize had to fabricate cardinalities the cost-based tiers
    would optimize placeholder numbers — garbage in, garbage out, at
@@ -158,8 +162,7 @@ let run_tier ?(num_domains = 1) ?arena ?pool ?multiway ~budget ~seed tier model 
      The exact tier prunes at the greedy bound (Section 6.4): one pass
      that skips every subset whose kappa' alone reaches it, with the
      optimum's cost and plan bits (see [Registry.run_exact]), or one
-     plain pass when there is no finite bound.  The thresholded entry
-     seeds its first pass from the same bound itself. *)
+     plain pass when there is no finite bound. *)
   (* Tiers whose caps lack the multiway capability simply ignore the
      flag, so one ctx serves the whole cascade and it stays valid end to
      end: an n-ary-capable tier may emit [Plan.Multiway], every tier

@@ -4,15 +4,15 @@
     The paper's Section 6.4 already treats "no plan found" as a
     recoverable condition (a failed thresholded pass is retried); this
     module generalizes that stance to the whole optimizer portfolio.
-    Tiers are tried in order — exact blitzsplit, the multi-pass
-    threshold driver, the Section 7 hybrid (DP windows inside randomized
-    search), IKKBZ for tree queries, the greedy heuristic, and finally
-    the estimate-free Simpli-Squared structural order — and the first to
-    produce a plan wins.  Every decision is recorded as
-    {e provenance}: which tier produced the plan, why each earlier tier
-    was skipped (table too large for the memory ceiling, algorithm not
-    applicable, deadline already gone) or aborted (deadline fired
-    mid-search), and how much wall clock each consumed.
+    Tiers are tried in order — exact blitzsplit pruned at the greedy
+    bound, connectivity-pruned DPccp, the Section 7 hybrid (DP windows
+    inside randomized search), IKKBZ for tree queries, the greedy
+    heuristic, and finally the estimate-free Simpli-Squared structural
+    order — and the first to produce a plan wins.  Every decision is
+    recorded as {e provenance}: which tier produced the plan, why each
+    earlier tier was skipped (table too large for the memory ceiling,
+    algorithm not applicable, deadline already gone) or aborted
+    (deadline fired mid-search), and how much wall clock each consumed.
 
     Greedy is [O(n^3)] with no [2^n] table and runs even with an
     expired deadline, so a sanitized input always yields a plan; the
@@ -33,10 +33,8 @@ type tier =
           6.4 pass at the greedy plan's cost times [1 + 1e-9], which
           skips no subset of the optimal plan, so cost and plan are the
           unthresholded DP's bit for bit.  Without a finite bound, or
-          should that pass find no plan, one unthresholded pass. *)
-  | Thresholded
-      (** Threshold multi-pass (Section 6.4), seeded from the greedy
-          cost bound so the first pass prunes hard. *)
+          should that pass find no plan, one unthresholded pass.  The
+          cascade's only Section 6.4 pass. *)
   | Dpccp
       (** Connectivity-pruned DP: the product-free optimum at csg-cmp
           cost.  Polynomial on sparse graphs and table-free beyond
@@ -57,8 +55,7 @@ val tier_name : tier -> string
     print, and the registry dispatches on. *)
 
 val default_cascade : tier list
-(** [Exact; Thresholded; Dpccp; Hybrid_windows; Ikkbz; Greedy;
-    Estimate_free]. *)
+(** [Exact; Dpccp; Hybrid_windows; Ikkbz; Greedy; Estimate_free]. *)
 
 val fabricated_cascade : tier list
 (** [Estimate_free; Greedy] — the cascade for catalogs whose
@@ -140,14 +137,14 @@ val run_tier :
   (Plan.t * float, failure) result
 (** Run one tier in isolation (eligibility is the caller's business —
     see {!eligibility}).  [seed] feeds the hybrid tier's generator.
-    With [num_domains > 1] (default 1) the {!Exact} and {!Thresholded}
-    DP tiers run rank-parallel on that many domains — bit-identical
-    results, so tier semantics are unchanged; the other tiers are
-    table-free fallbacks and stay single-domain.  Exposed so tests can
-    compare every tier's plan against the exact optimum.  Tiers are
-    dispatched through the [Blitz_engine] registry; [arena]/[pool]
-    plug a session's pooled DP table and spawned domain pool in
-    (bit-identical results either way). *)
+    With [num_domains > 1] (default 1) the {!Exact} DP tier runs
+    rank-parallel on that many domains — bit-identical results, so tier
+    semantics are unchanged; the other tiers are table-free fallbacks
+    and stay single-domain.  Exposed so tests can compare every tier's
+    plan against the exact optimum.  Tiers are dispatched through the
+    [Blitz_engine] registry; [arena]/[pool] plug a session's pooled DP
+    table and spawned domain pool in (bit-identical results either
+    way). *)
 
 val optimize :
   ?cascade:tier list ->
@@ -166,6 +163,6 @@ val optimize :
     — possible only with a custom [cascade] that omits {!Greedy} — still
     reports why every tier declined.  [num_domains] is forwarded to the
     DP tiers (see {!run_tier}); [cache_bytes] to {!eligibility};
-    [multiway] to every tier's ctx — capable tiers (exact, thresholded,
-    dpccp) plan n-ary nodes, the rest ignore it, so the cascade stays
-    valid top to bottom. *)
+    [multiway] to every tier's ctx — capable tiers (exact, dpccp) plan
+    n-ary nodes, the rest ignore it, so the cascade stays valid top to
+    bottom. *)

@@ -38,39 +38,38 @@ let pp_error ppf e = Format.pp_print_string ppf (error_message e)
    path: sanitize-repaired statistics (the chaos suite's territory) are
    a different query than the caller submitted, and a resilient driver
    does not let a corrupted input stream populate — or be answered from
-   — the cache.  Hits and stores go per tier key ("exact" stays
-   bit-compatible with "exact", "thresholded" with "thresholded"). *)
-let cacheable_tiers = [ Degrade.Exact; Degrade.Thresholded ]
+   — the cache.  Only the exact tier's answer is cached, under the
+   "exact" key it shares bit for bit with [Engine.optimize]; the tiers
+   below it answer with whatever the budget allowed, which is no
+   optimum to replay. *)
+let cached_tier = Degrade.Exact
 
 (* The cache round around the cascade: [Engine.cache_around]
-   fingerprints the problem once, looks it up under both tier keys, and
+   fingerprints the problem once, looks it up under the exact key, and
    on a miss stores what [run] answered from that same fingerprint.  The
    cascade uses the session's arena and pool, never its cache, so the
    fingerprint is still in the scratch when the store comes. *)
 let with_cache ~session ~repairs ?cache_tag model catalog graph ~hit run =
   match session with
   | Some s when repairs = [] ->
-    let tier_of name = List.find (fun t -> Degrade.tier_name t = name) cacheable_tiers in
-    Engine.cache_around ~model ?cache_tag s
-      ~optimizers:(List.map Degrade.tier_name cacheable_tiers)
+    Engine.cache_around ~model ?cache_tag s ~optimizer:(Degrade.tier_name cached_tier)
       (Blitz_engine.Registry.problem ~graph catalog)
-      ~hit:(fun name h -> hit (tier_of name) h)
+      ~hit:(hit cached_tier)
       ~miss:(fun () ->
         let result = run () in
         ( result,
           match result with
-          | Ok o when List.mem o.provenance.Degrade.winner cacheable_tiers ->
+          | Ok o when o.provenance.Degrade.winner = cached_tier ->
             Some
-              ( Degrade.tier_name o.provenance.Degrade.winner,
-                {
-                  Blitz_engine.Registry.plan = Some o.plan;
-                  cost = o.cost;
-                  passes = 1;
-                  final_threshold = infinity;
-                  table = None;
-                  counters = None;
-                  note = None;
-                } )
+              {
+                Blitz_engine.Registry.plan = Some o.plan;
+                cost = o.cost;
+                passes = 1;
+                final_threshold = infinity;
+                table = None;
+                counters = None;
+                note = None;
+              }
           | Ok _ | Error _ -> None ))
   | _ -> run ()
 

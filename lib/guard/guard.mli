@@ -8,7 +8,7 @@
     The pipeline is: {!Sanitize} validates (and under a lenient policy
     repairs) the raw statistics; {!Budget} arms the wall-clock deadline
     and checks the DP-table memory ceiling before allocation; {!Degrade}
-    walks the tier cascade — exact, thresholded, hybrid, IKKBZ, greedy,
+    walks the tier cascade — exact, DPccp, hybrid, IKKBZ, greedy,
     estimate-free — returning the first plan produced together with
     full provenance.  When the sanitizer had to {e fabricate}
     cardinalities ({!Sanitize.fabricated_stats}) and the caller pinned

@@ -1,16 +1,17 @@
-(* DPccp: enumerator counts against the closed-form formulas and the
-   optimizer against the size-driven no-products baseline; then the
-   production [blitz_dpccp] library against the baseline, against
-   blitzsplit (bit-identity where the spaces agree), across its two
-   backends, and the DPconv bottleneck driver against a brute-force
-   oracle over every bushy plan. *)
+(* DPccp: enumerator counts against the closed-form formulas, a
+   brute-force subset count and the size-driven no-products DP's join
+   count; the emission order the fold relies on; the optimizer against
+   that DP's optimum, against blitzsplit (bit-identity where the spaces
+   agree), across its two backends and on overflowing statistics; and
+   the DPconv bottleneck driver against a brute-force oracle over every
+   bushy plan. *)
 
 open Test_helpers
-module Dpccp = Blitz_baselines.Dpccp
 module Dpsize = Blitz_baselines.Dpsize
 module Topology = Blitz_graph.Topology
+module Workload = Blitz_workload.Workload
 module Ccp_enum = Blitz_dpccp.Ccp_enum
-module Dpccp2 = Blitz_dpccp.Dpccp
+module Dpccp = Blitz_dpccp.Dpccp
 module Dpconv = Blitz_dpccp.Dpconv
 module Blitzsplit = Blitz_core.Blitzsplit
 module Float_more = Blitz_util.Float_more
@@ -32,35 +33,66 @@ let test_csg_counts () =
       Alcotest.(check int)
         (Printf.sprintf "chain csg n=%d" n)
         (n * (n + 1) / 2)
-        (Dpccp.csg_count (graph_of Topology.Chain n));
+        (Ccp_enum.csg_count (graph_of Topology.Chain n));
+      Alcotest.(check int)
+        (Printf.sprintf "star csg n=%d" n)
+        (n + (1 lsl (n - 1)) - 1)
+        (Ccp_enum.csg_count (graph_of Topology.Star n));
       Alcotest.(check int)
         (Printf.sprintf "clique csg n=%d" n)
         ((1 lsl n) - 1)
-        (Dpccp.csg_count (graph_of Topology.Clique n)))
+        (Ccp_enum.csg_count (graph_of Topology.Clique n)))
     [ 2; 3; 5; 8; 10 ]
 
+let backends = [ ("dense", `Dense); ("sparse", `Sparse) ]
+
 let test_ccp_counts_closed_forms () =
+  (* The optimizer folds each pair once, so the pairs it reports are
+     the closed-form counts, under either backend. *)
   List.iter
-    (fun n ->
-      Alcotest.(check int)
-        (Printf.sprintf "chain ccp n=%d" n)
-        (chain_ccp n)
-        (Dpccp.ccp_count (graph_of Topology.Chain n));
-      Alcotest.(check int)
-        (Printf.sprintf "star ccp n=%d" n)
-        (star_ccp n)
-        (Dpccp.ccp_count (graph_of Topology.Star n));
-      Alcotest.(check int)
-        (Printf.sprintf "clique ccp n=%d" n)
-        (clique_ccp n)
-        (Dpccp.ccp_count (graph_of Topology.Clique n)))
-    [ 2; 3; 5; 8; 10 ]
+    (fun (backend_name, backend) ->
+      List.iter
+        (fun (topo, closed_form) ->
+          List.iter
+            (fun n ->
+              let catalog = Catalog.uniform ~n ~card:100.0 in
+              let r = Dpccp.optimize ~backend Cost_model.naive catalog (graph_of topo n) in
+              Alcotest.(check int)
+                (Printf.sprintf "%s %s ccp n=%d" backend_name (Topology.name topo) n)
+                (closed_form n) r.Dpccp.ccp_pairs)
+            [ 2; 3; 5; 8; 10 ])
+        [ (Topology.Chain, chain_ccp); (Topology.Star, star_ccp); (Topology.Clique, clique_ccp) ])
+    backends
 
 let test_disconnected_graph () =
   let catalog = Catalog.of_cards [| 10.0; 20.0; 30.0 |] in
   let graph = Join_graph.of_edges ~n:3 [ (0, 1, 0.1) ] in
-  let r = Dpccp.optimize Cost_model.naive catalog graph in
-  Alcotest.(check bool) "no plan" true (r.Dpccp.plan = None)
+  List.iter
+    (fun (name, backend) ->
+      let r = Dpccp.optimize ~backend Cost_model.naive catalog graph in
+      Alcotest.(check bool) (name ^ ": no plan") true (r.Dpccp.plan = None);
+      check_float (name ^ ": infinite cost") Float.infinity r.Dpccp.cost)
+    backends
+
+let test_overflowing_statistics () =
+  (* Every plan's cost overflows to infinity.  An overflowed pair
+     improves nothing, so there is no finite plan to return — but the
+     fold still reaches every connected set, in order. *)
+  let spec =
+    Workload.spec ~n:3 ~topology:Topology.Chain ~model:Cost_model.naive ~mean_card:1e150
+      ~variability:0.5
+  in
+  let catalog, graph = Workload.problem spec in
+  List.iter
+    (fun (name, backend) ->
+      let r = Dpccp.optimize ~backend Cost_model.naive catalog graph in
+      Alcotest.(check bool) (name ^ ": no plan") true (r.Dpccp.plan = None);
+      check_float (name ^ ": infinite cost") Float.infinity r.Dpccp.cost;
+      Alcotest.(check int) (name ^ ": every connected set reached") (Ccp_enum.csg_count graph)
+        r.Dpccp.connected_sets;
+      Alcotest.(check int) (name ^ ": every pair folded") (Ccp_enum.ccp_count graph)
+        r.Dpccp.ccp_pairs)
+    backends
 
 let test_small_chain_plan () =
   let catalog = Catalog.of_cards [| 100.0; 10.0; 100.0 |] in
@@ -74,15 +106,21 @@ let test_small_chain_plan () =
       (Plan.cost Cost_model.naive catalog graph plan)
 
 let prop_matches_dpsize_no_products =
+  (* The size-driven DP without products searches the same plan space
+     by a different enumeration: same optimum, and DPccp's own plan is
+     product-free and re-costs to the cost it reports. *)
   QCheck2.Test.make ~count:120 ~name:"DPccp optimum = size-driven DP without products"
     ~print:problem_print (problem_gen ~max_n:9)
     (fun p ->
       let a = Dpccp.optimize p.model p.catalog p.graph in
       let b = Dpsize.optimize ~cartesian:false p.model p.catalog p.graph in
-      (match (a.Dpccp.plan, b.Dpsize.plan) with
-      | None, None -> true
-      | Some _, Some _ -> Blitz_util.Float_more.approx_equal ~rel:1e-6 a.Dpccp.cost b.Dpsize.cost
-      | Some _, None | None, Some _ -> false))
+      match (a.Dpccp.plan, b.Dpsize.plan) with
+      | None, None -> a.Dpccp.cost = Float.infinity
+      | Some pl, Some _ ->
+        Float_more.approx_equal ~rel:1e-6 a.Dpccp.cost b.Dpsize.cost
+        && Plan.cartesian_join_count p.graph pl = 0
+        && Float_more.approx_equal ~rel:1e-9 a.Dpccp.cost (Plan.cost p.model p.catalog p.graph pl)
+      | Some _, None | None, Some _ -> false)
 
 let prop_every_pair_connected =
   QCheck2.Test.make ~count:100
@@ -91,7 +129,7 @@ let prop_every_pair_connected =
     (fun p ->
       let ok = ref true in
       let seen = Hashtbl.create 256 in
-      Dpccp.iter_ccp p.graph (fun s1 s2 ->
+      Ccp_enum.iter_ccp p.graph (fun s1 s2 ->
           if not (Relset.disjoint s1 s2) then ok := false;
           if not (Join_graph.is_connected_subset p.graph s1) then ok := false;
           if not (Join_graph.is_connected_subset p.graph s2) then ok := false;
@@ -105,23 +143,43 @@ let prop_every_pair_connected =
       let b = Dpsize.optimize ~cartesian:false p.model p.catalog p.graph in
       !ok && Hashtbl.length seen = b.Dpsize.joins_built)
 
-(* ---- the production blitz_dpccp library ---- *)
+let prop_components_emitted_first =
+  (* The order the DP fold relies on: when a pair is emitted, each of
+     its halves is a singleton or the union of a pair emitted before. *)
+  QCheck2.Test.make ~count:100 ~name:"components emitted before each pair"
+    ~print:problem_print (problem_gen ~max_n:9)
+    (fun p ->
+      let made = Hashtbl.create 256 in
+      let ok = ref true in
+      let ready s = s land (s - 1) = 0 || Hashtbl.mem made s in
+      Ccp_enum.iter_ccp p.graph (fun s1 s2 ->
+          if not (ready s1 && ready s2) then ok := false;
+          Hashtbl.replace made (s1 lor s2) ());
+      !ok)
 
 let test_enum_matches_baseline () =
-  (* The zero-allocation enumerator and the baseline agree on both
-     counts for every paper topology, including cycles. *)
+  (* Both counts against baselines independent of the enumerator, on
+     every paper topology, cycles included: a brute-force count of the
+     subsets [Join_graph.is_connected_subset] accepts, and the joins
+     [Dpsize] without products builds (exactly the csg-cmp pairs). *)
   List.iter
     (fun topo ->
       List.iter
         (fun n ->
           let g = graph_of topo n in
           let name = Topology.name topo in
-          Alcotest.(check int)
-            (Printf.sprintf "%s csg n=%d" name n)
-            (Dpccp.csg_count g) (Ccp_enum.csg_count g);
+          let connected = ref 0 in
+          for s = 1 to (1 lsl n) - 1 do
+            if Join_graph.is_connected_subset g s then incr connected
+          done;
+          Alcotest.(check int) (Printf.sprintf "%s csg n=%d" name n) !connected
+            (Ccp_enum.csg_count g);
+          let dpsize =
+            Dpsize.optimize ~cartesian:false Cost_model.naive (Catalog.uniform ~n ~card:100.0) g
+          in
           Alcotest.(check int)
             (Printf.sprintf "%s ccp n=%d" name n)
-            (Dpccp.ccp_count g) (Ccp_enum.ccp_count g))
+            dpsize.Dpsize.joins_built (Ccp_enum.ccp_count g))
         [ 3; 5; 8; 10 ])
     [ Topology.Chain; Topology.Cycle_plus 0; Topology.Star; Topology.Clique ]
 
@@ -179,21 +237,6 @@ let test_connectivity_helpers () =
   let single = Join_graph.of_edges ~n:1 [] in
   Alcotest.(check bool) "single relation connected" true (Join_graph.is_connected single)
 
-let prop_new_matches_baseline =
-  QCheck2.Test.make ~count:120 ~name:"blitz_dpccp optimum = baseline DPccp"
-    ~print:problem_print (problem_gen ~max_n:9)
-    (fun p ->
-      let a = Dpccp2.optimize p.model p.catalog p.graph in
-      let b = Dpccp.optimize p.model p.catalog p.graph in
-      match (a.Dpccp2.plan, b.Dpccp.plan) with
-      | None, None -> a.Dpccp2.cost = Float.infinity
-      | Some pl, Some _ ->
-        Float_more.approx_equal ~rel:1e-6 a.Dpccp2.cost b.Dpccp.cost
-        && Plan.cartesian_join_count p.graph pl = 0
-        && Float_more.approx_equal ~rel:1e-9 a.Dpccp2.cost
-             (Plan.cost p.model p.catalog p.graph pl)
-      | Some _, None | None, Some _ -> false)
-
 let prop_bit_identity_vs_blitzsplit =
   (* The headline gate: on the dense backend, whenever blitzsplit's
      optimum is product-free the dpccp cost must agree to <= 8 ulps
@@ -208,25 +251,25 @@ let prop_bit_identity_vs_blitzsplit =
         let b = Blitzsplit.optimize_join p.model p.catalog p.graph in
         let blitz_cost = Blitzsplit.best_cost b in
         let blitz_plan = Blitzsplit.best_plan_exn b in
-        let a = Dpccp2.optimize ~backend:`Dense p.model p.catalog p.graph in
+        let a = Dpccp.optimize ~backend:`Dense p.model p.catalog p.graph in
         if Plan.cartesian_join_count p.graph blitz_plan = 0 then
-          Float_more.within_ulps ~ulps:8 a.Dpccp2.cost blitz_cost
-        else a.Dpccp2.cost >= blitz_cost *. (1.0 -. 1e-12)
+          Float_more.within_ulps ~ulps:8 a.Dpccp.cost blitz_cost
+        else a.Dpccp.cost >= blitz_cost *. (1.0 -. 1e-12)
       end)
 
 let prop_sparse_matches_dense =
   QCheck2.Test.make ~count:120 ~name:"dpccp sparse backend = dense backend"
     ~print:problem_print (problem_gen ~max_n:9)
     (fun p ->
-      let d = Dpccp2.optimize ~backend:`Dense p.model p.catalog p.graph in
-      let s = Dpccp2.optimize ~backend:`Sparse p.model p.catalog p.graph in
-      d.Dpccp2.connected_sets = s.Dpccp2.connected_sets
-      && d.Dpccp2.ccp_pairs = s.Dpccp2.ccp_pairs
+      let d = Dpccp.optimize ~backend:`Dense p.model p.catalog p.graph in
+      let s = Dpccp.optimize ~backend:`Sparse p.model p.catalog p.graph in
+      d.Dpccp.connected_sets = s.Dpccp.connected_sets
+      && d.Dpccp.ccp_pairs = s.Dpccp.ccp_pairs
       &&
-      match (d.Dpccp2.plan, s.Dpccp2.plan) with
+      match (d.Dpccp.plan, s.Dpccp.plan) with
       | None, None -> true
       | Some _, Some sp ->
-        Float_more.approx_equal ~rel:1e-6 d.Dpccp2.cost s.Dpccp2.cost
+        Float_more.approx_equal ~rel:1e-6 d.Dpccp.cost s.Dpccp.cost
         && (match Plan.validate ~n:(Catalog.n p.catalog) sp with Ok () -> true | Error _ -> false)
         && Plan.leaf_count sp = Catalog.n p.catalog
       | Some _, None | None, Some _ -> false)
@@ -236,13 +279,13 @@ let test_dpccp_counts_and_table () =
      the dense backend exposes its DP table, the sparse one does not. *)
   let g = graph_of Topology.Chain 8 in
   let catalog = Catalog.uniform ~n:8 ~card:100.0 in
-  let d = Dpccp2.optimize ~backend:`Dense Cost_model.naive catalog g in
-  Alcotest.(check int) "connected sets" (Ccp_enum.csg_count g) d.Dpccp2.connected_sets;
-  Alcotest.(check int) "ccp pairs" (Ccp_enum.ccp_count g) d.Dpccp2.ccp_pairs;
-  Alcotest.(check bool) "dense table exposed" true (d.Dpccp2.table <> None);
-  Alcotest.(check bool) "dense backend reported" true (d.Dpccp2.backend = Dpccp2.Dense);
-  let s = Dpccp2.optimize ~backend:`Sparse Cost_model.naive catalog g in
-  Alcotest.(check bool) "sparse has no table" true (s.Dpccp2.table = None)
+  let d = Dpccp.optimize ~backend:`Dense Cost_model.naive catalog g in
+  Alcotest.(check int) "connected sets" (Ccp_enum.csg_count g) d.Dpccp.connected_sets;
+  Alcotest.(check int) "ccp pairs" (Ccp_enum.ccp_count g) d.Dpccp.ccp_pairs;
+  Alcotest.(check bool) "dense table exposed" true (d.Dpccp.table <> None);
+  Alcotest.(check bool) "dense backend reported" true (d.Dpccp.backend = Dpccp.Dense);
+  let s = Dpccp.optimize ~backend:`Sparse Cost_model.naive catalog g in
+  Alcotest.(check bool) "sparse has no table" true (s.Dpccp.table = None)
 
 (* ---- DPconv ---- *)
 
@@ -298,14 +341,15 @@ let suite =
     Alcotest.test_case "small chain plan" `Quick test_small_chain_plan;
     QCheck_alcotest.to_alcotest prop_matches_dpsize_no_products;
     QCheck_alcotest.to_alcotest prop_every_pair_connected;
+    QCheck_alcotest.to_alcotest prop_components_emitted_first;
     Alcotest.test_case "enumerator matches baseline counts" `Quick test_enum_matches_baseline;
     Alcotest.test_case "enumerator closed forms" `Quick test_enum_closed_forms;
     Alcotest.test_case "neighborhood helper" `Quick test_neighborhood;
     Alcotest.test_case "join-graph connectivity helpers" `Quick test_connectivity_helpers;
     Alcotest.test_case "result counts and table exposure" `Quick test_dpccp_counts_and_table;
     Alcotest.test_case "dpconv handles disconnected graphs" `Quick test_dpconv_disconnected;
-    QCheck_alcotest.to_alcotest prop_new_matches_baseline;
     QCheck_alcotest.to_alcotest prop_bit_identity_vs_blitzsplit;
     QCheck_alcotest.to_alcotest prop_sparse_matches_dense;
+    Alcotest.test_case "overflowing statistics have no plan" `Quick test_overflowing_statistics;
     QCheck_alcotest.to_alcotest prop_dpconv_bottleneck_optimal;
   ]

@@ -152,10 +152,9 @@ let test_memory_cap_skips_to_hybrid () =
     List.iter
       (fun a ->
         match (a.Degrade.tier, a.Degrade.status) with
-        | (Degrade.Exact | Degrade.Thresholded), Degrade.Skipped (Degrade.Memory { needed_bytes; _ })
-          ->
+        | (Degrade.Exact | Degrade.Dpccp), Degrade.Skipped (Degrade.Memory { needed_bytes; _ }) ->
           Alcotest.(check int) "needed bytes recorded" (Budget.table_bytes ~n:12 ()) needed_bytes
-        | (Degrade.Exact | Degrade.Thresholded), _ -> Alcotest.fail "DP tier was not memory-skipped"
+        | (Degrade.Exact | Degrade.Dpccp), _ -> Alcotest.fail "DP tier was not memory-skipped"
         | _ -> ())
       o.Guard.provenance.Degrade.attempts;
     Alcotest.(check bool) "plan is valid" true (validate_against catalog o.Guard.plan)
@@ -328,6 +327,31 @@ let test_overflowing_greedy_takes_plain_pass () =
       "guard answers the plain plan" true
       (Some o.Guard.plan = plain.Registry.plan)
 
+let test_overflowing_stats_degrade_past_dpccp () =
+  (* Every plan's cost overflows to infinity: exact and dpccp find no
+     finite plan and say so, and a table-free tier answers. *)
+  let spec =
+    Workload.spec ~n:3 ~topology:Topology.Chain ~model:Cost_model.naive ~mean_card:1e150
+      ~variability:0.5
+  in
+  let catalog, graph = Workload.problem spec in
+  match Guard.optimize Cost_model.naive catalog graph with
+  | Error e -> Alcotest.failf "guard failed: %s" (Guard.error_message e)
+  | Ok o ->
+    let winner = Degrade.tier_name o.Guard.provenance.Degrade.winner in
+    Alcotest.(check bool) ("hybrid or greedy answers, got " ^ winner) true
+      (winner = "hybrid" || winner = "greedy");
+    check_float "its cost overflowed" Float.infinity o.Guard.cost;
+    Alcotest.(check bool) "plan is valid" true (validate_against catalog o.Guard.plan);
+    List.iter
+      (fun a ->
+        match (a.Degrade.tier, a.Degrade.status) with
+        | (Degrade.Exact | Degrade.Dpccp), Degrade.Aborted Degrade.No_finite_plan -> ()
+        | (Degrade.Exact | Degrade.Dpccp), _ ->
+          Alcotest.failf "%s should find no finite plan" (Degrade.tier_name a.Degrade.tier)
+        | _ -> ())
+      o.Guard.provenance.Degrade.attempts
+
 let test_every_tier_valid_and_bounded () =
   (* Chain topology so IKKBZ applies: every tier, run in isolation, must
      produce a valid plan whose cost is consistent with Plan.cost and no
@@ -356,8 +380,8 @@ let test_cascade_without_terminal_tier () =
      carries the full attempt log. *)
   let catalog, graph = topology_problem ~n:12 Topology.Chain in
   let budget = Budget.create ~max_table_bytes:1 () in
-  match Guard.optimize ~budget ~cascade:[ Degrade.Exact; Degrade.Thresholded ] Cost_model.kdnl
-          catalog graph
+  match Guard.optimize ~budget ~cascade:[ Degrade.Exact; Degrade.Dpccp ] Cost_model.kdnl catalog
+          graph
   with
   | Ok _ -> Alcotest.fail "expected failure: both tiers are memory-skipped"
   | Error (Guard.No_tier_produced attempts) ->
@@ -469,6 +493,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_seeded_exact_tier;
     Alcotest.test_case "overflowing greedy: exact tier takes the plain pass" `Quick
       test_overflowing_greedy_takes_plain_pass;
+    Alcotest.test_case "overflowing statistics degrade past dpccp" `Quick
+      test_overflowing_stats_degrade_past_dpccp;
     Alcotest.test_case "every tier valid and bounded by the optimum" `Quick
       test_every_tier_valid_and_bounded;
     Alcotest.test_case "cascade without terminal tier fails loudly" `Quick
