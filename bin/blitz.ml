@@ -241,6 +241,10 @@ let print_cache_line cache =
 
 (* ---- optimize ---- *)
 
+(* [blitz optimize]'s status when the search finds no plan of finite
+   cost (documented in its EXIT STATUS section). *)
+let no_finite_plan_exit = 2
+
 let optimize_cmd =
   let threshold_arg =
     Arg.(
@@ -398,7 +402,7 @@ let optimize_cmd =
           (Plan.to_compact_string ~names:(Catalog.names o.Guard.catalog) o.Guard.plan);
         Printf.printf "tier:       %s\n" (Degrade.tier_name p.Degrade.winner);
         Printf.printf "provenance:\n";
-        List.iter (fun a -> Format.printf "  %a@." Degrade.pp_attempt a) p.Degrade.attempts
+        Format.printf "  %a@." Degrade.pp_provenance p
     end
     (* Any budget flag implies the resilient driver: a deadline or memory
        ceiling is only enforceable when degradation is allowed. *)
@@ -451,9 +455,7 @@ let optimize_cmd =
           (if o.Guard.from_cache then " (plan served from session cache)" else "");
         Printf.printf "time:       %.4fs\n" (p.Degrade.total_ms /. 1000.0);
         Printf.printf "provenance:\n";
-        List.iter
-          (fun a -> Format.printf "  %a@." Degrade.pp_attempt a)
-          p.Degrade.attempts;
+        Format.printf "  %a@." Degrade.pp_provenance p;
         print_cache_line cache
     end
     else if hybrid then begin
@@ -551,14 +553,21 @@ let optimize_cmd =
     done;
     let outcome = !outcome in
     let elapsed = Unix.gettimeofday () -. t0 in
-    Printf.printf "query:      %s\n" problem.label;
-    Printf.printf "model:      %s\n" model.Cost_model.name;
-    if num_domains > 1 then Printf.printf "domains:    %d (rank-parallel DP)\n" num_domains;
     let plan =
       match outcome.Registry.plan with
       | Some p -> p
-      | None -> failwith "Blitzsplit.best_plan_exn: no plan under the given threshold"
+      | None ->
+        (* Only overflow leaves an exact-class search without a plan:
+           every candidate's estimated cost is infinite. *)
+        Printf.eprintf
+          "blitz: %s found no plan of finite cost: every plan's estimated cost overflows under \
+           %s; rerun with --degrade to have a table-free tier answer\n"
+          optimizer model.Cost_model.name;
+        exit no_finite_plan_exit
     in
+    Printf.printf "query:      %s\n" problem.label;
+    Printf.printf "model:      %s\n" model.Cost_model.name;
+    if num_domains > 1 then Printf.printf "domains:    %d (rank-parallel DP)\n" num_domains;
     Printf.printf "plan:       %s\n" (Plan.to_compact_string ~names plan);
     Printf.printf "cost:       %g\n" outcome.Registry.cost;
     Printf.printf "cardinality:%g\n" (Plan.cardinality problem.catalog problem.graph plan);
@@ -615,8 +624,17 @@ let optimize_cmd =
       $ metrics_arg $ trace_arg $ scramble_arg $ corrupt_seed_arg $ multiway_arg
       $ optimizer_arg)
   in
+  let exits =
+    Cmd.Exit.info 1
+      ~doc:"on an invalid option value or budget, or a query the optimizer cannot take."
+    :: Cmd.Exit.info no_finite_plan_exit
+         ~doc:
+           "when no plan has a finite cost: every plan's estimated cost overflows.  With \
+            $(b,--degrade) a table-free tier answers instead."
+    :: Cmd.Exit.defaults
+  in
   Cmd.v
-    (Cmd.info "optimize" ~doc:"Optimize a join query with the blitzsplit algorithm")
+    (Cmd.info "optimize" ~exits ~doc:"Optimize a join query with the blitzsplit algorithm")
     term
 
 (* ---- compare ---- *)

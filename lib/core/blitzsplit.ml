@@ -56,6 +56,9 @@ let run ~graph_opt ?arena ?counters ?(threshold = Float.infinity) ?interrupt
     | None -> fun _ -> ()
     | Some stop -> fun s -> if s land probe_mask = 0 && stop () then raise Interrupted
   in
+  (* The completion bound holds for binary plans only: n-ary inputs are
+     priced by cardinality, not by aux. *)
+  let completion = Split_loop.completion_applies model ~threshold && Option.is_none mw in
   let dp_pass () =
     match graph_opt with
     | Some _ ->
@@ -63,7 +66,7 @@ let run ~graph_opt ?arena ?counters ?(threshold = Float.infinity) ?interrupt
         if s land (s - 1) <> 0 then begin
           probe s;
           Split_loop.compute_properties_join tbl model graph s;
-          Split_loop.find_best_split tbl model ctr ~threshold s;
+          Split_loop.find_best_split_with ~completion tbl model ctr ~threshold s;
           match mw with
           | Some m -> Multiway.consider m tbl ctr ~threshold s
           | None -> ()
@@ -74,7 +77,7 @@ let run ~graph_opt ?arena ?counters ?(threshold = Float.infinity) ?interrupt
         if s land (s - 1) <> 0 then begin
           probe s;
           Split_loop.compute_properties_product tbl model s;
-          Split_loop.find_best_split tbl model ctr ~threshold s
+          Split_loop.find_best_split_with ~completion tbl model ctr ~threshold s
         end
       done
   in

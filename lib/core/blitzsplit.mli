@@ -17,7 +17,13 @@
     Time [O(3^n)]; space [O(2^n)] (the table).  An optional plan-cost
     threshold (Section 6.4) prunes: any subset whose best plan would cost
     at least the threshold is marked infeasible, which can make the whole
-    optimization fail — see {!Threshold} for the multi-pass driver. *)
+    optimization fail — see {!Threshold} for the multi-pass driver.
+    Under kappa_sm, whose [kappa'] is 0, a pass at a finite threshold
+    that plans binary nodes only also charges each proper subset what
+    every plan completing it must pay
+    ({!Split_loop.completion_threshold}): a pass still finds a plan
+    exactly when the optimum is below its threshold, and then the same
+    plan and cost bits as the unthresholded pass. *)
 
 module Relset = Blitz_bitset.Relset
 module Catalog = Blitz_catalog.Catalog

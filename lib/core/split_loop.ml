@@ -70,7 +70,40 @@ let skip_subset (tbl : Dp_table.t) (ctr : Counters.t) s =
   Array.unsafe_set tbl.cost s Float.infinity;
   Array.unsafe_set tbl.best_lhs s 0
 
-let find_best_split (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t) ~threshold s =
+(* The completion bound (kappa_sm only).  Under kappa_sm a binary plan
+   costs the sum of aux(card v) over every node v but the root, since
+   each such node is the input to exactly one join and kappa' = 0.  So
+   every complete plan containing S, 1 < |S| < n, costs at least
+   cost(S) + aux(card S) + the aux of every leaf outside S: its subtree
+   under S, S itself as an input, and the leaves it has not reached.  A
+   pass at threshold T may then give S the threshold T minus that
+   completion term, and skip S when nothing is left.  The full set keeps
+   T.  The leaves' aux comes from the table's singleton slots, so the
+   term reads the bits the DP reads.  The sum stops once it reaches T:
+   past that point only its sign matters.  [@inline] keeps the float
+   unboxed in the kernel's sum-aux arm, its one caller in the library. *)
+let[@inline] completion_threshold (tbl : Dp_table.t) ~threshold s =
+  let full = (1 lsl tbl.n) - 1 in
+  if s = full then threshold
+  else begin
+    let aux = tbl.aux in
+    let term = ref (Array.unsafe_get aux s) in
+    let rest = ref (full lxor s) in
+    while !rest <> 0 && !term < threshold do
+      let r = !rest land (- !rest) in
+      term := !term +. Array.unsafe_get aux r;
+      rest := !rest lxor r
+    done;
+    threshold -. !term
+  end
+
+let completion_applies (model : Cost_model.t) ~threshold =
+  match model.kind with
+  | Cost_model.Paper_sort_merge -> Float.is_finite threshold
+  | Cost_model.Paper_naive | Cost_model.Paper_dnl _ | Cost_model.Opaque -> false
+
+let find_best_split_with ~completion (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t)
+    ~threshold s =
   ctr.subsets <- ctr.subsets + 1;
   let out = Array.unsafe_get tbl.card s in
   match model.kind with
@@ -173,11 +206,15 @@ let find_best_split (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t)
       end
     end
   | Cost_model.Paper_sort_merge ->
-    (* kappa' = 0, kappa'' = laux + raux from the memo column. *)
-    if 0.0 >= threshold then skip_subset tbl ctr s
+    (* kappa' = 0, kappa'' = laux + raux from the memo column.  With
+       [completion], the paper's test becomes "the completion term
+       leaves nothing of the threshold". *)
+    let bound = ref threshold in
+    if completion then bound := completion_threshold tbl ~threshold s;
+    if 0.0 >= !bound then skip_subset tbl ctr s
     else begin
       let cost = tbl.cost and aux = tbl.aux in
-      let best_cost = ref threshold in
+      let best_cost = ref !bound in
       let best_lhs = ref 0 in
       let lhs = ref (s land (-s)) in
       let iters = ref 0 and sums = ref 0 and evals = ref 0 and improved = ref 0 in
@@ -272,6 +309,9 @@ let find_best_split (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t)
         Array.unsafe_set tbl.best_lhs s !best_lhs
       end
     end
+
+let find_best_split tbl model ctr ~threshold s =
+  find_best_split_with ~completion:false tbl model ctr ~threshold s
 
 let variant (model : Cost_model.t) =
   match model.kind with

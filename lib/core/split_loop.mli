@@ -38,6 +38,40 @@ val find_best_split :
     only to this subset's own slots, so concurrent calls on distinct
     subsets of the same rank are race-free (all reads hit lower ranks). *)
 
+val find_best_split_with :
+  completion:bool ->
+  Dp_table.t ->
+  Blitz_cost.Cost_model.t ->
+  Counters.t ->
+  threshold:float ->
+  int ->
+  unit
+(** {!find_best_split} with the completion bound of a whole pass:
+    [~completion:true] replaces [threshold] by
+    {!completion_threshold}[ tbl ~threshold s] under kappa_sm, skipping
+    the subset when that is [<= 0]; the other models ignore the flag.
+    The drivers pass {!completion_applies} for a pass that plans binary
+    nodes only.  No float crosses a call per subset, so the kernel still
+    allocates nothing.  [find_best_split] is
+    [find_best_split_with ~completion:false]. *)
+
+val completion_applies : Blitz_cost.Cost_model.t -> threshold:float -> bool
+(** True for kappa_sm at a finite threshold: the passes whose plans,
+    when binary, the completion bound holds for.  Multiway planning
+    prices its n-ary inputs by cardinality, not by [aux], so a driver
+    planning n-ary nodes must not apply it. *)
+
+val completion_threshold : Dp_table.t -> threshold:float -> int -> float
+(** The per-subset threshold of a kappa_sm pass at [threshold]: for a
+    subset [S] with [1 < |S| < n], [threshold - (aux S + sum of aux r
+    over the leaves r outside S)], read from the table's [aux] column;
+    [threshold] itself for the full set.  Under kappa_sm every binary
+    plan costs the sum of [aux] over its non-root nodes, so every
+    complete plan containing [S] costs at least [cost S] plus that
+    term: a subset of a plan cheaper than [threshold] stays strictly
+    below its own threshold.  Once the term reaches [threshold] the sum
+    stops, and the result is [<= 0]. *)
+
 val variant : Blitz_cost.Cost_model.t -> string
 (** Which monomorphized loop body {!find_best_split} runs for the model:
     ["zero"], ["sum-aux"], ["dnl"] or ["general"].  Diagnostic

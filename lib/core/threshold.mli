@@ -4,7 +4,9 @@
     A threshold simulates floating-point overflow far below actual
     overflow: best-split searches are skipped for every subset whose
     [kappa'] alone reaches the threshold, and splits are accepted only
-    below it.  Queries whose optimal plan is cheap get optimized faster;
+    below it.  Under kappa_sm ([kappa' = 0]) a binary pass charges each
+    proper subset its completion term instead
+    ({!Split_loop.completion_threshold}).  Queries whose optimal plan is cheap get optimized faster;
     queries whose best plan costs more than the threshold fail the pass
     and are retried with a raised threshold.
 

@@ -143,6 +143,14 @@ let digest_for t m = if m == t.model then t.digest else Fingerprint.model_digest
 let tagged ?cache_tag optimizer =
   match cache_tag with None -> optimizer | Some tag -> optimizer ^ "@" ^ tag
 
+(* "+mw" keeps the two plan spaces apart in the cache: a multiway
+   optimum must never be replayed to a caller that cannot execute n-ary
+   joins, and a binary optimum stored by a multiway=false run is not the
+   hybrid space's optimum. *)
+let cache_key ?cache_tag ~multiway optimizer =
+  let base = tagged ?cache_tag optimizer in
+  if multiway then base ^ "+mw" else base
+
 (* The one cache round: fingerprint [p] into the session scratch, look
    it up under [key], and on a miss store the outcome [miss] names from
    that same fingerprint, unless it has no plan or a non-finite cost.
@@ -166,13 +174,13 @@ let cache_round t c ~model ~key (p : Registry.problem) ~hit ~miss =
       | _ -> ());
       result
 
-let cache_around ?model ?cache_tag t ~optimizer p ~hit ~miss =
+let cache_around ?model ?cache_tag ?(multiway = false) t ~optimizer p ~hit ~miss =
   match t.cache with
   | None -> fst (miss ())
   | Some c ->
       cache_round t c
         ~model:(Option.value ~default:t.model model)
-        ~key:(tagged ?cache_tag optimizer) p ~hit ~miss
+        ~key:(cache_key ?cache_tag ~multiway optimizer) p ~hit ~miss
 
 let cache_find ?model ?cache_tag t ~optimizer p =
   cache_around ?model ?cache_tag t ~optimizer p ~hit:Option.some ~miss:(fun () -> (None, None))
@@ -203,15 +211,7 @@ let run_entry t (entry : Registry.entry) ~optimizer ?interrupt ?threshold ?(mult
   in
   match t.cache with
   | Some c when entry.Registry.caps.Registry.cacheable && Option.is_none threshold ->
-      (* "+mw" keeps the two plan spaces apart in the cache: a multiway
-         optimum must never be replayed to a caller that cannot execute
-         n-ary joins, and a binary optimum stored by a multiway=false run
-         is not the hybrid space's optimum. *)
-      let key =
-        let base = tagged ?cache_tag optimizer in
-        if mw then base ^ "+mw" else base
-      in
-      cache_round t c ~model:t.model ~key problem
+      cache_round t c ~model:t.model ~key:(cache_key ?cache_tag ~multiway:mw optimizer) problem
         ~hit:(fun h ->
           (* Defense in depth: never serve an n-ary plan without mw. *)
           if mw || not (Plan.has_multiway h.Plan_cache.plan) then hit_outcome ctr h else run ())

@@ -18,7 +18,7 @@
     running (skipping the whole DP on a hit, with the cached plan
     rebased to the caller's relation numbering) and stores completed
     optima.  A miss runs the optimizer cold, so a ["thresholded"] miss
-    seeds its first pass from {!Registry.greedy_bound} like any
+    seeds its first pass from {!Registry.upper_bound} like any
     thresholded call without a threshold.  The cache is shared
     by whatever sessions were created with it (it is domain-safe);
     omitting it at {!create} is the per-session opt-out.  Each session
@@ -151,6 +151,7 @@ val cache_find :
 val cache_around :
   ?model:Cost_model.t ->
   ?cache_tag:string ->
+  ?multiway:bool ->
   t ->
   optimizer:string ->
   Registry.problem ->
@@ -167,7 +168,10 @@ val cache_around :
     must not use this session's cache functions, since the scratch
     still holds the fingerprint; callers must only return outcomes that
     are true optima for that optimizer.  Without a cache, just
-    [miss ()].  [model] and [cache_tag] as in {!cache_find}. *)
+    [miss ()].  [model] and [cache_tag] as in {!cache_find}.
+    [~multiway:true] (default [false]) keys the round as {!optimize}
+    keys a multiway run of an n-ary-capable entry, apart from binary
+    plans, so neither plan space is served the other's optimum. *)
 
 val ctx :
   ?interrupt:(unit -> bool) ->

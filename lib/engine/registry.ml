@@ -132,29 +132,46 @@ let tablefree_caps =
     multiway = false;
   }
 
-(* ---- the greedy bound ---- *)
+(* ---- the upper bound ---- *)
 
-(* Greedy's cost bounds the optimum from above, so a §6.4 pass at a
-   threshold a whisker above it prunes hard yet cannot fail for numeric
-   reasons: the 1e-9 margin is orders of magnitude wider than the DP's
-   rounding, including the few ulps by which the DP's costing of the
-   greedy plan may differ from greedy's own sum.  [None] when greedy's
-   cost is not positive and finite (overflow, or a lone relation). *)
-let greedy_bound model p =
-  let _, cost = B.Greedy.optimize model p.catalog (graph_of p) in
-  if Float.is_finite cost && cost > 0.0 then Some (cost *. (1.0 +. 1e-9)) else None
+type bound = { value : float; source : string }
+
+(* Any plan's cost bounds the optimum from above, so a §6.4 pass at a
+   threshold a whisker above the cheaper of two heuristic plans prunes
+   hard yet cannot fail for numeric reasons: the 1e-9 margin is orders
+   of magnitude wider than the DP's rounding, including the few ulps by
+   which the DP's costing of either plan may differ from the
+   heuristic's own.  Greedy is the tighter bound on chains and cycles,
+   Simpli-Squared's structural order (re-costed under the model) on
+   cliques, where greedy's plan can be many orders of magnitude above
+   the optimum; neither is tighter everywhere, so take the minimum.
+   Ties go to greedy.  [None] when neither cost is positive and finite
+   (overflow, or a lone relation). *)
+let upper_bound model p =
+  let graph = graph_of p in
+  let _, greedy = B.Greedy.optimize model p.catalog graph in
+  let simpli = Plan.cost model p.catalog graph (B.Simpli.optimize graph) in
+  let usable c = Float.is_finite c && c > 0.0 in
+  let best =
+    match (usable greedy, usable simpli) with
+    | true, true when simpli < greedy -> Some (simpli, "simpli-squared")
+    | true, _ -> Some (greedy, "greedy")
+    | false, true -> Some (simpli, "simpli-squared")
+    | false, false -> None
+  in
+  Option.map (fun (cost, source) -> { value = cost *. (1.0 +. 1e-9); source }) best
 
 (* ---- the thresholded tier (Section 6.4 driver) ---- *)
 
-(* With no explicit threshold the first pass is seeded from the greedy
-   bound, or from 1e6 when there is none (the policy the degradation
-   cascade has always used). *)
+(* With no explicit threshold the first pass is seeded from the upper
+   bound, the exact tier's §6.4 seed, or from 1e6 when there is none. *)
 let run_thresholded ctx p =
   let ctr = counters_of ctx in
   let threshold =
     match ctx.threshold with
     | Some t -> t
-    | None -> Option.value ~default:1e6 (greedy_bound ctx.model p)
+    | None -> (
+      match upper_bound ctx.model p with Some b -> b.value | None -> 1e6)
   in
   let outcome =
     (* Same fallback as [run_exact]: multiway planning is sequential. *)
@@ -190,15 +207,17 @@ let run_thresholded ctx p =
    bit-identical across all of them.
 
    A ctx threshold is taken as an upper bound on the optimum (the
-   degradation cascade passes [greedy_bound]): one §6.4 pass at it, and
+   degradation cascade passes [upper_bound]): one §6.4 pass at it, and
    the driver's unthresholded rescue pass only if that pass finds no
    plan.  The answer cannot move.  Costs are sums of non-negative
    terms, so every subplan of the optimum costs at most the optimum,
-   which is below the bound: no subset on the optimal plan is skipped,
-   each computes the same minimum from the same operands, and the loop
-   keeps the first split reaching it, as the plain loop does.  A
-   skipped or infeasible subset holds infinity, above any minimum on
-   that plan. *)
+   which is below the bound; under kappa_sm so does a subplan plus its
+   completion term (see [Split_loop.completion_threshold]).  So no
+   subset on the plain DP's plan is skipped or cut short, each computes
+   the same minimum from the same operands, and the loop keeps the
+   first split reaching it, as the plain loop does.  Elsewhere the pass
+   can only raise an entry, to a costlier split or to infinity, so no
+   earlier split on that plan can reach the minimum first. *)
 let run_exact ctx p =
   match ctx.threshold with
   | Some _ -> run_thresholded { ctx with max_passes = Some 1 } p

@@ -45,7 +45,7 @@ type ctx = {
   interrupt : (unit -> bool) option;  (** Deadline/cancellation probe. *)
   threshold : float option;
       (** Initial plan-cost threshold for ["thresholded"]; [None] seeds
-          it from {!greedy_bound} (the cascade's policy).  For ["exact"]
+          it from {!upper_bound} (the cascade's policy).  For ["exact"]
           an upper bound on the optimum: one Section 6.4 pass prunes at
           it, and a plain pass runs only if that one finds no plan, so
           the answer is the unthresholded one; [None] runs the plain
@@ -159,13 +159,23 @@ val find : string -> entry option
 val find_exn : string -> entry
 (** Raises [Invalid_argument] with the list of known names. *)
 
-val greedy_bound : Cost_model.t -> problem -> float option
-(** The greedy plan's cost times [1 + 1e-9]: an upper bound on the
-    optimum with a margin far wider than the DP's rounding, so a
-    threshold there skips no subset of the optimal plan.  [None] when
-    greedy's cost is not positive and finite.  The cascade's exact tier
-    passes it as [ctx.threshold]; the thresholded tier seeds its first
-    pass from it. *)
+type bound = {
+  value : float;  (** The heuristic plan's cost times [1 + 1e-9]. *)
+  source : string;
+      (** The registry entry whose plan set it: ["greedy"] or
+          ["simpli-squared"]. *)
+}
+(** An upper bound on the optimum, for a Section 6.4 pass. *)
+
+val upper_bound : Cost_model.t -> problem -> bound option
+(** The cheaper of greedy's plan and Simpli-Squared's plan (re-costed
+    with [Plan.cost]) under the model, times [1 + 1e-9]: an upper bound
+    on the optimum with a margin far wider than the DP's rounding, so a
+    threshold there skips no subset of the optimal plan.  Greedy is
+    the tighter bound on chains and cycles, Simpli-Squared on cliques;
+    ties go to greedy.  [None] when neither cost is positive and
+    finite.  The cascade's exact tier passes it as [ctx.threshold]; the
+    thresholded tier seeds its first pass from it. *)
 
 val optimize : ?optimizer:string -> ctx -> problem -> outcome
 (** [optimize ~optimizer ctx p] = [(find_exn optimizer).optimize ctx p];

@@ -4,6 +4,7 @@ module Cost_model = Blitz_cost.Cost_model
 module Plan = Blitz_plan.Plan
 module Blitzsplit = Blitz_core.Blitzsplit
 module Arena = Blitz_core.Arena
+module Counters = Blitz_core.Counters
 module Pool = Blitz_parallel.Pool
 module Registry = Blitz_engine.Registry
 module B = Blitz_baselines
@@ -66,7 +67,9 @@ let failure_message = function
 
 type status = Produced of float | Aborted of failure | Skipped of skip_reason
 
-type attempt = { tier : tier; status : status; elapsed_ms : float }
+type bound = { upper : Registry.bound; threshold_skips : int }
+
+type attempt = { tier : tier; status : status; elapsed_ms : float; bound : bound option }
 
 type provenance = {
   winner : tier;
@@ -86,12 +89,17 @@ let pp_attempt ppf a =
   | Produced _ -> Format.fprintf ppf "%s: %a in %.1fms" (tier_name a.tier) pp_status a.status a.elapsed_ms
   | Aborted _ -> Format.fprintf ppf "%s: %a after %.1fms" (tier_name a.tier) pp_status a.status a.elapsed_ms
 
+let pp_bound ppf { upper; threshold_skips } =
+  Format.fprintf ppf "bound: %g from %s, %d subset(s) skipped" upper.Registry.value
+    upper.Registry.source threshold_skips
+
 let pp_provenance ppf p =
   Format.fprintf ppf "@[<v>";
   List.iteri
     (fun i a ->
       if i > 0 then Format.fprintf ppf "@,";
-      pp_attempt ppf a)
+      pp_attempt ppf a;
+      Option.iter (Format.fprintf ppf "@,  %a" pp_bound) a.bound)
     p.attempts;
   Format.fprintf ppf "@]"
 
@@ -159,20 +167,29 @@ let run_tier ?(num_domains = 1) ?arena ?pool ?multiway ~budget ~seed tier model 
   (* With several domains the DP tiers run rank-parallel; the result —
      cost and plan — is bit-identical to the sequential search, so the
      exact tier keeps its meaning (Budget.interrupt is domain-safe).
-     The exact tier prunes at the greedy bound (Section 6.4): one pass
-     that skips every subset whose kappa' alone reaches it, with the
-     optimum's cost and plan bits (see [Registry.run_exact]), or one
-     plain pass when there is no finite bound. *)
+     The exact tier prunes at the upper bound (Section 6.4): one pass
+     with the optimum's cost and plan bits (see [Registry.run_exact]),
+     or one plain pass when there is no finite bound.  Its counters are
+     this call's own, so the skip count is read even when the deadline
+     interrupts the pass. *)
   (* Tiers whose caps lack the multiway capability simply ignore the
      flag, so one ctx serves the whole cascade and it stays valid end to
      end: an n-ary-capable tier may emit [Plan.Multiway], every tier
      below it still produces plain binary plans. *)
   let problem = Registry.problem ~graph catalog in
-  let threshold = match tier with Exact -> Registry.greedy_bound model problem | _ -> None in
-  let ctx = Registry.ctx ?arena ?pool ~num_domains ~interrupt ?threshold ~seed ?multiway model in
-  match (tier_entry tier).Registry.optimize ctx problem with
-  | o -> finish (o.Registry.plan, o.Registry.cost)
-  | exception Blitzsplit.Interrupted -> Error Deadline
+  let upper = match tier with Exact -> Registry.upper_bound model problem | _ -> None in
+  let counters = Counters.create () in
+  let ctx =
+    Registry.ctx ?arena ?pool ~num_domains ~interrupt
+      ?threshold:(Option.map (fun (b : Registry.bound) -> b.Registry.value) upper)
+      ~counters ~seed ?multiway model
+  in
+  let result =
+    match (tier_entry tier).Registry.optimize ctx problem with
+    | o -> finish (o.Registry.plan, o.Registry.cost)
+    | exception Blitzsplit.Interrupted -> Error Deadline
+  in
+  (result, Option.map (fun upper -> { upper; threshold_skips = counters.threshold_skips }) upper)
 
 (* Cascade decisions, labelled by tier and what happened — the
    provenance trail as time series.  Counter lookup per attempt (a
@@ -188,6 +205,19 @@ let record_attempt tier status detail =
     Obs.instant "degrade.attempt"
       ~attrs:[ ("tier", tier_name tier); ("status", status); ("detail", detail) ]
   end
+
+(* The bound beside its [degrade.exact] span: known only once the pass
+   has run, so an instant rather than a span attribute. *)
+let record_bound tier { upper; threshold_skips } =
+  if Obs.enabled () then
+    Obs.instant
+      ("degrade." ^ tier_name tier ^ ".bound")
+      ~attrs:
+        [
+          ("bound", Printf.sprintf "%g" upper.Registry.value);
+          ("source", upper.Registry.source);
+          ("threshold_skips", string_of_int threshold_skips);
+        ]
 
 let record_win tier =
   if Obs.enabled () then
@@ -205,19 +235,23 @@ let optimize ?(cascade = default_cascade) ?(seed = 1) ?num_domains ?arena ?pool 
       match eligibility ?arena ?cache_bytes ~budget tier catalog graph with
       | Some reason ->
         record_attempt tier "skipped" (skip_message reason);
-        go ({ tier; status = Skipped reason; elapsed_ms = 0.0 } :: attempts) rest
+        go ({ tier; status = Skipped reason; elapsed_ms = 0.0; bound = None } :: attempts) rest
       | None -> (
         let t0 = Budget.elapsed_ms budget in
-        match
+        let result, bound =
           Obs.span ("degrade." ^ tier_name tier) (fun () ->
               run_tier ?num_domains ?arena ?pool ?multiway ~budget ~seed tier model catalog
                 graph)
-        with
+        in
+        Option.iter (record_bound tier) bound;
+        match result with
         | Ok (plan, cost) ->
           record_attempt tier "produced" (Printf.sprintf "cost %g" cost);
           record_win tier;
           let elapsed_ms = Budget.elapsed_ms budget -. t0 in
-          let attempts = List.rev ({ tier; status = Produced cost; elapsed_ms } :: attempts) in
+          let attempts =
+            List.rev ({ tier; status = Produced cost; elapsed_ms; bound } :: attempts)
+          in
           Ok
             ( plan,
               {
@@ -229,6 +263,6 @@ let optimize ?(cascade = default_cascade) ?(seed = 1) ?num_domains ?arena ?pool 
         | Error failure ->
           record_attempt tier "aborted" (failure_message failure);
           let elapsed_ms = Budget.elapsed_ms budget -. t0 in
-          go ({ tier; status = Aborted failure; elapsed_ms } :: attempts) rest))
+          go ({ tier; status = Aborted failure; elapsed_ms; bound } :: attempts) rest))
   in
   go [] cascade

@@ -4,7 +4,7 @@
     The paper's Section 6.4 already treats "no plan found" as a
     recoverable condition (a failed thresholded pass is retried); this
     module generalizes that stance to the whole optimizer portfolio.
-    Tiers are tried in order — exact blitzsplit pruned at the greedy
+    Tiers are tried in order — exact blitzsplit pruned at an upper
     bound, connectivity-pruned DPccp, the Section 7 hybrid (DP windows
     inside randomized search), IKKBZ for tree queries, the greedy
     heuristic, and finally the estimate-free Simpli-Squared structural
@@ -29,12 +29,16 @@ module Pool = Blitz_parallel.Pool
 
 type tier =
   | Exact
-      (** Blitzsplit's optimum, pruned at the greedy bound: one Section
-          6.4 pass at the greedy plan's cost times [1 + 1e-9], which
-          skips no subset of the optimal plan, so cost and plan are the
-          unthresholded DP's bit for bit.  Without a finite bound, or
-          should that pass find no plan, one unthresholded pass.  The
-          cascade's only Section 6.4 pass. *)
+      (** Blitzsplit's optimum, pruned at an upper bound: one Section
+          6.4 pass at [Registry.upper_bound], the cheaper of greedy's
+          and Simpli-Squared's plan costs times [1 + 1e-9].  Under
+          kappa_sm the pass also charges each subset what every
+          completion of it must pay ([Split_loop.completion_threshold]),
+          except when planning n-ary nodes.  Neither skips a subset of
+          the plain DP's plan, so cost and plan are the unthresholded
+          DP's bit for bit.  Without a finite bound, or should that pass
+          find no plan, one unthresholded pass.  The cascade's only
+          Section 6.4 pass; its attempt records the bound. *)
   | Dpccp
       (** Connectivity-pruned DP: the product-free optimum at csg-cmp
           cost.  Polynomial on sparse graphs and table-free beyond
@@ -86,7 +90,24 @@ type status = Produced of float  (** Plan cost. *) | Aborted of failure | Skippe
 (** What one tier did: produced a plan (with its cost), started but
     gave up, or was ruled out before running. *)
 
-type attempt = { tier : tier; status : status; elapsed_ms : float }
+type bound = {
+  upper : Blitz_engine.Registry.bound;
+      (** The threshold the exact tier's pass ran at, and whose plan set
+          it. *)
+  threshold_skips : int;
+      (** Subsets the pass skipped, up to an interruption, plus any
+          rescue pass's (there is none while the bound holds). *)
+}
+(** The Section 6.4 bound an {!Exact} attempt pruned at. *)
+
+type attempt = {
+  tier : tier;
+  status : status;
+  elapsed_ms : float;
+  bound : bound option;
+      (** [Some] for an {!Exact} attempt that ran with a finite upper
+          bound, [None] otherwise. *)
+}
 (** One cascade step with the wall clock it consumed (0 for skips). *)
 
 type provenance = {
@@ -99,9 +120,13 @@ type provenance = {
 val pp_attempt : Format.formatter -> attempt -> unit
 (** One line: tier name, outcome, elapsed milliseconds. *)
 
+val pp_bound : Format.formatter -> bound -> unit
+(** One line: the bound, its source and the subsets it skipped. *)
+
 val pp_provenance : Format.formatter -> provenance -> unit
-(** The full trail, one {!pp_attempt} line per attempt plus the winner
-    and total time — what the CLI prints under [--degrade]. *)
+(** The full trail in a vertical box, one {!pp_attempt} line per
+    attempt, each followed by an indented {!pp_bound} line when the
+    attempt has a bound — what the CLI prints under [--degrade]. *)
 
 val eligibility :
   ?arena:Arena.t ->
@@ -134,17 +159,18 @@ val run_tier :
   Cost_model.t ->
   Catalog.t ->
   Join_graph.t ->
-  (Plan.t * float, failure) result
+  (Plan.t * float, failure) result * bound option
 (** Run one tier in isolation (eligibility is the caller's business —
-    see {!eligibility}).  [seed] feeds the hybrid tier's generator.
-    With [num_domains > 1] (default 1) the {!Exact} DP tier runs
-    rank-parallel on that many domains — bit-identical results, so tier
-    semantics are unchanged; the other tiers are table-free fallbacks
-    and stay single-domain.  Exposed so tests can compare every tier's
-    plan against the exact optimum.  Tiers are dispatched through the
-    [Blitz_engine] registry; [arena]/[pool] plug a session's pooled DP
-    table and spawned domain pool in (bit-identical results either
-    way). *)
+    see {!eligibility}), with the bound its pass pruned at ([None] but
+    for an {!Exact} attempt with a finite bound).  [seed] feeds the
+    hybrid tier's generator.  With [num_domains > 1] (default 1) the
+    {!Exact} DP tier runs rank-parallel on that many domains —
+    bit-identical results, so tier semantics are unchanged; the other
+    tiers are table-free fallbacks and stay single-domain.  Exposed so
+    tests can compare every tier's plan against the exact optimum.
+    Tiers are dispatched through the [Blitz_engine] registry;
+    [arena]/[pool] plug a session's pooled DP table and spawned domain
+    pool in (bit-identical results either way). *)
 
 val optimize :
   ?cascade:tier list ->

@@ -47,12 +47,16 @@ let cached_tier = Degrade.Exact
 (* The cache round around the cascade: [Engine.cache_around]
    fingerprints the problem once, looks it up under the exact key, and
    on a miss stores what [run] answered from that same fingerprint.  The
-   cascade uses the session's arena and pool, never its cache, so the
-   fingerprint is still in the scratch when the store comes. *)
-let with_cache ~session ~repairs ?cache_tag model catalog graph ~hit run =
+   key carries the multiway flag as [Engine.optimize]'s does, so a
+   binary request is never served an n-ary plan, nor a multiway request
+   the binary optimum.  The cascade uses the session's arena and pool,
+   never its cache, so the fingerprint is still in the scratch when the
+   store comes. *)
+let with_cache ~session ~repairs ?cache_tag ?multiway model catalog graph ~hit run =
   match session with
   | Some s when repairs = [] ->
-    Engine.cache_around ~model ?cache_tag s ~optimizer:(Degrade.tier_name cached_tier)
+    Engine.cache_around ~model ?cache_tag ?multiway s
+      ~optimizer:(Degrade.tier_name cached_tier)
       (Blitz_engine.Registry.problem ~graph catalog)
       ~hit:(hit cached_tier)
       ~miss:(fun () ->
@@ -98,7 +102,14 @@ let drive ~budget ~cascade ~seed ~num_domains ~multiway ~session ?cache_tag mode
         Degrade.winner = tier;
         winner_cost = cost;
         attempts =
-          [ { Degrade.tier; status = Degrade.Produced cost; elapsed_ms = Budget.elapsed_ms budget } ];
+          [
+            {
+              Degrade.tier;
+              status = Degrade.Produced cost;
+              elapsed_ms = Budget.elapsed_ms budget;
+              bound = None;
+            };
+          ];
         total_ms = Budget.elapsed_ms budget;
       }
     in
@@ -142,7 +153,7 @@ let drive ~budget ~cascade ~seed ~num_domains ~multiway ~session ?cache_tag mode
         }
     | Error attempts -> Error (No_tier_produced attempts)
   in
-  try with_cache ~session ~repairs ?cache_tag model catalog graph ~hit:served run
+  try with_cache ~session ~repairs ?cache_tag ?multiway model catalog graph ~hit:served run
   with exn -> Error (Internal (Printexc.to_string exn))
 
 let optimize ?budget ?session ?cascade ?seed ?num_domains ?multiway ?cache_tag model catalog

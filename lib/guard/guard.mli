@@ -76,7 +76,9 @@ val optimize :
     sequentially, with the same answer.
     [multiway] asks capable tiers for n-ary AGM-costed plans (see
     {!Degrade.optimize}); incapable tiers ignore it, so the cascade
-    stays valid end to end.  [cache_tag] partitions the session cache
+    stays valid end to end.  It also keys the session cache apart, as
+    [Blitz_engine.Engine.optimize] does, so a binary request is never
+    served an n-ary plan.  [cache_tag] partitions the session cache
     per caller (see [Blitz_engine.Engine.optimize]): the serving layer
     passes the tenant id, so a shared cache never replays one tenant's
     plan to another. *)

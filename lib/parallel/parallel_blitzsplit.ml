@@ -106,6 +106,9 @@ let parallel_run pool ~graph_opt ~arena ~ctr ~threshold ~interrupt model catalog
     | None -> fun s -> Split_loop.compute_properties_product tbl model s
   in
   let binom = binomial_table n in
+  (* This driver plans binary nodes only, so the completion bound holds
+     whenever the model and threshold admit it. *)
+  let completion = Split_loop.completion_applies model ~threshold in
   let merge_counters () =
     Array.iter
       (function Some c -> Counters.merge_into ~from:c ~into:ctr | None -> ())
@@ -135,7 +138,7 @@ let parallel_run pool ~graph_opt ~arena ~ctr ~threshold ~interrupt model catalog
                  end;
                if !live then begin
                  compute !s;
-                 Split_loop.find_best_split tbl model dctr ~threshold !s;
+                 Split_loop.find_best_split_with ~completion tbl model dctr ~threshold !s;
                  s := gosper_next !s;
                  incr i
                end

@@ -15,7 +15,9 @@
     (ties broken by first-strict-improvement, identically).  The
     resulting cost {e and} extracted plan are bit-identical to
     {!Blitzsplit.run}'s for every [num_domains] — scheduling affects
-    only which domain writes an entry, never its value.  Counters are
+    only which domain writes an entry, never its value.  At a finite
+    threshold under kappa_sm both drivers give each subset the same
+    completion-bounded threshold, so thresholded passes agree too.  Counters are
     per-domain and merged at the end; being sums of per-subset events,
     the totals are also exactly the sequential counts.
 

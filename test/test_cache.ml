@@ -383,7 +383,7 @@ let test_guard_miss_is_one_lookup () =
 
 let test_thresholded_miss_runs_cold () =
   (* A "thresholded" cache miss runs exactly as a session without a
-     cache does: first pass seeded from the greedy bound, no note.  The
+     cache does: first pass seeded from the upper bound, no note.  The
      cache already holds the same join graph under other cardinalities,
      which must not seed it. *)
   let model = Cost_model.kdnl in

@@ -109,23 +109,69 @@ let test_topology_parse () =
     (T.all_paper @ [ T.Grid (3, 5); T.Cycle_plus 7 ])
 
 (* Appendix claim: "these selectivities yield a query result cardinality
-   of mu" — for every topology and any cardinality ladder. *)
+   of mu" — for every topology and any cardinality ladder, as long as no
+   edge's formula value, mu^(1/k) |R_i|^(-1/deg i) |R_j|^(-1/deg j),
+   exceeds 1.  One that does is clamped to 1 by design (a selectivity
+   above 1 is no selectivity), and the result then falls short of mu by
+   exactly the clamped factors.  Either way every edge is checked. *)
+let check_appendix_selectivities ~seed ~n topo =
+  let module T = Blitz_graph.Topology in
+  let rng = Rng.create ~seed in
+  let catalog = random_catalog rng ~n ~lo:2.0 ~hi:1e5 in
+  let mu = Catalog.geometric_mean_card catalog in
+  let edges = T.edge_list topo ~n in
+  let graph = T.assign_selectivities catalog edges ~result_card:mu in
+  let deg = Array.make n 0 in
+  List.iter
+    (fun (i, j) ->
+      deg.(i) <- deg.(i) + 1;
+      deg.(j) <- deg.(j) + 1)
+    edges;
+  let k = float_of_int (List.length edges) in
+  let formula (i, j) =
+    (mu ** (1.0 /. k))
+    *. (Catalog.card catalog i ** (-1.0 /. float_of_int deg.(i)))
+    *. (Catalog.card catalog j ** (-1.0 /. float_of_int deg.(j)))
+  in
+  let shortfall =
+    List.fold_left
+      (fun acc (i, j) ->
+        let raw = formula (i, j) and sel = Join_graph.selectivity graph i j in
+        if raw > 1.0 then begin
+          if sel <> 1.0 then
+            QCheck2.Test.fail_reportf "edge (%d, %d): formula %g > 1, selectivity %g, not 1" i j
+              raw sel;
+          acc *. raw
+        end
+        else begin
+          if not (Blitz_util.Float_more.approx_equal ~rel:1e-9 raw sel) then
+            QCheck2.Test.fail_reportf "edge (%d, %d): selectivity %g, formula %g" i j sel raw;
+          acc
+        end)
+      1.0 edges
+  in
+  let result = Join_graph.join_cardinality catalog graph (Relset.full n) in
+  if not (Blitz_util.Float_more.approx_equal ~rel:1e-6 (mu /. shortfall) result) then
+    QCheck2.Test.fail_reportf "result %g, expected mu %g over clamped factors %g" result mu
+      shortfall;
+  shortfall
+
 let prop_selectivity_formula_result_card =
   QCheck2.Test.make ~count:200 ~name:"appendix selectivities give result cardinality mu"
+    ~print:(fun (seed, (n, topo)) ->
+      Printf.sprintf "seed=%d n=%d %s" seed n (Blitz_graph.Topology.name topo))
     QCheck2.Gen.(
       pair (int_bound 100000)
         (pair (int_range 9 15) (oneofl Blitz_graph.Topology.all_paper)))
     (fun (seed, (n, topo)) ->
-      let rng = Rng.create ~seed in
-      let catalog = random_catalog rng ~n ~lo:2.0 ~hi:1e5 in
-      let mu = Catalog.geometric_mean_card catalog in
-      let graph =
-        Blitz_graph.Topology.assign_selectivities catalog
-          (Blitz_graph.Topology.edge_list topo ~n)
-          ~result_card:mu
-      in
-      let result = Join_graph.join_cardinality catalog graph (Relset.full n) in
-      Blitz_util.Float_more.approx_equal ~rel:1e-6 mu result)
+      ignore (check_appendix_selectivities ~seed ~n topo);
+      true)
+
+(* The input QCHECK_SEED=118 once drew: a chain whose formula puts an
+   edge above 1, so the result is below mu. *)
+let test_clamped_appendix_chain () =
+  let shortfall = check_appendix_selectivities ~seed:2775 ~n:9 Blitz_graph.Topology.Chain in
+  Alcotest.(check bool) (Printf.sprintf "clamped factors %g > 1" shortfall) true (shortfall > 1.0)
 
 let prop_pi_span_multiplicative =
   QCheck2.Test.make ~count:200 ~name:"pi_span(U, W+Z) = pi_span(U,W) * pi_span(U,Z)"
@@ -189,4 +235,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_selectivity_formula_result_card;
     QCheck_alcotest.to_alcotest prop_pi_span_multiplicative;
     QCheck_alcotest.to_alcotest prop_induced_preserves_cardinalities;
+    Alcotest.test_case "appendix selectivities clamped above 1" `Quick
+      test_clamped_appendix_chain;
   ]

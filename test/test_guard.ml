@@ -177,7 +177,7 @@ let test_unbudgeted_matches_exact () =
         (Int64.bits_of_float o.Guard.cost)
   done
 
-(* ---- the exact tier's greedy seed ---- *)
+(* ---- the exact tier's upper bound ---- *)
 
 let rescue_passes () = Obs.Metrics.value (Obs.Metrics.counter "blitz_threshold_rescue_passes_total")
 
@@ -235,7 +235,8 @@ let seeded_case_gen =
         })
       (int_bound 1_000_000))
 
-(* The cascade's exact tier prunes at the greedy bound yet answers with
+(* The cascade's exact tier prunes at the upper bound (and under kappa_sm
+   at each subset's completion term) yet answers with
    the unthresholded paper DP's plan and cost bits, and no rescue pass
    runs: the seeded pass never misses the optimum.  Every execution
    shape counts: no session, a default-width session (rank-parallel from
@@ -282,17 +283,18 @@ let prop_seeded_exact_tier =
                        plain.Registry.plan)
                     plain.Registry.cost)
             answers;
-          if Registry.greedy_bound c.model problem <> None && rescue_passes () <> rescues then
-            QCheck2.Test.fail_reportf "a rescue pass ran although the greedy bound is finite";
+          if Registry.upper_bound c.model problem <> None && rescue_passes () <> rescues then
+            QCheck2.Test.fail_reportf "a rescue pass ran although the upper bound is finite";
           true))
 
 (* Four relations and no predicates, under kappa_sm, which prices a
    join by its operands.  Greedy first merges the smallest product, a and
    b; every option left then overflows, so it joins an infinite operand
-   and its cost is infinite: there is no bound.  Pairing a with y and b
-   with x keeps every operand finite (only the final result overflows,
-   and it is no operand).  The exact tier takes one unthresholded pass
-   and answers exactly as the plain DP does. *)
+   and its cost is infinite.  Simpli-Squared's left-deep order a, b, x, y
+   feeds the infinite a x b x x to its last join too: there is no bound.
+   Pairing a with y and b with x keeps every operand finite (only the
+   final result overflows, and it is no operand).  The exact tier takes
+   one unthresholded pass and answers exactly as the plain DP does. *)
 let test_overflowing_greedy_takes_plain_pass () =
   let catalog = Catalog.of_list [ ("a", 1e100); ("b", 1e105); ("x", 1e110); ("y", 1e199) ] in
   let graph = Join_graph.of_edges ~n:4 [] in
@@ -300,7 +302,7 @@ let test_overflowing_greedy_takes_plain_pass () =
   let problem = Registry.problem ~graph catalog in
   let _, greedy_cost = Blitz_baselines.Greedy.optimize model catalog graph in
   check_float "greedy cost overflows" Float.infinity greedy_cost;
-  Alcotest.(check bool) "no greedy bound" true (Registry.greedy_bound model problem = None);
+  Alcotest.(check bool) "no upper bound" true (Registry.upper_bound model problem = None);
   let plain =
     Engine.with_session ~model ~num_domains:1 (fun s ->
         Engine.optimize ~optimizer:"exact" s problem)
@@ -312,8 +314,9 @@ let test_overflowing_greedy_takes_plain_pass () =
       (match
          Degrade.run_tier ~budget:(Budget.unlimited ()) ~seed:1 Degrade.Exact model catalog graph
        with
-      | Error f -> Alcotest.failf "exact tier failed: %s" (Degrade.failure_message f)
-      | Ok (plan, cost) ->
+      | _, Some _ -> Alcotest.fail "the exact attempt reports a bound"
+      | Error f, None -> Alcotest.failf "exact tier failed: %s" (Degrade.failure_message f)
+      | Ok (plan, cost), None ->
         Alcotest.(check bool) "plain exact's plan" true (Some plan = plain.Registry.plan);
         Alcotest.(check int64) "plain exact's cost bits" (Int64.bits_of_float plain.Registry.cost)
           (Int64.bits_of_float cost));
@@ -326,6 +329,97 @@ let test_overflowing_greedy_takes_plain_pass () =
     Alcotest.(check bool)
       "guard answers the plain plan" true
       (Some o.Guard.plan = plain.Registry.plan)
+
+(* The exact tier's bound is the cheaper heuristic plan.  On an
+   appendix clique under kappa_dnl greedy's plan is orders of magnitude
+   above the optimum and Simpli-Squared's is close to it; on a chain
+   greedy is the tighter one.  The guarded run names the bound it
+   pruned at, in its provenance and in the trace ring. *)
+let test_upper_bound_sources () =
+  let model = Cost_model.kdnl in
+  let cell topology =
+    Workload.problem
+      (Workload.spec ~n:14 ~topology ~model ~mean_card:150.0 ~variability:(1.0 /. 3.0))
+  in
+  let bound_of (catalog, graph) =
+    match Registry.upper_bound model (Registry.problem ~graph catalog) with
+    | Some b -> b
+    | None -> Alcotest.fail "no upper bound"
+  in
+  let clique = cell Topology.Clique and chain = cell Topology.Chain in
+  let b = bound_of clique in
+  Alcotest.(check string) "clique: source" "simpli-squared" b.Registry.source;
+  let _, greedy = Blitz_baselines.Greedy.optimize model (fst clique) (snd clique) in
+  Alcotest.(check bool)
+    (Printf.sprintf "clique: bound %g below greedy's %g" b.Registry.value greedy)
+    true (b.Registry.value < greedy);
+  Alcotest.(check string) "chain: source" "greedy" (bound_of chain).Registry.source;
+  let was = Obs.Trace.enabled () in
+  Obs.Trace.set_enabled true;
+  Obs.Trace.clear ();
+  let answer =
+    Fun.protect
+      ~finally:(fun () -> Obs.Trace.set_enabled was)
+      (fun () -> Guard.optimize model (fst clique) (snd clique))
+  in
+  match answer with
+  | Error e -> Alcotest.failf "guard failed: %s" (Guard.error_message e)
+  | Ok o -> (
+    match o.Guard.provenance.Degrade.attempts with
+    | [ { Degrade.tier = Degrade.Exact; bound = Some pb; _ } ] ->
+      Alcotest.(check bool) "provenance: the bound and its source" true (pb.Degrade.upper = b);
+      Alcotest.(check bool) "provenance: subsets skipped" true (pb.Degrade.threshold_skips > 0);
+      let instant =
+        List.find_opt
+          (fun (e : Obs.Trace.event) -> e.Obs.Trace.name = "degrade.exact.bound")
+          (Obs.Trace.events ())
+      in
+      Alcotest.(check (option (list (pair string string))))
+        "trace: the bound beside the exact span"
+        (Some
+           [
+             ("bound", Printf.sprintf "%g" b.Registry.value);
+             ("source", "simpli-squared");
+             ("threshold_skips", string_of_int pb.Degrade.threshold_skips);
+           ])
+        (Option.map (fun (e : Obs.Trace.event) -> e.Obs.Trace.attrs) instant)
+    | _ -> Alcotest.fail "expected one exact attempt with a bound")
+
+(* A multiway run and a binary run of one query search different plan
+   spaces, so the guard's cache round keys them apart as
+   [Engine.optimize] does: a binary request after a multiway one is not
+   served the n-ary plan, and each finds its own answer on a repeat. *)
+let test_cache_round_keys_multiway () =
+  let model = Cost_model.kdnl in
+  let catalog, graph =
+    Workload.problem
+      (Workload.spec ~n:8 ~topology:Topology.Clique ~model ~mean_card:1000.0 ~variability:0.0)
+  in
+  let binary =
+    Engine.with_session ~model ~num_domains:1 (fun s ->
+        Engine.optimize s (Registry.problem ~graph catalog))
+  in
+  let cache = Engine.Plan_cache.create ~max_bytes:(1 lsl 20) () in
+  Engine.with_session ~model ~num_domains:1 ~cache (fun session ->
+      let ask ~multiway =
+        match Guard.optimize ~session ~multiway model catalog graph with
+        | Ok o -> o
+        | Error e -> Alcotest.failf "guard failed: %s" (Guard.error_message e)
+      in
+      let check_answer what ~multiway ~from_cache (o : Guard.outcome) =
+        Alcotest.(check bool) (what ^ ": from the cache") from_cache o.Guard.from_cache;
+        Alcotest.(check bool) (what ^ ": n-ary nodes") multiway (Plan.has_multiway o.Guard.plan);
+        if not multiway then begin
+          Alcotest.(check bool) (what ^ ": the binary optimum") true
+            (Some o.Guard.plan = binary.Registry.plan);
+          Alcotest.(check int64) (what ^ ": its cost bits")
+            (Int64.bits_of_float binary.Registry.cost) (Int64.bits_of_float o.Guard.cost)
+        end
+      in
+      check_answer "multiway" ~multiway:true ~from_cache:false (ask ~multiway:true);
+      check_answer "binary" ~multiway:false ~from_cache:false (ask ~multiway:false);
+      check_answer "binary again" ~multiway:false ~from_cache:true (ask ~multiway:false);
+      check_answer "multiway again" ~multiway:true ~from_cache:true (ask ~multiway:true))
 
 let test_overflowing_stats_degrade_past_dpccp () =
   (* Every plan's cost overflows to infinity: exact and dpccp find no
@@ -362,7 +456,7 @@ let test_every_tier_valid_and_bounded () =
   let budget = Budget.unlimited () in
   List.iter
     (fun tier ->
-      match Degrade.run_tier ~budget ~seed:1 tier model catalog graph with
+      match fst (Degrade.run_tier ~budget ~seed:1 tier model catalog graph) with
       | Error f ->
         Alcotest.failf "tier %s failed: %s" (Degrade.tier_name tier) (Degrade.failure_message f)
       | Ok (plan, cost) ->
@@ -503,4 +597,7 @@ let suite =
     Alcotest.test_case "scrambled catalog degrades to the estimate-free tier" `Quick
       test_scrambled_catalog_degrades_to_estimate_free;
     QCheck_alcotest.to_alcotest prop_chaos_never_breaks_guard;
+    Alcotest.test_case "the exact tier's bound: source, provenance, trace" `Quick
+      test_upper_bound_sources;
+    Alcotest.test_case "cache round keys multiway apart" `Quick test_cache_round_keys_multiway;
   ]

@@ -16,7 +16,11 @@
    Opaque model with an asymmetric kappa'' (the fallback body with its
    operands told apart), finite and infinite thresholds (the skip and
    infeasible paths), against the sequential driver and the
-   rank-parallel driver at 1, 2 and 4 domains. *)
+   rank-parallel driver at 1, 2 and 4 domains.  Under kappa_sm at a
+   finite threshold the drivers charge each subset its completion term
+   ([Split_loop.completion_threshold]); the reference pass applies the
+   same per-subset threshold, so this suite checks the kernels, and the
+   driver-level property in test_threshold checks the bound itself. *)
 
 open Test_helpers
 module Blitzsplit = Blitz_core.Blitzsplit
@@ -80,15 +84,22 @@ let kernel_problem_gen ~max_n =
       (int_bound 1_000_000))
 
 (* One full DP pass with the Reference kernel: the ordered ground
-   truth, same enumeration order as the sequential driver. *)
+   truth, same enumeration order as the sequential driver.  A kappa_sm
+   pass at a finite threshold gives each subset the threshold the
+   drivers give it, through the same function, so every entry still
+   compares. *)
 let reference_pass model catalog graph ~threshold =
   let n = Catalog.n catalog in
   let tbl = Dp_table.create ~with_pi_fan:true n in
   let ctr = Counters.create () in
+  let completion = Split_loop.completion_applies model ~threshold in
   Split_loop.init_singletons tbl model catalog;
   for s = 3 to (1 lsl n) - 1 do
     if s land (s - 1) <> 0 then begin
       Split_loop.compute_properties_join tbl model graph s;
+      let threshold =
+        if completion then Split_loop.completion_threshold tbl ~threshold s else threshold
+      in
       Split_reference.find_best_split tbl model ctr ~threshold s
     end
   done;
@@ -172,19 +183,28 @@ let test_variant_names () =
    allocates the same minor words at every n: its result record and the
    per-call bookkeeping, nothing that grows with the lattice.  The
    property pass computes the paper models' aux inline; the memo must
-   hold the bits the model's own [aux] closure gives. *)
+   hold the bits the model's own [aux] closure gives.  A kappa_sm pass at
+   a finite threshold computes each subset's completion term inside the
+   kernel, so it must not allocate per subset either: a float computed
+   per subset and passed across a call would be boxed every time. *)
 let test_warm_dp_allocation_flat () =
   let arena = Blitz_core.Arena.create () and ctr = Counters.create () in
-  let words model n =
+  let words ?threshold_factor model n =
     let spec =
       Blitz_workload.Workload.spec ~n ~topology:Topology.Clique ~model ~mean_card:100.0
         ~variability:(1.0 /. 3.0)
     in
     let catalog, graph = Blitz_workload.Workload.problem spec in
-    let run () = Blitzsplit.optimize_join ~arena ~counters:ctr model catalog graph in
-    ignore (run ());
+    let run ?threshold () =
+      Blitzsplit.optimize_join ~arena ~counters:ctr ?threshold model catalog graph
+    in
+    let threshold =
+      Option.map (fun f -> f *. Blitzsplit.best_cost (run ())) threshold_factor
+    in
+    ignore (run ?threshold ());
+    Counters.reset ctr;
     let w0 = Gc.minor_words () in
-    let r = run () in
+    let r = run ?threshold () in
     let words = Gc.minor_words () -. w0 in
     let tbl = r.Blitzsplit.table in
     for s = 1 to Dp_table.size tbl - 1 do
@@ -193,6 +213,8 @@ let test_warm_dp_allocation_flat () =
         <> Int64.bits_of_float (model.Cost_model.aux tbl.Dp_table.card.(s))
       then Alcotest.failf "%s n=%d: aux memo of subset %d is not model.aux" model.name n s
     done;
+    if threshold <> None && (ctr.Counters.threshold_skips = 0 || not (Blitzsplit.feasible r)) then
+      Alcotest.failf "%s n=%d: the thresholded pass skipped nothing or found no plan" model.name n;
     words
   in
   List.iter
@@ -201,7 +223,10 @@ let test_warm_dp_allocation_flat () =
       Alcotest.(check (float 0.0))
         (Printf.sprintf "%s: minor words at n = 10 and n = 14" model.Cost_model.name)
         w10 w14)
-    Cost_model.all_paper
+    Cost_model.all_paper;
+  let sm = Cost_model.sort_merge in
+  let w14 = words ~threshold_factor:2.0 sm 14 and w10 = words ~threshold_factor:2.0 sm 10 in
+  Alcotest.(check (float 0.0)) "ksm at twice the optimum: minor words at n = 10 and n = 14" w10 w14
 
 let suite =
   [

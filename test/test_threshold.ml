@@ -152,6 +152,96 @@ let prop_variant_threshold_drivers_exact =
       && Blitz_util.Float_more.approx_equal ~rel:1e-6 hy_plain
            (Hy.best_cost hy_thresh.Threshold.hyper_result))
 
+(* The exact tier's pass, at the driver level: one pass at
+   [Registry.upper_bound], which under kappa_sm also charges each
+   subset its completion term, returns the plain pass's plan and cost
+   bits, sequentially and rank-parallel (the parallel driver at 1, 2
+   and 4 domains, forced onto its rank-parallel path), and the drivers
+   agree on the subsets skipped.  kappa_0, kappa_dnl and an Opaque
+   min-of, which keep the paper's test alone, are the controls; a
+   multiway pass, where the term is off, is checked sequentially.  On
+   chains of 8 or more relations the kappa_sm pass must skip subsets,
+   which the paper's test alone never does there (kappa' = 0). *)
+type bound_case = { spec : Blitz_workload.Workload.spec; multiway : bool }
+
+let bound_case_gen =
+  QCheck2.Gen.(
+    map
+      (fun seed ->
+        let rng = Rng.create ~seed in
+        let n = 3 + Rng.int rng 8 in
+        let topology =
+          match Rng.int rng 5 with
+          | 0 | 1 -> Topology.Chain
+          | 2 -> Topology.Star
+          | 3 -> Topology.Cycle_plus (if n >= 7 then 2 else 0)
+          | _ -> Topology.Clique
+        in
+        let model =
+          match Rng.int rng 6 with
+          | 0 | 1 | 2 -> Cost_model.sort_merge
+          | 3 -> Cost_model.naive
+          | 4 -> Cost_model.kdnl
+          | _ -> Cost_model.min_of Cost_model.sort_merge Cost_model.kdnl
+        in
+        let mean_card = Rng.log_uniform rng ~lo:2.0 ~hi:1e4 in
+        let variability = Rng.float rng 1.0 in
+        {
+          spec = Blitz_workload.Workload.spec ~n ~topology ~model ~mean_card ~variability;
+          multiway = Rng.int rng 4 = 0;
+        })
+      (int_bound 1_000_000))
+
+let prop_upper_bound_pass_bit_identical =
+  QCheck2.Test.make ~count:150
+    ~name:"upper-bound pass = plain pass, bit for bit (completion bound, every driver)"
+    ~print:(fun c ->
+      Printf.sprintf "%s%s" (Blitz_workload.Workload.describe c.spec)
+        (if c.multiway then " multiway" else ""))
+    bound_case_gen
+    (fun c ->
+      let module Registry = Blitz_engine.Registry in
+      let module Parallel = Blitz_parallel.Parallel_blitzsplit in
+      let model = c.spec.Blitz_workload.Workload.model in
+      let catalog, graph = Blitz_workload.Workload.problem c.spec in
+      let same what (plain : Blitzsplit.t) (pass : Blitzsplit.t) =
+        if
+          Blitzsplit.best_plan pass <> Blitzsplit.best_plan plain
+          || Int64.bits_of_float (Blitzsplit.best_cost pass)
+             <> Int64.bits_of_float (Blitzsplit.best_cost plain)
+        then
+          QCheck2.Test.fail_reportf "%s: %.17g, plain pass %.17g" what (Blitzsplit.best_cost pass)
+            (Blitzsplit.best_cost plain)
+      in
+      (match Registry.upper_bound model (Registry.problem ~graph catalog) with
+      | None -> QCheck2.Test.fail_reportf "no upper bound"
+      | Some { Registry.value = threshold; _ } ->
+        let plain = Blitzsplit.optimize_join model catalog graph in
+        let seq = Blitzsplit.optimize_join ~threshold model catalog graph in
+        same "sequential" plain seq;
+        let skips = seq.Blitzsplit.counters.Counters.threshold_skips in
+        List.iter
+          (fun d ->
+            let par =
+              Parallel.optimize_join ~num_domains:d ~min_parallel_n:2 ~threshold model catalog
+                graph
+            in
+            same (Printf.sprintf "%d domain(s)" d) plain par;
+            if par.Blitzsplit.counters.Counters.threshold_skips <> skips then
+              QCheck2.Test.fail_reportf "%d domain(s) skipped %d subsets, sequential %d" d
+                par.Blitzsplit.counters.Counters.threshold_skips skips)
+          [ 1; 2; 4 ];
+        if
+          model.Cost_model.kind = Cost_model.Paper_sort_merge
+          && c.spec.Blitz_workload.Workload.topology = Topology.Chain
+          && Catalog.n catalog >= 8 && skips = 0
+        then QCheck2.Test.fail_reportf "kappa_sm chain: no subset skipped";
+        if c.multiway then
+          same "multiway"
+            (Blitzsplit.optimize_join ~multiway:true model catalog graph)
+            (Blitzsplit.optimize_join ~multiway:true ~threshold model catalog graph));
+      true)
+
 let suite =
   [
     Alcotest.test_case "threshold above optimum: exact, one pass" `Quick
@@ -166,4 +256,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_multipass_equals_unconstrained;
     QCheck_alcotest.to_alcotest prop_threshold_monotone;
     QCheck_alcotest.to_alcotest prop_variant_threshold_drivers_exact;
+    QCheck_alcotest.to_alcotest prop_upper_bound_pass_bit_identical;
   ]
