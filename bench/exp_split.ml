@@ -33,6 +33,16 @@
    previous one wrote — which is what lets us re-run the kernel over a
    converged table as a timing loop.
 
+   A second section times seeded passes: one §6.4 pass of the
+   sequential driver at [Registry.upper_bound], through an arena, as the
+   exact tier runs it, on stars with the hub last (relation n - 1, whose
+   subsets scan the live-operand index) and first (relation 0, whose
+   subsets walk), cliques and chains under the three paper models.  Each
+   cell records the pass's loop_iters, its best-of-R time and the minor
+   words of a warm pass; the zero-allocation gate also requires a warm
+   seeded pass to allocate the same words at both sizes, so nothing per
+   subset or per index entry allocates.
+
    `bench split --json BENCH_split.json` commits the measured
    trajectory; the "gates" record carries the pass/fail verdicts. *)
 
@@ -43,6 +53,10 @@ module Workload = Blitz_workload.Workload
 module Dp_table = Blitz_core.Dp_table
 module Split_loop = Blitz_core.Split_loop
 module Counters = Blitz_core.Counters
+module Blitzsplit = Blitz_core.Blitzsplit
+module Arena = Blitz_core.Arena
+module Join_graph = Blitz_graph.Join_graph
+module Registry = Blitz_engine.Registry
 module Json = Blitz_util.Json
 
 (* Gates (full mode).  Fast mode keeps both gates armed — CI runs it —
@@ -203,6 +217,117 @@ let measure_cell ~rounds spec =
     rounds;
   }
 
+(* ---- seeded passes ---- *)
+
+type seeded_cell = {
+  shape : string;  (* "star, hub last", "star, hub first", "clique", "chain" *)
+  s_model : Cost_model.t;
+  s_n : int;
+  s_iters : int;
+  s_ms : float;
+  s_words : float;
+}
+
+(* The generated star's hub is relation n - 1; renumbering relation i as
+   n - 1 - i makes it relation 0, with the same optimum. *)
+let hub_first catalog graph =
+  let n = Catalog.n catalog in
+  let cards = Catalog.cards catalog in
+  ( Catalog.of_cards (Array.init n (fun i -> cards.(n - 1 - i))),
+    Join_graph.of_edges ~n
+      (List.map (fun (i, j, s) -> (n - 1 - i, n - 1 - j, s)) (Join_graph.edges graph)) )
+
+let seeded_shapes =
+  [
+    ("star, hub last", Topology.Star, false);
+    ("star, hub first", Topology.Star, true);
+    ("clique", Topology.Clique, false);
+    ("chain", Topology.Chain, false);
+  ]
+
+let measure_seeded ~rounds ~arena (shape, topology, flip) model n =
+  let spec = Workload.spec ~n ~topology ~model ~mean_card:150.0 ~variability:(1.0 /. 3.0) in
+  let catalog, graph = Workload.problem spec in
+  let catalog, graph = if flip then hub_first catalog graph else (catalog, graph) in
+  let threshold =
+    match Registry.upper_bound model (Registry.problem ~graph catalog) with
+    | Some b -> b.Registry.value
+    | None -> Float.infinity
+  in
+  let ctr = Counters.create () in
+  let pass () = ignore (Blitzsplit.optimize_join ~arena ~counters:ctr ~threshold model catalog graph) in
+  pass ();
+  Counters.reset ctr;
+  let words = minor_delta pass -. noop_baseline in
+  let iters = ctr.Counters.loop_iters in
+  let best = ref Float.infinity in
+  for _ = 1 to rounds do
+    let t0 = Bench_config.wall () in
+    pass ();
+    best := Float.min !best (Bench_config.wall () -. t0)
+  done;
+  { shape; s_model = model; s_n = n; s_iters = iters; s_ms = !best *. 1e3; s_words = words }
+
+let run_seeded ~fast ~models =
+  Bench_config.header "Split: seeded passes (one §6.4 pass at the upper bound)";
+  let ns = if fast then [ 10; 12 ] else [ 14; 16 ] in
+  let rounds = if fast then 5 else 15 in
+  let arena = Arena.create () in
+  let cells =
+    List.concat_map
+      (fun n ->
+        List.concat_map
+          (fun shape ->
+            List.map
+              (fun model ->
+                let c = measure_seeded ~rounds ~arena shape model n in
+                Bench_json.emit ~experiment:"split"
+                  [
+                    ("record", Json.String "seeded");
+                    ("shape", Json.String c.shape);
+                    ("model", Json.String model.Cost_model.name);
+                    ("n", Json.Int n);
+                    ("loop_iters", Json.Int c.s_iters);
+                    ("ms_per_pass", Json.Float c.s_ms);
+                    ("rounds", Json.Int rounds);
+                    ("warm_minor_words", Json.Float c.s_words);
+                  ];
+                c)
+              models)
+          seeded_shapes)
+      ns
+  in
+  Blitz_util.Ascii_table.print
+    ~header:[| "shape"; "model"; "n"; "loop_iters"; "ms/pass"; "warm minor words" |]
+    (Array.of_list
+       (List.map
+          (fun c ->
+            [|
+              c.shape;
+              c.s_model.Cost_model.name;
+              string_of_int c.s_n;
+              string_of_int c.s_iters;
+              Printf.sprintf "%.3f" c.s_ms;
+              Printf.sprintf "%.0f" c.s_words;
+            |])
+          cells));
+  (* A warm pass allocates its result and per-call bookkeeping only:
+     the same words at both sizes. *)
+  let grows =
+    List.filter
+      (fun c ->
+        List.exists
+          (fun d -> d.shape = c.shape && d.s_model == c.s_model && d.s_words <> c.s_words)
+          cells)
+      cells
+  in
+  List.iter
+    (fun c ->
+      Printf.printf "ALLOCATION: seeded %s %s n=%d: %.0f minor words per warm pass\n" c.shape
+        c.s_model.Cost_model.name c.s_n c.s_words)
+    grows;
+  grows = []
+
 let run () =
   Bench_config.header "Split: ns per ordered split, specialized kernels vs reference";
   let fast = Bench_config.fast in
@@ -290,7 +415,8 @@ let run () =
   let leaks =
     List.filter (fun c -> c.minor_words_per_call <> 0.0 || c.property_minor_words <> 0.0) cells
   in
-  if leaks <> [] then begin
+  let seeded_flat = run_seeded ~fast ~models in
+  if leaks <> [] || not seeded_flat then begin
     List.iter
       (fun c ->
         Printf.printf
@@ -302,7 +428,7 @@ let run () =
   end;
   Printf.printf
     "zero-allocation gate: PASS (Gc.minor_words delta = 0 across warm kernel and property \
-     sweeps)\n";
+     sweeps; warm seeded passes allocate the same words at both sizes)\n";
   (* Speedup gate on the densest common cell: clique, kappa_0 at the
      largest n <= 15 in the grid (n=15 full, n=12 fast). *)
   let gated =

@@ -1,11 +1,13 @@
 type t = {
   mutable table : Dp_table.t option;
+  mutable index : Live_index.t option;
   counters : Counters.t;
   mutable acquires : int;
   mutable grows : int;
 }
 
-let create () = { table = None; counters = Counters.create (); acquires = 0; grows = 0 }
+let create () =
+  { table = None; index = None; counters = Counters.create (); acquires = 0; grows = 0 }
 
 let counters t = t.counters
 
@@ -30,7 +32,19 @@ let acquire t ?(with_pi_fan = true) n =
   t.table <- Some table;
   table
 
+let index t =
+  match t.index with
+  | Some idx -> idx
+  | None ->
+    let idx = Live_index.create () in
+    t.index <- Some idx;
+    idx
+
+let index_bytes t = match t.index with None -> 0 | Some idx -> Live_index.resident_bytes idx
+
 let resident_bytes t =
+  index_bytes t
+  +
   match t.table with
   | None -> 0
   | Some tbl ->
@@ -38,15 +52,23 @@ let resident_bytes t =
       ~with_pi_fan:(Dp_table.has_pi_fan tbl)
       ~n:(Dp_table.capacity tbl) ()
 
+(* A seeded pass takes the index beside the table, so the quote charges
+   both at the would-be capacity. *)
 let bytes_after t ?(with_pi_fan = true) ~n () =
-  match t.table with
-  | None -> Dp_table.estimate_bytes ~with_pi_fan ~n ()
-  | Some tbl ->
-    let fan = with_pi_fan || Dp_table.has_pi_fan tbl in
-    let cap = max n (Dp_table.capacity tbl) in
-    Dp_table.estimate_bytes ~with_pi_fan:fan ~n:cap ()
+  let index = max (index_bytes t) (Live_index.estimate_bytes ~n) in
+  let table =
+    match t.table with
+    | None -> Dp_table.estimate_bytes ~with_pi_fan ~n ()
+    | Some tbl ->
+      let fan = with_pi_fan || Dp_table.has_pi_fan tbl in
+      let cap = max n (Dp_table.capacity tbl) in
+      Dp_table.estimate_bytes ~with_pi_fan:fan ~n:cap ()
+  in
+  if table = max_int then max_int else table + index
 
-let clear t = t.table <- None
+let clear t =
+  t.table <- None;
+  t.index <- None
 
 let acquires t = t.acquires
 let grows t = t.grows

@@ -1,4 +1,5 @@
-(** Session workspace: pooled DP-table buffers and counters.
+(** Session workspace: pooled DP-table buffers, the live-operand index
+    of seeded passes, and counters.
 
     The blitzsplit table costs [O(2^n)] to allocate and initialize, which
     is the whole optimization for small queries — the paper's point is
@@ -28,27 +29,37 @@ val acquire : t -> ?with_pi_fan:bool -> int -> Dp_table.t
     callers, which never read it.  Raises [Invalid_argument] when [n]
     is outside [\[1, Dp_table.max_relations\]]. *)
 
+val index : t -> Live_index.t
+(** The arena's pooled live-operand index, created on first use.  A
+    seeded DP pass starts it for its [n] ({!Live_index.start}), which
+    grows its buffer to the high-water [n] and reuses it after that. *)
+
 val counters : t -> Counters.t
 (** The arena's reusable counter block.  Callers that want per-query
     counts reset it between queries ([Engine.optimize] does). *)
 
 val resident_bytes : t -> int
-(** Bytes currently held by the pooled table buffer (0 before the first
-    acquire).  This is the high-water footprint a memory ceiling should
-    charge for, not the per-call size. *)
+(** Bytes currently held by the pooled table buffer and live-operand
+    index (0 before the first acquire).  This is the high-water
+    footprint a memory ceiling should charge for, not the per-call
+    size. *)
 
 val bytes_after : t -> ?with_pi_fan:bool -> n:int -> unit -> int
 (** Resident footprint the arena would have after serving a query of [n]
-    relations: the current buffer if it already suffices, the grown one
-    otherwise.  What [Budget] checks against its ceiling when a session
-    is in play. *)
+    relations: the current buffers if they already suffice, the grown
+    ones otherwise.  The index is charged whether or not the arena holds
+    one yet, since the exact tier's seeded pass takes it
+    ({!Live_index.estimate_bytes}, 2 B per table slot).  What [Budget]
+    checks against its ceiling when a session is in play.  Saturates at
+    [max_int]. *)
 
 val clear : t -> unit
-(** Drop the pooled buffer (the next acquire reallocates). *)
+(** Drop the pooled buffers (the next acquire reallocates). *)
 
 val acquires : t -> int
 (** Total {!acquire} calls served (diagnostic). *)
 
 val grows : t -> int
-(** How many of those had to allocate (diagnostic; 1 for a steady-state
-    session). *)
+(** How many of those had to allocate a table (diagnostic; 1 for a
+    steady-state session).  The index grows with the table's high-water
+    [n] and is not counted here. *)

@@ -59,6 +59,23 @@ let run ~graph_opt ?arena ?counters ?(threshold = Float.infinity) ?interrupt
   (* The completion bound holds for binary plans only: n-ary inputs are
      priced by cardinality, not by aux. *)
   let completion = Split_loop.completion_applies model ~threshold && Option.is_none mw in
+  (* So does the live-operand index: the scan's left operands are
+     binary inputs.  The numeric order finishes every subset below a
+     power of two before reaching it, which is when the index closes
+     its counts below it. *)
+  let index =
+    if Split_loop.scan_applies model ~threshold && Option.is_none mw then begin
+      let idx = match arena with Some a -> Arena.index a | None -> Live_index.create () in
+      Live_index.start idx ~n ~all_singletons:false;
+      idx
+    end
+    else Live_index.off
+  in
+  let hub = Live_index.hub index in
+  let[@inline] note s =
+    if s < hub && Array.unsafe_get tbl.Dp_table.cost s < Float.infinity then
+      Live_index.note index s
+  in
   let dp_pass () =
     match graph_opt with
     | Some _ ->
@@ -66,19 +83,23 @@ let run ~graph_opt ?arena ?counters ?(threshold = Float.infinity) ?interrupt
         if s land (s - 1) <> 0 then begin
           probe s;
           Split_loop.compute_properties_join tbl model graph s;
-          Split_loop.find_best_split_with ~completion tbl model ctr ~threshold s;
-          match mw with
+          Split_loop.find_best_split_with ~completion ~index tbl model ctr ~threshold s;
+          (match mw with
           | Some m -> Multiway.consider m tbl ctr ~threshold s
-          | None -> ()
+          | None -> ());
+          note s
         end
+        else Live_index.seal index s
       done
     | None ->
       for s = 3 to last do
         if s land (s - 1) <> 0 then begin
           probe s;
           Split_loop.compute_properties_product tbl model s;
-          Split_loop.find_best_split_with ~completion tbl model ctr ~threshold s
+          Split_loop.find_best_split_with ~completion ~index tbl model ctr ~threshold s;
+          note s
         end
+        else Live_index.seal index s
       done
   in
   (* One timed region feeds both rate instruments: ns per subset (the

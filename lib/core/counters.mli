@@ -18,10 +18,15 @@ type t = {
   mutable loop_iters : int;
       (** Split-loop iterations in aggregate: under a symmetric
           [kappa''], one per unordered split [{lhs, s lxor lhs}] visited,
-          half the paper's ordered [3^n] term (see {!exact_loop_iters}). *)
+          half the paper's ordered [3^n] term (see {!exact_loop_iters}).
+          In a seeded pass a subset that scans the live-operand index
+          ([Live_index]) instead of walking visits only the splits whose
+          left operand finished live, and counts one per such split; a
+          subset that walks counts its walk, dead operands included. *)
   mutable operand_sums : int;
       (** Iterations passing the nested-[if] operand-cost checks (both
-          operand costs below best-so-far). *)
+          operand costs below best-so-far; at most best-so-far in a
+          scan, which meets operands out of numeric order). *)
   mutable dprime_evals : int;
       (** Evaluations of [kappa''] (always 0 for the naive model, whose
           [kappa''] is identically zero). *)

@@ -102,8 +102,180 @@ let completion_applies (model : Cost_model.t) ~threshold =
   | Cost_model.Paper_sort_merge -> Float.is_finite threshold
   | Cost_model.Paper_naive | Cost_model.Paper_dnl _ | Cost_model.Opaque -> false
 
-let find_best_split_with ~completion (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t)
-    ~threshold s =
+(* Which loop a subset runs under [index]: -1 for the walk, or the
+   scan's shape k lor (b lsl 5), k the rank of s and b the top relation
+   of s \ top s, when the index is on and its candidates for s,
+   [cum.(b * stride + k)], are fewer than the walk's 2^(k-1) - 1 splits.
+   The rank (a SWAR popcount) and the top relations (two 12-bit lookups
+   each) are spelled out here because dune's dev profile builds with
+   -opaque, so a helper in [Live_index] would be a call before the walk,
+   and a call spills the walk's state around it. *)
+let[@inline] scan_shape (index : Live_index.t) s =
+  if not index.on then -1
+  else begin
+    let x = s - ((s lsr 1) land 0x555555) in
+    let x = (x land 0x333333) + ((x lsr 2) land 0x333333) in
+    let x = (x + (x lsr 4)) land 0x0f0f0f in
+    let k = ((x * 0x010101) lsr 16) land 0xff in
+    let tops = Live_index.top_table in
+    let t =
+      if s < 4096 then Char.code (Bytes.unsafe_get tops s)
+      else 12 + Char.code (Bytes.unsafe_get tops (s lsr 12))
+    in
+    let rest = s lxor (1 lsl t) in
+    let b =
+      if rest < 4096 then Char.code (Bytes.unsafe_get tops rest)
+      else 12 + Char.code (Bytes.unsafe_get tops (rest lsr 12))
+    in
+    if Array.unsafe_get index.cum ((b * Live_index.stride) + k) < (1 lsl (k - 1)) - 1 then
+      k lor (b lsl 5)
+    else -1
+  end
+
+(* The scan (seeded passes, paper models).  At a finite threshold a dead
+   operand (cost infinity) never passes the walk's first test, so only
+   live left operands can be taken; [Live_index] lists them.  A subset s
+   of rank k whose [scan_shape] is not -1 runs this loop instead of the
+   walk: over ranks 1 .. k-1 in order, ascending within a rank, it
+   visits the indexed subsets below 2^(b+1), b the top relation of
+   s \ top s, and prices those inside s \ top s, the walk's left
+   operands.  The arm parks the split bound its walk would start from in
+   s's own cost slot, which no operand reads and the epilogue overwrites:
+   a float passed here would be boxed.
+
+   The walk visits left operands in increasing order and takes a split
+   only on strict improvement, so it keeps the smallest left operand
+   among the minimal splits: with non-negative cost terms each operand
+   cost and their sum are at most the split's cost, so the first minimal
+   split passes every test, and none after it improves.  The scan meets
+   operands in another order, so it tests them with [<=] and takes a
+   split when (cost, lhs) is lexicographically smaller than the best so
+   far.  That keeps the same split, and a split costing exactly the
+   starting bound is never taken, as in the walk.  Costs and best_lhs are
+   therefore the walk's, bit for bit.  [loop_iters] grows by the splits
+   the scan prices, one per live left operand, and the other split
+   counters count this loop's events.  Both drivers visit the same
+   candidates in the same order, so every counter agrees across drivers
+   and widths.  The scan is kept out of [find_best_split_with]: sharing
+   one function with the walks slows them. *)
+let[@inline never] scan_best_split (index : Live_index.t) (tbl : Dp_table.t)
+    (model : Cost_model.t) (ctr : Counters.t) s shape =
+  let k = shape land 31 and b = shape lsr 5 in
+  let row = b * Live_index.stride in
+  let rest = s land ((2 lsl b) - 1) in
+  let cost = tbl.cost and ids = index.ids and region = index.region and cum = index.cum in
+  let best_cost = ref (Array.unsafe_get cost s) in
+  let best_lhs = ref 0 in
+  let iters = ref 0 and sums = ref 0 and evals = ref 0 and improved = ref 0 in
+  let out = Array.unsafe_get tbl.card s in
+  (match model.kind with
+  | Cost_model.Paper_naive ->
+    for rank = 1 to k - 1 do
+      let j = ref (Array.unsafe_get region rank) in
+      let stop = !j + Array.unsafe_get cum (row + rank + 1) - Array.unsafe_get cum (row + rank) in
+      while !j < stop do
+        let l = Int32.to_int (Bigarray.Array1.unsafe_get ids !j) in
+        if l land rest = l then begin
+          incr iters;
+          let cl = Array.unsafe_get cost l in
+          if cl <= !best_cost then begin
+            let cr = Array.unsafe_get cost (s lxor l) in
+            if cr <= !best_cost then begin
+              incr sums;
+              let oprnd = cl +. cr in
+              if oprnd < !best_cost || (oprnd = !best_cost && l < !best_lhs) then begin
+                incr improved;
+                best_cost := oprnd;
+                best_lhs := l
+              end
+            end
+          end
+        end;
+        incr j
+      done
+    done;
+    if !best_lhs <> 0 then Array.unsafe_set cost s (!best_cost +. out)
+  | Cost_model.Paper_sort_merge ->
+    let aux = tbl.aux in
+    for rank = 1 to k - 1 do
+      let j = ref (Array.unsafe_get region rank) in
+      let stop = !j + Array.unsafe_get cum (row + rank + 1) - Array.unsafe_get cum (row + rank) in
+      while !j < stop do
+        let l = Int32.to_int (Bigarray.Array1.unsafe_get ids !j) in
+        if l land rest = l then begin
+          incr iters;
+          let cl = Array.unsafe_get cost l in
+          if cl <= !best_cost then begin
+            let r = s lxor l in
+            let cr = Array.unsafe_get cost r in
+            if cr <= !best_cost then begin
+              incr sums;
+              let oprnd = cl +. cr in
+              if oprnd <= !best_cost then begin
+                incr evals;
+                let dpnd = oprnd +. (Array.unsafe_get aux l +. Array.unsafe_get aux r) in
+                if dpnd < !best_cost || (dpnd = !best_cost && l < !best_lhs) then begin
+                  incr improved;
+                  best_cost := dpnd;
+                  best_lhs := l
+                end
+              end
+            end
+          end
+        end;
+        incr j
+      done
+    done;
+    if !best_lhs <> 0 then Array.unsafe_set cost s (!best_cost +. 0.0)
+  | Cost_model.Paper_dnl { k = dk; inner_coeff } ->
+    let card = tbl.card in
+    for rank = 1 to k - 1 do
+      let j = ref (Array.unsafe_get region rank) in
+      let stop = !j + Array.unsafe_get cum (row + rank + 1) - Array.unsafe_get cum (row + rank) in
+      while !j < stop do
+        let l = Int32.to_int (Bigarray.Array1.unsafe_get ids !j) in
+        if l land rest = l then begin
+          incr iters;
+          let cl = Array.unsafe_get cost l in
+          if cl <= !best_cost then begin
+            let r = s lxor l in
+            let cr = Array.unsafe_get cost r in
+            if cr <= !best_cost then begin
+              incr sums;
+              let oprnd = cl +. cr in
+              if oprnd <= !best_cost then begin
+                incr evals;
+                let lcard = Array.unsafe_get card l in
+                let rcard = Array.unsafe_get card r in
+                let dpnd =
+                  oprnd +. ((lcard *. rcard *. inner_coeff) +. (Float.min lcard rcard /. dk))
+                in
+                if dpnd < !best_cost || (dpnd = !best_cost && l < !best_lhs) then begin
+                  incr improved;
+                  best_cost := dpnd;
+                  best_lhs := l
+                end
+              end
+            end
+          end
+        end;
+        incr j
+      done
+    done;
+    if !best_lhs <> 0 then Array.unsafe_set cost s (!best_cost +. (2.0 *. out /. dk))
+  | Cost_model.Opaque -> invalid_arg "Split_loop: no scan under an Opaque model");
+  ctr.loop_iters <- ctr.loop_iters + !iters;
+  ctr.operand_sums <- ctr.operand_sums + !sums;
+  ctr.dprime_evals <- ctr.dprime_evals + !evals;
+  ctr.improvements <- ctr.improvements + !improved;
+  if !best_lhs = 0 then begin
+    ctr.infeasible <- ctr.infeasible + 1;
+    Array.unsafe_set cost s Float.infinity
+  end;
+  Array.unsafe_set tbl.best_lhs s !best_lhs
+
+let find_best_split_with ~completion ~index (tbl : Dp_table.t) (model : Cost_model.t)
+    (ctr : Counters.t) ~threshold s =
   ctr.subsets <- ctr.subsets + 1;
   let out = Array.unsafe_get tbl.card s in
   match model.kind with
@@ -169,6 +341,14 @@ let find_best_split_with ~completion (tbl : Dp_table.t) (model : Cost_model.t) (
     let kp = match model.kind with Cost_model.Paper_naive -> out | _ -> model.k_prime out in
     if kp >= threshold then skip_subset tbl ctr s
     else begin
+      let shape =
+        match model.kind with Cost_model.Paper_naive -> scan_shape index s | _ -> -1
+      in
+      if shape >= 0 then begin
+        Array.unsafe_set tbl.cost s (threshold -. kp);
+        scan_best_split index tbl model ctr s shape
+      end
+      else begin
       let cost = tbl.cost in
       let best_cost = ref (threshold -. kp) in
       let best_lhs = ref 0 in
@@ -204,6 +384,7 @@ let find_best_split_with ~completion (tbl : Dp_table.t) (model : Cost_model.t) (
         Array.unsafe_set cost s (!best_cost +. kp);
         Array.unsafe_set tbl.best_lhs s !best_lhs
       end
+      end
     end
   | Cost_model.Paper_sort_merge ->
     (* kappa' = 0, kappa'' = laux + raux from the memo column.  With
@@ -213,6 +394,12 @@ let find_best_split_with ~completion (tbl : Dp_table.t) (model : Cost_model.t) (
     if completion then bound := completion_threshold tbl ~threshold s;
     if 0.0 >= !bound then skip_subset tbl ctr s
     else begin
+      let shape = scan_shape index s in
+      if shape >= 0 then begin
+        Array.unsafe_set tbl.cost s !bound;
+        scan_best_split index tbl model ctr s shape
+      end
+      else begin
       let cost = tbl.cost and aux = tbl.aux in
       let best_cost = ref !bound in
       let best_lhs = ref 0 in
@@ -257,12 +444,19 @@ let find_best_split_with ~completion (tbl : Dp_table.t) (model : Cost_model.t) (
         Array.unsafe_set cost s (!best_cost +. 0.0);
         Array.unsafe_set tbl.best_lhs s !best_lhs
       end
+      end
     end
   | Cost_model.Paper_dnl { k; inner_coeff } ->
     (* kappa' = 2 out / k; kappa'' inlined from the captured constants. *)
     let kp = 2.0 *. out /. k in
     if kp >= threshold then skip_subset tbl ctr s
     else begin
+      let shape = scan_shape index s in
+      if shape >= 0 then begin
+        Array.unsafe_set tbl.cost s (threshold -. kp);
+        scan_best_split index tbl model ctr s shape
+      end
+      else begin
       let cost = tbl.cost and card = tbl.card in
       let best_cost = ref (threshold -. kp) in
       let best_lhs = ref 0 in
@@ -308,10 +502,17 @@ let find_best_split_with ~completion (tbl : Dp_table.t) (model : Cost_model.t) (
         Array.unsafe_set cost s (!best_cost +. kp);
         Array.unsafe_set tbl.best_lhs s !best_lhs
       end
+      end
     end
 
 let find_best_split tbl model ctr ~threshold s =
-  find_best_split_with ~completion:false tbl model ctr ~threshold s
+  find_best_split_with ~completion:false ~index:Live_index.off tbl model ctr ~threshold s
+
+let scan_applies (model : Cost_model.t) ~threshold =
+  match model.kind with
+  | Cost_model.Paper_naive | Cost_model.Paper_sort_merge | Cost_model.Paper_dnl _ ->
+    Float.is_finite threshold
+  | Cost_model.Opaque -> false
 
 let variant (model : Cost_model.t) =
   match model.kind with

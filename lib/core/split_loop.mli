@@ -25,6 +25,11 @@
     reference, with exactly half its [loop_iters]; the closure-calling
     body matches it exactly, counters included.
 
+    In a seeded pass (a finite threshold, §6.4) the three paper-model
+    bodies can also scan a {!Live_index} of the subsets that finished
+    live instead of walking every left operand, with the walk's cost
+    bits and [best_lhs]; see {!find_best_split_with}.
+
     All kernels use unchecked array accesses internally: callers must
     pass subset indices in [(0, 2^n)] against a table created for [n]
     relations (the enumeration loops guarantee this by construction). *)
@@ -40,20 +45,43 @@ val find_best_split :
 
 val find_best_split_with :
   completion:bool ->
+  index:Live_index.t ->
   Dp_table.t ->
   Blitz_cost.Cost_model.t ->
   Counters.t ->
   threshold:float ->
   int ->
   unit
-(** {!find_best_split} with the completion bound of a whole pass:
-    [~completion:true] replaces [threshold] by
+(** {!find_best_split} with the completion bound and the live-operand
+    index of a whole pass.  [~completion:true] replaces [threshold] by
     {!completion_threshold}[ tbl ~threshold s] under kappa_sm, skipping
     the subset when that is [<= 0]; the other models ignore the flag.
     The drivers pass {!completion_applies} for a pass that plans binary
-    nodes only.  No float crosses a call per subset, so the kernel still
-    allocates nothing.  [find_best_split] is
-    [find_best_split_with ~completion:false]. *)
+    nodes only.
+
+    With an [index] that is on (the drivers turn it on where
+    {!scan_applies} holds and the pass plans binary nodes only), a
+    subset that passes the skip test under the zero, sum-aux or dnl
+    body and whose candidates in the index are fewer than its walk's
+    [2^(k-1) - 1] splits ([k] its rank; see {!Live_index}) scans the
+    index instead of walking: it prices only the live left operands, ranks
+    [1 .. k-1] in order and ascending within a rank, testing them with
+    [<=] and taking a split on a lexicographically smaller (cost, lhs).
+    With non-negative cost terms the walk keeps the smallest left
+    operand among the minimal splits, so the scan writes the walk's cost
+    bits and [best_lhs].  Its [loop_iters] is the number of splits it
+    prices, one per live left operand, and its operand-sum, kappa'' and
+    improvement counts are its own; both drivers scan the same candidates in the same order.
+    Every other subset runs the walk.  No float crosses a call per
+    subset, so the kernel still allocates nothing.  [find_best_split] is
+    [find_best_split_with ~completion:false ~index:Live_index.off]. *)
+
+val scan_applies : Blitz_cost.Cost_model.t -> threshold:float -> bool
+(** True for the three paper models at a finite threshold: the passes
+    whose dead subsets the live-operand index may skip.  Off at
+    [infinity], where every subset is live, and for [Opaque] models,
+    whose cost terms need not be non-negative.  A driver planning n-ary
+    nodes keeps it off, as it does the completion bound. *)
 
 val completion_applies : Blitz_cost.Cost_model.t -> threshold:float -> bool
 (** True for kappa_sm at a finite threshold: the passes whose plans,

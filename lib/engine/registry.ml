@@ -6,6 +6,7 @@ module Rng = Blitz_util.Rng
 module Arena = Blitz_core.Arena
 module Counters = Blitz_core.Counters
 module Dp_table = Blitz_core.Dp_table
+module Live_index = Blitz_core.Live_index
 module Blitzsplit = Blitz_core.Blitzsplit
 module Threshold = Blitz_core.Threshold
 module Pool = Blitz_parallel.Pool
@@ -116,6 +117,19 @@ let dp_caps =
     connected_only = false;
     cacheable = true;
     multiway = false;
+  }
+
+(* The blitzsplit entries' §6.4 passes also take the live-operand
+   index, 2 B per table slot. *)
+let seeded_caps =
+  {
+    dp_caps with
+    multiway = true;
+    table_bytes =
+      Some
+        (fun ~n ->
+          let table = Dp_table.estimate_bytes ~n () in
+          if table = max_int then max_int else table + Live_index.estimate_bytes ~n);
   }
 
 let tablefree_caps =
@@ -410,13 +424,13 @@ let () =
       {
         name = "exact";
         summary = "blitzsplit: exhaustive bushy DP with Cartesian products";
-        caps = { dp_caps with multiway = true };
+        caps = seeded_caps;
         optimize = run_exact;
       };
       {
         name = "thresholded";
         summary = "blitzsplit under a plan-cost threshold with re-optimization passes";
-        caps = { dp_caps with multiway = true };
+        caps = seeded_caps;
         optimize = run_thresholded;
       };
       {

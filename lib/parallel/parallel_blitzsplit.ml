@@ -8,6 +8,7 @@ module Split_loop = Blitz_core.Split_loop
 module Counters = Blitz_core.Counters
 module Threshold = Blitz_core.Threshold
 module Arena = Blitz_core.Arena
+module Live_index = Blitz_core.Live_index
 module Obs = Blitz_obs.Obs
 
 let m_ranks =
@@ -109,6 +110,18 @@ let parallel_run pool ~graph_opt ~arena ~ctr ~threshold ~interrupt model catalog
   (* This driver plans binary nodes only, so the completion bound holds
      whenever the model and threshold admit it. *)
   let completion = Split_loop.completion_applies model ~threshold in
+  (* The live-operand index: each worker records every subset of the
+     rank in its own slot, and the coordinator compacts the rank after
+     the barrier, before any higher rank reads it.  Rank 1 is complete
+     from the start. *)
+  let index =
+    if Split_loop.scan_applies model ~threshold then begin
+      let idx = match arena with Some a -> Arena.index a | None -> Live_index.create () in
+      Live_index.start idx ~n ~all_singletons:true;
+      idx
+    end
+    else Live_index.off
+  in
   let merge_counters () =
     Array.iter
       (function Some c -> Counters.merge_into ~from:c ~into:ctr | None -> ())
@@ -138,12 +151,14 @@ let parallel_run pool ~graph_opt ~arena ~ctr ~threshold ~interrupt model catalog
                  end;
                if !live then begin
                  compute !s;
-                 Split_loop.find_best_split_with ~completion tbl model dctr ~threshold !s;
+                 Split_loop.find_best_split_with ~completion ~index tbl model dctr ~threshold !s;
+                 Live_index.stage index tbl ~k ~m:(start + !i) !s;
                  s := gosper_next !s;
                  incr i
                end
              done
            end);
+       Live_index.close_rank index k;
        (* Rank barrier: workers are parked, the table holds every rank
           <= k.  The coordinator polls the deadline here too, so even a
           probe-free chunk schedule cannot overshoot by more than one

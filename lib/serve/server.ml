@@ -103,6 +103,7 @@ type t = {
   c_stats : Metrics.counter;
   c_sheds : Metrics.counter;
   c_overload : Metrics.counter;
+  c_refused : Metrics.counter;
   mutable loop_d : unit Domain.t option;
   mutable worker_ds : unit Domain.t list;
 }
@@ -130,15 +131,33 @@ let status_string = function
   | Degrade.Aborted f -> "aborted (" ^ Degrade.failure_message f ^ ")"
   | Degrade.Skipped r -> "skipped (" ^ Degrade.skip_message r ^ ")"
 
+(* An exact attempt that pruned at a §6.4 bound also names it: the
+   threshold, the heuristic whose plan set it, and the subsets the pass
+   skipped.  The field is additive (DESIGN §5i). *)
 let attempts_json (p : Degrade.provenance) =
   Json.List
     (List.map
        (fun (a : Degrade.attempt) ->
+         let bound =
+           match a.Degrade.bound with
+           | None -> []
+           | Some b ->
+             [
+               ( "bound",
+                 Json.Obj
+                   [
+                     ("value", Json.Float b.Degrade.upper.Blitz_engine.Registry.value);
+                     ("source", Json.String b.Degrade.upper.Blitz_engine.Registry.source);
+                     ("threshold_skips", Json.Int b.Degrade.threshold_skips);
+                   ] );
+             ]
+         in
          Json.Obj
-           [
-             ("tier", Json.String (Degrade.tier_name a.Degrade.tier));
-             ("status", Json.String (status_string a.Degrade.status));
-           ])
+           ([
+              ("tier", Json.String (Degrade.tier_name a.Degrade.tier));
+              ("status", Json.String (status_string a.Degrade.status));
+            ]
+           @ bound))
        p.Degrade.attempts)
 
 let rec tree_json model catalog graph names (p : Plan.t) =
@@ -536,6 +555,40 @@ let on_readable t buf c =
   | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
   | exception Unix.Unix_error (_, _, _) -> c.broken <- true
 
+(* [Unix.select] watches only descriptors below FD_SETSIZE (1024 with
+   glibc): given one at or above it, the whole call fails with EINVAL.
+   Asking about the descriptor alone, with a zero timeout, tells. *)
+let selectable fd =
+  match Unix.select [ fd ] [] [] 0.0 with
+  | _ -> true
+  | exception Unix.Unix_error (EINVAL, _, _) -> false
+  | exception Unix.Unix_error _ -> true
+
+(* A connection the event loop could not watch: answer it with a typed
+   [overloaded] error and close it.  Shutting the sending side first and
+   reading what the client already sent lets the error arrive instead of
+   a reset. *)
+let refuse_connection t fd =
+  Metrics.incr t.c_refused;
+  let line =
+    Protocol.error_response ~id:Json.Null ~code:"overloaded"
+      ~message:
+        (Err.format ~scope:"serve"
+           "too many open connections: the event loop cannot watch another descriptor")
+    ^ "\n"
+  in
+  (try
+     Unix.set_nonblock fd;
+     ignore (Unix.write_substring fd line 0 (String.length line));
+     Unix.shutdown fd Unix.SHUTDOWN_SEND;
+     let scratch = Bytes.create 512 in
+     let rec drain reads =
+       if reads > 0 && Unix.read fd scratch 0 (Bytes.length scratch) > 0 then drain (reads - 1)
+     in
+     drain 8
+   with Unix.Unix_error _ -> ());
+  try Unix.close fd with Unix.Unix_error _ -> ()
+
 let loop t () =
   let conns : (int, conn) Hashtbl.t = Hashtbl.create 32 in
   let by_fd : (Unix.file_descr, conn) Hashtbl.t = Hashtbl.create 32 in
@@ -556,6 +609,9 @@ let loop t () =
   let accept_new () =
     let rec go () =
       match Unix.accept t.listen_fd with
+      | fd, _ when not (selectable fd) ->
+        refuse_connection t fd;
+        go ()
       | fd, _ ->
         Unix.set_nonblock fd;
         (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
@@ -632,7 +688,14 @@ let loop t () =
       in
       let wrs = Hashtbl.fold (fun _ c acc -> if has_output c then c.fd :: acc else acc) conns [] in
       let rs, ws, _ =
-        try Unix.select rds wrs [] 0.2 with Unix.Unix_error (EINTR, _, _) -> ([], [], [])
+        try Unix.select rds wrs [] 0.2 with
+        | Unix.Unix_error (EINTR, _, _) -> ([], [], [])
+        | Unix.Unix_error (EINVAL, _, _) ->
+          (* Accepting refuses descriptors select cannot watch, so this
+             should not happen; if one got in anyway, drop its
+             connection rather than the loop. *)
+          Hashtbl.iter (fun _ c -> if not (selectable c.fd) then c.broken <- true) conns;
+          ([], [], [])
       in
       if List.mem t.wake_r rs then drain_wake ();
       transfer_out ();
@@ -719,6 +782,10 @@ let start (cfg : config) =
         c_overload =
           Metrics.counter ~help:"Requests refused on a full work queue"
             "blitz_serve_overload_total";
+        c_refused =
+          Metrics.counter
+            ~help:"Connections refused because the event loop could not watch their descriptor"
+            "blitz_serve_refused_connections_total";
         loop_d = None;
         worker_ds = [];
       }

@@ -21,6 +21,7 @@ module Plan = Blitz_plan.Plan
 module Arena = Blitz_core.Arena
 module Counters = Blitz_core.Counters
 module Dp_table = Blitz_core.Dp_table
+module Live_index = Blitz_core.Live_index
 module Blitzsplit = Blitz_core.Blitzsplit
 module Registry = Blitz_engine.Registry
 module Engine = Blitz_engine.Engine
@@ -158,16 +159,29 @@ let test_arena_growth_accounting () =
   (* A smaller acquire must not shrink the high-water mark... *)
   let _ = Arena.acquire arena 3 in
   Alcotest.(check int) "high-water kept on small acquire" after4 (Arena.resident_bytes arena);
-  (* ...and bytes_after quotes the would-be footprint before growing. *)
-  Alcotest.(check int) "bytes_after quotes growth"
-    (Dp_table.estimate_bytes ~n:10 ())
-    (Arena.bytes_after arena ~n:10 ());
-  Alcotest.(check int) "bytes_after quotes current capacity for small n" after4
+  (* ...and bytes_after quotes the would-be footprint before growing,
+     the live-operand index of a seeded pass included. *)
+  let seeded n = Dp_table.estimate_bytes ~n () + Live_index.estimate_bytes ~n in
+  Alcotest.(check int) "bytes_after quotes growth" (seeded 10) (Arena.bytes_after arena ~n:10 ());
+  Alcotest.(check int) "bytes_after quotes current capacity for small n"
+    (Dp_table.estimate_bytes ~n:4 () + Live_index.estimate_bytes ~n:2)
     (Arena.bytes_after arena ~n:2 ());
   let _ = Arena.acquire arena 10 in
   Alcotest.(check int) "grown" (Dp_table.estimate_bytes ~n:10 ()) (Arena.resident_bytes arena);
   Alcotest.(check int) "three acquires" 3 (Arena.acquires arena);
   Alcotest.(check int) "two sizings (initial + growth)" 2 (Arena.grows arena);
+  (* A seeded pass takes the index beside the table; a later one reuses
+     both. *)
+  let catalog = Catalog.uniform ~n:10 ~card:100.0 in
+  let seeded_pass () =
+    ignore (Blitzsplit.optimize_product ~arena ~threshold:1e30 Cost_model.naive catalog)
+  in
+  seeded_pass ();
+  Alcotest.(check int) "resident after a seeded pass" (seeded 10) (Arena.resident_bytes arena);
+  seeded_pass ();
+  Alcotest.(check int) "reused" (seeded 10) (Arena.resident_bytes arena);
+  Alcotest.(check int) "bytes_after matches the resident footprint" (seeded 10)
+    (Arena.bytes_after arena ~n:10 ());
   Arena.clear arena;
   Alcotest.(check int) "cleared" 0 (Arena.resident_bytes arena)
 
@@ -370,7 +384,10 @@ let test_registry_metadata () =
     (Some B.Bruteforce.max_relations)
     (caps "bruteforce").Registry.max_n;
   (match (caps "exact").Registry.table_bytes with
-  | Some f -> Alcotest.(check int) "exact table estimate" (Dp_table.estimate_bytes ~n:12 ()) (f ~n:12)
+  | Some f ->
+    Alcotest.(check int) "exact table estimate, the live-operand index included"
+      (Dp_table.estimate_bytes ~n:12 () + Live_index.estimate_bytes ~n:12)
+      (f ~n:12)
   | None -> Alcotest.fail "exact must advertise a table footprint");
   Alcotest.(check bool) "eligible rejects oversized n" true
     (Result.is_error

@@ -152,7 +152,13 @@ let test_memory_cap_skips_to_hybrid () =
     List.iter
       (fun a ->
         match (a.Degrade.tier, a.Degrade.status) with
-        | (Degrade.Exact | Degrade.Dpccp), Degrade.Skipped (Degrade.Memory { needed_bytes; _ }) ->
+        | Degrade.Exact, Degrade.Skipped (Degrade.Memory { needed_bytes; _ }) ->
+          (* The exact tier's seeded pass also takes the live-operand
+             index. *)
+          Alcotest.(check int) "needed bytes recorded"
+            (Budget.table_bytes ~n:12 () + Blitz_core.Live_index.estimate_bytes ~n:12)
+            needed_bytes
+        | Degrade.Dpccp, Degrade.Skipped (Degrade.Memory { needed_bytes; _ }) ->
           Alcotest.(check int) "needed bytes recorded" (Budget.table_bytes ~n:12 ()) needed_bytes
         | (Degrade.Exact | Degrade.Dpccp), _ -> Alcotest.fail "DP tier was not memory-skipped"
         | _ -> ())

@@ -321,6 +321,49 @@ let test_malformed_line_keeps_connection () =
           expect_bool "healthy afterwards" [ "ok" ] r2 true;
           Alcotest.(check string) "status ok" "ok" (expect_string [ "result"; "status" ] r2)))
 
+(* [Unix.select] cannot watch a descriptor at or above FD_SETSIZE
+   (1024): a connection accepted there is answered with a typed
+   [overloaded] error and closed, and the loop keeps serving.  Holding
+   1100 descriptors puts the next accepted one past 1024, since each
+   open takes the lowest free number.  Skipped where the process may
+   not open that many. *)
+let test_unwatchable_connection_refused () =
+  with_server (Server.config ~port:0 ()) (fun port ->
+      let early = connect port in
+      Fun.protect ~finally:(fun () -> close_client early) (fun () ->
+          let held = ref [] in
+          let release () = List.iter (fun fd -> try Unix.close fd with Unix.Unix_error _ -> ()) !held in
+          Fun.protect ~finally:release (fun () ->
+              (match
+                 for _ = 1 to 1100 do
+                   held := Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 :: !held
+                 done
+               with
+              | () -> ()
+              | exception Unix.Unix_error ((EMFILE | ENFILE), _, _) ->
+                release ();
+                held := [];
+                Alcotest.skip ());
+              let ((ic, _) as late) = connect port in
+              Fun.protect ~finally:(fun () -> close_client late) (fun () ->
+                  match input_line ic with
+                  | exception End_of_file -> Alcotest.fail "refused without an answer"
+                  | line ->
+                    let v = Blitz_util.Err.get (Json.of_string line) in
+                    expect_bool "refused" [ "ok" ] v false;
+                    Alcotest.(check string) "typed code" "overloaded"
+                      (expect_string [ "error"; "code" ] v);
+                    Alcotest.(check bool) "then closed" true
+                      (match input_line ic with _ -> false | exception End_of_file -> true)));
+          (* The loop survived: the connection opened before still gets
+             answers, and so does a new one once descriptors are free. *)
+          let r = rpc early {|{"blitz":1,"id":1,"method":"health"}|} in
+          expect_bool "early connection still served" [ "ok" ] r true;
+          let fresh = connect port in
+          Fun.protect ~finally:(fun () -> close_client fresh) (fun () ->
+              let r = rpc fresh (inline_query ~id:2 ~tenant:"default") in
+              expect_bool "new connection served" [ "ok" ] r true)))
+
 (* The event loop reads every connection through one buffer; each read
    must land in its own connection's line buffer.  Two clients send half
    a request each, then the rest, interleaved, with pauses so the
@@ -394,4 +437,6 @@ let suite =
     Alcotest.test_case "server: malformed line keeps the connection" `Quick
       test_malformed_line_keeps_connection;
     Alcotest.test_case "server: interleaved partial lines" `Quick test_interleaved_partial_lines;
+    Alcotest.test_case "server: a connection select cannot watch gets a typed refusal" `Quick
+      test_unwatchable_connection_refused;
   ]
