@@ -7,15 +7,14 @@
 
 module Registry = Blitz_engine.Registry
 
-let run ?(optimizer = "exact") ?arena ?pool ?num_domains ?counters ?threshold ?seed ?multiway
-    model catalog graph =
+let run ?(optimizer = "exact") ?arena ?pool ?counters ?threshold ?seed ?multiway model catalog
+    graph =
   Registry.optimize ~optimizer
-    (Registry.ctx ?arena ?pool ?num_domains ?counters ?threshold ?seed ?multiway model)
+    (Registry.ctx ?arena ?pool ?counters ?threshold ?seed ?multiway model)
     { Registry.catalog; graph }
 
-let cost ?optimizer ?arena ?pool ?num_domains ?counters ?threshold ?seed model catalog graph =
-  (run ?optimizer ?arena ?pool ?num_domains ?counters ?threshold ?seed model catalog graph)
-    .Registry.cost
+let cost ?optimizer ?arena ?pool ?counters ?threshold ?seed model catalog graph =
+  (run ?optimizer ?arena ?pool ?counters ?threshold ?seed model catalog graph).Registry.cost
 
 let plan_exn ?optimizer ?seed model catalog graph =
   Option.get (run ?optimizer ?seed model catalog graph).Registry.plan

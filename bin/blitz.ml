@@ -239,6 +239,24 @@ let print_cache_line cache =
     Printf.printf "cache:      %d hit(s) (%d rebased), %d miss(es), %d insertion(s)\n"
       s.Plan_cache.hits s.Plan_cache.rebases s.Plan_cache.misses s.Plan_cache.insertions
 
+(* Whether [entry]'s DP ran rank-parallel in [session]: the entry runs
+   on a pool, the session hands one out at this size, and no n-ary
+   planning kept the pass sequential. *)
+let ran_on_pool session (entry : Registry.entry) ~multiway ~n =
+  entry.Registry.caps.Registry.parallelizable && (not multiway)
+  && Option.is_some (Engine.pool session ~n)
+
+(* The session width --num-domains asks for: 0 is the runtime's
+   recommended count. *)
+let session_width = function
+  | 0 -> Parallel_blitzsplit.recommended_domains ()
+  | d when d < 0 || d > 128 ->
+    Printf.eprintf "blitz: --num-domains %d outside [0, 128]\n" d;
+    exit 1
+  | d -> d
+
+let print_domains d = Printf.printf "domains:    %d (rank-parallel DP)\n" d
+
 (* ---- optimize ---- *)
 
 (* [blitz optimize]'s status when the search finds no plan of finite
@@ -363,14 +381,7 @@ let optimize_cmd =
       multiway optimizer_name =
     obs_arm ~metrics ~trace;
     let names = Catalog.names problem.catalog in
-    let num_domains =
-      if num_domains = 0 then Parallel_blitzsplit.recommended_domains ()
-      else if num_domains < 0 || num_domains > 128 then begin
-        Printf.eprintf "blitz: --num-domains %d outside [0, 128]\n" num_domains;
-        exit 1
-      end
-      else num_domains
-    in
+    let num_domains = session_width num_domains in
     if repeat < 1 then begin
       Printf.eprintf "blitz: --repeat %d must be at least 1\n" repeat;
       exit 1
@@ -382,8 +393,9 @@ let optimize_cmd =
       let input = Chaos.input_of problem.catalog problem.graph in
       let corrupted, faults = Chaos.scramble_catalog ~seed:corrupt_seed input in
       match
-        Guard.optimize_input ~seed ~num_domains model ~relations:corrupted.Chaos.relations
-          ~edges:corrupted.Chaos.edges ()
+        Engine.with_session ~model ~num_domains (fun session ->
+            Guard.optimize_input ~session ~seed model ~relations:corrupted.Chaos.relations
+              ~edges:corrupted.Chaos.edges ())
       with
       | Error e ->
         Printf.eprintf "blitz: %s\n" (Guard.error_message e);
@@ -418,26 +430,19 @@ let optimize_cmd =
           Printf.eprintf "blitz: %s\n" msg;
           exit 1
       in
-      (* A cache-carrying session lets the guarded driver answer repeats
-         from the cache; without --cache the driver runs exactly as
-         before (no session). *)
+      (* The guarded driver runs on a session, as the plain path does:
+         its width decides whether the exact tier runs rank-parallel,
+         and with --cache repeats are answered from the cache. *)
       let guarded () =
-        match cache with
-        | None ->
-          Guard.optimize ~budget ~seed ~num_domains ~multiway model problem.catalog
-            problem.graph
-        | Some c ->
-          Engine.with_session ~model ~num_domains ~cache:c (fun session ->
-              let rec go k last =
-                if k = 0 then last
-                else
-                  go (k - 1)
-                    (Guard.optimize ~budget ~session ~seed ~num_domains ~multiway model
-                       problem.catalog problem.graph)
-              in
-              go (repeat - 1)
-                (Guard.optimize ~budget ~session ~seed ~num_domains ~multiway model
-                   problem.catalog problem.graph))
+        Engine.with_session ~model ~num_domains ?cache (fun session ->
+            let run () =
+              Guard.optimize ~budget ~session ~seed ~multiway model problem.catalog problem.graph
+            in
+            let last = ref (run ()) in
+            for _ = 2 to repeat do
+              last := run ()
+            done;
+            !last)
       in
       match guarded () with
       | Error e ->
@@ -532,7 +537,7 @@ let optimize_cmd =
       | Some name -> name
       | None -> if threshold = None then "exact" else "thresholded"
     in
-    let t0 = Unix.gettimeofday () in
+    let t0 = Blitz_util.Clock.now_s () in
     (* With --repeat the same query streams through the session K times:
        cold the first time, answered from the cache (when enabled) after. *)
     let run_once () =
@@ -552,7 +557,7 @@ let optimize_cmd =
       outcome := run_once ()
     done;
     let outcome = !outcome in
-    let elapsed = Unix.gettimeofday () -. t0 in
+    let elapsed = Blitz_util.Clock.now_s () -. t0 in
     let plan =
       match outcome.Registry.plan with
       | Some p -> p
@@ -567,7 +572,8 @@ let optimize_cmd =
     in
     Printf.printf "query:      %s\n" problem.label;
     Printf.printf "model:      %s\n" model.Cost_model.name;
-    if num_domains > 1 then Printf.printf "domains:    %d (rank-parallel DP)\n" num_domains;
+    if ran_on_pool session (Registry.find_exn optimizer) ~multiway ~n:(Catalog.n problem.catalog)
+    then print_domains (Engine.num_domains session);
     Printf.printf "plan:       %s\n" (Plan.to_compact_string ~names plan);
     Printf.printf "cost:       %g\n" outcome.Registry.cost;
     Printf.printf "cardinality:%g\n" (Plan.cardinality problem.catalog problem.graph plan);
@@ -736,7 +742,9 @@ let explain_cmd =
     Arg.(
       value
       & opt int 1
-      & info [ "num-domains" ] ~docv:"N" ~doc:"Run DP-backed optimizers rank-parallel on N domains.")
+      & info [ "num-domains" ] ~docv:"N"
+          ~doc:"Run DP-backed optimizers rank-parallel on N domains (0 means the \
+                runtime-recommended count).")
   in
   let threshold_arg =
     Arg.(
@@ -762,6 +770,7 @@ let explain_cmd =
       Printf.eprintf "blitz: --repeat %d must be at least 1\n" repeat;
       exit 1
     end;
+    let num_domains = session_width num_domains in
     let names = Catalog.names problem.catalog in
     let entry =
       match Registry.find optimizer with
@@ -781,8 +790,8 @@ let explain_cmd =
     | Error reason ->
       Printf.eprintf "blitz: %s is not eligible here: %s\n" optimizer reason;
       exit 1);
-    let t0 = Unix.gettimeofday () in
-    let outcome =
+    let t0 = Blitz_util.Clock.now_s () in
+    let outcome, domains =
       Engine.with_session ~model ~num_domains ?cache (fun session ->
           let prob = Registry.problem ~graph:problem.graph problem.catalog in
           let o = ref (Engine.optimize ~optimizer ?threshold ~multiway session prob) in
@@ -793,9 +802,11 @@ let explain_cmd =
             o := Engine.optimize ~optimizer ?threshold ~multiway session prob
           done;
           let o = !o in
-          { o with Registry.table = None; counters = Option.map Counters.copy o.Registry.counters })
+          ( { o with Registry.table = None; counters = Option.map Counters.copy o.Registry.counters },
+            if ran_on_pool session entry ~multiway ~n then Some (Engine.num_domains session)
+            else None ))
     in
-    let elapsed = Unix.gettimeofday () -. t0 in
+    let elapsed = Blitz_util.Clock.now_s () -. t0 in
     let plan =
       match outcome.Registry.plan with
       | Some p -> p
@@ -807,7 +818,7 @@ let explain_cmd =
     Printf.printf "model:      %s\n" model.Cost_model.name;
     Printf.printf "optimizer:  %s%s\n" optimizer
       (if entry.Registry.caps.Registry.exact then " (exact)" else " (heuristic)");
-    if num_domains > 1 then Printf.printf "domains:    %d (rank-parallel DP)\n" num_domains;
+    Option.iter print_domains domains;
     Printf.printf "plan:       %s\n" (Plan.to_compact_string ~names plan);
     Printf.printf "cost:       %g\n" outcome.Registry.cost;
     if outcome.Registry.passes > 1 || Float.is_finite outcome.Registry.final_threshold then

@@ -52,10 +52,13 @@ let resident_bytes t =
       ~with_pi_fan:(Dp_table.has_pi_fan tbl)
       ~n:(Dp_table.capacity tbl) ()
 
-(* A seeded pass takes the index beside the table, so the quote charges
-   both at the would-be capacity. *)
-let bytes_after t ?(with_pi_fan = true) ~n () =
-  let index = max (index_bytes t) (Live_index.estimate_bytes ~n) in
+(* A seeded pass takes the index beside the table, so its quote charges
+   both at the would-be capacity; any other call leaves the index as it
+   is. *)
+let bytes_after t ?(with_pi_fan = true) ?(with_index = true) ~n () =
+  let index =
+    if with_index then max (index_bytes t) (Live_index.estimate_bytes ~n) else index_bytes t
+  in
   let table =
     match t.table with
     | None -> Dp_table.estimate_bytes ~with_pi_fan ~n ()

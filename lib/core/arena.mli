@@ -44,13 +44,15 @@ val resident_bytes : t -> int
     footprint a memory ceiling should charge for, not the per-call
     size. *)
 
-val bytes_after : t -> ?with_pi_fan:bool -> n:int -> unit -> int
+val bytes_after : t -> ?with_pi_fan:bool -> ?with_index:bool -> n:int -> unit -> int
 (** Resident footprint the arena would have after serving a query of [n]
     relations: the current buffers if they already suffice, the grown
-    ones otherwise.  The index is charged whether or not the arena holds
-    one yet, since the exact tier's seeded pass takes it
-    ({!Live_index.estimate_bytes}, 2 B per table slot).  What [Budget]
-    checks against its ceiling when a session is in play.  Saturates at
+    ones otherwise.  With [with_index] (the default) the call takes the
+    live-operand index too, as the exact tier's seeded pass does, so the
+    index is charged at [n] ({!Live_index.estimate_bytes}, 2 B per table
+    slot) whether or not the arena holds one yet; [~with_index:false]
+    charges only the index already resident.  What [Budget] checks
+    against its ceiling when a session is in play.  Saturates at
     [max_int]. *)
 
 val clear : t -> unit

@@ -23,6 +23,23 @@ exception Interrupted
    stays invisible next to the [O(3^n)] loop. *)
 let probe_mask = 63
 
+(* One timed region feeds both rate instruments: ns per subset (the
+   historical unit) and ns per split iteration (the O(3^n) unit that
+   `bench split` gates).  An escaping exception skips the observation. *)
+let timed_pass (ctr : Counters.t) pass =
+  if not (Blitz_obs.Metrics.enabled ()) then pass ()
+  else begin
+    let subs0 = ctr.subsets and iters0 = ctr.loop_iters in
+    let t0 = Blitz_obs.Perf.now_s () in
+    let result = pass () in
+    let elapsed_s = Blitz_obs.Perf.now_s () -. t0 in
+    Blitz_obs.Perf.observe_rate Blitz_obs.Perf.split_loop_ns_per_subset ~elapsed_s
+      ~events:(ctr.subsets - subs0);
+    Blitz_obs.Perf.observe_rate Blitz_obs.Perf.split_loop_ns_per_iter ~elapsed_s
+      ~events:(ctr.loop_iters - iters0);
+    result
+  end
+
 let run ~graph_opt ?arena ?counters ?(threshold = Float.infinity) ?interrupt
     ?(multiway = false) model catalog =
   if threshold <= 0.0 then invalid_arg "Blitzsplit: threshold must be positive";
@@ -102,20 +119,7 @@ let run ~graph_opt ?arena ?counters ?(threshold = Float.infinity) ?interrupt
         else Live_index.seal index s
       done
   in
-  (* One timed region feeds both rate instruments: ns per subset (the
-     historical unit) and ns per split iteration (the O(3^n) unit that
-     `bench split` gates). *)
-  if not (Blitz_obs.Metrics.enabled ()) then dp_pass ()
-  else begin
-    let subs0 = ctr.Counters.subsets and iters0 = ctr.Counters.loop_iters in
-    let t0 = Blitz_obs.Perf.now_s () in
-    dp_pass ();
-    let elapsed_s = Blitz_obs.Perf.now_s () -. t0 in
-    Blitz_obs.Perf.observe_rate Blitz_obs.Perf.split_loop_ns_per_subset ~elapsed_s
-      ~events:(ctr.Counters.subsets - subs0);
-    Blitz_obs.Perf.observe_rate Blitz_obs.Perf.split_loop_ns_per_iter ~elapsed_s
-      ~events:(ctr.Counters.loop_iters - iters0)
-  end;
+  timed_pass ctr dp_pass;
   { table = tbl; counters = ctr; catalog; graph; model; threshold; multiway = mw }
 
 let optimize_join ?arena ?counters ?threshold ?interrupt ?multiway model catalog graph =

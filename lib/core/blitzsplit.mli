@@ -85,6 +85,14 @@ val optimize_product :
 (** Section 3: pure Cartesian-product optimization — the specialized
     variant without the fan computation. *)
 
+val timed_pass : Counters.t -> (unit -> 'a) -> 'a
+(** [timed_pass ctr pass] runs one DP pass that counts into [ctr] and,
+    when metrics are enabled, feeds the wall time over the growth of
+    [ctr]'s subsets and split iterations to
+    [blitz_split_loop_ns_per_subset] and [blitz_split_loop_ns_per_iter].
+    Both drivers, sequential and rank-parallel, time their passes
+    through it.  Disabled, it is [pass ()]. *)
+
 (** {1 Inspecting results} *)
 
 val feasible : t -> bool

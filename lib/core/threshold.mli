@@ -77,10 +77,11 @@ val drive :
   (counters:Counters.t -> threshold:float -> Blitzsplit.t) ->
   outcome
 (** The raw multi-pass driver behind {!optimize_join}/{!optimize_product},
-    exposed so alternative pass implementations — notably the
-    rank-parallel [Parallel_blitzsplit] in [blitz_parallel] — reuse the
-    exact threshold-escalation and rescue-pass policy.  The callback runs
-    one optimization pass at the given threshold, accumulating into the
+    exposed so other pass implementations reuse the exact
+    threshold-escalation and rescue-pass policy: the registry's
+    blitzsplit entries drive their one pass function through it, which
+    runs rank-parallel on a session's pool.  The callback runs one
+    optimization pass at the given threshold, accumulating into the
     supplied counters. *)
 
 (** {1 Variant optimizers}

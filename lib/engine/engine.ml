@@ -103,10 +103,9 @@ let with_session ?model ?num_domains ?seed ?cache f =
   let t = create ?model ?num_domains ?seed ?cache () in
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 
-(* The ctx carries the pool and no width: the rank-parallel optimizer
-   runs on a pool whatever the width says, and without one a width
-   above 1 would have its thresholded form spawn a fresh pool per
-   call. *)
+(* The ctx carries [pool t ~n], and so the one decision whether the
+   query's DP passes run rank-parallel: the session's width and the
+   crossover are read here and nowhere else. *)
 let ctx ?interrupt ?threshold ?growth ?max_passes ?counters ?multiway ~n t =
   Registry.ctx ~arena:t.arena ?pool:(pool t ~n) ~seed:t.seed ?interrupt ?threshold ?growth
     ?max_passes ?counters ?multiway t.model

@@ -52,7 +52,9 @@ val create :
     {!Blitz_parallel.Parallel_blitzsplit.recommended_domains} (the
     runtime's recommended count; 1 on a single-core host), [seed] to 1.
     Pass [~num_domains:1] for a sequential session: the server does,
-    one domain per worker being its parallelism.  Nothing is allocated
+    one domain per worker being its parallelism.  The width is set here
+    and only here: no optimizer, cascade or guard call takes one, and a
+    DP pass runs rank-parallel only on a session's pool.  Nothing is allocated
     up front: the first query sizes the arena, and the domain pool
     spawns on the first query that takes the rank-parallel path (see
     {!pool}).  [cache] plugs a (possibly shared) plan cache into the
@@ -120,11 +122,13 @@ val num_domains : t -> int
 val arena : t -> Arena.t
 
 val pool : t -> n:int -> Pool.t option
-(** The pool an [n]-relation query runs on.  [None] for single-domain
-    and closed sessions and below
-    {!Blitz_parallel.Parallel_blitzsplit.default_crossover_n}, where the
-    rank-parallel optimizer runs the sequential kernel anyway; otherwise
-    the session's pool, spawned by the first such call.  Also [None] when
+(** The pool an [n]-relation query runs on: the one place that decides
+    whether a DP pass runs rank-parallel, since the drivers run on a
+    pool exactly when handed one.  [None] for single-domain and closed
+    sessions and below
+    {!Blitz_parallel.Parallel_blitzsplit.default_crossover_n}, where rank
+    barriers cost more than they buy; otherwise the session's pool,
+    spawned by the first such call.  Also [None] when
     the runtime refuses the domains (it caps a process at 128): the
     query then runs sequentially with the same answer, and the next call
     tries again.  Never raises. *)
@@ -185,5 +189,5 @@ val ctx :
   Registry.ctx
 (** The registry ctx {!optimize} uses for an [n]-relation query,
     exposed so callers can dispatch registry entries through the
-    session themselves.  It carries [pool t ~n]: the DP entries run on
-    that pool when there is one and sequentially otherwise. *)
+    session themselves.  It carries [pool t ~n]: the blitzsplit entries
+    run on that pool when there is one and sequentially otherwise. *)

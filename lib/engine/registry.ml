@@ -25,7 +25,6 @@ type ctx = {
   model : Cost_model.t;
   arena : Arena.t option;
   pool : Pool.t option;
-  num_domains : int;
   interrupt : (unit -> bool) option;
   threshold : float option;
   growth : float option;
@@ -35,14 +34,12 @@ type ctx = {
   multiway : bool;
 }
 
-let ctx ?arena ?pool ?(num_domains = 1) ?interrupt ?threshold ?growth ?max_passes ?(seed = 1)
-    ?counters ?(multiway = false) model =
-  if num_domains < 1 then invalid_arg "Registry.ctx: num_domains must be positive";
+let ctx ?arena ?pool ?interrupt ?threshold ?growth ?max_passes ?(seed = 1) ?counters
+    ?(multiway = false) model =
   {
     model;
     arena;
     pool;
-    num_domains;
     interrupt;
     threshold;
     growth;
@@ -175,10 +172,26 @@ let upper_bound model p =
   in
   Option.map (fun (cost, source) -> { value = cost *. (1.0 +. 1e-9); source }) best
 
-(* ---- the thresholded tier (Section 6.4 driver) ---- *)
+(* ---- the blitzsplit entries: one pass, sequential or rank-parallel ---- *)
 
-(* With no explicit threshold the first pass is seeded from the upper
-   bound, the exact tier's §6.4 seed, or from 1e6 when there is none. *)
+(* One blitzsplit pass under [ctx]: rank-parallel on the ctx's pool when
+   it has one, sequential otherwise.  The results are bit-identical
+   either way.  The rank-parallel driver has no multiway path, so an
+   n-ary planning request always runs the sequential optimizer, pool or
+   not. *)
+let pass (ctx : ctx) p ~counters ~threshold =
+  match p.graph with
+  | Some g when ctx.multiway ->
+    Blitzsplit.optimize_join ?arena:ctx.arena ~counters ~threshold ?interrupt:ctx.interrupt
+      ~multiway:true ctx.model p.catalog g
+  | graph_opt ->
+    Parallel_blitzsplit.run ?pool:ctx.pool ~graph_opt ?arena:ctx.arena ~counters ~threshold
+      ?interrupt:ctx.interrupt ctx.model p.catalog
+
+(* The Section 6.4 driver over [pass].  With no explicit threshold the
+   first pass is seeded from the upper bound, the exact tier's §6.4
+   seed, or from 1e6 when there is none.  The passes share one table: a
+   private arena when the ctx has none, so a retry never reallocates. *)
 let run_thresholded ctx p =
   let ctr = counters_of ctx in
   let threshold =
@@ -187,38 +200,17 @@ let run_thresholded ctx p =
     | None -> (
       match upper_bound ctx.model p with Some b -> b.value | None -> 1e6)
   in
-  let outcome =
-    (* Same fallback as [run_exact]: multiway planning is sequential. *)
-    if (ctx.pool <> None || ctx.num_domains > 1) && not (ctx.multiway && p.graph <> None) then
-      match p.graph with
-      | Some g ->
-        Parallel_blitzsplit.threshold_optimize_join ?pool:ctx.pool ?arena:ctx.arena
-          ~counters:ctr ?growth:ctx.growth ?max_passes:ctx.max_passes ?interrupt:ctx.interrupt
-          ~num_domains:ctx.num_domains ~threshold ctx.model p.catalog g
-      | None ->
-        Parallel_blitzsplit.threshold_optimize_product ?pool:ctx.pool ?arena:ctx.arena
-          ~counters:ctr ?growth:ctx.growth ?max_passes:ctx.max_passes ?interrupt:ctx.interrupt
-          ~num_domains:ctx.num_domains ~threshold ctx.model p.catalog
-    else
-      match p.graph with
-      | Some g ->
-        Threshold.optimize_join ?arena:ctx.arena ~counters:ctr ?growth:ctx.growth
-          ?max_passes:ctx.max_passes ?interrupt:ctx.interrupt ~multiway:ctx.multiway ~threshold
-          ctx.model p.catalog g
-      | None ->
-        Threshold.optimize_product ?arena:ctx.arena ~counters:ctr ?growth:ctx.growth
-          ?max_passes:ctx.max_passes ?interrupt:ctx.interrupt ~threshold ctx.model p.catalog
+  let ctx =
+    if Option.is_none ctx.arena then { ctx with arena = Some (Arena.create ()) } else ctx
   in
-  of_blitzsplit ~passes:outcome.Threshold.passes
-    ~final_threshold:outcome.Threshold.final_threshold ctr outcome.Threshold.result
-
-(* ---- the exact tier: blitzsplit, sequential or rank-parallel ---- *)
+  let o =
+    Threshold.drive ~counters:ctr ?growth:ctx.growth ?max_passes:ctx.max_passes ~threshold
+      (pass ctx p)
+  in
+  of_blitzsplit ~passes:o.Threshold.passes ~final_threshold:o.Threshold.final_threshold ctr
+    o.Threshold.result
 
 (* Without a threshold this is the paper's unthresholded DP.
-   [Parallel_blitzsplit.run] already folds down to the sequential
-   optimizer when it has neither a pool nor more than one domain, so
-   one call covers every (pool, num_domains) combination; the result is
-   bit-identical across all of them.
 
    A ctx threshold is taken as an upper bound on the optimum (the
    degradation cascade passes [upper_bound]): one §6.4 pass at it, and
@@ -237,19 +229,7 @@ let run_exact ctx p =
   | Some _ -> run_thresholded { ctx with max_passes = Some 1 } p
   | None ->
     let ctr = counters_of ctx in
-    let r =
-      match p.graph with
-      | Some g when ctx.multiway ->
-        (* The rank-parallel driver has no multiway path: an n-ary
-           planning request always runs the sequential optimizer, pool
-           or not. *)
-        Blitzsplit.optimize_join ?arena:ctx.arena ~counters:ctr ?interrupt:ctx.interrupt
-          ~multiway:true ctx.model p.catalog g
-      | _ ->
-        Parallel_blitzsplit.run ?pool:ctx.pool ~num_domains:ctx.num_domains ~graph_opt:p.graph
-          ?arena:ctx.arena ~counters:ctr ?interrupt:ctx.interrupt ctx.model p.catalog
-    in
-    of_blitzsplit ctr r
+    of_blitzsplit ctr (pass ctx p ~counters:ctr ~threshold:Float.infinity)
 
 (* ---- hybrid (Section 7): DP windows inside randomized search ---- *)
 

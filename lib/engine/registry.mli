@@ -1,9 +1,10 @@
 (** One optimizer interface over every join-order algorithm in the
     repository.
 
-    Each algorithm — the exact blitzsplit DP (sequential or
-    rank-parallel), the Section 6.4 thresholded driver, the Section 7
-    hybrid, and the [lib/baselines] family — registers under one
+    Each algorithm — the exact blitzsplit DP and the Section 6.4
+    thresholded driver (both over one pass, rank-parallel on a ctx's
+    pool and sequential without one), the Section 7 hybrid, and the
+    [lib/baselines] family — registers under one
     [optimize : ctx -> problem -> outcome] signature together with
     capability metadata.  Callers (the degradation cascade, the CLI,
     the bench harness, {!Engine}) dispatch by name and read eligibility
@@ -40,8 +41,9 @@ val problem : ?graph:Join_graph.t -> Catalog.t -> problem
 type ctx = {
   model : Cost_model.t;
   arena : Arena.t option;  (** Session workspace for DP-table reuse. *)
-  pool : Pool.t option;  (** Already-spawned domain pool to run on. *)
-  num_domains : int;  (** Rank-parallel width; 1 = sequential. *)
+  pool : Pool.t option;
+      (** Already-spawned domain pool: the blitzsplit entries run
+          rank-parallel on it, and sequentially without one. *)
   interrupt : (unit -> bool) option;  (** Deadline/cancellation probe. *)
   threshold : float option;
       (** Initial plan-cost threshold for ["thresholded"]; [None] seeds
@@ -58,8 +60,8 @@ type ctx = {
       (** Request hybrid binary+n-ary planning: optimizers whose caps
           advertise [multiway] additionally consider AGM-costed
           [Plan.Multiway] candidates on cyclic cores; the rest ignore
-          the flag.  Multiway planning is sequential — entries fall back
-          from the pool to the sequential path when both are asked. *)
+          the flag.  Multiway planning is sequential — entries run the
+          sequential optimizer, pool or not, when both are asked. *)
 }
 (** Everything an optimizer may draw on, problem-independent: one [ctx]
     can serve many problems (that is what {!Engine} does). *)
@@ -67,7 +69,6 @@ type ctx = {
 val ctx :
   ?arena:Arena.t ->
   ?pool:Pool.t ->
-  ?num_domains:int ->
   ?interrupt:(unit -> bool) ->
   ?threshold:float ->
   ?growth:float ->
@@ -77,8 +78,7 @@ val ctx :
   ?multiway:bool ->
   Cost_model.t ->
   ctx
-(** Smart constructor; [num_domains] defaults to 1, [seed] to 1.
-    Raises [Invalid_argument] on a non-positive [num_domains]. *)
+(** Smart constructor; [seed] defaults to 1. *)
 
 type outcome = {
   plan : Plan.t option;  (** [None] when the method found no plan. *)
@@ -99,7 +99,7 @@ type caps = {
   table_bytes : (n:int -> int) option;
       (** Estimated table footprint before allocation, for memory
           ceilings; [None] for table-free methods. *)
-  parallelizable : bool;  (** Honors [ctx.pool]/[ctx.num_domains]. *)
+  parallelizable : bool;  (** Runs rank-parallel on [ctx.pool]. *)
   exact : bool;  (** Guaranteed optimal when it returns a plan. *)
   deadline_exempt : bool;
       (** Cheap enough to run even on an expired budget (greedy — the

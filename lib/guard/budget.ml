@@ -11,7 +11,7 @@ let m_expirations =
 type t = {
   deadline_ms : float option;
   max_table_bytes : int option;
-  mutable armed_at : float;  (* Unix.gettimeofday at the last [start]. *)
+  mutable armed_at : float;  (* [now_ms] at the last [start]. *)
   tripped : bool Atomic.t;
       (* Latched true the first time any probe observes the deadline
          passed.  Domain-safe: rank-parallel optimization polls the
@@ -21,7 +21,7 @@ type t = {
          set exactly once per arming — [start] is the only reset. *)
 }
 
-let now_ms () = Unix.gettimeofday () *. 1000.0
+let now_ms () = Blitz_util.Clock.now_s () *. 1000.0
 
 let create ?deadline_ms ?max_table_bytes () =
   (match deadline_ms with

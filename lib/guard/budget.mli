@@ -52,7 +52,7 @@ val interrupt : t -> unit -> bool
     rank-parallel [Parallel_blitzsplit], which polls it from every
     worker domain (see {!expired} for why that is safe): a closure
     returning [true] once the deadline has passed.  One
-    [Unix.gettimeofday] call per poll; the optimizers already rate-limit
+    [Blitz_util.Clock] read per poll; the optimizers already rate-limit
     polling (every 64 subsets), so no further caching is needed. *)
 
 val table_bytes : ?with_pi_fan:bool -> n:int -> unit -> int

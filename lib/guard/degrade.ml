@@ -110,7 +110,8 @@ let pp_provenance ppf p =
    guarantee: its entry is deadline-exempt — [O(n^3)], no table — so
    the cascade always ends with a plan.  With a session [arena] the
    memory check charges the arena's would-be resident high-water mark
-   ([Arena.bytes_after]) instead of the per-call table size. *)
+   ([Arena.bytes_after]) for the tiers that draw their table from it,
+   and the entry's own estimate for the rest. *)
 let eligibility ?arena ?(cache_bytes = 0) ~budget tier catalog graph =
   let n = Catalog.n catalog in
   let caps = (tier_entry tier).Registry.caps in
@@ -128,14 +129,16 @@ let eligibility ?arena ?(cache_bytes = 0) ~budget tier catalog graph =
              DP table: what the cache holds, the table cannot claim. *)
           let needed_bytes =
             cache_bytes
-            + (match arena with
-              (* Beyond the dense-table cap only the sparse/table-free
-                 backends can run, and they draw nothing from the arena —
-                 charge the entry's own estimate (also keeps
-                 [Arena.bytes_after]'s argument in range). *)
-              | Some a when n <= Blitz_core.Dp_table.max_relations ->
-                Arena.bytes_after a ~n ()
-              | Some _ | None -> bytes ~n)
+            + (match (arena, tier) with
+              (* The exact tier's seeded pass takes a table and the
+                 live-operand index from the arena; dpccp's dense
+                 backend a table and no index; its sparse backend,
+                 past [Dpccp.dense_limit], nothing, so it is charged
+                 its entry's own estimate, as without a session. *)
+              | Some a, Exact -> Arena.bytes_after a ~n ()
+              | Some a, Dpccp when n <= Registry.Dpccp.dense_limit ->
+                Arena.bytes_after a ~with_index:false ~n ()
+              | _ -> bytes ~n)
           in
           if Budget.admits_bytes budget needed_bytes then None
           else
@@ -155,7 +158,7 @@ let eligibility ?arena ?(cache_bytes = 0) ~budget tier catalog graph =
           Some (Not_applicable "join graph is disconnected")
         else None)
 
-let run_tier ?(num_domains = 1) ?arena ?pool ?multiway ~budget ~seed tier model catalog graph =
+let run_tier ?arena ?pool ?multiway ~budget ~seed tier model catalog graph =
   let interrupt = Budget.interrupt budget in
   (* A plan with an overflowed (infinite) cost estimate is still a valid
      join order and better than nothing; only NaN — or no plan at all —
@@ -164,9 +167,9 @@ let run_tier ?(num_domains = 1) ?arena ?pool ?multiway ~budget ~seed tier model 
     | Some plan, cost when not (Float.is_nan cost) -> Ok (plan, cost)
     | _ -> Error No_finite_plan
   in
-  (* With several domains the DP tiers run rank-parallel; the result —
-     cost and plan — is bit-identical to the sequential search, so the
-     exact tier keeps its meaning (Budget.interrupt is domain-safe).
+  (* On a pool the exact tier runs rank-parallel; the result — cost and
+     plan — is bit-identical to the sequential search, so the tier keeps
+     its meaning (Budget.interrupt is domain-safe).
      The exact tier prunes at the upper bound (Section 6.4): one pass
      with the optimum's cost and plan bits (see [Registry.run_exact]),
      or one plain pass when there is no finite bound.  Its counters are
@@ -180,7 +183,7 @@ let run_tier ?(num_domains = 1) ?arena ?pool ?multiway ~budget ~seed tier model 
   let upper = match tier with Exact -> Registry.upper_bound model problem | _ -> None in
   let counters = Counters.create () in
   let ctx =
-    Registry.ctx ?arena ?pool ~num_domains ~interrupt
+    Registry.ctx ?arena ?pool ~interrupt
       ?threshold:(Option.map (fun (b : Registry.bound) -> b.Registry.value) upper)
       ~counters ~seed ?multiway model
   in
@@ -226,8 +229,8 @@ let record_win tier =
          ~labels:[ ("tier", tier_name tier) ]
          "blitz_degrade_wins_total")
 
-let optimize ?(cascade = default_cascade) ?(seed = 1) ?num_domains ?arena ?pool ?cache_bytes
-    ?multiway ~budget model catalog graph =
+let optimize ?(cascade = default_cascade) ?(seed = 1) ?arena ?pool ?cache_bytes ?multiway ~budget
+    model catalog graph =
   let t_start = Budget.elapsed_ms budget in
   let rec go attempts = function
     | [] -> Error (List.rev attempts)
@@ -240,8 +243,7 @@ let optimize ?(cascade = default_cascade) ?(seed = 1) ?num_domains ?arena ?pool 
         let t0 = Budget.elapsed_ms budget in
         let result, bound =
           Obs.span ("degrade." ^ tier_name tier) (fun () ->
-              run_tier ?num_domains ?arena ?pool ?multiway ~budget ~seed tier model catalog
-                graph)
+              run_tier ?arena ?pool ?multiway ~budget ~seed tier model catalog graph)
         in
         Option.iter (record_bound tier) bound;
         match result with

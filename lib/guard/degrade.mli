@@ -142,14 +142,15 @@ val eligibility :
     size cap, table footprint, tree-only, deadline exemption — not
     duplicated here.  {!Greedy} and {!Estimate_free} are always
     eligible (deadline-exempt).
-    With [arena] the memory ceiling charges the session's would-be
-    resident high-water mark ({!Arena.bytes_after}) rather than the
-    per-call table size; [cache_bytes] (a resident plan-cache footprint,
+    With [arena] the memory ceiling charges a tier that draws its table
+    from the arena the session's would-be resident high-water mark
+    ({!Arena.bytes_after}) rather than the per-call table size: {!Exact}
+    with the live-operand index its seeded pass takes, {!Dpccp}'s dense
+    backend without it.  [cache_bytes] (a resident plan-cache footprint,
     default 0) is added to the charge so cache memory counts under the
     same ceiling as the DP table. *)
 
 val run_tier :
-  ?num_domains:int ->
   ?arena:Arena.t ->
   ?pool:Pool.t ->
   ?multiway:bool ->
@@ -163,19 +164,17 @@ val run_tier :
 (** Run one tier in isolation (eligibility is the caller's business —
     see {!eligibility}), with the bound its pass pruned at ([None] but
     for an {!Exact} attempt with a finite bound).  [seed] feeds the
-    hybrid tier's generator.  With [num_domains > 1] (default 1) the
-    {!Exact} DP tier runs rank-parallel on that many domains —
-    bit-identical results, so tier semantics are unchanged; the other
-    tiers are table-free fallbacks and stay single-domain.  Exposed so
-    tests can compare every tier's plan against the exact optimum.
-    Tiers are dispatched through the [Blitz_engine] registry;
-    [arena]/[pool] plug a session's pooled DP table and spawned domain
-    pool in (bit-identical results either way). *)
+    hybrid tier's generator.  With [pool] the {!Exact} tier runs
+    rank-parallel on it — bit-identical results, so tier semantics are
+    unchanged; the other tiers ignore it.  Exposed so tests can compare
+    every tier's plan against the exact optimum.  Tiers are dispatched
+    through the [Blitz_engine] registry; [arena]/[pool] plug a session's
+    pooled DP table and spawned domain pool in (bit-identical results
+    either way). *)
 
 val optimize :
   ?cascade:tier list ->
   ?seed:int ->
-  ?num_domains:int ->
   ?arena:Arena.t ->
   ?pool:Pool.t ->
   ?cache_bytes:int ->
@@ -187,8 +186,8 @@ val optimize :
   (Plan.t * provenance, attempt list) result
 (** Walk the cascade under the (already armed) budget.  [Error attempts]
     — possible only with a custom [cascade] that omits {!Greedy} — still
-    reports why every tier declined.  [num_domains] is forwarded to the
-    DP tiers (see {!run_tier}); [cache_bytes] to {!eligibility};
-    [multiway] to every tier's ctx — capable tiers (exact, dpccp) plan
-    n-ary nodes, the rest ignore it, so the cascade stays valid top to
-    bottom. *)
+    reports why every tier declined.  [arena], [pool] and [multiway]
+    are forwarded to every tier (see {!run_tier}), [arena] and
+    [cache_bytes] to {!eligibility}.  Capable tiers (exact, dpccp) plan
+    n-ary nodes under [multiway], the rest ignore it, so the cascade
+    stays valid top to bottom. *)

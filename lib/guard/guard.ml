@@ -82,8 +82,7 @@ let with_cache ~session ~repairs ?cache_tag ?multiway model catalog graph ~hit r
    catch-all converts any escaped exception — there should be none, but
    a resilient driver does not get to assume that — into a typed error
    rather than unwinding through the caller. *)
-let drive ~budget ~cascade ~seed ~num_domains ~multiway ~session ?cache_tag model catalog graph
-    repairs =
+let drive ~budget ~cascade ~seed ~multiway ~session ?cache_tag model catalog graph repairs =
   Budget.start budget;
   (* Fabricated cardinalities (Sanitize defaulted them) mean every
      cost-based tier would optimize placeholder numbers; unless the
@@ -126,9 +125,8 @@ let drive ~budget ~cascade ~seed ~num_domains ~multiway ~session ?cache_tag mode
   in
   let run () =
     (* A session plugs its pooled DP table into the cascade and, for a
-       query large enough to run rank-parallel, its domain pool, which
-       the DP tiers run on whatever [num_domains] says.  Plans and
-       costs are bit-identical with or without it. *)
+       query large enough to run rank-parallel, its domain pool.  Plans
+       and costs are bit-identical with or without it. *)
     let arena = Option.map Engine.arena session in
     let pool = Option.bind session (fun s -> Engine.pool s ~n:(Catalog.n catalog)) in
     let cache_bytes =
@@ -137,8 +135,8 @@ let drive ~budget ~cascade ~seed ~num_domains ~multiway ~session ?cache_tag mode
       | None -> None
     in
     match
-      Degrade.optimize ?cascade ?seed ?num_domains ?multiway ?arena ?pool ?cache_bytes ~budget
-        model catalog graph
+      Degrade.optimize ?cascade ?seed ?multiway ?arena ?pool ?cache_bytes ~budget model catalog
+        graph
     with
     | Ok (plan, provenance) ->
       Ok
@@ -156,21 +154,20 @@ let drive ~budget ~cascade ~seed ~num_domains ~multiway ~session ?cache_tag mode
   try with_cache ~session ~repairs ?cache_tag ?multiway model catalog graph ~hit:served run
   with exn -> Error (Internal (Printexc.to_string exn))
 
-let optimize ?budget ?session ?cascade ?seed ?num_domains ?multiway ?cache_tag model catalog
-    graph =
+let optimize ?budget ?session ?cascade ?seed ?multiway ?cache_tag model catalog graph =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   match Sanitize.check_pair catalog graph with
   | Error issues -> Error (Invalid_input issues)
   | Ok clean ->
-    drive ~budget ~cascade ~seed ~num_domains ~multiway ~session ?cache_tag model
-      clean.Sanitize.catalog clean.Sanitize.graph clean.Sanitize.repairs
+    drive ~budget ~cascade ~seed ~multiway ~session ?cache_tag model clean.Sanitize.catalog
+      clean.Sanitize.graph clean.Sanitize.repairs
 
-let optimize_input ?budget ?session ?policy ?cascade ?seed ?num_domains ?multiway ?cache_tag
-    model ~relations ~edges () =
+let optimize_input ?budget ?session ?policy ?cascade ?seed ?multiway ?cache_tag model ~relations
+    ~edges () =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   match Sanitize.check ?policy ~relations ~edges () with
   | Error issues -> Error (Invalid_input issues)
   | exception exn -> Error (Internal (Printexc.to_string exn))
   | Ok clean ->
-    drive ~budget ~cascade ~seed ~num_domains ~multiway ~session ?cache_tag model
-      clean.Sanitize.catalog clean.Sanitize.graph clean.Sanitize.repairs
+    drive ~budget ~cascade ~seed ~multiway ~session ?cache_tag model clean.Sanitize.catalog
+      clean.Sanitize.graph clean.Sanitize.repairs

@@ -53,7 +53,6 @@ val optimize :
   ?session:Blitz_engine.Engine.t ->
   ?cascade:Degrade.tier list ->
   ?seed:int ->
-  ?num_domains:int ->
   ?multiway:bool ->
   ?cache_tag:string ->
   Cost_model.t ->
@@ -63,17 +62,18 @@ val optimize :
 (** Optimize already-constructed inputs under [budget] (default:
     unlimited).  The budget is re-armed on entry, so one [Budget.t] can
     be reused across calls.  With no deadline and default cascade the
-    result matches [Blitzsplit.optimize_join] exactly — including with
-    [num_domains > 1], which runs the DP tiers rank-parallel on that
-    many domains with bit-identical results (see {!Degrade.run_tier}).
-    [session] plugs a [Blitz_engine.Engine] session in — the way to run
-    many guarded queries without per-query allocation: the DP tiers
-    draw their table from its arena and, for queries of at least
-    [Blitz_parallel.Parallel_blitzsplit.default_crossover_n] relations,
-    run on its domain pool ([Blitz_engine.Engine.pool]), which a default
-    session sizes to the machine's cores and spawns on the first such
-    query.  When the runtime refuses those domains the tiers run
-    sequentially, with the same answer.
+    result matches [Blitzsplit.optimize_join] exactly.  Without a
+    [session] every tier runs on the calling domain.  [session] plugs a
+    [Blitz_engine.Engine] session in — the way to run many guarded
+    queries without per-query allocation, and the only way to run the
+    exact tier rank-parallel: the DP tiers draw their table from its
+    arena and run on the pool [Blitz_engine.Engine.pool] hands out,
+    which exists from [Blitz_parallel.Parallel_blitzsplit.default_crossover_n]
+    relations up in sessions created with more than one domain (a
+    default session sizes it to the machine's cores) and spawns on the
+    first such query.  The results are bit-identical on every width
+    (see {!Degrade.run_tier}).  When the runtime refuses those domains
+    the tiers run sequentially, with the same answer.
     [multiway] asks capable tiers for n-ary AGM-costed plans (see
     {!Degrade.optimize}); incapable tiers ignore it, so the cascade
     stays valid end to end.  It also keys the session cache apart, as
@@ -89,7 +89,6 @@ val optimize_input :
   ?policy:Sanitize.policy ->
   ?cascade:Degrade.tier list ->
   ?seed:int ->
-  ?num_domains:int ->
   ?multiway:bool ->
   ?cache_tag:string ->
   Cost_model.t ->

@@ -137,8 +137,8 @@ let observe h v =
 
 let time h f =
   if Atomic.get enabled_flag then begin
-    let t0 = Unix.gettimeofday () in
-    let finally () = observe h (Unix.gettimeofday () -. t0) in
+    let t0 = Blitz_util.Clock.now_s () in
+    let finally () = observe h (Blitz_util.Clock.now_s () -. t0) in
     Fun.protect ~finally f
   end
   else f ()

@@ -26,7 +26,7 @@ let dpccp_ns_per_pair =
     ~help:"Wall-clock nanoseconds per csg-cmp pair folded by the dpccp DP loop"
     "blitz_dpccp_ns_per_pair"
 
-let now_s () = Unix.gettimeofday ()
+let now_s = Blitz_util.Clock.now_s
 
 let observe_rate hist ~elapsed_s ~events =
   if events > 0 && Metrics.enabled () then

@@ -28,7 +28,8 @@ val dpccp_ns_per_pair : Metrics.histogram
     ([blitz_dpccp_ns_per_pair]). *)
 
 val now_s : unit -> float
-(** [Unix.gettimeofday] — the clock every rate observation uses.
+(** {!Blitz_util.Clock.now_s} — the monotonic clock every rate
+    observation uses.
     Exported so drivers that feed two instruments from one timed region
     (per-subset and per-iteration) read it once. *)
 

@@ -16,7 +16,7 @@ let test_clock : (unit -> float) option Atomic.t = Atomic.make None
 let set_clock_for_testing c = Atomic.set test_clock c
 
 let now_s () =
-  match Atomic.get test_clock with Some c -> c () | None -> Unix.gettimeofday ()
+  match Atomic.get test_clock with Some c -> c () | None -> Blitz_util.Clock.now_s ()
 
 (* The ring buffer.  The cursor counts every recorded event (never
    wraps); slot [cursor mod capacity] is overwritten.  [state] is

@@ -26,7 +26,9 @@
 
 type event = {
   name : string;
-  ts_us : float;  (** Start, microseconds since the Unix epoch (or the test clock). *)
+  ts_us : float;
+      (** Start, microseconds since the origin of {!Blitz_util.Clock}
+          (process start), or of the test clock. *)
   dur_us : float;
   tid : int;  (** The recording domain's id. *)
   attrs : (string * string) list;
@@ -40,9 +42,9 @@ val enabled : unit -> bool
 val set_enabled : bool -> unit
 
 val set_clock_for_testing : (unit -> float) option -> unit
-(** Replace (or with [None] restore) the wall clock, which returns
-    absolute seconds.  Golden tests inject a deterministic counter so
-    exported traces are byte-stable. *)
+(** Replace (or with [None] restore) the clock, which returns seconds
+    ({!Blitz_util.Clock.now_s} by default).  Golden tests inject a
+    deterministic counter so exported traces are byte-stable. *)
 
 (** {1 Recording} *)
 

@@ -6,7 +6,6 @@ module Blitzsplit = Blitz_core.Blitzsplit
 module Dp_table = Blitz_core.Dp_table
 module Split_loop = Blitz_core.Split_loop
 module Counters = Blitz_core.Counters
-module Threshold = Blitz_core.Threshold
 module Arena = Blitz_core.Arena
 module Live_index = Blitz_core.Live_index
 module Obs = Blitz_obs.Obs
@@ -174,116 +173,53 @@ let parallel_run pool ~graph_opt ~arena ~ctr ~threshold ~interrupt model catalog
 
 (* Below this size the rank barriers and chunk scheduling eat most of
    what spreading the split loops buys.  BENCH_parallel.json, on two
-   cores, has two domains at 0.88x for n = 12 (a 0.8 ms sequential pass)
-   and 1.28x at n = 13, against 1.69x at n = 14 and 1.4-1.8x from there
-   to n = 20.  A lower crossover would likely gain on multi-core hosts
+   cores, has two domains at 0.85x for n = 12 (a 1.1 ms sequential pass)
+   and 1.12x at n = 13, against 1.20x at n = 14 and 1.55-1.91x from
+   there to n = 20.  A lower crossover would likely gain on multi-core hosts
    at n = 13, but no benchmark workload runs an in-process query below
-   n = 18, so the move cannot be sized.  Engine sessions spawn their
+   n = 18, so the move cannot be sized.  Engine sessions hand out their
    pool only from here up, and n = 14 keeps the CI parallel smoke
    (n = 15) on the parallel path. *)
 let default_crossover_n = 14
 
-let run ?pool ~num_domains ?(min_parallel_n = default_crossover_n) ~graph_opt ?arena ?counters
-    ?(threshold = Float.infinity) ?interrupt model catalog =
-  if threshold <= 0.0 then invalid_arg "Parallel_blitzsplit: threshold must be positive";
-  let n = Catalog.n catalog in
-  (* Auto-fallback: tiny queries run the sequential kernel even when a
-     pool or domain budget was supplied — bit-identical result, no
-     barrier overhead.  The measured-crossover override ([min_parallel_n])
-     lets benchmarks and tests still drive the parallel path at small n. *)
-  let num_domains = if n < min_parallel_n then 1 else num_domains in
-  let pool = if n < min_parallel_n then None else pool in
-  let graph =
+(* A pool is the whole decision: with one the pass runs rank-parallel
+   on it, at any n; without one it is the sequential optimizer.  Callers
+   that want the crossover get it from the session that hands out the
+   pool ([Engine.pool]). *)
+let run ?pool ~graph_opt ?arena ?counters ?(threshold = Float.infinity) ?interrupt model catalog =
+  match pool with
+  | None -> (
     match graph_opt with
-    | Some g ->
-      if Join_graph.n g <> n then
-        invalid_arg
-          (Printf.sprintf "Parallel_blitzsplit: graph over %d relations, catalog has %d"
-             (Join_graph.n g) n);
-      g
-    | None -> Join_graph.no_predicates ~n
-  in
-  match (pool, num_domains) with
-  | None, d when d <= 1 -> (
-    (* No pool to amortize and a single domain: the sequential optimizer
-       is the same computation without the pool plumbing. *)
-    match graph_opt with
-    | Some _ ->
-      Blitzsplit.optimize_join ?arena ?counters ~threshold ?interrupt model catalog graph
+    | Some g -> Blitzsplit.optimize_join ?arena ?counters ~threshold ?interrupt model catalog g
     | None -> Blitzsplit.optimize_product ?arena ?counters ~threshold ?interrupt model catalog)
-  | _ ->
+  | Some pool ->
+    if threshold <= 0.0 then invalid_arg "Parallel_blitzsplit: threshold must be positive";
+    let n = Catalog.n catalog in
+    let graph =
+      match graph_opt with
+      | Some g ->
+        if Join_graph.n g <> n then
+          invalid_arg
+            (Printf.sprintf "Parallel_blitzsplit: graph over %d relations, catalog has %d"
+               (Join_graph.n g) n);
+        g
+      | None -> Join_graph.no_predicates ~n
+    in
     let ctr = match counters with Some c -> c | None -> Counters.create () in
     ctr.Counters.passes <- ctr.Counters.passes + 1;
-    let dp_pass () =
-      match pool with
-      | Some pool ->
-        parallel_run pool ~graph_opt ~arena ~ctr ~threshold ~interrupt model catalog graph
-      | None ->
-        Pool.with_pool ~num_domains (fun pool ->
-            parallel_run pool ~graph_opt ~arena ~ctr ~threshold ~interrupt model catalog graph)
-    in
+    (* The per-domain counters are merged into [ctr] before parallel_run
+       returns, so the rates are aggregate wall time over aggregate
+       events: they improve with parallelism, deliberately. *)
     let table =
-      (* Feed the same rate instruments as the sequential driver (the
-         per-domain counters are merged into [ctr] before parallel_run
-         returns, including on the interrupt path).  Rates here are
-         aggregate wall time over aggregate events — i.e. they improve
-         with parallelism, deliberately: the instrument answers "how
-         fast does a pass chew through the lattice", not "how fast is
-         one core". *)
-      if not (Blitz_obs.Metrics.enabled ()) then dp_pass ()
-      else begin
-        let subs0 = ctr.Counters.subsets and iters0 = ctr.Counters.loop_iters in
-        let t0 = Blitz_obs.Perf.now_s () in
-        let table = dp_pass () in
-        let elapsed_s = Blitz_obs.Perf.now_s () -. t0 in
-        Blitz_obs.Perf.observe_rate Blitz_obs.Perf.split_loop_ns_per_subset ~elapsed_s
-          ~events:(ctr.Counters.subsets - subs0);
-        Blitz_obs.Perf.observe_rate Blitz_obs.Perf.split_loop_ns_per_iter ~elapsed_s
-          ~events:(ctr.Counters.loop_iters - iters0);
-        table
-      end
+      Blitzsplit.timed_pass ctr (fun () ->
+          parallel_run pool ~graph_opt ~arena ~ctr ~threshold ~interrupt model catalog graph)
     in
-    (* The rank-parallel driver never plans multiway nodes (the engine
-       falls back to the sequential optimizer when both are requested). *)
+    (* The rank-parallel driver never plans multiway nodes (the registry
+       runs the sequential optimizer when both are requested). *)
     { Blitzsplit.table; counters = ctr; catalog; graph; model; threshold; multiway = None }
 
-let optimize_join ?pool ?num_domains ?min_parallel_n ?arena ?counters ?threshold ?interrupt
-    model catalog graph =
-  let num_domains =
-    match num_domains with Some d -> d | None -> recommended_domains ()
-  in
-  run ?pool ~num_domains ?min_parallel_n ~graph_opt:(Some graph) ?arena ?counters ?threshold
-    ?interrupt model catalog
+let optimize_join ?pool ?arena ?counters ?threshold ?interrupt model catalog graph =
+  run ?pool ~graph_opt:(Some graph) ?arena ?counters ?threshold ?interrupt model catalog
 
-let optimize_product ?pool ?num_domains ?min_parallel_n ?arena ?counters ?threshold ?interrupt
-    model catalog =
-  let num_domains =
-    match num_domains with Some d -> d | None -> recommended_domains ()
-  in
-  run ?pool ~num_domains ?min_parallel_n ~graph_opt:None ?arena ?counters ?threshold ?interrupt
-    model catalog
-
-(* Threshold escalation over the parallel passes: one pool outlives all
-   passes, so re-optimization pays the Domain.spawn cost once. *)
-
-let private_arena = function Some a -> a | None -> Arena.create ()
-
-let threshold_optimize_join ?pool ?min_parallel_n ?arena ?counters ?growth ?max_passes
-    ?interrupt ~num_domains ~threshold model catalog graph =
-  let arena = private_arena arena in
-  let drive pool =
-    Threshold.drive ?counters ?growth ?max_passes ~threshold (fun ~counters ~threshold ->
-        run ~pool ~num_domains ?min_parallel_n ~graph_opt:(Some graph) ~arena ~counters
-          ~threshold ?interrupt model catalog)
-  in
-  match pool with Some pool -> drive pool | None -> Pool.with_pool ~num_domains drive
-
-let threshold_optimize_product ?pool ?min_parallel_n ?arena ?counters ?growth ?max_passes
-    ?interrupt ~num_domains ~threshold model catalog =
-  let arena = private_arena arena in
-  let drive pool =
-    Threshold.drive ?counters ?growth ?max_passes ~threshold (fun ~counters ~threshold ->
-        run ~pool ~num_domains ?min_parallel_n ~graph_opt:None ~arena ~counters ~threshold
-          ?interrupt model catalog)
-  in
-  match pool with Some pool -> drive pool | None -> Pool.with_pool ~num_domains drive
+let optimize_product ?pool ?arena ?counters ?threshold ?interrupt model catalog =
+  run ?pool ~graph_opt:None ?arena ?counters ?threshold ?interrupt model catalog

@@ -13,8 +13,8 @@
     lower-rank entries, and the per-subset split scan visits candidate
     splits in the same fixed successor order as the sequential code
     (ties broken by first-strict-improvement, identically).  The
-    resulting cost {e and} extracted plan are bit-identical to
-    {!Blitzsplit.run}'s for every [num_domains] — scheduling affects
+    resulting cost {e and} extracted plan are bit-identical to the
+    sequential optimizer's on every pool — scheduling affects
     only which domain writes an entry, never its value.  At a finite
     threshold under kappa_sm both drivers give each subset the same
     completion-bounded threshold, so thresholded passes agree too.  Counters are
@@ -34,26 +34,22 @@ module Join_graph = Blitz_graph.Join_graph
 module Cost_model = Blitz_cost.Cost_model
 module Blitzsplit = Blitz_core.Blitzsplit
 module Counters = Blitz_core.Counters
-module Threshold = Blitz_core.Threshold
 module Arena = Blitz_core.Arena
 
 val recommended_domains : unit -> int
-(** [Domain.recommended_domain_count ()] — the default worker count. *)
+(** [Domain.recommended_domain_count ()] — the default session width. *)
 
 val default_crossover_n : int
-(** Below this relation count (14) the drivers fall back to the
-    sequential kernel even when a pool or domain budget is supplied:
-    the committed parallel benchmark shows rank barriers and chunk
-    scheduling eat most of the win there (two domains on two cores:
-    0.88x at n = 12, 1.28x at n = 13, 1.69x at n = 14), and the results
-    are bit-identical either way.  [Blitz_engine.Engine] sessions spawn
-    their pool only from this size up.  Override with [min_parallel_n]
-    to force the parallel path (benchmarks, tests). *)
+(** The relation count (14) from which [Blitz_engine.Engine.pool] hands
+    a query its session's pool.  Below it the rank barriers and chunk
+    scheduling eat most of the win (two domains on two cores: 0.85x at
+    n = 12, 1.12x at n = 13, 1.20x at n = 14, 1.55x and up from
+    n = 15), and the results are
+    bit-identical either way.  The drivers here do not consult it: they
+    run on whatever pool they are handed. *)
 
 val run :
   ?pool:Pool.t ->
-  num_domains:int ->
-  ?min_parallel_n:int ->
   graph_opt:Join_graph.t option ->
   ?arena:Arena.t ->
   ?counters:Counters.t ->
@@ -62,15 +58,12 @@ val run :
   Cost_model.t ->
   Catalog.t ->
   Blitzsplit.t
-(** Same signature and result type as the sequential [Blitzsplit.run]:
-    optimize the join ([graph_opt = Some g]) or Cartesian product
-    ([None]) of all catalog relations, returning the filled table
-    wrapped in a {!Blitzsplit.t}.  With [?pool], the supplied pool is
-    used (and [num_domains] ignored); otherwise a fresh pool of
-    [num_domains] domains lives for the duration of the call.  With no
-    pool and [num_domains <= 1] this is exactly the sequential
-    optimizer; the same fallback fires regardless of pool/domains when
-    [n < min_parallel_n] (default {!default_crossover_n}).  [?arena] draws the DP table from a session workspace
+(** Optimize the join ([graph_opt = Some g]) or Cartesian product
+    ([None]) of all catalog relations.  With [pool] the lattice is
+    filled rank-parallel on it, at any [n] (a 1-domain pool runs the
+    rank order inline); without one this is exactly the sequential
+    {!Blitzsplit.optimize_join}/{!Blitzsplit.optimize_product}.
+    [?arena] draws the DP table from a session workspace
     ({!Blitz_core.Arena}) instead of a fresh allocation — the
     coordinator acquires it before workers start and the results stay
     bit-identical.  Raises {!Blitzsplit.Interrupted} when the probe
@@ -79,8 +72,6 @@ val run :
 
 val optimize_join :
   ?pool:Pool.t ->
-  ?num_domains:int ->
-  ?min_parallel_n:int ->
   ?arena:Arena.t ->
   ?counters:Counters.t ->
   ?threshold:float ->
@@ -89,13 +80,10 @@ val optimize_join :
   Catalog.t ->
   Join_graph.t ->
   Blitzsplit.t
-(** {!run} with a join graph; [num_domains] defaults to
-    {!recommended_domains}. *)
+(** {!run} with a join graph. *)
 
 val optimize_product :
   ?pool:Pool.t ->
-  ?num_domains:int ->
-  ?min_parallel_n:int ->
   ?arena:Arena.t ->
   ?counters:Counters.t ->
   ?threshold:float ->
@@ -105,44 +93,6 @@ val optimize_product :
   Blitzsplit.t
 (** {!run} without predicates (Section 3); the table's fan column stays
     unallocated. *)
-
-(** {1 Thresholded drivers}
-
-    {!Threshold.drive} over parallel passes: the multi-pass
-    re-optimization of Section 6.4 with one domain pool amortized
-    across every pass (and the rescue pass).  [?pool] reuses a caller's
-    already-spawned pool; [?arena] additionally reuses one DP table
-    across the passes (a private arena is made otherwise, so retries
-    never reallocate). *)
-
-val threshold_optimize_join :
-  ?pool:Pool.t ->
-  ?min_parallel_n:int ->
-  ?arena:Arena.t ->
-  ?counters:Counters.t ->
-  ?growth:float ->
-  ?max_passes:int ->
-  ?interrupt:(unit -> bool) ->
-  num_domains:int ->
-  threshold:float ->
-  Cost_model.t ->
-  Catalog.t ->
-  Join_graph.t ->
-  Threshold.outcome
-
-val threshold_optimize_product :
-  ?pool:Pool.t ->
-  ?min_parallel_n:int ->
-  ?arena:Arena.t ->
-  ?counters:Counters.t ->
-  ?growth:float ->
-  ?max_passes:int ->
-  ?interrupt:(unit -> bool) ->
-  num_domains:int ->
-  threshold:float ->
-  Cost_model.t ->
-  Catalog.t ->
-  Threshold.outcome
 
 (** {1 Internals exposed for tests} *)
 

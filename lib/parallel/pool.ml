@@ -156,7 +156,3 @@ let run t ~chunks job =
   t.poisoned <- None;
   Mutex.unlock t.mutex;
   match failure with None -> () | Some exn -> raise exn
-
-let with_pool ~num_domains f =
-  let pool = create ~num_domains in
-  Fun.protect ~finally:(fun () -> shutdown pool) (fun () -> f pool)

@@ -38,7 +38,3 @@ val run : t -> chunks:int -> (worker:int -> int -> unit) -> unit
 val shutdown : t -> unit
 (** Terminate and join the worker domains.  Idempotent.  The pool must
     be quiescent (no {!run} in flight). *)
-
-val with_pool : num_domains:int -> (t -> 'a) -> 'a
-(** [with_pool ~num_domains f] runs [f] on a fresh pool and shuts it
-    down afterwards, whether [f] returns or raises. *)

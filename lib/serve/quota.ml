@@ -33,7 +33,7 @@ let refill t ~now =
     t.tokens <- Float.min t.capacity (t.tokens +. (dt *. t.rate))
   end
 
-let clock = function Some now -> now | None -> Unix.gettimeofday ()
+let clock = function Some now -> now | None -> Blitz_util.Clock.now_s ()
 
 let try_acquire ?now t =
   if not (is_limited t) then true

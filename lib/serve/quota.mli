@@ -27,8 +27,9 @@ val is_limited : t -> bool
 
 val try_acquire : ?now:float -> t -> bool
 (** Spend one token if available.  [now] is seconds (any monotone
-    origin — only differences matter); defaults to
-    [Unix.gettimeofday ()].  Time moving backwards refills nothing. *)
+    origin — only differences matter); defaults to the monotonic
+    [Blitz_util.Clock.now_s ()].  Time moving backwards refills
+    nothing. *)
 
 val remaining : ?now:float -> t -> float
 (** Tokens available after refill at [now]; [infinity] when

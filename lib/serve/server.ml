@@ -209,7 +209,7 @@ let run_job t session (job : job) ~shed =
             (Guard.optimize ~budget ~session ~seed:t.cfg.seed ~multiway:job.multiway ~cache_tag
                t.cfg.model catalog graph)))
   in
-  let elapsed_ms = (Unix.gettimeofday () -. job.enqueued_at) *. 1000. in
+  let elapsed_ms = (Blitz_util.Clock.now_s () -. job.enqueued_at) *. 1000. in
   match result with
   | `Bad msg ->
     Protocol.error_response ~id:job.rid ~code:"invalid_request"
@@ -284,7 +284,7 @@ let worker t () =
             if shed then Metrics.incr tm.m_shed
           | None -> ());
           if shed then Metrics.incr t.c_sheds;
-          Metrics.observe t.h_latency (Unix.gettimeofday () -. job.enqueued_at);
+          Metrics.observe t.h_latency (Blitz_util.Clock.now_s () -. job.enqueued_at);
           Mutex.lock t.lock;
           t.busy <- t.busy - 1;
           t.served <- t.served + 1;
@@ -463,7 +463,7 @@ let handle_line t c line =
                 call;
                 query;
                 multiway;
-                enqueued_at = Unix.gettimeofday ();
+                enqueued_at = Blitz_util.Clock.now_s ();
               }
               t.work;
             c.inflight <- c.inflight + 1;

@@ -72,10 +72,11 @@ let problem_of_seed (seed, product) =
   if product then Registry.problem catalog else Registry.problem ~graph catalog
 
 let fresh_outcome ~optimizer ~num_domains model p =
-  let o =
-    Registry.optimize ~optimizer (Registry.ctx ~num_domains ~counters:(Counters.create ()) model) p
-  in
-  { o with Registry.table = None }
+  with_pool ~num_domains (fun pool ->
+      let o =
+        Registry.optimize ~optimizer (Registry.ctx ~pool ~counters:(Counters.create ()) model) p
+      in
+      { o with Registry.table = None })
 
 let test_session_bit_identical =
   QCheck_alcotest.to_alcotest

@@ -165,6 +165,44 @@ let test_memory_cap_skips_to_hybrid () =
       o.Guard.provenance.Degrade.attempts;
     Alcotest.(check bool) "plan is valid" true (validate_against catalog o.Guard.plan)
 
+(* A session's arena charges each DP tier only what it draws from the
+   arena: the exact tier's seeded pass takes the table and the
+   live-operand index, dpccp's dense backend the table alone, and its
+   sparse backend (past [Dpccp.dense_limit]) nothing, so it is charged
+   its entry's own estimate.  A 10 MiB ceiling at n = 18 holds dpccp's
+   table but not exact's table and index; 100 MiB at n = 22 holds the
+   sparse backend's estimate but not a dense table of 22 relations.
+   The session answers as a session-free call does. *)
+let test_session_charges_what_tiers_draw () =
+  List.iter
+    (fun (n, mib) ->
+      let catalog, graph = topology_problem ~n Topology.Chain in
+      let budget = Budget.create ~max_table_bytes:(mib * 1024 * 1024) () in
+      let winner o = Degrade.tier_name o.Guard.provenance.Degrade.winner in
+      let run session =
+        match Guard.optimize ~budget ?session Cost_model.naive catalog graph with
+        | Ok o -> o
+        | Error e -> Alcotest.failf "guard failed: %s" (Guard.error_message e)
+      in
+      let o =
+        Engine.with_session ~model:Cost_model.naive ~num_domains:1 (fun s -> run (Some s))
+      in
+      Alcotest.(check string) (Printf.sprintf "n = %d: dpccp answers on a session" n) "dpccp"
+        (winner o);
+      Alcotest.(check string) (Printf.sprintf "n = %d: as without one" n) (winner (run None))
+        (winner o);
+      List.iter
+        (fun a ->
+          match (a.Degrade.tier, a.Degrade.status) with
+          | Degrade.Exact, Degrade.Skipped (Degrade.Memory { needed_bytes; _ }) ->
+            Alcotest.(check int) "exact is charged table and index"
+              (Budget.table_bytes ~n () + Blitz_core.Live_index.estimate_bytes ~n)
+              needed_bytes
+          | Degrade.Exact, _ -> Alcotest.fail "the exact tier was not memory-skipped"
+          | _ -> ())
+        o.Guard.provenance.Degrade.attempts)
+    [ (18, 10); (22, 100) ]
+
 let test_unbudgeted_matches_exact () =
   (* With no budget the exact tier answers, at blitzsplit's own cost
      (bit for bit: see the seeded-exact-tier property below). *)
@@ -589,6 +627,8 @@ let suite =
     Alcotest.test_case "deadline degrades to greedy with provenance" `Quick
       test_deadline_degrades_to_greedy;
     Alcotest.test_case "memory ceiling skips DP tiers" `Quick test_memory_cap_skips_to_hybrid;
+    Alcotest.test_case "a session charges each DP tier what it draws" `Quick
+      test_session_charges_what_tiers_draw;
     Alcotest.test_case "no budget: identical to blitzsplit" `Quick test_unbudgeted_matches_exact;
     QCheck_alcotest.to_alcotest prop_seeded_exact_tier;
     Alcotest.test_case "overflowing greedy: exact tier takes the plain pass" `Quick

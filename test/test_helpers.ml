@@ -84,6 +84,13 @@ let env_domains =
     | Some d when d >= 1 && d <= 128 -> [ d ]
     | _ -> failwith (Printf.sprintf "BLITZ_TEST_DOMAINS=%S is not a domain count in [1, 128]" s))
 
+(* A pool of [num_domains] domains for the duration of [f]: a DP pass
+   runs rank-parallel only on a pool, so the suites' domain axes are
+   pools, one domain included. *)
+let with_pool ~num_domains f =
+  let pool = Blitz_parallel.Pool.create ~num_domains in
+  Fun.protect ~finally:(fun () -> Blitz_parallel.Pool.shutdown pool) (fun () -> f pool)
+
 (* Runtime domain slots.  OCaml caps a process at 128 live domains, the
    main one included; the pool-fallback tests hold slots with parked
    domains to run up against the cap. *)

@@ -315,12 +315,11 @@ let run_with ~obs ~optimizer ~num_domains model p =
   Fun.protect
     ~finally:(fun () -> Obs.disable_all ())
     (fun () ->
-      let o =
-        Registry.optimize ~optimizer
-          (Registry.ctx ~num_domains ~counters:(Counters.create ()) model)
-          p
-      in
-      { o with Registry.table = None })
+      with_pool ~num_domains (fun pool ->
+          let o =
+            Registry.optimize ~optimizer (Registry.ctx ~pool ~counters:(Counters.create ()) model) p
+          in
+          { o with Registry.table = None }))
 
 let test_obs_bit_identical =
   QCheck_alcotest.to_alcotest

@@ -64,7 +64,7 @@ let test_unrank_matches_gosper () =
 let test_pool_runs_every_chunk_once () =
   List.iter
     (fun num_domains ->
-      Pool.with_pool ~num_domains (fun pool ->
+      with_pool ~num_domains (fun pool ->
           Alcotest.(check int) "num_domains" num_domains (Pool.num_domains pool);
           (* Two consecutive jobs on one pool: reuse must work, and each
              chunk must be executed exactly once (per-worker tallies
@@ -88,7 +88,7 @@ let test_pool_runs_every_chunk_once () =
 exception Boom
 
 let test_pool_propagates_exception_and_survives () =
-  Pool.with_pool ~num_domains:2 (fun pool ->
+  with_pool ~num_domains:2 (fun pool ->
       Alcotest.check_raises "job exception re-raised" Boom (fun () ->
           Pool.run pool ~chunks:16 (fun ~worker:_ c -> if c = 5 then raise Boom));
       (* The pool must be quiescent and reusable after a poisoned job. *)
@@ -103,14 +103,14 @@ let test_pool_create_failure_releases_workers () =
      not spawn. *)
   let k = 3 in
   let free = free_domain_slots () in
-  Pool.with_pool ~num_domains:(free - k + 1) (fun _ ->
+  with_pool ~num_domains:(free - k + 1) (fun _ ->
       Alcotest.(check int) "k slots left free" k (free_domain_slots ());
       (match Pool.create ~num_domains:(k + 2) with
       | p ->
         Pool.shutdown p;
         Alcotest.fail "a pool past the domain cap spawned"
       | exception Failure _ -> ());
-      Pool.with_pool ~num_domains:(k + 1) (fun pool ->
+      with_pool ~num_domains:(k + 1) (fun pool ->
           let total = Atomic.make 0 in
           Pool.run pool ~chunks:16 (fun ~worker:_ c -> ignore (Atomic.fetch_and_add total c));
           Alcotest.(check int) "a pool of k workers still spawns and runs" 120 (Atomic.get total)))
@@ -136,8 +136,8 @@ let prop_parallel_matches_sequential =
         (fun d ->
           let par_ctr = Counters.create () in
           let par =
-            Parallel.optimize_join ~num_domains:d ~min_parallel_n:2 ~counters:par_ctr model
-              catalog graph
+            with_pool ~num_domains:d (fun pool ->
+                Parallel.optimize_join ~pool ~counters:par_ctr model catalog graph)
           in
           let msg what = Printf.sprintf "domains=%d %s" d what in
           if compare (Blitzsplit.best_cost seq) (Blitzsplit.best_cost par) <> 0 then
@@ -168,7 +168,8 @@ let test_parallel_product_identical () =
   List.iter
     (fun d ->
       let par =
-        Parallel.optimize_product ~num_domains:d ~min_parallel_n:2 Cost_model.naive catalog
+        with_pool ~num_domains:d (fun pool ->
+            Parallel.optimize_product ~pool Cost_model.naive catalog)
       in
       check_identical ~msg:(Printf.sprintf "product domains=%d" d) seq par;
       Alcotest.(check bool)
@@ -178,28 +179,28 @@ let test_parallel_product_identical () =
 
 let test_parallel_product_equals_empty_graph_join () =
   let catalog = random_catalog (Rng.create ~seed:11) ~n:9 ~lo:1.0 ~hi:1e3 in
-  let product =
-    Parallel.optimize_product ~num_domains:2 ~min_parallel_n:2 Cost_model.naive catalog
-  in
-  let join =
-    Parallel.optimize_join ~num_domains:2 ~min_parallel_n:2 Cost_model.naive catalog
-      (Join_graph.of_edges ~n:9 [])
+  let product, join =
+    with_pool ~num_domains:2 (fun pool ->
+        ( Parallel.optimize_product ~pool Cost_model.naive catalog,
+          Parallel.optimize_join ~pool Cost_model.naive catalog (Join_graph.of_edges ~n:9 []) ))
   in
   check_identical ~msg:"product vs empty-graph join" product join
 
 let test_parallel_threshold_multipass () =
-  (* The parallel threshold driver reuses one pool across passes and
-     must reproduce the sequential multi-pass outcome exactly
-     (Table 1's optimum 241000, reached on the same pass). *)
+  (* Threshold.drive over rank-parallel passes on one pool (what the
+     registry's thresholded entry runs on a session's pool) must
+     reproduce the sequential multi-pass outcome exactly (Table 1's
+     optimum 241000, reached on the same pass). *)
   let seq =
     Threshold.optimize_product ~growth:10.0 ~threshold:100.0 Cost_model.naive abcd_catalog
   in
   List.iter
     (fun d ->
       let par =
-        Parallel.threshold_optimize_product ~num_domains:d ~min_parallel_n:2 ~growth:10.0
-          ~threshold:100.0
-          Cost_model.naive abcd_catalog
+        with_pool ~num_domains:d (fun pool ->
+            Threshold.drive ~growth:10.0 ~threshold:100.0 (fun ~counters ~threshold ->
+                Parallel.optimize_product ~pool ~counters ~threshold Cost_model.naive
+                  abcd_catalog))
       in
       Alcotest.(check int) "same pass count" seq.Threshold.passes par.Threshold.passes;
       check_float "same final threshold" seq.Threshold.final_threshold
@@ -239,9 +240,10 @@ let test_parallel_deadline_aborts_within_one_chunk () =
         (Printf.sprintf "domains=%d raises Interrupted" d)
         Blitzsplit.Interrupted
         (fun () ->
-          ignore
-            (Parallel.optimize_product ~num_domains:d ~min_parallel_n:2 ~counters:ctr
-               ~interrupt:(Budget.interrupt budget) Cost_model.naive catalog));
+          with_pool ~num_domains:d (fun pool ->
+              ignore
+                (Parallel.optimize_product ~pool ~counters:ctr
+                   ~interrupt:(Budget.interrupt budget) Cost_model.naive catalog)));
       Alcotest.(check bool)
         (Printf.sprintf "domains=%d stopped within one chunk (%d subsets)" d
            ctr.Counters.subsets)

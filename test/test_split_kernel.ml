@@ -307,8 +307,8 @@ let prop_kernels_bit_identical =
       List.iter
         (fun d ->
           let par =
-            Parallel_blitzsplit.optimize_join ~num_domains:d ~min_parallel_n:2 ~threshold
-              p.model p.catalog p.graph
+            with_pool ~num_domains:d (fun pool ->
+                Parallel_blitzsplit.optimize_join ~pool ~threshold p.model p.catalog p.graph)
           in
           let what = Printf.sprintf "parallel d=%d" d in
           check_against ~what ~threshold p r par.Blitzsplit.table par.Blitzsplit.counters;
@@ -353,8 +353,8 @@ let test_tie_across_ranks () =
       List.iter
         (fun d ->
           check (Printf.sprintf "parallel d=%d" d)
-            (Parallel_blitzsplit.optimize_join ~num_domains:d ~min_parallel_n:2 ~threshold model
-               catalog graph))
+            (with_pool ~num_domains:d (fun pool ->
+                 Parallel_blitzsplit.optimize_join ~pool ~threshold model catalog graph)))
         [ 1; 2 ])
     [ 1.0 +. 1e-9; 1.5; 2.0 ]
 

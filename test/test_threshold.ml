@@ -223,8 +223,8 @@ let prop_upper_bound_pass_bit_identical =
         List.iter
           (fun d ->
             let par =
-              Parallel.optimize_join ~num_domains:d ~min_parallel_n:2 ~threshold model catalog
-                graph
+              with_pool ~num_domains:d (fun pool ->
+                  Parallel.optimize_join ~pool ~threshold model catalog graph)
             in
             same (Printf.sprintf "%d domain(s)" d) plain par;
             if par.Blitzsplit.counters.Counters.threshold_skips <> skips then
