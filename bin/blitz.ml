@@ -257,6 +257,20 @@ let session_width = function
 
 let print_domains d = Printf.printf "domains:    %d (rank-parallel DP)\n" d
 
+(* --threshold and --growth feed Section 6.4's driver, which takes only
+   a positive finite threshold and a growth above 1 (NaN fails both). *)
+let check_threshold = function
+  | Some t when not (t > 0.0 && Float.is_finite t) ->
+    Printf.eprintf "blitz: --threshold %g must be positive and finite\n" t;
+    exit 1
+  | _ -> ()
+
+let check_growth g =
+  if not (g > 1.0) then begin
+    Printf.eprintf "blitz: --growth %g must exceed 1\n" g;
+    exit 1
+  end
+
 (* ---- optimize ---- *)
 
 (* [blitz optimize]'s status when the search finds no plan of finite
@@ -269,13 +283,15 @@ let optimize_cmd =
       value
       & opt (some float) None
       & info [ "threshold" ] ~docv:"COST"
-          ~doc:"Plan-cost threshold (Section 6.4); re-optimizes with a raised threshold on failure.")
+          ~doc:"Plan-cost threshold (Section 6.4), positive and finite; re-optimizes with a \
+                raised threshold on failure.")
   in
   let growth_arg =
     Arg.(
       value
       & opt float 1e4
-      & info [ "growth" ] ~docv:"FACTOR" ~doc:"Threshold growth factor between passes.")
+      & info [ "growth" ] ~docv:"FACTOR"
+          ~doc:"Threshold growth factor between passes; must exceed 1.")
   in
   let dump_table_arg =
     Arg.(value & flag & info [ "dump-table" ] ~doc:"Print the full DP table (small queries only).")
@@ -386,6 +402,8 @@ let optimize_cmd =
       Printf.eprintf "blitz: --repeat %d must be at least 1\n" repeat;
       exit 1
     end;
+    check_threshold threshold;
+    check_growth growth;
     (if scramble then begin
       (* Catalog corruption is only survivable through the guarded
          driver: Sanitize fabricates substitute cardinalities and the
@@ -751,7 +769,8 @@ let explain_cmd =
       value
       & opt (some float) None
       & info [ "threshold" ] ~docv:"COST"
-          ~doc:"Initial plan-cost threshold for the thresholded optimizer.")
+          ~doc:"Initial plan-cost threshold for the thresholded optimizer, positive and \
+                finite.")
   in
   let multiway_arg =
     Arg.(
@@ -770,6 +789,7 @@ let explain_cmd =
       Printf.eprintf "blitz: --repeat %d must be at least 1\n" repeat;
       exit 1
     end;
+    check_threshold threshold;
     let num_domains = session_width num_domains in
     let names = Catalog.names problem.catalog in
     let entry =

@@ -10,7 +10,6 @@ module Catalog = Blitz_catalog.Catalog
 module Join_graph = Blitz_graph.Join_graph
 module Cost_model = Blitz_cost.Cost_model
 module Plan = Blitz_plan.Plan
-module Relset = Blitz_bitset.Relset
 
 val max_relations : int
 (** 10. *)
@@ -18,9 +17,6 @@ val max_relations : int
 val optimize : Cost_model.t -> Catalog.t -> Join_graph.t -> Plan.t * float
 (** Optimal plan and cost over all catalog relations.  Raises
     [Invalid_argument] beyond {!max_relations}. *)
-
-val optimize_subset : Eval.t -> Relset.t -> Plan.t * float
-(** Optimum over a subset, reusing an evaluator. *)
 
 val optimize_leftdeep : Cost_model.t -> Catalog.t -> Join_graph.t -> Plan.t * float
 (** Optimum restricted to left-deep plans (all [n!/2] leaf orders) —

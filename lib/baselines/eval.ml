@@ -9,15 +9,6 @@ type t = { n : int; model : Cost_model.t; card : float array }
 let make model catalog graph =
   { n = Catalog.n catalog; model; card = Blitz_core.Card_table.compute catalog graph }
 
-let of_cardinality model ~n cardinality =
-  if n < 1 || n > Blitz_core.Dp_table.max_relations then
-    invalid_arg "Eval.of_cardinality: n outside the DP-table range";
-  let card = Array.make (1 lsl n) 1.0 in
-  for s = 1 to (1 lsl n) - 1 do
-    card.(s) <- cardinality s
-  done;
-  { n; model; card }
-
 let n t = t.n
 let model t = t.model
 

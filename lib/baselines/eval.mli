@@ -17,12 +17,6 @@ type t
 
 val make : Blitz_cost.Cost_model.t -> Catalog.t -> Join_graph.t -> t
 
-val of_cardinality : Cost_model.t -> n:int -> (Relset.t -> float) -> t
-(** Evaluator over an arbitrary cardinality function (tabulated over all
-    [2^n] subsets up front) — lets the brute-force oracle cost plans
-    under non-graph estimators such as equivalence classes.  Raises
-    [Invalid_argument] when [n] exceeds the DP-table cap. *)
-
 val n : t -> int
 val model : t -> Cost_model.t
 

@@ -1,11 +1,9 @@
 (** The per-subset kernels of Algorithm blitzsplit, shared by the
-    optimizer variants and by the rank-parallel driver.
+    sequential and the rank-parallel drivers.
 
-    {!Blitzsplit} (plain join graphs), {!Blitzsplit_eq}
-    (equivalence-class cardinalities) and [Parallel_blitzsplit] (the
-    rank-parallel decomposition in [blitz_parallel]) differ only in how
-    subsets are enumerated and in how [compute_properties] fills the
-    cardinality column; the split loop — the [O(3^n)] part realized with
+    {!Blitzsplit} and [Parallel_blitzsplit] (the rank-parallel
+    decomposition in [blitz_parallel]) differ only in how subsets are
+    enumerated; the split loop — the [O(3^n)] part realized with
     the successor trick and nested-[if] pruning (Sections 4.2, 6.2) —
     is identical and lives here.  Under every model with a symmetric
     [kappa''] it visits each unordered split [{lhs, s lxor lhs}] once,

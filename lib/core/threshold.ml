@@ -17,23 +17,26 @@ let m_skips =
   Obs.Metrics.counter ~help:"Subsets skipped by the plan-cost threshold filter"
     "blitz_threshold_skipped_subsets_total"
 
-(* One driver serves every optimizer variant; only the feasibility probe
-   differs.  [passes] counts optimization passes actually run — each
-   thresholded attempt plus, when all attempts fail (or the growing
-   threshold overflows to infinity), the forced unthresholded rescue
-   pass, which always concludes the sequence with an answer. *)
-let drive_generic ?(growth = 1e4) ?(max_passes = 16) ~threshold ~feasible run =
+(* [passes] counts optimization passes actually run — each thresholded
+   attempt plus, when all attempts fail (or the growing threshold
+   overflows to infinity), the forced unthresholded rescue pass, which
+   always concludes the sequence with an answer. *)
+let drive ?counters ?(growth = 1e4) ?(max_passes = 16) ~threshold run =
   if threshold <= 0.0 || not (Float.is_finite threshold) then
     invalid_arg "Threshold: initial threshold must be positive and finite";
-  if growth <= 1.0 then invalid_arg "Threshold: growth must exceed 1";
+  if not (growth > 1.0) then invalid_arg "Threshold: growth must exceed 1";
   if max_passes < 1 then invalid_arg "Threshold: max_passes must be positive";
+  let counters = match counters with Some c -> c | None -> Counters.create () in
+  let skips_before = counters.Counters.threshold_skips in
   let rec go passes_run threshold =
     if passes_run >= max_passes || not (Float.is_finite threshold) then begin
       (* Rescue pass: unthresholded, cannot fail. *)
       Obs.Metrics.incr m_passes;
       Obs.Metrics.incr m_rescues;
-      let result = Obs.span "threshold.rescue" (fun () -> run ~threshold:Float.infinity) in
-      (result, passes_run + 1, Float.infinity)
+      let result =
+        Obs.span "threshold.rescue" (fun () -> run ~counters ~threshold:Float.infinity)
+      in
+      { result; passes = passes_run + 1; final_threshold = Float.infinity }
     end
     else begin
       Obs.Metrics.incr m_passes;
@@ -44,25 +47,18 @@ let drive_generic ?(growth = 1e4) ?(max_passes = 16) ~threshold ~feasible run =
               ("pass", string_of_int (passes_run + 1));
               ("threshold", Printf.sprintf "%g" threshold);
             ]
-          (fun () -> run ~threshold)
+          (fun () -> run ~counters ~threshold)
       in
-      if feasible result then (result, passes_run + 1, threshold)
+      if Blitzsplit.feasible result then
+        { result; passes = passes_run + 1; final_threshold = threshold }
       else go (passes_run + 1) (threshold *. growth)
     end
   in
-  go 0 threshold
-
-let drive ?counters ?growth ?max_passes ~threshold run =
-  let counters = match counters with Some c -> c | None -> Counters.create () in
-  let skips_before = counters.Counters.threshold_skips in
-  let result, passes, final_threshold =
-    drive_generic ?growth ?max_passes ~threshold ~feasible:Blitzsplit.feasible
-      (fun ~threshold -> run ~counters ~threshold)
-  in
+  let outcome = go 0 threshold in
   (* The paper's own §6.4 statistic: how many subsets the threshold
      filter let the driver skip, summed over every pass of this call. *)
   Obs.Metrics.add m_skips (max 0 (counters.Counters.threshold_skips - skips_before));
-  { result; passes; final_threshold }
+  outcome
 
 (* Re-optimization passes reuse one table through an arena: without one a
    failed pass would throw away (and a retry reallocate) 7*8*2^n bytes.
@@ -81,31 +77,3 @@ let optimize_product ?arena ?counters ?growth ?max_passes ?interrupt ~threshold 
   let arena = private_arena arena in
   drive ?counters ?growth ?max_passes ~threshold (fun ~counters ~threshold ->
       Blitzsplit.optimize_product ~arena ~counters ~threshold ?interrupt model catalog)
-
-type eq_outcome = { eq_result : Blitzsplit_eq.t; eq_passes : int; eq_final_threshold : float }
-
-let optimize_eq ?arena ?counters ?growth ?max_passes ~threshold model catalog equivalence =
-  let arena = private_arena arena in
-  let counters = match counters with Some c -> c | None -> Counters.create () in
-  let eq_result, eq_passes, eq_final_threshold =
-    drive_generic ?growth ?max_passes ~threshold ~feasible:Blitzsplit_eq.feasible
-      (fun ~threshold ->
-        Blitzsplit_eq.optimize ~arena ~counters ~threshold model catalog equivalence)
-  in
-  { eq_result; eq_passes; eq_final_threshold }
-
-type hyper_outcome = {
-  hyper_result : Blitzsplit_hyper.t;
-  hyper_passes : int;
-  hyper_final_threshold : float;
-}
-
-let optimize_hyper ?arena ?counters ?growth ?max_passes ~threshold model catalog hypergraph =
-  let arena = private_arena arena in
-  let counters = match counters with Some c -> c | None -> Counters.create () in
-  let hyper_result, hyper_passes, hyper_final_threshold =
-    drive_generic ?growth ?max_passes ~threshold ~feasible:Blitzsplit_hyper.feasible
-      (fun ~threshold ->
-        Blitzsplit_hyper.optimize ~arena ~counters ~threshold model catalog hypergraph)
-  in
-  { hyper_result; hyper_passes; hyper_final_threshold }

@@ -55,8 +55,9 @@ val optimize_join :
     out of the driver.  [multiway] is likewise forwarded to every pass
     (threshold semantics are unchanged: the n-ary candidate is accepted
     only strictly below the pass threshold, so a successful pass is still
-    optimal for its search space).  Raises [Invalid_argument] for
-    non-positive thresholds or [growth <= 1]. *)
+    optimal for its search space).  Raises [Invalid_argument] for a
+    threshold that is not positive and finite, a [growth] that does not
+    exceed 1 (NaN included), or [max_passes < 1]. *)
 
 val optimize_product :
   ?arena:Arena.t ->
@@ -82,40 +83,5 @@ val drive :
     blitzsplit entries drive their one pass function through it, which
     runs rank-parallel on a session's pool.  The callback runs one
     optimization pass at the given threshold, accumulating into the
-    supplied counters. *)
-
-(** {1 Variant optimizers}
-
-    The same multi-pass driver over the equivalence-class and hypergraph
-    variants; the correctness argument is identical since both share the
-    split loop and its threshold semantics. *)
-
-type eq_outcome = { eq_result : Blitzsplit_eq.t; eq_passes : int; eq_final_threshold : float }
-
-val optimize_eq :
-  ?arena:Arena.t ->
-  ?counters:Counters.t ->
-  ?growth:float ->
-  ?max_passes:int ->
-  threshold:float ->
-  Cost_model.t ->
-  Catalog.t ->
-  Blitz_graph.Equivalence.t ->
-  eq_outcome
-
-type hyper_outcome = {
-  hyper_result : Blitzsplit_hyper.t;
-  hyper_passes : int;
-  hyper_final_threshold : float;
-}
-
-val optimize_hyper :
-  ?arena:Arena.t ->
-  ?counters:Counters.t ->
-  ?growth:float ->
-  ?max_passes:int ->
-  threshold:float ->
-  Cost_model.t ->
-  Catalog.t ->
-  Blitz_graph.Hypergraph.t ->
-  hyper_outcome
+    supplied counters; a pass succeeds when {!Blitzsplit.feasible} holds
+    for its result.  Arguments are checked as in {!optimize_join}. *)

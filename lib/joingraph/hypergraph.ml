@@ -1,87 +1,20 @@
 module Relset = Blitz_bitset.Relset
-module Catalog = Blitz_catalog.Catalog
 
-type hyperedge = { members : Relset.t; selectivity : float }
-
-type t = { n : int; edges : hyperedge list }
-
-let n t = t.n
-let edges t = t.edges
-
-let of_edges ~n edges =
-  if n < 1 then invalid_arg "Hypergraph.of_edges: need at least one relation";
-  if n > Relset.max_width then invalid_arg "Hypergraph.of_edges: too many relations";
-  let seen = Hashtbl.create 16 in
-  let validated =
-    List.map
-      (fun (members, selectivity) ->
-        if Relset.cardinal members < 2 then
-          invalid_arg "Hypergraph.of_edges: a hyperedge needs at least two relations";
-        if not (Relset.subset members (Relset.full n)) then
-          invalid_arg "Hypergraph.of_edges: hyperedge member out of range";
-        if (not (Float.is_finite selectivity)) || selectivity <= 0.0 || selectivity > 1.0 then
-          invalid_arg
-            (Printf.sprintf "Hypergraph.of_edges: selectivity %g outside (0, 1]" selectivity);
-        if Hashtbl.mem seen members then
-          invalid_arg "Hypergraph.of_edges: duplicate hyperedge member set";
-        Hashtbl.add seen members ();
-        { members; selectivity })
-      edges
-  in
-  { n; edges = validated }
+type t = (Relset.t * float) list
 
 let of_join_graph graph =
-  of_edges ~n:(Join_graph.n graph)
-    (List.map
-       (fun (i, j, sel) -> (Relset.of_list [ i; j ], sel))
-       (Join_graph.edges graph))
-
-let join_cardinality catalog t s =
-  if Catalog.n catalog <> t.n then invalid_arg "Hypergraph.join_cardinality: size mismatch";
-  let cards = Relset.fold (fun acc i -> acc *. Catalog.card catalog i) 1.0 s in
-  List.fold_left
-    (fun acc e -> if Relset.subset e.members s then acc *. e.selectivity else acc)
-    cards t.edges
-
-let pi_span t u v =
-  if not (Relset.disjoint u v) then invalid_arg "Hypergraph.pi_span: sets intersect";
-  let union = Relset.union u v in
-  List.fold_left
-    (fun acc e ->
-      if
-        Relset.subset e.members union
-        && (not (Relset.subset e.members u))
-        && not (Relset.subset e.members v)
-      then acc *. e.selectivity
-      else acc)
-    1.0 t.edges
-
-let crosses t u v =
-  let union = Relset.union u v in
-  List.exists
-    (fun e ->
-      Relset.subset e.members union
-      && (not (Relset.subset e.members u))
-      && not (Relset.subset e.members v))
-    t.edges
+  List.map (fun (i, j, sel) -> (Relset.of_list [ i; j ], sel)) (Join_graph.edges graph)
 
 (* Flat arrays for the inner loops that index hyperedges by small
-   integer position: the optimizer kernels (blitzsplit_hyper's
-   completed-edge bitmask, the AGM fractional-cover solver) both need
-   exactly [members]/[sel] as parallel arrays, so the packing lives
-   here instead of being re-derived privately at each call site.
-   Defined last so its [members] field does not shadow
-   [hyperedge.members] above. *)
+   integer position: the multiway planner and the AGM fractional-cover
+   solver both need exactly [members]/[sel] as parallel arrays, so the
+   packing lives here instead of being re-derived privately at each call
+   site. *)
 type packed = { members : Relset.t array; sel : float array }
 
 let pack t =
-  let edges = Array.of_list t.edges in
-  {
-    members = Array.map (fun (e : hyperedge) -> e.members) edges;
-    sel = Array.map (fun (e : hyperedge) -> e.selectivity) edges;
-  }
-
-let packed_edge_count p = Array.length p.members
+  let edges = Array.of_list t in
+  { members = Array.map fst edges; sel = Array.map snd edges }
 
 let induced p s =
   let acc = ref [] in

@@ -1,51 +1,25 @@
-(** Join hypergraphs: predicates spanning more than two relations.
+(** Join hypergraphs: predicates as sets of relations.
 
-    The second extension Section 5 sketches and defers ("Similar
-    techniques can accommodate implied or redundant predicates and join
-    hypergraphs").  A {e hyperedge} is a predicate that can only be
-    evaluated once {e all} of a set of relations are present — e.g.
-    [R.a + S.b = T.c] touches three relations.  Its selectivity applies
+    A {e hyperedge} is a predicate that can only be evaluated once {e
+    all} of a set of relations are present; its selectivity applies
     exactly once, at the join where its last member relation arrives.
-
-    Cardinality semantics: for a subset [S], the join cardinality is the
-    product of member cardinalities times the selectivity of every
-    hyperedge {e fully contained} in [S] (Section 5.1's argument — a
-    predicate participates as soon as, and only when, its referent
-    relations are all available).  For two-relation hyperedges this
-    degenerates to the ordinary join graph. *)
+    The AGM fractional-cover bound ([Blitz_cost.Agm]) is stated over
+    hyperedges, so the multiway planner views a join graph as one, every
+    edge a two-relation hyperedge. *)
 
 module Relset = Blitz_bitset.Relset
-module Catalog = Blitz_catalog.Catalog
-
-type hyperedge = {
-  members : Relset.t;  (** At least two relations. *)
-  selectivity : float;  (** In (0, 1]. *)
-}
 
 type t
 
-val n : t -> int
-val edges : t -> hyperedge list
-
-val of_edges : n:int -> (Relset.t * float) list -> t
-(** Raises [Invalid_argument] on out-of-range members, hyperedges with
-    fewer than two relations, duplicate member sets (conjoin the
-    selectivities instead), or selectivities outside (0, 1]. *)
-
 val of_join_graph : Join_graph.t -> t
-(** Embed an ordinary join graph (every edge becomes a binary
-    hyperedge). *)
-
-val join_cardinality : Catalog.t -> t -> Relset.t -> float
-(** Reference semantics: member cardinalities times the selectivities of
-    fully-contained hyperedges. *)
+(** Embed an ordinary join graph: every edge becomes a binary hyperedge,
+    in {!Join_graph.edges} order. *)
 
 (** {1 Packed form and induced sub-hypergraphs}
 
     Inner loops that index hyperedges by integer position — the
-    completed-edge bitmask of [Blitzsplit_hyper], the AGM
-    fractional-cover solver — consume the packed parallel-array form
-    instead of re-deriving it privately. *)
+    multiway planner, the AGM fractional-cover solver — consume the
+    packed parallel-array form instead of re-deriving it privately. *)
 
 type packed = {
   members : Relset.t array;  (** Member set of edge [e]. *)
@@ -56,17 +30,7 @@ val pack : t -> packed
 (** Edges in construction order; [pack] is the canonical conversion, so
     two callers packing the same hypergraph agree on edge indexes. *)
 
-val packed_edge_count : packed -> int
-
 val induced : packed -> Relset.t -> int list
 (** Indexes (ascending) of the edges wholly contained in the given set —
     the induced sub-hypergraph on which a per-subset fractional edge
     cover is solved. *)
-
-val pi_span : t -> Relset.t -> Relset.t -> float
-(** Product of selectivities of hyperedges contained in the union of the
-    two (disjoint) sets but in neither alone — the factor a join of the
-    two applies. *)
-
-val crosses : t -> Relset.t -> Relset.t -> bool
-(** Whether joining the two sets completes at least one hyperedge. *)

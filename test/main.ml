@@ -8,9 +8,7 @@ let () =
       ("cost", Test_cost.suite);
       ("plan", Test_plan.suite);
       ("blitzsplit", Test_blitzsplit.suite);
-      ("equivalence", Test_equivalence.suite);
       ("orders", Test_orders.suite);
-      ("hypergraph", Test_hypergraph.suite);
       ("multiway", Test_multiway.suite);
       ("differential", Test_differential.suite);
       ("split-kernel", Test_split_kernel.suite);
@@ -28,7 +26,6 @@ let () =
       ("workload", Test_workload.suite);
       ("tpch", Test_tpch.suite);
       ("exec", Test_exec.suite);
-      ("stats", Test_stats.suite);
       ("sql", Test_sql.suite);
       ("obs", Test_obs.suite);
       ("robust", Test_robust.suite);

@@ -75,18 +75,10 @@ let test_subplan_extraction_optimal_substructure () =
     | None -> Alcotest.failf "subset %d infeasible without threshold" s
     | Some plan ->
       Alcotest.(check bool) "covers the subset" true (Relset.equal (Plan.relations plan) s);
-      let sub = Blitz_graph.Induced.project catalog graph s in
-      let dense = Plan.map_leaves
-        (fun parent ->
-          let rec find i = if sub.Blitz_graph.Induced.to_parent.(i) = parent then i else find (i + 1) in
-          find 0)
-        plan
-      in
       check_float ~rel:1e-6
         (Printf.sprintf "subplan cost for %d" s)
         (Dp_table.cost r.Blitzsplit.table s)
-        (Plan.cost Cost_model.kdnl sub.Blitz_graph.Induced.catalog sub.Blitz_graph.Induced.graph
-           dense)
+        (Plan.cost Cost_model.kdnl catalog graph plan)
   done
 
 let suite =

@@ -1,7 +1,6 @@
 (* Join graph, topology wiring and the appendix selectivity formula. *)
 
 open Test_helpers
-module Induced = Blitz_graph.Induced
 
 let check_float = Test_helpers.check_float
 
@@ -188,39 +187,6 @@ let prop_pi_span_multiplicative =
         (Join_graph.pi_span g u (Relset.union w z))
         (Join_graph.pi_span g u w *. Join_graph.pi_span g u z))
 
-(* ---- Induced subproblems ---- *)
-
-let test_induced_projection () =
-  let s = Relset.of_list [ 0; 2; 3 ] in
-  let sub = Induced.project abcd_catalog fig3 s in
-  Alcotest.(check int) "sub n" 3 (Catalog.n sub.Induced.catalog);
-  Alcotest.(check (array string)) "sub names" [| "A"; "C"; "D" |] (Catalog.names sub.Induced.catalog);
-  (* Edges within {A,C,D}: AC (0.2) and AD (0.4); BC and AB drop out. *)
-  Alcotest.(check int) "sub edges" 2 (Join_graph.edge_count sub.Induced.graph);
-  check_float "sub sel A-C" 0.2 (Join_graph.selectivity sub.Induced.graph 0 1);
-  check_float "sub sel A-D" 0.4 (Join_graph.selectivity sub.Induced.graph 0 2);
-  Alcotest.(check int) "lift_set" (Relset.of_list [ 0; 3 ])
-    (Induced.lift_set sub (Relset.of_list [ 0; 2 ]))
-
-let prop_induced_preserves_cardinalities =
-  QCheck2.Test.make ~count:150 ~name:"projection preserves join cardinalities (Section 5.1)"
-    ~print:problem_print (problem_gen ~max_n:9)
-    (fun p ->
-      let n = Catalog.n p.catalog in
-      let rng = Rng.create ~seed:(p.seed + 1) in
-      (* Random nonempty subset. *)
-      let s = 1 + Rng.int rng ((1 lsl n) - 1) in
-      let sub = Induced.project p.catalog p.graph s in
-      let k = Catalog.n sub.Induced.catalog in
-      let ok = ref true in
-      for dense = 1 to (1 lsl k) - 1 do
-        let parent_set = Induced.lift_set sub dense in
-        let a = Join_graph.join_cardinality sub.Induced.catalog sub.Induced.graph dense in
-        let b = Join_graph.join_cardinality p.catalog p.graph parent_set in
-        if not (Blitz_util.Float_more.approx_equal ~rel:1e-9 a b) then ok := false
-      done;
-      !ok)
-
 let suite =
   [
     Alcotest.test_case "accessors" `Quick test_basic_accessors;
@@ -231,10 +197,8 @@ let suite =
     Alcotest.test_case "appendix chain order (n=15)" `Quick test_chain_order_paper;
     Alcotest.test_case "topology edge lists" `Quick test_topology_edges;
     Alcotest.test_case "topology parsing round-trips" `Quick test_topology_parse;
-    Alcotest.test_case "induced projection" `Quick test_induced_projection;
     QCheck_alcotest.to_alcotest prop_selectivity_formula_result_card;
     QCheck_alcotest.to_alcotest prop_pi_span_multiplicative;
-    QCheck_alcotest.to_alcotest prop_induced_preserves_cardinalities;
     Alcotest.test_case "appendix selectivities clamped above 1" `Quick
       test_clamped_appendix_chain;
   ]

@@ -20,10 +20,8 @@ module Workload = Blitz_workload.Workload
 let same_float a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
 
 let solve ~n edges cards set =
-  let catalog = Catalog.of_cards cards in
-  let packed = Hypergraph.pack (Hypergraph.of_edges ~n edges) in
-  ignore (Catalog.n catalog);
-  Agm.fractional_edge_cover catalog packed set
+  let packed = Hypergraph.pack (Hypergraph.of_join_graph (Join_graph.of_edges ~n edges)) in
+  Agm.fractional_edge_cover (Catalog.of_cards cards) packed set
 
 (* {1 The AGM cover solver on hand-computed optima} *)
 
@@ -31,11 +29,7 @@ let test_triangle_cover () =
   (* Triangle, N = 100 each, sel = 0.01 each: the classic fractional
      cover is x = 1/2 on every edge, bound = (N^2 s)^(3/2) = N^3 s^(3/2)
      = 1e6 * 1e-3 = 1000 — strictly below the pairwise-join estimate. *)
-  let edges =
-    [ (Relset.of_list [ 0; 1 ], 0.01);
-      (Relset.of_list [ 1; 2 ], 0.01);
-      (Relset.of_list [ 0; 2 ], 0.01) ]
-  in
+  let edges = [ (0, 1, 0.01); (1, 2, 0.01); (0, 2, 0.01) ] in
   let c = solve ~n:3 edges [| 100.0; 100.0; 100.0 |] (Relset.full 3) in
   Alcotest.(check bool) "exhaustive" true c.Agm.exact;
   check_float ~rel:1e-9 "triangle bound" 1000.0 c.Agm.bound;
@@ -46,7 +40,7 @@ let test_four_clique_cover () =
   (* K4, N = 100, s = 0.01: a perfect matching at weight 1 attains the
      half-integral optimum G = 4 ln N + 2 ln s, bound = N^4 s^2 = 1e4.
      Three matchings tie, so assert the bound, not the weights. *)
-  let e a b = (Relset.of_list [ a; b ], 0.01) in
+  let e a b = (a, b, 0.01) in
   let edges = [ e 0 1; e 0 2; e 0 3; e 1 2; e 1 3; e 2 3 ] in
   let c = solve ~n:4 edges [| 100.0; 100.0; 100.0; 100.0 |] (Relset.full 4) in
   Alcotest.(check bool) "exhaustive (m = 6 = cap)" true c.Agm.exact;
@@ -55,7 +49,7 @@ let test_four_clique_cover () =
 let test_four_cycle_cover () =
   (* C4: the matching {01, 23} at weight 1 and the all-1/2 cover give
      the same G = 4 ln N + 2 ln s — a genuine LP tie.  Bound only. *)
-  let e a b = (Relset.of_list [ a; b ], 0.01) in
+  let e a b = (a, b, 0.01) in
   let edges = [ e 0 1; e 1 2; e 2 3; e 3 0 ] in
   let c = solve ~n:4 edges [| 100.0; 100.0; 100.0; 100.0 |] (Relset.full 4) in
   check_float ~rel:1e-9 "4-cycle bound" 1e4 c.Agm.bound
@@ -63,8 +57,7 @@ let test_four_cycle_cover () =
 let test_edgeless_and_induced () =
   (* No induced edge: all self-covers, bound = product of cards.  A
      subset that cuts every edge behaves the same. *)
-  let e a b = (Relset.of_list [ a; b ], 0.5) in
-  let c = solve ~n:4 [ e 0 1 ] [| 10.0; 20.0; 30.0; 40.0 |] (Relset.of_list [ 2; 3 ]) in
+  let c = solve ~n:4 [ (0, 1, 0.5) ] [| 10.0; 20.0; 30.0; 40.0 |] (Relset.of_list [ 2; 3 ]) in
   check_float "pure product" 1200.0 c.Agm.bound;
   Alcotest.(check int) "no weights" 0 (List.length c.Agm.weights)
 
@@ -76,7 +69,7 @@ let test_descent_beyond_cap () =
   let edges = ref [] in
   for i = 0 to 4 do
     for j = i + 1 to 4 do
-      edges := (Relset.of_list [ i; j ], 0.01) :: !edges
+      edges := (i, j, 0.01) :: !edges
     done
   done;
   let c = solve ~n:5 !edges (Array.make 5 100.0) (Relset.full 5) in
