@@ -198,7 +198,7 @@ let run () =
       ("repeats", Json.Int repeats);
       ("rounds", Json.Int rounds);
       ("min_total_s", Json.Float min_total);
-      ("cores_available", Json.Int (Blitz_parallel.Parallel_blitzsplit.recommended_domains ()));
+      ("cores_available", Json.Int (Blitz_engine.Engine.recommended_domains ()));
     ];
 
   let checked, rebased = check_bit_identity ~ns:ns_ident ~model in

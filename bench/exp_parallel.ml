@@ -1,9 +1,10 @@
 (* Experiment "parallel": rank-parallel blitzsplit speedup curve.
 
-   Measures the sequential optimizer and Parallel_blitzsplit on pools of
-   1/2/4/8 domains over n = 12..20 (Cartesian products, kappa_0, equal
-   cardinalities — the same pure-3^n kernel as fig2), verifying on every
-   point that the parallel cost is bit-identical to the sequential one.
+   Times one blitzsplit pass on the calling domain (the sequential
+   column) and the same driver on pools of 1/2/4/8 domains over
+   n = 12..20 (Cartesian products, kappa_0, equal cardinalities — the
+   same pure-3^n kernel as fig2), verifying on every point that the
+   pooled cost is bit-identical to the sequential one.
    Timing is WALL clock (Bench_config.wall, on CLOCK_MONOTONIC):
    Timer.now is CPU time, which sums over domains and would hide any
    speedup.  Each point is the best of three rounds (one in fast mode),
@@ -19,7 +20,6 @@
 module Catalog = Blitz_catalog.Catalog
 module Cost_model = Blitz_cost.Cost_model
 module Blitzsplit = Blitz_core.Blitzsplit
-module Parallel_blitzsplit = Blitz_parallel.Parallel_blitzsplit
 module Pool = Blitz_parallel.Pool
 module Registry = Blitz_engine.Registry
 module Json = Blitz_util.Json
@@ -32,7 +32,7 @@ let run () =
   let budget_per_point = if Bench_config.fast then 1.0 else 30.0 in
   let min_total = if Bench_config.fast then 0.02 else 0.2 in
   let rounds = if Bench_config.fast then 1 else 3 in
-  let cores = Parallel_blitzsplit.recommended_domains () in
+  let cores = Blitz_engine.Engine.recommended_domains () in
   (* On a single-core host every multi-domain point measures scheduling
      overhead, not parallelism: the numbers are still recorded, stamped
      advisory, and the speedup gate is skipped. *)
@@ -53,20 +53,19 @@ let run () =
     let model = Cost_model.naive in
     let seq_cost = ref Float.nan in
     let sequential () = seq_cost := (Bench_opt.run model catalog None).Registry.cost in
-    (* Every point, one domain included, runs the rank-parallel driver
-       on a pool of that width: the 1-domain point is what the rank
-       order costs without parallelism, against the sequential
-       driver's numeric order. *)
+    (* Every point, one domain included, runs the pass on a pool of that
+       width: the 1-domain point is what the pool's chunks and barriers
+       cost without parallelism. *)
     let pools = List.map (fun d -> (d, Pool.create ~num_domains:d)) domain_axis in
     let parallel (d, pool) () =
-      let cost = Blitzsplit.best_cost (Parallel_blitzsplit.optimize_product ~pool model catalog) in
+      let cost = Blitzsplit.best_cost (Blitzsplit.optimize_product ~pool model catalog) in
       if cost <> !seq_cost then
         failwith
           (Printf.sprintf "parallel cost diverged at n=%d domains=%d: %.17g vs %.17g" !n d cost
              !seq_cost)
     in
     (* Best of [rounds], every point taking its turn in each round, so
-       drift on a shared host hits the sequential driver and each width
+       drift on a shared host hits the sequential point and each width
        alike.  The sequential point runs first, so the check above has
        its cost. *)
     let best = Array.make (1 + List.length pools) Float.infinity in
@@ -89,7 +88,7 @@ let run () =
          ("model", Json.String "k0");
          ("cores_available", Json.Int cores);
          ("advisory", Json.Bool advisory);
-         ("auto_fallback_below_n", Json.Int Parallel_blitzsplit.default_crossover_n);
+         ("auto_fallback_below_n", Json.Int Blitz_engine.Engine.default_crossover_n);
          ("sequential_s", Json.Float seq_s);
        ]
       @ List.map
@@ -136,7 +135,7 @@ let run () =
     match !rows with
     | [] -> ()
     | (n, seq_s, per_domain) :: _ ->
-      (* The 1-domain point times the rank order, not parallelism. *)
+      (* The 1-domain point times the pool's overhead, not parallelism. *)
       let best =
         List.fold_left
           (fun acc (d, s) -> if d > 1 then Float.max acc (seq_s /. s) else acc)

@@ -33,8 +33,8 @@
    previous one wrote — which is what lets us re-run the kernel over a
    converged table as a timing loop.
 
-   A second section times seeded passes: one §6.4 pass of the
-   sequential driver at [Registry.upper_bound], through an arena, as the
+   A second section times seeded passes: one §6.4 pass on the calling
+   domain at [Registry.upper_bound], through an arena, as the
    exact tier runs it, on stars with the hub last (relation n - 1, whose
    subsets scan the live-operand index) and first (relation 0, whose
    subsets walk), cliques and chains under the three paper models.  Each

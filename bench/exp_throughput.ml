@@ -58,7 +58,7 @@ let run () =
   let min_total = if Bench_config.fast then 0.05 else 0.5 in
   let min_runs = 2 in
   let model = Cost_model.kdnl in
-  let cores = Blitz_parallel.Parallel_blitzsplit.recommended_domains () in
+  let cores = Blitz_engine.Engine.recommended_domains () in
   Printf.printf "batch of %d queries per n (mixed topology/cardinality, every 6th a pure product)\n"
     size;
   Printf.printf "single-core in both paths; host has %d core(s) available\n" cores;

@@ -33,7 +33,6 @@ module Sanitize = Blitz_guard.Sanitize
 module Chaos = Blitz_guard.Chaos
 module Noise = Blitz_robust.Noise
 module Regret = Blitz_robust.Regret
-module Parallel_blitzsplit = Blitz_parallel.Parallel_blitzsplit
 module Registry = Blitz_engine.Registry
 module Engine = Blitz_engine.Engine
 module Plan_cache = Blitz_cache.Plan_cache
@@ -249,7 +248,7 @@ let ran_on_pool session (entry : Registry.entry) ~multiway ~n =
 (* The session width --num-domains asks for: 0 is the runtime's
    recommended count. *)
 let session_width = function
-  | 0 -> Parallel_blitzsplit.recommended_domains ()
+  | 0 -> Engine.recommended_domains ()
   | d when d < 0 || d > 128 ->
     Printf.eprintf "blitz: --num-domains %d outside [0, 128]\n" d;
     exit 1
@@ -271,6 +270,20 @@ let check_growth g =
     exit 1
   end
 
+(* The guarded driver seeds its exact tier from its own upper bound and
+   runs one pass at it, so a caller's threshold or growth would be
+   dropped without a word: refuse them instead. *)
+let refuse_on_guarded_path ~threshold ~growth =
+  let refuse option =
+    Printf.eprintf
+      "blitz: %s does not apply to the guarded driver (--degrade, --deadline-ms, \
+       --max-table-mb, --scramble-catalog), which seeds its own bound\n"
+      option;
+    exit 1
+  in
+  if Option.is_some threshold then refuse "--threshold";
+  if Option.is_some growth then refuse "--growth"
+
 (* ---- optimize ---- *)
 
 (* [blitz optimize]'s status when the search finds no plan of finite
@@ -284,14 +297,17 @@ let optimize_cmd =
       & opt (some float) None
       & info [ "threshold" ] ~docv:"COST"
           ~doc:"Plan-cost threshold (Section 6.4), positive and finite; re-optimizes with a \
-                raised threshold on failure.")
+                raised threshold on failure.  Rejected on the guarded paths (--degrade, \
+                --deadline-ms, --max-table-mb, --scramble-catalog), whose exact tier seeds its \
+                own bound.")
   in
   let growth_arg =
     Arg.(
       value
-      & opt float 1e4
+      & opt (some float) None
       & info [ "growth" ] ~docv:"FACTOR"
-          ~doc:"Threshold growth factor between passes; must exceed 1.")
+          ~doc:"Threshold growth factor between passes (10000 when not given); must exceed 1.  \
+                Rejected on the guarded paths, as --threshold is.")
   in
   let dump_table_arg =
     Arg.(value & flag & info [ "dump-table" ] ~doc:"Print the full DP table (small queries only).")
@@ -403,7 +419,9 @@ let optimize_cmd =
       exit 1
     end;
     check_threshold threshold;
-    check_growth growth;
+    Option.iter check_growth growth;
+    if scramble || degrade || deadline_ms <> None || max_table_mb <> None then
+      refuse_on_guarded_path ~threshold ~growth;
     (if scramble then begin
       (* Catalog corruption is only survivable through the guarded
          driver: Sanitize fabricates substitute cardinalities and the
@@ -567,7 +585,7 @@ let optimize_cmd =
            thresholded outcomes under a caller threshold are
            caller-dependent). *)
         Registry.optimize ~optimizer
-          (Engine.ctx ?threshold ~growth ~multiway ~n:(Catalog.n problem.catalog) session)
+          (Engine.ctx ?threshold ?growth ~multiway ~n:(Catalog.n problem.catalog) session)
           prob
     in
     let outcome = ref (run_once ()) in

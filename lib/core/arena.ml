@@ -17,7 +17,7 @@ let acquire t ?(with_pi_fan = true) n =
     match t.table with
     | Some tbl when Dp_table.capacity tbl >= n ->
       let tbl = if with_pi_fan then Dp_table.add_pi_fan tbl else tbl in
-      Dp_table.reset_in_place tbl ~n
+      Dp_table.view tbl ~n
     | prev ->
       (* Grow to the new high-water mark.  The fan column is sticky: once
          any query in the session needed it, keep it so a later join query
@@ -52,9 +52,9 @@ let resident_bytes t =
       ~with_pi_fan:(Dp_table.has_pi_fan tbl)
       ~n:(Dp_table.capacity tbl) ()
 
-(* A seeded pass takes the index beside the table, so its quote charges
-   both at the would-be capacity; any other call leaves the index as it
-   is. *)
+(* A blitzsplit pass takes the subset lists beside the table, so its
+   quote charges both at the would-be capacity; any other call leaves
+   the lists as they are. *)
 let bytes_after t ?(with_pi_fan = true) ?(with_index = true) ~n () =
   let index =
     if with_index then max (index_bytes t) (Live_index.estimate_bytes ~n) else index_bytes t

@@ -1,11 +1,10 @@
 (** Algorithm blitzsplit: exhaustive bushy join-order optimization with
     Cartesian products (Vance & Maier, SIGMOD 1996, Sections 3-5).
 
-    Dynamic programming over every nonempty subset of the relation set,
-    visiting subsets in increasing bitset-integer order (which guarantees
-    all proper subsets of a set precede it, Section 4.2).  For each subset
-    the best 2-way split is found by stepping through all nonempty proper
-    subsets with the constant-time successor [succ(l) = s land (l - s)].
+    Dynamic programming over every nonempty subset of the relation set.
+    For each subset the best 2-way split is found by stepping through
+    its nonempty proper subsets with the constant-time successor
+    [succ(l) = s land (l - s)].
 
     Join predicates enter only through the cardinality computation: the
     fan recurrence of Section 5.3 folds every predicate selectivity into
@@ -14,16 +13,27 @@
     products and for joins.  Plans containing Cartesian products are
     found exactly when they are optimal.
 
-    Time [O(3^n)]; space [O(2^n)] (the table).  An optional plan-cost
-    threshold (Section 6.4) prunes: any subset whose best plan would cost
-    at least the threshold is marked infeasible, which can make the whole
-    optimization fail — see {!Threshold} for the multi-pass driver.
-    Under kappa_sm, whose [kappa'] is 0, a pass at a finite threshold
-    that plans binary nodes only also charges each proper subset what
-    every plan completing it must pay
-    ({!Split_loop.completion_threshold}): a pass still finds a plan
-    exactly when the optimum is below its threshold, and then the same
-    plan and cost bits as the unthresholded pass. *)
+    One pass fills the table in two sweeps.  The first visits subsets in
+    increasing bitset-integer order, which puts every proper subset of a
+    set before it (Section 4.2), computes their properties and decides
+    Section 6.4's skip test, which reads nothing else: a subset whose
+    [kappa'] alone reaches the threshold is settled on the spot, and
+    every other subset is kept on its rank's list ({!Live_index}).  The
+    second runs the kept subsets' split loops rank by rank, on a domain
+    pool when the caller hands one over and on the calling domain
+    otherwise.  A subset of rank [k] reads only subsets of lower rank,
+    so every slot, and every counter, comes out the same at every width.
+
+    Time [O(3^n)]; space [O(2^n)] (the table, plus 4 B per subset for
+    the lists).  An optional plan-cost threshold (Section 6.4) prunes:
+    any subset whose best plan would cost at least the threshold is
+    marked infeasible, which can make the whole optimization fail — see
+    {!Threshold} for the multi-pass driver.  Under kappa_sm, whose
+    [kappa'] is 0, a pass at a finite threshold that plans binary nodes
+    only also charges each proper subset what every plan completing it
+    must pay ({!Split_loop.completion_threshold}): a pass still finds a
+    plan exactly when the optimum is below its threshold, and then the
+    same plan and cost bits as the unthresholded pass. *)
 
 module Relset = Blitz_bitset.Relset
 module Catalog = Blitz_catalog.Catalog
@@ -50,6 +60,7 @@ exception Interrupted
     cheaper algorithm (see the [blitz_guard] degradation cascade). *)
 
 val optimize_join :
+  ?pool:Blitz_parallel.Pool.t ->
   ?arena:Arena.t ->
   ?counters:Counters.t ->
   ?threshold:float ->
@@ -60,21 +71,28 @@ val optimize_join :
   Join_graph.t ->
   t
 (** Optimize the join of all catalog relations under the graph's
-    predicates.  [arena] makes the DP table come out of a session
-    workspace instead of a fresh allocation (bit-identical results —
-    see {!Arena}); the returned [table] is a view of the arena's buffer,
-    valid until the arena's next acquire.  [counters] accumulates across
-    calls when supplied (fresh otherwise); [threshold] defaults to
-    [infinity].  [interrupt] makes the [O(3^n)] DP cancellable: it is
-    polled every 64 processed subsets (cheap — [2^n / 64] calls against
-    [3^n] loop work) and a [true] return raises {!Interrupted}.
-    [~multiway:true] additionally tries an n-ary AGM-costed candidate on
-    every 2-edge-connected subset (see {!Multiway}); acyclic queries are
-    structurally unaffected and their tables stay bit-identical.  Raises
-    [Invalid_argument] when the graph's size differs from the catalog's,
-    or when the catalog exceeds {!Dp_table.max_relations} relations. *)
+    predicates.  [pool] runs the split loops of each rank on its domains
+    (any width, one included; the answer and every counter are the
+    same as without it), except in a multiway pass, which stays on the
+    calling domain.  [arena] makes the DP table and the subset lists
+    come out of a session workspace instead of a fresh allocation
+    (bit-identical results — see {!Arena}); the returned [table] is a
+    view of the arena's buffer, valid until the arena's next acquire.
+    [counters] accumulates across calls when supplied (fresh otherwise);
+    [threshold] defaults to [infinity].  [interrupt] makes the [O(3^n)]
+    DP cancellable: it is polled before the table is touched, every 64
+    subsets of each sweep, on every domain, and at every rank barrier,
+    and a [true] return raises {!Interrupted}; on a pool it must
+    tolerate calls from any domain.  [~multiway:true] additionally tries
+    an n-ary AGM-costed candidate on every 2-edge-connected subset (see
+    {!Multiway}); acyclic queries are structurally unaffected and their
+    tables stay bit-identical.  Raises [Invalid_argument] on a
+    non-positive threshold, when the graph's size differs from the
+    catalog's, or when the catalog exceeds {!Dp_table.max_relations}
+    relations. *)
 
 val optimize_product :
+  ?pool:Blitz_parallel.Pool.t ->
   ?arena:Arena.t ->
   ?counters:Counters.t ->
   ?threshold:float ->
@@ -83,15 +101,8 @@ val optimize_product :
   Catalog.t ->
   t
 (** Section 3: pure Cartesian-product optimization — the specialized
-    variant without the fan computation. *)
-
-val timed_pass : Counters.t -> (unit -> 'a) -> 'a
-(** [timed_pass ctr pass] runs one DP pass that counts into [ctr] and,
-    when metrics are enabled, feeds the wall time over the growth of
-    [ctr]'s subsets and split iterations to
-    [blitz_split_loop_ns_per_subset] and [blitz_split_loop_ns_per_iter].
-    Both drivers, sequential and rank-parallel, time their passes
-    through it.  Disabled, it is [pass ()]. *)
+    variant without the fan computation; the table's fan column is
+    neither allocated nor read. *)
 
 (** {1 Inspecting results} *)
 

@@ -60,7 +60,7 @@ val merge_into : from:t -> into:t -> unit
 (** Add every field of [from] into [into].  All fields are plain sums of
     per-subset events, so merging per-domain counters at a barrier gives
     exactly the sequential counts regardless of how subsets were
-    scheduled (the rank-parallel driver relies on this). *)
+    scheduled (a pass on a domain pool relies on this). *)
 
 (** {1 Analytic predictions (Section 3.3)} *)
 

@@ -42,16 +42,9 @@ let estimate_bytes ?(with_pi_fan = true) ~n () =
   let per_slot = if with_pi_fan then 40 else 32 in
   if n >= 50 then max_int else per_slot * (1 lsl n)
 
-let reset_in_place t ~n =
+let view t ~n =
   if n < 1 || n > capacity t then
-    invalid_arg
-      (Printf.sprintf "Dp_table.reset_in_place: n = %d outside [1, %d]" n (capacity t));
-  let slots = 1 lsl n in
-  Array.fill t.card 0 slots 0.0;
-  Array.fill t.cost 0 slots Float.infinity;
-  Array.fill t.best_lhs 0 slots 0;
-  if has_pi_fan t then Array.fill t.pi_fan 0 slots 1.0;
-  Array.fill t.aux 0 slots 0.0;
+    invalid_arg (Printf.sprintf "Dp_table.view: n = %d outside [1, %d]" n (capacity t));
   { t with n }
 
 let add_pi_fan t =

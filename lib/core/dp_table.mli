@@ -57,14 +57,15 @@ val estimate_bytes : ?with_pi_fan:bool -> n:int -> unit -> int
     without the fan column — see {!create}): five (four) 8-byte columns.
     Saturates at [max_int]. *)
 
-val reset_in_place : t -> n:int -> t
-(** [reset_in_place t ~n] re-initializes slots [0, 2^n) of [t]'s backing
-    buffers to the same state [create] produces (cost [infinity], lhs 0,
-    card 0, fan 1) and returns a view of the buffers sized for [n]
-    relations — no allocation beyond the small record.  Requires
-    [1 <= n <= capacity t].  The basis of {!Arena} reuse: a blitzsplit
-    pass writes every slot before reading it, so the reset only matters
-    for what external readers of the table may observe. *)
+val view : t -> n:int -> t
+(** [view t ~n] returns a view of [t]'s backing buffers sized for [n]
+    relations — no allocation beyond the small record, and no write:
+    slots [0, 2^n) hold whatever the last pass over the buffers left.
+    Requires [1 <= n <= capacity t].  The basis of {!Arena} reuse.  A
+    blitzsplit pass writes every slot it reads before reading it, except
+    the fan column of a Cartesian-product pass, which it never reads;
+    dpccp's dense backend, which reads [cost] and [best_lhs] first,
+    clears those two itself. *)
 
 val add_pi_fan : t -> t
 (** Return a view of [t] with the fan column allocated (capacity-sized,

@@ -61,9 +61,9 @@ module Cost_model = Blitz_cost.Cost_model
    the ordered walk, so it matches the reference exactly, counters
    included (both QCheck-enforced in the test suite). *)
 
-(* kappa' alone already "overflows" the threshold: skip the split loop
-   entirely.  Shared across bodies — only word-sized arguments, so the
-   call cannot box. *)
+(* Settle a subset whose split loop [seed] skips: kappa' alone already
+   "overflows" the threshold.  Only word-sized arguments, so the call
+   cannot box. *)
 let skip_subset (tbl : Dp_table.t) (ctr : Counters.t) s =
   ctr.threshold_skips <- ctr.threshold_skips + 1;
   ctr.infeasible <- ctr.infeasible + 1;
@@ -139,9 +139,9 @@ let[@inline] scan_shape (index : Live_index.t) s =
    walk: over ranks 1 .. k-1 in order, ascending within a rank, it
    visits the indexed subsets below 2^(b+1), b the top relation of
    s \ top s, and prices those inside s \ top s, the walk's left
-   operands.  The arm parks the split bound its walk would start from in
-   s's own cost slot, which no operand reads and the epilogue overwrites:
-   a float passed here would be boxed.
+   operands.  It starts from the split bound [seed] parked in s's own
+   cost slot, which no operand reads and the epilogue overwrites: a
+   float passed here would be boxed.
 
    The walk visits left operands in increasing order and takes a split
    only on strict improvement, so it keeps the smallest left operand
@@ -154,10 +154,10 @@ let[@inline] scan_shape (index : Live_index.t) s =
    starting bound is never taken, as in the walk.  Costs and best_lhs are
    therefore the walk's, bit for bit.  [loop_iters] grows by the splits
    the scan prices, one per live left operand, and the other split
-   counters count this loop's events.  Both drivers visit the same
-   candidates in the same order, so every counter agrees across drivers
-   and widths.  The scan is kept out of [find_best_split_with]: sharing
-   one function with the walks slows them. *)
+   counters count this loop's events.  Every width visits the same
+   candidates in the same order, so every counter agrees across widths.
+   The scan is kept out of [split]: sharing one function with the walks
+   slows them. *)
 let[@inline never] scan_best_split (index : Live_index.t) (tbl : Dp_table.t)
     (model : Cost_model.t) (ctr : Counters.t) s shape =
   let k = shape land 31 and b = shape lsr 5 in
@@ -274,9 +274,47 @@ let[@inline never] scan_best_split (index : Live_index.t) (tbl : Dp_table.t)
   end;
   Array.unsafe_set tbl.best_lhs s !best_lhs
 
-let find_best_split_with ~completion ~index (tbl : Dp_table.t) (model : Cost_model.t)
-    (ctr : Counters.t) ~threshold s =
+(* Section 6.4's skip test, decided here for every body and nowhere
+   else: kappa' alone reaches the threshold, or, under kappa_sm with
+   [completion], the completion term leaves nothing of it.  A kept
+   subset's split loop must come in under [threshold - kappa'] (the
+   completion-bounded threshold under kappa_sm); [seed] parks that bound
+   in the subset's own cost slot, which no operand reads and [split]'s
+   epilogue overwrites, so no float crosses a call.  [split] recomputes
+   kappa' for its epilogue from the same [card], which nothing writes in
+   between, so the epilogue adds the very kappa' the bound was cut by. *)
+let seed ~completion (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t) ~threshold s =
   ctr.subsets <- ctr.subsets + 1;
+  match model.kind with
+  | Cost_model.Paper_sort_merge when completion ->
+    let bound = completion_threshold tbl ~threshold s in
+    if 0.0 >= bound then begin
+      skip_subset tbl ctr s;
+      false
+    end
+    else begin
+      Array.unsafe_set tbl.cost s bound;
+      true
+    end
+  | _ ->
+    let out = Array.unsafe_get tbl.card s in
+    let kp =
+      match model.kind with
+      | Cost_model.Paper_naive -> out
+      | Cost_model.Paper_sort_merge -> 0.0
+      | Cost_model.Paper_dnl { k; _ } -> 2.0 *. out /. k
+      | Cost_model.Opaque -> model.k_prime out
+    in
+    if kp >= threshold then begin
+      skip_subset tbl ctr s;
+      false
+    end
+    else begin
+      Array.unsafe_set tbl.cost s (threshold -. kp);
+      true
+    end
+
+let split ~index (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t) s =
   let out = Array.unsafe_get tbl.card s in
   match model.kind with
   | Cost_model.Opaque when not model.dprime_is_zero ->
@@ -285,72 +323,64 @@ let find_best_split_with ~completion ~index (tbl : Dp_table.t) (model : Cost_mod
        asymmetric, so this body keeps the ordered walk over all
        2^|s| - 2 splits. *)
     let kp = model.k_prime out in
-    if kp >= threshold then skip_subset tbl ctr s
-    else begin
-      let cost = tbl.cost and card = tbl.card and aux = tbl.aux in
-      let k_dprime = model.k_dprime in
-      let best_cost = ref (threshold -. kp) in
-      let best_lhs = ref 0 in
-      let lhs = ref (s land (-s)) in
-      let iters = ref 0 and sums = ref 0 and evals = ref 0 and improved = ref 0 in
-      while !lhs <> s do
-        incr iters;
-        let l = !lhs in
-        let cl = Array.unsafe_get cost l in
-        if cl < !best_cost then begin
-          let r = s lxor l in
-          let cr = Array.unsafe_get cost r in
-          if cr < !best_cost then begin
-            incr sums;
-            let oprnd = cl +. cr in
-            if oprnd < !best_cost then begin
-              incr evals;
-              let dpnd =
-                oprnd
-                +. k_dprime ~out ~lcard:(Array.unsafe_get card l)
-                     ~rcard:(Array.unsafe_get card r) ~laux:(Array.unsafe_get aux l)
-                     ~raux:(Array.unsafe_get aux r)
-              in
-              if dpnd < !best_cost then begin
-                incr improved;
-                best_cost := dpnd;
-                best_lhs := l
-              end
+    let cost = tbl.cost and card = tbl.card and aux = tbl.aux in
+    let k_dprime = model.k_dprime in
+    let best_cost = ref (Array.unsafe_get cost s) in
+    let best_lhs = ref 0 in
+    let lhs = ref (s land (-s)) in
+    let iters = ref 0 and sums = ref 0 and evals = ref 0 and improved = ref 0 in
+    while !lhs <> s do
+      incr iters;
+      let l = !lhs in
+      let cl = Array.unsafe_get cost l in
+      if cl < !best_cost then begin
+        let r = s lxor l in
+        let cr = Array.unsafe_get cost r in
+        if cr < !best_cost then begin
+          incr sums;
+          let oprnd = cl +. cr in
+          if oprnd < !best_cost then begin
+            incr evals;
+            let dpnd =
+              oprnd
+              +. k_dprime ~out ~lcard:(Array.unsafe_get card l)
+                   ~rcard:(Array.unsafe_get card r) ~laux:(Array.unsafe_get aux l)
+                   ~raux:(Array.unsafe_get aux r)
+            in
+            if dpnd < !best_cost then begin
+              incr improved;
+              best_cost := dpnd;
+              best_lhs := l
             end
           end
-        end;
-        lhs := s land (l - s)
-      done;
-      ctr.loop_iters <- ctr.loop_iters + !iters;
-      ctr.operand_sums <- ctr.operand_sums + !sums;
-      ctr.dprime_evals <- ctr.dprime_evals + !evals;
-      ctr.improvements <- ctr.improvements + !improved;
-      if !best_lhs = 0 then begin
-        ctr.infeasible <- ctr.infeasible + 1;
-        Array.unsafe_set cost s Float.infinity;
-        Array.unsafe_set tbl.best_lhs s 0
-      end
-      else begin
-        Array.unsafe_set cost s (!best_cost +. kp);
-        Array.unsafe_set tbl.best_lhs s !best_lhs
-      end
+        end
+      end;
+      lhs := s land (l - s)
+    done;
+    ctr.loop_iters <- ctr.loop_iters + !iters;
+    ctr.operand_sums <- ctr.operand_sums + !sums;
+    ctr.dprime_evals <- ctr.dprime_evals + !evals;
+    ctr.improvements <- ctr.improvements + !improved;
+    if !best_lhs = 0 then begin
+      ctr.infeasible <- ctr.infeasible + 1;
+      Array.unsafe_set cost s Float.infinity;
+      Array.unsafe_set tbl.best_lhs s 0
+    end
+    else begin
+      Array.unsafe_set cost s (!best_cost +. kp);
+      Array.unsafe_set tbl.best_lhs s !best_lhs
     end
   | Cost_model.Paper_naive | Cost_model.Opaque ->
     (* kappa'' = 0: kappa' = out for the naive model (no closure even
        once per subset), the model's own kappa' otherwise. *)
-    let kp = match model.kind with Cost_model.Paper_naive -> out | _ -> model.k_prime out in
-    if kp >= threshold then skip_subset tbl ctr s
+    let shape =
+      match model.kind with Cost_model.Paper_naive -> scan_shape index s | _ -> -1
+    in
+    if shape >= 0 then scan_best_split index tbl model ctr s shape
     else begin
-      let shape =
-        match model.kind with Cost_model.Paper_naive -> scan_shape index s | _ -> -1
-      in
-      if shape >= 0 then begin
-        Array.unsafe_set tbl.cost s (threshold -. kp);
-        scan_best_split index tbl model ctr s shape
-      end
-      else begin
+      let kp = match model.kind with Cost_model.Paper_naive -> out | _ -> model.k_prime out in
       let cost = tbl.cost in
-      let best_cost = ref (threshold -. kp) in
+      let best_cost = ref (Array.unsafe_get cost s) in
       let best_lhs = ref 0 in
       let lhs = ref (s land (-s)) in
       let iters = ref 0 and sums = ref 0 and improved = ref 0 in
@@ -384,24 +414,14 @@ let find_best_split_with ~completion ~index (tbl : Dp_table.t) (model : Cost_mod
         Array.unsafe_set cost s (!best_cost +. kp);
         Array.unsafe_set tbl.best_lhs s !best_lhs
       end
-      end
     end
   | Cost_model.Paper_sort_merge ->
-    (* kappa' = 0, kappa'' = laux + raux from the memo column.  With
-       [completion], the paper's test becomes "the completion term
-       leaves nothing of the threshold". *)
-    let bound = ref threshold in
-    if completion then bound := completion_threshold tbl ~threshold s;
-    if 0.0 >= !bound then skip_subset tbl ctr s
+    (* kappa' = 0, kappa'' = laux + raux from the memo column. *)
+    let shape = scan_shape index s in
+    if shape >= 0 then scan_best_split index tbl model ctr s shape
     else begin
-      let shape = scan_shape index s in
-      if shape >= 0 then begin
-        Array.unsafe_set tbl.cost s !bound;
-        scan_best_split index tbl model ctr s shape
-      end
-      else begin
       let cost = tbl.cost and aux = tbl.aux in
-      let best_cost = ref !bound in
+      let best_cost = ref (Array.unsafe_get cost s) in
       let best_lhs = ref 0 in
       let lhs = ref (s land (-s)) in
       let iters = ref 0 and sums = ref 0 and evals = ref 0 and improved = ref 0 in
@@ -444,21 +464,15 @@ let find_best_split_with ~completion ~index (tbl : Dp_table.t) (model : Cost_mod
         Array.unsafe_set cost s (!best_cost +. 0.0);
         Array.unsafe_set tbl.best_lhs s !best_lhs
       end
-      end
     end
   | Cost_model.Paper_dnl { k; inner_coeff } ->
     (* kappa' = 2 out / k; kappa'' inlined from the captured constants. *)
-    let kp = 2.0 *. out /. k in
-    if kp >= threshold then skip_subset tbl ctr s
+    let shape = scan_shape index s in
+    if shape >= 0 then scan_best_split index tbl model ctr s shape
     else begin
-      let shape = scan_shape index s in
-      if shape >= 0 then begin
-        Array.unsafe_set tbl.cost s (threshold -. kp);
-        scan_best_split index tbl model ctr s shape
-      end
-      else begin
+      let kp = 2.0 *. out /. k in
       let cost = tbl.cost and card = tbl.card in
-      let best_cost = ref (threshold -. kp) in
+      let best_cost = ref (Array.unsafe_get cost s) in
       let best_lhs = ref 0 in
       let lhs = ref (s land (-s)) in
       let iters = ref 0 and sums = ref 0 and evals = ref 0 and improved = ref 0 in
@@ -502,11 +516,11 @@ let find_best_split_with ~completion ~index (tbl : Dp_table.t) (model : Cost_mod
         Array.unsafe_set cost s (!best_cost +. kp);
         Array.unsafe_set tbl.best_lhs s !best_lhs
       end
-      end
     end
 
 let find_best_split tbl model ctr ~threshold s =
-  find_best_split_with ~completion:false ~index:Live_index.off tbl model ctr ~threshold s
+  if seed ~completion:false tbl model ctr ~threshold s then
+    split ~index:Live_index.off tbl model ctr s
 
 let scan_applies (model : Cost_model.t) ~threshold =
   match model.kind with

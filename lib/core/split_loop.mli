@@ -1,11 +1,10 @@
-(** The per-subset kernels of Algorithm blitzsplit, shared by the
-    sequential and the rank-parallel drivers.
-
-    {!Blitzsplit} and [Parallel_blitzsplit] (the rank-parallel
-    decomposition in [blitz_parallel]) differ only in how subsets are
-    enumerated; the split loop — the [O(3^n)] part realized with
-    the successor trick and nested-[if] pruning (Sections 4.2, 6.2) —
-    is identical and lives here.  Under every model with a symmetric
+(** The per-subset kernels of Algorithm blitzsplit: the property
+    computations, §6.4's skip test ({!seed}) and the split loop
+    ({!split}), which {!Blitzsplit}'s two sweeps call on one domain or
+    many.  The split loop — the [O(3^n)] part realized with the
+    successor trick and nested-[if] pruning (Sections 4.2, 6.2) — writes
+    only its own subset's slots and reads only proper subsets, so the
+    subsets of one rank may run concurrently.  Under every model with a symmetric
     [kappa''] it visits each unordered split [{lhs, s lxor lhs}] once,
     [(3^n - 2^(n+1) + 1) / 2] iterations in all, half the paper's loop
     over ordered splits.
@@ -26,7 +25,7 @@
     In a seeded pass (a finite threshold, §6.4) the three paper-model
     bodies can also scan a {!Live_index} of the subsets that finished
     live instead of walking every left operand, with the walk's cost
-    bits and [best_lhs]; see {!find_best_split_with}.
+    bits and [best_lhs]; see {!split}.
 
     All kernels use unchecked array accesses internally: callers must
     pass subset indices in [(0, 2^n)] against a table created for [n]
@@ -38,41 +37,51 @@ val find_best_split :
     the already-computed [card], [cost] and [aux] columns of its proper
     subsets.  With a finite [threshold], marks the entry infeasible
     (cost [infinity], best_lhs 0) when no split stays below it.  Writes
-    only to this subset's own slots, so concurrent calls on distinct
-    subsets of the same rank are race-free (all reads hit lower ranks). *)
+    only to this subset's own slots.  It is {!seed} then, for a kept
+    subset, {!split} without the index. *)
 
-val find_best_split_with :
+val seed :
   completion:bool ->
-  index:Live_index.t ->
   Dp_table.t ->
   Blitz_cost.Cost_model.t ->
   Counters.t ->
   threshold:float ->
   int ->
-  unit
-(** {!find_best_split} with the completion bound and the live-operand
-    index of a whole pass.  [~completion:true] replaces [threshold] by
-    {!completion_threshold}[ tbl ~threshold s] under kappa_sm, skipping
-    the subset when that is [<= 0]; the other models ignore the flag.
-    The drivers pass {!completion_applies} for a pass that plans binary
-    nodes only.
+  bool
+(** Section 6.4's skip test for the (non-singleton) subset, whose
+    [card] and [aux] are computed: the one place a pass decides it.
+    Counts the subset.  When kappa' alone reaches [threshold] — under
+    kappa_sm with [~completion:true], when {!completion_threshold}[ tbl
+    ~threshold s] is [<= 0] — settles it (cost [infinity], best_lhs 0,
+    counted as skipped and infeasible) and returns [false].  Otherwise
+    parks the bound its split loop must come in under, [threshold -
+    kappa'] or the completion-bounded threshold, in its [cost] slot and
+    returns [true]: the subset is kept, and {!split} must run on it
+    before any subset holding it reads its cost.  [~completion] is
+    ignored by the other models; the driver passes
+    {!completion_applies} for a pass that plans binary nodes only. *)
 
-    With an [index] that is on (the drivers turn it on where
+val split :
+  index:Live_index.t -> Dp_table.t -> Blitz_cost.Cost_model.t -> Counters.t -> int -> unit
+(** The split loop of a subset {!seed} kept, from the bound it parked:
+    fills [cost] and [best_lhs], or marks the subset infeasible when no
+    split comes in under the bound.
+
+    With an [index] that is on (the driver turns it on where
     {!scan_applies} holds and the pass plans binary nodes only), a
-    subset that passes the skip test under the zero, sum-aux or dnl
-    body and whose candidates in the index are fewer than its walk's
-    [2^(k-1) - 1] splits ([k] its rank; see {!Live_index}) scans the
-    index instead of walking: it prices only the live left operands, ranks
-    [1 .. k-1] in order and ascending within a rank, testing them with
-    [<=] and taking a split on a lexicographically smaller (cost, lhs).
-    With non-negative cost terms the walk keeps the smallest left
-    operand among the minimal splits, so the scan writes the walk's cost
-    bits and [best_lhs].  Its [loop_iters] is the number of splits it
-    prices, one per live left operand, and its operand-sum, kappa'' and
-    improvement counts are its own; both drivers scan the same candidates in the same order.
-    Every other subset runs the walk.  No float crosses a call per
-    subset, so the kernel still allocates nothing.  [find_best_split] is
-    [find_best_split_with ~completion:false ~index:Live_index.off]. *)
+    subset under the zero, sum-aux or dnl body whose candidates in the
+    index are fewer than its walk's [2^(k-1) - 1] splits ([k] its rank;
+    see {!Live_index}) scans the index instead of walking: it prices
+    only the live left operands, ranks [1 .. k-1] in order and ascending
+    within a rank, testing them with [<=] and taking a split on a
+    lexicographically smaller (cost, lhs).  With non-negative cost terms
+    the walk keeps the smallest left operand among the minimal splits,
+    so the scan writes the walk's cost bits and [best_lhs].  Its
+    [loop_iters] is the number of splits it prices, one per live left
+    operand, and its operand-sum, kappa'' and improvement counts are its
+    own; every width scans the same candidates in the same order.  Every
+    other subset runs the walk.  No float crosses a call per subset, so
+    the kernel still allocates nothing. *)
 
 val scan_applies : Blitz_cost.Cost_model.t -> threshold:float -> bool
 (** True for the three paper models at a finite threshold: the passes

@@ -128,7 +128,17 @@ let optimize_dense ?arena ~mw ~ctr ~probe model catalog graph =
   let n = Catalog.n catalog in
   let tbl =
     match arena with
-    | Some a -> Arena.acquire a ~with_pi_fan:true n
+    | Some a ->
+      (* An arena hands its table out as the last pass left it, and the
+         fold reads a set's [cost] and [best_lhs] before writing them
+         (its [reached] and [first] tests, and the strict [<]): those two
+         columns start from a fresh table's values.  Every other column
+         is written before it is read, as in blitzsplit. *)
+      let tbl = Arena.acquire a ~with_pi_fan:true n in
+      let slots = 1 lsl n in
+      Array.fill tbl.Dp_table.cost 0 slots Float.infinity;
+      Array.fill tbl.Dp_table.best_lhs 0 slots 0;
+      tbl
     | None -> Dp_table.create ~with_pi_fan:true n
   in
   let mw_check =

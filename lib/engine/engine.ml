@@ -5,7 +5,6 @@ module Arena = Blitz_core.Arena
 module Counters = Blitz_core.Counters
 module Blitzsplit = Blitz_core.Blitzsplit
 module Pool = Blitz_parallel.Pool
-module Parallel_blitzsplit = Blitz_parallel.Parallel_blitzsplit
 module Obs = Blitz_obs.Obs
 module Plan = Blitz_plan.Plan
 module Plan_cache = Blitz_cache.Plan_cache
@@ -39,6 +38,20 @@ let m_cache_lookup =
   Obs.Metrics.histogram ~help:"Plan-cache fingerprint + lookup wall-clock seconds"
     "blitz_cache_lookup_seconds"
 
+let recommended_domains () = Domain.recommended_domain_count ()
+
+(* Below this size the rank barriers and chunk scheduling eat most of
+   what spreading the split loops buys.  BENCH_parallel.json, plain
+   product passes on two cores, has two domains at 1.26x for n = 12
+   (a 1 ms pass, the noisiest row), 1.21x at n = 13 and 1.30x at
+   n = 14, against 1.45x at n = 15 and 1.62-1.84x from there to
+   n = 20.  Smaller n gain a little on this host, but no benchmark
+   workload runs an in-process query below n = 18, so a lower crossover
+   cannot be sized against the repository benchmark.  Sessions hand out
+   their pool only from here up, and n = 14 keeps the CI parallel smoke
+   (n = 15) on the pool. *)
+let default_crossover_n = 14
+
 type t = {
   model : Cost_model.t;
   num_domains : int;
@@ -54,7 +67,7 @@ type t = {
 }
 
 let create ?(model = Blitz_cost.Cost_model.kdnl)
-    ?(num_domains = Parallel_blitzsplit.recommended_domains ()) ?(seed = 1) ?cache () =
+    ?(num_domains = recommended_domains ()) ?(seed = 1) ?cache () =
   if num_domains < 1 || num_domains > 128 then
     invalid_arg (Printf.sprintf "Engine.create: num_domains %d outside [1, 128]" num_domains);
   {
@@ -74,15 +87,14 @@ let num_domains t = t.num_domains
 let arena t = t.arena
 let cache t = t.cache
 
-(* The pool is spawned by the first query that takes the rank-parallel
-   path, not at [create]: single-domain sessions, and sessions that only
-   ever see queries below the crossover, never pay the Domain.spawn
-   cost, and a closed session never spawns one again.  When the runtime
-   refuses the domains (its 128-domain cap), the query runs on the
-   sequential kernel, whose answer has the same bits; the next large
-   query tries again. *)
+(* The pool is spawned by the first query that runs on it, not at
+   [create]: single-domain sessions, and sessions that only ever see
+   queries below the crossover, never pay the Domain.spawn cost, and a
+   closed session never spawns one again.  When the runtime refuses the
+   domains (its 128-domain cap), the query runs on the calling domain,
+   with the same bits; the next large query tries again. *)
 let pool t ~n =
-  if t.closed || t.num_domains <= 1 || n < Parallel_blitzsplit.default_crossover_n then None
+  if t.closed || t.num_domains <= 1 || n < default_crossover_n then None
   else
     match t.pool with
     | Some _ as p -> p
@@ -104,7 +116,7 @@ let with_session ?model ?num_domains ?seed ?cache f =
   Fun.protect ~finally:(fun () -> close t) (fun () -> f t)
 
 (* The ctx carries [pool t ~n], and so the one decision whether the
-   query's DP passes run rank-parallel: the session's width and the
+   query's split loops run on a pool: the session's width and the
    crossover are read here and nowhere else. *)
 let ctx ?interrupt ?threshold ?growth ?max_passes ?counters ?multiway ~n t =
   Registry.ctx ~arena:t.arena ?pool:(pool t ~n) ~seed:t.seed ?interrupt ?threshold ?growth

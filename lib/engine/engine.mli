@@ -8,8 +8,8 @@
     sessions, one lazily spawned {!Blitz_parallel.Pool}, and runs any
     registered optimizer through them.  Sessions are multi-domain by
     default: exact and thresholded queries at or above
-    {!Blitz_parallel.Parallel_blitzsplit.default_crossover_n} relations
-    fill their lattice rank-parallel on the machine's cores.  Results
+    {!default_crossover_n} relations run their split loops rank by rank
+    on the machine's cores.  Results
     are bit-identical to fresh-allocation runs for every optimizer and
     domain count (tested property).
 
@@ -44,19 +44,28 @@ module Counters = Blitz_core.Counters
 module Pool = Blitz_parallel.Pool
 module Plan_cache = Blitz_cache.Plan_cache
 
+val recommended_domains : unit -> int
+(** [Domain.recommended_domain_count ()]: the default session width. *)
+
+val default_crossover_n : int
+(** The relation count from which {!pool} hands a query its session's
+    pool.  Below it the rank barriers and chunk scheduling cost more
+    than spreading the split loops buys; the answer is the same bits
+    either way. *)
+
 type t
 
 val create :
   ?model:Cost_model.t -> ?num_domains:int -> ?seed:int -> ?cache:Plan_cache.t -> unit -> t
 (** [model] defaults to [kdnl], [num_domains] to
-    {!Blitz_parallel.Parallel_blitzsplit.recommended_domains} (the
-    runtime's recommended count; 1 on a single-core host), [seed] to 1.
-    Pass [~num_domains:1] for a sequential session: the server does,
+    {!recommended_domains} (the runtime's recommended count; 1 on a
+    single-core host), [seed] to 1.
+    Pass [~num_domains:1] for a one-domain session: the server does,
     one domain per worker being its parallelism.  The width is set here
     and only here: no optimizer, cascade or guard call takes one, and a
-    DP pass runs rank-parallel only on a session's pool.  Nothing is allocated
+    DP pass runs on a pool only when a session hands it one.  Nothing is allocated
     up front: the first query sizes the arena, and the domain pool
-    spawns on the first query that takes the rank-parallel path (see
+    spawns on the first query that runs on it (see
     {!pool}).  [cache] plugs a (possibly shared) plan cache into the
     session; no cache means no lookups and no stores.  Raises
     [Invalid_argument] when [num_domains] is outside [1, 128]. *)
@@ -123,15 +132,14 @@ val arena : t -> Arena.t
 
 val pool : t -> n:int -> Pool.t option
 (** The pool an [n]-relation query runs on: the one place that decides
-    whether a DP pass runs rank-parallel, since the drivers run on a
-    pool exactly when handed one.  [None] for single-domain and closed
-    sessions and below
-    {!Blitz_parallel.Parallel_blitzsplit.default_crossover_n}, where rank
-    barriers cost more than they buy; otherwise the session's pool,
-    spawned by the first such call.  Also [None] when
-    the runtime refuses the domains (it caps a process at 128): the
-    query then runs sequentially with the same answer, and the next call
-    tries again.  Never raises. *)
+    whether a DP pass spreads its split loops over domains, since the
+    driver does so exactly when handed a pool.  [None] for
+    single-domain and closed sessions and below {!default_crossover_n},
+    where rank barriers cost more than they buy; otherwise the session's
+    pool, spawned by the first such call.  Also [None] when the runtime
+    refuses the domains (it caps a process at 128): the query then runs
+    on the calling domain with the same answer, and the next call tries
+    again.  Never raises. *)
 
 val counters : t -> Counters.t
 (** The arena's counter block (reset at each {!optimize}). *)
@@ -190,4 +198,5 @@ val ctx :
 (** The registry ctx {!optimize} uses for an [n]-relation query,
     exposed so callers can dispatch registry entries through the
     session themselves.  It carries [pool t ~n]: the blitzsplit entries
-    run on that pool when there is one and sequentially otherwise. *)
+    run on that pool when there is one and on the calling domain
+    otherwise. *)

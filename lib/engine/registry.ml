@@ -10,7 +10,6 @@ module Live_index = Blitz_core.Live_index
 module Blitzsplit = Blitz_core.Blitzsplit
 module Threshold = Blitz_core.Threshold
 module Pool = Blitz_parallel.Pool
-module Parallel_blitzsplit = Blitz_parallel.Parallel_blitzsplit
 module Hybrid = Blitz_hybrid.Hybrid
 module Dpccp = Blitz_dpccp.Dpccp
 module Dpconv = Blitz_dpccp.Dpconv
@@ -116,9 +115,9 @@ let dp_caps =
     multiway = false;
   }
 
-(* The blitzsplit entries' §6.4 passes also take the live-operand
-   index, 2 B per table slot. *)
-let seeded_caps =
+(* Every blitzsplit pass also takes the per-rank subset lists, 4 B per
+   table slot, which double as a seeded pass's live-operand index. *)
+let blitzsplit_caps =
   {
     dp_caps with
     multiway = true;
@@ -172,20 +171,19 @@ let upper_bound model p =
   in
   Option.map (fun (cost, source) -> { value = cost *. (1.0 +. 1e-9); source }) best
 
-(* ---- the blitzsplit entries: one pass, sequential or rank-parallel ---- *)
+(* ---- the blitzsplit entries: one pass, on the ctx's pool if any ---- *)
 
-(* One blitzsplit pass under [ctx]: rank-parallel on the ctx's pool when
-   it has one, sequential otherwise.  The results are bit-identical
-   either way.  The rank-parallel driver has no multiway path, so an
-   n-ary planning request always runs the sequential optimizer, pool or
-   not. *)
+(* One blitzsplit pass under [ctx]: its split loops run rank by rank on
+   the ctx's pool when it has one, on the calling domain otherwise, with
+   the same bits either way.  A multiway pass stays on the calling
+   domain, pool or not. *)
 let pass (ctx : ctx) p ~counters ~threshold =
   match p.graph with
-  | Some g when ctx.multiway ->
-    Blitzsplit.optimize_join ?arena:ctx.arena ~counters ~threshold ?interrupt:ctx.interrupt
-      ~multiway:true ctx.model p.catalog g
-  | graph_opt ->
-    Parallel_blitzsplit.run ?pool:ctx.pool ~graph_opt ?arena:ctx.arena ~counters ~threshold
+  | Some g ->
+    Blitzsplit.optimize_join ?pool:ctx.pool ?arena:ctx.arena ~counters ~threshold
+      ?interrupt:ctx.interrupt ~multiway:ctx.multiway ctx.model p.catalog g
+  | None ->
+    Blitzsplit.optimize_product ?pool:ctx.pool ?arena:ctx.arena ~counters ~threshold
       ?interrupt:ctx.interrupt ctx.model p.catalog
 
 (* The Section 6.4 driver over [pass].  With no explicit threshold the
@@ -404,13 +402,13 @@ let () =
       {
         name = "exact";
         summary = "blitzsplit: exhaustive bushy DP with Cartesian products";
-        caps = seeded_caps;
+        caps = blitzsplit_caps;
         optimize = run_exact;
       };
       {
         name = "thresholded";
         summary = "blitzsplit under a plan-cost threshold with re-optimization passes";
-        caps = seeded_caps;
+        caps = blitzsplit_caps;
         optimize = run_thresholded;
       };
       {

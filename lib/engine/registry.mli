@@ -2,8 +2,8 @@
     repository.
 
     Each algorithm — the exact blitzsplit DP and the Section 6.4
-    thresholded driver (both over one pass, rank-parallel on a ctx's
-    pool and sequential without one), the Section 7 hybrid, and the
+    thresholded driver (both over one pass, whose split loops run rank
+    by rank on a ctx's pool when it has one), the Section 7 hybrid, and the
     [lib/baselines] family — registers under one
     [optimize : ctx -> problem -> outcome] signature together with
     capability metadata.  Callers (the degradation cascade, the CLI,
@@ -42,8 +42,9 @@ type ctx = {
   model : Cost_model.t;
   arena : Arena.t option;  (** Session workspace for DP-table reuse. *)
   pool : Pool.t option;
-      (** Already-spawned domain pool: the blitzsplit entries run
-          rank-parallel on it, and sequentially without one. *)
+      (** Already-spawned domain pool: the blitzsplit entries run each
+          rank's split loops on it, and on the calling domain without
+          one. *)
   interrupt : (unit -> bool) option;  (** Deadline/cancellation probe. *)
   threshold : float option;
       (** Initial plan-cost threshold for ["thresholded"]; [None] seeds
@@ -60,8 +61,8 @@ type ctx = {
       (** Request hybrid binary+n-ary planning: optimizers whose caps
           advertise [multiway] additionally consider AGM-costed
           [Plan.Multiway] candidates on cyclic cores; the rest ignore
-          the flag.  Multiway planning is sequential — entries run the
-          sequential optimizer, pool or not, when both are asked. *)
+          the flag.  A multiway pass runs on the calling domain, pool or
+          not. *)
 }
 (** Everything an optimizer may draw on, problem-independent: one [ctx]
     can serve many problems (that is what {!Engine} does). *)
@@ -99,7 +100,7 @@ type caps = {
   table_bytes : (n:int -> int) option;
       (** Estimated table footprint before allocation, for memory
           ceilings; [None] for table-free methods. *)
-  parallelizable : bool;  (** Runs rank-parallel on [ctx.pool]. *)
+  parallelizable : bool;  (** Runs its split loops on [ctx.pool]. *)
   exact : bool;  (** Guaranteed optimal when it returns a plan. *)
   deadline_exempt : bool;
       (** Cheap enough to run even on an expired budget (greedy — the

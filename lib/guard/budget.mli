@@ -48,9 +48,9 @@ val expired : t -> bool
 
 val interrupt : t -> unit -> bool
 (** [interrupt t] is the cancellation probe to hand to
-    [Blitzsplit.optimize_join ~interrupt] and friends — including the
-    rank-parallel [Parallel_blitzsplit], which polls it from every
-    worker domain (see {!expired} for why that is safe): a closure
+    [Blitzsplit.optimize_join ~interrupt] and friends — including a
+    pass on a domain pool, which polls it from every worker domain (see
+    {!expired} for why that is safe): a closure
     returning [true] once the deadline has passed.  One
     [Blitz_util.Clock] read per poll; the optimizers already rate-limit
     polling (every 64 subsets), so no further caching is needed. *)

@@ -130,9 +130,9 @@ let eligibility ?arena ?(cache_bytes = 0) ~budget tier catalog graph =
           let needed_bytes =
             cache_bytes
             + (match (arena, tier) with
-              (* The exact tier's seeded pass takes a table and the
-                 live-operand index from the arena; dpccp's dense
-                 backend a table and no index; its sparse backend,
+              (* The exact tier's pass takes a table and the per-rank
+                 subset lists from the arena; dpccp's dense backend a
+                 table and no lists; its sparse backend,
                  past [Dpccp.dense_limit], nothing, so it is charged
                  its entry's own estimate, as without a session. *)
               | Some a, Exact -> Arena.bytes_after a ~n ()

@@ -145,8 +145,8 @@ val eligibility :
     With [arena] the memory ceiling charges a tier that draws its table
     from the arena the session's would-be resident high-water mark
     ({!Arena.bytes_after}) rather than the per-call table size: {!Exact}
-    with the live-operand index its seeded pass takes, {!Dpccp}'s dense
-    backend without it.  [cache_bytes] (a resident plan-cache footprint,
+    with the per-rank subset lists its pass takes, {!Dpccp}'s dense
+    backend without them.  [cache_bytes] (a resident plan-cache footprint,
     default 0) is added to the charge so cache memory counts under the
     same ceiling as the DP table. *)
 

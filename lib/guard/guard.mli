@@ -66,14 +66,14 @@ val optimize :
     [session] every tier runs on the calling domain.  [session] plugs a
     [Blitz_engine.Engine] session in — the way to run many guarded
     queries without per-query allocation, and the only way to run the
-    exact tier rank-parallel: the DP tiers draw their table from its
-    arena and run on the pool [Blitz_engine.Engine.pool] hands out,
-    which exists from [Blitz_parallel.Parallel_blitzsplit.default_crossover_n]
+    exact tier's split loops on several domains: the DP tiers draw their
+    table from its arena and run on the pool [Blitz_engine.Engine.pool]
+    hands out, which exists from [Blitz_engine.Engine.default_crossover_n]
     relations up in sessions created with more than one domain (a
     default session sizes it to the machine's cores) and spawns on the
     first such query.  The results are bit-identical on every width
     (see {!Degrade.run_tier}).  When the runtime refuses those domains
-    the tiers run sequentially, with the same answer.
+    the tiers run on the calling domain, with the same answer.
     [multiway] asks capable tiers for n-ary AGM-costed plans (see
     {!Degrade.optimize}); incapable tiers ignore it, so the cascade
     stays valid end to end.  It also keys the session cache apart, as

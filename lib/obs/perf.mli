@@ -1,9 +1,9 @@
 (** Microkernel rate instruments: ns per inner-loop unit.
 
     One histogram per hot enumeration loop, named and allocated here so
-    the sequential split loop, the rank-parallel driver and the dpccp
-    pair loop all feed the same instruments — a regression in any
-    driver's inner loop shows up in [blitz explain]'s metric deltas and
+    the blitzsplit pass, at any width, and the dpccp pair loop all feed
+    the same instruments — a regression in either inner loop shows up
+    in [blitz explain]'s metric deltas and
     in the Prometheus exposition under a stable name.
 
     All observation paths are gated on {!Metrics.enabled}: a disabled

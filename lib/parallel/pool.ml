@@ -11,8 +11,8 @@
    Exception discipline: a job body that raises does not wedge the
    barrier.  The first exception (from any worker, including the
    caller) is recorded, remaining chunks are abandoned, every worker
-   still reaches the barrier, and [run] re-raises it on the caller's
-   domain once the pool is quiescent. *)
+   that joined the job still reaches the barrier, and [run] re-raises
+   it on the caller's domain once the pool is quiescent. *)
 
 module Obs = Blitz_obs.Obs
 
@@ -37,7 +37,9 @@ type t = {
   mutable job : worker:int -> int -> unit;
   mutable chunk_count : int;
   next_chunk : int Atomic.t;
-  mutable idle : int;  (* spawned workers done with the current generation *)
+  mutable joined : int;  (* spawned workers that took the current job *)
+  mutable open_job : bool;  (* whether a waking worker may still take it *)
+  mutable idle : int;  (* joined workers done with the current job *)
   mutable poisoned : exn option;  (* first exception raised by any worker *)
   mutable shutdown : bool;
   mutable domains : unit Domain.t list;
@@ -76,12 +78,15 @@ let worker_body t index =
     if t.shutdown then Mutex.unlock t.mutex
     else begin
       my_generation := t.generation;
-      let job = t.job and count = t.chunk_count in
-      Mutex.unlock t.mutex;
-      drain t (job ~worker:index) count;
-      Mutex.lock t.mutex;
-      t.idle <- t.idle + 1;
-      if t.idle = t.num_domains - 1 then Condition.signal t.work_done;
+      if t.open_job then begin
+        t.joined <- t.joined + 1;
+        let job = t.job and count = t.chunk_count in
+        Mutex.unlock t.mutex;
+        drain t (job ~worker:index) count;
+        Mutex.lock t.mutex;
+        t.idle <- t.idle + 1;
+        if t.idle = t.joined then Condition.signal t.work_done
+      end;
       Mutex.unlock t.mutex;
       park ()
     end
@@ -111,6 +116,8 @@ let create ~num_domains =
       job = (fun ~worker:_ _ -> ());
       chunk_count = 0;
       next_chunk = Atomic.make 0;
+      joined = 0;
+      open_job = false;
       idle = 0;
       poisoned = None;
       shutdown = false;
@@ -138,18 +145,25 @@ let run t ~chunks job =
   t.job <- job;
   t.chunk_count <- chunks;
   t.poisoned <- None;
+  t.joined <- 0;
+  t.open_job <- true;
   t.idle <- 0;
   Atomic.set t.next_chunk 0;
   t.generation <- t.generation + 1;
   Condition.broadcast t.work_ready;
   Mutex.unlock t.mutex;
   drain t (job ~worker:0) chunks;
-  (* The caller's wait here is the job's load-imbalance signal: a long
-     wait means the spawned workers still held unclaimed or oversized
-     chunks after worker 0 ran dry. *)
+  (* Worker 0 has claimed the last chunk, so the job is closed: a worker
+     that wakes from now on finds nothing to claim and sits it out, and
+     the barrier waits only for the workers that joined.  A job smaller
+     than a worker's wake-up therefore costs the caller no wait.  The
+     caller's wait here is the job's load-imbalance signal: a long wait
+     means a joined worker still held oversized chunks after worker 0
+     ran dry. *)
   Obs.Metrics.time m_barrier_wait (fun () ->
       Mutex.lock t.mutex;
-      while t.idle < t.num_domains - 1 do
+      t.open_job <- false;
+      while t.idle < t.joined do
         Condition.wait t.work_done t.mutex
       done);
   let failure = t.poisoned in

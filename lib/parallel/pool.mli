@@ -26,14 +26,17 @@ val num_domains : t -> int
 
 val run : t -> chunks:int -> (worker:int -> int -> unit) -> unit
 (** [run t ~chunks job] executes [job ~worker c] for every chunk index
-    [c] in [\[0, chunks)], dynamically load-balanced over all domains
-    via an atomic claim counter, and returns once every domain has
-    finished (a full barrier: all effects of the job happen-before the
-    return).  [worker] is the dense index in [\[0, num_domains)] of the
-    executing domain — index per-domain scratch (counters, buffers) with
-    it to keep workers off each other's cache lines.  If the job raises
-    anywhere, remaining chunks are abandoned, the barrier still
-    completes, and the first exception is re-raised from [run]. *)
+    [c] in [\[0, chunks)], dynamically load-balanced over the domains
+    via an atomic claim counter, and returns once every chunk has
+    finished (a barrier: all effects of the job happen-before the
+    return).  A worker that wakes only after the caller has claimed the
+    last chunk sits the job out, so a job smaller than a wake-up runs on
+    the caller alone and does not wait for sleeping workers.  [worker]
+    is the dense index in [\[0, num_domains)] of the executing domain —
+    index per-domain scratch (counters, buffers) with it to keep workers
+    off each other's cache lines.  If the job raises anywhere, remaining
+    chunks are abandoned, the barrier still completes, and the first
+    exception is re-raised from [run]. *)
 
 val shutdown : t -> unit
 (** Terminate and join the worker domains.  Idempotent.  The pool must

@@ -26,21 +26,25 @@ module Blitzsplit = Blitz_core.Blitzsplit
 module Registry = Blitz_engine.Registry
 module Engine = Blitz_engine.Engine
 module Guard = Blitz_guard.Guard
-module Parallel_blitzsplit = Blitz_parallel.Parallel_blitzsplit
 module Workload = Blitz_workload.Workload
 module B = Blitz_baselines
 
 let domain_axis = List.sort_uniq compare ([ 1; 2; 4 ] @ env_domains)
 
-let counters_equal a b =
-  a.Counters.subsets = b.Counters.subsets
-  && a.Counters.loop_iters = b.Counters.loop_iters
-  && a.Counters.operand_sums = b.Counters.operand_sums
-  && a.Counters.dprime_evals = b.Counters.dprime_evals
-  && a.Counters.improvements = b.Counters.improvements
-  && a.Counters.threshold_skips = b.Counters.threshold_skips
-  && a.Counters.infeasible = b.Counters.infeasible
-  && a.Counters.passes = b.Counters.passes
+let all_counters (c : Counters.t) =
+  [
+    c.Counters.subsets;
+    c.Counters.loop_iters;
+    c.Counters.operand_sums;
+    c.Counters.dprime_evals;
+    c.Counters.improvements;
+    c.Counters.threshold_skips;
+    c.Counters.infeasible;
+    c.Counters.passes;
+    c.Counters.multiway_wins;
+  ]
+
+let counters_equal a b = all_counters a = all_counters b
 
 let outcome_equal (a : Registry.outcome) (b : Registry.outcome) =
   compare a.Registry.cost b.Registry.cost = 0
@@ -129,26 +133,159 @@ let test_session_every_optimizer () =
 
 (* {1 Arena mechanics} *)
 
-let test_reset_hides_stale_entries () =
-  (* After a 6-relation query, a 4-relation acquire from the same arena
-     must present a fully reset table: no card/cost/best_lhs from the
-     larger query may leak into the smaller one's slot range. *)
+(* An arena hands its buffers out as the last pass left them, and a pass
+   writes every slot it reads before reading it.  So every slot of a
+   larger query's arena is poisoned with values a pass would act on if
+   it read them — cost 0, cardinalities 1, [best_lhs] and list entries
+   that are real subsets, index counts of 0 (every subset would scan
+   nothing) — and then with NaN, and a smaller and an equal-size query
+   must still give the fresh table's bits. *)
+let poison_arena arena ~nan =
+  let tbl = Arena.acquire arena 1 in
+  let v x = if nan then Float.nan else x in
+  let fill a x = Array.fill a 0 (Array.length a) x in
+  fill tbl.Dp_table.cost (v 0.0);
+  fill tbl.Dp_table.card (v 1.0);
+  fill tbl.Dp_table.aux (v 1.0);
+  fill tbl.Dp_table.pi_fan (v 0.5);
+  fill tbl.Dp_table.best_lhs (if nan then 3 else 1);
+  let idx = Arena.index arena in
+  Bigarray.Array1.fill idx.Live_index.ids (Int32.of_int (if nan then 3 else 1));
+  fill idx.Live_index.region 0;
+  fill idx.Live_index.len 1;
+  fill idx.Live_index.cum 0
+
+let check_same_pass what (fresh : Blitzsplit.t) (warm : Blitzsplit.t) =
+  let ft = fresh.Blitzsplit.table and wt = warm.Blitzsplit.table in
+  let bits = Int64.bits_of_float in
+  for s = 1 to Dp_table.size ft - 1 do
+    if
+      bits ft.Dp_table.cost.(s) <> bits wt.Dp_table.cost.(s)
+      || bits ft.Dp_table.card.(s) <> bits wt.Dp_table.card.(s)
+      || ft.Dp_table.best_lhs.(s) <> wt.Dp_table.best_lhs.(s)
+    then Alcotest.failf "%s: subset %d differs from the fresh table" what s
+  done;
+  Alcotest.(check bool)
+    (what ^ ": plan") true
+    (Option.equal Plan.equal (Blitzsplit.best_plan fresh) (Blitzsplit.best_plan warm));
+  Alcotest.(check (list int))
+    (what ^ ": counters")
+    (all_counters fresh.Blitzsplit.counters)
+    (all_counters warm.Blitzsplit.counters)
+
+let test_warm_pass_reads_no_stale_slot () =
+  let problem ~topology ~model n =
+    Workload.problem (Workload.spec ~n ~topology ~model ~mean_card:100.0 ~variability:0.5)
+  in
+  (* Stars (hub last) take the live-operand scan when seeded; the clique
+     is cyclic, so multiway passes place n-ary nodes. *)
+  let cells =
+    [
+      ("star/ksm", Topology.Star, Cost_model.sort_merge, false);
+      ("star/k0", Topology.Star, Cost_model.naive, false);
+      ("clique/kdnl", Topology.Clique, Cost_model.kdnl, false);
+      ("clique/kdnl multiway", Topology.Clique, Cost_model.kdnl, true);
+    ]
+  in
+  let widths = None :: List.map Option.some domain_axis in
   let arena = Arena.create () in
-  let model = Cost_model.kdnl in
-  let big = random_catalog (Blitz_util.Rng.create ~seed:11) ~n:6 ~lo:1.0 ~hi:1e3 in
-  let big_graph = random_graph (Blitz_util.Rng.create ~seed:12) ~n:6 ~edge_prob:0.8 ~sel_lo:0.01 ~sel_hi:1.0 in
-  ignore (Blitzsplit.optimize_join ~arena model big big_graph);
-  let table = Arena.acquire arena 4 in
-  Alcotest.(check int) "logical n" 4 table.Dp_table.n;
-  Alcotest.(check int) "capacity kept from the larger query" 6 (Dp_table.capacity table);
-  for s = 1 to 15 do
-    Alcotest.(check (float 0.0)) (Printf.sprintf "card[%d] reset" s) 0.0 (Dp_table.card table s);
-    Alcotest.(check bool)
-      (Printf.sprintf "cost[%d] reset" s)
-      true
-      (Dp_table.cost table s = Float.infinity);
-    Alcotest.(check int) (Printf.sprintf "best_lhs[%d] reset" s) 0 (Dp_table.best_lhs table s)
-  done
+  List.iter
+    (fun (name, topology, model, multiway) ->
+      List.iter
+        (fun n ->
+          let catalog, graph = problem ~topology ~model n in
+          let bound =
+            Option.map
+              (fun b -> b.Registry.value)
+              (Registry.upper_bound model (Registry.problem ~graph catalog))
+          in
+          List.iter
+            (fun (product, threshold) ->
+              let pass ?pool ?arena () =
+                let counters = Counters.create () in
+                if product then
+                  Blitzsplit.optimize_product ?pool ?arena ~counters ?threshold model catalog
+                else
+                  Blitzsplit.optimize_join ?pool ?arena ~counters ?threshold ~multiway model
+                    catalog graph
+              in
+              let fresh = pass () in
+              List.iter
+                (fun width ->
+                  List.iter
+                    (fun nan ->
+                      (* A larger query sizes the arena first, so the
+                         smaller one's slots lie inside its buffers. *)
+                      let big_catalog, big_graph = problem ~topology ~model 9 in
+                      ignore (Blitzsplit.optimize_join ~arena model big_catalog big_graph);
+                      poison_arena arena ~nan;
+                      let what =
+                        Printf.sprintf "%s n=%d %s%s %s %s" name n
+                          (if product then "product" else "join")
+                          (if Option.is_some threshold then " seeded" else "")
+                          (match width with
+                          | None -> "inline"
+                          | Some d -> Printf.sprintf "pool of %d" d)
+                          (if nan then "NaN" else "poison")
+                      in
+                      let warm =
+                        match width with
+                        | None -> pass ~arena ()
+                        | Some num_domains -> with_pool ~num_domains (fun pool -> pass ~pool ~arena ())
+                      in
+                      check_same_pass what fresh warm)
+                    [ false; true ])
+                widths)
+            ((false, None) :: (false, bound)
+             :: (if multiway then [] else [ (true, None); (true, bound) ])))
+        [ 7; 9 ])
+    cells
+
+(* The pass polls before it writes the table, so an interrupt that fires
+   at its first call leaves a warm n = 16 arena as it found it, beyond
+   at most one stride of 64 subsets. *)
+let test_interrupt_polls_before_writing () =
+  let n = 16 in
+  let catalog, graph =
+    Workload.problem
+      (Workload.spec ~n ~topology:Topology.Clique ~model:Cost_model.kdnl ~mean_card:100.0
+         ~variability:0.5)
+  in
+  let arena = Arena.create () in
+  let threshold =
+    Option.map
+      (fun b -> b.Registry.value)
+      (Registry.upper_bound Cost_model.kdnl (Registry.problem ~graph catalog))
+  in
+  ignore (Blitzsplit.optimize_join ~arena ?threshold Cost_model.kdnl catalog graph);
+  List.iter
+    (fun width ->
+      poison_arena arena ~nan:false;
+      let pass ?pool () =
+        Blitzsplit.optimize_join ?pool ~arena ~interrupt:(fun () -> true) Cost_model.kdnl catalog
+          graph
+      in
+      Alcotest.check_raises "interrupted" Blitzsplit.Interrupted (fun () ->
+          ignore
+            (match width with
+            | None -> pass ()
+            | Some num_domains -> with_pool ~num_domains (fun pool -> pass ~pool ())));
+      let tbl = Arena.acquire arena n in
+      let changed = ref 0 in
+      for s = 3 to (1 lsl n) - 1 do
+        if
+          s land (s - 1) <> 0
+          && (tbl.Dp_table.cost.(s) <> 0.0
+             || tbl.Dp_table.card.(s) <> 1.0
+             || tbl.Dp_table.aux.(s) <> 1.0
+             || tbl.Dp_table.pi_fan.(s) <> 0.5
+             || tbl.Dp_table.best_lhs.(s) <> 1)
+        then incr changed
+      done;
+      if !changed > 64 then
+        Alcotest.failf "%d subsets' slots written before the first poll (%s)" !changed
+          (match width with None -> "inline" | Some d -> Printf.sprintf "pool of %d" d))
+    [ None; Some 2 ]
 
 let test_arena_growth_accounting () =
   let arena = Arena.create () in
@@ -161,7 +298,7 @@ let test_arena_growth_accounting () =
   let _ = Arena.acquire arena 3 in
   Alcotest.(check int) "high-water kept on small acquire" after4 (Arena.resident_bytes arena);
   (* ...and bytes_after quotes the would-be footprint before growing,
-     the live-operand index of a seeded pass included. *)
+     the subset lists of a blitzsplit pass included. *)
   let seeded n = Dp_table.estimate_bytes ~n () + Live_index.estimate_bytes ~n in
   Alcotest.(check int) "bytes_after quotes growth" (seeded 10) (Arena.bytes_after arena ~n:10 ());
   Alcotest.(check int) "bytes_after quotes current capacity for small n"
@@ -171,7 +308,7 @@ let test_arena_growth_accounting () =
   Alcotest.(check int) "grown" (Dp_table.estimate_bytes ~n:10 ()) (Arena.resident_bytes arena);
   Alcotest.(check int) "three acquires" 3 (Arena.acquires arena);
   Alcotest.(check int) "two sizings (initial + growth)" 2 (Arena.grows arena);
-  (* A seeded pass takes the index beside the table; a later one reuses
+  (* A pass takes the lists beside the table; a later one reuses
      both. *)
   let catalog = Catalog.uniform ~n:10 ~card:100.0 in
   let seeded_pass () =
@@ -261,7 +398,7 @@ let test_session_close () =
 
 (* {1 Default width: the machine's cores, from the crossover up} *)
 
-let crossover = Parallel_blitzsplit.default_crossover_n
+let crossover = Engine.default_crossover_n
 
 (* The paper's generated problems, as the benchmark's large cells. *)
 let appendix_spec ?(topology = Topology.Chain) ?(model = Cost_model.kdnl) ?(mean_card = 100.0)
@@ -280,7 +417,7 @@ let detach (o : Registry.outcome) =
 let test_default_width () =
   let s = Engine.create () in
   Alcotest.(check int) "a default session runs on the recommended domain count"
-    (Parallel_blitzsplit.recommended_domains ())
+    (Engine.recommended_domains ())
     (Engine.num_domains s);
   Engine.close s
 
@@ -386,7 +523,7 @@ let test_registry_metadata () =
     (caps "bruteforce").Registry.max_n;
   (match (caps "exact").Registry.table_bytes with
   | Some f ->
-    Alcotest.(check int) "exact table estimate, the live-operand index included"
+    Alcotest.(check int) "exact table estimate, the subset lists included"
       (Dp_table.estimate_bytes ~n:12 () + Live_index.estimate_bytes ~n:12)
       (f ~n:12)
   | None -> Alcotest.fail "exact must advertise a table footprint");
@@ -412,7 +549,9 @@ let test_registry_metadata () =
 let suite =
   [
     Alcotest.test_case "every optimizer: warm session = fresh" `Quick test_session_every_optimizer;
-    Alcotest.test_case "reset_in_place hides stale entries" `Quick test_reset_hides_stale_entries;
+    Alcotest.test_case "warm pass reads no stale slot" `Quick test_warm_pass_reads_no_stale_slot;
+    Alcotest.test_case "interrupt polls before the table" `Quick
+      test_interrupt_polls_before_writing;
     Alcotest.test_case "arena growth accounting" `Quick test_arena_growth_accounting;
     Alcotest.test_case "estimate_bytes" `Quick test_estimate_bytes_saturates;
     Alcotest.test_case "optimize_many = sequential optimizes" `Quick

@@ -153,8 +153,8 @@ let test_memory_cap_skips_to_hybrid () =
       (fun a ->
         match (a.Degrade.tier, a.Degrade.status) with
         | Degrade.Exact, Degrade.Skipped (Degrade.Memory { needed_bytes; _ }) ->
-          (* The exact tier's seeded pass also takes the live-operand
-             index. *)
+          (* The exact tier's pass also takes the per-rank subset
+             lists. *)
           Alcotest.(check int) "needed bytes recorded"
             (Budget.table_bytes ~n:12 () + Blitz_core.Live_index.estimate_bytes ~n:12)
             needed_bytes
@@ -166,11 +166,11 @@ let test_memory_cap_skips_to_hybrid () =
     Alcotest.(check bool) "plan is valid" true (validate_against catalog o.Guard.plan)
 
 (* A session's arena charges each DP tier only what it draws from the
-   arena: the exact tier's seeded pass takes the table and the
-   live-operand index, dpccp's dense backend the table alone, and its
+   arena: the exact tier's pass takes the table and the per-rank
+   subset lists, dpccp's dense backend the table alone, and its
    sparse backend (past [Dpccp.dense_limit]) nothing, so it is charged
    its entry's own estimate.  A 10 MiB ceiling at n = 18 holds dpccp's
-   table but not exact's table and index; 100 MiB at n = 22 holds the
+   table but not exact's table and lists; 100 MiB at n = 22 holds the
    sparse backend's estimate but not a dense table of 22 relations.
    The session answers as a session-free call does. *)
 let test_session_charges_what_tiers_draw () =
@@ -195,7 +195,7 @@ let test_session_charges_what_tiers_draw () =
         (fun a ->
           match (a.Degrade.tier, a.Degrade.status) with
           | Degrade.Exact, Degrade.Skipped (Degrade.Memory { needed_bytes; _ }) ->
-            Alcotest.(check int) "exact is charged table and index"
+            Alcotest.(check int) "exact is charged table and lists"
               (Budget.table_bytes ~n () + Blitz_core.Live_index.estimate_bytes ~n)
               needed_bytes
           | Degrade.Exact, _ -> Alcotest.fail "the exact tier was not memory-skipped"

@@ -1,7 +1,8 @@
-(* Rank-parallel blitzsplit: the parallel optimizer must be
-   bit-identical to the sequential one (cost, plan, counters), the
-   domain pool must balance/propagate/survive, and a deadline probe must
-   abort a parallel run within one chunk of expiring.
+(* Blitzsplit on a domain pool: a pass whose split loops run rank by
+   rank on a pool must be bit-identical to the same pass on the calling
+   domain (cost, plan, counters), the domain pool must
+   balance/propagate/survive, and a deadline probe must abort a pooled
+   run within one chunk of expiring.
 
    BLITZ_TEST_DOMAINS=N adds N to every domain-count axis, so CI can run
    the whole file at a controlled width on multi-core hosts. *)
@@ -11,53 +12,12 @@ module Blitzsplit = Blitz_core.Blitzsplit
 module Threshold = Blitz_core.Threshold
 module Counters = Blitz_core.Counters
 module Dp_table = Blitz_core.Dp_table
-module Parallel = Blitz_parallel.Parallel_blitzsplit
 module Pool = Blitz_parallel.Pool
 module Budget = Blitz_guard.Budget
 
 let check_float = Test_helpers.check_float
 
 let domain_axis = List.sort_uniq compare ([ 1; 2; 4 ] @ env_domains)
-
-(* {1 Combinatorial helpers} *)
-
-let test_gosper_next () =
-  (* Gosper's hack enumerates same-popcount integers in increasing
-     order; collecting from the smallest rank-2 subset of 5 bits must
-     yield exactly the C(5,2) = 10 subsets, sorted. *)
-  let expected =
-    List.filter (fun s -> Blitz_bitset.Relset.cardinal s = 2) (List.init 32 Fun.id)
-  in
-  let rec collect s acc =
-    if s >= 32 then List.rev acc else collect (Parallel.gosper_next s) (s :: acc)
-  in
-  Alcotest.(check (list int)) "all 2-subsets of 5 in order" expected (collect 0b11 [])
-
-let test_binomial_table () =
-  let binom = Parallel.binomial_table 10 in
-  Alcotest.(check int) "C(10,3)" 120 binom.(10).(3);
-  Alcotest.(check int) "C(10,0)" 1 binom.(10).(0);
-  Alcotest.(check int) "C(10,10)" 1 binom.(10).(10);
-  Alcotest.(check int) "C(7,2)" 21 binom.(7).(2)
-
-let test_unrank_matches_gosper () =
-  (* unrank_subset m must be the m-th element of the Gosper sequence:
-     that equivalence is what lets chunks start mid-rank without
-     enumerating their predecessors. *)
-  let n = 10 in
-  let binom = Parallel.binomial_table n in
-  List.iter
-    (fun k ->
-      let count = binom.(n).(k) in
-      let s = ref ((1 lsl k) - 1) in
-      for m = 0 to count - 1 do
-        Alcotest.(check int)
-          (Printf.sprintf "unrank k=%d m=%d" k m)
-          !s
-          (Parallel.unrank_subset binom ~k m);
-        if m < count - 1 then s := Parallel.gosper_next !s
-      done)
-    [ 1; 3; 7; n ]
 
 (* {1 Pool} *)
 
@@ -82,7 +42,18 @@ let test_pool_runs_every_chunk_once () =
               Alcotest.(check int)
                 "claims sum to chunk count" chunks
                 (Array.fold_left ( + ) 0 claimed))
-            [ 37; 1; 0 ]))
+            [ 37; 1; 0 ];
+          (* Back-to-back jobs smaller than a wake-up: a worker that
+             wakes after the caller claimed the last chunk sits the job
+             out, and must neither run a chunk twice nor carry one into
+             the next job. *)
+          for j = 1 to 500 do
+            let chunks = j mod 4 in
+            let hits = Array.make chunks 0 in
+            Pool.run pool ~chunks (fun ~worker:_ c -> hits.(c) <- hits.(c) + 1);
+            if Array.exists (fun h -> h <> 1) hits then
+              Alcotest.failf "job %d: a chunk of %d did not run exactly once" j chunks
+          done))
     domain_axis
 
 exception Boom
@@ -115,7 +86,7 @@ let test_pool_create_failure_releases_workers () =
           Pool.run pool ~chunks:16 (fun ~worker:_ c -> ignore (Atomic.fetch_and_add total c));
           Alcotest.(check int) "a pool of k workers still spawns and runs" 120 (Atomic.get total)))
 
-(* {1 Parallel = sequential, bit for bit} *)
+(* {1 On a pool = on the calling domain, bit for bit} *)
 
 let check_identical ~msg seq par =
   Alcotest.(check bool)
@@ -137,7 +108,7 @@ let prop_parallel_matches_sequential =
           let par_ctr = Counters.create () in
           let par =
             with_pool ~num_domains:d (fun pool ->
-                Parallel.optimize_join ~pool ~counters:par_ctr model catalog graph)
+                Blitzsplit.optimize_join ~pool ~counters:par_ctr model catalog graph)
           in
           let msg what = Printf.sprintf "domains=%d %s" d what in
           if compare (Blitzsplit.best_cost seq) (Blitzsplit.best_cost par) <> 0 then
@@ -169,7 +140,7 @@ let test_parallel_product_identical () =
     (fun d ->
       let par =
         with_pool ~num_domains:d (fun pool ->
-            Parallel.optimize_product ~pool Cost_model.naive catalog)
+            Blitzsplit.optimize_product ~pool Cost_model.naive catalog)
       in
       check_identical ~msg:(Printf.sprintf "product domains=%d" d) seq par;
       Alcotest.(check bool)
@@ -181,8 +152,8 @@ let test_parallel_product_equals_empty_graph_join () =
   let catalog = random_catalog (Rng.create ~seed:11) ~n:9 ~lo:1.0 ~hi:1e3 in
   let product, join =
     with_pool ~num_domains:2 (fun pool ->
-        ( Parallel.optimize_product ~pool Cost_model.naive catalog,
-          Parallel.optimize_join ~pool Cost_model.naive catalog (Join_graph.of_edges ~n:9 []) ))
+        ( Blitzsplit.optimize_product ~pool Cost_model.naive catalog,
+          Blitzsplit.optimize_join ~pool Cost_model.naive catalog (Join_graph.of_edges ~n:9 []) ))
   in
   check_identical ~msg:"product vs empty-graph join" product join
 
@@ -199,7 +170,7 @@ let test_parallel_threshold_multipass () =
       let par =
         with_pool ~num_domains:d (fun pool ->
             Threshold.drive ~growth:10.0 ~threshold:100.0 (fun ~counters ~threshold ->
-                Parallel.optimize_product ~pool ~counters ~threshold Cost_model.naive
+                Blitzsplit.optimize_product ~pool ~counters ~threshold Cost_model.naive
                   abcd_catalog))
       in
       Alcotest.(check int) "same pass count" seq.Threshold.passes par.Threshold.passes;
@@ -242,7 +213,7 @@ let test_parallel_deadline_aborts_within_one_chunk () =
         (fun () ->
           with_pool ~num_domains:d (fun pool ->
               ignore
-                (Parallel.optimize_product ~pool ~counters:ctr
+                (Blitzsplit.optimize_product ~pool ~counters:ctr
                    ~interrupt:(Budget.interrupt budget) Cost_model.naive catalog)));
       Alcotest.(check bool)
         (Printf.sprintf "domains=%d stopped within one chunk (%d subsets)" d
@@ -265,9 +236,6 @@ let test_table_bytes_reflects_fan_column () =
 
 let suite =
   [
-    Alcotest.test_case "gosper_next enumerates ranks in order" `Quick test_gosper_next;
-    Alcotest.test_case "binomial table" `Quick test_binomial_table;
-    Alcotest.test_case "unrank_subset matches gosper order" `Quick test_unrank_matches_gosper;
     Alcotest.test_case "pool runs every chunk exactly once" `Quick test_pool_runs_every_chunk_once;
     Alcotest.test_case "pool creation past the domain cap holds no domain" `Quick
       test_pool_create_failure_releases_workers;

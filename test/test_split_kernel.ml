@@ -15,7 +15,8 @@
    ([Live_index.shape]); there loop_iters must equal the count this
    suite derives from the reference table under that rule, and the
    operand-sum, kappa'' and improvement counts, which the scan's order
-   changes, must agree across the sequential driver and every width.
+   changes, must agree between the pass on the calling domain and every
+   width.
    subsets, threshold_skips and infeasible always match the reference.
    Random problems sweep topology density, stars whose hub is the last
    and the first relation, a tie-heavy family (cardinalities and
@@ -26,8 +27,8 @@
    asymmetric kappa'' (the fallback body with its operands told apart),
    the production threshold ([Registry.upper_bound]) beside 0.5 and 2
    times the optimum and none (the skip and infeasible paths), against
-   the sequential driver and the rank-parallel driver at 1, 2 and 4
-   domains.  Under kappa_sm at a finite threshold the drivers charge
+   the pass on the calling domain and on pools of 1, 2 and 4 domains.
+   Under kappa_sm at a finite threshold the driver charges
    each subset its completion term ([Split_loop.completion_threshold]);
    the reference pass applies the same per-subset threshold, so this
    suite checks the kernels, and the driver-level property in
@@ -35,7 +36,6 @@
 
 open Test_helpers
 module Blitzsplit = Blitz_core.Blitzsplit
-module Parallel_blitzsplit = Blitz_parallel.Parallel_blitzsplit
 module Dp_table = Blitz_core.Dp_table
 module Split_loop = Blitz_core.Split_loop
 module Counters = Blitz_core.Counters
@@ -160,11 +160,10 @@ let kernel_problem_gen ~max_n =
         { catalog; graph; model; family; bound; seed })
       (int_bound 1_000_000))
 
-(* One full DP pass with the Reference kernel: the ordered ground
-   truth, same enumeration order as the sequential driver.  A kappa_sm
-   pass at a finite threshold gives each subset the threshold the
-   drivers give it, through the same function, so every entry still
-   compares. *)
+(* One full DP pass with the Reference kernel in increasing subset
+   order, Figure 1's loop: the ordered ground truth.  A kappa_sm pass at
+   a finite threshold gives each subset the threshold the driver gives
+   it, through the same function, so every entry still compares. *)
 type reference = {
   table : Dp_table.t;
   counters : Counters.t;
@@ -303,22 +302,22 @@ let prop_kernels_bit_identical =
       in
       let r = reference_pass p.model p.catalog p.graph ~threshold in
       let seq = Blitzsplit.optimize_join ~threshold p.model p.catalog p.graph in
-      check_against ~what:"sequential" ~threshold p r seq.Blitzsplit.table seq.Blitzsplit.counters;
+      check_against ~what:"inline" ~threshold p r seq.Blitzsplit.table seq.Blitzsplit.counters;
       List.iter
         (fun d ->
           let par =
             with_pool ~num_domains:d (fun pool ->
-                Parallel_blitzsplit.optimize_join ~pool ~threshold p.model p.catalog p.graph)
+                Blitzsplit.optimize_join ~pool ~threshold p.model p.catalog p.graph)
           in
-          let what = Printf.sprintf "parallel d=%d" d in
+          let what = Printf.sprintf "pool d=%d" d in
           check_against ~what ~threshold p r par.Blitzsplit.table par.Blitzsplit.counters;
           if
             scanning p ~threshold
             && scan_counters par.Blitzsplit.counters <> scan_counters seq.Blitzsplit.counters
           then
             QCheck2.Test.fail_reportf
-              "%s: improvements, operand sums or kappa'' evaluations differ from the sequential \
-               driver's"
+              "%s: improvements, operand sums or kappa'' evaluations differ from the inline \
+               pass's"
               what)
         [ 1; 2; 4 ];
       true)
@@ -349,12 +348,12 @@ let test_tie_across_ranks () =
         | () -> ()
         | exception QCheck2.Test.Test_fail (_, msgs) -> Alcotest.fail (String.concat "; " msgs)
       in
-      check "sequential" seq;
+      check "inline" seq;
       List.iter
         (fun d ->
-          check (Printf.sprintf "parallel d=%d" d)
+          check (Printf.sprintf "pool d=%d" d)
             (with_pool ~num_domains:d (fun pool ->
-                 Parallel_blitzsplit.optimize_join ~pool ~threshold model catalog graph)))
+                 Blitzsplit.optimize_join ~pool ~threshold model catalog graph)))
         [ 1; 2 ])
     [ 1.0 +. 1e-9; 1.5; 2.0 ]
 

@@ -124,11 +124,11 @@ let prop_threshold_monotone =
 (* The exact tier's pass, at the driver level: one pass at
    [Registry.upper_bound], which under kappa_sm also charges each
    subset its completion term, returns the plain pass's plan and cost
-   bits, sequentially and rank-parallel (the parallel driver at 1, 2
-   and 4 domains, forced onto its rank-parallel path), and the drivers
-   agree on the subsets skipped.  kappa_0, kappa_dnl and an Opaque
+   bits, on the calling domain and on pools of 1, 2 and 4 domains, and
+   every width skips the same subsets.  kappa_0, kappa_dnl and an Opaque
    min-of, which keep the paper's test alone, are the controls; a
-   multiway pass, where the term is off, is checked sequentially.  On
+   multiway pass, where the term is off, is checked on the calling
+   domain.  On
    chains of 8 or more relations the kappa_sm pass must skip subsets,
    which the paper's test alone never does there (kappa' = 0). *)
 type bound_case = { spec : Blitz_workload.Workload.spec; multiway : bool }
@@ -170,7 +170,6 @@ let prop_upper_bound_pass_bit_identical =
     bound_case_gen
     (fun c ->
       let module Registry = Blitz_engine.Registry in
-      let module Parallel = Blitz_parallel.Parallel_blitzsplit in
       let model = c.spec.Blitz_workload.Workload.model in
       let catalog, graph = Blitz_workload.Workload.problem c.spec in
       let same what (plain : Blitzsplit.t) (pass : Blitzsplit.t) =
@@ -193,7 +192,7 @@ let prop_upper_bound_pass_bit_identical =
           (fun d ->
             let par =
               with_pool ~num_domains:d (fun pool ->
-                  Parallel.optimize_join ~pool ~threshold model catalog graph)
+                  Blitzsplit.optimize_join ~pool ~threshold model catalog graph)
             in
             same (Printf.sprintf "%d domain(s)" d) plain par;
             if par.Blitzsplit.counters.Counters.threshold_skips <> skips then
