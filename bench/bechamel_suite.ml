@@ -53,9 +53,7 @@ let fig6_test =
   Test.make
     ~name:(Printf.sprintf "fig6: n=%d chain k0 mu=1e4, threshold 1e9" bench_n)
     (Staged.stage (fun () ->
-         ignore
-           (Bench_opt.run ~optimizer:"thresholded" ~threshold:1e9 Cost_model.naive catalog
-              (Some graph))))
+         ignore (Bench_opt.run ~threshold:1e9 Cost_model.naive catalog (Some graph))))
 
 let counts_test =
   let catalog, graph = problem ~model:Cost_model.sort_merge ~topology:Topology.Clique ~mu:1.0 ~v:0.0 in

@@ -1,15 +1,16 @@
 (* Experiment "parallel": rank-parallel blitzsplit speedup curve.
 
    Times one blitzsplit pass on the calling domain (the sequential
-   column) and the same driver on pools of 1/2/4/8 domains over
-   n = 12..20 (Cartesian products, kappa_0, equal cardinalities — the
-   same pure-3^n kernel as fig2), verifying on every point that the
-   pooled cost is bit-identical to the sequential one.
+   column) and the same call with [~pool] on pools of 1/2/4/8 domains
+   over n = 12..20 (Cartesian products, kappa_0, equal cardinalities —
+   the same pure-3^n kernel as fig2), so the points differ only in the
+   pool, verifying on every point that the cost is bit-identical to the
+   sequential one.
    Timing is WALL clock (Bench_config.wall, on CLOCK_MONOTONIC):
    Timer.now is CPU time, which sums over domains and would hide any
    speedup.  Each point is the best of three rounds (one in fast mode),
    each the mean of at least two calls, with every point taking a turn
-   in every round.
+   in every round and the order changing from round to round.
 
    Results go to the shared --json collector; `bench parallel --json
    BENCH_parallel.json` seeds the repository's recorded perf trajectory.
@@ -21,7 +22,6 @@ module Catalog = Blitz_catalog.Catalog
 module Cost_model = Blitz_cost.Cost_model
 module Blitzsplit = Blitz_core.Blitzsplit
 module Pool = Blitz_parallel.Pool
-module Registry = Blitz_engine.Registry
 module Json = Blitz_util.Json
 
 let domain_axis = [ 1; 2; 4; 8 ]
@@ -51,32 +51,40 @@ let run () =
   while (not !stop) && !n <= hi do
     let catalog = Catalog.uniform ~n:!n ~card:100.0 in
     let model = Cost_model.naive in
-    let seq_cost = ref Float.nan in
-    let sequential () = seq_cost := (Bench_opt.run model catalog None).Registry.cost in
     (* Every point, one domain included, runs the pass on a pool of that
        width: the 1-domain point is what the pool's chunks and barriers
        cost without parallelism. *)
     let pools = List.map (fun d -> (d, Pool.create ~num_domains:d)) domain_axis in
-    let parallel (d, pool) () =
-      let cost = Blitzsplit.best_cost (Blitzsplit.optimize_product ~pool model catalog) in
-      if cost <> !seq_cost then
+    let pass ?pool () = Blitzsplit.best_cost (Blitzsplit.optimize_product ?pool model catalog) in
+    (* An untimed sequential pass, after the pools have spawned: the cost
+       every point must reproduce. *)
+    let seq_cost = pass () in
+    let point (d, pool) () =
+      let cost = pass ?pool () in
+      if cost <> seq_cost then
         failwith
           (Printf.sprintf "parallel cost diverged at n=%d domains=%d: %.17g vs %.17g" !n d cost
-             !seq_cost)
+             seq_cost)
     in
+    let points =
+      Array.of_list ((0, None) :: List.map (fun (d, pool) -> (d, Some pool)) pools)
+    in
+    let k = Array.length points in
     (* Best of [rounds], every point taking its turn in each round, so
        drift on a shared host hits the sequential point and each width
-       alike.  The sequential point runs first, so the check above has
-       its cost. *)
-    let best = Array.make (1 + List.length pools) Float.infinity in
+       alike.  Round r starts at point r and odd rounds run backwards, so
+       which point runs first, and which one runs before the sequential
+       point, changes from round to round. *)
+    let best = Array.make k Float.infinity in
     Fun.protect
       ~finally:(fun () -> List.iter (fun (_, pool) -> Pool.shutdown pool) pools)
       (fun () ->
-        for _ = 1 to rounds do
-          List.iteri
-            (fun i f ->
-              best.(i) <- Float.min best.(i) (Bench_config.time_wall ~min_total ~min_runs:2 f))
-            (sequential :: List.map parallel pools)
+        for r = 0 to rounds - 1 do
+          for j = 0 to k - 1 do
+            let i = (r + (if r land 1 = 0 then j else k - j)) mod k in
+            best.(i) <-
+              Float.min best.(i) (Bench_config.time_wall ~min_total ~min_runs:2 (point points.(i)))
+          done
         done);
     let seq_s = best.(0) in
     let per_domain = List.mapi (fun i d -> (d, best.(i + 1))) domain_axis in

@@ -296,8 +296,9 @@ let optimize_cmd =
       value
       & opt (some float) None
       & info [ "threshold" ] ~docv:"COST"
-          ~doc:"Plan-cost threshold (Section 6.4), positive and finite; re-optimizes with a \
-                raised threshold on failure.  Rejected on the guarded paths (--degrade, \
+          ~doc:"Plan-cost threshold (Section 6.4), positive and finite: the exact optimizer \
+                prunes at it and re-optimizes with a raised threshold on failure; other \
+                optimizers ignore it.  Rejected on the guarded paths (--degrade, \
                 --deadline-ms, --max-table-mb, --scramble-catalog), whose exact tier seeds its \
                 own bound.")
   in
@@ -325,13 +326,11 @@ let optimize_cmd =
                 estimated vs. actual cardinalities.")
   in
   let seed_arg =
-    Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Data-generation seed.")
-  in
-  let hybrid_arg =
     Arg.(
-      value & flag
-      & info [ "hybrid" ]
-          ~doc:"Use the Section 7 hybrid (DP windows inside randomized search) instead of                 exhaustive blitzsplit — required beyond the 24-relation DP-table cap, useful                 sooner.")
+      value & opt int 1
+      & info [ "seed" ] ~docv:"SEED"
+          ~doc:"Seed for data generation (--execute) and the stochastic optimizers (e.g. -o \
+                hybrid).")
   in
   let degrade_arg =
     Arg.(
@@ -395,20 +394,20 @@ let optimize_cmd =
       value
       & opt (some string) None
       & info [ "o"; "optimizer" ] ~docv:"NAME"
-          ~doc:"Dispatch through a specific registry entry (e.g. dpccp, dpconv; 'blitz \
-                compare' lists them) instead of the exact/thresholded default.  Eligibility \
-                is checked against the entry's capability metadata, so e.g. dpccp accepts \
-                sparse queries far beyond the dense DP-table cap.")
+          ~doc:"Dispatch through a specific registry entry (e.g. hybrid, dpccp, dpconv; 'blitz \
+                compare' lists them) instead of the exact default.  Eligibility is checked \
+                against the entry's capability metadata, so e.g. hybrid takes queries of any \
+                size and dpccp sparse ones far beyond the dense DP-table cap.")
   in
   let multiway_arg =
     Arg.(
       value & flag
       & info [ "multiway" ]
-          ~doc:"Let capable optimizers (exact, thresholded, dpccp) plan n-ary hash-join nodes \
+          ~doc:"Let capable optimizers (exact, dpccp) plan n-ary hash-join nodes \
                 on cyclic cores, costed by an AGM-derived fractional edge cover.  Acyclic \
                 queries are structurally unaffected; incapable optimizers ignore the flag.")
   in
-  let run problem model threshold growth dump_table annotate execute seed physical hybrid degrade
+  let run problem model threshold growth dump_table annotate execute seed physical degrade
       deadline_ms max_table_mb num_domains cache repeat metrics trace scramble corrupt_seed
       multiway optimizer_name =
     obs_arm ~metrics ~trace;
@@ -499,26 +498,7 @@ let optimize_cmd =
         Format.printf "  %a@." Degrade.pp_provenance p;
         print_cache_line cache
     end
-    else if hybrid then begin
-      let t0 = Sys.time () in
-      let outcome =
-        Registry.optimize ~optimizer:"hybrid" (Registry.ctx ~seed model)
-          (Registry.problem ~graph:problem.graph problem.catalog)
-      in
-      let plan =
-        match outcome.Registry.plan with
-        | Some p -> p
-        | None -> failwith "hybrid: no plan"
-      in
-      Printf.printf "query:      %s\n" problem.label;
-      Printf.printf "model:      %s (hybrid search)\n" model.Cost_model.name;
-      Printf.printf "plan:       %s\n" (Plan.to_compact_string ~names plan);
-      Printf.printf "cost:       %g (not guaranteed optimal)\n" outcome.Registry.cost;
-      Printf.printf "time:       %.4fs (%s)\n" (Sys.time () -. t0)
-        (Option.value ~default:"" outcome.Registry.note)
-    end
-    else
-    if physical then begin
+    else if physical then begin
       let module O = Blitz_core.Blitzsplit_orders in
       let r = O.optimize ?required_order:problem.required_order problem.catalog problem.graph in
       let rec render = function
@@ -562,32 +542,19 @@ let optimize_cmd =
     | None ->
       if Catalog.n problem.catalog > Dp_table.max_relations then begin
         Printf.eprintf
-          "blitz: %d relations exceed the %d-relation DP table; use --hybrid for large queries\n"
+          "blitz: %d relations exceed the %d-relation DP table; use -o hybrid for large \
+           queries, or -o dpccp on a connected sparse join graph\n"
           (Catalog.n problem.catalog) Dp_table.max_relations;
         exit 1
       end);
-    Engine.with_session ~model ~num_domains ?cache (fun session ->
+    Engine.with_session ~model ~num_domains ~seed ?cache (fun session ->
     let prob = Registry.problem ~graph:problem.graph problem.catalog in
-    let optimizer =
-      match optimizer_name with
-      | Some name -> name
-      | None -> if threshold = None then "exact" else "thresholded"
-    in
+    let optimizer = Option.value ~default:"exact" optimizer_name in
     let t0 = Blitz_util.Clock.now_s () in
     (* With --repeat the same query streams through the session K times:
-       cold the first time, answered from the cache (when enabled) after. *)
-    let run_once () =
-      match threshold with
-      | None -> Engine.optimize ~optimizer ~multiway session prob
-      | Some _ ->
-        (* An explicit threshold carries the --growth escalation policy,
-           which lives on the raw registry ctx (and bypasses the cache:
-           thresholded outcomes under a caller threshold are
-           caller-dependent). *)
-        Registry.optimize ~optimizer
-          (Engine.ctx ?threshold ?growth ~multiway ~n:(Catalog.n problem.catalog) session)
-          prob
-    in
+       cold the first time, answered from the cache (when enabled) after;
+       a run under --threshold bypasses the cache. *)
+    let run_once () = Engine.optimize ~optimizer ?threshold ?growth ~multiway session prob in
     let outcome = ref (run_once ()) in
     for _ = 2 to repeat do
       outcome := run_once ()
@@ -661,7 +628,7 @@ let optimize_cmd =
   let term =
     Term.(
       const run $ problem_term $ model_arg $ threshold_arg $ growth_arg $ dump_table_arg
-      $ annotate_arg $ execute_arg $ seed_arg $ physical_arg $ hybrid_arg $ degrade_arg
+      $ annotate_arg $ execute_arg $ seed_arg $ physical_arg $ degrade_arg
       $ deadline_ms_arg $ max_table_mb_arg $ num_domains_arg $ cache_term $ repeat_arg
       $ metrics_arg $ trace_arg $ scramble_arg $ corrupt_seed_arg $ multiway_arg
       $ optimizer_arg)
@@ -787,8 +754,9 @@ let explain_cmd =
       value
       & opt (some float) None
       & info [ "threshold" ] ~docv:"COST"
-          ~doc:"Initial plan-cost threshold for the thresholded optimizer, positive and \
-                finite.")
+          ~doc:"Plan-cost threshold (Section 6.4), positive and finite, as for 'blitz \
+                optimize': the exact optimizer re-optimizes with a raised threshold on \
+                failure; other optimizers ignore it.")
   in
   let multiway_arg =
     Arg.(

@@ -11,9 +11,8 @@
 module Workload = Blitz_workload.Workload
 module Topology = Blitz_graph.Topology
 module Cost_model = Blitz_cost.Cost_model
-module Blitzsplit = Blitz_core.Blitzsplit
-module Threshold = Blitz_core.Threshold
 module Counters = Blitz_core.Counters
+module Registry = Blitz_engine.Registry
 
 let () =
   let n = 14 in
@@ -22,33 +21,30 @@ let () =
       ~variability:0.0
   in
   let catalog, graph = Workload.problem spec in
+  let problem = Registry.problem ~graph catalog in
+  (* The exact optimizer, plain or from a plan-cost threshold. *)
+  let exact ?threshold ?growth counters =
+    Registry.optimize (Registry.ctx ~counters ?threshold ?growth Cost_model.naive) problem
+  in
 
   (* Unthresholded baseline. *)
   let base_counters = Counters.create () in
-  let base = Blitzsplit.optimize_join ~counters:base_counters Cost_model.naive catalog graph in
-  Printf.printf "no threshold:    cost %.6g, split-loop iterations %d\n" (Blitzsplit.best_cost base)
+  let base = exact base_counters in
+  Printf.printf "no threshold:    cost %.6g, split-loop iterations %d\n" base.Registry.cost
     base_counters.Counters.loop_iters;
 
   (* A comfortable threshold: one pass, far less work. *)
   let t1_counters = Counters.create () in
-  let t1 =
-    Threshold.optimize_join ~counters:t1_counters ~threshold:1e9 Cost_model.naive catalog graph
-  in
+  let t1 = exact ~threshold:1e9 t1_counters in
   Printf.printf "threshold 1e9:   cost %.6g, split-loop iterations %d, passes %d (%.1fx less work)\n"
-    (Blitzsplit.best_cost t1.Threshold.result)
-    t1_counters.Counters.loop_iters t1.Threshold.passes
+    t1.Registry.cost t1_counters.Counters.loop_iters t1.Registry.passes
     (float_of_int base_counters.Counters.loop_iters /. float_of_int (max 1 t1_counters.Counters.loop_iters));
 
   (* An over-ambitious threshold: fails, retries, still exact. *)
-  let t2_counters = Counters.create () in
-  let t2 =
-    Threshold.optimize_join ~counters:t2_counters ~growth:100.0 ~threshold:10.0 Cost_model.naive
-      catalog graph
-  in
-  Printf.printf "threshold 10:    cost %.6g, passes %d, final threshold %g\n"
-    (Blitzsplit.best_cost t2.Threshold.result)
-    t2.Threshold.passes t2.Threshold.final_threshold;
+  let t2 = exact ~growth:100.0 ~threshold:10.0 (Counters.create ()) in
+  Printf.printf "threshold 10:    cost %.6g, passes %d, final threshold %g\n" t2.Registry.cost
+    t2.Registry.passes t2.Registry.final_threshold;
 
-  assert (Blitzsplit.best_cost base = Blitzsplit.best_cost t1.Threshold.result);
-  assert (Blitzsplit.best_cost base = Blitzsplit.best_cost t2.Threshold.result);
+  assert (base.Registry.cost = t1.Registry.cost);
+  assert (base.Registry.cost = t2.Registry.cost);
   print_endline "all three agree on the optimal cost (threshold search is exact)"

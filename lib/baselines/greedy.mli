@@ -6,7 +6,7 @@
     heuristic endpoint of the method-comparison experiment, as the
     starting point for the stochastic searches, as the degradation
     cascade's terminal tier, and, through its cost, as the upper bound
-    the cascade's exact and thresholded tiers prune at — so it runs on
+    the cascade's exact tier prunes at — so it runs on
     every guarded request and allocates little: a candidate pair costs
     one boxed span, nothing else. *)
 

@@ -6,13 +6,6 @@ type rule = Commute | Assoc_left | Assoc_right | Exchange_left | Exchange_right
 
 let all_rules = [ Commute; Assoc_left; Assoc_right; Exchange_left; Exchange_right ]
 
-let rule_name = function
-  | Commute -> "commute"
-  | Assoc_left -> "assoc-left"
-  | Assoc_right -> "assoc-right"
-  | Exchange_left -> "exchange-left"
-  | Exchange_right -> "exchange-right"
-
 let apply_root rule plan =
   match (rule, plan) with
   | Commute, Plan.Join (a, b) -> Some (Plan.Join (b, a))

@@ -18,9 +18,6 @@ type rule =
   | Exchange_left  (** [(A x B) x C -> (A x C) x B]. *)
   | Exchange_right  (** [A x (B x C) -> B x (A x C)]. *)
 
-val all_rules : rule list
-val rule_name : rule -> string
-
 val apply_root : rule -> Plan.t -> Plan.t option
 (** Apply a rule at the root; [None] when the shape does not match. *)
 

@@ -105,8 +105,8 @@ let create ?(shards = 8) ?(max_bytes = 64 * 1024 * 1024) () =
 let string_hash str = String.fold_left (fun h c -> (h * 31) + Char.code c) 5381 str
 
 let entry_key scratch ~optimizer =
-  (* Mix the optimizer name in so e.g. "exact" and "thresholded" results
-     for the same problem live in distinct entries. *)
+  (* Mix the optimizer name in so e.g. "exact" and "dpsize" results for
+     the same problem live in distinct entries. *)
   let h = Fingerprint.hash scratch lxor (string_hash optimizer * 0x100000001b3) in
   h lxor (h lsr 31)
 
@@ -247,14 +247,6 @@ let store t scratch ~optimizer ~plan ~cost ~passes ~final_threshold =
 let resident_bytes t =
   Array.fold_left
     (fun acc sh -> acc + with_lock sh (fun () -> sh.bytes))
-    0 t.shards_arr
-
-let entry_count t =
-  Array.fold_left
-    (fun acc sh ->
-      acc
-      + with_lock sh (fun () ->
-            Hashtbl.fold (fun _ nodes n -> n + List.length nodes) sh.tbl 0))
     0 t.shards_arr
 
 type stats = {

@@ -74,9 +74,6 @@ val resident_bytes : t -> int
 (** Current estimated footprint of all shards' entries — the number a
     [Budget] memory ceiling should charge. *)
 
-val entry_count : t -> int
-(** Resident entry count across all shards. *)
-
 type stats = {
   hits : int;
   misses : int;

@@ -89,14 +89,3 @@ let variability t =
   else
     let smallest = fst (Blitz_util.Stats.min_max t.cards) in
     1.0 -. (log smallest /. log mu)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  Array.iteri
-    (fun i nm ->
-      if i > 0 then Format.fprintf ppf "@,";
-      Format.fprintf ppf "%s: |%s| = %a" nm nm Blitz_util.Float_more.pp_engineering t.cards.(i))
-    t.names;
-  Format.fprintf ppf "@]"
-
-let equal a b = a.names = b.names && a.cards = b.cards

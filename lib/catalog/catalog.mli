@@ -85,7 +85,3 @@ val variability : t -> float
     [1 - log |R_0'| / log mu] where [R_0'] is the smallest relation and
     [mu] the geometric mean; [0] when all cardinalities are equal, and by
     convention [0] when [mu <= 1]. *)
-
-val pp : Format.formatter -> t -> unit
-
-val equal : t -> t -> bool

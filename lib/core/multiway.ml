@@ -58,10 +58,6 @@ let consider t (tbl : Dp_table.t) (ctr : Counters.t) ~threshold s =
     ctr.Counters.multiway_wins <- ctr.Counters.multiway_wins + 1
   | None -> ()
 
-let find t s = Hashtbl.find_opt t.entries s
-
-let wins t = Hashtbl.length t.entries
-
 let plan_of t s =
   match Hashtbl.find_opt t.entries s with
   | None -> None

@@ -39,12 +39,6 @@ val consider : t -> Dp_table.t -> Counters.t -> threshold:float -> Relset.t -> u
     best split and the threshold, overwrite the table entry with the
     sentinel and record the cover (bumping [multiway_wins]). *)
 
-val find : t -> Relset.t -> Agm.cover option
-(** The recorded cover for a subset the sentinel points at, if any. *)
-
-val wins : t -> int
-(** Number of subsets whose best plan is multiway. *)
-
 val plan_of : t -> Relset.t -> Plan.t option
 (** The [Plan.Multiway] node (over the subset's leaves, with cover
     weights and AGM bound) for a recorded winner. *)

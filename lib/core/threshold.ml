@@ -1,6 +1,3 @@
-module Catalog = Blitz_catalog.Catalog
-module Join_graph = Blitz_graph.Join_graph
-module Cost_model = Blitz_cost.Cost_model
 module Obs = Blitz_obs.Obs
 
 type outcome = { result : Blitzsplit.t; passes : int; final_threshold : float }
@@ -17,15 +14,17 @@ let m_skips =
   Obs.Metrics.counter ~help:"Subsets skipped by the plan-cost threshold filter"
     "blitz_threshold_skipped_subsets_total"
 
+(* Thresholded passes before the unthresholded rescue pass. *)
+let max_passes = 16
+
 (* [passes] counts optimization passes actually run — each thresholded
    attempt plus, when all attempts fail (or the growing threshold
    overflows to infinity), the forced unthresholded rescue pass, which
    always concludes the sequence with an answer. *)
-let drive ?counters ?(growth = 1e4) ?(max_passes = 16) ~threshold run =
+let drive ?counters ?(growth = 1e4) ~threshold run =
   if threshold <= 0.0 || not (Float.is_finite threshold) then
     invalid_arg "Threshold: initial threshold must be positive and finite";
   if not (growth > 1.0) then invalid_arg "Threshold: growth must exceed 1";
-  if max_passes < 1 then invalid_arg "Threshold: max_passes must be positive";
   let counters = match counters with Some c -> c | None -> Counters.create () in
   let skips_before = counters.Counters.threshold_skips in
   let rec go passes_run threshold =
@@ -59,21 +58,3 @@ let drive ?counters ?(growth = 1e4) ?(max_passes = 16) ~threshold run =
      filter let the driver skip, summed over every pass of this call. *)
   Obs.Metrics.add m_skips (max 0 (counters.Counters.threshold_skips - skips_before));
   outcome
-
-(* Re-optimization passes reuse one table through an arena: without one a
-   failed pass would throw away (and a retry reallocate) 7*8*2^n bytes.
-   Callers that hold a session arena pass it in; otherwise the driver
-   makes a private one so the multi-pass sequence still shares a table. *)
-let private_arena = function Some a -> a | None -> Arena.create ()
-
-let optimize_join ?arena ?counters ?growth ?max_passes ?interrupt ?multiway ~threshold model
-    catalog graph =
-  let arena = private_arena arena in
-  drive ?counters ?growth ?max_passes ~threshold (fun ~counters ~threshold ->
-      Blitzsplit.optimize_join ~arena ~counters ~threshold ?interrupt ?multiway model catalog
-        graph)
-
-let optimize_product ?arena ?counters ?growth ?max_passes ?interrupt ~threshold model catalog =
-  let arena = private_arena arena in
-  drive ?counters ?growth ?max_passes ~threshold (fun ~counters ~threshold ->
-      Blitzsplit.optimize_product ~arena ~counters ~threshold ?interrupt model catalog)

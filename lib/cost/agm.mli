@@ -15,7 +15,8 @@
     {e Every} [x >= 0] yields a valid upper bound, so the solvers can
     be approximate without risking soundness:
 
-    - up to {!exact_edge_cap} induced edges, exhaustive half-integral
+    - up to 6 induced edges ([3^6] objective evaluations; a 4-clique
+      still lands here), exhaustive half-integral
       enumeration over [{0, 1/2, 1}^m] (exact for binary-edge graphs,
       whose cover LP has half-integral optima), deterministic
       first-strictly-less tie-break;
@@ -40,10 +41,6 @@ type cover = {
       (** Whether the exhaustive half-integral search ran (false for
           coordinate descent and the degenerate fallback). *)
 }
-
-val exact_edge_cap : int
-(** Largest induced-edge count solved by exhaustive enumeration (6 —
-    [3^6] objective evaluations; a 4-clique still lands here). *)
 
 val fractional_edge_cover : Catalog.t -> Hypergraph.packed -> Relset.t -> cover
 (** Cover of the sub-hypergraph induced by the set (edges wholly

@@ -42,9 +42,9 @@ let recommended_domains () = Domain.recommended_domain_count ()
 
 (* Below this size the rank barriers and chunk scheduling eat most of
    what spreading the split loops buys.  BENCH_parallel.json, plain
-   product passes on two cores, has two domains at 1.26x for n = 12
-   (a 1 ms pass, the noisiest row), 1.21x at n = 13 and 1.30x at
-   n = 14, against 1.45x at n = 15 and 1.62-1.84x from there to
+   product passes on two cores, has two domains at 0.95x for n = 12
+   (a 2 ms pass, the noisiest row), 1.23x at n = 13 and 1.19x at
+   n = 14, against 1.10x at n = 15 and 1.24-1.86x from there to
    n = 20.  Smaller n gain a little on this host, but no benchmark
    workload runs an in-process query below n = 18, so a lower crossover
    cannot be sized against the repository benchmark.  Sessions hand out
@@ -82,7 +82,6 @@ let create ?(model = Blitz_cost.Cost_model.kdnl)
     closed = false;
   }
 
-let model t = t.model
 let num_domains t = t.num_domains
 let arena t = t.arena
 let cache t = t.cache
@@ -118,9 +117,9 @@ let with_session ?model ?num_domains ?seed ?cache f =
 (* The ctx carries [pool t ~n], and so the one decision whether the
    query's split loops run on a pool: the session's width and the
    crossover are read here and nowhere else. *)
-let ctx ?interrupt ?threshold ?growth ?max_passes ?counters ?multiway ~n t =
-  Registry.ctx ~arena:t.arena ?pool:(pool t ~n) ~seed:t.seed ?interrupt ?threshold ?growth
-    ?max_passes ?counters ?multiway t.model
+let ctx ?interrupt ?threshold ?counters ?multiway ~n t =
+  Registry.ctx ~arena:t.arena ?pool:(pool t ~n) ~seed:t.seed ?interrupt ?threshold ?counters
+    ?multiway t.model
 
 let counters t = Arena.counters t.arena
 
@@ -210,15 +209,16 @@ let hit_outcome ctr (h : Plan_cache.hit) =
 
 (* Run one problem through the entry, going through the cache when the
    session has one and the entry's result may be cached. *)
-let run_entry t (entry : Registry.entry) ~optimizer ?interrupt ?threshold ?(multiway = false)
-    ?cache_tag ~ctr problem =
+let run_entry t (entry : Registry.entry) ~optimizer ?interrupt ?threshold ?growth
+    ?(multiway = false) ?cache_tag ~ctr problem =
   (* Multiway planning is real only for entries that advertise it; the
      flag reaches the cache key only then, so e.g. greedy lookups do not
      fragment across the two modes they cannot distinguish. *)
   let mw = multiway && entry.Registry.caps.Registry.multiway in
   let run () =
     let n = Catalog.n problem.Registry.catalog in
-    entry.Registry.optimize (ctx ?interrupt ?threshold ~multiway:mw ~counters:ctr ~n t) problem
+    let ctx = ctx ?interrupt ?threshold ~multiway:mw ~counters:ctr ~n t in
+    entry.Registry.optimize { ctx with Registry.growth } problem
   in
   match t.cache with
   | Some c when entry.Registry.caps.Registry.cacheable && Option.is_none threshold ->
@@ -231,7 +231,7 @@ let run_entry t (entry : Registry.entry) ~optimizer ?interrupt ?threshold ?(mult
           (o, Some o))
   | Some _ | None -> run ()
 
-let optimize ?(optimizer = "exact") ?interrupt ?threshold ?multiway ?cache_tag t problem =
+let optimize ?(optimizer = "exact") ?interrupt ?threshold ?growth ?multiway ?cache_tag t problem =
   if t.closed then invalid_arg "Engine.optimize: session is closed";
   let entry = Registry.find_exn optimizer in
   let ctr = Arena.counters t.arena in
@@ -239,7 +239,8 @@ let optimize ?(optimizer = "exact") ?interrupt ?threshold ?multiway ?cache_tag t
   let o =
     Obs.span "engine.optimize" ~attrs:[ ("optimizer", optimizer) ] (fun () ->
         Obs.Metrics.time m_latency (fun () ->
-            run_entry t entry ~optimizer ?interrupt ?threshold ?multiway ?cache_tag ~ctr problem))
+            run_entry t entry ~optimizer ?interrupt ?threshold ?growth ?multiway ?cache_tag ~ctr
+              problem))
   in
   record_outcome t o;
   o

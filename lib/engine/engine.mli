@@ -7,9 +7,9 @@
     DP-table buffer + reusable counters) and, for multi-domain
     sessions, one lazily spawned {!Blitz_parallel.Pool}, and runs any
     registered optimizer through them.  Sessions are multi-domain by
-    default: exact and thresholded queries at or above
-    {!default_crossover_n} relations run their split loops rank by rank
-    on the machine's cores.  Results
+    default: exact queries at or above {!default_crossover_n}
+    relations run their split loops rank by rank on the machine's
+    cores.  Results
     are bit-identical to fresh-allocation runs for every optimizer and
     domain count (tested property).
 
@@ -17,9 +17,7 @@
     whose registry entry promises exactness then consults it before
     running (skipping the whole DP on a hit, with the cached plan
     rebased to the caller's relation numbering) and stores completed
-    optima.  A miss runs the optimizer cold, so a ["thresholded"] miss
-    seeds its first pass from {!Registry.upper_bound} like any
-    thresholded call without a threshold.  The cache is shared
+    optima.  A miss runs the optimizer cold.  The cache is shared
     by whatever sessions were created with it (it is domain-safe);
     omitting it at {!create} is the per-session opt-out.  Each session
     owns one preallocated fingerprint workspace, so cache participation
@@ -85,14 +83,16 @@ val optimize :
   ?optimizer:string ->
   ?interrupt:(unit -> bool) ->
   ?threshold:float ->
+  ?growth:float ->
   ?multiway:bool ->
   ?cache_tag:string ->
   t ->
   Registry.problem ->
   Registry.outcome
 (** Run one query through the session.  [optimizer] names a registry
-    entry (default ["exact"]); [threshold] seeds the thresholded
-    driver.  [multiway] requests hybrid binary+n-ary planning from
+    entry (default ["exact"]); [threshold] and [growth] become the
+    ctx's, so ["exact"] runs Section 6.4's driver from that threshold
+    (see {!Registry.ctx}).  [multiway] requests hybrid binary+n-ary planning from
     entries whose caps advertise it; in the plan cache such runs live
     under the decorated key [<optimizer>"+mw"], so the two plan spaces
     never serve each other's optima (and a hit carrying a
@@ -126,7 +126,6 @@ val optimize_many :
 
 (** {1 Session internals (for drivers building their own ctx)} *)
 
-val model : t -> Cost_model.t
 val num_domains : t -> int
 val arena : t -> Arena.t
 
@@ -188,15 +187,13 @@ val cache_around :
 val ctx :
   ?interrupt:(unit -> bool) ->
   ?threshold:float ->
-  ?growth:float ->
-  ?max_passes:int ->
   ?counters:Counters.t ->
   ?multiway:bool ->
   n:int ->
   t ->
   Registry.ctx
-(** The registry ctx {!optimize} uses for an [n]-relation query,
-    exposed so callers can dispatch registry entries through the
-    session themselves.  It carries [pool t ~n]: the blitzsplit entries
-    run on that pool when there is one and on the calling domain
+(** The registry ctx {!optimize} uses for an [n]-relation query (before
+    it sets [growth]), exposed so callers can dispatch registry entries
+    through the session themselves.  It carries [pool t ~n]: the exact
+    entry runs on that pool when there is one and on the calling domain
     otherwise. *)

@@ -27,26 +27,14 @@ type ctx = {
   interrupt : (unit -> bool) option;
   threshold : float option;
   growth : float option;
-  max_passes : int option;
   seed : int;
   counters : Counters.t option;
   multiway : bool;
 }
 
-let ctx ?arena ?pool ?interrupt ?threshold ?growth ?max_passes ?(seed = 1) ?counters
-    ?(multiway = false) model =
-  {
-    model;
-    arena;
-    pool;
-    interrupt;
-    threshold;
-    growth;
-    max_passes;
-    seed;
-    counters;
-    multiway;
-  }
+let ctx ?arena ?pool ?interrupt ?threshold ?growth ?(seed = 1) ?counters ?(multiway = false)
+    model =
+  { model; arena; pool; interrupt; threshold; growth; seed; counters; multiway }
 
 type outcome = {
   plan : Plan.t option;
@@ -171,7 +159,7 @@ let upper_bound model p =
   in
   Option.map (fun (cost, source) -> { value = cost *. (1.0 +. 1e-9); source }) best
 
-(* ---- the blitzsplit entries: one pass, on the ctx's pool if any ---- *)
+(* ---- the blitzsplit entry: one pass, on the ctx's pool if any ---- *)
 
 (* One blitzsplit pass under [ctx]: its split loops run rank by rank on
    the ctx's pool when it has one, on the calling domain otherwise, with
@@ -186,48 +174,36 @@ let pass (ctx : ctx) p ~counters ~threshold =
     Blitzsplit.optimize_product ?pool:ctx.pool ?arena:ctx.arena ~counters ~threshold
       ?interrupt:ctx.interrupt ctx.model p.catalog
 
-(* The Section 6.4 driver over [pass].  With no explicit threshold the
-   first pass is seeded from the upper bound, the exact tier's §6.4
-   seed, or from 1e6 when there is none.  The passes share one table: a
-   private arena when the ctx has none, so a retry never reallocates. *)
-let run_thresholded ctx p =
-  let ctr = counters_of ctx in
-  let threshold =
-    match ctx.threshold with
-    | Some t -> t
-    | None -> (
-      match upper_bound ctx.model p with Some b -> b.value | None -> 1e6)
-  in
-  let ctx =
-    if Option.is_none ctx.arena then { ctx with arena = Some (Arena.create ()) } else ctx
-  in
-  let o =
-    Threshold.drive ~counters:ctr ?growth:ctx.growth ?max_passes:ctx.max_passes ~threshold
-      (pass ctx p)
-  in
-  of_blitzsplit ~passes:o.Threshold.passes ~final_threshold:o.Threshold.final_threshold ctr
-    o.Threshold.result
-
 (* Without a threshold this is the paper's unthresholded DP.
 
-   A ctx threshold is taken as an upper bound on the optimum (the
-   degradation cascade passes [upper_bound]): one §6.4 pass at it, and
-   the driver's unthresholded rescue pass only if that pass finds no
-   plan.  The answer cannot move.  Costs are sums of non-negative
-   terms, so every subplan of the optimum costs at most the optimum,
-   which is below the bound; under kappa_sm so does a subplan plus its
-   completion term (see [Split_loop.completion_threshold]).  So no
-   subset on the plain DP's plan is skipped or cut short, each computes
-   the same minimum from the same operands, and the loop keeps the
-   first split reaching it, as the plain loop does.  Elsewhere the pass
-   can only raise an entry, to a costlier split or to infinity, so no
-   earlier split on that plan can reach the minimum first. *)
+   With one it is Section 6.4's driver over [pass], starting at the ctx
+   threshold; the passes share one table, a private arena when the ctx
+   has none, so a retry never reallocates.  The answer cannot move
+   (outside a few ulps above the optimum, where a pass's threshold test
+   rounds).
+   Costs are sums of non-negative terms, so every subplan of the optimum
+   costs at most the optimum; under kappa_sm so does a subplan plus its
+   completion term (see [Split_loop.completion_threshold]).  A pass whose
+   threshold is above the optimum therefore skips or cuts short no
+   subset on the plain DP's plan, each computes the same minimum from the
+   same operands, and the loop keeps the first split reaching it, as the
+   plain loop does.  Elsewhere the pass can only raise an entry, to a
+   costlier split or to infinity, so no earlier split on that plan can
+   reach the minimum first.  A pass whose threshold is at or below the
+   optimum finds no plan, and the driver raises the threshold; the
+   cascade passes [upper_bound], which is above the optimum, so its first
+   pass succeeds. *)
 let run_exact ctx p =
+  let ctr = counters_of ctx in
   match ctx.threshold with
-  | Some _ -> run_thresholded { ctx with max_passes = Some 1 } p
-  | None ->
-    let ctr = counters_of ctx in
-    of_blitzsplit ctr (pass ctx p ~counters:ctr ~threshold:Float.infinity)
+  | None -> of_blitzsplit ctr (pass ctx p ~counters:ctr ~threshold:Float.infinity)
+  | Some threshold ->
+    let ctx =
+      if Option.is_none ctx.arena then { ctx with arena = Some (Arena.create ()) } else ctx
+    in
+    let o = Threshold.drive ~counters:ctr ?growth:ctx.growth ~threshold (pass ctx p) in
+    of_blitzsplit ~passes:o.Threshold.passes ~final_threshold:o.Threshold.final_threshold ctr
+      o.Threshold.result
 
 (* ---- hybrid (Section 7): DP windows inside randomized search ---- *)
 
@@ -404,12 +380,6 @@ let () =
         summary = "blitzsplit: exhaustive bushy DP with Cartesian products";
         caps = blitzsplit_caps;
         optimize = run_exact;
-      };
-      {
-        name = "thresholded";
-        summary = "blitzsplit under a plan-cost threshold with re-optimization passes";
-        caps = blitzsplit_caps;
-        optimize = run_thresholded;
       };
       {
         name = "hybrid";

@@ -1,9 +1,9 @@
 (** One optimizer interface over every join-order algorithm in the
     repository.
 
-    Each algorithm — the exact blitzsplit DP and the Section 6.4
-    thresholded driver (both over one pass, whose split loops run rank
-    by rank on a ctx's pool when it has one), the Section 7 hybrid, and the
+    Each algorithm — the exact blitzsplit DP (one pass, whose split
+    loops run rank by rank on a ctx's pool when it has one, or Section
+    6.4's threshold driver over that pass), the Section 7 hybrid, and the
     [lib/baselines] family — registers under one
     [optimize : ctx -> problem -> outcome] signature together with
     capability metadata.  Callers (the degradation cascade, the CLI,
@@ -47,14 +47,20 @@ type ctx = {
           one. *)
   interrupt : (unit -> bool) option;  (** Deadline/cancellation probe. *)
   threshold : float option;
-      (** Initial plan-cost threshold for ["thresholded"]; [None] seeds
-          it from {!upper_bound} (the cascade's policy).  For ["exact"]
-          an upper bound on the optimum: one Section 6.4 pass prunes at
-          it, and a plain pass runs only if that one finds no plan, so
-          the answer is the unthresholded one; [None] runs the plain
-          pass alone. *)
-  growth : float option;  (** Threshold growth factor between passes. *)
-  max_passes : int option;
+      (** A Section 6.4 plan-cost threshold for ["exact"]: its first
+          pass prunes at it, a pass that finds no plan is rerun at the
+          threshold times [growth], and after 16 such passes one
+          unthresholded pass answers ({!Blitz_core.Threshold.drive}).
+          The plan and cost bits are the plain pass's, and only the
+          passes run, their counters and the final threshold depend on
+          the threshold, unless a pass's threshold lies within a few
+          ulps of the optimum, where the pass's threshold test rounds.
+          A threshold above the optimum, such as {!upper_bound} with its
+          1e-9 margin, succeeds on its first pass.  [None] runs the
+          plain pass alone; the other entries ignore it. *)
+  growth : float option;
+      (** Threshold growth factor between ["exact"]'s passes (default
+          [1e4]). *)
   seed : int;  (** Drives every stochastic optimizer. *)
   counters : Counters.t option;  (** Accumulates split-loop counts. *)
   multiway : bool;
@@ -73,7 +79,6 @@ val ctx :
   ?interrupt:(unit -> bool) ->
   ?threshold:float ->
   ?growth:float ->
-  ?max_passes:int ->
   ?seed:int ->
   ?counters:Counters.t ->
   ?multiway:bool ->
@@ -84,7 +89,7 @@ val ctx :
 type outcome = {
   plan : Plan.t option;  (** [None] when the method found no plan. *)
   cost : float;  (** Under [ctx.model]; [infinity]/[nan] possible. *)
-  passes : int;  (** Optimization passes run (thresholded driver). *)
+  passes : int;  (** Optimization passes run (Section 6.4's driver). *)
   final_threshold : float;  (** [infinity] when unthresholded. *)
   table : Dp_table.t option;
       (** The filled DP table, for optimizers that build one.  When the
@@ -124,7 +129,7 @@ type caps = {
           later exact lookups. *)
   multiway : bool;
       (** Honors [ctx.multiway]: the method can emit [Plan.Multiway]
-          nodes ([exact], [thresholded], [dpccp]).  Callers that cannot
+          nodes ([exact], [dpccp]).  Callers that cannot
           execute n-ary joins must not set [ctx.multiway] when
           dispatching to such an entry. *)
 }
@@ -142,7 +147,7 @@ type entry = {
 val register : entry -> unit
 (** Add an optimizer.  Raises [Invalid_argument] on a duplicate name.
     The built-in entries are registered at module initialization:
-    [exact], [thresholded], [hybrid], [ikkbz], [greedy],
+    [exact], [hybrid], [ikkbz], [greedy],
     [simpli-squared], [dpsize], [dpsize-no-products], [leftdeep],
     [leftdeep-deferred], [iterative-improvement], [simulated-annealing],
     [random-probe], [volcano], [dpccp], [dpconv], [bruteforce]. *)
@@ -175,8 +180,8 @@ val upper_bound : Cost_model.t -> problem -> bound option
     threshold there skips no subset of the optimal plan.  Greedy is
     the tighter bound on chains and cycles, Simpli-Squared on cliques;
     ties go to greedy.  [None] when neither cost is positive and
-    finite.  The cascade's exact tier passes it as [ctx.threshold]; the
-    thresholded tier seeds its first pass from it. *)
+    finite.  The cascade's exact tier passes it as [ctx.threshold], so
+    its first pass succeeds. *)
 
 val optimize : ?optimizer:string -> ctx -> problem -> outcome
 (** [optimize ~optimizer ctx p] = [(find_exn optimizer).optimize ctx p];

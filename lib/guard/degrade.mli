@@ -36,9 +36,11 @@ type tier =
           completion of it must pay ([Split_loop.completion_threshold]),
           except when planning n-ary nodes.  Neither skips a subset of
           the plain DP's plan, so cost and plan are the unthresholded
-          DP's bit for bit.  Without a finite bound, or should that pass
-          find no plan, one unthresholded pass.  The cascade's only
-          Section 6.4 pass; its attempt records the bound. *)
+          DP's bit for bit.  The bound is a plan-cost threshold like any
+          other ([Registry.ctx]'s [threshold]); being above the optimum,
+          its first pass succeeds.  Without a finite bound, one
+          unthresholded pass.  The cascade's only Section 6.4 pass; its
+          attempt records the bound. *)
   | Dpccp
       (** Connectivity-pruned DP: the product-free optimum at csg-cmp
           cost.  Polynomial on sparse graphs and table-free beyond

@@ -54,8 +54,6 @@ val of_edges : ?above_one:[ `Reject | `Clamp ] -> n:int -> (int * int * float) l
     non-positive or (under [`Reject]) above-one selectivities, or
     [n < 1]. *)
 
-val no_predicates_result : n:int -> (t, error) result
-
 val no_predicates : n:int -> t
 (** The empty graph: pure Cartesian-product optimization. *)
 

@@ -81,33 +81,6 @@ let grid ~n =
   done;
   Grid (!r, n / !r)
 
-let cycle_plus_chords ~n ~k ~seed =
-  if n < 3 then invalid_arg "Topology.cycle_plus_chords: need at least three relations";
-  if k < 0 then invalid_arg "Topology.cycle_plus_chords: negative chord count";
-  let max_chords = (n * (n - 1) / 2) - n in
-  if k > max_chords then
-    invalid_arg
-      (Printf.sprintf "Topology.cycle_plus_chords: %d chords exceed the %d available at n=%d" k
-         max_chords n);
-  let order = chain_order n in
-  let cycle = (order.(0), order.(n - 1)) :: chain_edges n in
-  let norm (i, j) = if i < j then (i, j) else (j, i) in
-  let seen = Hashtbl.create 16 in
-  List.iter (fun e -> Hashtbl.replace seen (norm e) ()) cycle;
-  let rng = Random.State.make [| seed; n; k |] in
-  let chords = ref [] in
-  let added = ref 0 in
-  while !added < k do
-    let i = Random.State.int rng n in
-    let j = Random.State.int rng n in
-    if i <> j && not (Hashtbl.mem seen (norm (i, j))) then begin
-      Hashtbl.replace seen (norm (i, j)) ();
-      chords := norm (i, j) :: !chords;
-      incr added
-    end
-  done;
-  cycle @ List.rev !chords
-
 let assign_selectivities catalog unweighted ~result_card =
   let module C = Blitz_catalog.Catalog in
   let n = C.n catalog in

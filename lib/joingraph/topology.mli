@@ -52,13 +52,6 @@ val grid : n:int -> t
     exactly [n] relations, deterministically.  Primes degenerate to
     [Grid (1, n)] (a chain). *)
 
-val cycle_plus_chords : n:int -> k:int -> seed:int -> (int * int) list
-(** A seeded cyclic wiring: the [n]-cycle (in the appendix chain order,
-    closed) plus [k] distinct random chords drawn from a PRNG seeded
-    with [(seed, n, k)] — deterministic for a given triple.  Feed the
-    result to {!assign_selectivities}.  Raises [Invalid_argument] when
-    [n < 3], [k < 0], or [k] exceeds the number of non-cycle pairs. *)
-
 val assign_selectivities :
   Blitz_catalog.Catalog.t -> (int * int) list -> result_card:float -> Join_graph.t
 (** Weight an edge list with the appendix formula, targeting the given

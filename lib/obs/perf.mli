@@ -9,9 +9,6 @@
     All observation paths are gated on {!Metrics.enabled}: a disabled
     process pays one branch per optimizer call, no clock reads. *)
 
-val ns_buckets : float array
-(** Bucket bounds tuned for ns/iteration rates (0.5 ns – 1 ms). *)
-
 val split_loop_ns_per_subset : Metrics.histogram
 (** Wall-clock ns per subset processed by a blitzsplit DP pass
     ([blitz_split_loop_ns_per_subset]). *)

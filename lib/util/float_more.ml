@@ -1,5 +1,3 @@
-let is_finite x = Float.is_finite x
-
 let approx_equal ?(rel = 1e-9) ?(abs = 1e-12) x y =
   if x = y then true (* covers equal infinities and exact matches *)
   else if Float.is_nan x || Float.is_nan y then false

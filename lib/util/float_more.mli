@@ -5,19 +5,11 @@ val approx_equal : ?rel:float -> ?abs:float -> float -> float -> bool
     relative tolerance [rel] (default [1e-9]) or absolute tolerance [abs]
     (default [1e-12]).  Two infinities of the same sign compare equal. *)
 
-val is_finite : float -> bool
-(** True for ordinary floats; false for infinities and NaN. *)
-
-val ulps_apart : float -> float -> int64 option
-(** Distance between two floats in units in the last place: the number
-    of representable doubles you must step through to get from one to
-    the other (0 when bitwise equal; [+0.] and [-0.] are 1 apart).
-    Monotone across zero and signs; [None] when either argument is NaN
-    or the distance overflows.  Infinities are ordinary points on the
-    scale, so [infinity] vs [max_float] is 1. *)
-
 val within_ulps : ?ulps:int -> float -> float -> bool
-(** [within_ulps ~ulps x y] (default 8): the separation test backing the
+(** [within_ulps ~ulps x y] (default 8): at most [ulps] representable
+    doubles separate [x] from [y] (0 when bitwise equal; [+0.] and [-0.]
+    are 1 apart; infinities are ordinary points on the scale, so
+    [infinity] vs [max_float] is 1) — the separation test backing the
     dpccp-vs-blitzsplit bit-identity gate.  False when either is NaN. *)
 
 val log2 : float -> float

@@ -4,8 +4,6 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create ~seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* SplitMix64 output function (Steele, Lea & Flood 2014). *)
 let mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
@@ -18,6 +16,7 @@ let int64 t =
 
 let split t = { state = int64 t }
 
+(* Next 62-bit non-negative integer. *)
 let bits t = Int64.to_int (Int64.shift_right_logical (int64 t) 2)
 
 let int t bound =
@@ -43,7 +42,7 @@ let log_uniform t ~lo ~hi =
 
 let gaussian t =
   (* Box–Muller, discarding the second variate: one extra uniform per
-     draw is cheaper than threading cached state through [copy]. *)
+     draw is cheaper than caching the spare variate in [t]. *)
   let rec nonzero () =
     let u = float t 1.0 in
     if u > 0.0 then u else nonzero ()

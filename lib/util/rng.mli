@@ -14,19 +14,12 @@ val create : seed:int -> t
 (** [create ~seed] makes a fresh generator.  Equal seeds yield equal
     streams. *)
 
-val copy : t -> t
-(** [copy t] duplicates the generator state; the copy evolves
-    independently. *)
-
 val split : t -> t
 (** [split t] derives a new, statistically independent generator from [t],
     advancing [t].  Useful for giving each parallel task its own stream. *)
 
 val int64 : t -> int64
 (** Next raw 64-bit output. *)
-
-val bits : t -> int
-(** Next 62-bit non-negative integer. *)
 
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)].  Raises [Invalid_argument]

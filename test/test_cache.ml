@@ -135,7 +135,7 @@ let test_canonize_rebase_roundtrip =
 (* {1 The tentpole property: cached hits under renaming, across
    optimizers and domain counts} *)
 
-let cacheable_optimizers = [ "exact"; "thresholded"; "dpsize" ]
+let cacheable_optimizers = [ "exact"; "dpsize" ]
 
 let test_rebased_hits_bit_identical =
   QCheck_alcotest.to_alcotest
@@ -211,8 +211,8 @@ let test_explicit_threshold_bypasses () =
   let prob = Registry.problem ~graph:base_graph base_catalog in
   let cache = Plan_cache.create () in
   Engine.with_session ~model ~cache (fun s ->
-      ignore (Engine.optimize ~optimizer:"thresholded" ~threshold:1e12 s prob);
-      ignore (Engine.optimize ~optimizer:"thresholded" ~threshold:1e12 s prob));
+      ignore (Engine.optimize ~threshold:1e12 s prob);
+      ignore (Engine.optimize ~threshold:1e12 s prob));
   let st = Plan_cache.stats cache in
   Alcotest.(check int) "no insertions" 0 st.Plan_cache.insertions;
   Alcotest.(check int) "no lookups" 0 (st.Plan_cache.hits + st.Plan_cache.misses)
@@ -304,8 +304,8 @@ let test_duplicate_store_is_refresh () =
   Alcotest.(check int) "one entry" 1 st.Plan_cache.entries
 
 let test_optimizer_keys_are_distinct () =
-  (* The same problem cached under "exact" must not answer a
-     "thresholded" lookup: per-optimizer bit-identity. *)
+  (* The same problem cached under "exact" must not answer a "dpsize"
+     lookup, though both are cacheable: per-optimizer bit-identity. *)
   let model = Cost_model.kdnl in
   let cache = Plan_cache.create () in
   let s = fingerprint ~model base_catalog (Some base_graph) in
@@ -313,8 +313,8 @@ let test_optimizer_keys_are_distinct () =
     ~final_threshold:infinity;
   Alcotest.(check bool) "exact finds it" true
     (Plan_cache.find cache s ~optimizer:"exact" <> None);
-  Alcotest.(check bool) "thresholded does not" true
-    (Plan_cache.find cache s ~optimizer:"thresholded" = None)
+  Alcotest.(check bool) "dpsize does not" true
+    (Plan_cache.find cache s ~optimizer:"dpsize" = None)
 
 (* {1 The byte budget bounds the live heap} *)
 
@@ -381,11 +381,11 @@ let test_guard_miss_is_one_lookup () =
            (Registry.problem ~graph:base_graph base_catalog)
         <> None))
 
-let test_thresholded_miss_runs_cold () =
-  (* A "thresholded" cache miss runs exactly as a session without a
-     cache does: first pass seeded from the upper bound, no note.  The
-     cache already holds the same join graph under other cardinalities,
-     which must not seed it. *)
+let test_exact_miss_runs_cold () =
+  (* An "exact" cache miss runs exactly as a session without a cache
+     does: same passes and final threshold, no note.  The cache already
+     holds the same join graph under other cardinalities, which must not
+     seed it. *)
   let model = Cost_model.kdnl in
   let stored = Registry.problem ~graph:base_graph base_catalog in
   let prob =
@@ -394,10 +394,10 @@ let test_thresholded_miss_runs_cold () =
   in
   let cached =
     Engine.with_session ~model ~cache:(Plan_cache.create ()) (fun s ->
-        ignore (Engine.optimize ~optimizer:"thresholded" s stored);
-        Engine.optimize ~optimizer:"thresholded" s prob)
+        ignore (Engine.optimize s stored);
+        Engine.optimize s prob)
   in
-  let cold = Engine.with_session ~model (fun s -> Engine.optimize ~optimizer:"thresholded" s prob) in
+  let cold = Engine.with_session ~model (fun s -> Engine.optimize s prob) in
   Alcotest.(check bool) "same cost bits" true (same_float cached.Registry.cost cold.Registry.cost);
   Alcotest.(check bool) "same plan" true (Plan.equal (plan_of cached) (plan_of cold));
   Alcotest.(check int) "same passes" cold.Registry.passes cached.Registry.passes;
@@ -473,7 +473,7 @@ let suite =
     Alcotest.test_case "duplicate store refreshes" `Quick test_duplicate_store_is_refresh;
     Alcotest.test_case "per-optimizer keys" `Quick test_optimizer_keys_are_distinct;
     Alcotest.test_case "live heap flat under the byte budget" `Quick test_live_heap_flat;
-    Alcotest.test_case "thresholded miss runs cold" `Quick test_thresholded_miss_runs_cold;
+    Alcotest.test_case "exact miss runs cold" `Quick test_exact_miss_runs_cold;
     Alcotest.test_case "guard serves clean-path hits" `Quick test_guard_serves_from_cache;
     Alcotest.test_case "guard bypasses on repairs" `Quick test_guard_bypasses_on_repairs;
     Alcotest.test_case "guard miss is one lookup" `Quick test_guard_miss_is_one_lookup;

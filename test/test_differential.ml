@@ -5,7 +5,7 @@
 
 open Test_helpers
 module Blitzsplit = Blitz_core.Blitzsplit
-module Threshold = Blitz_core.Threshold
+module Registry = Blitz_engine.Registry
 module B = Blitz_baselines
 module Dpccp = Blitz_dpccp.Dpccp
 
@@ -22,9 +22,10 @@ let prop_exhaustive_strategies_agree =
           ("dpsize", (B.Dpsize.optimize p.model p.catalog p.graph).B.Dpsize.cost);
           ("volcano", snd (fst (B.Volcano.optimize p.model p.catalog p.graph)));
           ( "threshold",
-            Blitzsplit.best_cost
-              (Threshold.optimize_join ~threshold:1.0 ~growth:100.0 p.model p.catalog p.graph)
-                .Threshold.result );
+            (Registry.optimize
+               (Registry.ctx ~threshold:1.0 ~growth:100.0 p.model)
+               (Registry.problem ~graph:p.graph p.catalog))
+              .Registry.cost );
           ("bruteforce", snd (B.Bruteforce.optimize p.model p.catalog p.graph));
         ]
       in

@@ -75,31 +75,55 @@ let problem_of_seed (seed, product) =
   in
   if product then Registry.problem catalog else Registry.problem ~graph catalog
 
-let fresh_outcome ~optimizer ~num_domains model p =
+let fresh_outcome ?threshold ~optimizer ~num_domains model p =
   with_pool ~num_domains (fun pool ->
       let o =
-        Registry.optimize ~optimizer (Registry.ctx ~pool ~counters:(Counters.create ()) model) p
+        Registry.optimize ~optimizer
+          (Registry.ctx ~pool ?threshold ~counters:(Counters.create ()) model)
+          p
       in
       { o with Registry.table = None })
 
+(* Session outcomes alias the arena's counters; copy them out before
+   the next query resets them. *)
+let detach (o : Registry.outcome) =
+  { o with Registry.table = None; counters = Option.map Counters.copy o.Registry.counters }
+
+(* The threshold the cascade's exact tier passes: [Registry.upper_bound]. *)
+let upper_threshold model p =
+  Option.map (fun (b : Registry.bound) -> b.Registry.value) (Registry.upper_bound model p)
+
+(* The exact entry plain, through a batch, and seeded at the upper
+   bound, one query at a time. *)
 let test_session_bit_identical =
   QCheck_alcotest.to_alcotest
-    (QCheck2.Test.make ~count:20 ~name:"session = fresh for exact/thresholded at any width"
+    (QCheck2.Test.make ~count:20 ~name:"session = fresh for exact/threshold at any width"
        sequence_gen (fun seeds ->
          let problems = List.map problem_of_seed seeds in
          let model = Cost_model.kdnl in
          List.for_all
            (fun num_domains ->
              List.for_all
-               (fun optimizer ->
-                 let fresh = List.map (fresh_outcome ~optimizer ~num_domains model) problems in
+               (fun seeded ->
+                 let threshold p = if seeded then upper_threshold model p else None in
+                 let fresh =
+                   List.map
+                     (fun p ->
+                       fresh_outcome ?threshold:(threshold p) ~optimizer:"exact" ~num_domains
+                         model p)
+                     problems
+                 in
                  let session_outcomes =
                    Engine.with_session ~model ~num_domains (fun session ->
-                       Engine.optimize_many ~optimizer session (List.to_seq problems))
+                       if seeded then
+                         List.map
+                           (fun p -> detach (Engine.optimize ?threshold:(threshold p) session p))
+                           problems
+                       else Engine.optimize_many session (List.to_seq problems))
                  in
                  List.length fresh = List.length session_outcomes
                  && List.for_all2 outcome_equal fresh session_outcomes)
-               [ "exact"; "thresholded" ])
+               [ false; true ])
            domain_axis))
 
 let test_session_every_optimizer () =
@@ -409,11 +433,6 @@ let registry_problem spec =
   let catalog, graph = Workload.problem spec in
   Registry.problem ~graph catalog
 
-(* Session outcomes alias the arena's counters; copy them out before
-   the next query resets them. *)
-let detach (o : Registry.outcome) =
-  { o with Registry.table = None; counters = Option.map Counters.copy o.Registry.counters }
-
 let test_default_width () =
   let s = Engine.create () in
   Alcotest.(check int) "a default session runs on the recommended domain count"
@@ -455,15 +474,17 @@ let guard_equal (a : Guard.outcome) (b : Guard.outcome) =
   && a.Guard.provenance.Blitz_guard.Degrade.winner = b.Guard.provenance.Blitz_guard.Degrade.winner
   && a.Guard.from_cache = b.Guard.from_cache
 
-(* Everything a session answers for [spec]: the exact and thresholded
-   entries through [Engine.optimize], then [Guard.optimize ~session]. *)
+(* Everything a session answers for [spec]: the exact entry plain and
+   seeded at the upper bound through [Engine.optimize], then
+   [Guard.optimize ~session]. *)
 let session_answers ?num_domains spec =
   let problem = registry_problem spec in
-  Engine.with_session ~model:spec.Workload.model ?num_domains (fun s ->
+  let model = spec.Workload.model in
+  Engine.with_session ~model ?num_domains (fun s ->
       let engine =
         List.map
-          (fun optimizer -> detach (Engine.optimize ~optimizer s problem))
-          [ "exact"; "thresholded" ]
+          (fun threshold -> detach (Engine.optimize ?threshold s problem))
+          [ None; upper_threshold model problem ]
       in
       (engine, guard_optimize s spec))
 
@@ -512,7 +533,7 @@ let test_registry_metadata () =
   List.iter
     (fun name ->
       Alcotest.(check bool) (name ^ " registered") true (Option.is_some (Registry.find name)))
-    [ "exact"; "thresholded"; "hybrid"; "ikkbz"; "greedy"; "bruteforce" ];
+    [ "exact"; "hybrid"; "ikkbz"; "greedy"; "bruteforce" ];
   let caps name = (Registry.find_exn name).Registry.caps in
   Alcotest.(check bool) "greedy is deadline-exempt" true (caps "greedy").Registry.deadline_exempt;
   Alcotest.(check bool) "ikkbz is tree-only" true (caps "ikkbz").Registry.tree_only;

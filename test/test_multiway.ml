@@ -7,7 +7,6 @@ open Test_helpers
 module Hypergraph = Blitz_graph.Hypergraph
 module Agm = Blitz_cost.Agm
 module Blitzsplit = Blitz_core.Blitzsplit
-module Threshold = Blitz_core.Threshold
 module Multiway = Blitz_core.Multiway
 module Counters = Blitz_core.Counters
 module Dpccp = Blitz_dpccp.Dpccp
@@ -62,10 +61,11 @@ let test_edgeless_and_induced () =
   Alcotest.(check int) "no weights" 0 (List.length c.Agm.weights)
 
 let test_descent_beyond_cap () =
-  (* A 5-clique induces 10 edges > exact_edge_cap: the coordinate
-     descent runs instead.  It starts from all-1/2 (objective N^10 s^5 =
-     1e10 here) and only ever descends, and any x >= 0 is a sound
-     bound, so the result must be finite and no worse than the start. *)
+  (* A 5-clique induces 10 edges, past the exhaustive solver's 6: the
+     coordinate descent runs instead.  It starts from all-1/2 (objective
+     N^10 s^5 = 1e10 here) and only ever descends, and any x >= 0 is a
+     sound bound, so the result must be finite and no worse than the
+     start. *)
   let edges = ref [] in
   for i = 0 to 4 do
     for j = i + 1 to 4 do
@@ -173,14 +173,19 @@ let test_clique_hybrid_wins () =
     (Plan.cost model catalog graph plan)
 
 let test_threshold_multiway () =
-  (* The thresholded driver escalates until a pass succeeds; with
-     multiway on, its final answer matches the exact hybrid run. *)
+  (* Under a threshold the exact entry escalates until a pass succeeds;
+     with multiway on, its final answer matches the unthresholded hybrid
+     run. *)
   let catalog, graph = clique_problem () in
   let model = Cost_model.kdnl in
   let exact = Blitzsplit.optimize_join ~multiway:true model catalog graph in
-  let o = Threshold.optimize_join ~threshold:10.0 ~multiway:true model catalog graph in
-  check_float ~rel:1e-12 "thresholded = exact" (Blitzsplit.best_cost exact)
-    (Blitzsplit.best_cost o.Threshold.result)
+  let o =
+    Registry.optimize
+      (Registry.ctx ~threshold:10.0 ~multiway:true model)
+      (Registry.problem ~graph catalog)
+  in
+  Alcotest.(check bool) "escalated" true (o.Registry.passes > 1);
+  check_float ~rel:1e-12 "thresholded = exact" (Blitzsplit.best_cost exact) o.Registry.cost
 
 let test_dpccp_multiway () =
   let model = Cost_model.kdnl in

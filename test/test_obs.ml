@@ -310,14 +310,16 @@ let problem_of_seed seed =
     in
     Registry.problem ~graph catalog
 
-let run_with ~obs ~optimizer ~num_domains model p =
+let run_with ?threshold ~obs ~optimizer ~num_domains model p =
   if obs then Obs.enable_all () else Obs.disable_all ();
   Fun.protect
     ~finally:(fun () -> Obs.disable_all ())
     (fun () ->
       with_pool ~num_domains (fun pool ->
           let o =
-            Registry.optimize ~optimizer (Registry.ctx ~pool ~counters:(Counters.create ()) model) p
+            Registry.optimize ~optimizer
+              (Registry.ctx ~pool ?threshold ~counters:(Counters.create ()) model)
+              p
           in
           { o with Registry.table = None }))
 
@@ -332,12 +334,14 @@ let test_obs_bit_identical =
              let model = Cost_model.kdnl in
              List.for_all
                (fun num_domains ->
+                 (* Exact from threshold 1 escalates through Section
+                    6.4's passes. *)
                  List.for_all
-                   (fun optimizer ->
-                     let off = run_with ~obs:false ~optimizer ~num_domains model p in
-                     let on = run_with ~obs:true ~optimizer ~num_domains model p in
+                   (fun (optimizer, threshold) ->
+                     let off = run_with ?threshold ~obs:false ~optimizer ~num_domains model p in
+                     let on = run_with ?threshold ~obs:true ~optimizer ~num_domains model p in
                      outcome_equal off on)
-                   [ "exact"; "thresholded"; "hybrid"; "greedy" ])
+                   [ ("exact", None); ("exact", Some 1.0); ("hybrid", None); ("greedy", None) ])
                domain_axis)))
 
 let suite =

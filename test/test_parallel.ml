@@ -159,20 +159,17 @@ let test_parallel_product_equals_empty_graph_join () =
 
 let test_parallel_threshold_multipass () =
   (* Threshold.drive over rank-parallel passes on one pool (what the
-     registry's thresholded entry runs on a session's pool) must
-     reproduce the sequential multi-pass outcome exactly (Table 1's
+     registry's exact entry runs under a threshold on a session's pool)
+     must reproduce the sequential multi-pass outcome exactly (Table 1's
      optimum 241000, reached on the same pass). *)
-  let seq =
-    Threshold.optimize_product ~growth:10.0 ~threshold:100.0 Cost_model.naive abcd_catalog
+  let drive ?pool () =
+    Threshold.drive ~growth:10.0 ~threshold:100.0 (fun ~counters ~threshold ->
+        Blitzsplit.optimize_product ?pool ~counters ~threshold Cost_model.naive abcd_catalog)
   in
+  let seq = drive () in
   List.iter
     (fun d ->
-      let par =
-        with_pool ~num_domains:d (fun pool ->
-            Threshold.drive ~growth:10.0 ~threshold:100.0 (fun ~counters ~threshold ->
-                Blitzsplit.optimize_product ~pool ~counters ~threshold Cost_model.naive
-                  abcd_catalog))
-      in
+      let par = with_pool ~num_domains:d (fun pool -> drive ~pool ()) in
       Alcotest.(check int) "same pass count" seq.Threshold.passes par.Threshold.passes;
       check_float "same final threshold" seq.Threshold.final_threshold
         par.Threshold.final_threshold;

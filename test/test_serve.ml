@@ -271,7 +271,7 @@ let test_tenant_cache_isolation () =
             (expect_string [ "result"; "plan" ] r3)))
 
 let valid_tiers =
-  [ "exact"; "thresholded"; "dpccp"; "hybrid"; "ikkbz"; "greedy"; "simpli-squared" ]
+  [ "exact"; "dpccp"; "hybrid"; "ikkbz"; "greedy"; "simpli-squared" ]
 
 let test_overload_sheds_with_provenance () =
   (* One worker, shedding from depth 1: a pipelined burst must drain

@@ -2,25 +2,29 @@
 
 open Test_helpers
 module Blitzsplit = Blitz_core.Blitzsplit
-module Threshold = Blitz_core.Threshold
 module Counters = Blitz_core.Counters
+module Registry = Blitz_engine.Registry
 
 let check_float = Test_helpers.check_float
+
+(* The registry's exact entry, plain or under a threshold: the one way a
+   caller reaches Section 6.4's driver. *)
+let exact ?counters ?threshold ?growth ?graph model catalog =
+  Registry.optimize ~optimizer:"exact"
+    (Registry.ctx ?counters ?threshold ?growth model)
+    (Registry.problem ?graph catalog)
+
+let plan_of (o : Registry.outcome) = Option.get o.Registry.plan
 
 let test_threshold_above_optimum_is_exact () =
   (* Table 1's optimum is 241000; any threshold above that must return
      the identical plan in a single pass. *)
   let unconstrained = Blitzsplit.optimize_product Cost_model.naive abcd_catalog in
-  let outcome =
-    Threshold.optimize_product ~threshold:300000.0 Cost_model.naive abcd_catalog
-  in
-  Alcotest.(check int) "single pass" 1 outcome.Threshold.passes;
-  check_float "same cost" (Blitzsplit.best_cost unconstrained)
-    (Blitzsplit.best_cost outcome.Threshold.result);
+  let outcome = exact ~threshold:300000.0 Cost_model.naive abcd_catalog in
+  Alcotest.(check int) "single pass" 1 outcome.Registry.passes;
+  check_float "same cost" (Blitzsplit.best_cost unconstrained) outcome.Registry.cost;
   Alcotest.(check bool) "same plan" true
-    (Plan.equal
-       (Blitzsplit.best_plan_exn unconstrained)
-       (Blitzsplit.best_plan_exn outcome.Threshold.result))
+    (Plan.equal (Blitzsplit.best_plan_exn unconstrained) (plan_of outcome))
 
 let test_threshold_below_optimum_fails_single_pass () =
   let r = Blitzsplit.optimize_product ~threshold:1000.0 Cost_model.naive abcd_catalog in
@@ -32,29 +36,26 @@ let test_threshold_below_optimum_fails_single_pass () =
 
 let test_multipass_recovers_optimum () =
   (* Start far below 241000; growth 10 forces several passes. *)
-  let outcome =
-    Threshold.optimize_product ~growth:10.0 ~threshold:100.0 Cost_model.naive abcd_catalog
-  in
-  Alcotest.(check bool) "multiple passes" true (outcome.Threshold.passes > 1);
-  check_float "optimum recovered" 241000.0 (Blitzsplit.best_cost outcome.Threshold.result);
+  let outcome = exact ~growth:10.0 ~threshold:100.0 Cost_model.naive abcd_catalog in
+  Alcotest.(check bool) "multiple passes" true (outcome.Registry.passes > 1);
+  check_float "optimum recovered" 241000.0 outcome.Registry.cost;
   (* 100 * 10^k must first exceed 241000 at k=4 -> 5 passes. *)
-  Alcotest.(check int) "pass count" 5 outcome.Threshold.passes;
-  check_float "final threshold" 1e6 outcome.Threshold.final_threshold
+  Alcotest.(check int) "pass count" 5 outcome.Registry.passes;
+  check_float "final threshold" 1e6 outcome.Registry.final_threshold
 
 let test_rescue_pass_accounting () =
-  (* With max_passes = 1 and a hopeless threshold, the single thresholded
-     pass fails and the driver runs the forced unthresholded rescue pass.
-     [passes] must count BOTH (thresholded + rescue = 2) and agree with
-     the per-pass instrumentation; the rescue pass reports threshold
-     infinity and still recovers the exact optimum. *)
+  (* From threshold 1 doubling, all 16 thresholded passes fail (the last
+     at 2^15 = 32768 < 241000) and the driver runs the forced
+     unthresholded rescue pass.  [passes] must count every one of them
+     (16 + rescue = 17) and agree with the per-pass instrumentation; the
+     rescue pass reports threshold infinity and still recovers the exact
+     optimum. *)
   let counters = Counters.create () in
-  let outcome =
-    Threshold.optimize_product ~counters ~max_passes:1 ~threshold:1.0 Cost_model.naive abcd_catalog
-  in
-  Alcotest.(check int) "thresholded pass + rescue pass" 2 outcome.Threshold.passes;
-  Alcotest.(check int) "counters agree" 2 counters.Counters.passes;
-  check_float "rescue is unthresholded" Float.infinity outcome.Threshold.final_threshold;
-  check_float "optimum recovered" 241000.0 (Blitzsplit.best_cost outcome.Threshold.result)
+  let outcome = exact ~counters ~growth:2.0 ~threshold:1.0 Cost_model.naive abcd_catalog in
+  Alcotest.(check int) "16 thresholded passes + rescue pass" 17 outcome.Registry.passes;
+  Alcotest.(check int) "counters agree" 17 counters.Counters.passes;
+  check_float "rescue is unthresholded" Float.infinity outcome.Registry.final_threshold;
+  check_float "optimum recovered" 241000.0 outcome.Registry.cost
 
 let test_threshold_skips_counted () =
   let counters = Counters.create () in
@@ -83,13 +84,11 @@ let test_invalid_arguments () =
     (fun growth ->
       Alcotest.check_raises "bad growth" (Invalid_argument "Threshold: growth must exceed 1")
         (fun () ->
-          ignore
-            (Threshold.optimize_product ~growth ~threshold:10.0 Cost_model.naive abcd_catalog)))
+          ignore (exact ~growth ~threshold:10.0 Cost_model.naive abcd_catalog)))
     [ 1.0; Float.nan ];
   Alcotest.check_raises "infinite initial"
     (Invalid_argument "Threshold: initial threshold must be positive and finite") (fun () ->
-      ignore
-        (Threshold.optimize_product ~threshold:Float.infinity Cost_model.naive abcd_catalog))
+      ignore (exact ~threshold:Float.infinity Cost_model.naive abcd_catalog))
 
 (* Correctness of threshold search in general: for any problem and any
    starting threshold, the multi-pass driver returns the unconstrained
@@ -101,10 +100,10 @@ let prop_multipass_equals_unconstrained =
       let unconstrained = Blitzsplit.optimize_join p.model p.catalog p.graph in
       let rng = Rng.create ~seed:(p.seed + 99) in
       let threshold = Rng.log_uniform rng ~lo:1e-2 ~hi:1e8 in
-      let outcome = Threshold.optimize_join ~threshold p.model p.catalog p.graph in
+      let outcome = exact ~threshold ~graph:p.graph p.model p.catalog in
       Blitz_util.Float_more.approx_equal ~rel:1e-6
         (Blitzsplit.best_cost unconstrained)
-        (Blitzsplit.best_cost outcome.Threshold.result))
+        outcome.Registry.cost)
 
 (* Monotonicity: a feasible single pass at threshold T stays feasible
    and optimal at any T' > T. *)
@@ -120,6 +119,60 @@ let prop_threshold_monotone =
       let r2 = Blitzsplit.optimize_join ~threshold:t2 p.model p.catalog p.graph in
       Blitz_util.Float_more.approx_equal ~rel:1e-6 (Blitzsplit.best_cost r1) opt
       && Blitz_util.Float_more.approx_equal ~rel:1e-6 (Blitzsplit.best_cost r2) opt)
+
+(* [exact] under any threshold: the plain pass's plan and cost bits, and
+   Section 6.4's escalation.  A pass at threshold T finds a plan exactly
+   when the optimum is below T, so the driver stops at the first of t,
+   t * growth, t * growth^2, ... (its own products) above the optimum,
+   within 16 passes, or else runs the unthresholded rescue pass.  Starts
+   far below, just below, just above and far above the optimum; a
+   sequence that passes within 1e-9 of the optimum, where rounding in
+   the threshold test decides, is discarded. *)
+let escalation ~opt ~growth t =
+  let rec go k t =
+    if k >= 16 || not (Float.is_finite t) then (k + 1, Float.infinity)
+    else if opt < t then (k + 1, t)
+    else go (k + 1) (t *. growth)
+  in
+  go 0 t
+
+let prop_exact_threshold_escalates =
+  QCheck2.Test.make ~count:200
+    ~name:"exact under a threshold = plain pass, with Section 6.4's passes"
+    ~print:(fun (p, f, growth) -> Printf.sprintf "%s t=opt*%g growth=%g" (problem_print p) f growth)
+    QCheck2.Gen.(
+      triple (problem_gen ~max_n:8)
+        (oneof
+           [
+             oneofl [ 1.0 -. 1e-6; 1.0 +. 1e-6 ];
+             map (fun e -> 10.0 ** e) (float_range (-12.0) 3.0);
+           ])
+        (map (fun e -> 10.0 ** e) (float_range 0.005 4.0)))
+    (fun (p, f, growth) ->
+      let plain = exact ~graph:p.graph p.model p.catalog in
+      let opt = plain.Registry.cost in
+      QCheck2.assume (Float.is_finite opt && opt > 0.0);
+      let t = opt *. f in
+      let rec near k t =
+        k < 17 && Float.is_finite t
+        && (Float.abs (t -. opt) <= 1e-9 *. opt || near (k + 1) (t *. growth))
+      in
+      QCheck2.assume (t > 0.0 && not (near 0 t));
+      let counters = Counters.create () in
+      let o = exact ~counters ~threshold:t ~growth ~graph:p.graph p.model p.catalog in
+      let passes, final_threshold = escalation ~opt ~growth t in
+      if
+        o.Registry.plan <> plain.Registry.plan
+        || Int64.bits_of_float o.Registry.cost <> Int64.bits_of_float opt
+      then QCheck2.Test.fail_reportf "cost %.17g, plain pass %.17g" o.Registry.cost opt;
+      if o.Registry.passes <> passes || counters.Counters.passes <> passes then
+        QCheck2.Test.fail_reportf "%d passes (%d counted), expected %d" o.Registry.passes
+          counters.Counters.passes passes;
+      if Int64.bits_of_float o.Registry.final_threshold <> Int64.bits_of_float final_threshold
+      then
+        QCheck2.Test.fail_reportf "final threshold %.17g, expected %.17g"
+          o.Registry.final_threshold final_threshold;
+      true)
 
 (* The exact tier's pass, at the driver level: one pass at
    [Registry.upper_bound], which under kappa_sm also charges each
@@ -223,5 +276,6 @@ let suite =
     Alcotest.test_case "argument validation" `Quick test_invalid_arguments;
     QCheck_alcotest.to_alcotest prop_multipass_equals_unconstrained;
     QCheck_alcotest.to_alcotest prop_threshold_monotone;
+    QCheck_alcotest.to_alcotest prop_exact_threshold_escalates;
     QCheck_alcotest.to_alcotest prop_upper_bound_pass_bit_identical;
   ]
