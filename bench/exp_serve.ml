@@ -103,7 +103,7 @@ let parse_reply line =
   }
 
 let valid_tiers =
-  [ "exact"; "dpccp"; "hybrid"; "ikkbz"; "greedy"; "simpli-squared" ]
+  [ "exact"; "dpccp"; "hybrid"; "greedy"; "simpli-squared" ]
 
 (* ---------------------------------------------------------------- *)
 (* Workload mixes                                                    *)

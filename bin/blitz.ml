@@ -256,6 +256,16 @@ let session_width = function
 
 let print_domains d = Printf.printf "domains:    %d (rank-parallel DP)\n" d
 
+(* --repeat: run the query [repeat] times through one session and keep
+   the last answer.  With --cache every run after the first is answered
+   from the cache (a run under --threshold bypasses it). *)
+let repeated repeat run =
+  let last = ref (run ()) in
+  for _ = 2 to repeat do
+    last := run ()
+  done;
+  !last
+
 (* --threshold and --growth feed Section 6.4's driver, which takes only
    a positive finite threshold and a growth above 1 (NaN fails both). *)
 let check_threshold = function
@@ -337,8 +347,8 @@ let optimize_cmd =
       value & flag
       & info [ "degrade" ]
           ~doc:"Use the resilient driver: try exact search first, degrade through DPccp, \
-                hybrid, IKKBZ and greedy tiers as budgets bite, and report the provenance of \
-                the winning plan.  Implied by --deadline-ms and --max-table-mb.")
+                hybrid, greedy and estimate-free tiers as budgets bite, and report the \
+                provenance of the winning plan.  Implied by --deadline-ms and --max-table-mb.")
   in
   let deadline_ms_arg =
     Arg.(
@@ -468,18 +478,12 @@ let optimize_cmd =
       (* The guarded driver runs on a session, as the plain path does:
          its width decides whether the exact tier runs rank-parallel,
          and with --cache repeats are answered from the cache. *)
-      let guarded () =
+      match
         Engine.with_session ~model ~num_domains ?cache (fun session ->
-            let run () =
-              Guard.optimize ~budget ~session ~seed ~multiway model problem.catalog problem.graph
-            in
-            let last = ref (run ()) in
-            for _ = 2 to repeat do
-              last := run ()
-            done;
-            !last)
-      in
-      match guarded () with
+            repeated repeat (fun () ->
+                Guard.optimize ~budget ~session ~seed ~multiway model problem.catalog
+                  problem.graph))
+      with
       | Error e ->
         Printf.eprintf "blitz: %s\n" (Guard.error_message e);
         exit 1
@@ -551,15 +555,10 @@ let optimize_cmd =
     let prob = Registry.problem ~graph:problem.graph problem.catalog in
     let optimizer = Option.value ~default:"exact" optimizer_name in
     let t0 = Blitz_util.Clock.now_s () in
-    (* With --repeat the same query streams through the session K times:
-       cold the first time, answered from the cache (when enabled) after;
-       a run under --threshold bypasses the cache. *)
-    let run_once () = Engine.optimize ~optimizer ?threshold ?growth ~multiway session prob in
-    let outcome = ref (run_once ()) in
-    for _ = 2 to repeat do
-      outcome := run_once ()
-    done;
-    let outcome = !outcome in
+    let outcome =
+      repeated repeat (fun () ->
+          Engine.optimize ~optimizer ?threshold ?growth ~multiway session prob)
+    in
     let elapsed = Blitz_util.Clock.now_s () -. t0 in
     let plan =
       match outcome.Registry.plan with
@@ -672,9 +671,10 @@ let compare_cmd =
                    with
                    | Error reason -> Some [| e.Registry.name; "-"; "-"; reason |]
                    | Ok () ->
-                     let t0 = Sys.time () in
+                     (* Wall clock: the exact row may run on the pool. *)
+                     let t0 = Blitz_util.Clock.now_s () in
                      let o = Engine.optimize ~optimizer:e.Registry.name session prob in
-                     let dt = Sys.time () -. t0 in
+                     let dt = Blitz_util.Clock.now_s () -. t0 in
                      if e.Registry.name = "exact" then optimum := o.Registry.cost;
                      Some
                        [|
@@ -800,14 +800,10 @@ let explain_cmd =
     let outcome, domains =
       Engine.with_session ~model ~num_domains ?cache (fun session ->
           let prob = Registry.problem ~graph:problem.graph problem.catalog in
-          let o = ref (Engine.optimize ~optimizer ?threshold ~multiway session prob) in
-          (* Repeats replay the query through the session; with --cache
-             every run after the first is answered from the cache, and
-             the metric deltas below show the hit/miss counters. *)
-          for _ = 2 to repeat do
-            o := Engine.optimize ~optimizer ?threshold ~multiway session prob
-          done;
-          let o = !o in
+          (* The metric deltas below show a repeat's hit/miss counters. *)
+          let o =
+            repeated repeat (fun () -> Engine.optimize ~optimizer ?threshold ~multiway session prob)
+          in
           ( { o with Registry.table = None; counters = Option.map Counters.copy o.Registry.counters },
             if ran_on_pool session entry ~multiway ~n then Some (Engine.num_domains session)
             else None ))
@@ -1062,16 +1058,15 @@ let optimizers_cmd =
   let run () =
     let entries = Registry.all () in
     let yn b = if b then "yes" else "-" in
-    Printf.printf "%-22s %-5s %-5s %-5s %-5s %-4s %-4s %-7s %-5s %-3s\n" "name" "max_n" "exact"
-      "cache" "tree" "conn" "par" "dexempt" "sfree" "mw";
+    let row = Printf.printf "%-22s %-5s %-5s %-5s %-4s %-4s %-7s %-3s\n" in
+    row "name" "max_n" "exact" "tree" "conn" "par" "dexempt" "mw";
     List.iter
       (fun (e : Registry.entry) ->
         let c = e.Registry.caps in
-        Printf.printf "%-22s %-5s %-5s %-5s %-5s %-4s %-4s %-7s %-5s %-3s\n" e.Registry.name
+        row e.Registry.name
           (match c.Registry.max_n with Some n -> string_of_int n | None -> "-")
-          (yn c.Registry.exact) (yn c.Registry.cacheable) (yn c.Registry.tree_only)
-          (yn c.Registry.connected_only) (yn c.Registry.parallelizable)
-          (yn c.Registry.deadline_exempt) (yn c.Registry.stats_free) (yn c.Registry.multiway))
+          (yn c.Registry.exact) (yn c.Registry.tree_only) (yn c.Registry.connected_only)
+          (yn c.Registry.parallelizable) (yn c.Registry.deadline_exempt) (yn c.Registry.multiway))
       entries;
     Printf.printf "\n%d optimizers registered\n" (List.length entries)
   in

@@ -9,9 +9,6 @@ type t = { n : int; model : Cost_model.t; card : float array }
 let make model catalog graph =
   { n = Catalog.n catalog; model; card = Blitz_core.Card_table.compute catalog graph }
 
-let n t = t.n
-let model t = t.model
-
 let cardinality t s =
   if s <= 0 || s >= Array.length t.card then invalid_arg "Eval.cardinality: set out of range";
   t.card.(s)

@@ -17,9 +17,6 @@ type t
 
 val make : Blitz_cost.Cost_model.t -> Catalog.t -> Join_graph.t -> t
 
-val n : t -> int
-val model : t -> Cost_model.t
-
 val cardinality : t -> Relset.t -> float
 (** Estimated join cardinality of a relation subset. *)
 

@@ -3,8 +3,6 @@ module Join_graph = Blitz_graph.Join_graph
 module Cost_model = Blitz_cost.Cost_model
 module Plan = Blitz_plan.Plan
 
-type strategy = Min_result_card | Min_cost_increase
-
 (* Cardinalities are maintained incrementally via Equation (7):
    card(a ∪ b) = card(a) * card(b) * pi_span(a, b) — no 2^n table, so
    greedy scales to any number of relations.
@@ -15,9 +13,9 @@ type strategy = Min_result_card | Min_cost_increase
    order and keeps the first with the smallest score, so ties and the
    plan's operand order are settled by position alone.  The scan keeps
    its best in local refs, so a pair costs no allocation but the span's
-   returned float; [Min_result_card] scores by output cardinality and
-   prices kappa only for the pair it merges. *)
-let optimize ?(strategy = Min_result_card) model catalog graph =
+   returned float.  A pair scores by its output cardinality, so kappa
+   is priced only for the pair a round merges. *)
+let optimize model catalog graph =
   let n = Catalog.n catalog in
   if Join_graph.n graph <> n then invalid_arg "Greedy.optimize: graph/catalog size mismatch";
   let plans = Array.init n (fun i -> Plan.Leaf i) in
@@ -26,17 +24,11 @@ let optimize ?(strategy = Min_result_card) model catalog graph =
   let total_cost = ref 0.0 in
   for m = n downto 2 do
     (* A NaN best loses to any score, as the first pair must. *)
-    let best = ref Float.nan and best_out = ref 0.0 and bi = ref 0 and bj = ref 0 in
+    let best_out = ref Float.nan and bi = ref 0 and bj = ref 0 in
     for i = 0 to m - 2 do
       for j = i + 1 to m - 1 do
         let out = cards.(i) *. cards.(j) *. Join_graph.pi_span graph sets.(i) sets.(j) in
-        let score =
-          match strategy with
-          | Min_result_card -> out
-          | Min_cost_increase -> Cost_model.kappa model ~out ~lcard:cards.(i) ~rcard:cards.(j)
-        in
-        if not (!best <= score) then begin
-          best := score;
+        if not (!best_out <= out) then begin
           best_out := out;
           bi := i;
           bj := j

@@ -1,8 +1,8 @@
 (** Greedy bottom-up join-order heuristic (GOO-style).
 
     Maintains a forest that starts as [n] single-relation components and
-    repeatedly merges the pair optimizing a local criterion until one tree
-    remains: [O(n^3)] work, no optimality guarantee.  Serves as the cheap
+    repeatedly merges the pair with the smallest output cardinality
+    until one tree remains: [O(n^3)] work, no optimality guarantee.  Serves as the cheap
     heuristic endpoint of the method-comparison experiment, as the
     starting point for the stochastic searches, as the degradation
     cascade's terminal tier, and, through its cost, as the upper bound
@@ -15,14 +15,10 @@ module Join_graph = Blitz_graph.Join_graph
 module Cost_model = Blitz_cost.Cost_model
 module Plan = Blitz_plan.Plan
 
-type strategy =
-  | Min_result_card  (** Merge the pair with the smallest output cardinality. *)
-  | Min_cost_increase  (** Merge the pair whose join adds the least model cost. *)
-
-val optimize : ?strategy:strategy -> Cost_model.t -> Catalog.t -> Join_graph.t -> Plan.t * float
-(** Returns the greedy plan and its cost under the model
-    ([strategy] defaults to {!Min_result_card}).  Each round merges the
-    first pair, in a fixed scan order, with the smallest score, so the
-    result is deterministic to the bit.  Cardinalities are
-    maintained incrementally through the span recurrence (Equation 7),
-    so this works for any [n] — no [2^n] table. *)
+val optimize : Cost_model.t -> Catalog.t -> Join_graph.t -> Plan.t * float
+(** Returns the greedy plan and its cost under the model.  Each round
+    merges the first pair, in a fixed scan order, with the smallest
+    output cardinality, so the result is deterministic to the bit.
+    Cardinalities are maintained incrementally through the span
+    recurrence (Equation 7), so this works for any [n] — no [2^n]
+    table. *)

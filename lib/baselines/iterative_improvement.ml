@@ -7,10 +7,11 @@ module Rng = Blitz_util.Rng
 
 type stats = { plans_evaluated : int; restarts_done : int; best_found_at_eval : int }
 
-let optimize ~rng ?(restarts = 10) ?max_consecutive_failures model catalog graph =
+let optimize ~rng ?(restarts = 10) model catalog graph =
   let n = Catalog.n catalog in
   if restarts < 1 then invalid_arg "Iterative_improvement: restarts must be positive";
-  let patience = match max_consecutive_failures with Some p -> p | None -> 16 * n in
+  (* A local minimum is declared after [16 n] rejected moves in a row. *)
+  let patience = 16 * n in
   let eval = Eval.make model catalog graph in
   let full = Relset.full n in
   let evaluations = ref 0 in

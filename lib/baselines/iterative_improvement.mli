@@ -22,11 +22,10 @@ type stats = {
 val optimize :
   rng:Rng.t ->
   ?restarts:int ->
-  ?max_consecutive_failures:int ->
   Cost_model.t ->
   Catalog.t ->
   Join_graph.t ->
   (Plan.t * float) * stats
 (** [optimize ~rng model catalog graph] with [restarts] random starting
-    plans (default 10) and local minima declared after
-    [max_consecutive_failures] rejected moves (default [16 * n]). *)
+    plans (default 10) and local minima declared after [16 * n]
+    consecutive rejected moves. *)

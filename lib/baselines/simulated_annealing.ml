@@ -7,16 +7,15 @@ module Rng = Blitz_util.Rng
 
 type stats = { plans_evaluated : int; uphill_accepted : int; temperature_stages : int }
 
-let optimize ~rng ?initial_temperature ?(cooling = 0.9) ?moves_per_stage
-    ?(min_temperature_ratio = 1e-4) model catalog graph =
-  if cooling <= 0.0 || cooling >= 1.0 then
-    invalid_arg "Simulated_annealing: cooling must lie in (0, 1)";
+(* The schedule: the temperature starts at the first plan's cost, each
+   stage proposes [8 n^2] moves, and the temperature then cools by 0.9
+   until it falls below 1e-4 times the best cost seen. *)
+let cooling = 0.9
+let min_temperature_ratio = 1e-4
+
+let optimize ~rng model catalog graph =
   let n = Catalog.n catalog in
-  let moves_per_stage =
-    match moves_per_stage with
-    | Some m -> if m < 1 then invalid_arg "Simulated_annealing: moves_per_stage" else m
-    | None -> 8 * n * n
-  in
+  let moves_per_stage = 8 * n * n in
   let eval = Eval.make model catalog graph in
   if n = 1 then
     ((Plan.Leaf 0, 0.0), { plans_evaluated = 0; uphill_accepted = 0; temperature_stages = 0 })
@@ -29,12 +28,7 @@ let optimize ~rng ?initial_temperature ?(cooling = 0.9) ?moves_per_stage
     let current = ref (Transform.random_bushy rng (Relset.full n)) in
     let current_cost = ref (measure !current) in
     let best = ref !current and best_cost = ref !current_cost in
-    let temperature =
-      ref
-        (match initial_temperature with
-        | Some t -> if t <= 0.0 then invalid_arg "Simulated_annealing: initial_temperature" else t
-        | None -> Float.max 1.0 !current_cost)
-    in
+    let temperature = ref (Float.max 1.0 !current_cost) in
     let frozen = ref false in
     while (not !frozen) && !temperature > min_temperature_ratio *. Float.max 1.0 !best_cost do
       incr stages;

@@ -15,19 +15,10 @@ module Rng = Blitz_util.Rng
 type stats = { plans_evaluated : int; uphill_accepted : int; temperature_stages : int }
 
 val optimize :
-  rng:Rng.t ->
-  ?initial_temperature:float ->
-  ?cooling:float ->
-  ?moves_per_stage:int ->
-  ?min_temperature_ratio:float ->
-  Cost_model.t ->
-  Catalog.t ->
-  Join_graph.t ->
-  (Plan.t * float) * stats
-(** [optimize ~rng model catalog graph]: starts from a random bushy plan;
-    [initial_temperature] defaults to the starting plan's cost (so early
-    uphill moves are likely); each stage performs [moves_per_stage]
-    (default [8 * n^2]) proposals before multiplying the temperature by
-    [cooling] (default 0.9); annealing stops once the temperature falls
-    below [min_temperature_ratio] (default 1e-4) times the best cost
-    seen, or the system freezes.  Returns the best plan encountered. *)
+  rng:Rng.t -> Cost_model.t -> Catalog.t -> Join_graph.t -> (Plan.t * float) * stats
+(** [optimize ~rng model catalog graph]: starts from a random bushy plan
+    at a temperature equal to its cost (so early uphill moves are
+    likely); each stage performs [8 * n^2] proposals before multiplying
+    the temperature by 0.9; annealing stops once the temperature falls
+    below 1e-4 times the best cost seen, or the system freezes.  Returns
+    the best plan encountered. *)

@@ -97,16 +97,6 @@ let dilate ~mask i =
   in
   go 0 i mask
 
-let contract ~mask w =
-  let rec go acc j mask =
-    if mask = 0 then acc
-    else
-      let bit = lowest_bit mask in
-      let acc = if w land bit <> 0 then acc lor (1 lsl j) else acc in
-      go acc (j + 1) (mask lxor bit)
-  in
-  go 0 0 mask
-
 let succ_subset ~within l = within land (l - within)
 
 let succ_subset_stride ~within ~stride l =

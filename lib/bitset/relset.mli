@@ -7,13 +7,14 @@
     dynamic-programming table.
 
     This module also implements the paper's split-enumeration machinery
-    (Section 4.2): the dilation operator [delta], its left-inverse
-    contraction [gamma], and the successor trick
+    (Section 4.2): the successor trick
 
     {v succ(l) = s land (l - s) v}
 
     which steps through all nonempty proper subsets of [s] in constant time
-    per step without ever evaluating [delta].
+    per step without ever evaluating the dilation operator [delta]
+    (which spreads the low bits of an integer into the positions of
+    [s]).
 
     A value of type {!t} is an ordinary OCaml [int]; on 64-bit hosts up to
     {!max_width} relations are supported (the dynamic-programming table
@@ -84,18 +85,7 @@ val to_list : t -> int list
 val for_all : (int -> bool) -> t -> bool
 val exists : (int -> bool) -> t -> bool
 
-(** {1 Dilation and contraction (Section 4.2)} *)
-
-val dilate : mask:t -> int -> t
-(** [dilate ~mask i] is the paper's [delta_mask i]: spreads the low
-    [cardinal mask] bits of [i] into the bit positions of [mask].  E.g.
-    [dilate ~mask:0b11001 0b101 = 0b10001]. *)
-
-val contract : mask:t -> t -> int
-(** [contract ~mask w] is the paper's [gamma_mask w], the left inverse of
-    dilation: gathers the bits of [w] at the positions of [mask] into a
-    dense integer.  [contract ~mask (dilate ~mask i) = i] for [i] in
-    range. *)
+(** {1 Split enumeration (Section 4.2)} *)
 
 val succ_subset : within:t -> t -> t
 (** [succ_subset ~within l] is the next subset of [within] after [l] in
@@ -137,9 +127,5 @@ val iter_subsets_of_size : n:int -> k:int -> (t -> unit) -> unit
     of [full n] in increasing integer order. *)
 
 (** {1 Printing} *)
-
-val pp : ?names:string array -> unit -> Format.formatter -> t -> unit
-(** [pp ?names ()] prints as [{A, C}] using [names], or [{0, 2}]
-    without. *)
 
 val to_string : ?names:string array -> t -> string

@@ -217,8 +217,6 @@ let freeze s =
     f_perm = Array.sub s.perm 0 s.n;
   }
 
-let frozen_hash f = f.f_hash
-
 let frozen_bytes f =
   let word = Sys.word_size / 8 in
   (* record + 6 array headers + payloads *)

@@ -71,9 +71,6 @@ val freeze : scratch -> frozen
 (** Copy the scratch's canonical form to the heap (the scratch remains
     reusable). *)
 
-val frozen_hash : frozen -> int
-(** The {!hash} captured at freeze time. *)
-
 val frozen_bytes : frozen -> int
 (** Heap footprint estimate of the frozen form, for cache accounting. *)
 

@@ -20,8 +20,6 @@ type node = {
   optimizer : string;
   plan : Plan.t;  (* canonical index space *)
   cost : float;
-  passes : int;
-  final_threshold : float;
   bytes : int;
   mutable prev : node;
   mutable next : node;
@@ -37,8 +35,6 @@ let make_sentinel () =
       optimizer = "";
       plan = Plan.Leaf 0;
       cost = nan;
-      passes = 0;
-      final_threshold = nan;
       bytes = 0;
       prev = s;
       next = s;
@@ -71,7 +67,6 @@ type shard = {
 
 type t = { shards_arr : shard array; mask : int; max_bytes : int }
 
-let shards t = Array.length t.shards_arr
 let max_bytes t = t.max_bytes
 
 let next_pow2 x =
@@ -116,13 +111,7 @@ let with_lock sh f =
   Mutex.lock sh.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock sh.lock) f
 
-type hit = {
-  plan : Plan.t;
-  cost : float;
-  passes : int;
-  final_threshold : float;
-  rebased : bool;
-}
+type hit = { plan : Plan.t; cost : float; rebased : bool }
 
 let find t scratch ~optimizer =
   let key = entry_key scratch ~optimizer in
@@ -155,14 +144,7 @@ let find t scratch ~optimizer =
       if rebased then Obs.Metrics.incr m_rebases;
       (* Rebase outside the lock: the stored plan is immutable and the
          scratch is caller-owned, so eviction races are harmless. *)
-      Some
-        {
-          plan = Fingerprint.rebase_plan scratch nd.plan;
-          cost = nd.cost;
-          passes = nd.passes;
-          final_threshold = nd.final_threshold;
-          rebased;
-        }
+      Some { plan = Fingerprint.rebase_plan scratch nd.plan; cost = nd.cost; rebased }
 
 let plan_bytes plan =
   let word = Sys.word_size / 8 in
@@ -200,7 +182,7 @@ let evict_over_budget sh =
   done;
   !evicted
 
-let store t scratch ~optimizer ~plan ~cost ~passes ~final_threshold =
+let store t scratch ~optimizer ~plan ~cost =
   let key = entry_key scratch ~optimizer in
   let sh = shard_of t key in
   (* Canonize and freeze outside the lock; both only read caller state. *)
@@ -228,8 +210,6 @@ let store t scratch ~optimizer ~plan ~cost ~passes ~final_threshold =
                 optimizer;
                 plan = canonical;
                 cost;
-                passes;
-                final_threshold;
                 bytes = node_bytes ~fp ~plan:canonical ~optimizer;
                 prev = sh.sent;
                 next = sh.sent;

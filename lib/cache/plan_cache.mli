@@ -33,10 +33,6 @@ val create : ?shards:int -> ?max_bytes:int -> unit -> t
     (default 64 MiB) is the whole-cache budget, split evenly across
     shards.  Raises [Invalid_argument] on non-positive values. *)
 
-val shards : t -> int
-(** The shard count actually in use (the power of two {!create} rounded
-    up to). *)
-
 val max_bytes : t -> int
 (** The configured whole-cache byte budget (compare {!resident_bytes}
     for current occupancy). *)
@@ -44,8 +40,6 @@ val max_bytes : t -> int
 type hit = {
   plan : Plan.t;  (** Rebased to the caller's relation numbering. *)
   cost : float;
-  passes : int;
-  final_threshold : float;
   rebased : bool;
       (** The stored labeling differed from the caller's — the plan was
           renumbered on the way out. *)
@@ -55,17 +49,9 @@ val find : t -> Fingerprint.scratch -> optimizer:string -> hit option
 (** Look up the problem last {!Fingerprint.compute}d into the scratch.
     A hit refreshes the entry's LRU position. *)
 
-val store :
-  t ->
-  Fingerprint.scratch ->
-  optimizer:string ->
-  plan:Plan.t ->
-  cost:float ->
-  passes:int ->
-  final_threshold:float ->
-  unit
-(** Insert the outcome of a cold optimization ([plan] in the caller's
-    numbering; it is canonized for storage).  If an equal entry is
+val store : t -> Fingerprint.scratch -> optimizer:string -> plan:Plan.t -> cost:float -> unit
+(** Insert the plan and cost of a cold optimization ([plan] in the
+    caller's numbering; it is canonized for storage).  If an equal entry is
     already resident, its LRU position is refreshed and nothing is
     inserted.  Callers must not store non-finite costs or non-optimal
     plans. *)

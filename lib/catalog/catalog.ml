@@ -22,8 +22,6 @@ let error_message =
   | Duplicate_relation_name nm -> fmt "duplicate relation name %S" nm
   | Bad_cardinality { name; card } -> fmt "relation %S has invalid cardinality %g" name card
 
-let pp_error ppf e = Format.pp_print_string ppf (error_message e)
-
 let of_list_result entries =
   let len = List.length entries in
   if len = 0 then Error Empty_catalog

@@ -30,8 +30,6 @@ type error =
 val error_message : error -> string
 (** Human-readable rendering, ["Catalog.of_list: <detail>"]. *)
 
-val pp_error : Format.formatter -> error -> unit
-
 val of_list_result : (string * float) list -> (t, error) result
 (** [of_list_result [(name, card); ...]] builds a catalog; indexes follow
     list order.  Reports the first problem found as a typed error. *)

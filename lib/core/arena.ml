@@ -55,17 +55,13 @@ let resident_bytes t =
 (* A blitzsplit pass takes the subset lists beside the table, so its
    quote charges both at the would-be capacity; any other call leaves
    the lists as they are. *)
-let bytes_after t ?(with_pi_fan = true) ?(with_index = true) ~n () =
+let bytes_after t ?(with_index = true) ~n () =
   let index =
     if with_index then max (index_bytes t) (Live_index.estimate_bytes ~n) else index_bytes t
   in
   let table =
-    match t.table with
-    | None -> Dp_table.estimate_bytes ~with_pi_fan ~n ()
-    | Some tbl ->
-      let fan = with_pi_fan || Dp_table.has_pi_fan tbl in
-      let cap = max n (Dp_table.capacity tbl) in
-      Dp_table.estimate_bytes ~with_pi_fan:fan ~n:cap ()
+    let cap = match t.table with None -> n | Some tbl -> max n (Dp_table.capacity tbl) in
+    Dp_table.estimate_bytes ~n:cap ()
   in
   if table = max_int then max_int else table + index
 

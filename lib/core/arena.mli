@@ -47,10 +47,10 @@ val resident_bytes : t -> int
     before the first acquire).  This is the high-water footprint a
     memory ceiling should charge for, not the per-call size. *)
 
-val bytes_after : t -> ?with_pi_fan:bool -> ?with_index:bool -> n:int -> unit -> int
-(** Resident footprint the arena would have after serving a query of [n]
-    relations: the current buffers if they already suffice, the grown
-    ones otherwise.  With [with_index] (the default) the call is a
+val bytes_after : t -> ?with_index:bool -> n:int -> unit -> int
+(** Resident footprint the arena would have after serving a join query
+    of [n] relations (its table holds the fan column): the current
+    buffers if they already suffice, the grown ones otherwise.  With [with_index] (the default) the call is a
     blitzsplit pass, which takes the subset lists too, so they are
     charged at [n] ({!Live_index.estimate_bytes}, 4 B per table slot)
     whether or not the arena holds them yet; [~with_index:false]

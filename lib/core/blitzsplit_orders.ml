@@ -2,19 +2,12 @@ module Relset = Blitz_bitset.Relset
 module Catalog = Blitz_catalog.Catalog
 module Join_graph = Blitz_graph.Join_graph
 module Cost_model = Blitz_cost.Cost_model
-module Plan = Blitz_plan.Plan
 
 type phys =
   | Scan of int
   | Sort of phys * int
   | Nested_loop of phys * phys
   | Merge_join of phys * phys * int
-
-let rec logical = function
-  | Scan r -> Plan.Leaf r
-  | Sort (p, _) -> logical p
-  | Nested_loop (l, r) -> Plan.Join (logical l, logical r)
-  | Merge_join (l, r, _) -> Plan.Join (logical l, logical r)
 
 let rec order_of = function
   | Scan _ -> None
@@ -24,8 +17,8 @@ let rec order_of = function
 
 let sort_cost c = if c <= 1.0 then 0.0 else c *. log c
 
-let phys_cost ?(blocking_factor = 10.0) ?(memory_blocks = 100.0) catalog graph plan =
-  let dnl = Cost_model.disk_nested_loops ~blocking_factor ~memory_blocks () in
+let phys_cost catalog graph plan =
+  let dnl = Cost_model.kdnl in
   (* Returns (cost, set, cardinality, delivered order). *)
   let rec go = function
     | Scan r -> (0.0, Relset.singleton r, Catalog.card catalog r, None)
@@ -77,7 +70,7 @@ let alg_sort = -2 (* order enforcer over (s, from_order) *)
 let alg_nl = -3 (* nested loop; lhs order = from_order, rhs slot 0 *)
 (* alg >= 0: merge join on that edge id; inputs at slots e+1. *)
 
-let optimize ?(blocking_factor = 10.0) ?(memory_blocks = 100.0) ?required_order catalog graph =
+let optimize ?required_order catalog graph =
   let n = Catalog.n catalog in
   if Join_graph.n graph <> n then invalid_arg "Blitzsplit_orders: graph/catalog size mismatch";
   if n > Dp_table.max_relations then invalid_arg "Blitzsplit_orders: too many relations";
@@ -90,7 +83,7 @@ let optimize ?(blocking_factor = 10.0) ?(memory_blocks = 100.0) ?required_order 
   let slots = 1 lsl n in
   if stride * slots > 1 lsl 27 then
     invalid_arg "Blitzsplit_orders: (edges+1) * 2^n state table exceeds the memory cap";
-  let dnl = Cost_model.disk_nested_loops ~blocking_factor ~memory_blocks () in
+  let dnl = Cost_model.kdnl in
   let card = Card_table.compute catalog graph in
   let cost = Array.make (stride * slots) Float.infinity in
   let from_lhs = Array.make (stride * slots) 0 in

@@ -33,7 +33,6 @@
 module Relset = Blitz_bitset.Relset
 module Catalog = Blitz_catalog.Catalog
 module Join_graph = Blitz_graph.Join_graph
-module Plan = Blitz_plan.Plan
 
 type phys =
   | Scan of int  (** Base relation index. *)
@@ -41,15 +40,11 @@ type phys =
   | Nested_loop of phys * phys
   | Merge_join of phys * phys * int  (** Merge on edge [e]; inputs must deliver that order. *)
 
-val logical : phys -> Plan.t
-(** Strip physical operators down to the join tree. *)
-
 val order_of : phys -> int option
 (** The order (edge id) the physical plan delivers, per the algebra
     above; [None] when unordered. *)
 
-val phys_cost :
-  ?blocking_factor:float -> ?memory_blocks:float -> Catalog.t -> Join_graph.t -> phys -> float
+val phys_cost : Catalog.t -> Join_graph.t -> phys -> float
 (** Independent bottom-up costing of a physical plan (used by tests as
     the oracle's cost function).  Raises [Invalid_argument] if a
     merge-join input does not deliver the required order, or if the
@@ -61,13 +56,7 @@ type result = {
   states : int;  (** (subset, order) states materialized. *)
 }
 
-val optimize :
-  ?blocking_factor:float ->
-  ?memory_blocks:float ->
-  ?required_order:int ->
-  Catalog.t ->
-  Join_graph.t ->
-  result
+val optimize : ?required_order:int -> Catalog.t -> Join_graph.t -> result
 (** Optimal bushy physical plan, Cartesian products included (they cost
     as nested loops).  [required_order] (an edge id) additionally demands
     the final result sorted on that edge's attribute.  Raises

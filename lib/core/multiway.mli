@@ -20,10 +20,6 @@ type t
 val create : Catalog.t -> Join_graph.t -> t
 (** Packs the graph's hypergraph once; reuse across the whole pass. *)
 
-val candidate : t -> Relset.t -> bool
-(** Whether the subset induces a 2-edge-connected subgraph (the
-    structural gate; false for every subset of an acyclic graph). *)
-
 val try_candidate :
   t -> out:float -> current:float -> threshold:float -> Relset.t -> float option
 (** Core of {!consider} for table layouts other than {!Dp_table} (the

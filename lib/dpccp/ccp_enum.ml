@@ -84,13 +84,3 @@ let iter_ccp graph f =
   for i = n - 1 downto 0 do
     iter_csg_from nb i (fun s1 -> iter_cmp nb n (fun s2 -> f s1 s2) s1)
   done
-
-let csg_count graph =
-  let count = ref 0 in
-  iter_csg graph (fun _ -> incr count);
-  !count
-
-let ccp_count graph =
-  let count = ref 0 in
-  iter_ccp graph (fun _ _ -> incr count);
-  !count

@@ -27,16 +27,6 @@ val iter_ccp : Join_graph.t -> (Relset.t -> Relset.t -> unit) -> unit
     joined by at least one predicate, with [min S1 < min S2]; each
     unordered pair exactly once. *)
 
-val csg_count : Join_graph.t -> int
-(** [List.length] of {!iter_csg}'s emissions (e.g. [n(n+1)/2] on
-    chains, [2^n - 1] on cliques). *)
-
-val ccp_count : Join_graph.t -> int
-(** Number of csg-cmp pairs: [(n^3 - n)/6] on chains,
-    [(n-1) 2^(n-2)] on stars, [(3^n - 2^(n+1) + 1)/2] on cliques —
-    the quantity to compare against blitzsplit's [3^n] split-loop
-    iterations. *)
-
 val neighborhood : Join_graph.t -> Relset.t -> Relset.t -> Relset.t
 (** [neighborhood g s x]: all relations adjacent to some member of [s]
     that are in neither [s] nor the forbidden set [x].  Exposed for

@@ -44,8 +44,8 @@ type t = {
   table : Dp_table.t option;  (** The DP table (dense backend only). *)
   connected_sets : int;
       (** Connected sets materialized (singletons included) — the
-          [O(2^n)]-vs-polynomial space story, equal to
-          {!Ccp_enum.csg_count}. *)
+          [O(2^n)]-vs-polynomial space story, equal to the number of
+          sets {!Ccp_enum.iter_csg} emits. *)
   ccp_pairs : int;
       (** Csg-cmp pairs folded — the work metric to compare against
           blitzsplit's [3^n]-ish split-loop iterations. *)

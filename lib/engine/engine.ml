@@ -137,11 +137,12 @@ let record_outcome t (o : Registry.outcome) =
 (* ---- plan-cache participation ----
 
    A session with a cache consults it for any optimizer whose registry
-   entry promises exactness (a cached entry must mean the same thing no
-   matter which query stored it), and only when the caller supplied no
-   explicit threshold (an explicit threshold makes the outcome
-   caller-dependent).  A hit skips the optimizer entirely; a miss runs
-   it cold and stores the completed optimum. *)
+   entry promises exactness over the full plan space (a cached entry
+   must mean the same thing no matter which query stored it), and only
+   when the caller supplied no explicit threshold (an explicit
+   threshold makes the outcome caller-dependent).  A hit skips the
+   optimizer entirely; a miss runs it cold and stores the completed
+   optimum. *)
 
 let digest_for t m = if m == t.model then t.digest else Fingerprint.model_digest m
 
@@ -162,8 +163,8 @@ let cache_key ?cache_tag ~multiway optimizer =
   if multiway then base ^ "+mw" else base
 
 (* The one cache round: fingerprint [p] into the session scratch, look
-   it up under [key], and on a miss store the outcome [miss] names from
-   that same fingerprint, unless it has no plan or a non-finite cost.
+   it up under [key], and on a miss store the plan and cost [miss]
+   names from that same fingerprint, unless the cost is not finite.
    [miss] runs no cache function of this session, so the scratch still
    holds [p]'s canonical form when the store comes. *)
 let cache_round t c ~model ~key (p : Registry.problem) ~hit ~miss =
@@ -176,11 +177,10 @@ let cache_round t c ~model ~key (p : Registry.problem) ~hit ~miss =
   match found with
   | Some h -> hit h
   | None ->
-      let result, outcome = miss () in
-      (match outcome with
-      | Some { Registry.plan = Some plan; cost; passes; final_threshold; _ }
-        when Float.is_finite cost ->
-          Plan_cache.store c t.scratch ~optimizer:key ~plan ~cost ~passes ~final_threshold
+      let result, answer = miss () in
+      (match answer with
+      | Some (plan, cost) when Float.is_finite cost ->
+          Plan_cache.store c t.scratch ~optimizer:key ~plan ~cost
       | _ -> ());
       result
 
@@ -192,15 +192,17 @@ let cache_around ?model ?cache_tag ?(multiway = false) t ~optimizer p ~hit ~miss
         ~model:(Option.value ~default:t.model model)
         ~key:(cache_key ?cache_tag ~multiway optimizer) p ~hit ~miss
 
-let cache_find ?model ?cache_tag t ~optimizer p =
-  cache_around ?model ?cache_tag t ~optimizer p ~hit:Option.some ~miss:(fun () -> (None, None))
+let cache_find ?cache_tag t ~optimizer p =
+  cache_around ?cache_tag t ~optimizer p ~hit:Option.some ~miss:(fun () -> (None, None))
 
+(* Every entry was stored from one unthresholded pass: caching is
+   bypassed under an explicit threshold. *)
 let hit_outcome ctr (h : Plan_cache.hit) =
   {
     Registry.plan = Some h.Plan_cache.plan;
     cost = h.Plan_cache.cost;
-    passes = h.Plan_cache.passes;
-    final_threshold = h.Plan_cache.final_threshold;
+    passes = 1;
+    final_threshold = infinity;
     table = None;
     counters = Some ctr;  (* freshly reset: a hit runs zero splits *)
     note =
@@ -210,7 +212,7 @@ let hit_outcome ctr (h : Plan_cache.hit) =
 (* Run one problem through the entry, going through the cache when the
    session has one and the entry's result may be cached. *)
 let run_entry t (entry : Registry.entry) ~optimizer ?interrupt ?threshold ?growth
-    ?(multiway = false) ?cache_tag ~ctr problem =
+    ?(multiway = false) ~ctr problem =
   (* Multiway planning is real only for entries that advertise it; the
      flag reaches the cache key only then, so e.g. greedy lookups do not
      fragment across the two modes they cannot distinguish. *)
@@ -221,17 +223,17 @@ let run_entry t (entry : Registry.entry) ~optimizer ?interrupt ?threshold ?growt
     entry.Registry.optimize { ctx with Registry.growth } problem
   in
   match t.cache with
-  | Some c when entry.Registry.caps.Registry.cacheable && Option.is_none threshold ->
-      cache_round t c ~model:t.model ~key:(cache_key ?cache_tag ~multiway:mw optimizer) problem
+  | Some c when entry.Registry.caps.Registry.exact && Option.is_none threshold ->
+      cache_round t c ~model:t.model ~key:(cache_key ~multiway:mw optimizer) problem
         ~hit:(fun h ->
           (* Defense in depth: never serve an n-ary plan without mw. *)
           if mw || not (Plan.has_multiway h.Plan_cache.plan) then hit_outcome ctr h else run ())
         ~miss:(fun () ->
           let o = run () in
-          (o, Some o))
+          (o, Option.map (fun plan -> (plan, o.Registry.cost)) o.Registry.plan))
   | Some _ | None -> run ()
 
-let optimize ?(optimizer = "exact") ?interrupt ?threshold ?growth ?multiway ?cache_tag t problem =
+let optimize ?(optimizer = "exact") ?threshold ?growth ?multiway t problem =
   if t.closed then invalid_arg "Engine.optimize: session is closed";
   let entry = Registry.find_exn optimizer in
   let ctr = Arena.counters t.arena in
@@ -239,13 +241,12 @@ let optimize ?(optimizer = "exact") ?interrupt ?threshold ?growth ?multiway ?cac
   let o =
     Obs.span "engine.optimize" ~attrs:[ ("optimizer", optimizer) ] (fun () ->
         Obs.Metrics.time m_latency (fun () ->
-            run_entry t entry ~optimizer ?interrupt ?threshold ?growth ?multiway ?cache_tag ~ctr
-              problem))
+            run_entry t entry ~optimizer ?threshold ?growth ?multiway ~ctr problem))
   in
   record_outcome t o;
   o
 
-let optimize_many ?(optimizer = "exact") ?interrupt ?multiway ?cache_tag t problems =
+let optimize_many ?(optimizer = "exact") ?interrupt t problems =
   if t.closed then invalid_arg "Engine.optimize_many: session is closed";
   (* One registry lookup for the whole batch — per-query work is a
      counter reset, a fingerprint into the session scratch (cache
@@ -259,8 +260,7 @@ let optimize_many ?(optimizer = "exact") ?interrupt ?multiway ?cache_tag t probl
           (fun p ->
             Counters.reset ctr;
             let o =
-              Obs.Metrics.time m_latency (fun () ->
-                  run_entry t entry ~optimizer ?interrupt ?multiway ?cache_tag ~ctr p)
+              Obs.Metrics.time m_latency (fun () -> run_entry t entry ~optimizer ?interrupt ~ctr p)
             in
             record_outcome t o;
             (* The table is a view of the arena's buffer, overwritten by the

@@ -16,8 +16,8 @@
     A session may also carry a {!Blitz_cache.Plan_cache}: any optimizer
     whose registry entry promises exactness then consults it before
     running (skipping the whole DP on a hit, with the cached plan
-    rebased to the caller's relation numbering) and stores completed
-    optima.  A miss runs the optimizer cold.  The cache is shared
+    rebased to the caller's relation numbering) and stores the plan and
+    cost of completed optima.  A miss runs the optimizer cold.  The cache is shared
     by whatever sessions were created with it (it is domain-safe);
     omitting it at {!create} is the per-session opt-out.  Each session
     owns one preallocated fingerprint workspace, so cache participation
@@ -81,38 +81,31 @@ val with_session :
 
 val optimize :
   ?optimizer:string ->
-  ?interrupt:(unit -> bool) ->
   ?threshold:float ->
   ?growth:float ->
   ?multiway:bool ->
-  ?cache_tag:string ->
   t ->
   Registry.problem ->
   Registry.outcome
 (** Run one query through the session.  [optimizer] names a registry
     entry (default ["exact"]); [threshold] and [growth] become the
     ctx's, so ["exact"] runs Section 6.4's driver from that threshold
-    (see {!Registry.ctx}).  [multiway] requests hybrid binary+n-ary planning from
-    entries whose caps advertise it; in the plan cache such runs live
-    under the decorated key [<optimizer>"+mw"], so the two plan spaces
-    never serve each other's optima (and a hit carrying a
-    [Plan.Multiway] node is additionally refused for multiway=false
-    callers).  [cache_tag] partitions the plan cache the same way:
-    lookups and stores run under [<optimizer>"@"<tag>] (plus ["+mw"]
-    when both apply), so callers serving mutually-untrusting tenants
-    from one shared cache can guarantee one tenant's plans are never
-    replayed to another ([Blitz_serve] keys by tenant id).  The
-    session's counters are reset first, so the outcome's counters are
-    per-query; the outcome's [table] aliases the arena buffer and is
-    only valid until the next call.  May raise
-    [Blitzsplit.Interrupted] (via [interrupt]) and whatever the entry
-    itself raises on caps violations. *)
+    (see {!Registry.ctx}).  [multiway] requests hybrid binary+n-ary
+    planning from entries whose caps advertise it; in the plan cache
+    such runs live under the decorated key [<optimizer>"+mw"], so the
+    two plan spaces never serve each other's optima (and a hit carrying
+    a [Plan.Multiway] node is additionally refused for multiway=false
+    callers).  A session cache takes part when the entry's caps are
+    [exact] and no [threshold] is given; a hit reports one pass at an
+    infinite threshold, as every stored entry ran.  The session's
+    counters are reset first, so the outcome's counters are per-query;
+    the outcome's [table] aliases the arena buffer and is only valid
+    until the next call.  May raise whatever the entry itself raises on
+    caps violations. *)
 
 val optimize_many :
   ?optimizer:string ->
   ?interrupt:(unit -> bool) ->
-  ?multiway:bool ->
-  ?cache_tag:string ->
   t ->
   Registry.problem Seq.t ->
   Registry.outcome list
@@ -146,18 +139,12 @@ val counters : t -> Counters.t
 val cache : t -> Plan_cache.t option
 
 val cache_find :
-  ?model:Cost_model.t ->
-  ?cache_tag:string ->
-  t ->
-  optimizer:string ->
-  Registry.problem ->
-  Plan_cache.hit option
+  ?cache_tag:string -> t -> optimizer:string -> Registry.problem -> Plan_cache.hit option
 (** Consult the session's cache directly (no optimizer run): fingerprint
-    the problem into the session scratch and look it up under the given
-    optimizer name.  [None] when the session has no cache or on a miss.
-    [model] defaults to the session model; pass it when dispatching
-    under a different cost model.  [cache_tag] decorates the key as in
-    {!optimize}. *)
+    the problem under the session model into the session scratch and
+    look it up under the given optimizer name.  [None] when the session
+    has no cache or on a miss.  [cache_tag] decorates the key as in
+    {!cache_around}. *)
 
 val cache_around :
   ?model:Cost_model.t ->
@@ -167,22 +154,27 @@ val cache_around :
   optimizer:string ->
   Registry.problem ->
   hit:(Plan_cache.hit -> 'a) ->
-  miss:(unit -> 'a * Registry.outcome option) ->
+  miss:(unit -> 'a * (Blitz_plan.Plan.t * float) option) ->
   'a
 (** One cache round around an optimizer the caller runs itself (the
     Guard driver's cascade): the same round {!optimize} runs around a
     registry entry.  The problem is fingerprinted into the session
     scratch once and looked up under [optimizer]; a hit goes to [hit].
-    On a miss, [miss ()] runs and its result is returned; the outcome
-    it returns alongside is stored under [optimizer] from the same
-    fingerprint, unless it has no plan or a non-finite cost.  [miss]
-    must not use this session's cache functions, since the scratch
-    still holds the fingerprint; callers must only return outcomes that
-    are true optima for that optimizer.  Without a cache, just
-    [miss ()].  [model] and [cache_tag] as in {!cache_find}.
-    [~multiway:true] (default [false]) keys the round as {!optimize}
-    keys a multiway run of an n-ary-capable entry, apart from binary
-    plans, so neither plan space is served the other's optimum. *)
+    On a miss, [miss ()] runs and its result is returned; the plan and
+    cost it returns alongside are stored under [optimizer] from the
+    same fingerprint, unless the cost is not finite.  [miss] must not
+    use this session's cache functions, since the scratch still holds
+    the fingerprint; callers must only return true optima for that
+    optimizer, found by one unthresholded pass.  Without a cache, just
+    [miss ()].  [model] (default the session model) is the cost model
+    the problem is keyed under.  [cache_tag] partitions the cache per
+    caller: lookups and stores run under [<optimizer>"@"<tag>], so
+    callers serving mutually-untrusting tenants from one shared cache
+    never replay one tenant's plan to another ([Blitz_serve] keys by
+    tenant id).  [~multiway:true] (default [false]) keys the round as
+    {!optimize} keys a multiway run of an n-ary-capable entry (under
+    ["+mw"], after any tag), apart from binary plans, so neither plan
+    space is served the other's optimum. *)
 
 val ctx :
   ?interrupt:(unit -> bool) ->

@@ -53,9 +53,7 @@ type caps = {
   parallelizable : bool;
   exact : bool;
   deadline_exempt : bool;
-  stats_free : bool;
   connected_only : bool;
-  cacheable : bool;
   multiway : bool;
 }
 
@@ -97,9 +95,7 @@ let dp_caps =
     parallelizable = true;
     exact = true;
     deadline_exempt = false;
-    stats_free = false;
     connected_only = false;
-    cacheable = true;
     multiway = false;
   }
 
@@ -124,9 +120,7 @@ let tablefree_caps =
     parallelizable = false;
     exact = false;
     deadline_exempt = false;
-    stats_free = false;
     connected_only = false;
-    cacheable = false;
     multiway = false;
   }
 
@@ -402,7 +396,7 @@ let () =
       {
         name = "simpli-squared";
         summary = "estimate-free structural left-deep order (reads no statistics)";
-        caps = { tablefree_caps with deadline_exempt = true; stats_free = true };
+        caps = { tablefree_caps with deadline_exempt = true };
         optimize = run_simpli;
       };
       {
@@ -419,21 +413,20 @@ let () =
             dp_caps with
             parallelizable = false;
             exact = false;
-            cacheable = false;
-            connected_only = true;
+                    connected_only = true;
           };
         optimize = run_dpsize ~cartesian:false;
       };
       {
         name = "leftdeep";
         summary = "System-R-style left-deep DP, products allowed";
-        caps = { dp_caps with parallelizable = false; exact = false; cacheable = false };
+        caps = { dp_caps with parallelizable = false; exact = false };
         optimize = run_leftdeep ~policy:B.Leftdeep.Allowed;
       };
       {
         name = "leftdeep-deferred";
         summary = "left-deep DP with Cartesian products deferred to the end";
-        caps = { dp_caps with parallelizable = false; exact = false; cacheable = false };
+        caps = { dp_caps with parallelizable = false; exact = false };
         optimize = run_leftdeep ~policy:B.Leftdeep.Deferred;
       };
       {
@@ -470,8 +463,7 @@ let () =
             table_bytes = Some (fun ~n -> Dpccp.estimate_bytes ~n);
             parallelizable = false;
             exact = false;
-            cacheable = false;
-            connected_only = true;
+                    connected_only = true;
             multiway = true;
           };
         optimize = run_dpccp;
@@ -486,8 +478,7 @@ let () =
             table_bytes = Some (fun ~n -> Dpconv.estimate_bytes ~n);
             parallelizable = false;
             exact = false;
-            cacheable = false;
-          };
+                  };
         optimize = run_dpconv;
       };
       {

@@ -106,27 +106,21 @@ type caps = {
       (** Estimated table footprint before allocation, for memory
           ceilings; [None] for table-free methods. *)
   parallelizable : bool;  (** Runs its split loops on [ctx.pool]. *)
-  exact : bool;  (** Guaranteed optimal when it returns a plan. *)
+  exact : bool;
+      (** Guaranteed optimal over the full bushy plan space, Cartesian
+          products included, when it returns a plan.  These are the
+          entries whose answers a session's plan cache stores: a cached
+          plan is replayed under the same fingerprint whichever exact
+          entry later serves the query, so product-free or left-deep
+          optima do not qualify. *)
   deadline_exempt : bool;
       (** Cheap enough to run even on an expired budget (greedy — the
           cascade's terminal guarantee). *)
-  stats_free : bool;
-      (** Reads no cardinalities or selectivities: the plan depends on
-          the join graph's shape alone, so the method survives a
-          corrupted or fabricated catalog ([simpli-squared] — the
-          cascade's estimate-free bottom tier). *)
   connected_only : bool;
       (** Searches the product-free plan space only: on a disconnected
           join graph the method cannot produce a complete plan at all
           ([dpccp], [dpsize-no-products]), so dispatch is refused
           upfront by {!eligible}. *)
-  cacheable : bool;
-      (** Results may enter the cross-query plan cache.  Stricter than
-          [exact]: a cached plan is replayed under the same fingerprint
-          regardless of which optimizer later serves the query, so only
-          methods whose plan is optimal over the {e full} plan space
-          qualify — product-free or left-deep optima silently degrade
-          later exact lookups. *)
   multiway : bool;
       (** Honors [ctx.multiway]: the method can emit [Plan.Multiway]
           nodes ([exact], [dpccp]).  Callers that cannot

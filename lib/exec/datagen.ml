@@ -13,7 +13,10 @@ let domain_of_selectivity s =
 let realized_selectivity graph i j =
   1.0 /. float_of_int (domain_of_selectivity (Join_graph.selectivity graph i j))
 
-let generate ~rng ?(max_rows = 500_000) catalog graph =
+(* A relation past this many rows is refused rather than generated. *)
+let max_rows = 500_000
+
+let generate ~rng catalog graph =
   let n = Catalog.n catalog in
   if Join_graph.n graph <> n then invalid_arg "Datagen.generate: graph/catalog size mismatch";
   let tables =

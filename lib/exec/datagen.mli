@@ -41,6 +41,6 @@ val realized_catalog : t -> Catalog.t
 (** Catalog with cardinalities equal to the actual (integral) row
     counts. *)
 
-val generate : rng:Rng.t -> ?max_rows:int -> Catalog.t -> Join_graph.t -> t
+val generate : rng:Rng.t -> Catalog.t -> Join_graph.t -> t
 (** Materialize tables.  Raises [Invalid_argument] if some relation's
-    rounded cardinality exceeds [max_rows] (default 500_000). *)
+    rounded cardinality exceeds 500,000 rows. *)

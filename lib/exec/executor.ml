@@ -55,7 +55,7 @@ let spanning_keys graph lbatch rbatch =
       else None)
     (Join_graph.edges graph)
 
-let run ?(algorithm = Hash) ?(max_intermediate_rows = 2_000_000) (dataset : Datagen.t) plan =
+let execute ~algorithm ~max_intermediate_rows (dataset : Datagen.t) plan =
   let join_fn =
     match algorithm with
     | Nested_loop -> Operators.nested_loop_join
@@ -167,11 +167,16 @@ let run ?(algorithm = Hash) ?(max_intermediate_rows = 2_000_000) (dataset : Data
   let final = go plan in
   { rows = Array.length final.rows; trace = List.rev !trace }
 
-let run_with_work ?algorithm ?max_intermediate_rows dataset plan =
+(* The guard against materializing a huge Cartesian product. *)
+let row_cap = 2_000_000
+
+let run ?(algorithm = Hash) dataset plan = execute ~algorithm ~max_intermediate_rows:row_cap dataset plan
+
+let run_with_work ?(algorithm = Hash) ?(max_intermediate_rows = row_cap) dataset plan =
   let work = Operators.fresh_work () in
   Operators.set_work_sink (Some work);
   let finish () = Operators.set_work_sink None in
-  match run ?algorithm ?max_intermediate_rows dataset plan with
+  match execute ~algorithm ~max_intermediate_rows dataset plan with
   | result ->
     finish ();
     (result, work)
@@ -181,8 +186,8 @@ let run_with_work ?algorithm ?max_intermediate_rows dataset plan =
 
 type comparison = { at : Relset.t; estimated : float; actual : float }
 
-let estimate_vs_actual ?algorithm ?max_intermediate_rows dataset plan =
-  let { trace; _ } = run ?algorithm ?max_intermediate_rows dataset plan in
+let estimate_vs_actual dataset plan =
+  let { trace; _ } = run dataset plan in
   let catalog = Datagen.realized_catalog dataset in
   let graph = Datagen.realized_graph dataset in
   List.map

@@ -33,21 +33,22 @@ type result = {
   trace : trace_entry list;  (** One entry per join, bottom-up order. *)
 }
 
-val run : ?algorithm:algorithm -> ?max_intermediate_rows:int -> Datagen.t -> Plan.t -> result
+val run : ?algorithm:algorithm -> Datagen.t -> Plan.t -> result
 (** Execute the plan ([algorithm] defaults to {!Hash}).  Raises
     [Invalid_argument] if the plan references relations outside the
     dataset, and [Failure] if an intermediate result would exceed
-    [max_intermediate_rows] (default 2_000_000) — a guard against
-    accidentally materializing a huge Cartesian product.  Keyed
-    nested-loop joins additionally fail when their probe count
-    [|L| * |R|] would exceed 100x that bound (the output may be small
-    but the work is not). *)
+    2,000,000 rows — a guard against accidentally materializing a huge
+    Cartesian product.  Keyed nested-loop joins additionally fail when
+    their probe count [|L| * |R|] would exceed 100x that bound (the
+    output may be small but the work is not). *)
 
 val run_with_work :
   ?algorithm:algorithm -> ?max_intermediate_rows:int -> Datagen.t -> Plan.t -> result * Operators.work
 (** Like {!run}, additionally accounting the operators' measured work
     (tuple visits, comparisons, output rows) across the whole plan —
-    the observable the paper's cost models estimate. *)
+    the observable the paper's cost models estimate.
+    [max_intermediate_rows] (default 2,000,000) replaces {!run}'s row
+    guard. *)
 
 type comparison = {
   at : Relset.t;
@@ -55,8 +56,7 @@ type comparison = {
   actual : float;
 }
 
-val estimate_vs_actual :
-  ?algorithm:algorithm -> ?max_intermediate_rows:int -> Datagen.t -> Plan.t -> comparison list
+val estimate_vs_actual : Datagen.t -> Plan.t -> comparison list
 (** Per intermediate result: the optimizer's estimate (computed from
     {!Datagen.realized_catalog} / {!Datagen.realized_graph}) against the
-    executed cardinality. *)
+    cardinality a {!run} of the plan produced. *)

@@ -22,11 +22,6 @@ let n_rows t = Array.length t.rows
 let n_columns t = Array.length t.columns
 let columns t = Array.copy t.columns
 
-let column_index t c =
-  let found = ref None in
-  Array.iteri (fun i col -> if col = c && !found = None then found := Some i) t.columns;
-  !found
-
 let row t i =
   if i < 0 || i >= n_rows t then invalid_arg "Table.row: index out of range";
   Array.copy t.rows.(i)
@@ -35,14 +30,3 @@ let get t ~row ~col =
   if row < 0 || row >= n_rows t || col < 0 || col >= n_columns t then
     invalid_arg "Table.get: out of range";
   t.rows.(row).(col)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%s (%d rows):@," t.name (n_rows t);
-  Format.fprintf ppf "  %s@," (String.concat " | " (Array.to_list t.columns));
-  let limit = min 10 (n_rows t) in
-  for i = 0 to limit - 1 do
-    Format.fprintf ppf "  %s@,"
-      (String.concat " | " (Array.to_list (Array.map string_of_int t.rows.(i))))
-  done;
-  if n_rows t > limit then Format.fprintf ppf "  ... (%d more)@," (n_rows t - limit);
-  Format.fprintf ppf "@]"

@@ -16,11 +16,7 @@ val name : t -> string
 val n_rows : t -> int
 val n_columns : t -> int
 val columns : t -> string array
-val column_index : t -> string -> int option
 val row : t -> int -> int array
 (** A copy of the given row.  Raises [Invalid_argument] out of range. *)
 
 val get : t -> row:int -> col:int -> int
-
-val pp : Format.formatter -> t -> unit
-(** Header plus up to 10 rows. *)

@@ -70,18 +70,7 @@ let interrupt t () =
   Obs.Metrics.incr m_probes;
   expired t
 
-(* The DP table is a struct of flat arrays of 2^n 8-byte slots — card,
-   cost, best_lhs and aux always, plus pi_fan on the join path (the
-   Cartesian-product optimizer leaves the fan column unallocated, see
-   Dp_table.create) — the same shape as the paper's 16-byte rows,
-   widened by the extra columns.  The estimate is computed BEFORE
-   allocation so an oversized query is rejected instead of taking down
-   the process. *)
-let table_bytes ?with_pi_fan ~n () =
-  if n < 1 then invalid_arg "Budget.table_bytes: n must be positive"
-  else Blitz_core.Dp_table.estimate_bytes ?with_pi_fan ~n ()
-
+(* Callers charge a footprint BEFORE allocating it, so an oversized
+   query is rejected instead of taking down the process. *)
 let admits_bytes t bytes =
   match t.max_table_bytes with None -> true | Some limit -> bytes <= limit
-
-let admits_table ?with_pi_fan t ~n = admits_bytes t (table_bytes ?with_pi_fan ~n ())

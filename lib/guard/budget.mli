@@ -3,9 +3,9 @@
 
     The deadline is enforced through a cheap cancellation probe
     ({!interrupt}) that the core optimizers poll between subsets; the
-    memory ceiling is enforced {e before} allocation by estimating the
-    table footprint ({!table_bytes}), so an oversized query degrades to
-    a table-free algorithm instead of exhausting the heap.  A budget is
+    memory ceiling is enforced {e before} allocation by charging the
+    table's estimated footprint ({!admits_bytes}), so an oversized query
+    degrades to a table-free algorithm instead of exhausting the heap.  A budget is
     armed (its clock started) at {!create} and re-armed with {!start};
     the guard driver re-arms once on entry so every tier draws from the
     same allowance.
@@ -34,9 +34,6 @@ val max_table_bytes : t -> int option
 val elapsed_ms : t -> float
 (** Wall-clock milliseconds since the budget was last armed. *)
 
-val remaining_ms : t -> float
-(** [infinity] when no deadline was set. *)
-
 val expired : t -> bool
 (** Whether the deadline has passed.  Expiry latches through an
     [Atomic.t] flag set exactly once per arming: the first probe (from
@@ -54,18 +51,6 @@ val interrupt : t -> unit -> bool
     returning [true] once the deadline has passed.  One
     [Blitz_util.Clock] read per poll; the optimizers already rate-limit
     polling (every 64 subsets), so no further caching is needed. *)
-
-val table_bytes : ?with_pi_fan:bool -> n:int -> unit -> int
-(** Estimated footprint of the blitzsplit DP table for [n] relations:
-    [40 * 2^n] bytes (five 8-byte columns per subset — the paper's
-    16-byte rows plus the best-split, fan and cost-model-memo columns),
-    or [32 * 2^n] with [~with_pi_fan:false] (the Cartesian-product path,
-    whose table never allocates the fan column).  Saturates at
-    [max_int] for [n >= 50]. *)
-
-val admits_table : ?with_pi_fan:bool -> t -> n:int -> bool
-(** Whether the table for [n] relations fits under the ceiling (always
-    true when no ceiling was set). *)
 
 val admits_bytes : t -> int -> bool
 (** Whether a footprint of the given size fits under the ceiling.  For

@@ -43,8 +43,6 @@ let fault_message = function
   | Name_duplicated i -> Printf.sprintf "name of relation %d duplicated from its neighbor" i
   | Catalog_scrambled -> "every cardinality in the catalog replaced with garbage"
 
-let pp_fault ppf f = Format.pp_print_string ppf (fault_message f)
-
 (* The whole-catalog fault: every cardinality becomes one of the four
    invalid shapes.  This is the corruption Sanitize cannot repair
    honestly — it can only fabricate — and hence the fault that

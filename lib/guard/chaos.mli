@@ -40,8 +40,6 @@ type fault =
           the estimate-free tier. *)
 
 val fault_message : fault -> string
-val pp_fault : Format.formatter -> fault -> unit
-
 val corrupt : seed:int -> ?faults:int -> input -> input * fault list
 (** [corrupt ~seed input] applies a deterministic sequence of faults
     ([faults] defaults to 1-3, drawn from the seed) and reports what was

@@ -5,12 +5,11 @@ module Plan = Blitz_plan.Plan
 module Blitzsplit = Blitz_core.Blitzsplit
 module Arena = Blitz_core.Arena
 module Counters = Blitz_core.Counters
-module Pool = Blitz_parallel.Pool
 module Registry = Blitz_engine.Registry
-module B = Blitz_baselines
+module Engine = Blitz_engine.Engine
 module Obs = Blitz_obs.Obs
 
-type tier = Exact | Dpccp | Hybrid_windows | Ikkbz | Greedy | Estimate_free
+type tier = Exact | Dpccp | Hybrid_windows | Greedy | Estimate_free
 
 (* Tier names double as registry keys: the cascade no longer owns any
    algorithm invocation code, it sequences registry entries. *)
@@ -18,7 +17,6 @@ let tier_name = function
   | Exact -> "exact"
   | Dpccp -> "dpccp"
   | Hybrid_windows -> "hybrid"
-  | Ikkbz -> "ikkbz"
   | Greedy -> "greedy"
   | Estimate_free -> "simpli-squared"
 
@@ -35,8 +33,13 @@ let tier_entry tier = Registry.find_exn (tier_name tier)
    caps, so size and memory ceilings skip both, a deadline that aborts
    exact has latched and skips it too, and when exact finds no finite
    plan its last pass was the plain DP, whose plan space every
-   thresholded pass searches a subset of. *)
-let default_cascade = [ Exact; Dpccp; Hybrid_windows; Ikkbz; Greedy; Estimate_free ]
+   thresholded pass searches a subset of.
+
+   No IKKBZ tier sits behind the hybrid either: the hybrid has no size,
+   memory or shape cap, so it answers whenever the deadline leaves it
+   room (unless its cost is NaN), and once the deadline has latched it
+   would skip IKKBZ for the same reason. *)
+let default_cascade = [ Exact; Dpccp; Hybrid_windows; Greedy; Estimate_free ]
 
 (* When Sanitize had to fabricate cardinalities the cost-based tiers
    would optimize placeholder numbers — garbage in, garbage out, at
@@ -105,14 +108,14 @@ let pp_provenance ppf p =
 
 (* A tier is skipped — never attempted — when its registry metadata
    already rules it out: the [2^n] table cannot exist (size cap or
-   memory ceiling), the algorithm does not apply (IKKBZ needs a tree
-   query), or the deadline is already gone.  [Greedy] is the terminal
-   guarantee: its entry is deadline-exempt — [O(n^3)], no table — so
-   the cascade always ends with a plan.  With a session [arena] the
-   memory check charges the arena's would-be resident high-water mark
-   ([Arena.bytes_after]) for the tiers that draw their table from it,
-   and the entry's own estimate for the rest. *)
-let eligibility ?arena ?(cache_bytes = 0) ~budget tier catalog graph =
+   memory ceiling), the algorithm does not apply (dpccp needs a
+   connected graph), or the deadline is already gone.  [Greedy] is the
+   terminal guarantee: its entry is deadline-exempt — [O(n^3)], no
+   table — so the cascade always ends with a plan.  With a [session]
+   the memory check charges its arena's would-be resident high-water
+   mark ([Arena.bytes_after]) for the tiers that draw their table from
+   it, and the entry's own estimate for the rest. *)
+let eligibility ?session ~budget tier catalog graph =
   let n = Catalog.n catalog in
   let caps = (tier_entry tier).Registry.caps in
   if caps.Registry.deadline_exempt then None
@@ -127,17 +130,22 @@ let eligibility ?arena ?(cache_bytes = 0) ~budget tier catalog graph =
         | Some bytes ->
           (* A resident plan cache shares the memory ceiling with the
              DP table: what the cache holds, the table cannot claim. *)
+          let cache_bytes =
+            match Option.bind session Engine.cache with
+            | Some c -> Engine.Plan_cache.resident_bytes c
+            | None -> 0
+          in
           let needed_bytes =
             cache_bytes
-            + (match (arena, tier) with
+            + (match (session, tier) with
               (* The exact tier's pass takes a table and the per-rank
                  subset lists from the arena; dpccp's dense backend a
                  table and no lists; its sparse backend,
                  past [Dpccp.dense_limit], nothing, so it is charged
                  its entry's own estimate, as without a session. *)
-              | Some a, Exact -> Arena.bytes_after a ~n ()
-              | Some a, Dpccp when n <= Registry.Dpccp.dense_limit ->
-                Arena.bytes_after a ~with_index:false ~n ()
+              | Some s, Exact -> Arena.bytes_after (Engine.arena s) ~n ()
+              | Some s, Dpccp when n <= Registry.Dpccp.dense_limit ->
+                Arena.bytes_after (Engine.arena s) ~with_index:false ~n ()
               | _ -> bytes ~n)
           in
           if Budget.admits_bytes budget needed_bytes then None
@@ -152,13 +160,11 @@ let eligibility ?arena ?(cache_bytes = 0) ~budget tier catalog graph =
       match memory_ok with
       | Some _ as skip -> skip
       | None ->
-        if caps.Registry.tree_only && not (B.Ikkbz.is_tree graph) then
-          Some (Not_applicable "join graph is not a tree")
-        else if caps.Registry.connected_only && not (Join_graph.is_connected graph) then
+        if caps.Registry.connected_only && not (Join_graph.is_connected graph) then
           Some (Not_applicable "join graph is disconnected")
         else None)
 
-let run_tier ?arena ?pool ?multiway ~budget ~seed tier model catalog graph =
+let run_tier ?session ?multiway ~budget ~seed tier model catalog graph =
   let interrupt = Budget.interrupt budget in
   (* A plan with an overflowed (infinite) cost estimate is still a valid
      join order and better than nothing; only NaN — or no plan at all —
@@ -167,9 +173,11 @@ let run_tier ?arena ?pool ?multiway ~budget ~seed tier model catalog graph =
     | Some plan, cost when not (Float.is_nan cost) -> Ok (plan, cost)
     | _ -> Error No_finite_plan
   in
-  (* On a pool the exact tier runs rank-parallel; the result — cost and
-     plan — is bit-identical to the sequential search, so the tier keeps
-     its meaning (Budget.interrupt is domain-safe).
+  (* A session lends its arena and, for a query large enough to run
+     rank-parallel, its pool.  On a pool the exact tier runs
+     rank-parallel; the result — cost and plan — is bit-identical to the
+     sequential search, so the tier keeps its meaning (Budget.interrupt
+     is domain-safe).
      The exact tier prunes at the upper bound (Section 6.4): one pass
      with the optimum's cost and plan bits (see [Registry.run_exact]),
      or one plain pass when there is no finite bound.  Its counters are
@@ -182,6 +190,8 @@ let run_tier ?arena ?pool ?multiway ~budget ~seed tier model catalog graph =
   let problem = Registry.problem ~graph catalog in
   let upper = match tier with Exact -> Registry.upper_bound model problem | _ -> None in
   let counters = Counters.create () in
+  let arena = Option.map Engine.arena session in
+  let pool = Option.bind session (fun s -> Engine.pool s ~n:(Catalog.n catalog)) in
   let ctx =
     Registry.ctx ?arena ?pool ~interrupt
       ?threshold:(Option.map (fun (b : Registry.bound) -> b.Registry.value) upper)
@@ -229,13 +239,13 @@ let record_win tier =
          ~labels:[ ("tier", tier_name tier) ]
          "blitz_degrade_wins_total")
 
-let optimize ?(cascade = default_cascade) ?(seed = 1) ?arena ?pool ?cache_bytes ?multiway ~budget
-    model catalog graph =
+let optimize ?(cascade = default_cascade) ?(seed = 1) ?session ?multiway ~budget model catalog
+    graph =
   let t_start = Budget.elapsed_ms budget in
   let rec go attempts = function
     | [] -> Error (List.rev attempts)
     | tier :: rest -> (
-      match eligibility ?arena ?cache_bytes ~budget tier catalog graph with
+      match eligibility ?session ~budget tier catalog graph with
       | Some reason ->
         record_attempt tier "skipped" (skip_message reason);
         go ({ tier; status = Skipped reason; elapsed_ms = 0.0; bound = None } :: attempts) rest
@@ -243,7 +253,7 @@ let optimize ?(cascade = default_cascade) ?(seed = 1) ?arena ?pool ?cache_bytes 
         let t0 = Budget.elapsed_ms budget in
         let result, bound =
           Obs.span ("degrade." ^ tier_name tier) (fun () ->
-              run_tier ?arena ?pool ?multiway ~budget ~seed tier model catalog graph)
+              run_tier ?session ?multiway ~budget ~seed tier model catalog graph)
         in
         Option.iter (record_bound tier) bound;
         match result with

@@ -6,9 +6,9 @@
     module generalizes that stance to the whole optimizer portfolio.
     Tiers are tried in order — exact blitzsplit pruned at an upper
     bound, connectivity-pruned DPccp, the Section 7 hybrid (DP windows
-    inside randomized search), IKKBZ for tree queries, the greedy
-    heuristic, and finally the estimate-free Simpli-Squared structural
-    order — and the first to produce a plan wins.  Every decision is
+    inside randomized search), the greedy heuristic, and finally the
+    estimate-free Simpli-Squared structural order — and the first to
+    produce a plan wins.  Every decision is
     recorded as {e provenance}: which tier produced the plan, why each
     earlier tier was skipped (table too large for the memory ceiling,
     algorithm not applicable, deadline already gone) or aborted
@@ -24,8 +24,7 @@ module Catalog = Blitz_catalog.Catalog
 module Join_graph = Blitz_graph.Join_graph
 module Cost_model = Blitz_cost.Cost_model
 module Plan = Blitz_plan.Plan
-module Arena = Blitz_core.Arena
-module Pool = Blitz_parallel.Pool
+module Engine = Blitz_engine.Engine
 
 type tier =
   | Exact
@@ -48,7 +47,6 @@ type tier =
           that skip the full-space DP tiers; skipped on disconnected
           graphs (its plan space is empty there). *)
   | Hybrid_windows  (** Section 7 hybrid: anytime, any [n]. *)
-  | Ikkbz  (** Tree queries only; re-costed under the session model. *)
   | Greedy  (** Terminal guarantee; always runs. *)
   | Estimate_free
       (** Simpli-Squared structural order: reads no statistics, so it
@@ -61,7 +59,7 @@ val tier_name : tier -> string
     print, and the registry dispatches on. *)
 
 val default_cascade : tier list
-(** [Exact; Dpccp; Hybrid_windows; Ikkbz; Greedy; Estimate_free]. *)
+(** [Exact; Dpccp; Hybrid_windows; Greedy; Estimate_free]. *)
 
 val fabricated_cascade : tier list
 (** [Estimate_free; Greedy] — the cascade for catalogs whose
@@ -122,39 +120,30 @@ type provenance = {
 val pp_attempt : Format.formatter -> attempt -> unit
 (** One line: tier name, outcome, elapsed milliseconds. *)
 
-val pp_bound : Format.formatter -> bound -> unit
-(** One line: the bound, its source and the subsets it skipped. *)
-
 val pp_provenance : Format.formatter -> provenance -> unit
 (** The full trail in a vertical box, one {!pp_attempt} line per
-    attempt, each followed by an indented {!pp_bound} line when the
-    attempt has a bound — what the CLI prints under [--degrade]. *)
+    attempt, each followed by an indented line naming the bound, its
+    source and the subsets it skipped when the attempt has a bound —
+    what the CLI prints under [--degrade]. *)
 
 val eligibility :
-  ?arena:Arena.t ->
-  ?cache_bytes:int ->
-  budget:Budget.t ->
-  tier ->
-  Catalog.t ->
-  Join_graph.t ->
-  skip_reason option
+  ?session:Engine.t -> budget:Budget.t -> tier -> Catalog.t -> Join_graph.t -> skip_reason option
 (** [None] when the tier may be attempted under the budget's current
     state; otherwise why it must be skipped.  The checks are read off
     the tier's registry-entry capability metadata ([Blitz_engine]) —
-    size cap, table footprint, tree-only, deadline exemption — not
+    size cap, table footprint, connectivity, deadline exemption — not
     duplicated here.  {!Greedy} and {!Estimate_free} are always
     eligible (deadline-exempt).
-    With [arena] the memory ceiling charges a tier that draws its table
-    from the arena the session's would-be resident high-water mark
-    ({!Arena.bytes_after}) rather than the per-call table size: {!Exact}
-    with the per-rank subset lists its pass takes, {!Dpccp}'s dense
-    backend without them.  [cache_bytes] (a resident plan-cache footprint,
-    default 0) is added to the charge so cache memory counts under the
-    same ceiling as the DP table. *)
+    With a [session] the memory ceiling charges a tier that draws its
+    table from the session's arena the arena's would-be resident
+    high-water mark ({!Blitz_core.Arena.bytes_after}) rather than the
+    per-call table size: {!Exact} with the per-rank subset lists its
+    pass takes, {!Dpccp}'s dense backend without them.  The session
+    cache's resident bytes are added to the charge, so cache memory
+    counts under the same ceiling as the DP table. *)
 
 val run_tier :
-  ?arena:Arena.t ->
-  ?pool:Pool.t ->
+  ?session:Engine.t ->
   ?multiway:bool ->
   budget:Budget.t ->
   seed:int ->
@@ -166,20 +155,18 @@ val run_tier :
 (** Run one tier in isolation (eligibility is the caller's business —
     see {!eligibility}), with the bound its pass pruned at ([None] but
     for an {!Exact} attempt with a finite bound).  [seed] feeds the
-    hybrid tier's generator.  With [pool] the {!Exact} tier runs
-    rank-parallel on it — bit-identical results, so tier semantics are
-    unchanged; the other tiers ignore it.  Exposed so tests can compare
-    every tier's plan against the exact optimum.  Tiers are dispatched
-    through the [Blitz_engine] registry; [arena]/[pool] plug a session's
-    pooled DP table and spawned domain pool in (bit-identical results
-    either way). *)
+    hybrid tier's generator.  Tiers are dispatched through the
+    [Blitz_engine] registry.  A [session] lends its arena to the DP
+    tiers and, from {!Engine.default_crossover_n} relations up, the
+    pool {!Engine.pool} hands out, on which the {!Exact} tier runs
+    rank-parallel: bit-identical results either way, so tier semantics
+    are unchanged.  Exposed so tests can compare every tier's plan
+    against the exact optimum. *)
 
 val optimize :
   ?cascade:tier list ->
   ?seed:int ->
-  ?arena:Arena.t ->
-  ?pool:Pool.t ->
-  ?cache_bytes:int ->
+  ?session:Engine.t ->
   ?multiway:bool ->
   budget:Budget.t ->
   Cost_model.t ->
@@ -188,8 +175,10 @@ val optimize :
   (Plan.t * provenance, attempt list) result
 (** Walk the cascade under the (already armed) budget.  [Error attempts]
     — possible only with a custom [cascade] that omits {!Greedy} — still
-    reports why every tier declined.  [arena], [pool] and [multiway]
-    are forwarded to every tier (see {!run_tier}), [arena] and
-    [cache_bytes] to {!eligibility}.  Capable tiers (exact, dpccp) plan
-    n-ary nodes under [multiway], the rest ignore it, so the cascade
-    stays valid top to bottom. *)
+    reports why every tier declined.  [session] and [multiway] are
+    forwarded to every tier (see {!run_tier}), [session] to
+    {!eligibility}.  Capable tiers (exact, dpccp) plan n-ary nodes
+    under [multiway], the rest ignore it, so the cascade stays valid
+    top to bottom.  The cascade never uses the session's cache
+    functions, so a caller may run it inside
+    {!Engine.cache_around}. *)

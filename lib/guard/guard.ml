@@ -32,8 +32,6 @@ let error_message = function
             attempts))
   | Internal msg -> Blitz_util.Err.format ~scope:"Guard.optimize" "internal failure: %s" msg
 
-let pp_error ppf e = Format.pp_print_string ppf (error_message e)
-
 (* The guard participates in a session's plan cache only on the clean
    path: sanitize-repaired statistics (the chaos suite's territory) are
    a different query than the caller submitted, and a resilient driver
@@ -46,12 +44,12 @@ let cached_tier = Degrade.Exact
 
 (* The cache round around the cascade: [Engine.cache_around]
    fingerprints the problem once, looks it up under the exact key, and
-   on a miss stores what [run] answered from that same fingerprint.  The
-   key carries the multiway flag as [Engine.optimize]'s does, so a
-   binary request is never served an n-ary plan, nor a multiway request
-   the binary optimum.  The cascade uses the session's arena and pool,
-   never its cache, so the fingerprint is still in the scratch when the
-   store comes. *)
+   on a miss stores the exact tier's plan and cost from that same
+   fingerprint.  The key carries the multiway flag as
+   [Engine.optimize]'s does, so a binary request is never served an
+   n-ary plan, nor a multiway request the binary optimum.  The cascade
+   uses the session's arena and pool, never its cache, so the
+   fingerprint is still in the scratch when the store comes. *)
 let with_cache ~session ~repairs ?cache_tag ?multiway model catalog graph ~hit run =
   match session with
   | Some s when repairs = [] ->
@@ -63,17 +61,7 @@ let with_cache ~session ~repairs ?cache_tag ?multiway model catalog graph ~hit r
         let result = run () in
         ( result,
           match result with
-          | Ok o when o.provenance.Degrade.winner = cached_tier ->
-            Some
-              {
-                Blitz_engine.Registry.plan = Some o.plan;
-                cost = o.cost;
-                passes = 1;
-                final_threshold = infinity;
-                table = None;
-                counters = None;
-                note = None;
-              }
+          | Ok o when o.provenance.Degrade.winner = cached_tier -> Some (o.plan, o.cost)
           | Ok _ | Error _ -> None ))
   | _ -> run ()
 
@@ -82,7 +70,7 @@ let with_cache ~session ~repairs ?cache_tag ?multiway model catalog graph ~hit r
    catch-all converts any escaped exception — there should be none, but
    a resilient driver does not get to assume that — into a typed error
    rather than unwinding through the caller. *)
-let drive ~budget ~cascade ~seed ~multiway ~session ?cache_tag model catalog graph repairs =
+let drive ~budget ?cascade ?seed ?multiway ?session ?cache_tag model catalog graph repairs =
   Budget.start budget;
   (* Fabricated cardinalities (Sanitize defaulted them) mean every
      cost-based tier would optimize placeholder numbers; unless the
@@ -127,17 +115,7 @@ let drive ~budget ~cascade ~seed ~multiway ~session ?cache_tag model catalog gra
     (* A session plugs its pooled DP table into the cascade and, for a
        query large enough to run rank-parallel, its domain pool.  Plans
        and costs are bit-identical with or without it. *)
-    let arena = Option.map Engine.arena session in
-    let pool = Option.bind session (fun s -> Engine.pool s ~n:(Catalog.n catalog)) in
-    let cache_bytes =
-      match Option.bind session Engine.cache with
-      | Some c -> Some (Engine.Plan_cache.resident_bytes c)
-      | None -> None
-    in
-    match
-      Degrade.optimize ?cascade ?seed ?multiway ?arena ?pool ?cache_bytes ~budget model catalog
-        graph
-    with
+    match Degrade.optimize ?cascade ?seed ?multiway ?session ~budget model catalog graph with
     | Ok (plan, provenance) ->
       Ok
         {
@@ -159,15 +137,14 @@ let optimize ?budget ?session ?cascade ?seed ?multiway ?cache_tag model catalog 
   match Sanitize.check_pair catalog graph with
   | Error issues -> Error (Invalid_input issues)
   | Ok clean ->
-    drive ~budget ~cascade ~seed ~multiway ~session ?cache_tag model clean.Sanitize.catalog
+    drive ~budget ?cascade ?seed ?multiway ?session ?cache_tag model clean.Sanitize.catalog
       clean.Sanitize.graph clean.Sanitize.repairs
 
-let optimize_input ?budget ?session ?policy ?cascade ?seed ?multiway ?cache_tag model ~relations
-    ~edges () =
+let optimize_input ?budget ?session ?seed ?multiway ?cache_tag model ~relations ~edges () =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
-  match Sanitize.check ?policy ~relations ~edges () with
+  match Sanitize.check ~relations ~edges () with
   | Error issues -> Error (Invalid_input issues)
   | exception exn -> Error (Internal (Printexc.to_string exn))
   | Ok clean ->
-    drive ~budget ~cascade ~seed ~multiway ~session ?cache_tag model clean.Sanitize.catalog
+    drive ~budget ?seed ?multiway ?session ?cache_tag model clean.Sanitize.catalog
       clean.Sanitize.graph clean.Sanitize.repairs

@@ -8,7 +8,7 @@
     The pipeline is: {!Sanitize} validates (and under a lenient policy
     repairs) the raw statistics; {!Budget} arms the wall-clock deadline
     and checks the DP-table memory ceiling before allocation; {!Degrade}
-    walks the tier cascade — exact, DPccp, hybrid, IKKBZ, greedy,
+    walks the tier cascade — exact, DPccp, hybrid, greedy,
     estimate-free — returning the first plan produced together with
     full provenance.  When the sanitizer had to {e fabricate}
     cardinalities ({!Sanitize.fabricated_stats}) and the caller pinned
@@ -46,7 +46,6 @@ type error =
   | Internal of string  (** An escaped exception, demoted to data. *)
 
 val error_message : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 val optimize :
   ?budget:Budget.t ->
@@ -79,15 +78,13 @@ val optimize :
     stays valid end to end.  It also keys the session cache apart, as
     [Blitz_engine.Engine.optimize] does, so a binary request is never
     served an n-ary plan.  [cache_tag] partitions the session cache
-    per caller (see [Blitz_engine.Engine.optimize]): the serving layer
+    per caller (see [Blitz_engine.Engine.cache_around]): the serving layer
     passes the tenant id, so a shared cache never replays one tenant's
     plan to another. *)
 
 val optimize_input :
   ?budget:Budget.t ->
   ?session:Blitz_engine.Engine.t ->
-  ?policy:Sanitize.policy ->
-  ?cascade:Degrade.tier list ->
   ?seed:int ->
   ?multiway:bool ->
   ?cache_tag:string ->
@@ -96,6 +93,8 @@ val optimize_input :
   edges:(int * int * float) list ->
   unit ->
   (outcome, error) result
-(** Optimize raw, untrusted statistics: sanitize under [policy]
-    (default {!Sanitize.lenient}), then proceed as {!optimize}.  This is
-    the entry point the chaos property suite drives. *)
+(** Optimize raw, untrusted statistics: sanitize under
+    {!Sanitize.lenient}, then proceed as {!optimize} with the default
+    cascade (or {!Degrade.fabricated_cascade} when the sanitizer had to
+    fabricate cardinalities).  This is the entry point the server and
+    the chaos property suite drive. *)

@@ -34,8 +34,6 @@ let issue_message =
   | Size_mismatch { catalog_n; graph_n } ->
     fmt "catalog has %d relations but the join graph covers %d" catalog_n graph_n
 
-let pp_issue ppf i = Format.pp_print_string ppf (issue_message i)
-
 type policy = {
   clamp_selectivities : bool;
   drop_bad_edges : bool;

@@ -36,8 +36,6 @@ type issue =
   | Size_mismatch of { catalog_n : int; graph_n : int }
 
 val issue_message : issue -> string
-val pp_issue : Format.formatter -> issue -> unit
-
 type policy = {
   clamp_selectivities : bool;
       (** Pin selectivities above 1 to [1.0] (recorded as a repair)

@@ -131,11 +131,12 @@ let subtree_at plan path =
   in
   go plan path
 
-let optimize ~rng ?arena ?window ?kicks ?(kick_strength = 3) ?start
-    ?(interrupt = fun () -> false) model catalog graph =
+(* Random moves per kick. *)
+let kick_strength = 3
+
+let optimize ~rng ?arena ?window ?kicks ?start ?(interrupt = fun () -> false) model catalog graph =
   let n = Catalog.n catalog in
   if Join_graph.n graph <> n then invalid_arg "Hybrid.optimize: graph/catalog size mismatch";
-  if kick_strength < 1 then invalid_arg "Hybrid.optimize: kick_strength must be positive";
   let window =
     match window with
     | Some w -> if w < 2 then invalid_arg "Hybrid.optimize: window must be at least 2" else min w n

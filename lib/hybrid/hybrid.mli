@@ -39,7 +39,6 @@ val optimize :
   ?arena:Blitz_core.Arena.t ->
   ?window:int ->
   ?kicks:int ->
-  ?kick_strength:int ->
   ?start:Plan.t ->
   ?interrupt:(unit -> bool) ->
   Cost_model.t ->
@@ -52,9 +51,8 @@ val optimize :
     blitzsplit runs thousands of times on big plans); results are
     bit-identical either way.  [window]
     (default [min 10 n]) bounds exact-reoptimization size;
-    [kicks] (default [4 * n]) bounds perturbation phases;
-    [kick_strength] (default 3) is the number of random moves per kick;
-    [start] defaults to the greedy plan.  [interrupt] is polled between
+    [kicks] (default [4 * n]) bounds perturbation phases, each of three
+    random moves; [start] defaults to the greedy plan.  [interrupt] is polled between
     window re-optimizations and between kicks; when it returns [true]
     the search stops gracefully and the chain's best plan so far is
     returned (never an exception — an anytime algorithm has a valid

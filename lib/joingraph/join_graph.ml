@@ -211,10 +211,3 @@ let pi_induced t s =
 let join_cardinality catalog t s =
   let cards = Relset.fold (fun acc i -> acc *. Blitz_catalog.Catalog.card catalog i) 1.0 s in
   cards *. pi_induced t s
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>join graph on %d relations:" t.n;
-  List.iter
-    (fun (i, j, s) -> Format.fprintf ppf "@,  R%d -- R%d  (selectivity %.6g)" i j s)
-    (edges t);
-  Format.fprintf ppf "@]"

@@ -121,5 +121,3 @@ val join_cardinality : Blitz_catalog.Catalog.t -> t -> Relset.t -> float
 (** Reference intermediate-result cardinality: product of member
     cardinalities times {!pi_induced}.  The optimizer computes the same
     quantity through the fan recurrence; tests check they agree. *)
-
-val pp : Format.formatter -> t -> unit

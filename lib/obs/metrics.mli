@@ -56,11 +56,6 @@ val histogram :
     [+Inf] bucket is always appended); they must be strictly
     increasing.  Default: {!default_buckets}. *)
 
-val default_buckets : float array
-(** Log-spaced from 1e-6 to 1e9 (five per decade would be excessive:
-    one per half-decade, 31 bounds) — wide enough for both latencies in
-    seconds and plan costs. *)
-
 (** {1 Recording} *)
 
 val incr : counter -> unit

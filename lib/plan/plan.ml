@@ -391,9 +391,6 @@ let of_compact_string ~names text =
     skip_spaces ();
     if !pos <> len then error "trailing input" else Ok plan
 
-let pp ?names () ppf plan =
-  Format.pp_print_string ppf (to_compact_string ?names plan)
-
 let pp_annotated ?names () ppf annotated =
   let name i = match names with Some a -> leaf_name a i | None -> Printf.sprintf "R%d" i in
   let pe = Blitz_util.Float_more.pp_engineering in

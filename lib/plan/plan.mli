@@ -157,6 +157,5 @@ val of_compact_string : names:string array -> string -> (t, string) result
     parsed multiway node carries an empty cover and [agm = infinity],
     which {!equal} ignores). *)
 
-val pp : ?names:string array -> unit -> Format.formatter -> t -> unit
 val pp_annotated : ?names:string array -> unit -> Format.formatter -> annotated -> unit
 (** Multi-line operator-tree rendering with cardinalities and costs. *)

@@ -71,9 +71,12 @@ let derive_seed ~seed ~topology_index ~level_index =
    bushy plan and exists for tiny-n tests, not for sweeps. *)
 let default_optimizers () = List.filter (fun n -> n <> "bruteforce") (Registry.names ())
 
+(* The true statistics every sweep perturbs. *)
+let mean_card = 1000.0
+let variability = 1.0 /. 3.0
+
 let run ?(mode = Noise.Lognormal) ?optimizers ?(topologies = Topology.all_paper)
-    ?(levels = [ 0.0; 0.5; 1.0; 2.0 ]) ?(seeds = [ 1; 2; 3; 4; 5 ]) ?(mean_card = 1000.0)
-    ?(variability = 1.0 /. 3.0) ?multiway ~n model =
+    ?(levels = [ 0.0; 0.5; 1.0; 2.0 ]) ?(seeds = [ 1; 2; 3; 4; 5 ]) ?multiway ~n model =
   if levels = [] || seeds = [] || topologies = [] then
     invalid_arg "Regret.run: levels, seeds and topologies must be non-empty";
   let optimizers = match optimizers with Some o -> o | None -> default_optimizers () in

@@ -52,25 +52,21 @@ type report = {
   cells : cell list;  (** Topology-major, then level, then optimizer. *)
 }
 
-val default_optimizers : unit -> string list
-(** Every registry optimizer except the [bruteforce] oracle. *)
-
 val run :
   ?mode:Noise.mode ->
   ?optimizers:string list ->
   ?topologies:Topology.t list ->
   ?levels:float list ->
   ?seeds:int list ->
-  ?mean_card:float ->
-  ?variability:float ->
   ?multiway:bool ->
   n:int ->
   Cost_model.t ->
   report
 (** Sweep the grid.  Defaults: lognormal noise, all registry
     optimizers but [bruteforce], the paper's four topologies, levels
-    [0, 0.5, 1, 2] (decades of error), seeds 1-5, [mean_card] 1000,
-    [variability] 1/3.  Optimizers whose caps rule the problem out
+    [0, 0.5, 1, 2] (decades of error), seeds 1-5.  The true
+    statistics are generated with mean cardinality 1000 and
+    variability 1/3, as the report records.  Optimizers whose caps rule the problem out
     ([max_n], [tree_only]) are skipped, not failed.  [multiway] lets
     capable optimizers plan n-ary nodes against the perturbed numbers;
     regret is still judged by re-costing under the true catalog, where

@@ -19,24 +19,28 @@ type config = {
   tenants : Tenant.t list;
   model : Cost_model.t;
   cache : Plan_cache.t option;
-  default_table_bytes : int;
-  max_queue : int;
   shed_queue : int;
   shed_deadline_ms : float;
   max_requests : int option;
   seed : int;
 }
 
+(* The DP-table ceiling for tenants without [table-mb]: an unbounded
+   server is one [n = 40] request away from the OOM killer. *)
+let default_table_bytes = 256 * 1024 * 1024
+
+(* The hard bound on queued work, a memory guard: past it a request is
+   answered [overloaded] without optimizing.  Shedding starts far below
+   it, at [shed_queue]. *)
+let max_queue = 4096
+
 let default_model () = Err.get (Cost_model.of_string "kdnl")
 
 let config ?(host = "127.0.0.1") ?(port = 0) ?(workers = 1) ?(tenants = []) ?model ?cache
-    ?(default_table_bytes = 256 * 1024 * 1024) ?(max_queue = 4096) ?(shed_queue = 16)
-    ?(shed_deadline_ms = 5.) ?max_requests ?(seed = 1) () =
+    ?(shed_queue = 16) ?(shed_deadline_ms = 5.) ?max_requests ?(seed = 1) () =
   if workers < 1 then invalid_arg "Server.config: workers must be at least 1";
   if shed_queue < 1 then invalid_arg "Server.config: shed_queue must be at least 1";
   if shed_deadline_ms <= 0. then invalid_arg "Server.config: shed_deadline_ms must be positive";
-  if max_queue < 1 then invalid_arg "Server.config: max_queue must be at least 1";
-  if default_table_bytes < 1 then invalid_arg "Server.config: default_table_bytes must be positive";
   let model = match model with Some m -> m | None -> default_model () in
   let cache =
     match cache with
@@ -50,8 +54,6 @@ let config ?(host = "127.0.0.1") ?(port = 0) ?(workers = 1) ?(tenants = []) ?mod
     tenants;
     model;
     cache;
-    default_table_bytes;
-    max_queue;
     shed_queue;
     shed_deadline_ms;
     max_requests;
@@ -187,7 +189,7 @@ let run_job t session (job : job) ~shed =
   let tenant = job.tenant in
   let deadline_ms = if shed then Some t.cfg.shed_deadline_ms else tenant.Tenant.deadline_ms in
   let max_table_bytes =
-    Some (Option.value tenant.Tenant.max_table_bytes ~default:t.cfg.default_table_bytes)
+    Some (Option.value tenant.Tenant.max_table_bytes ~default:default_table_bytes)
   in
   let budget = Budget.create ?deadline_ms ?max_table_bytes () in
   let cache_tag = tenant.Tenant.name in
@@ -446,13 +448,13 @@ let handle_line t c line =
         else begin
           Mutex.lock t.lock;
           let depth = Queue.length t.work in
-          if depth >= t.cfg.max_queue then begin
+          if depth >= max_queue then begin
             Mutex.unlock t.lock;
             Metrics.incr t.c_overload;
             send_line t c ~counts:true
               (Protocol.error_response ~id:env.Protocol.id ~code:"overloaded"
                  ~message:
-                   (Err.format ~scope:"serve" "work queue is full (%d requests)" t.cfg.max_queue))
+                   (Err.format ~scope:"serve" "work queue is full (%d requests)" max_queue))
           end
           else begin
             Queue.push
@@ -838,5 +840,3 @@ let stop t =
   Mutex.unlock t.lock;
   wake t;
   wait t
-
-let run cfg = wait (start cfg)

@@ -18,9 +18,9 @@
     deadline-exempt tiers (greedy, estimate-free) in microseconds, the
     queue drains, and {e every} response still carries a plan plus full
     provenance — [shed: true] and the winning tier — rather than an
-    error or a dropped connection.  Only the hard [max_queue] bound
-    (memory protection, default 4096) answers [overloaded] without
-    optimizing.
+    error or a dropped connection.  Only a hard bound of 4,096 queued
+    requests (memory protection, a constant) answers [overloaded]
+    without optimizing.
 
     The same listening socket answers Prometheus scrapes: a connection
     whose first bytes are [GET ] is treated as HTTP/1.0, and
@@ -44,11 +44,6 @@ type config = {
       (** The default tenant is appended when no entry names it. *)
   model : Cost_model.t;
   cache : Plan_cache.t option;  (** Shared across all worker sessions. *)
-  default_table_bytes : int;
-      (** DP-table ceiling for tenants without [table-mb]
-          (default 256 MiB) — an unbounded server is one [n = 40]
-          request away from the OOM killer. *)
-  max_queue : int;  (** Hard bound on queued work, default 4096. *)
   shed_queue : int;
       (** Queue depth at which shedding starts, default 16. *)
   shed_deadline_ms : float;
@@ -67,8 +62,6 @@ val config :
   ?tenants:Tenant.t list ->
   ?model:Cost_model.t ->
   ?cache:Plan_cache.t ->
-  ?default_table_bytes:int ->
-  ?max_queue:int ->
   ?shed_queue:int ->
   ?shed_deadline_ms:float ->
   ?max_requests:int ->
@@ -77,8 +70,11 @@ val config :
   config
 (** Defaults as documented on {!config}; [model] defaults to the
     engine default (kdnl), [cache] to a fresh 4 MiB
-    {!Plan_cache.create}.  Raises [Invalid_argument] on non-positive
-    [workers], [shed_queue], [shed_deadline_ms], or [max_queue]. *)
+    {!Plan_cache.create}.  Tenants without [table-mb] plan under a
+    256 MiB DP-table ceiling (a constant): an unbounded server is one
+    [n = 40] request away from the OOM killer.  Raises
+    [Invalid_argument] on non-positive [workers], [shed_queue] or
+    [shed_deadline_ms]. *)
 
 type t
 
@@ -97,6 +93,3 @@ val wait : t -> unit
 val stop : t -> unit
 (** Ask the loop to exit, then {!wait}.  Queued work is finished and
     flushed first. *)
-
-val run : config -> unit
-(** [start] then [wait] — the CLI entry point. *)

@@ -111,14 +111,3 @@ let parse_spec spec =
         else go (t :: acc) rest)
   in
   go [] chunks
-
-let to_json t =
-  let opt f = function None -> Json.Null | Some v -> f v in
-  Json.Obj
-    [
-      ("name", Json.String t.name);
-      ("deadline_ms", opt (fun x -> Json.Float x) t.deadline_ms);
-      ("max_table_bytes", opt (fun b -> Json.Int b) t.max_table_bytes);
-      ("rps", opt (fun x -> Json.Float x) t.rps);
-      ("burst", opt (fun b -> Json.Int b) t.burst);
-    ]

@@ -30,11 +30,6 @@ val default_name : string
 val default : t
 (** Unlimited tenant under {!default_name}. *)
 
-val make :
-  ?deadline_ms:float -> ?max_table_bytes:int -> ?rps:float -> ?burst:int -> string -> t
-(** Validating constructor.  Raises [Invalid_argument] on an invalid
-    name (must match [[A-Za-z0-9_.-]+]) or non-positive limits. *)
-
 val quota : t -> Quota.t
 (** A fresh bucket for this tenant's [rps]/[burst] (unlimited when both
     are [None]). *)
@@ -43,5 +38,3 @@ val parse_spec : string -> (t list, string) result
 (** Parse the CLI spec string.  Duplicate tenant names, unknown
     settings, and malformed numbers are errors (rendered via
     [Err.format ~scope:"serve"]). *)
-
-val to_json : t -> Blitz_util.Json.t

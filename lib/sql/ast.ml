@@ -25,33 +25,3 @@ type statement =
 let binding_name item = match item.alias with Some a -> a | None -> item.table_name
 
 let pp_position ppf p = Format.fprintf ppf "line %d, column %d" p.line p.column
-
-let pp_column_ref ppf r = Format.fprintf ppf "%s.%s" r.table r.column
-
-let pp_statement ppf = function
-  | Create_table { name; cardinality; _ } ->
-    Format.fprintf ppf "CREATE TABLE %s (CARDINALITY %g);" name cardinality
-  | Select { from; where; order_by; _ } ->
-    Format.fprintf ppf "SELECT * FROM %s"
-      (String.concat ", "
-         (List.map
-            (fun item ->
-              match item.alias with
-              | Some a -> item.table_name ^ " " ^ a
-              | None -> item.table_name)
-            from));
-    (match where with
-    | [] -> ()
-    | first :: rest ->
-      let pp_pred ppf p =
-        Format.fprintf ppf "%a = %a" pp_column_ref p.lhs pp_column_ref p.rhs;
-        match p.selectivity with
-        | Some s -> Format.fprintf ppf " {%g}" s
-        | None -> ()
-      in
-      Format.fprintf ppf " WHERE %a" pp_pred first;
-      List.iter (fun p -> Format.fprintf ppf " AND %a" pp_pred p) rest);
-    (match order_by with
-    | Some c -> Format.fprintf ppf " ORDER BY %a" pp_column_ref c
-    | None -> ());
-    Format.fprintf ppf ";"

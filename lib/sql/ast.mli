@@ -46,4 +46,3 @@ val binding_name : from_item -> string
     table name. *)
 
 val pp_position : Format.formatter -> position -> unit
-val pp_statement : Format.formatter -> statement -> unit

@@ -28,8 +28,6 @@ type bound_query = {
 
 type error = { message : string; error_pos : Ast.position }
 
-val pp_error : Format.formatter -> error -> unit
-
 val bind_select : tables:(string * float) list -> Ast.select -> (bound_query, error) result
 (** [tables] maps table names to cardinalities.  Self-joins are
     supported through aliases; binding names must be unique. *)

@@ -1,26 +1,20 @@
-type align = Left | Right
-
-let default_aligns n = Array.init n (fun i -> if i = 0 then Left else Right)
-
-let render ?aligns ~header rows =
+let render ~header rows =
   let cols = Array.length header in
   Array.iteri
     (fun i row ->
       if Array.length row <> cols then
         invalid_arg (Printf.sprintf "Ascii_table.render: row %d has %d cells, expected %d" i (Array.length row) cols))
     rows;
-  let aligns = match aligns with Some a -> a | None -> default_aligns cols in
-  if Array.length aligns <> cols then invalid_arg "Ascii_table.render: aligns length mismatch";
   let widths = Array.map String.length header in
   Array.iter
     (fun row -> Array.iteri (fun c cell -> widths.(c) <- max widths.(c) (String.length cell)) row)
     rows;
   let buf = Buffer.create 1024 in
+  (* The first column (a label) is left-aligned, the rest (numbers)
+     right-aligned. *)
   let pad c cell =
-    let gap = widths.(c) - String.length cell in
-    match aligns.(c) with
-    | Left -> cell ^ String.make gap ' '
-    | Right -> String.make gap ' ' ^ cell
+    let gap = String.make (widths.(c) - String.length cell) ' ' in
+    if c = 0 then cell ^ gap else gap ^ cell
   in
   let emit_row row =
     Array.iteri
@@ -40,4 +34,4 @@ let render ?aligns ~header rows =
   Array.iter emit_row rows;
   Buffer.contents buf
 
-let print ?aligns ~header rows = print_string (render ?aligns ~header rows)
+let print ~header rows = print_string (render ~header rows)

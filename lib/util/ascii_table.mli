@@ -4,14 +4,12 @@
     benchmark harness prints the same grids as aligned ASCII tables, which
     is the faithful reproducible artifact (see DESIGN.md, substitutions). *)
 
-type align = Left | Right
-
-val render : ?aligns:align array -> header:string array -> string array array -> string
-(** [render ?aligns ~header rows] lays the table out with column widths
-    sized to content, a separator rule under the header, and two spaces
-    between columns.  [aligns] defaults to left for the first column and
-    right for the rest (the common numeric layout).  Raises
+val render : header:string array -> string array array -> string
+(** [render ~header rows] lays the table out with column widths sized
+    to content, a separator rule under the header, and two spaces
+    between columns.  The first column is left-aligned and the rest
+    right-aligned (the common numeric layout).  Raises
     [Invalid_argument] when a row's width differs from the header's. *)
 
-val print : ?aligns:align array -> header:string array -> string array array -> unit
+val print : header:string array -> string array array -> unit
 (** [print] renders to [stdout], followed by a newline. *)

@@ -30,8 +30,6 @@ let within_ulps ?(ulps = 8) x y =
 
 let log2 x = log x /. log 2.0
 
-let clamp ~lo ~hi x = if x < lo then lo else if x > hi then hi else x
-
 let pow_int x k =
   if k < 0 then invalid_arg "Float_more.pow_int: negative exponent";
   let rec go acc base k =

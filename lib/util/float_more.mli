@@ -15,9 +15,6 @@ val within_ulps : ?ulps:int -> float -> float -> bool
 val log2 : float -> float
 (** Base-2 logarithm. *)
 
-val clamp : lo:float -> hi:float -> float -> float
-(** [clamp ~lo ~hi x] forces [x] into [\[lo, hi\]]. *)
-
 val pow_int : float -> int -> float
 (** [pow_int x k] is [x] raised to the non-negative integer power [k] by
     repeated squaring (exact for small integral inputs, unlike [( ** )]). *)

@@ -37,10 +37,6 @@ val catalog : spec -> Catalog.t
 (** The appendix cardinality ladder: [|R_i| = mu^(1 - v + 2vi/(n-1))],
     whose geometric mean is exactly [mu]. *)
 
-val graph : spec -> Join_graph.t
-(** Topology wiring with appendix selectivities targeting result
-    cardinality [mu]. *)
-
 val problem : spec -> Catalog.t * Join_graph.t
 
 val describe : spec -> string

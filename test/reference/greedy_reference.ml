@@ -9,7 +9,6 @@ module Catalog = Blitz_catalog.Catalog
 module Join_graph = Blitz_graph.Join_graph
 module Cost_model = Blitz_cost.Cost_model
 module Plan = Blitz_plan.Plan
-module Greedy = Blitz_baselines.Greedy
 
 let pi_span graph u v =
   if not (Relset.disjoint u v) then invalid_arg "Join_graph.pi_span: sets intersect";
@@ -23,7 +22,7 @@ let pi_span graph u v =
 
 type component = { plan : Plan.t; set : int; card : float }
 
-let optimize ?(strategy = Greedy.Min_result_card) model catalog graph =
+let optimize model catalog graph =
   let n = Catalog.n catalog in
   if Join_graph.n graph <> n then invalid_arg "Greedy.optimize: graph/catalog size mismatch";
   let components =
@@ -34,11 +33,7 @@ let optimize ?(strategy = Greedy.Min_result_card) model catalog graph =
   let total_cost = ref 0.0 in
   let merge_score a b =
     let out = a.card *. b.card *. pi_span graph a.set b.set in
-    let join_cost = Cost_model.kappa model ~out ~lcard:a.card ~rcard:b.card in
-    let score =
-      match strategy with Greedy.Min_result_card -> out | Greedy.Min_cost_increase -> join_cost
-    in
-    (score, out, join_cost)
+    (out, Cost_model.kappa model ~out ~lcard:a.card ~rcard:b.card)
   in
   while List.length !components > 1 do
     let best = ref None in
@@ -47,17 +42,17 @@ let optimize ?(strategy = Greedy.Min_result_card) model catalog graph =
       | a :: rest ->
         List.iter
           (fun b ->
-            let score, out, join_cost = merge_score a b in
+            let out, join_cost = merge_score a b in
             match !best with
-            | Some (s, _, _, _, _) when s <= score -> ()
-            | Some _ | None -> best := Some (score, a, b, out, join_cost))
+            | Some (s, _, _, _) when s <= out -> ()
+            | Some _ | None -> best := Some (out, a, b, join_cost))
           rest;
         scan rest
     in
     scan !components;
     match !best with
     | None -> assert false
-    | Some (_, a, b, out, join_cost) ->
+    | Some (out, a, b, join_cost) ->
       total_cost := !total_cost +. join_cost;
       let merged = { plan = Plan.Join (a.plan, b.plan); set = a.set lor b.set; card = out } in
       components := merged :: List.filter (fun c -> c.set <> a.set && c.set <> b.set) !components

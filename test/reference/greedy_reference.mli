@@ -9,7 +9,6 @@ val pi_span : Blitz_graph.Join_graph.t -> Blitz_bitset.Relset.t -> Blitz_bitset.
 (** Same contract as [Join_graph.pi_span]. *)
 
 val optimize :
-  ?strategy:Blitz_baselines.Greedy.strategy ->
   Blitz_cost.Cost_model.t ->
   Blitz_catalog.Catalog.t ->
   Blitz_graph.Join_graph.t ->

@@ -239,7 +239,6 @@ let test_lru_eviction () =
     let catalog, graph = lru_problem k in
     let s = fingerprint ~model catalog (Some graph) in
     Plan_cache.store cache s ~optimizer:"exact" ~plan:(balanced_plan 6) ~cost:(float_of_int k)
-      ~passes:1 ~final_threshold:infinity
   in
   let find k =
     let catalog, graph = lru_problem k in
@@ -273,7 +272,7 @@ let test_lru_recency_refresh () =
   in
   let store k =
     Plan_cache.store cache (scratch_of k) ~optimizer:"exact" ~plan:(balanced_plan 6)
-      ~cost:(float_of_int k) ~passes:1 ~final_threshold:infinity
+      ~cost:(float_of_int k)
   in
   store 0;
   store 1;
@@ -294,8 +293,7 @@ let test_duplicate_store_is_refresh () =
   let cache = Plan_cache.create () in
   let s = fingerprint ~model base_catalog (Some base_graph) in
   let store () =
-    Plan_cache.store cache s ~optimizer:"exact" ~plan:(balanced_plan 6) ~cost:1.0 ~passes:1
-      ~final_threshold:infinity
+    Plan_cache.store cache s ~optimizer:"exact" ~plan:(balanced_plan 6) ~cost:1.0
   in
   store ();
   store ();
@@ -309,8 +307,7 @@ let test_optimizer_keys_are_distinct () =
   let model = Cost_model.kdnl in
   let cache = Plan_cache.create () in
   let s = fingerprint ~model base_catalog (Some base_graph) in
-  Plan_cache.store cache s ~optimizer:"exact" ~plan:(balanced_plan 6) ~cost:1.0 ~passes:1
-    ~final_threshold:infinity;
+  Plan_cache.store cache s ~optimizer:"exact" ~plan:(balanced_plan 6) ~cost:1.0;
   Alcotest.(check bool) "exact finds it" true
     (Plan_cache.find cache s ~optimizer:"exact" <> None);
   Alcotest.(check bool) "dpsize does not" true
@@ -345,8 +342,7 @@ let test_live_heap_flat () =
     for k = lo to hi - 1 do
       let catalog, graph = distinct_problem k in
       Fingerprint.compute s ~model_digest:digest catalog (Some graph);
-      Plan_cache.store cache s ~optimizer:"exact" ~plan ~cost:(float_of_int (k + 1)) ~passes:1
-        ~final_threshold:infinity
+      Plan_cache.store cache s ~optimizer:"exact" ~plan ~cost:(float_of_int (k + 1))
     done;
     Gc.full_major ();
     (Gc.stat ()).Gc.live_words
@@ -438,18 +434,27 @@ let test_guard_bypasses_on_repairs () =
 
 let test_eligibility_charges_cache_bytes () =
   (* Cache residency shares the table memory ceiling: the same budget
-     that admits the exact tier with an empty cache refuses it when the
-     cache already holds the headroom. *)
+     that admits the exact tier while the session cache is empty refuses
+     it once the cache holds an entry. *)
+  let model = Cost_model.kdnl in
   let n = Catalog.n base_catalog in
-  let table = Budget.table_bytes ~n () in
-  let budget = Budget.create ~max_table_bytes:(table + 1024) () in
-  Budget.start budget;
-  Alcotest.(check bool) "fits with empty cache" true
-    (Degrade.eligibility ~budget Degrade.Exact base_catalog base_graph = None);
-  (match Degrade.eligibility ~cache_bytes:4096 ~budget Degrade.Exact base_catalog base_graph with
-  | Some (Degrade.Memory _) -> ()
-  | Some _ -> Alcotest.fail "expected a memory skip"
-  | None -> Alcotest.fail "cache bytes were not charged against the ceiling")
+  let cache = Plan_cache.create () in
+  Engine.with_session ~model ~cache (fun session ->
+      let table = Blitz_core.Arena.bytes_after (Engine.arena session) ~n () in
+      let budget = Budget.create ~max_table_bytes:table () in
+      let eligibility () =
+        Budget.start budget;
+        Degrade.eligibility ~session ~budget Degrade.Exact base_catalog base_graph
+      in
+      Alcotest.(check bool) "fits with empty cache" true (eligibility () = None);
+      ignore (Result.get_ok (Guard.optimize ~session model base_catalog base_graph));
+      Alcotest.(check bool) "the cache holds the plan" true (Plan_cache.resident_bytes cache > 0);
+      Alcotest.(check int) "the arena is charged as before" table
+        (Blitz_core.Arena.bytes_after (Engine.arena session) ~n ());
+      match eligibility () with
+      | Some (Degrade.Memory _) -> ()
+      | Some _ -> Alcotest.fail "expected a memory skip"
+      | None -> Alcotest.fail "cache bytes were not charged against the ceiling")
 
 let test_sessions_without_cache_opt_out () =
   let model = Cost_model.kdnl in

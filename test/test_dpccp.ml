@@ -25,6 +25,15 @@ let chain_ccp n = ((n * n * n) - n) / 6
 let star_ccp n = (n - 1) * (1 lsl (n - 2))
 let clique_ccp n = Blitz_core.Counters.exact_loop_iters n
 
+(* The enumerator's counts, as a DPccp run reports them: the connected
+   sets it reaches and the csg-cmp pairs it folds. *)
+let run g =
+  let n = Join_graph.n g in
+  Dpccp.optimize Cost_model.naive (Catalog.uniform ~n ~card:100.0) g
+
+let connected_sets g = (run g).Dpccp.connected_sets
+let ccp_pairs g = (run g).Dpccp.ccp_pairs
+
 let test_csg_counts () =
   (* Chains: n(n+1)/2 connected subgraphs; cliques: 2^n - 1;
      stars: n + (2^(n-1) - 1) (hub subsets plus singletons). *)
@@ -33,15 +42,15 @@ let test_csg_counts () =
       Alcotest.(check int)
         (Printf.sprintf "chain csg n=%d" n)
         (n * (n + 1) / 2)
-        (Ccp_enum.csg_count (graph_of Topology.Chain n));
+        (connected_sets (graph_of Topology.Chain n));
       Alcotest.(check int)
         (Printf.sprintf "star csg n=%d" n)
         (n + (1 lsl (n - 1)) - 1)
-        (Ccp_enum.csg_count (graph_of Topology.Star n));
+        (connected_sets (graph_of Topology.Star n));
       Alcotest.(check int)
         (Printf.sprintf "clique csg n=%d" n)
         ((1 lsl n) - 1)
-        (Ccp_enum.csg_count (graph_of Topology.Clique n)))
+        (connected_sets (graph_of Topology.Clique n)))
     [ 2; 3; 5; 8; 10 ]
 
 let backends = [ ("dense", `Dense); ("sparse", `Sparse) ]
@@ -88,10 +97,9 @@ let test_overflowing_statistics () =
       let r = Dpccp.optimize ~backend Cost_model.naive catalog graph in
       Alcotest.(check bool) (name ^ ": no plan") true (r.Dpccp.plan = None);
       check_float (name ^ ": infinite cost") Float.infinity r.Dpccp.cost;
-      Alcotest.(check int) (name ^ ": every connected set reached") (Ccp_enum.csg_count graph)
+      Alcotest.(check int) (name ^ ": every connected set reached") (3 * 4 / 2)
         r.Dpccp.connected_sets;
-      Alcotest.(check int) (name ^ ": every pair folded") (Ccp_enum.ccp_count graph)
-        r.Dpccp.ccp_pairs)
+      Alcotest.(check int) (name ^ ": every pair folded") (chain_ccp 3) r.Dpccp.ccp_pairs)
     backends
 
 let test_small_chain_plan () =
@@ -172,14 +180,13 @@ let test_enum_matches_baseline () =
           for s = 1 to (1 lsl n) - 1 do
             if Join_graph.is_connected_subset g s then incr connected
           done;
-          Alcotest.(check int) (Printf.sprintf "%s csg n=%d" name n) !connected
-            (Ccp_enum.csg_count g);
+          Alcotest.(check int) (Printf.sprintf "%s csg n=%d" name n) !connected (connected_sets g);
           let dpsize =
             Dpsize.optimize ~cartesian:false Cost_model.naive (Catalog.uniform ~n ~card:100.0) g
           in
           Alcotest.(check int)
             (Printf.sprintf "%s ccp n=%d" name n)
-            dpsize.Dpsize.joins_built (Ccp_enum.ccp_count g))
+            dpsize.Dpsize.joins_built (ccp_pairs g))
         [ 3; 5; 8; 10 ])
     [ Topology.Chain; Topology.Cycle_plus 0; Topology.Star; Topology.Clique ]
 
@@ -189,15 +196,15 @@ let test_enum_closed_forms () =
       Alcotest.(check int)
         (Printf.sprintf "chain ccp n=%d" n)
         (chain_ccp n)
-        (Ccp_enum.ccp_count (graph_of Topology.Chain n));
+        (ccp_pairs (graph_of Topology.Chain n));
       Alcotest.(check int)
         (Printf.sprintf "star ccp n=%d" n)
         (star_ccp n)
-        (Ccp_enum.ccp_count (graph_of Topology.Star n));
+        (ccp_pairs (graph_of Topology.Star n));
       Alcotest.(check int)
         (Printf.sprintf "clique ccp n=%d" n)
         (clique_ccp n)
-        (Ccp_enum.ccp_count (graph_of Topology.Clique n)))
+        (ccp_pairs (graph_of Topology.Clique n)))
     [ 2; 3; 5; 8; 10 ]
 
 (* An index-ordered path 0-1-2-3-4 (Topology.Chain wires the paper's
@@ -275,13 +282,13 @@ let prop_sparse_matches_dense =
       | Some _, None | None, Some _ -> false)
 
 let test_dpccp_counts_and_table () =
-  (* connected_sets/ccp_pairs surface exactly the enumerator's counts;
-     the dense backend exposes its DP table, the sparse one does not. *)
+  (* connected_sets/ccp_pairs are the chain's closed-form counts; the
+     dense backend exposes its DP table, the sparse one does not. *)
   let g = graph_of Topology.Chain 8 in
   let catalog = Catalog.uniform ~n:8 ~card:100.0 in
   let d = Dpccp.optimize ~backend:`Dense Cost_model.naive catalog g in
-  Alcotest.(check int) "connected sets" (Ccp_enum.csg_count g) d.Dpccp.connected_sets;
-  Alcotest.(check int) "ccp pairs" (Ccp_enum.ccp_count g) d.Dpccp.ccp_pairs;
+  Alcotest.(check int) "connected sets" (8 * 9 / 2) d.Dpccp.connected_sets;
+  Alcotest.(check int) "ccp pairs" (chain_ccp 8) d.Dpccp.ccp_pairs;
   Alcotest.(check bool) "dense table exposed" true (d.Dpccp.table <> None);
   Alcotest.(check bool) "dense backend reported" true (d.Dpccp.backend = Dpccp.Dense);
   let s = Dpccp.optimize ~backend:`Sparse Cost_model.naive catalog g in

@@ -15,8 +15,7 @@ let test_table_basics () =
   in
   Alcotest.(check int) "rows" 2 (Table.n_rows t);
   Alcotest.(check int) "cols" 2 (Table.n_columns t);
-  Alcotest.(check (option int)) "column_index" (Some 1) (Table.column_index t "x");
-  Alcotest.(check (option int)) "column_index miss" None (Table.column_index t "y");
+  Alcotest.(check (array string)) "columns" [| "id"; "x" |] (Table.columns t);
   Alcotest.(check int) "get" 7 (Table.get t ~row:1 ~col:1);
   Alcotest.(check (array int)) "row copy" [| 0; 5 |] (Table.row t 0)
 
@@ -87,8 +86,8 @@ let test_datagen_shapes () =
   Alcotest.(check int) "t rows" 20 (Table.n_rows data.Datagen.tables.(2));
   (* s participates in both predicates: id + two join columns. *)
   Alcotest.(check int) "s columns" 3 (Table.n_columns data.Datagen.tables.(1));
-  Alcotest.(check (option int)) "shared attribute present" (Some 1)
-    (Table.column_index data.Datagen.tables.(0) (Datagen.edge_attribute 0 1));
+  Alcotest.(check string) "shared attribute present" (Datagen.edge_attribute 0 1)
+    (Table.columns data.Datagen.tables.(0)).(1);
   Test_helpers.check_float "realized selectivity 0.01" 0.01
     (Datagen.realized_selectivity graph 0 1);
   (* max_rows guard *)

@@ -4,6 +4,7 @@
 
 open Test_helpers
 module Blitzsplit = Blitz_core.Blitzsplit
+module Dp_table = Blitz_core.Dp_table
 module Registry = Blitz_engine.Registry
 module Engine = Blitz_engine.Engine
 module Workload = Blitz_workload.Workload
@@ -35,15 +36,15 @@ let test_budget_basics () =
   Alcotest.check_raises "non-positive ceiling"
     (Invalid_argument "Budget.create: memory ceiling 0 B is not positive") (fun () ->
       ignore (Budget.create ~max_table_bytes:0 ()));
-  Alcotest.(check int) "table footprint n=10" (40 * 1024) (Budget.table_bytes ~n:10 ());
-  Alcotest.(check int) "footprint saturates" max_int (Budget.table_bytes ~n:60 ());
+  let table n = Dp_table.estimate_bytes ~n () in
+  Alcotest.(check int) "table footprint n=10" (40 * 1024) (table 10);
+  Alcotest.(check int) "footprint saturates" max_int (table 60);
   let b = Budget.create ~max_table_bytes:(40 * 1024) () in
-  Alcotest.(check bool) "n=10 fits exactly" true (Budget.admits_table b ~n:10);
-  Alcotest.(check bool) "n=11 does not" false (Budget.admits_table b ~n:11);
+  Alcotest.(check bool) "n=10 fits exactly" true (Budget.admits_bytes b (table 10));
+  Alcotest.(check bool) "n=11 does not" false (Budget.admits_bytes b (table 11));
   let u = Budget.unlimited () in
   Alcotest.(check bool) "unlimited never expires" false (Budget.expired u);
-  Alcotest.(check bool) "unlimited admits anything" true (Budget.admits_table u ~n:24);
-  check_float "unlimited remaining" Float.infinity (Budget.remaining_ms u)
+  Alcotest.(check bool) "unlimited admits anything" true (Budget.admits_bytes u (table 24))
 
 (* ---- sanitization ---- *)
 
@@ -143,7 +144,7 @@ let test_memory_cap_skips_to_hybrid () =
   let catalog, graph = topology_problem ~n:12 Topology.Chain in
   (* Ceiling below the 40 * 2^12 B table: both DP tiers must skip
      BEFORE allocating, with the footprint in the provenance. *)
-  let budget = Budget.create ~max_table_bytes:(Budget.table_bytes ~n:12 () - 1) () in
+  let budget = Budget.create ~max_table_bytes:(Dp_table.estimate_bytes ~n:12 () - 1) () in
   match Guard.optimize ~budget Cost_model.kdnl catalog graph with
   | Error e -> Alcotest.failf "guard failed: %s" (Guard.error_message e)
   | Ok o ->
@@ -156,10 +157,10 @@ let test_memory_cap_skips_to_hybrid () =
           (* The exact tier's pass also takes the per-rank subset
              lists. *)
           Alcotest.(check int) "needed bytes recorded"
-            (Budget.table_bytes ~n:12 () + Blitz_core.Live_index.estimate_bytes ~n:12)
+            (Dp_table.estimate_bytes ~n:12 () + Blitz_core.Live_index.estimate_bytes ~n:12)
             needed_bytes
         | Degrade.Dpccp, Degrade.Skipped (Degrade.Memory { needed_bytes; _ }) ->
-          Alcotest.(check int) "needed bytes recorded" (Budget.table_bytes ~n:12 ()) needed_bytes
+          Alcotest.(check int) "needed bytes recorded" (Dp_table.estimate_bytes ~n:12 ()) needed_bytes
         | (Degrade.Exact | Degrade.Dpccp), _ -> Alcotest.fail "DP tier was not memory-skipped"
         | _ -> ())
       o.Guard.provenance.Degrade.attempts;
@@ -196,7 +197,7 @@ let test_session_charges_what_tiers_draw () =
           match (a.Degrade.tier, a.Degrade.status) with
           | Degrade.Exact, Degrade.Skipped (Degrade.Memory { needed_bytes; _ }) ->
             Alcotest.(check int) "exact is charged table and lists"
-              (Budget.table_bytes ~n () + Blitz_core.Live_index.estimate_bytes ~n)
+              (Dp_table.estimate_bytes ~n () + Blitz_core.Live_index.estimate_bytes ~n)
               needed_bytes
           | Degrade.Exact, _ -> Alcotest.fail "the exact tier was not memory-skipped"
           | _ -> ())

@@ -78,10 +78,8 @@ let chain3 () =
   let graph = Join_graph.of_edges ~n:3 [ (0, 1, 0.01); (1, 2, 0.02) ] in
   (catalog, graph)
 
-let test_logical_and_order_of () =
+let test_order_of () =
   let p = O.Merge_join (O.Sort (O.Scan 0, 1), O.Sort (O.Nested_loop (O.Scan 1, O.Scan 2), 1), 1) in
-  Alcotest.(check bool) "logical strips physics" true
-    (Plan.equal (O.logical p) Plan.(Join (Leaf 0, Join (Leaf 1, Leaf 2))));
   Alcotest.(check (option int)) "order delivered" (Some 1) (O.order_of p);
   Alcotest.(check (option int)) "scan unordered" None (O.order_of (O.Scan 0));
   Alcotest.(check (option int)) "NL preserves outer order" (Some 0)
@@ -175,13 +173,19 @@ let prop_matches_oracle_with_required_order =
         Blitz_util.Float_more.approx_equal ~rel:1e-6 r.O.cost oracle_cost
         && O.order_of r.O.plan = Some e)
 
+(* The relations a physical plan scans. *)
+let rec scanned = function
+  | O.Scan r -> Relset.singleton r
+  | O.Sort (p, _) -> scanned p
+  | O.Nested_loop (l, r) | O.Merge_join (l, r, _) -> Relset.union (scanned l) (scanned r)
+
 let prop_result_always_recostable =
   QCheck2.Test.make ~count:80 ~name:"returned physical plans re-cost to the reported optimum"
     ~print:problem_print (problem_gen ~max_n:7)
     (fun p ->
       let r = O.optimize p.catalog p.graph in
       let n = Catalog.n p.catalog in
-      Relset.equal (Plan.relations (O.logical r.O.plan)) (Relset.full n)
+      Relset.equal (scanned r.O.plan) (Relset.full n)
       && Blitz_util.Float_more.approx_equal ~rel:1e-6
            (O.phys_cost p.catalog p.graph r.O.plan)
            r.O.cost)
@@ -195,7 +199,7 @@ let prop_never_worse_than_reference =
 
 let suite =
   [
-    Alcotest.test_case "logical projection and delivered order" `Quick test_logical_and_order_of;
+    Alcotest.test_case "delivered order" `Quick test_order_of;
     Alcotest.test_case "phys_cost validation" `Quick test_phys_cost_rejects_bad_merge;
     Alcotest.test_case "result recosts to reported cost" `Quick test_result_cost_is_recostable;
     Alcotest.test_case "never worse than min(ksm,kdnl)" `Quick

@@ -221,10 +221,10 @@ let test_parallel_deadline_aborts_within_one_chunk () =
 (* {1 Lazy fan column} *)
 
 let test_table_bytes_reflects_fan_column () =
-  Alcotest.(check int) "40 bytes/slot with fan" (40 * 1024) (Budget.table_bytes ~n:10 ());
+  Alcotest.(check int) "40 bytes/slot with fan" (40 * 1024) (Dp_table.estimate_bytes ~n:10 ());
   Alcotest.(check int)
     "32 bytes/slot without fan" (32 * 1024)
-    (Budget.table_bytes ~with_pi_fan:false ~n:10 ());
+    (Dp_table.estimate_bytes ~with_pi_fan:false ~n:10 ());
   let t = Dp_table.create ~with_pi_fan:false 4 in
   Alcotest.(check bool) "fanless table" false (Dp_table.has_pi_fan t);
   check_float "fanless pi_fan reads as 1.0" 1.0 (Dp_table.pi_fan t 0b0101);

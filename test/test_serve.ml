@@ -22,6 +22,7 @@ module Engine = Blitz_engine.Engine
 module Registry = Blitz_engine.Registry
 module Plan_cache = Blitz_cache.Plan_cache
 module Degrade = Blitz_guard.Degrade
+module Guard = Blitz_guard.Guard
 
 (* ---- codec ---- *)
 
@@ -174,17 +175,15 @@ let test_tenant_spec () =
   bad "a b:rps=1";
   bad "acme;acme"
 
-(* ---- engine-level cache partitioning (the seam the server rides) ---- *)
+(* ---- cache partitioning on the server's path (the guard's cache round) ---- *)
 
 let test_cache_tag_partitions () =
   let cache = Plan_cache.create () in
   Engine.with_session ~cache (fun s ->
-      let problem =
-        Registry.problem
-          ~graph:(Blitz_graph.Join_graph.of_edges ~n:3 [ (0, 1, 0.1); (1, 2, 0.01) ])
-          (Blitz_catalog.Catalog.of_list [ ("a", 100.); ("b", 10.); ("c", 50.) ])
-      in
-      let _ = Engine.optimize ~cache_tag:"acme" s problem in
+      let graph = Blitz_graph.Join_graph.of_edges ~n:3 [ (0, 1, 0.1); (1, 2, 0.01) ] in
+      let catalog = Blitz_catalog.Catalog.of_list [ ("a", 100.); ("b", 10.); ("c", 50.) ] in
+      let problem = Registry.problem ~graph catalog in
+      let _ = Guard.optimize ~session:s ~cache_tag:"acme" Blitz_cost.Cost_model.kdnl catalog graph in
       Alcotest.(check bool) "tagged hit" true
         (Engine.cache_find ~cache_tag:"acme" s ~optimizer:"exact" problem <> None);
       Alcotest.(check bool) "other tenant misses" true
@@ -270,8 +269,7 @@ let test_tenant_cache_isolation () =
             (expect_string [ "result"; "plan" ] r1)
             (expect_string [ "result"; "plan" ] r3)))
 
-let valid_tiers =
-  [ "exact"; "dpccp"; "hybrid"; "ikkbz"; "greedy"; "simpli-squared" ]
+let valid_tiers = [ "exact"; "dpccp"; "hybrid"; "greedy"; "simpli-squared" ]
 
 let test_overload_sheds_with_provenance () =
   (* One worker, shedding from depth 1: a pipelined burst must drain
@@ -307,6 +305,77 @@ let test_overload_sheds_with_provenance () =
           Alcotest.(check bool)
             (Printf.sprintf "burst shed through the cascade (%d/%d)" !sheds burst)
             true (!sheds >= 1)))
+
+(* The server's queue holds at most 4,096 requests.  One worker is kept
+   busy by an n = 19 clique under kappa_0 (about a second on one core),
+   far longer than the event loop takes to read a pipelined burst of
+   small requests behind it: the first 4,096 queue and are answered
+   with plans, each request past them gets a typed [overloaded] error at
+   once, and the server still answers afterwards. *)
+let test_queue_bound_overloads () =
+  let max_queue = 4096 and surplus = 64 in
+  let burst = max_queue + surplus in
+  with_server (Server.config ~port:0 ~workers:1 ~model:Blitz_cost.Cost_model.naive ())
+    (fun port ->
+      let ((ic, oc) as c) = connect port in
+      Fun.protect ~finally:(fun () -> close_client c) (fun () ->
+          let send line =
+            output_string oc line;
+            output_char oc '\n'
+          in
+          send {|{"blitz":1,"id":0,"method":"optimize","params":{"n":19,"topology":"clique"}}|};
+          flush oc;
+          (* Wait until the worker has taken the slow query off the queue. *)
+          let rec drained k =
+            let h = rpc c (Printf.sprintf {|{"blitz":1,"id":%d,"method":"health"}|} (-k)) in
+            match get_field [ "result"; "queue_depth" ] h with
+            | Some (Json.Int 0) -> ()
+            | _ when k < 200 ->
+              Unix.sleepf 0.005;
+              drained (k + 1)
+            | _ -> Alcotest.fail "the worker never took the slow query"
+          in
+          drained 1;
+          for i = 1 to burst do
+            send
+              (Printf.sprintf
+                 {|{"blitz":1,"id":%d,"method":"optimize","params":{"n":4,"topology":"chain"}}|} i)
+          done;
+          flush oc;
+          let responses = Hashtbl.create burst in
+          for _ = 0 to burst do
+            match input_line ic with
+            | exception End_of_file -> Alcotest.fail "server closed the connection early"
+            | line -> (
+              let v = Blitz_util.Err.get (Json.of_string line) in
+              match Json.member "id" v with
+              | Some (Json.Int id) ->
+                if Hashtbl.mem responses id then Alcotest.failf "request %d answered twice" id;
+                Hashtbl.add responses id v
+              | _ -> Alcotest.failf "response without an id: %s" line)
+          done;
+          let overloaded = ref 0 in
+          for id = 0 to burst do
+            match Hashtbl.find_opt responses id with
+            | None -> Alcotest.failf "request %d never answered" id
+            | Some v when id > max_queue ->
+              expect_bool (Printf.sprintf "request %d refused" id) [ "ok" ] v false;
+              Alcotest.(check string)
+                (Printf.sprintf "request %d typed overloaded" id)
+                "overloaded"
+                (expect_string [ "error"; "code" ] v);
+              incr overloaded
+            | Some v ->
+              expect_bool (Printf.sprintf "request %d ok" id) [ "ok" ] v true;
+              let tier = expect_string [ "result"; "tier" ] v in
+              Alcotest.(check bool)
+                (Printf.sprintf "request %d tier %s valid" id tier)
+                true (List.mem tier valid_tiers);
+              ignore (expect_string [ "result"; "plan" ] v)
+          done;
+          Alcotest.(check int) "the surplus was refused" surplus !overloaded;
+          let h = rpc c {|{"blitz":1,"id":"after","method":"health"}|} in
+          expect_bool "healthy afterwards" [ "ok" ] h true))
 
 let test_malformed_line_keeps_connection () =
   with_server (Server.config ~port:0 ()) (fun port ->
@@ -434,6 +503,8 @@ let suite =
     Alcotest.test_case "server: tenant cache isolation" `Quick test_tenant_cache_isolation;
     Alcotest.test_case "server: overload sheds with provenance" `Quick
       test_overload_sheds_with_provenance;
+    Alcotest.test_case "server: a burst past the queue bound is refused, typed" `Quick
+      test_queue_bound_overloads;
     Alcotest.test_case "server: malformed line keeps the connection" `Quick
       test_malformed_line_keeps_connection;
     Alcotest.test_case "server: interleaved partial lines" `Quick test_interleaved_partial_lines;

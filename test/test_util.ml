@@ -85,8 +85,6 @@ let test_float_more () =
   check_float "pow_int" 1024.0 (Float_more.pow_int 2.0 10);
   check_float "pow_int zero" 1.0 (Float_more.pow_int 5.0 0);
   check_float "log2" 10.0 (Float_more.log2 1024.0);
-  check_float "clamp low" 1.0 (Float_more.clamp ~lo:1.0 ~hi:2.0 0.5);
-  check_float "clamp high" 2.0 (Float_more.clamp ~lo:1.0 ~hi:2.0 3.0);
   Alcotest.(check string) "compact int" "240000" (Float_more.to_compact_string 240000.0);
   Alcotest.(check string) "compact inf" "inf" (Float_more.to_compact_string Float.infinity)
 
