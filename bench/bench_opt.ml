@@ -7,10 +7,9 @@
 
 module Registry = Blitz_engine.Registry
 
-let run ?(optimizer = "exact") ?arena ?pool ?counters ?threshold ?seed ?multiway model catalog
-    graph =
+let run ?(optimizer = "exact") ?arena ?pool ?counters ?threshold ?seed model catalog graph =
   Registry.optimize ~optimizer
-    (Registry.ctx ?arena ?pool ?counters ?threshold ?seed ?multiway model)
+    (Registry.ctx ?arena ?pool ?counters ?threshold ?seed model)
     { Registry.catalog; graph }
 
 let cost ?optimizer ?arena ?pool ?counters ?threshold ?seed model catalog graph =

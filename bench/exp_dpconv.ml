@@ -58,11 +58,6 @@ let rec plan_bottleneck catalog graph = function
     Float.max
       (Plan.cardinality catalog graph p)
       (Float.max (plan_bottleneck catalog graph l) (plan_bottleneck catalog graph r))
-  | Plan.Multiway { inputs; _ } as p ->
-    List.fold_left
-      (fun acc input -> Float.max acc (plan_bottleneck catalog graph input))
-      (Plan.cardinality catalog graph p)
-      inputs
 
 type point = { n : int; seconds : float; cost : float; work : int; product_free : bool }
 

@@ -2,7 +2,7 @@
 
    Usage:  dune exec bench/main.exe [--] [--json FILE] [experiment ...]
    Experiments: table1 fig2 fig4 fig5 fig6 counts compare ablation
-   models parallel split dpconv hyper throughput obs cache robust serve
+   models parallel split dpconv throughput obs cache robust serve
    bechamel all (default: all).  [--json FILE] arms the
    shared Bench_json collector: experiments that emit records get them
    written to FILE as one blitz-bench/1 document at exit.  Environment:
@@ -23,7 +23,6 @@ let experiments =
     ("parallel", Exp_parallel.run);
     ("split", Exp_split.run);
     ("dpconv", Exp_dpconv.run);
-    ("hyper", Exp_hyper.run);
     ("throughput", Exp_throughput.run);
     ("obs", Exp_obs.run);
     ("cache", Exp_cache.run);

@@ -5,7 +5,6 @@
      compare    run every optimizer in the repository on one query
      workload   emit an appendix-style benchmark workload as a SQL script
      regret     measure plan-cost regret under cardinality-estimate error
-     counters   show instrumentation counters for one optimization
 
    Examples:
      blitz optimize --sql query.sql --model kdnl --annotate
@@ -239,11 +238,9 @@ let print_cache_line cache =
       s.Plan_cache.hits s.Plan_cache.rebases s.Plan_cache.misses s.Plan_cache.insertions
 
 (* Whether [entry]'s DP ran rank-parallel in [session]: the entry runs
-   on a pool, the session hands one out at this size, and no n-ary
-   planning kept the pass sequential. *)
-let ran_on_pool session (entry : Registry.entry) ~multiway ~n =
-  entry.Registry.caps.Registry.parallelizable && (not multiway)
-  && Option.is_some (Engine.pool session ~n)
+   on a pool, and the session hands one out at this size. *)
+let ran_on_pool session (entry : Registry.entry) ~n =
+  entry.Registry.caps.Registry.parallelizable && Option.is_some (Engine.pool session ~n)
 
 (* The session width --num-domains asks for: 0 is the runtime's
    recommended count. *)
@@ -409,17 +406,9 @@ let optimize_cmd =
                 against the entry's capability metadata, so e.g. hybrid takes queries of any \
                 size and dpccp sparse ones far beyond the dense DP-table cap.")
   in
-  let multiway_arg =
-    Arg.(
-      value & flag
-      & info [ "multiway" ]
-          ~doc:"Let capable optimizers (exact, dpccp) plan n-ary hash-join nodes \
-                on cyclic cores, costed by an AGM-derived fractional edge cover.  Acyclic \
-                queries are structurally unaffected; incapable optimizers ignore the flag.")
-  in
   let run problem model threshold growth dump_table annotate execute seed physical degrade
       deadline_ms max_table_mb num_domains cache repeat metrics trace scramble corrupt_seed
-      multiway optimizer_name =
+      optimizer_name =
     obs_arm ~metrics ~trace;
     let names = Catalog.names problem.catalog in
     let num_domains = session_width num_domains in
@@ -481,8 +470,7 @@ let optimize_cmd =
       match
         Engine.with_session ~model ~num_domains ?cache (fun session ->
             repeated repeat (fun () ->
-                Guard.optimize ~budget ~session ~seed ~multiway model problem.catalog
-                  problem.graph))
+                Guard.optimize ~budget ~session ~seed model problem.catalog problem.graph))
       with
       | Error e ->
         Printf.eprintf "blitz: %s\n" (Guard.error_message e);
@@ -557,7 +545,7 @@ let optimize_cmd =
     let t0 = Blitz_util.Clock.now_s () in
     let outcome =
       repeated repeat (fun () ->
-          Engine.optimize ~optimizer ?threshold ?growth ~multiway session prob)
+          Engine.optimize ~optimizer ?threshold ?growth session prob)
     in
     let elapsed = Blitz_util.Clock.now_s () -. t0 in
     let plan =
@@ -574,17 +562,14 @@ let optimize_cmd =
     in
     Printf.printf "query:      %s\n" problem.label;
     Printf.printf "model:      %s\n" model.Cost_model.name;
-    if ran_on_pool session (Registry.find_exn optimizer) ~multiway ~n:(Catalog.n problem.catalog)
-    then print_domains (Engine.num_domains session);
+    if ran_on_pool session (Registry.find_exn optimizer) ~n:(Catalog.n problem.catalog) then
+      print_domains (Engine.num_domains session);
     Printf.printf "plan:       %s\n" (Plan.to_compact_string ~names plan);
     Printf.printf "cost:       %g\n" outcome.Registry.cost;
     Printf.printf "cardinality:%g\n" (Plan.cardinality problem.catalog problem.graph plan);
     Printf.printf "shape:      %s, %d cartesian product(s)\n"
       (if Plan.is_left_deep plan then "left-deep" else "bushy")
       (Plan.cartesian_join_count problem.graph plan);
-    if multiway then
-      Printf.printf "multiway:   %d n-ary node(s) in the winning plan\n"
-        (Plan.multiway_count plan);
     Printf.printf "time:       %.4fs (%d pass(es)%s)\n" elapsed outcome.Registry.passes
       (if repeat > 1 then Printf.sprintf ", %d runs" repeat else "");
     print_cache_line cache;
@@ -629,8 +614,7 @@ let optimize_cmd =
       const run $ problem_term $ model_arg $ threshold_arg $ growth_arg $ dump_table_arg
       $ annotate_arg $ execute_arg $ seed_arg $ physical_arg $ degrade_arg
       $ deadline_ms_arg $ max_table_mb_arg $ num_domains_arg $ cache_term $ repeat_arg
-      $ metrics_arg $ trace_arg $ scramble_arg $ corrupt_seed_arg $ multiway_arg
-      $ optimizer_arg)
+      $ metrics_arg $ trace_arg $ scramble_arg $ corrupt_seed_arg $ optimizer_arg)
   in
   let exits =
     Cmd.Exit.info 1
@@ -758,14 +742,7 @@ let explain_cmd =
                 optimize': the exact optimizer re-optimizes with a raised threshold on \
                 failure; other optimizers ignore it.")
   in
-  let multiway_arg =
-    Arg.(
-      value & flag
-      & info [ "multiway" ]
-          ~doc:"Let capable optimizers plan n-ary hash-join nodes on cyclic cores; the plan \
-                tree renders each with its fractional edge-cover weights and AGM bound.")
-  in
-  let run problem model optimizer num_domains threshold multiway cache repeat metrics trace =
+  let run problem model optimizer num_domains threshold cache repeat metrics trace =
     (* Explain always records: the whole point is showing what the run
        did.  The process is this one query, so the metrics ARE the run's
        deltas. *)
@@ -802,11 +779,10 @@ let explain_cmd =
           let prob = Registry.problem ~graph:problem.graph problem.catalog in
           (* The metric deltas below show a repeat's hit/miss counters. *)
           let o =
-            repeated repeat (fun () -> Engine.optimize ~optimizer ?threshold ~multiway session prob)
+            repeated repeat (fun () -> Engine.optimize ~optimizer ?threshold session prob)
           in
           ( { o with Registry.table = None; counters = Option.map Counters.copy o.Registry.counters },
-            if ran_on_pool session entry ~multiway ~n then Some (Engine.num_domains session)
-            else None ))
+            if ran_on_pool session entry ~n then Some (Engine.num_domains session) else None ))
     in
     let elapsed = Blitz_util.Clock.now_s () -. t0 in
     let plan =
@@ -853,35 +829,31 @@ let explain_cmd =
           (Plan.cost model problem.catalog problem.graph p);
         render (indent ^ "  ") l;
         render (indent ^ "  ") r
-      | Plan.Multiway { inputs; cover; _ } ->
-        (* The AGM bound and cover are re-solved against this problem's
-           statistics, matching what the cost column charges. *)
-        let solved = Blitz_cost.Agm.of_join_graph problem.catalog problem.graph (Plan.relations p) in
-        let cover = if solved.Blitz_cost.Agm.weights = [] then cover else solved.Blitz_cost.Agm.weights in
-        Printf.printf "%smultiway %s  card=%g  agm=%g  cost=%g\n" indent
-          (Blitz_bitset.Relset.to_string ~names (Plan.relations p))
-          (Plan.cardinality problem.catalog problem.graph p)
-          solved.Blitz_cost.Agm.bound
-          (Plan.cost model problem.catalog problem.graph p);
-        if cover <> [] then
-          Printf.printf "%s  cover:%s\n" indent
-            (String.concat ""
-               (List.map
-                  (fun (members, w) ->
-                    Printf.sprintf " {%s}=%g"
-                      (String.concat ","
-                         (List.map
-                            (fun i -> if i < Array.length names then names.(i) else string_of_int i)
-                            members))
-                      w)
-                  cover));
-        List.iter (render (indent ^ "  ")) inputs
     in
     render "  " plan;
     (match outcome.Registry.counters with
     | Some c when c.Counters.loop_iters > 0 || c.Counters.ccp_pairs > 0 ->
       Printf.printf "\nsplit-loop counters (this run):\n";
-      Format.printf "  @[<v>%a@]@." Counters.pp c
+      Format.printf "  @[<v>%a@]@." Counters.pp c;
+      (* A plain exact pass walks every split of every subset, so its
+         counts are the ones Sections 3.3 and 6.2 predict. *)
+      if optimizer = "exact" && Option.is_none threshold && c.Counters.loop_iters > 0 then begin
+        let unordered = Counters.exact_loop_iters n in
+        let ordered = 2 * unordered in
+        (* An opaque kappa'' may be asymmetric, so its kernel keeps the
+           ordered loop. *)
+        let split_kind, iters =
+          if Blitz_core.Split_loop.variant model = "general" then ("ordered", ordered)
+          else ("unordered", unordered)
+        in
+        Printf.printf
+          "\nanalytic bounds: loop iters = %d (one per %s split; Section 3.3's ordered loop \
+           runs %d),\n\
+          \  kappa'' in [%.0f, %.0f] for the ordered loop (Section 6.2)\n"
+          iters split_kind ordered
+          (Counters.predicted_dprime_lower n)
+          (Counters.predicted_dprime_upper n)
+      end
     | Some _ | None -> ());
     (* Which monomorphized split kernel the model dispatched to, with the
        measured rate when a blitzsplit pass fed the per-iteration
@@ -924,12 +896,13 @@ let explain_cmd =
   let term =
     Term.(
       const run $ problem_term $ model_arg $ optimizer_arg $ num_domains_arg $ threshold_arg
-      $ multiway_arg $ cache_term $ repeat_arg $ metrics_arg $ trace_arg)
+      $ cache_term $ repeat_arg $ metrics_arg $ trace_arg)
   in
   Cmd.v
     (Cmd.info "explain"
        ~doc:"Optimize a query and print the chosen plan tree with per-subset cardinality and \
-             cost, the split-loop counters, and the run's metric deltas")
+             cost, the split-loop counters (with Section 3.3's analytic bounds for a plain \
+             exact pass), and the run's metric deltas")
     term
 
 (* ---- regret ---- *)
@@ -976,14 +949,7 @@ let regret_cmd =
       value & flag
       & info [ "json" ] ~doc:"Print the full report (per-seed samples included) as JSON.")
   in
-  let multiway_arg =
-    Arg.(
-      value & flag
-      & info [ "multiway" ]
-          ~doc:"Let capable optimizers plan n-ary nodes against the perturbed statistics; \
-                regret still re-costs them with the AGM bound re-solved under the truth.")
-  in
-  let run model n mode levels seeds optimizers json multiway =
+  let run model n mode levels seeds optimizers json =
     if seeds < 1 then `Error (false, Printf.sprintf "--seeds %d must be at least 1" seeds)
     else
       let known = Registry.names () in
@@ -999,8 +965,7 @@ let regret_cmd =
       | exception Failure msg -> `Error (false, msg)
       | () -> (
         match
-          Regret.run ~mode ?optimizers ~levels ~seeds:(List.init seeds (fun i -> i + 1))
-            ~multiway ~n model
+          Regret.run ~mode ?optimizers ~levels ~seeds:(List.init seeds (fun i -> i + 1)) ~n model
         with
         | exception Invalid_argument msg -> `Error (false, msg)
         | report ->
@@ -1017,40 +982,7 @@ let regret_cmd =
              (regret = true cost of its choice / true optimal cost)")
     Term.(
       ret (const run $ model_arg $ n_arg $ mode_arg $ levels_arg $ seeds_arg $ optimizers_arg
-           $ json_arg $ multiway_arg))
-
-(* ---- counters ---- *)
-
-let counters_cmd =
-  let run problem model =
-    let counters = Counters.create () in
-    let _ =
-      Registry.optimize
-        (Registry.ctx ~counters model)
-        (Registry.problem ~graph:problem.graph problem.catalog)
-    in
-    let n = Catalog.n problem.catalog in
-    Printf.printf "query: %s   model: %s\n\n" problem.label model.Cost_model.name;
-    Format.printf "%a@." Counters.pp counters;
-    let unordered = Counters.exact_loop_iters n in
-    let ordered = 2 * unordered in
-    (* An opaque kappa'' may be asymmetric, so its kernel keeps the
-       ordered loop. *)
-    let split_kind, iters =
-      if Blitz_core.Split_loop.variant model = "general" then ("ordered", ordered)
-      else ("unordered", unordered)
-    in
-    Printf.printf
-      "\nanalytic bounds: loop iters = %d (one per %s split; Section 3.3's ordered loop runs \
-       %d),\n\
-      \  kappa'' in [%.0f, %.0f] for the ordered loop (Section 6.2)\n"
-      iters split_kind ordered
-      (Counters.predicted_dprime_lower n)
-      (Counters.predicted_dprime_upper n)
-  in
-  Cmd.v
-    (Cmd.info "counters" ~doc:"Show split-loop instrumentation for one optimization")
-    Term.(const run $ problem_term $ model_arg)
+           $ json_arg))
 
 (* ---- optimizers: the registry capability table ---- *)
 
@@ -1058,15 +990,15 @@ let optimizers_cmd =
   let run () =
     let entries = Registry.all () in
     let yn b = if b then "yes" else "-" in
-    let row = Printf.printf "%-22s %-5s %-5s %-5s %-4s %-4s %-7s %-3s\n" in
-    row "name" "max_n" "exact" "tree" "conn" "par" "dexempt" "mw";
+    let row = Printf.printf "%-22s %-5s %-5s %-5s %-4s %-4s %s\n" in
+    row "name" "max_n" "exact" "tree" "conn" "par" "dexempt";
     List.iter
       (fun (e : Registry.entry) ->
         let c = e.Registry.caps in
         row e.Registry.name
           (match c.Registry.max_n with Some n -> string_of_int n | None -> "-")
           (yn c.Registry.exact) (yn c.Registry.tree_only) (yn c.Registry.connected_only)
-          (yn c.Registry.parallelizable) (yn c.Registry.deadline_exempt) (yn c.Registry.multiway))
+          (yn c.Registry.parallelizable) (yn c.Registry.deadline_exempt))
       entries;
     Printf.printf "\n%d optimizers registered\n" (List.length entries)
   in
@@ -1235,7 +1167,6 @@ let main_cmd =
       compare_cmd;
       workload_cmd;
       regret_cmd;
-      counters_cmd;
       optimizers_cmd;
       serve_cmd;
       query_cmd;

@@ -27,20 +27,5 @@ let cost t plan =
       ( lcost +. rcost
         +. Cost_model.kappa model ~out:card.(s) ~lcard:card.(ls) ~rcard:card.(rs),
         s )
-    | Plan.Multiway { inputs; _ } ->
-      (* The cardinality-table view has no join graph to re-solve an AGM
-         bound from; cost the node with an unbounded AGM, i.e. build
-         plus max(out, largest input) — the estimate-side cap alone. *)
-      let in_cost, cards, s =
-        List.fold_left
-          (fun (c, cards, acc) input ->
-            let ci, si = go input in
-            if acc land si <> 0 then invalid_arg "Eval.cost: operands share a relation";
-            (c +. ci, card.(si) :: cards, acc lor si))
-          (0.0, [], 0) inputs
-      in
-      ( in_cost
-        +. Blitz_cost.Agm.kappa_multiway ~inputs:cards ~out:card.(s) ~agm:Float.infinity,
-        s )
   in
   fst (go plan)

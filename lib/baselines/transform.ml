@@ -20,8 +20,7 @@ let rec apply_at plan ~path rule =
   | [] -> apply_root rule plan
   | dir :: rest -> (
     match plan with
-    (* Multiway nodes are opaque to the binary rewrite rules. *)
-    | Plan.Leaf _ | Plan.Multiway _ -> None
+    | Plan.Leaf _ -> None
     | Plan.Join (l, r) ->
       if dir = 0 then
         match apply_at l ~path:rest rule with
@@ -35,7 +34,7 @@ let rec apply_at plan ~path rule =
 let internal_paths plan =
   let acc = ref [] in
   let rec go rev_path = function
-    | Plan.Leaf _ | Plan.Multiway _ -> ()
+    | Plan.Leaf _ -> ()
     | Plan.Join (l, r) ->
       acc := List.rev rev_path :: !acc;
       go (0 :: rev_path) l;

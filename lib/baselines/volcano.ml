@@ -83,19 +83,6 @@ let explore n initial_plan =
       let ls = seed l and rs = seed r in
       add_expr memo (Relset.union ls rs) ls;
       Relset.union ls rs
-    | Plan.Multiway { inputs; _ } -> (
-      (* The memo is binary: seed an n-ary node as its left-deep
-         binarization — the closure rules regenerate the rest. *)
-      match inputs with
-      | [] -> invalid_arg "Volcano: empty multiway node"
-      | first :: rest ->
-        List.fold_left
-          (fun acc input ->
-            let is = seed input in
-            let u = Relset.union acc is in
-            add_expr memo u acc;
-            u)
-          (seed first) rest)
   in
   ignore (seed initial_plan);
   (* Closure. *)

@@ -151,13 +151,6 @@ let plan_bytes plan =
   let rec sz = function
     | Plan.Leaf _ -> 2 * word
     | Plan.Join (l, r) -> (3 * word) + sz l + sz r
-    | Plan.Multiway { inputs; cover; agm = _ } ->
-      (* Node + per-input list cells + cover entries (members list cells
-         plus the boxed weight). *)
-      List.fold_left (fun acc p -> acc + (3 * word) + sz p) (4 * word) inputs
-      + List.fold_left
-          (fun acc (members, _) -> acc + ((3 + (3 * List.length members)) * word))
-          0 cover
   in
   sz plan
 

@@ -11,7 +11,6 @@ type t = {
   graph : Join_graph.t;
   model : Cost_model.t;
   threshold : float;
-  multiway : Multiway.t option;
 }
 
 exception Interrupted
@@ -78,8 +77,8 @@ let timed_pass (ctr : Counters.t) pass =
    stop flag, the remaining chunks bail at their next check, and
    [Interrupted] is raised after the barrier; the probe must therefore
    tolerate calls from any domain ([Budget.interrupt] does). *)
-let run ~graph_opt ?pool ?arena ?counters ?(threshold = Float.infinity) ?interrupt
-    ?(multiway = false) model catalog =
+let run ~graph_opt ?pool ?arena ?counters ?(threshold = Float.infinity) ?interrupt model
+    catalog =
   if threshold <= 0.0 then invalid_arg "Blitzsplit: threshold must be positive";
   let n = Catalog.n catalog in
   let graph =
@@ -102,21 +101,9 @@ let run ~graph_opt ?pool ?arena ?counters ?(threshold = Float.infinity) ?interru
     | Some a -> Arena.acquire a ~with_pi_fan n
     | None -> Dp_table.create ~with_pi_fan n
   in
-  let mw =
-    match graph_opt with
-    | Some g when multiway -> Some (Multiway.create catalog g)
-    | Some _ | None -> None
-  in
-  (* The completion bound and the live-operand scan hold for binary
-     plans only: n-ary inputs are priced by cardinality, not by aux, and
-     the scan's left operands are binary inputs.  Multiway passes also
-     stay off the pool: [Multiway.consider] records covers in a table
-     that two domains may not share. *)
-  let binary = Option.is_none mw in
-  let completion = binary && Split_loop.completion_applies model ~threshold in
+  let completion = Split_loop.completion_applies model ~threshold in
   let lists = match arena with Some a -> Arena.index a | None -> Live_index.create () in
-  Live_index.start lists ~n ~index:(binary && Split_loop.scan_applies model ~threshold);
-  let pool = if binary then pool else None in
+  Live_index.start lists ~n ~index:(Split_loop.scan_applies model ~threshold);
   let last = (1 lsl n) - 1 in
   let sweep1 () =
     match graph_opt with
@@ -126,7 +113,6 @@ let run ~graph_opt ?pool ?arena ?counters ?(threshold = Float.infinity) ?interru
         if s land (s - 1) <> 0 then begin
           Split_loop.compute_properties_join tbl model graph s;
           if Split_loop.seed ~completion tbl model ctr ~threshold s then Live_index.keep lists s
-          else match mw with Some w -> Multiway.consider w tbl ctr ~threshold s | None -> ()
         end
       done
     | None ->
@@ -153,7 +139,6 @@ let run ~graph_opt ?pool ?arena ?counters ?(threshold = Float.infinity) ?interru
         let m = start + !i in
         let s = Live_index.get lists k m in
         Split_loop.split ~index:lists tbl model c s;
-        (match mw with Some w -> Multiway.consider w tbl c ~threshold s | None -> ());
         Live_index.stage lists tbl ~k ~m s;
         incr i
       end
@@ -200,11 +185,10 @@ let run ~graph_opt ?pool ?arena ?counters ?(threshold = Float.infinity) ?interru
       Split_loop.init_singletons tbl model catalog;
       sweep1 ();
       Fun.protect ~finally:merge sweep2);
-  { table = tbl; counters = ctr; catalog; graph; model; threshold; multiway = mw }
+  { table = tbl; counters = ctr; catalog; graph; model; threshold }
 
-let optimize_join ?pool ?arena ?counters ?threshold ?interrupt ?multiway model catalog graph =
-  run ~graph_opt:(Some graph) ?pool ?arena ?counters ?threshold ?interrupt ?multiway model
-    catalog
+let optimize_join ?pool ?arena ?counters ?threshold ?interrupt model catalog graph =
+  run ~graph_opt:(Some graph) ?pool ?arena ?counters ?threshold ?interrupt model catalog
 
 let optimize_product ?pool ?arena ?counters ?threshold ?interrupt model catalog =
   run ~graph_opt:None ?pool ?arena ?counters ?threshold ?interrupt model catalog
@@ -215,11 +199,11 @@ let best_cost t = Dp_table.cost t.table (full_set t)
 
 let feasible t = Float.is_finite (best_cost t)
 
-let best_plan t = Multiway.extract_plan ?multiway:t.multiway t.table (full_set t)
+let best_plan t = Dp_table.extract_plan t.table (full_set t)
 
 let best_plan_exn t =
   match best_plan t with
   | Some plan -> plan
   | None -> failwith "Blitzsplit.best_plan_exn: no plan under the given threshold"
 
-let subplan t s = Multiway.extract_plan ?multiway:t.multiway t.table s
+let subplan t s = Dp_table.extract_plan t.table s

@@ -29,9 +29,9 @@
     any subset whose best plan would cost at least the threshold is
     marked infeasible, which can make the whole optimization fail — see
     {!Threshold} for the multi-pass driver.  Under kappa_sm, whose
-    [kappa'] is 0, a pass at a finite threshold that plans binary nodes
-    only also charges each proper subset what every plan completing it
-    must pay ({!Split_loop.completion_threshold}): a pass still finds a
+    [kappa'] is 0, a pass at a finite threshold also charges each proper
+    subset what every plan completing it must pay
+    ({!Split_loop.completion_threshold}): a pass still finds a
     plan exactly when the optimum is below its threshold, and then the
     same plan and cost bits as the unthresholded pass. *)
 
@@ -48,9 +48,6 @@ type t = {
   graph : Join_graph.t;  (** Predicate-free for product optimization. *)
   model : Cost_model.t;
   threshold : float;  (** [infinity] when no threshold was applied. *)
-  multiway : Multiway.t option;
-      (** The n-ary side table when multiway planning was on ([None]
-          otherwise); plan extraction consults it for sentinel entries. *)
 }
 (** The outcome of one optimization pass. *)
 
@@ -65,7 +62,6 @@ val optimize_join :
   ?counters:Counters.t ->
   ?threshold:float ->
   ?interrupt:(unit -> bool) ->
-  ?multiway:bool ->
   Cost_model.t ->
   Catalog.t ->
   Join_graph.t ->
@@ -73,8 +69,7 @@ val optimize_join :
 (** Optimize the join of all catalog relations under the graph's
     predicates.  [pool] runs the split loops of each rank on its domains
     (any width, one included; the answer and every counter are the
-    same as without it), except in a multiway pass, which stays on the
-    calling domain.  [arena] makes the DP table and the subset lists
+    same as without it).  [arena] makes the DP table and the subset lists
     come out of a session workspace instead of a fresh allocation
     (bit-identical results — see {!Arena}); the returned [table] is a
     view of the arena's buffer, valid until the arena's next acquire.
@@ -83,10 +78,7 @@ val optimize_join :
     DP cancellable: it is polled before the table is touched, every 64
     subsets of each sweep, on every domain, and at every rank barrier,
     and a [true] return raises {!Interrupted}; on a pool it must
-    tolerate calls from any domain.  [~multiway:true] additionally tries
-    an n-ary AGM-costed candidate on every 2-edge-connected subset (see
-    {!Multiway}); acyclic queries are structurally unaffected and their
-    tables stay bit-identical.  Raises [Invalid_argument] on a
+    tolerate calls from any domain.  Raises [Invalid_argument] on a
     non-positive threshold, when the graph's size differs from the
     catalog's, or when the catalog exceeds {!Dp_table.max_relations}
     relations. *)

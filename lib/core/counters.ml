@@ -8,7 +8,6 @@ type t = {
   mutable infeasible : int;
   mutable passes : int;
   mutable ccp_pairs : int;
-  mutable multiway_wins : int;
 }
 
 let create () =
@@ -22,7 +21,6 @@ let create () =
     infeasible = 0;
     passes = 0;
     ccp_pairs = 0;
-    multiway_wins = 0;
   }
 
 let reset t =
@@ -34,8 +32,7 @@ let reset t =
   t.threshold_skips <- 0;
   t.infeasible <- 0;
   t.passes <- 0;
-  t.ccp_pairs <- 0;
-  t.multiway_wins <- 0
+  t.ccp_pairs <- 0
 
 let copy t = { t with subsets = t.subsets }
 
@@ -48,8 +45,7 @@ let merge_into ~from ~into =
   into.threshold_skips <- into.threshold_skips + from.threshold_skips;
   into.infeasible <- into.infeasible + from.infeasible;
   into.passes <- into.passes + from.passes;
-  into.ccp_pairs <- into.ccp_pairs + from.ccp_pairs;
-  into.multiway_wins <- into.multiway_wins + from.multiway_wins
+  into.ccp_pairs <- into.ccp_pairs + from.ccp_pairs
 
 let exact_loop_iters n =
   if n < 1 then invalid_arg "Counters.exact_loop_iters: n must be positive";
@@ -72,5 +68,4 @@ let pp ppf t =
     t.subsets t.loop_iters t.operand_sums t.dprime_evals t.improvements t.threshold_skips
     t.infeasible t.passes;
   if t.ccp_pairs > 0 then Format.fprintf ppf "@,ccp pairs:           %d" t.ccp_pairs;
-  if t.multiway_wins > 0 then Format.fprintf ppf "@,multiway wins:       %d" t.multiway_wins;
   Format.fprintf ppf "@]"

@@ -45,11 +45,6 @@ type t = {
           whose split loop is counted in [loop_iters]).  The headline
           comparison is [ccp_pairs] vs {!exact_loop_iters}: what
           connectivity pruning saves on sparse graphs. *)
-  mutable multiway_wins : int;
-      (** Subsets whose best plan is an n-ary [Multiway] node: the AGM
-          bound over a cyclic core beat every binary split (0 whenever
-          multiway planning is off, and structurally 0 on acyclic
-          topologies).  Like [ccp_pairs], printed only when nonzero. *)
 }
 
 val create : unit -> t

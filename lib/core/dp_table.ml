@@ -72,9 +72,7 @@ let extract_plan t s =
     if Relset.is_singleton s then Plan.Leaf (Relset.min_elt s)
     else begin
       let lhs = t.best_lhs.(s) in
-      (* lhs = s is the multiway sentinel: the best plan for s lives in a
-         Multiway side table this walker knows nothing about. *)
-      if lhs = 0 || lhs = s then raise Exit;
+      if lhs = 0 then raise Exit;
       Plan.Join (go lhs, go (s lxor lhs))
     end
   in

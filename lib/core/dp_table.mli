@@ -90,10 +90,7 @@ val is_feasible : t -> Relset.t -> bool
 val extract_plan : t -> Relset.t -> Plan.t option
 (** Walk [best_lhs] links recursively (the table-consultation procedure
     of Section 3.1), producing the optimal plan for the given subset;
-    [None] when the subset is infeasible under the threshold used, or
-    when the walk reaches a multiway sentinel ([best_lhs = s]) — those
-    entries belong to a {!Multiway.table} and must be extracted through
-    {!Multiway.extract_plan}. *)
+    [None] when the subset is infeasible under the threshold used. *)
 
 val dump : ?names:string array -> t -> string
 (** Render in the format of the paper's Table 1: one row per nonempty

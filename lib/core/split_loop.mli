@@ -59,7 +59,7 @@ val seed :
     returns [true]: the subset is kept, and {!split} must run on it
     before any subset holding it reads its cost.  [~completion] is
     ignored by the other models; the driver passes
-    {!completion_applies} for a pass that plans binary nodes only. *)
+    {!completion_applies}. *)
 
 val split :
   index:Live_index.t -> Dp_table.t -> Blitz_cost.Cost_model.t -> Counters.t -> int -> unit
@@ -68,7 +68,7 @@ val split :
     split comes in under the bound.
 
     With an [index] that is on (the driver turns it on where
-    {!scan_applies} holds and the pass plans binary nodes only), a
+    {!scan_applies} holds), a
     subset under the zero, sum-aux or dnl body whose candidates in the
     index are fewer than its walk's [2^(k-1) - 1] splits ([k] its rank;
     see {!Live_index}) scans the index instead of walking: it prices
@@ -87,14 +87,11 @@ val scan_applies : Blitz_cost.Cost_model.t -> threshold:float -> bool
 (** True for the three paper models at a finite threshold: the passes
     whose dead subsets the live-operand index may skip.  Off at
     [infinity], where every subset is live, and for [Opaque] models,
-    whose cost terms need not be non-negative.  A driver planning n-ary
-    nodes keeps it off, as it does the completion bound. *)
+    whose cost terms need not be non-negative. *)
 
 val completion_applies : Blitz_cost.Cost_model.t -> threshold:float -> bool
-(** True for kappa_sm at a finite threshold: the passes whose plans,
-    when binary, the completion bound holds for.  Multiway planning
-    prices its n-ary inputs by cardinality, not by [aux], so a driver
-    planning n-ary nodes must not apply it. *)
+(** True for kappa_sm at a finite threshold: the passes the completion
+    bound holds for. *)
 
 val completion_threshold : Dp_table.t -> threshold:float -> int -> float
 (** The per-subset threshold of a kappa_sm pass at [threshold]: for a

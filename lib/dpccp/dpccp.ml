@@ -8,7 +8,6 @@ module Counters = Blitz_core.Counters
 module Dp_table = Blitz_core.Dp_table
 module Split_loop = Blitz_core.Split_loop
 module Blitzsplit = Blitz_core.Blitzsplit
-module Multiway = Blitz_core.Multiway
 module Perf = Blitz_obs.Perf
 
 type backend = Dense | Sparse
@@ -59,7 +58,7 @@ let invariant s1 s2 =
 (* A non-singleton set is reached once its [best_lhs] link is set. *)
 let reached best_lhs s = s land (s - 1) = 0 || Array.unsafe_get best_lhs s <> 0
 
-let fold_dense tbl (model : Cost_model.t) (ctr : Counters.t) ~probe ~mw_check graph =
+let fold_dense tbl (model : Cost_model.t) (ctr : Counters.t) ~probe graph =
   let cost = tbl.Dp_table.cost
   and card = tbl.Dp_table.card
   and aux = tbl.Dp_table.aux
@@ -71,13 +70,6 @@ let fold_dense tbl (model : Cost_model.t) (ctr : Counters.t) ~probe ~mw_check gr
   Ccp_enum.iter_ccp graph (fun s1 s2 ->
       ctr.Counters.ccp_pairs <- ctr.Counters.ccp_pairs + 1;
       probe ctr.Counters.ccp_pairs;
-      (* The enumeration-order invariant — every pair producing a set
-         precedes any pair consuming it — makes "first consumed as a
-         component" the earliest point a set's binary cost is final, so
-         the lazy multiway check fires exactly there (and propagates its
-         improvement into every plan built on top). *)
-      mw_check s1;
-      mw_check s2;
       if not (reached best_lhs s1 && reached best_lhs s2) then invariant s1 s2;
       let s = s1 lor s2 in
       let first = Array.unsafe_get best_lhs s = 0 in
@@ -124,7 +116,7 @@ let fold_dense tbl (model : Cost_model.t) (ctr : Counters.t) ~probe ~mw_check gr
       end);
   !sets
 
-let optimize_dense ?arena ~mw ~ctr ~probe model catalog graph =
+let optimize_dense ?arena ~ctr ~probe model catalog graph =
   let n = Catalog.n catalog in
   let tbl =
     match arena with
@@ -140,17 +132,6 @@ let optimize_dense ?arena ~mw ~ctr ~probe model catalog graph =
       Array.fill tbl.Dp_table.best_lhs 0 slots 0;
       tbl
     | None -> Dp_table.create ~with_pi_fan:true n
-  in
-  let mw_check =
-    match mw with
-    | None -> fun _ -> ()
-    | Some m ->
-      let seen = Hashtbl.create 256 in
-      fun s ->
-        if s land (s - 1) <> 0 && not (Hashtbl.mem seen s) then begin
-          Hashtbl.add seen s ();
-          Multiway.consider m tbl ctr ~threshold:Float.infinity s
-        end
   in
   Split_loop.init_singletons tbl model catalog;
   (* Full-lattice cardinality sweep through the very same fan recurrence
@@ -168,15 +149,11 @@ let optimize_dense ?arena ~mw ~ctr ~probe model catalog graph =
   let sets =
     Perf.timed_rate Perf.dpccp_ns_per_pair
       ~events:(fun () -> ctr.Counters.ccp_pairs)
-      (fun () -> fold_dense tbl model ctr ~probe ~mw_check graph)
+      (fun () -> fold_dense tbl model ctr ~probe graph)
   in
   let full = last in
-  (* The full set is never consumed as a component; give it its check. *)
-  mw_check full;
   let cost = Dp_table.cost tbl full in
-  let plan =
-    if Float.is_finite cost then Multiway.extract_plan ?multiway:mw tbl full else None
-  in
+  let plan = if Float.is_finite cost then Dp_table.extract_plan tbl full else None in
   {
     plan;
     cost;
@@ -253,30 +230,22 @@ let sparse_card catalog graph s =
   done;
   !c
 
-let rec sparse_extract ?multiway st s =
+let rec sparse_extract st s =
   if s land (s - 1) = 0 then Plan.Leaf (Relset.min_elt s)
   else
     match Store.find_opt st s with
     | None -> failwith "Dpccp: sparse extraction hit an unstored set"
     | Some i ->
       let l = st.Store.lhs.(i) in
-      if l = s then
-        (* Multiway sentinel (same convention as the dense table). *)
-        match Option.bind multiway (fun m -> Multiway.plan_of m s) with
-        | Some p -> p
-        | None -> failwith "Dpccp: sparse extraction hit a multiway sentinel without a cover"
-      else
-        Plan.Join (sparse_extract ?multiway st l, sparse_extract ?multiway st (s lxor l))
+      Plan.Join (sparse_extract st l, sparse_extract st (s lxor l))
 
-let fold_sparse st (model : Cost_model.t) (ctr : Counters.t) ~probe ~mw_check catalog graph =
+let fold_sparse st (model : Cost_model.t) (ctr : Counters.t) ~probe catalog graph =
   let k_prime = model.Cost_model.k_prime
   and k_dprime = model.Cost_model.k_dprime
   and dprime_is_zero = model.Cost_model.dprime_is_zero in
   Ccp_enum.iter_ccp graph (fun s1 s2 ->
       ctr.Counters.ccp_pairs <- ctr.Counters.ccp_pairs + 1;
       probe ctr.Counters.ccp_pairs;
-      mw_check s1;
-      mw_check s2;
       (* Store membership is the reached mark: a set is stored when the
          first pair producing it is folded, whatever that pair costs. *)
       let i1 = match Store.find_opt st s1 with Some i -> i | None -> invariant s1 s2
@@ -320,44 +289,21 @@ let fold_sparse st (model : Cost_model.t) (ctr : Counters.t) ~probe ~mw_check ca
         end
       end)
 
-let optimize_sparse ~mw ~ctr ~probe model catalog graph =
+let optimize_sparse ~ctr ~probe model catalog graph =
   let n = Catalog.n catalog in
   let st = Store.create (16 * n * n) in
   for i = 0 to n - 1 do
     let c = Catalog.card catalog i in
     ignore (Store.add st (1 lsl i) ~card:c ~aux:(model.Cost_model.aux c) ~cost:0.0)
   done;
-  let mw_check =
-    match mw with
-    | None -> fun _ -> ()
-    | Some m ->
-      let seen = Hashtbl.create 256 in
-      fun s ->
-        if s land (s - 1) <> 0 && not (Hashtbl.mem seen s) then begin
-          Hashtbl.add seen s ();
-          match Store.find_opt st s with
-          | None -> ()
-          | Some i -> (
-            match
-              Multiway.try_candidate m ~out:st.Store.card.(i) ~current:st.Store.cost.(i)
-                ~threshold:Float.infinity s
-            with
-            | Some c ->
-              st.Store.cost.(i) <- c;
-              st.Store.lhs.(i) <- s;
-              ctr.Counters.multiway_wins <- ctr.Counters.multiway_wins + 1
-            | None -> ())
-        end
-  in
   Perf.timed_rate Perf.dpccp_ns_per_pair
     ~events:(fun () -> ctr.Counters.ccp_pairs)
-    (fun () -> fold_sparse st model ctr ~probe ~mw_check catalog graph);
+    (fun () -> fold_sparse st model ctr ~probe catalog graph);
   let full = (1 lsl n) - 1 in
-  mw_check full;
   let cost, plan =
     match Store.find_opt st full with
     | Some i when Float.is_finite st.Store.cost.(i) ->
-      (st.Store.cost.(i), Some (sparse_extract ?multiway:mw st full))
+      (st.Store.cost.(i), Some (sparse_extract st full))
     | _ -> (Float.infinity, None)
   in
   {
@@ -371,8 +317,7 @@ let optimize_sparse ~mw ~ctr ~probe model catalog graph =
 
 (* ---- front door ---- *)
 
-let optimize ?arena ?counters ?interrupt ?(backend = `Auto) ?(multiway = false) model catalog
-    graph =
+let optimize ?arena ?counters ?interrupt ?(backend = `Auto) model catalog graph =
   let n = Catalog.n catalog in
   if Join_graph.n graph <> n then
     invalid_arg
@@ -396,6 +341,5 @@ let optimize ?arena ?counters ?interrupt ?(backend = `Auto) ?(multiway = false) 
     | None -> fun _ -> ()
     | Some stop -> fun p -> if p land probe_mask = 0 && stop () then raise Blitzsplit.Interrupted
   in
-  let mw = if multiway then Some (Multiway.create catalog graph) else None in
-  if dense then optimize_dense ?arena ~mw ~ctr ~probe model catalog graph
-  else optimize_sparse ~mw ~ctr ~probe model catalog graph
+  if dense then optimize_dense ?arena ~ctr ~probe model catalog graph
+  else optimize_sparse ~ctr ~probe model catalog graph

@@ -68,7 +68,6 @@ val optimize :
   ?counters:Counters.t ->
   ?interrupt:(unit -> bool) ->
   ?backend:[ `Auto | `Dense | `Sparse ] ->
-  ?multiway:bool ->
   Cost_model.t ->
   Catalog.t ->
   Join_graph.t ->
@@ -81,10 +80,5 @@ val optimize :
     catches it like any other exact-tier timeout.  [`Dense] forces the
     table backend (requires [n <= Dp_table.max_relations]); [`Sparse]
     forces the hash-store; [`Auto] (default) switches at
-    {!dense_limit}.  [~multiway:true] additionally considers an n-ary
-    AGM-costed candidate ({!Blitz_core.Multiway}) on each
-    2-edge-connected set, lazily at the set's first use as a component
-    (the enumeration-order invariant makes that the earliest point its
-    binary cost is final); acyclic graphs are structurally unaffected.
-    Raises [Invalid_argument] on a catalog/graph size mismatch or
-    [n > max_relations]. *)
+    {!dense_limit}.  Raises [Invalid_argument] on a catalog/graph size
+    mismatch or [n > max_relations]. *)

@@ -6,7 +6,6 @@ module Counters = Blitz_core.Counters
 module Blitzsplit = Blitz_core.Blitzsplit
 module Pool = Blitz_parallel.Pool
 module Obs = Blitz_obs.Obs
-module Plan = Blitz_plan.Plan
 module Plan_cache = Blitz_cache.Plan_cache
 module Fingerprint = Blitz_cache.Fingerprint
 
@@ -117,9 +116,9 @@ let with_session ?model ?num_domains ?seed ?cache f =
 (* The ctx carries [pool t ~n], and so the one decision whether the
    query's split loops run on a pool: the session's width and the
    crossover are read here and nowhere else. *)
-let ctx ?interrupt ?threshold ?counters ?multiway ~n t =
+let ctx ?interrupt ?threshold ?counters ~n t =
   Registry.ctx ~arena:t.arena ?pool:(pool t ~n) ~seed:t.seed ?interrupt ?threshold ?counters
-    ?multiway t.model
+    t.model
 
 let counters t = Arena.counters t.arena
 
@@ -146,21 +145,12 @@ let record_outcome t (o : Registry.outcome) =
 
 let digest_for t m = if m == t.model then t.digest else Fingerprint.model_digest m
 
-(* A tenant tag partitions the cache exactly the way "+mw" partitions
-   the plan spaces: the tag is folded into the entry key, so two tenants
-   sharing one cache (and one engine session pool) can never be served
-   each other's plans.  "@" cannot appear in a registry name, so tagged
-   and untagged keys cannot collide. *)
-let tagged ?cache_tag optimizer =
+(* A tenant tag partitions the cache: the tag is folded into the entry
+   key, so two tenants sharing one cache (and one engine session pool)
+   can never be served each other's plans.  "@" cannot appear in a
+   registry name, so tagged and untagged keys cannot collide. *)
+let cache_key ?cache_tag optimizer =
   match cache_tag with None -> optimizer | Some tag -> optimizer ^ "@" ^ tag
-
-(* "+mw" keeps the two plan spaces apart in the cache: a multiway
-   optimum must never be replayed to a caller that cannot execute n-ary
-   joins, and a binary optimum stored by a multiway=false run is not the
-   hybrid space's optimum. *)
-let cache_key ?cache_tag ~multiway optimizer =
-  let base = tagged ?cache_tag optimizer in
-  if multiway then base ^ "+mw" else base
 
 (* The one cache round: fingerprint [p] into the session scratch, look
    it up under [key], and on a miss store the plan and cost [miss]
@@ -184,13 +174,13 @@ let cache_round t c ~model ~key (p : Registry.problem) ~hit ~miss =
       | _ -> ());
       result
 
-let cache_around ?model ?cache_tag ?(multiway = false) t ~optimizer p ~hit ~miss =
+let cache_around ?model ?cache_tag t ~optimizer p ~hit ~miss =
   match t.cache with
   | None -> fst (miss ())
   | Some c ->
       cache_round t c
         ~model:(Option.value ~default:t.model model)
-        ~key:(cache_key ?cache_tag ~multiway optimizer) p ~hit ~miss
+        ~key:(cache_key ?cache_tag optimizer) p ~hit ~miss
 
 let cache_find ?cache_tag t ~optimizer p =
   cache_around ?cache_tag t ~optimizer p ~hit:Option.some ~miss:(fun () -> (None, None))
@@ -211,29 +201,23 @@ let hit_outcome ctr (h : Plan_cache.hit) =
 
 (* Run one problem through the entry, going through the cache when the
    session has one and the entry's result may be cached. *)
-let run_entry t (entry : Registry.entry) ~optimizer ?interrupt ?threshold ?growth
-    ?(multiway = false) ~ctr problem =
-  (* Multiway planning is real only for entries that advertise it; the
-     flag reaches the cache key only then, so e.g. greedy lookups do not
-     fragment across the two modes they cannot distinguish. *)
-  let mw = multiway && entry.Registry.caps.Registry.multiway in
+let run_entry t (entry : Registry.entry) ~optimizer ?interrupt ?threshold ?growth ~ctr
+    problem =
   let run () =
     let n = Catalog.n problem.Registry.catalog in
-    let ctx = ctx ?interrupt ?threshold ~multiway:mw ~counters:ctr ~n t in
+    let ctx = ctx ?interrupt ?threshold ~counters:ctr ~n t in
     entry.Registry.optimize { ctx with Registry.growth } problem
   in
   match t.cache with
   | Some c when entry.Registry.caps.Registry.exact && Option.is_none threshold ->
-      cache_round t c ~model:t.model ~key:(cache_key ~multiway:mw optimizer) problem
-        ~hit:(fun h ->
-          (* Defense in depth: never serve an n-ary plan without mw. *)
-          if mw || not (Plan.has_multiway h.Plan_cache.plan) then hit_outcome ctr h else run ())
+      cache_round t c ~model:t.model ~key:(cache_key optimizer) problem
+        ~hit:(hit_outcome ctr)
         ~miss:(fun () ->
           let o = run () in
           (o, Option.map (fun plan -> (plan, o.Registry.cost)) o.Registry.plan))
   | Some _ | None -> run ()
 
-let optimize ?(optimizer = "exact") ?threshold ?growth ?multiway t problem =
+let optimize ?(optimizer = "exact") ?threshold ?growth t problem =
   if t.closed then invalid_arg "Engine.optimize: session is closed";
   let entry = Registry.find_exn optimizer in
   let ctr = Arena.counters t.arena in
@@ -241,7 +225,7 @@ let optimize ?(optimizer = "exact") ?threshold ?growth ?multiway t problem =
   let o =
     Obs.span "engine.optimize" ~attrs:[ ("optimizer", optimizer) ] (fun () ->
         Obs.Metrics.time m_latency (fun () ->
-            run_entry t entry ~optimizer ?threshold ?growth ?multiway ~ctr problem))
+            run_entry t entry ~optimizer ?threshold ?growth ~ctr problem))
   in
   record_outcome t o;
   o

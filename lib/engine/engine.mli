@@ -83,19 +83,13 @@ val optimize :
   ?optimizer:string ->
   ?threshold:float ->
   ?growth:float ->
-  ?multiway:bool ->
   t ->
   Registry.problem ->
   Registry.outcome
 (** Run one query through the session.  [optimizer] names a registry
     entry (default ["exact"]); [threshold] and [growth] become the
     ctx's, so ["exact"] runs Section 6.4's driver from that threshold
-    (see {!Registry.ctx}).  [multiway] requests hybrid binary+n-ary
-    planning from entries whose caps advertise it; in the plan cache
-    such runs live under the decorated key [<optimizer>"+mw"], so the
-    two plan spaces never serve each other's optima (and a hit carrying
-    a [Plan.Multiway] node is additionally refused for multiway=false
-    callers).  A session cache takes part when the entry's caps are
+    (see {!Registry.ctx}).  A session cache takes part when the entry's caps are
     [exact] and no [threshold] is given; a hit reports one pass at an
     infinite threshold, as every stored entry ran.  The session's
     counters are reset first, so the outcome's counters are per-query;
@@ -149,7 +143,6 @@ val cache_find :
 val cache_around :
   ?model:Cost_model.t ->
   ?cache_tag:string ->
-  ?multiway:bool ->
   t ->
   optimizer:string ->
   Registry.problem ->
@@ -171,16 +164,12 @@ val cache_around :
     caller: lookups and stores run under [<optimizer>"@"<tag>], so
     callers serving mutually-untrusting tenants from one shared cache
     never replay one tenant's plan to another ([Blitz_serve] keys by
-    tenant id).  [~multiway:true] (default [false]) keys the round as
-    {!optimize} keys a multiway run of an n-ary-capable entry (under
-    ["+mw"], after any tag), apart from binary plans, so neither plan
-    space is served the other's optimum. *)
+    tenant id). *)
 
 val ctx :
   ?interrupt:(unit -> bool) ->
   ?threshold:float ->
   ?counters:Counters.t ->
-  ?multiway:bool ->
   n:int ->
   t ->
   Registry.ctx

@@ -29,12 +29,10 @@ type ctx = {
   growth : float option;
   seed : int;
   counters : Counters.t option;
-  multiway : bool;
 }
 
-let ctx ?arena ?pool ?interrupt ?threshold ?growth ?(seed = 1) ?counters ?(multiway = false)
-    model =
-  { model; arena; pool; interrupt; threshold; growth; seed; counters; multiway }
+let ctx ?arena ?pool ?interrupt ?threshold ?growth ?(seed = 1) ?counters model =
+  { model; arena; pool; interrupt; threshold; growth; seed; counters }
 
 type outcome = {
   plan : Plan.t option;
@@ -54,7 +52,6 @@ type caps = {
   exact : bool;
   deadline_exempt : bool;
   connected_only : bool;
-  multiway : bool;
 }
 
 type entry = {
@@ -96,7 +93,6 @@ let dp_caps =
     exact = true;
     deadline_exempt = false;
     connected_only = false;
-    multiway = false;
   }
 
 (* Every blitzsplit pass also takes the per-rank subset lists, 4 B per
@@ -104,7 +100,6 @@ let dp_caps =
 let blitzsplit_caps =
   {
     dp_caps with
-    multiway = true;
     table_bytes =
       Some
         (fun ~n ->
@@ -121,7 +116,6 @@ let tablefree_caps =
     exact = false;
     deadline_exempt = false;
     connected_only = false;
-    multiway = false;
   }
 
 (* ---- the upper bound ---- *)
@@ -157,13 +151,12 @@ let upper_bound model p =
 
 (* One blitzsplit pass under [ctx]: its split loops run rank by rank on
    the ctx's pool when it has one, on the calling domain otherwise, with
-   the same bits either way.  A multiway pass stays on the calling
-   domain, pool or not. *)
+   the same bits either way. *)
 let pass (ctx : ctx) p ~counters ~threshold =
   match p.graph with
   | Some g ->
     Blitzsplit.optimize_join ?pool:ctx.pool ?arena:ctx.arena ~counters ~threshold
-      ?interrupt:ctx.interrupt ~multiway:ctx.multiway ctx.model p.catalog g
+      ?interrupt:ctx.interrupt ctx.model p.catalog g
   | None ->
     Blitzsplit.optimize_product ?pool:ctx.pool ?arena:ctx.arena ~counters ~threshold
       ?interrupt:ctx.interrupt ctx.model p.catalog
@@ -294,8 +287,8 @@ let run_simpli ctx p =
 let run_dpccp ctx p =
   let ctr = counters_of ctx in
   let r =
-    Dpccp.optimize ?arena:ctx.arena ~counters:ctr ?interrupt:ctx.interrupt
-      ~multiway:ctx.multiway ctx.model p.catalog (graph_of p)
+    Dpccp.optimize ?arena:ctx.arena ~counters:ctr ?interrupt:ctx.interrupt ctx.model p.catalog
+      (graph_of p)
   in
   {
     plan = r.Dpccp.plan;
@@ -413,7 +406,7 @@ let () =
             dp_caps with
             parallelizable = false;
             exact = false;
-                    connected_only = true;
+            connected_only = true;
           };
         optimize = run_dpsize ~cartesian:false;
       };
@@ -450,7 +443,10 @@ let () =
       {
         name = "volcano";
         summary = "rule-based memo explored to closure";
-        caps = { dp_caps with parallelizable = false };
+        (* The closure materializes every ordered split, O(3^n) hashed
+           expressions: on kappa_0 cliques it takes 0.3 s at n = 10 and
+           11 s at n = 12, so it is capped where bruteforce is. *)
+        caps = { dp_caps with max_n = Some 10; parallelizable = false };
         optimize = run_volcano;
       };
       {
@@ -463,8 +459,7 @@ let () =
             table_bytes = Some (fun ~n -> Dpccp.estimate_bytes ~n);
             parallelizable = false;
             exact = false;
-                    connected_only = true;
-            multiway = true;
+            connected_only = true;
           };
         optimize = run_dpccp;
       };

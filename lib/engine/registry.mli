@@ -63,12 +63,6 @@ type ctx = {
           [1e4]). *)
   seed : int;  (** Drives every stochastic optimizer. *)
   counters : Counters.t option;  (** Accumulates split-loop counts. *)
-  multiway : bool;
-      (** Request hybrid binary+n-ary planning: optimizers whose caps
-          advertise [multiway] additionally consider AGM-costed
-          [Plan.Multiway] candidates on cyclic cores; the rest ignore
-          the flag.  A multiway pass runs on the calling domain, pool or
-          not. *)
 }
 (** Everything an optimizer may draw on, problem-independent: one [ctx]
     can serve many problems (that is what {!Engine} does). *)
@@ -81,7 +75,6 @@ val ctx :
   ?growth:float ->
   ?seed:int ->
   ?counters:Counters.t ->
-  ?multiway:bool ->
   Cost_model.t ->
   ctx
 (** Smart constructor; [seed] defaults to 1. *)
@@ -121,11 +114,6 @@ type caps = {
           join graph the method cannot produce a complete plan at all
           ([dpccp], [dpsize-no-products]), so dispatch is refused
           upfront by {!eligible}. *)
-  multiway : bool;
-      (** Honors [ctx.multiway]: the method can emit [Plan.Multiway]
-          nodes ([exact], [dpccp]).  Callers that cannot
-          execute n-ary joins must not set [ctx.multiway] when
-          dispatching to such an entry. *)
 }
 
 type entry = {

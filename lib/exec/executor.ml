@@ -98,71 +98,6 @@ let execute ~algorithm ~max_intermediate_rows (dataset : Datagen.t) plan =
       let set = Relset.union lb.set rb.set in
       trace := { set; actual_rows = Array.length rows; cartesian = keys = [] } :: !trace;
       { cols = Array.append lb.cols rb.cols; rows; set }
-    | Plan.Multiway { inputs; _ } -> (
-      match List.map go inputs with
-      | [] | [ _ ] -> invalid_arg "Executor: multiway node needs at least two inputs"
-      | seed :: others ->
-        (* Probe order is an execution detail: greedily append the first
-           pending input the accumulated set crosses, so a connected core
-           never takes a Cartesian intermediate step regardless of how
-           the plan ordered its inputs. *)
-        let rec pick acc_set = function
-          | [] -> None
-          | b :: tl when Join_graph.crosses dataset.Datagen.graph acc_set b.set -> Some (b, tl)
-          | b :: tl -> (
-            match pick acc_set tl with
-            | Some (x, rest) -> Some (x, b :: rest)
-            | None -> None)
-        in
-        let rec order acc_set pending ordered =
-          match pending with
-          | [] -> List.rev ordered
-          | _ -> (
-            match pick acc_set pending with
-            | Some (b, rest) -> order (Relset.union acc_set b.set) rest (b :: ordered)
-            | None -> (
-              match pending with
-              | b :: rest -> order (Relset.union acc_set b.set) rest (b :: ordered)
-              | [] -> assert false))
-        in
-        let ordered = order seed.set others [] in
-        let cartesian = ref false in
-        (* One pass over column/set metadata builds the per-step keys
-           before any rows move. *)
-        let steps_rev, shape =
-          List.fold_left
-            (fun (steps, accb) b ->
-              if not (Relset.disjoint accb.set b.set) then
-                invalid_arg "Executor: operands share a relation";
-              let keys = spanning_keys dataset.Datagen.graph accb b in
-              if keys = [] then cartesian := true;
-              ( (b.rows, keys) :: steps,
-                {
-                  cols = Array.append accb.cols b.cols;
-                  rows = [||];
-                  set = Relset.union accb.set b.set;
-                } ))
-            ([], seed) ordered
-        in
-        let guard ~left ~right ~keyed =
-          if (not keyed) && left * right > max_intermediate_rows then
-            failwith
-              (Printf.sprintf
-                 "Executor: Cartesian product of %d x %d rows exceeds the %d-row guard" left
-                 right max_intermediate_rows)
-        in
-        let on_step n =
-          if n > max_intermediate_rows then
-            failwith
-              (Printf.sprintf "Executor: intermediate result of %d rows exceeds the %d-row guard"
-                 n max_intermediate_rows)
-        in
-        let rows =
-          Operators.multiway_hash_join ~guard ~on_step ~first:seed.rows (List.rev steps_rev)
-        in
-        trace :=
-          { set = shape.set; actual_rows = Array.length rows; cartesian = !cartesian } :: !trace;
-        { cols = shape.cols; rows; set = shape.set })
   in
   let final = go plan in
   { rows = Array.length final.rows; trace = List.rev !trace }

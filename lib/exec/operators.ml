@@ -52,23 +52,6 @@ let hash_join ~left ~right ~keys =
   emitted (Array.length rows);
   rows
 
-(* N-ary hash join: one accumulated batch hash-probed against each
-   successive input.  [rest] carries, per input, its rows and the keys
-   relating the accumulated columns (left) to it (right) — the caller
-   fixes the input order and the per-step key columns.  [guard] runs
-   before each step with both operand sizes and whether the step is
-   keyed; [on_step] runs after with the intermediate size — the
-   executor hangs its row-count guards there. *)
-let multiway_hash_join ?(guard = fun ~left:_ ~right:_ ~keyed:_ -> ())
-    ?(on_step = fun _ -> ()) ~first rest =
-  List.fold_left
-    (fun acc (rows, keys) ->
-      guard ~left:(Array.length acc) ~right:(Array.length rows) ~keyed:(keys <> []);
-      let out = hash_join ~left:acc ~right:rows ~keys in
-      on_step (Array.length out);
-      out)
-    first rest
-
 let sort_merge_join ~left ~right ~keys =
   let lcols = List.map (fun k -> k.left_col) keys in
   let rcols = List.map (fun k -> k.right_col) keys in

@@ -38,21 +38,6 @@ val hash_join : left:int array array -> right:int array array -> keys:key list -
 val sort_merge_join : left:int array array -> right:int array array -> keys:key list -> int array array
 (** Sorts both inputs on the key columns and merges duplicate groups. *)
 
-val multiway_hash_join :
-  ?guard:(left:int -> right:int -> keyed:bool -> unit) ->
-  ?on_step:(int -> unit) ->
-  first:int array array ->
-  (int array array * key list) list ->
-  int array array
-(** The n-ary hash join behind [Plan.Multiway] execution: an
-    accumulated batch (seeded with [first]) is hash-probed against each
-    successive [(rows, keys)] step, where each step's keys relate the
-    accumulated columns (left) to that input (right).  The caller fixes
-    input order and key columns; [guard] fires before each step with
-    both operand sizes and whether the step is keyed, [on_step] after
-    with the intermediate size — the executor's row-count guards hang
-    there.  With a single step this is exactly {!hash_join}. *)
-
 val same_multiset : int array array -> int array array -> bool
 (** Order-insensitive row-multiset equality — the operators'
     cross-checking predicate used by the tests. *)

@@ -164,7 +164,7 @@ let eligibility ?session ~budget tier catalog graph =
           Some (Not_applicable "join graph is disconnected")
         else None)
 
-let run_tier ?session ?multiway ~budget ~seed tier model catalog graph =
+let run_tier ?session ~budget ~seed tier model catalog graph =
   let interrupt = Budget.interrupt budget in
   (* A plan with an overflowed (infinite) cost estimate is still a valid
      join order and better than nothing; only NaN — or no plan at all —
@@ -183,10 +183,6 @@ let run_tier ?session ?multiway ~budget ~seed tier model catalog graph =
      or one plain pass when there is no finite bound.  Its counters are
      this call's own, so the skip count is read even when the deadline
      interrupts the pass. *)
-  (* Tiers whose caps lack the multiway capability simply ignore the
-     flag, so one ctx serves the whole cascade and it stays valid end to
-     end: an n-ary-capable tier may emit [Plan.Multiway], every tier
-     below it still produces plain binary plans. *)
   let problem = Registry.problem ~graph catalog in
   let upper = match tier with Exact -> Registry.upper_bound model problem | _ -> None in
   let counters = Counters.create () in
@@ -195,7 +191,7 @@ let run_tier ?session ?multiway ~budget ~seed tier model catalog graph =
   let ctx =
     Registry.ctx ?arena ?pool ~interrupt
       ?threshold:(Option.map (fun (b : Registry.bound) -> b.Registry.value) upper)
-      ~counters ~seed ?multiway model
+      ~counters ~seed model
   in
   let result =
     match (tier_entry tier).Registry.optimize ctx problem with
@@ -239,8 +235,7 @@ let record_win tier =
          ~labels:[ ("tier", tier_name tier) ]
          "blitz_degrade_wins_total")
 
-let optimize ?(cascade = default_cascade) ?(seed = 1) ?session ?multiway ~budget model catalog
-    graph =
+let optimize ?(cascade = default_cascade) ?(seed = 1) ?session ~budget model catalog graph =
   let t_start = Budget.elapsed_ms budget in
   let rec go attempts = function
     | [] -> Error (List.rev attempts)
@@ -253,7 +248,7 @@ let optimize ?(cascade = default_cascade) ?(seed = 1) ?session ?multiway ~budget
         let t0 = Budget.elapsed_ms budget in
         let result, bound =
           Obs.span ("degrade." ^ tier_name tier) (fun () ->
-              run_tier ?session ?multiway ~budget ~seed tier model catalog graph)
+              run_tier ?session ~budget ~seed tier model catalog graph)
         in
         Option.iter (record_bound tier) bound;
         match result with

@@ -144,7 +144,6 @@ val eligibility :
 
 val run_tier :
   ?session:Engine.t ->
-  ?multiway:bool ->
   budget:Budget.t ->
   seed:int ->
   tier ->
@@ -167,7 +166,6 @@ val optimize :
   ?cascade:tier list ->
   ?seed:int ->
   ?session:Engine.t ->
-  ?multiway:bool ->
   budget:Budget.t ->
   Cost_model.t ->
   Catalog.t ->
@@ -175,10 +173,8 @@ val optimize :
   (Plan.t * provenance, attempt list) result
 (** Walk the cascade under the (already armed) budget.  [Error attempts]
     — possible only with a custom [cascade] that omits {!Greedy} — still
-    reports why every tier declined.  [session] and [multiway] are
-    forwarded to every tier (see {!run_tier}), [session] to
-    {!eligibility}.  Capable tiers (exact, dpccp) plan n-ary nodes
-    under [multiway], the rest ignore it, so the cascade stays valid
-    top to bottom.  The cascade never uses the session's cache
+    reports why every tier declined.  [session] is forwarded to every
+    tier (see {!run_tier}) and to {!eligibility}.  The cascade never
+    uses the session's cache
     functions, so a caller may run it inside
     {!Engine.cache_around}. *)

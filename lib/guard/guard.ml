@@ -17,6 +17,7 @@ type outcome = {
 type error =
   | Invalid_input of Sanitize.issue list
   | No_tier_produced of Degrade.attempt list
+  | Multiway_retired
   | Internal of string
 
 let error_message = function
@@ -30,6 +31,9 @@ let error_message = function
          (List.map
             (fun (a : Degrade.attempt) -> Format.asprintf "%a" Degrade.pp_attempt a)
             attempts))
+  | Multiway_retired ->
+    Blitz_util.Err.format ~scope:"Guard.optimize"
+      "multiway planning was retired; every plan is binary"
   | Internal msg -> Blitz_util.Err.format ~scope:"Guard.optimize" "internal failure: %s" msg
 
 (* The guard participates in a session's plan cache only on the clean
@@ -45,15 +49,13 @@ let cached_tier = Degrade.Exact
 (* The cache round around the cascade: [Engine.cache_around]
    fingerprints the problem once, looks it up under the exact key, and
    on a miss stores the exact tier's plan and cost from that same
-   fingerprint.  The key carries the multiway flag as
-   [Engine.optimize]'s does, so a binary request is never served an
-   n-ary plan, nor a multiway request the binary optimum.  The cascade
-   uses the session's arena and pool, never its cache, so the
-   fingerprint is still in the scratch when the store comes. *)
-let with_cache ~session ~repairs ?cache_tag ?multiway model catalog graph ~hit run =
+   fingerprint.  The cascade uses the session's arena and pool, never
+   its cache, so the fingerprint is still in the scratch when the store
+   comes. *)
+let with_cache ~session ~repairs ?cache_tag model catalog graph ~hit run =
   match session with
   | Some s when repairs = [] ->
-    Engine.cache_around ~model ?cache_tag ?multiway s
+    Engine.cache_around ~model ?cache_tag s
       ~optimizer:(Degrade.tier_name cached_tier)
       (Blitz_engine.Registry.problem ~graph catalog)
       ~hit:(hit cached_tier)
@@ -70,7 +72,7 @@ let with_cache ~session ~repairs ?cache_tag ?multiway model catalog graph ~hit r
    catch-all converts any escaped exception — there should be none, but
    a resilient driver does not get to assume that — into a typed error
    rather than unwinding through the caller. *)
-let drive ~budget ?cascade ?seed ?multiway ?session ?cache_tag model catalog graph repairs =
+let drive ~budget ?cascade ?seed ?session ?cache_tag model catalog graph repairs =
   Budget.start budget;
   (* Fabricated cardinalities (Sanitize defaulted them) mean every
      cost-based tier would optimize placeholder numbers; unless the
@@ -115,7 +117,7 @@ let drive ~budget ?cascade ?seed ?multiway ?session ?cache_tag model catalog gra
     (* A session plugs its pooled DP table into the cascade and, for a
        query large enough to run rank-parallel, its domain pool.  Plans
        and costs are bit-identical with or without it. *)
-    match Degrade.optimize ?cascade ?seed ?multiway ?session ~budget model catalog graph with
+    match Degrade.optimize ?cascade ?seed ?session ~budget model catalog graph with
     | Ok (plan, provenance) ->
       Ok
         {
@@ -129,22 +131,27 @@ let drive ~budget ?cascade ?seed ?multiway ?session ?cache_tag model catalog gra
         }
     | Error attempts -> Error (No_tier_produced attempts)
   in
-  try with_cache ~session ~repairs ?cache_tag ?multiway model catalog graph ~hit:served run
+  try with_cache ~session ~repairs ?cache_tag model catalog graph ~hit:served run
   with exn -> Error (Internal (Printexc.to_string exn))
 
-let optimize ?budget ?session ?cascade ?seed ?multiway ?cache_tag model catalog graph =
-  let budget = match budget with Some b -> b | None -> Budget.unlimited () in
-  match Sanitize.check_pair catalog graph with
-  | Error issues -> Error (Invalid_input issues)
-  | Ok clean ->
-    drive ~budget ?cascade ?seed ?multiway ?session ?cache_tag model clean.Sanitize.catalog
-      clean.Sanitize.graph clean.Sanitize.repairs
+(* [multiway] stays only because the benchmark ladder still forwards the
+   wire's flag, which the decoder pins to [false]; [true] is refused
+   before any tier runs. *)
+let optimize ?budget ?session ?cascade ?seed ?(multiway = false) ?cache_tag model catalog graph =
+  if multiway then Error Multiway_retired
+  else
+    let budget = match budget with Some b -> b | None -> Budget.unlimited () in
+    match Sanitize.check_pair catalog graph with
+    | Error issues -> Error (Invalid_input issues)
+    | Ok clean ->
+      drive ~budget ?cascade ?seed ?session ?cache_tag model clean.Sanitize.catalog
+        clean.Sanitize.graph clean.Sanitize.repairs
 
-let optimize_input ?budget ?session ?seed ?multiway ?cache_tag model ~relations ~edges () =
+let optimize_input ?budget ?session ?seed ?cache_tag model ~relations ~edges () =
   let budget = match budget with Some b -> b | None -> Budget.unlimited () in
   match Sanitize.check ~relations ~edges () with
   | Error issues -> Error (Invalid_input issues)
   | exception exn -> Error (Internal (Printexc.to_string exn))
   | Ok clean ->
-    drive ~budget ?seed ?multiway ?session ?cache_tag model clean.Sanitize.catalog
+    drive ~budget ?seed ?session ?cache_tag model clean.Sanitize.catalog
       clean.Sanitize.graph clean.Sanitize.repairs

@@ -43,6 +43,9 @@ type error =
   | No_tier_produced of Degrade.attempt list
       (** Possible only with a custom cascade omitting the
           deadline-exempt tiers (greedy, estimate-free). *)
+  | Multiway_retired
+      (** [~multiway:true] was passed to {!optimize}: n-ary planning is
+          gone, so no tier ran. *)
   | Internal of string  (** An escaped exception, demoted to data. *)
 
 val error_message : error -> string
@@ -73,20 +76,19 @@ val optimize :
     first such query.  The results are bit-identical on every width
     (see {!Degrade.run_tier}).  When the runtime refuses those domains
     the tiers run on the calling domain, with the same answer.
-    [multiway] asks capable tiers for n-ary AGM-costed plans (see
-    {!Degrade.optimize}); incapable tiers ignore it, so the cascade
-    stays valid end to end.  It also keys the session cache apart, as
-    [Blitz_engine.Engine.optimize] does, so a binary request is never
-    served an n-ary plan.  [cache_tag] partitions the session cache
-    per caller (see [Blitz_engine.Engine.cache_around]): the serving layer
-    passes the tenant id, so a shared cache never replays one tenant's
-    plan to another. *)
+    [cache_tag] partitions the session cache per caller (see
+    [Blitz_engine.Engine.cache_around]): the serving layer passes the
+    tenant id, so a shared cache never replays one tenant's plan to
+    another.  [multiway] is kept only for the benchmark ladder, which
+    forwards the wire's [params.multiway] (always [false], since the
+    decoder refuses [true]) until its forwarding is dropped: every plan
+    is binary, and [~multiway:true] returns [Error Multiway_retired]
+    without running a tier. *)
 
 val optimize_input :
   ?budget:Budget.t ->
   ?session:Blitz_engine.Engine.t ->
   ?seed:int ->
-  ?multiway:bool ->
   ?cache_tag:string ->
   Cost_model.t ->
   relations:(string * float) list ->

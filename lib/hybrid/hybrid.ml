@@ -23,8 +23,7 @@ let replace_at plan path subtree =
     | [], _ -> subtree
     | 0 :: rest, Plan.Join (l, r) -> Plan.Join (go l rest, r)
     | 1 :: rest, Plan.Join (l, r) -> Plan.Join (l, go r rest)
-    | _ :: _, (Plan.Leaf _ | Plan.Join _ | Plan.Multiway _) ->
-      invalid_arg "Hybrid.replace_at: bad path"
+    | _ :: _, (Plan.Leaf _ | Plan.Join _) -> invalid_arg "Hybrid.replace_at: bad path"
   in
   go plan path
 
@@ -45,9 +44,7 @@ let decompose ~window subtree =
         List.fold_left
           (fun acc u ->
             match (u.tree, acc) with
-            (* Multiway nodes are kept whole: the window re-optimizer
-               re-arranges units binarily and must not lose them. *)
-            | (Plan.Leaf _ | Plan.Multiway _), _ -> acc
+            | Plan.Leaf _, _ -> acc
             | Plan.Join _, Some best when best.leaves >= u.leaves -> acc
             | Plan.Join _, (Some _ | None) -> Some u)
           None units
@@ -56,7 +53,7 @@ let decompose ~window subtree =
       | None -> units
       | Some u -> (
         match u.tree with
-        | Plan.Leaf _ | Plan.Multiway _ -> units
+        | Plan.Leaf _ -> units
         | Plan.Join (l, r) ->
           let rest = List.filter (fun v -> v != u) units in
           go (wrap l :: wrap r :: rest) (count + 1))
@@ -100,10 +97,6 @@ let reoptimize_units ?arena model catalog graph units =
         let rec subst = function
           | Plan.Leaf i -> unit_arr.(i)
           | Plan.Join (l, r) -> Plan.Join (subst l, subst r)
-          | Plan.Multiway { inputs; _ } ->
-            (* Cover weights name pseudo-relations here; drop them and
-               keep the structure (re-costing re-solves covers). *)
-            Plan.multiway (List.map subst inputs)
         in
         Some (subst arrangement)
     end
@@ -112,7 +105,7 @@ let reoptimize_units ?arena model catalog graph units =
 let internal_paths plan =
   let acc = ref [] in
   let rec go rev_path = function
-    | Plan.Leaf _ | Plan.Multiway _ -> ()
+    | Plan.Leaf _ -> ()
     | Plan.Join (l, r) ->
       acc := List.rev rev_path :: !acc;
       go (0 :: rev_path) l;
@@ -126,7 +119,7 @@ let subtree_at plan path =
     | [] -> plan
     | dir :: rest -> (
       match plan with
-      | Plan.Leaf _ | Plan.Multiway _ -> invalid_arg "Hybrid.subtree_at: bad path"
+      | Plan.Leaf _ -> invalid_arg "Hybrid.subtree_at: bad path"
       | Plan.Join (l, r) -> go (if dir = 0 then l else r) rest)
   in
   go plan path

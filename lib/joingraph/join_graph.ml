@@ -137,41 +137,6 @@ let is_connected_subset t s =
 
 let is_connected t = is_connected_subset t (Relset.full t.n)
 
-(* A subset is a cyclic core candidate when its induced subgraph is
-   2-edge-connected: at least three relations, every member with at
-   least two induced neighbors, connected, and bridgeless (DFS
-   low-link).  Acyclic graphs — chains, stars, trees — have no such
-   subset, so a multiway alternative gated on this predicate can never
-   fire on them. *)
-let two_edge_connected_subset t s =
-  Relset.cardinal s >= 3
-  && Relset.for_all (fun i -> Relset.cardinal (Relset.inter t.neighbors.(i) s) >= 2) s
-  && is_connected_subset t s
-  &&
-  let disc = Array.make t.n (-1) in
-  let low = Array.make t.n 0 in
-  let timer = ref 0 in
-  let bridge = ref false in
-  (* The graph is simple (duplicate edges rejected at construction), so
-     skipping the single DFS parent is sound. *)
-  let rec dfs u parent =
-    disc.(u) <- !timer;
-    low.(u) <- !timer;
-    incr timer;
-    Relset.iter
-      (fun v ->
-        if v <> parent then
-          if disc.(v) < 0 then begin
-            dfs v u;
-            if low.(v) < low.(u) then low.(u) <- low.(v);
-            if low.(v) > disc.(u) then bridge := true
-          end
-          else if disc.(v) < low.(u) then low.(u) <- disc.(v))
-      (Relset.inter t.neighbors.(u) s)
-  in
-  dfs (Relset.min_elt s) (-1);
-  not !bridge
-
 let crosses t u v =
   Relset.exists (fun i -> not (Relset.disjoint t.neighbors.(i) v)) u
 

@@ -87,15 +87,6 @@ val is_connected_subset : t -> Relset.t -> bool
 
 val is_connected : t -> bool
 
-val two_edge_connected_subset : t -> Relset.t -> bool
-(** Whether the subgraph induced by the set is 2-edge-connected: at
-    least three relations, minimum induced degree 2, connected, and
-    free of bridges (checked by DFS low-link).  This is the structural
-    gate for multiway-join candidates — it holds for cliques, cycles
-    and grid faces, and for {e no} subset of an acyclic (chain, star,
-    tree) graph, which is what keeps the hybrid DP bit-identical to
-    pure binary optimization on acyclic workloads. *)
-
 val crosses : t -> Relset.t -> Relset.t -> bool
 (** [crosses t u v] holds when at least one predicate spans [u] and
     [v] — i.e. joining them is {e not} a Cartesian product. *)

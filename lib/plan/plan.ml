@@ -2,16 +2,8 @@ module Relset = Blitz_bitset.Relset
 module Catalog = Blitz_catalog.Catalog
 module Join_graph = Blitz_graph.Join_graph
 module Cost_model = Blitz_cost.Cost_model
-module Agm = Blitz_cost.Agm
 
-type t =
-  | Leaf of int
-  | Join of t * t
-  | Multiway of { inputs : t list; cover : (int list * float) list; agm : float }
-
-let multiway ?(cover = []) ?(agm = Float.infinity) inputs =
-  if List.length inputs < 2 then invalid_arg "Plan.multiway: need at least two inputs";
-  Multiway { inputs; cover; agm }
+type t = Leaf of int | Join of t * t
 
 let relations plan =
   let rec go acc = function
@@ -21,40 +13,25 @@ let relations plan =
         invalid_arg (Printf.sprintf "Plan.relations: relation %d appears twice" i);
       Relset.union acc s
     | Join (l, r) -> go (go acc l) r
-    | Multiway { inputs; _ } -> List.fold_left go acc inputs
   in
   go Relset.empty plan
 
 let rec leaf_count = function
   | Leaf _ -> 1
   | Join (l, r) -> leaf_count l + leaf_count r
-  | Multiway { inputs; _ } -> List.fold_left (fun acc p -> acc + leaf_count p) 0 inputs
 
 let rec join_count = function
   | Leaf _ -> 0
   | Join (l, r) -> 1 + join_count l + join_count r
-  | Multiway { inputs; _ } -> List.fold_left (fun acc p -> acc + join_count p) 1 inputs
 
 let rec depth = function
   | Leaf _ -> 0
   | Join (l, r) -> 1 + max (depth l) (depth r)
-  | Multiway { inputs; _ } -> 1 + List.fold_left (fun acc p -> max acc (depth p)) 0 inputs
 
 let rec is_left_deep = function
   | Leaf _ -> true
   | Join (l, Leaf _) -> is_left_deep l
-  | Join (_, (Join _ | Multiway _)) -> false
-  | Multiway _ -> false
-
-let rec has_multiway = function
-  | Leaf _ -> false
-  | Join (l, r) -> has_multiway l || has_multiway r
-  | Multiway _ -> true
-
-let rec multiway_count = function
-  | Leaf _ -> 0
-  | Join (l, r) -> multiway_count l + multiway_count r
-  | Multiway { inputs; _ } -> List.fold_left (fun acc p -> acc + multiway_count p) 1 inputs
+  | Join (_, Join _) -> false
 
 let validate ~n plan =
   let seen = ref Relset.empty in
@@ -67,38 +44,18 @@ let validate ~n plan =
         Ok ()
       end
     | Join (l, r) -> ( match go l with Ok () -> go r | Error _ as e -> e)
-    | Multiway { inputs; _ } ->
-      if List.length inputs < 2 then Error "multiway node with fewer than two inputs"
-      else
-        List.fold_left
-          (fun acc input -> match acc with Ok () -> go input | Error _ as e -> e)
-          (Ok ()) inputs
   in
   go plan
 
-(* Structural equality: the multiway [cover]/[agm] payload is costing
-   provenance (recomputable from any catalog + graph), not plan
-   structure, so it does not participate — float payloads in the
-   cache's structural verification would make hits fragile for no
-   semantic gain. *)
 let rec equal a b =
   match (a, b) with
   | Leaf i, Leaf j -> i = j
   | Join (al, ar), Join (bl, br) -> equal al bl && equal ar br
-  | Multiway { inputs = ia; _ }, Multiway { inputs = ib; _ } ->
-    List.length ia = List.length ib && List.for_all2 equal ia ib
-  | (Leaf _ | Join _ | Multiway _), _ -> false
+  | (Leaf _ | Join _), _ -> false
 
 let rec map_leaves f = function
   | Leaf i -> Leaf (f i)
   | Join (l, r) -> Join (map_leaves f l, map_leaves f r)
-  | Multiway { inputs; cover; agm } ->
-    Multiway
-      {
-        inputs = List.map (map_leaves f) inputs;
-        cover = List.map (fun (members, w) -> (List.sort compare (List.map f members), w)) cover;
-        agm;
-      }
 
 let rec normalize = function
   | Leaf _ as p -> p
@@ -106,12 +63,6 @@ let rec normalize = function
     let l = normalize l and r = normalize r in
     if Relset.min_elt (relations l) <= Relset.min_elt (relations r) then Join (l, r)
     else Join (r, l)
-  | Multiway { inputs; cover; agm } ->
-    let inputs =
-      List.map normalize inputs
-      |> List.sort (fun a b -> compare (Relset.min_elt (relations a)) (Relset.min_elt (relations b)))
-    in
-    Multiway { inputs; cover = List.sort compare cover; agm }
 
 let enumerate s =
   let rec go s =
@@ -160,20 +111,6 @@ let cost model catalog graph plan =
       let set = Relset.union lset rset in
       let out = lcard *. rcard *. Join_graph.pi_span graph lset rset in
       (lcost +. rcost +. Cost_model.kappa model ~out ~lcard ~rcard, out, set)
-    | Multiway { inputs; _ } ->
-      let in_cost, cards, out, set =
-        List.fold_left
-          (fun (c, cards, card, set) input ->
-            let ci, cardi, seti = go input in
-            (c +. ci, cardi :: cards, card *. cardi *. Join_graph.pi_span graph set seti,
-             Relset.union set seti))
-          (0.0, [], 1.0, Relset.empty) inputs
-      in
-      (* Re-costing always re-solves the cover against the statistics it
-         was handed — the stored [agm] reflects the optimizer's view, and
-         regret analysis must charge the node its true AGM bound. *)
-      let agm = (Agm.of_join_graph catalog graph set).Agm.bound in
-      (in_cost +. Agm.kappa_multiway ~inputs:cards ~out ~agm, out, set)
   in
   let total, _, _ = go plan in
   total
@@ -186,17 +123,6 @@ let cartesian_join_count graph plan =
       let rn, rset = go r in
       let here = if Join_graph.crosses graph lset rset then 0 else 1 in
       (ln + rn + here, Relset.union lset rset)
-    | Multiway { inputs; _ } ->
-      let count, set =
-        List.fold_left
-          (fun (acc, set) input ->
-            let ni, seti = go input in
-            (acc + ni, Relset.union set seti))
-          (0, Relset.empty) inputs
-      in
-      (* A multiway node is one n-ary join; it is Cartesian only when
-         its whole relation set fails to induce a connected subgraph. *)
-      ((if Join_graph.is_connected_subset graph set then count else count + 1), set)
   in
   fst (go plan)
 
@@ -210,14 +136,6 @@ type annotated =
       join_cost : float;
       subtree_cost : float;
       cartesian : bool;
-    }
-  | Ann_multiway of {
-      inputs : annotated list;
-      card : float;
-      cover : (int list * float) list;
-      agm : float;
-      join_cost : float;
-      subtree_cost : float;
     }
 
 let annotate ~algorithms catalog graph plan =
@@ -251,28 +169,6 @@ let annotate ~algorithms catalog graph plan =
           }
       in
       (node, out, Relset.union lset rset, subtree_cost)
-    | Multiway { inputs; cover = stored_cover; _ } ->
-      let anns, cards, in_cost, out, set =
-        List.fold_left
-          (fun (anns, cards, c, card, set) input ->
-            let a, cardi, seti, ci = go input in
-            (a :: anns, cardi :: cards, c +. ci,
-             card *. cardi *. Join_graph.pi_span graph set seti, Relset.union set seti))
-          ([], [], 0.0, 1.0, Relset.empty) inputs
-      in
-      (* The rendered cover is re-solved against the statistics being
-         annotated (same rule as {!cost}); the stored one is kept only
-         as a fallback for degenerate solves. *)
-      let solved = Agm.of_join_graph catalog graph set in
-      let cover = if solved.Agm.weights = [] then stored_cover else solved.Agm.weights in
-      let agm = solved.Agm.bound in
-      let join_cost = Agm.kappa_multiway ~inputs:cards ~out ~agm in
-      let subtree_cost = in_cost +. join_cost in
-      let node =
-        Ann_multiway
-          { inputs = List.rev anns; card = out; cover; agm; join_cost; subtree_cost }
-      in
-      (node, out, set, subtree_cost)
   in
   let node, _, _, _ = go plan in
   node
@@ -280,7 +176,6 @@ let annotate ~algorithms catalog graph plan =
 let annotated_cost = function
   | Ann_leaf _ -> 0.0
   | Ann_join j -> j.subtree_cost
-  | Ann_multiway m -> m.subtree_cost
 
 let leaf_name names i =
   if i < Array.length names then names.(i) else string_of_int i
@@ -296,14 +191,6 @@ let to_compact_string ?names plan =
       Buffer.add_string buf " x ";
       go r;
       Buffer.add_char buf ')'
-    | Multiway { inputs; _ } ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i input ->
-          if i > 0 then Buffer.add_string buf " x ";
-          go input)
-        inputs;
-      Buffer.add_char buf ']'
   in
   go plan;
   Buffer.contents buf
@@ -328,30 +215,6 @@ let of_compact_string ~names text =
   let rec parse_expr () =
     skip_spaces ();
     if !pos >= len then error "unexpected end of input"
-    else if text.[!pos] = '[' then begin
-      (* Multiway: [A x B x C].  The textual form carries structure
-         only; cover weights and the AGM bound are costing provenance,
-         re-derivable from any catalog + graph. *)
-      incr pos;
-      let rec parse_inputs acc =
-        match parse_expr () with
-        | Error _ as e -> e
-        | Ok input -> (
-          skip_spaces ();
-          if !pos < len && text.[!pos] = 'x' then begin
-            incr pos;
-            parse_inputs (input :: acc)
-          end
-          else if !pos < len && text.[!pos] = ']' then begin
-            incr pos;
-            let inputs = List.rev (input :: acc) in
-            if List.length inputs < 2 then error "multiway node needs at least two inputs"
-            else Ok (Multiway { inputs; cover = []; agm = Float.infinity })
-          end
-          else error "expected 'x' or ']'")
-      in
-      parse_inputs []
-    end
     else if text.[!pos] = '(' then begin
       incr pos;
       match parse_expr () with
@@ -404,20 +267,6 @@ let pp_annotated ?names () ppf annotated =
         pe card pe join_cost pe subtree_cost;
       go (indent ^ "  ") lhs;
       go (indent ^ "  ") rhs
-    | Ann_multiway { inputs; card; cover; agm; join_cost; subtree_cost } ->
-      Format.fprintf ppf "multiway[hash]  card=%a  agm=%a  join_cost=%a  subtree_cost=%a@," pe
-        card pe agm pe join_cost pe subtree_cost;
-      if cover <> [] then begin
-        Format.fprintf ppf "%s  cover:" indent;
-        List.iter
-          (fun (members, w) ->
-            Format.fprintf ppf " {%s}=%g"
-              (String.concat "," (List.map name members))
-              w)
-          cover;
-        Format.fprintf ppf "@,"
-      end;
-      List.iter (go (indent ^ "  ")) inputs
   in
   Format.fprintf ppf "@[<v>";
   go "" annotated;

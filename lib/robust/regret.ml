@@ -76,19 +76,15 @@ let mean_card = 1000.0
 let variability = 1.0 /. 3.0
 
 let run ?(mode = Noise.Lognormal) ?optimizers ?(topologies = Topology.all_paper)
-    ?(levels = [ 0.0; 0.5; 1.0; 2.0 ]) ?(seeds = [ 1; 2; 3; 4; 5 ]) ?multiway ~n model =
+    ?(levels = [ 0.0; 0.5; 1.0; 2.0 ]) ?(seeds = [ 1; 2; 3; 4; 5 ]) ~n model =
   if levels = [] || seeds = [] || topologies = [] then
     invalid_arg "Regret.run: levels, seeds and topologies must be non-empty";
   let optimizers = match optimizers with Some o -> o | None -> default_optimizers () in
   let entries = List.map (fun name -> (name, Registry.find_exn name)) optimizers in
   (* One sequential ctx for the whole sweep: the harness's results must
      not depend on domain count, and the exact DP is bit-identical
-     sequential vs rank-parallel anyway.  With [multiway] the capable
-     optimizers plan n-ary nodes against the perturbed statistics and
-     are then judged by [Plan.cost] under the true ones — which
-     re-solves the AGM bound from the true catalog, never trusting the
-     stored one. *)
-  let ctx = Registry.ctx ?multiway model in
+     sequential vs rank-parallel anyway. *)
+  let ctx = Registry.ctx model in
   let optima = ref [] in
   let cells = ref [] in
   List.iteri

@@ -58,7 +58,6 @@ val run :
   ?topologies:Topology.t list ->
   ?levels:float list ->
   ?seeds:int list ->
-  ?multiway:bool ->
   n:int ->
   Cost_model.t ->
   report
@@ -66,14 +65,11 @@ val run :
     optimizers but [bruteforce], the paper's four topologies, levels
     [0, 0.5, 1, 2] (decades of error), seeds 1-5.  The true
     statistics are generated with mean cardinality 1000 and
-    variability 1/3, as the report records.  Optimizers whose caps rule the problem out
-    ([max_n], [tree_only]) are skipped, not failed.  [multiway] lets
-    capable optimizers plan n-ary nodes against the perturbed numbers;
-    regret is still judged by re-costing under the true catalog, where
-    [Plan.cost] re-solves each multiway node's AGM bound from the true
-    statistics.  Deterministic: equal arguments produce equal reports.
-    Raises [Invalid_argument] on empty [levels]/[seeds]/[topologies] or
-    a [Workload.spec] rejection. *)
+    variability 1/3, as the report records.  Optimizers whose caps rule
+    the problem out ([max_n], [tree_only]) are skipped, not failed.
+    Deterministic: equal arguments produce equal reports.  Raises
+    [Invalid_argument] on empty [levels]/[seeds]/[topologies] or a
+    [Workload.spec] rejection. *)
 
 val report_to_json : report -> Json.t
 val pp : Format.formatter -> report -> unit

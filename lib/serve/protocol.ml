@@ -157,12 +157,18 @@ let parse_params json =
     | None, Some n -> parse_generated params n
     | None, None -> reject (Missing "params.relations (inline) or params.n (generated)")
   in
-  let multiway =
-    match obj_member "multiway" params with
-    | None -> false
-    | Some v -> get_bool "params.multiway" v
-  in
-  (query, multiway)
+  (* v1 once accepted [multiway: true] for n-ary plans; that planner is
+     retired, so [true] is refused rather than answered binary. *)
+  (match Option.map (get_bool "params.multiway") (obj_member "multiway" params) with
+  | Some true ->
+    reject
+      (Bad_value
+         {
+           field = "params.multiway";
+           detail = "multiway planning was retired; send false or omit it";
+         })
+  | Some false | None -> ());
+  query
 
 let decode_envelope json rid =
   (match json with
@@ -183,8 +189,7 @@ let decode_envelope json rid =
     match meth with
     | "optimize" | "explain" ->
       let call = if meth = "explain" then Explain else Optimize in
-      let query, multiway = parse_params json in
-      Run { call; query; multiway }
+      Run { call; query = parse_params json; multiway = false }
     | "stats" -> Stats
     | "health" -> Health
     | m -> reject (Unknown_method m)

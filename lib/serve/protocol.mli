@@ -43,6 +43,10 @@ type call = Optimize | Explain
 
 type request =
   | Run of { call : call; query : query; multiway : bool }
+      (** [multiway] is always [false]: the decoder accepts an absent or
+          [false] [params.multiway] and refuses [true] as a [Bad_value]
+          ([invalid_request]), since every plan is binary.  The field
+          stays only because the benchmark ladder still binds it. *)
   | Stats
   | Health
 

@@ -66,7 +66,6 @@ type job = {
   tenant : Tenant.t;
   call : Protocol.call;
   query : Protocol.query;
-  multiway : bool;
   enqueued_at : float;
 }
 
@@ -176,14 +175,6 @@ let rec tree_json model catalog graph names (p : Plan.t) =
         ("cost", Json.Float (Plan.cost model catalog graph p));
         ("children", Json.List [ tree_json model catalog graph names l; tree_json model catalog graph names r ]);
       ]
-  | Plan.Multiway { inputs; _ } ->
-    Json.Obj
-      [
-        ("op", Json.String "multiway");
-        ("card", Json.Float card);
-        ("cost", Json.Float (Plan.cost model catalog graph p));
-        ("children", Json.List (List.map (tree_json model catalog graph names) inputs));
-      ]
 
 let run_job t session (job : job) ~shed =
   let tenant = job.tenant in
@@ -197,7 +188,7 @@ let run_job t session (job : job) ~shed =
     match job.query with
     | Protocol.Inline { relations; edges } ->
       `Guard
-        (Guard.optimize_input ~budget ~session ~seed:t.cfg.seed ~multiway:job.multiway ~cache_tag
+        (Guard.optimize_input ~budget ~session ~seed:t.cfg.seed ~cache_tag
            t.cfg.model ~relations ~edges ())
     | Protocol.Generated { n; topology; mean_card; variability } -> (
       match Topology.of_string topology with
@@ -208,7 +199,7 @@ let run_job t session (job : job) ~shed =
         | spec ->
           let catalog, graph = Workload.problem spec in
           `Guard
-            (Guard.optimize ~budget ~session ~seed:t.cfg.seed ~multiway:job.multiway ~cache_tag
+            (Guard.optimize ~budget ~session ~seed:t.cfg.seed ~cache_tag
                t.cfg.model catalog graph)))
   in
   let elapsed_ms = (Blitz_util.Clock.now_s () -. job.enqueued_at) *. 1000. in
@@ -241,7 +232,9 @@ let run_job t session (job : job) ~shed =
       | Protocol.Explain ->
         base
         @ [
-            ("multiway_nodes", Json.Int (Plan.multiway_count o.Guard.plan));
+            (* Constant since every plan is binary; kept so v1 explain
+               responses keep their shape. *)
+            ("multiway_nodes", Json.Int 0);
             ("tree", tree_json t.cfg.model o.Guard.catalog o.Guard.graph names o.Guard.plan);
           ]
     in
@@ -424,7 +417,7 @@ let handle_line t c line =
     | Protocol.Stats ->
       Metrics.incr t.c_stats;
       send_line t c ~counts:false (Protocol.ok_response ~id:env.Protocol.id (stats_json t))
-    | Protocol.Run { call; query; multiway } -> (
+    | Protocol.Run { call; query; multiway = _ } -> (
       let tname = Option.value env.Protocol.tenant ~default:Tenant.default_name in
       match Hashtbl.find_opt t.tenants tname with
       | None ->
@@ -464,7 +457,6 @@ let handle_line t c line =
                 tenant;
                 call;
                 query;
-                multiway;
                 enqueued_at = Blitz_util.Clock.now_s ();
               }
               t.work;

@@ -21,26 +21,6 @@ let valid_name name =
          || c = '_' || c = '.' || c = '-')
        name
 
-let make ?deadline_ms ?max_table_bytes ?rps ?burst name =
-  if not (valid_name name) then
-    invalid_arg (Printf.sprintf "Tenant.make: invalid name %S (want [A-Za-z0-9_.-]+)" name);
-  let positive what = function
-    | Some x when x <= 0. -> invalid_arg (Printf.sprintf "Tenant.make: %s must be positive" what)
-    | v -> v
-  in
-  let deadline_ms = positive "deadline-ms" deadline_ms in
-  (match max_table_bytes with
-  | Some b when b <= 0 -> invalid_arg "Tenant.make: table-mb must be positive"
-  | _ -> ());
-  (match rps with
-  | Some r when r < 0. || not (Float.is_finite r) ->
-    invalid_arg "Tenant.make: rps must be finite and non-negative"
-  | _ -> ());
-  (match burst with
-  | Some b when b < 1 -> invalid_arg "Tenant.make: burst must be at least 1"
-  | _ -> ());
-  { name; deadline_ms; max_table_bytes; rps; burst }
-
 let default = { name = default_name; deadline_ms = None; max_table_bytes = None; rps = None; burst = None }
 
 let quota t =
@@ -49,7 +29,8 @@ let quota t =
   | rps, burst -> Quota.create ?burst ?rps ()
 
 (* Spec grammar: tenants split on ';', each "name" or "name:k=v,k=v".
-   Keys: deadline-ms, table-mb, rps, burst. *)
+   Keys: deadline-ms, table-mb, rps, burst.  Each value is checked as
+   written, before any conversion. *)
 let parse_one chunk =
   let name, settings =
     match String.index_opt chunk ':' with
@@ -57,46 +38,53 @@ let parse_one chunk =
     | Some i -> (String.sub chunk 0 i, String.sub chunk (i + 1) (String.length chunk - i - 1))
   in
   let name = String.trim name in
-  let deadline_ms = ref None
-  and table_mb = ref None
-  and rps = ref None
-  and burst = ref None in
+  let fail fmt =
+    Printf.ksprintf (fun msg -> Error (Err.format ~scope:"serve" "tenant %S: %s" name msg)) fmt
+  in
+  let t = ref { default with name } in
   let parse_setting s =
     let s = String.trim s in
     if s = "" then Ok ()
     else
       match String.index_opt s '=' with
-      | None -> Error (Err.format ~scope:"serve" "tenant %S: setting %S is not key=value" name s)
+      | None -> fail "setting %S is not key=value" s
       | Some i -> (
         let key = String.sub s 0 i and v = String.sub s (i + 1) (String.length s - i - 1) in
-        let num () =
+        let num check set =
           match float_of_string_opt v with
-          | Some x when Float.is_finite x -> Ok x
-          | _ -> Error (Err.format ~scope:"serve" "tenant %S: %s=%S is not a number" name key v)
+          | Some x when Float.is_finite x -> (
+            match check x with
+            | None -> Ok (t := set x)
+            | Some problem -> fail "%s %s" key problem)
+          | _ -> fail "%s=%S is not a number" key v
         in
+        let positive x = if x > 0. then None else Some "must be positive" in
         match key with
-        | "deadline-ms" -> Result.map (fun x -> deadline_ms := Some x) (num ())
-        | "table-mb" -> Result.map (fun x -> table_mb := Some x) (num ())
-        | "rps" -> Result.map (fun x -> rps := Some x) (num ())
+        | "deadline-ms" -> num positive (fun x -> { !t with deadline_ms = Some x })
+        | "table-mb" ->
+          (* Rounded up, so a positive size never becomes 0 bytes. *)
+          let bytes mb = Float.ceil (mb *. 1024. *. 1024.) in
+          num
+            (fun mb ->
+              if bytes mb >= Float.of_int max_int then Some "is too large" else positive mb)
+            (fun mb -> { !t with max_table_bytes = Some (int_of_float (bytes mb)) })
+        | "rps" ->
+          num
+            (fun x -> if x >= 0. then None else Some "must be non-negative")
+            (fun x -> { !t with rps = Some x })
         | "burst" -> (
           match int_of_string_opt v with
-          | Some b -> Ok (burst := Some b)
-          | None -> Error (Err.format ~scope:"serve" "tenant %S: burst=%S is not an integer" name v))
-        | _ -> Error (Err.format ~scope:"serve" "tenant %S: unknown setting %S" name key))
+          | Some b when b >= 1 -> Ok (t := { !t with burst = Some b })
+          | Some _ -> fail "burst must be at least 1"
+          | None -> fail "burst=%S is not an integer" v)
+        | _ -> fail "unknown setting %S" key)
   in
   let rec settings_loop = function
-    | [] -> Ok ()
+    | [] -> Ok !t
     | s :: rest -> ( match parse_setting s with Ok () -> settings_loop rest | Error _ as e -> e)
   in
-  match settings_loop (String.split_on_char ',' settings) with
-  | Error _ as e -> e
-  | Ok () -> (
-    let max_table_bytes =
-      Option.map (fun mb -> int_of_float (mb *. 1024. *. 1024.)) !table_mb
-    in
-    match make ?deadline_ms:!deadline_ms ?max_table_bytes ?rps:!rps ?burst:!burst name with
-    | t -> Ok t
-    | exception Invalid_argument msg -> Error (Err.format ~scope:"serve" "%s" msg))
+  if valid_name name then settings_loop (String.split_on_char ',' settings)
+  else fail "invalid name (want [A-Za-z0-9_.-]+)"
 
 let parse_spec spec =
   let chunks = String.split_on_char ';' spec |> List.map String.trim |> List.filter (( <> ) "") in

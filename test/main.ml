@@ -9,7 +9,6 @@ let () =
       ("plan", Test_plan.suite);
       ("blitzsplit", Test_blitzsplit.suite);
       ("orders", Test_orders.suite);
-      ("multiway", Test_multiway.suite);
       ("differential", Test_differential.suite);
       ("split-kernel", Test_split_kernel.suite);
       ("core-misc", Test_core_misc.suite);

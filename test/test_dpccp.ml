@@ -302,11 +302,6 @@ let rec plan_bottleneck catalog graph = function
     Float.max
       (Plan.cardinality catalog graph p)
       (Float.max (plan_bottleneck catalog graph l) (plan_bottleneck catalog graph r))
-  | Plan.Multiway { inputs; _ } as p ->
-    List.fold_left
-      (fun acc input -> Float.max acc (plan_bottleneck catalog graph input))
-      (Plan.cardinality catalog graph p)
-      inputs
 
 let prop_dpconv_bottleneck_optimal =
   (* Oracle: minimize the largest intermediate over EVERY bushy plan

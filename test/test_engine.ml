@@ -41,7 +41,6 @@ let all_counters (c : Counters.t) =
     c.Counters.threshold_skips;
     c.Counters.infeasible;
     c.Counters.passes;
-    c.Counters.multiway_wins;
   ]
 
 let counters_equal a b = all_counters a = all_counters b
@@ -201,20 +200,18 @@ let test_warm_pass_reads_no_stale_slot () =
   let problem ~topology ~model n =
     Workload.problem (Workload.spec ~n ~topology ~model ~mean_card:100.0 ~variability:0.5)
   in
-  (* Stars (hub last) take the live-operand scan when seeded; the clique
-     is cyclic, so multiway passes place n-ary nodes. *)
+  (* Stars (hub last) take the live-operand scan when seeded. *)
   let cells =
     [
-      ("star/ksm", Topology.Star, Cost_model.sort_merge, false);
-      ("star/k0", Topology.Star, Cost_model.naive, false);
-      ("clique/kdnl", Topology.Clique, Cost_model.kdnl, false);
-      ("clique/kdnl multiway", Topology.Clique, Cost_model.kdnl, true);
+      ("star/ksm", Topology.Star, Cost_model.sort_merge);
+      ("star/k0", Topology.Star, Cost_model.naive);
+      ("clique/kdnl", Topology.Clique, Cost_model.kdnl);
     ]
   in
   let widths = None :: List.map Option.some domain_axis in
   let arena = Arena.create () in
   List.iter
-    (fun (name, topology, model, multiway) ->
+    (fun (name, topology, model) ->
       List.iter
         (fun n ->
           let catalog, graph = problem ~topology ~model n in
@@ -230,8 +227,7 @@ let test_warm_pass_reads_no_stale_slot () =
                 if product then
                   Blitzsplit.optimize_product ?pool ?arena ~counters ?threshold model catalog
                 else
-                  Blitzsplit.optimize_join ?pool ?arena ~counters ?threshold ~multiway model
-                    catalog graph
+                  Blitzsplit.optimize_join ?pool ?arena ~counters ?threshold model catalog graph
               in
               let fresh = pass () in
               List.iter
@@ -260,8 +256,7 @@ let test_warm_pass_reads_no_stale_slot () =
                       check_same_pass what fresh warm)
                     [ false; true ])
                 widths)
-            ((false, None) :: (false, bound)
-             :: (if multiway then [] else [ (true, None); (true, bound) ])))
+            [ (false, None); (false, bound); (true, None); (true, bound) ])
         [ 7; 9 ])
     cells
 

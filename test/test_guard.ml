@@ -235,19 +235,16 @@ let with_metrics f =
 type seeded_case = {
   spec : Workload.spec;
   model : Cost_model.t;
-  multiway : bool;
   default_session : bool;
 }
 
 let pp_seeded_case ppf c =
-  Format.fprintf ppf "%s model=%s multiway=%b default_session=%b" (Workload.describe c.spec)
-    c.model.Cost_model.name c.multiway c.default_session
+  Format.fprintf ppf "%s model=%s default_session=%b" (Workload.describe c.spec)
+    c.model.Cost_model.name c.default_session
 
 (* n 2-14, and 15-16 through a default-width session so the DP runs on
    the session's pool; four topologies plus grid; the three paper
-   models and an Opaque min-of; cardinality scale and spread; multiway
-   planning on a quarter of the cases up to n = 14 (it runs sequential
-   and takes seconds on a 16-clique). *)
+   models and an Opaque min-of; cardinality scale and spread. *)
 let seeded_case_gen =
   QCheck2.Gen.(
     map
@@ -275,7 +272,6 @@ let seeded_case_gen =
         {
           spec = Workload.spec ~n ~topology ~model ~mean_card ~variability;
           model;
-          multiway = (not large) && Rng.int rng 4 = 0;
           default_session = large || Rng.int rng 2 = 0;
         })
       (int_bound 1_000_000))
@@ -293,11 +289,9 @@ let prop_seeded_exact_tier =
       let problem = Registry.problem ~graph catalog in
       let plain =
         Engine.with_session ~model:c.model ~num_domains:1 (fun s ->
-            Engine.optimize ~optimizer:"exact" ~multiway:c.multiway s problem)
+            Engine.optimize ~optimizer:"exact" s problem)
       in
-      let guarded session =
-        Guard.optimize ?session ~multiway:c.multiway c.model catalog graph
-      in
+      let guarded session = Guard.optimize ?session c.model catalog graph in
       let with_width num_domains =
         Engine.with_session ~model:c.model ?num_domains (fun s -> guarded (Some s))
       in
@@ -430,41 +424,29 @@ let test_upper_bound_sources () =
         (Option.map (fun (e : Obs.Trace.event) -> e.Obs.Trace.attrs) instant)
     | _ -> Alcotest.fail "expected one exact attempt with a bound")
 
-(* A multiway run and a binary run of one query search different plan
-   spaces, so the guard's cache round keys them apart as
-   [Engine.optimize] does: a binary request after a multiway one is not
-   served the n-ary plan, and each finds its own answer on a repeat. *)
-let test_cache_round_keys_multiway () =
+(* Every plan is binary: [~multiway:true], which the benchmark ladder
+   still forwards from the wire, is refused with a typed error before
+   the cache or any tier is touched, and [false] is the plain request. *)
+let test_multiway_refused () =
   let model = Cost_model.kdnl in
   let catalog, graph =
     Workload.problem
       (Workload.spec ~n:8 ~topology:Topology.Clique ~model ~mean_card:1000.0 ~variability:0.0)
   in
-  let binary =
-    Engine.with_session ~model ~num_domains:1 (fun s ->
-        Engine.optimize s (Registry.problem ~graph catalog))
-  in
   let cache = Engine.Plan_cache.create ~max_bytes:(1 lsl 20) () in
   Engine.with_session ~model ~num_domains:1 ~cache (fun session ->
-      let ask ~multiway =
-        match Guard.optimize ~session ~multiway model catalog graph with
-        | Ok o -> o
-        | Error e -> Alcotest.failf "guard failed: %s" (Guard.error_message e)
-      in
-      let check_answer what ~multiway ~from_cache (o : Guard.outcome) =
-        Alcotest.(check bool) (what ^ ": from the cache") from_cache o.Guard.from_cache;
-        Alcotest.(check bool) (what ^ ": n-ary nodes") multiway (Plan.has_multiway o.Guard.plan);
-        if not multiway then begin
-          Alcotest.(check bool) (what ^ ": the binary optimum") true
-            (Some o.Guard.plan = binary.Registry.plan);
-          Alcotest.(check int64) (what ^ ": its cost bits")
-            (Int64.bits_of_float binary.Registry.cost) (Int64.bits_of_float o.Guard.cost)
-        end
-      in
-      check_answer "multiway" ~multiway:true ~from_cache:false (ask ~multiway:true);
-      check_answer "binary" ~multiway:false ~from_cache:false (ask ~multiway:false);
-      check_answer "binary again" ~multiway:false ~from_cache:true (ask ~multiway:false);
-      check_answer "multiway again" ~multiway:true ~from_cache:true (ask ~multiway:true))
+      (match Guard.optimize ~session ~multiway:true model catalog graph with
+      | Error Guard.Multiway_retired -> ()
+      | Error e -> Alcotest.failf "wrong error: %s" (Guard.error_message e)
+      | Ok _ -> Alcotest.fail "a multiway request was answered");
+      let stats = Engine.Plan_cache.stats cache in
+      Alcotest.(check int) "no cache lookup" 0 (stats.Engine.Plan_cache.hits + stats.misses);
+      Alcotest.(check int) "no table acquired" 0 (Blitz_core.Arena.acquires (Engine.arena session));
+      match Guard.optimize ~session ~multiway:false model catalog graph with
+      | Ok o ->
+        Alcotest.(check string) "false runs the cascade" "exact"
+          (Degrade.tier_name o.Guard.provenance.Degrade.winner)
+      | Error e -> Alcotest.failf "guard failed: %s" (Guard.error_message e))
 
 let test_overflowing_stats_degrade_past_dpccp () =
   (* Every plan's cost overflows to infinity: exact and dpccp find no
@@ -646,5 +628,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_chaos_never_breaks_guard;
     Alcotest.test_case "the exact tier's bound: source, provenance, trace" `Quick
       test_upper_bound_sources;
-    Alcotest.test_case "cache round keys multiway apart" `Quick test_cache_round_keys_multiway;
+    Alcotest.test_case "multiway request refused before any tier" `Quick test_multiway_refused;
   ]

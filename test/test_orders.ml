@@ -61,9 +61,6 @@ let oracle ?required_order catalog graph =
             Float.min by_order.(e + 1) (lo.(e + 1) +. ro.(e + 1) +. lcard +. rcard)
       done;
       (close (Relset.union ls rs) out by_order, Relset.union ls rs, out)
-    | Plan.Multiway _ ->
-      (* The interesting-order oracle only models binary plans. *)
-      invalid_arg "test_orders: multiway plans unsupported"
   in
   let slot = match required_order with Some e -> e + 1 | None -> 0 in
   List.fold_left

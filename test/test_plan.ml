@@ -95,8 +95,6 @@ let test_annotate () =
   let rec collect = function
     | Plan.Ann_leaf _ -> []
     | Plan.Ann_join j -> ((j.algorithm, j.join_cost) :: collect j.lhs) @ collect j.rhs
-    | Plan.Ann_multiway m ->
-      ("multiway-hash", m.join_cost) :: List.concat_map collect m.inputs
   in
   let joins = collect annotated in
   Alcotest.(check int) "three joins annotated" 3 (List.length joins);
@@ -151,8 +149,6 @@ let prop_cost_commutative_models =
       let rec flip_all = function
         | Plan.Leaf _ as l -> l
         | Plan.Join (l, r) -> Plan.Join (flip_all r, flip_all l)
-        | Plan.Multiway { inputs; cover; agm } ->
-          Plan.Multiway { inputs = List.rev_map flip_all inputs; cover; agm }
       in
       Blitz_util.Float_more.approx_equal ~rel:1e-9
         (Plan.cost p.model p.catalog p.graph plan)

@@ -37,16 +37,25 @@ let decode_err line =
   | Error rej -> rej
 
 let test_decode_optimize () =
-  let env =
-    decode_ok
-      {|{"blitz":1,"id":7,"method":"optimize","tenant":"acme","params":{"relations":[["a",100],["b",10.5]],"edges":[[0,1,0.1]],"multiway":true}}|}
+  let line multiway =
+    Printf.sprintf
+      {|{"blitz":1,"id":7,"method":"optimize","tenant":"acme","params":{"relations":[["a",100],["b",10.5]],"edges":[[0,1,0.1]],"multiway":%b}}|}
+      multiway
   in
+  (* Every plan is binary: v1's multiway flag may be false, and true is
+     refused rather than answered with a binary plan. *)
+  (match decode_err (line true) with
+  | { Protocol.error = Protocol.Bad_value { field = "params.multiway"; _ } as e; rid } ->
+    Alcotest.(check string) "multiway:true code" "invalid_request" (Protocol.error_code e);
+    Alcotest.(check bool) "multiway:true id recovered" true (rid = Json.Int 7)
+  | rej -> Alcotest.failf "multiway:true: %s" (Protocol.error_message rej.Protocol.error));
+  let env = decode_ok (line false) in
   Alcotest.(check bool) "id echoed" true (env.Protocol.id = Json.Int 7);
   Alcotest.(check (option string)) "tenant" (Some "acme") env.Protocol.tenant;
   match env.Protocol.request with
-  | Protocol.Run { call = Protocol.Optimize; query = Protocol.Inline { relations; edges }; multiway }
+  | Protocol.Run
+      { call = Protocol.Optimize; query = Protocol.Inline { relations; edges }; multiway = false }
     ->
-    Alcotest.(check bool) "multiway" true multiway;
     Alcotest.(check int) "relations" 2 (List.length relations);
     Alcotest.(check bool) "cards" true (relations = [ ("a", 100.); ("b", 10.5) ]);
     Alcotest.(check bool) "edges" true (edges = [ (0, 1, 0.1) ])
@@ -173,7 +182,27 @@ let test_tenant_spec () =
   bad "acme:deadline-ms=-1";
   bad "acme:frobs=1";
   bad "a b:rps=1";
-  bad "acme;acme"
+  bad "acme;acme";
+  (* A table size is checked as given and rounded up to whole bytes. *)
+  (match Tenant.parse_spec "a:table-mb=0.0000001" with
+  | Ok [ a ] -> Alcotest.(check (option int)) "tiny table" (Some 1) a.Tenant.max_table_bytes
+  | Ok _ -> Alcotest.fail "expected one tenant"
+  | Error e -> Alcotest.fail e);
+  (* Every refusal names the tenant and the setting, as the parser's
+     other errors do, and no internal function. *)
+  List.iter
+    (fun (spec, message) ->
+      match Tenant.parse_spec spec with
+      | Ok _ -> Alcotest.failf "accepted %s" spec
+      | Error e -> Alcotest.(check string) spec message e)
+    [
+      ("a:table-mb=0", {|serve: tenant "a": table-mb must be positive|});
+      ("a:table-mb=-1", {|serve: tenant "a": table-mb must be positive|});
+      ("a:deadline-ms=0", {|serve: tenant "a": deadline-ms must be positive|});
+      ("a:rps=-1", {|serve: tenant "a": rps must be non-negative|});
+      ("a:burst=0", {|serve: tenant "a": burst must be at least 1|});
+      ("a b:rps=1", {|serve: tenant "a b": invalid name (want [A-Za-z0-9_.-]+)|});
+    ]
 
 (* ---- cache partitioning on the server's path (the guard's cache round) ---- *)
 
@@ -384,6 +413,14 @@ let test_malformed_line_keeps_connection () =
           let r1 = rpc c "this is not json" in
           expect_bool "rejected" [ "ok" ] r1 false;
           Alcotest.(check string) "parse_error" "parse_error" (expect_string [ "error"; "code" ] r1);
+          (* A request for the retired multiway planner gets the
+             decoder's typed refusal on the wire. *)
+          let mw =
+            rpc c {|{"blitz":1,"id":1,"method":"optimize","params":{"n":4,"multiway":true}}|}
+          in
+          expect_bool "multiway refused" [ "ok" ] mw false;
+          Alcotest.(check string) "invalid_request" "invalid_request"
+            (expect_string [ "error"; "code" ] mw);
           (* The framing resynchronizes on the newline: the connection
              still serves well-formed requests. *)
           let r2 = rpc c {|{"blitz":1,"id":2,"method":"health"}|} in

@@ -179,13 +179,9 @@ let prop_exact_threshold_escalates =
    subset its completion term, returns the plain pass's plan and cost
    bits, on the calling domain and on pools of 1, 2 and 4 domains, and
    every width skips the same subsets.  kappa_0, kappa_dnl and an Opaque
-   min-of, which keep the paper's test alone, are the controls; a
-   multiway pass, where the term is off, is checked on the calling
-   domain.  On
+   min-of, which keep the paper's test alone, are the controls.  On
    chains of 8 or more relations the kappa_sm pass must skip subsets,
    which the paper's test alone never does there (kappa' = 0). *)
-type bound_case = { spec : Blitz_workload.Workload.spec; multiway : bool }
-
 let bound_case_gen =
   QCheck2.Gen.(
     map
@@ -208,23 +204,17 @@ let bound_case_gen =
         in
         let mean_card = Rng.log_uniform rng ~lo:2.0 ~hi:1e4 in
         let variability = Rng.float rng 1.0 in
-        {
-          spec = Blitz_workload.Workload.spec ~n ~topology ~model ~mean_card ~variability;
-          multiway = Rng.int rng 4 = 0;
-        })
+        Blitz_workload.Workload.spec ~n ~topology ~model ~mean_card ~variability)
       (int_bound 1_000_000))
 
 let prop_upper_bound_pass_bit_identical =
   QCheck2.Test.make ~count:150
     ~name:"upper-bound pass = plain pass, bit for bit (completion bound, every driver)"
-    ~print:(fun c ->
-      Printf.sprintf "%s%s" (Blitz_workload.Workload.describe c.spec)
-        (if c.multiway then " multiway" else ""))
-    bound_case_gen
-    (fun c ->
+    ~print:Blitz_workload.Workload.describe bound_case_gen
+    (fun spec ->
       let module Registry = Blitz_engine.Registry in
-      let model = c.spec.Blitz_workload.Workload.model in
-      let catalog, graph = Blitz_workload.Workload.problem c.spec in
+      let model = spec.Blitz_workload.Workload.model in
+      let catalog, graph = Blitz_workload.Workload.problem spec in
       let same what (plain : Blitzsplit.t) (pass : Blitzsplit.t) =
         if
           Blitzsplit.best_plan pass <> Blitzsplit.best_plan plain
@@ -254,13 +244,9 @@ let prop_upper_bound_pass_bit_identical =
           [ 1; 2; 4 ];
         if
           model.Cost_model.kind = Cost_model.Paper_sort_merge
-          && c.spec.Blitz_workload.Workload.topology = Topology.Chain
+          && spec.Blitz_workload.Workload.topology = Topology.Chain
           && Catalog.n catalog >= 8 && skips = 0
-        then QCheck2.Test.fail_reportf "kappa_sm chain: no subset skipped";
-        if c.multiway then
-          same "multiway"
-            (Blitzsplit.optimize_join ~multiway:true model catalog graph)
-            (Blitzsplit.optimize_join ~multiway:true ~threshold model catalog graph));
+        then QCheck2.Test.fail_reportf "kappa_sm chain: no subset skipped");
       true)
 
 let suite =
