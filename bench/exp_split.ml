@@ -8,10 +8,11 @@
      models (the specialized kernels keep their loop state in local
      refs that compile to unboxed variables of one [while] loop — a
      regression to boxed floats or closures shows up here
-     deterministically, no timing involved), and neither may a warm
-     property sweep, compute_properties_join and
-     compute_properties_product over the lattice (the paper models'
-     aux is computed in place, not through the closure);
+     deterministically, no timing involved), and neither may warm
+     passes of sweep 1 ([Split_loop.sweep]: properties and §6.4's skip
+     test), join and product, plain and seeded at the upper bound (the
+     paper models' aux and kappa' are computed in place, not through
+     the closures);
    - speedup: the specialized kernel must beat the reference by the gate
      ratio on the densest cell (clique, kappa_0, the largest common n),
      best-of-R interleaved minima on both sides.
@@ -43,6 +44,12 @@
    seeded pass to allocate the same words at both sizes, so nothing per
    subset or per index entry allocates.
 
+   A third section times sweep 1 alone, seeded at the upper bound as
+   the exact tier runs it: ns per subset on chains under kappa_dnl,
+   cliques under kappa_0 and stars (hub last) under kappa_sm, best-of-R,
+   with the subsets the pass skipped.  Its warm passes join the
+   zero-allocation gate.
+
    `bench split --json BENCH_split.json` commits the measured
    trajectory; the "gates" record carries the pass/fail verdicts. *)
 
@@ -55,6 +62,7 @@ module Split_loop = Blitz_core.Split_loop
 module Counters = Blitz_core.Counters
 module Blitzsplit = Blitz_core.Blitzsplit
 module Arena = Blitz_core.Arena
+module Live_index = Blitz_core.Live_index
 module Join_graph = Blitz_graph.Join_graph
 module Registry = Blitz_engine.Registry
 module Json = Blitz_util.Json
@@ -109,15 +117,27 @@ let minor_delta f =
 
 let noop_baseline = minor_delta (fun () -> ())
 
-(* The property pass over every non-singleton subset in increasing
-   order, the join form on [tbl] (whose pi_fan column it needs) and the
-   product form on [ptbl] (which it fills with product cardinalities).
-   Both are idempotent, so a second sweep is warm. *)
-let property_sweep tbl ptbl model graph =
-  fill_properties tbl model graph;
-  for s = 3 to Dp_table.size ptbl - 1 do
-    if s land (s - 1) <> 0 then Split_loop.compute_properties_product ptbl model s
-  done
+(* The upper bound the exact tier seeds a §6.4 pass with. *)
+let upper_bound model catalog graph =
+  match Registry.upper_bound model (Registry.problem ~graph catalog) with
+  | Some b -> b.Registry.value
+  | None -> Float.infinity
+
+(* One sweep 1 over [tbl], a join pass with [graph] or a product pass
+   without, its rank lists started as [Blitzsplit] starts them. *)
+let sweep1 ~graph tbl lists model ctr ~threshold =
+  Live_index.start lists ~n:tbl.Dp_table.n ~index:(Split_loop.scan_applies model ~threshold);
+  Split_loop.sweep ~graph ~interrupt:None tbl model ctr ~threshold lists
+
+(* Sweep 1 plain and seeded at [bound], the join form on [tbl] (whose
+   pi_fan column it needs) with [graph] (allocated by the caller) and
+   the product form on [ptbl], both with their singleton rows filled.
+   Every pass rewrites the slots it reads, so a second round is warm. *)
+let property_sweeps tbl ptbl lists model graph ctr ~bound =
+  sweep1 ~graph tbl lists model ctr ~threshold:Float.infinity;
+  sweep1 ~graph:None ptbl lists model ctr ~threshold:Float.infinity;
+  sweep1 ~graph tbl lists model ctr ~threshold:bound;
+  sweep1 ~graph:None ptbl lists model ctr ~threshold:bound
 
 type cell = {
   topology : Topology.t;
@@ -183,11 +203,16 @@ let measure_cell ~rounds spec =
     -. noop_baseline
   in
   let property_minor_words =
-    let _, graph = Workload.problem spec in
-    let ptbl = Dp_table.create ~with_pi_fan:false n in
-    Split_loop.init_singletons ptbl model (Workload.catalog spec);
-    property_sweep tblN ptbl model graph;
-    minor_delta (fun () -> property_sweep tblN ptbl model graph) -. noop_baseline
+    let catalog, graph = Workload.problem spec in
+    let bound = upper_bound model catalog graph in
+    let tbl = Dp_table.create ~with_pi_fan:true n and ptbl = Dp_table.create ~with_pi_fan:false n in
+    let lists = Live_index.create () in
+    Split_loop.init_singletons tbl model catalog;
+    Split_loop.init_singletons ptbl model catalog;
+    let graph = Some graph in
+    property_sweeps tbl ptbl lists model graph scratch ~bound;
+    minor_delta (fun () -> property_sweeps tbl ptbl lists model graph scratch ~bound)
+    -. noop_baseline
   in
   (* Interleaved best-of-R: alternate reference and specialized sweeps
      so drift (frequency scaling, competing load) hits both kernels
@@ -249,11 +274,7 @@ let measure_seeded ~rounds ~arena (shape, topology, flip) model n =
   let spec = Workload.spec ~n ~topology ~model ~mean_card:150.0 ~variability:(1.0 /. 3.0) in
   let catalog, graph = Workload.problem spec in
   let catalog, graph = if flip then hub_first catalog graph else (catalog, graph) in
-  let threshold =
-    match Registry.upper_bound model (Registry.problem ~graph catalog) with
-    | Some b -> b.Registry.value
-    | None -> Float.infinity
-  in
+  let threshold = upper_bound model catalog graph in
   let ctr = Counters.create () in
   let pass () = ignore (Blitzsplit.optimize_join ~arena ~counters:ctr ~threshold model catalog graph) in
   pass ();
@@ -327,6 +348,103 @@ let run_seeded ~fast ~models =
         c.s_model.Cost_model.name c.s_n c.s_words)
     grows;
   grows = []
+
+(* ---- sweep 1 alone ---- *)
+
+type sweep1_cell = {
+  w_shape : string;
+  w_model : Cost_model.t;
+  w_n : int;
+  w_subsets : int;
+  w_skips : int;
+  w_ns_per_subset : float;
+  w_words : float;
+}
+
+let sweep1_shapes =
+  [
+    ("chain", Topology.Chain, Cost_model.kdnl);
+    ("clique", Topology.Clique, Cost_model.naive);
+    ("star, hub last", Topology.Star, Cost_model.sort_merge);
+  ]
+
+(* Sweep 1 of a join pass seeded at the upper bound, on a table whose
+   singleton rows are filled, as [Blitzsplit] runs it: ns per subset of
+   the best of [rounds] warm passes. *)
+let measure_sweep1 ~rounds (shape, topology, model) n =
+  let spec = Workload.spec ~n ~topology ~model ~mean_card:150.0 ~variability:(1.0 /. 3.0) in
+  let catalog, graph = Workload.problem spec in
+  let threshold = upper_bound model catalog graph in
+  let tbl = Dp_table.create ~with_pi_fan:true n and lists = Live_index.create () in
+  let ctr = Counters.create () in
+  Split_loop.init_singletons tbl model catalog;
+  let graph = Some graph in
+  let pass () = sweep1 ~graph tbl lists model ctr ~threshold in
+  pass ();
+  Counters.reset ctr;
+  let words = minor_delta pass -. noop_baseline in
+  let subsets = ctr.Counters.subsets and skips = ctr.Counters.threshold_skips in
+  let best = ref Float.infinity in
+  for _ = 1 to rounds do
+    let t0 = Bench_config.wall () in
+    pass ();
+    best := Float.min !best (Bench_config.wall () -. t0)
+  done;
+  {
+    w_shape = shape;
+    w_model = model;
+    w_n = n;
+    w_subsets = subsets;
+    w_skips = skips;
+    w_ns_per_subset = !best *. 1e9 /. float_of_int subsets;
+    w_words = words;
+  }
+
+(* The sweep-1 cells; true when no warm pass allocated. *)
+let run_sweep1 ~fast =
+  Bench_config.header "Split: sweep 1 alone (properties and §6.4's skip test, seeded)";
+  let n = if fast then 12 else 18 and rounds = if fast then 5 else 15 in
+  let cells =
+    List.map
+      (fun shape ->
+        let c = measure_sweep1 ~rounds shape n in
+        Bench_json.emit ~experiment:"split"
+          [
+            ("record", Json.String "sweep1");
+            ("shape", Json.String c.w_shape);
+            ("model", Json.String c.w_model.Cost_model.name);
+            ("n", Json.Int n);
+            ("subsets", Json.Int c.w_subsets);
+            ("threshold_skips", Json.Int c.w_skips);
+            ("ns_per_subset", Json.Float c.w_ns_per_subset);
+            ("rounds", Json.Int rounds);
+            ("warm_minor_words", Json.Float c.w_words);
+          ];
+        c)
+      sweep1_shapes
+  in
+  Blitz_util.Ascii_table.print
+    ~header:[| "shape"; "model"; "n"; "subsets"; "skipped"; "ns/subset"; "warm minor words" |]
+    (Array.of_list
+       (List.map
+          (fun c ->
+            [|
+              c.w_shape;
+              c.w_model.Cost_model.name;
+              string_of_int c.w_n;
+              string_of_int c.w_subsets;
+              string_of_int c.w_skips;
+              Printf.sprintf "%.2f" c.w_ns_per_subset;
+              Printf.sprintf "%.0f" c.w_words;
+            |])
+          cells));
+  let leaks = List.filter (fun c -> c.w_words <> 0.0) cells in
+  List.iter
+    (fun c ->
+      Printf.printf "ALLOCATION: sweep 1 %s %s n=%d: %.0f minor words per warm pass\n" c.w_shape
+        c.w_model.Cost_model.name c.w_n c.w_words)
+    leaks;
+  leaks = []
 
 let run () =
   Bench_config.header "Split: ns per ordered split, specialized kernels vs reference";
@@ -416,19 +534,21 @@ let run () =
     List.filter (fun c -> c.minor_words_per_call <> 0.0 || c.property_minor_words <> 0.0) cells
   in
   let seeded_flat = run_seeded ~fast ~models in
-  if leaks <> [] || not seeded_flat then begin
+  let sweep1_flat = run_sweep1 ~fast in
+  if leaks <> [] || not seeded_flat || not sweep1_flat then begin
     List.iter
       (fun c ->
         Printf.printf
-          "ALLOCATION: %s %s n=%d: %.3f minor words/call, %.0f per property sweep\n"
+          "ALLOCATION: %s %s n=%d: %.3f minor words/call, %.0f per round of sweep-1 passes\n"
           (Topology.name c.topology) c.model.Cost_model.name c.n c.minor_words_per_call
           c.property_minor_words)
       leaks;
     failwith "split: zero-allocation gate failed"
   end;
   Printf.printf
-    "zero-allocation gate: PASS (Gc.minor_words delta = 0 across warm kernel and property \
-     sweeps; warm seeded passes allocate the same words at both sizes)\n";
+    "zero-allocation gate: PASS (Gc.minor_words delta = 0 across warm kernel sweeps and warm \
+     sweep-1 passes, plain and seeded; warm seeded passes allocate the same words at both \
+     sizes)\n";
   (* Speedup gate on the densest common cell: clique, kappa_0 at the
      largest n <= 15 in the grid (n=15 full, n=12 fast). *)
   let gated =

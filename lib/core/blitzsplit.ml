@@ -13,21 +13,15 @@ type t = {
   threshold : float;
 }
 
-exception Interrupted
+exception Interrupted = Split_loop.Interrupted
 
 module Pool = Blitz_parallel.Pool
 module Obs = Blitz_obs.Obs
+module Perf = Blitz_obs.Perf
 
 let m_ranks =
   Obs.Metrics.counter ~help:"Lattice ranks whose split loops ran on a domain pool"
     "blitz_parallel_ranks_total"
-
-(* How often the cancellation probe fires: every [probe_mask + 1]
-   subsets of a sweep, on every domain.  Subsets near the top of the
-   lattice carry split loops of up to [2^(n-1)] iterations each, so a
-   64-subset stride keeps the worst-case overshoot past a deadline small
-   while the probe itself stays invisible next to the [O(3^n)] loop. *)
-let probe_mask = 63
 
 (* Chunks per rank per domain on a pool.  More chunks give the dynamic
    balancer and the stop flag finer granularity; fewer chunks mean fewer
@@ -35,32 +29,15 @@ let probe_mask = 63
    columns.  4 keeps both costs invisible. *)
 let chunk_factor = 4
 
-(* One timed region feeds both rate instruments: ns per subset (the
-   historical unit) and ns per split iteration (the O(3^n) unit that
-   `bench split` gates).  An escaping exception skips the observation. *)
-let timed_pass (ctr : Counters.t) pass =
-  if not (Blitz_obs.Metrics.enabled ()) then pass ()
-  else begin
-    let subs0 = ctr.subsets and iters0 = ctr.loop_iters in
-    let t0 = Blitz_obs.Perf.now_s () in
-    let result = pass () in
-    let elapsed_s = Blitz_obs.Perf.now_s () -. t0 in
-    Blitz_obs.Perf.observe_rate Blitz_obs.Perf.split_loop_ns_per_subset ~elapsed_s
-      ~events:(ctr.subsets - subs0);
-    Blitz_obs.Perf.observe_rate Blitz_obs.Perf.split_loop_ns_per_iter ~elapsed_s
-      ~events:(ctr.loop_iters - iters0);
-    result
-  end
-
 (* The pass in two sweeps.
 
-   Sweep 1 runs on the calling domain in increasing subset order, which
-   puts every proper subset first (Section 4.2).  It computes each
-   subset's properties and decides §6.4's skip test, which reads only
-   those ([Split_loop.seed]): a skipped subset is settled on the spot, a
-   kept one goes on its rank's list with its split bound parked in its
-   cost slot.  So the subsets that need the O(3^n) work are known before
-   any split runs.
+   Sweep 1 ([Split_loop.sweep]) runs on the calling domain in increasing
+   subset order, which puts every proper subset first (Section 4.2).  It
+   computes each subset's properties and decides §6.4's skip test, which
+   reads only those: a skipped subset is settled on the spot, a kept one
+   goes on its rank's list with its split bound parked in its cost slot.
+   So the subsets that need the O(3^n) work are known before any split
+   runs.
 
    Sweep 2 runs the kept subsets' split loops rank by rank.  A subset of
    rank k reads only subsets of lower rank, all finished when rank k
@@ -76,7 +53,11 @@ let timed_pass (ctr : Counters.t) pass =
    and at every rank barrier.  In sweep 2 a [true] return trips a shared
    stop flag, the remaining chunks bail at their next check, and
    [Interrupted] is raised after the barrier; the probe must therefore
-   tolerate calls from any domain ([Budget.interrupt] does). *)
+   tolerate calls from any domain ([Budget.interrupt] does).
+
+   Each sweep feeds its own rate instrument: ns per subset over sweep 1
+   (with the singleton rows), ns per split iteration over sweep 2.  An
+   escaping exception skips the observation. *)
 let run ~graph_opt ?pool ?arena ?counters ?(threshold = Float.infinity) ?interrupt model
     catalog =
   if threshold <= 0.0 then invalid_arg "Blitzsplit: threshold must be positive";
@@ -101,37 +82,16 @@ let run ~graph_opt ?pool ?arena ?counters ?(threshold = Float.infinity) ?interru
     | Some a -> Arena.acquire a ~with_pi_fan n
     | None -> Dp_table.create ~with_pi_fan n
   in
-  let completion = Split_loop.completion_applies model ~threshold in
   let lists = match arena with Some a -> Arena.index a | None -> Live_index.create () in
   Live_index.start lists ~n ~index:(Split_loop.scan_applies model ~threshold);
-  let last = (1 lsl n) - 1 in
-  let sweep1 () =
-    match graph_opt with
-    | Some _ ->
-      for s = 3 to last do
-        if polling && s land probe_mask = 0 && probe () then raise Interrupted;
-        if s land (s - 1) <> 0 then begin
-          Split_loop.compute_properties_join tbl model graph s;
-          if Split_loop.seed ~completion tbl model ctr ~threshold s then Live_index.keep lists s
-        end
-      done
-    | None ->
-      for s = 3 to last do
-        if polling && s land probe_mask = 0 && probe () then raise Interrupted;
-        if s land (s - 1) <> 0 then begin
-          Split_loop.compute_properties_product tbl model s;
-          if Split_loop.seed ~completion tbl model ctr ~threshold s then Live_index.keep lists s
-        end
-      done
-  in
-  let stop = Atomic.make false in
+  let stop = Atomic.make false and mask = Split_loop.probe_mask in
   (* The split loops of entries [start, start + len) of rank k's list,
      counted into [c]; a probe that fires sets [stop] and ends the
      range. *)
   let split_range c ~k ~start ~len =
     let i = ref 0 in
     while !i < len do
-      if polling && !i land probe_mask = probe_mask && (Atomic.get stop || probe ()) then begin
+      if polling && !i land mask = mask && (Atomic.get stop || probe ()) then begin
         Atomic.set stop true;
         i := len
       end
@@ -181,10 +141,14 @@ let run ~graph_opt ?pool ?arena ?counters ?(threshold = Float.infinity) ?interru
   let merge () =
     Array.iter (function Some c -> Counters.merge_into ~from:c ~into:ctr | None -> ()) per_domain
   in
-  timed_pass ctr (fun () ->
+  Perf.timed_rate Perf.split_loop_ns_per_subset
+    ~events:(fun () -> ctr.subsets)
+    (fun () ->
       Split_loop.init_singletons tbl model catalog;
-      sweep1 ();
-      Fun.protect ~finally:merge sweep2);
+      Split_loop.sweep ~graph:graph_opt ~interrupt tbl model ctr ~threshold lists);
+  Perf.timed_rate Perf.split_loop_ns_per_iter
+    ~events:(fun () -> ctr.loop_iters)
+    (fun () -> Fun.protect ~finally:merge sweep2);
   { table = tbl; counters = ctr; catalog; graph; model; threshold }
 
 let optimize_join ?pool ?arena ?counters ?threshold ?interrupt model catalog graph =

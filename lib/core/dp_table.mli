@@ -17,8 +17,11 @@
     - [pi_fan]: the fan selectivity product of Section 5.3 (join
       optimization only; the Cartesian-product path never reads it, so
       the column can be left unallocated — see {!create});
-    - [aux]: per-subset memo for the cost model (e.g. [c(1+log c)] for
-      sort-merge, as the appendix suggests). *)
+    - [aux]: per-subset memo for the cost model ([c(1+log c)] for
+      sort-merge, as the appendix suggests), written only under
+      kappa_sm and [Opaque] models.  kappa_0's and kappa_dnl's memo is
+      the identity, so their passes leave the column as they found it
+      and every reader reads [card] instead. *)
 
 module Relset = Blitz_bitset.Relset
 module Plan = Blitz_plan.Plan
@@ -63,7 +66,8 @@ val view : t -> n:int -> t
     slots [0, 2^n) hold whatever the last pass over the buffers left.
     Requires [1 <= n <= capacity t].  The basis of {!Arena} reuse.  A
     blitzsplit pass writes every slot it reads before reading it, except
-    the fan column of a Cartesian-product pass, which it never reads;
+    the fan column of a Cartesian-product pass and the [aux] column of a
+    kappa_0 or kappa_dnl pass, which it never reads;
     dpccp's dense backend, which reads [cost] and [best_lhs] first,
     clears those two itself. *)
 

@@ -27,17 +27,11 @@ let create () =
 let off = create ()
 
 (* Subsets hold at most [Dp_table.max_relations] = 24 relations, so two
-   12-bit lookups find the top one and a SWAR sum counts them. *)
+   12-bit lookups find the top one. *)
 let top_table =
   Bytes.init 4096 (fun i ->
       let rec go i acc = if i <= 1 then acc else go (i lsr 1) (acc + 1) in
       Char.chr (go i 0))
-
-let[@inline] popcount x =
-  let x = x - ((x lsr 1) land 0x555555) in
-  let x = (x land 0x333333) + ((x lsr 2) land 0x333333) in
-  let x = (x + (x lsr 4)) land 0x0f0f0f in
-  ((x * 0x010101) lsr 16) land 0xff
 
 let estimate_bytes ~n = if n > 60 then max_int else 4 * (1 lsl max n 0)
 
@@ -75,12 +69,6 @@ let start t ~n ~index =
       t.cum.((b * stride) + 2) <- b + 1
     done
   end
-
-let keep t s =
-  let k = popcount s in
-  let m = Array.unsafe_get t.len k in
-  set t.ids (Array.unsafe_get t.region k + m) s;
-  Array.unsafe_set t.len k (m + 1)
 
 let length t k = t.len.(k)
 

@@ -1,12 +1,14 @@
 (** The per-rank subset lists of a DP pass, and the live-operand index
     of a seeded (§6.4) pass, in one buffer.
 
-    {!Blitzsplit} fills its table in two sweeps.  The first computes
-    every subset's properties in numeric order and settles the subsets
-    §6.4 skips; it appends every other subset, one whose split loop must
-    run, to its rank's list ({!keep}), so each list is in increasing
-    order.  The second runs the split loops of the kept subsets rank by
-    rank, reading the lists ({!length}, {!get}).
+    {!Blitzsplit} fills its table in two sweeps.  The first
+    ({!Split_loop.sweep}) computes every subset's properties in numeric
+    order and settles the subsets §6.4 skips; it appends every other
+    subset, one whose split loop must run, to its rank's list: the
+    entry at [region.(k) + len.(k)], then [len.(k)] grows by one.  So
+    each list is in increasing order.  The second runs the split loops
+    of the kept subsets rank by rank, reading the lists ({!length},
+    {!get}).
 
     At a finite threshold most subsets finish dead (cost [infinity]),
     yet the split walk of every surviving subset still visits all of its
@@ -63,11 +65,6 @@ val start : t -> n:int -> index:bool -> unit
     index on: rank 1 then lists every singleton but relation [n - 1],
     and the counts below rank 2 are closed.  Raises [Invalid_argument]
     on {!off} or when [n] is outside [\[1, Dp_table.max_relations\]]. *)
-
-val keep : t -> int -> unit
-(** Sweep 1, after deciding that subset [s] (at least two relations)
-    runs its split loop: append it to its rank's list.  Subsets come in
-    increasing order. *)
 
 val length : t -> int -> int
 (** [length t k]: the subsets of rank [k] kept so far. *)

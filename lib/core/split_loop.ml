@@ -61,14 +61,37 @@ module Cost_model = Blitz_cost.Cost_model
    the ordered walk, so it matches the reference exactly, counters
    included (both QCheck-enforced in the test suite). *)
 
-(* Settle a subset whose split loop [seed] skips: kappa' alone already
-   "overflows" the threshold.  Only word-sized arguments, so the call
-   cannot box. *)
-let skip_subset (tbl : Dp_table.t) (ctr : Counters.t) s =
-  ctr.threshold_skips <- ctr.threshold_skips + 1;
-  ctr.infeasible <- ctr.infeasible + 1;
-  Array.unsafe_set tbl.cost s Float.infinity;
-  Array.unsafe_set tbl.best_lhs s 0
+(* Section 6.4's skip test, the one copy every form of the pass runs: a
+   subset whose kappa' reaches [threshold] is settled (cost infinity,
+   best_lhs 0) and the test returns [false]; otherwise its split bound,
+   [threshold - kappa'], is parked in its own cost slot, which no operand
+   reads and [split]'s epilogue overwrites (adding the same kappa'), so
+   no float crosses a call.  The completion bound runs it with kappa' = 0
+   against [completion_threshold]; [bound -. 0.0] is [bound]'s bits. *)
+let[@inline] seed_bound (tbl : Dp_table.t) s ~kp ~threshold =
+  if kp >= threshold then begin
+    Array.unsafe_set tbl.cost s Float.infinity;
+    Array.unsafe_set tbl.best_lhs s 0;
+    false
+  end
+  else begin
+    Array.unsafe_set tbl.cost s (threshold -. kp);
+    true
+  end
+
+(* kappa' of the paper models, the one copy the skip test and the split
+   epilogues compute: out under kappa_0, 0 under kappa_sm and 2 out / K
+   under kappa_dnl, spelled as [Cost_model]'s closures spell them so
+   the bits agree; an [Opaque] model's own closure otherwise.  The
+   bodies already dispatched on kappa_dnl call [dnl_k_prime] alone. *)
+let[@inline] dnl_k_prime ~k out = 2.0 *. out /. k
+
+let[@inline] k_prime_of (model : Cost_model.t) out =
+  match model.kind with
+  | Cost_model.Paper_naive -> out
+  | Cost_model.Paper_sort_merge -> 0.0
+  | Cost_model.Paper_dnl { k; _ } -> dnl_k_prime ~k out
+  | Cost_model.Opaque -> model.k_prime out
 
 (* The completion bound (kappa_sm only).  Under kappa_sm a binary plan
    costs the sum of aux(card v) over every node v but the root, since
@@ -81,7 +104,7 @@ let skip_subset (tbl : Dp_table.t) (ctr : Counters.t) s =
    T.  The leaves' aux comes from the table's singleton slots, so the
    term reads the bits the DP reads.  The sum stops once it reaches T:
    past that point only its sign matters.  [@inline] keeps the float
-   unboxed in the kernel's sum-aux arm, its one caller in the library. *)
+   unboxed in sweep 1's kappa_sm arms, its callers in the library. *)
 let[@inline] completion_threshold (tbl : Dp_table.t) ~threshold s =
   let full = (1 lsl tbl.n) - 1 in
   if s = full then threshold
@@ -102,21 +125,34 @@ let completion_applies (model : Cost_model.t) ~threshold =
   | Cost_model.Paper_sort_merge -> Float.is_finite threshold
   | Cost_model.Paper_naive | Cost_model.Paper_dnl _ | Cost_model.Opaque -> false
 
+(* The rank of a subset (its number of relations): a SWAR popcount over
+   the 24 bits a subset can hold.  It and [Live_index]'s top-relation
+   lookups are spelled out in this module because dune's dev profile
+   builds with -opaque, so a helper in [Live_index] would be a call per
+   subset, and a call spills the loop's state around it. *)
+let[@inline] rank s =
+  let x = s - ((s lsr 1) land 0x555555) in
+  let x = (x land 0x333333) + ((x lsr 2) land 0x333333) in
+  let x = (x + (x lsr 4)) land 0x0f0f0f in
+  ((x * 0x010101) lsr 16) land 0xff
+
+(* Sweep 1's append of a kept subset to its rank's list: subsets come in
+   increasing order, so every list is in increasing order. *)
+let[@inline] keep (lists : Live_index.t) s =
+  let k = rank s in
+  let m = Array.unsafe_get lists.len k in
+  Bigarray.Array1.unsafe_set lists.ids (Array.unsafe_get lists.region k + m) (Int32.of_int s);
+  Array.unsafe_set lists.len k (m + 1)
+
 (* Which loop a subset runs under [index]: -1 for the walk, or the
    scan's shape k lor (b lsl 5), k the rank of s and b the top relation
    of s \ top s, when the index is on and its candidates for s,
    [cum.(b * stride + k)], are fewer than the walk's 2^(k-1) - 1 splits.
-   The rank (a SWAR popcount) and the top relations (two 12-bit lookups
-   each) are spelled out here because dune's dev profile builds with
-   -opaque, so a helper in [Live_index] would be a call before the walk,
-   and a call spills the walk's state around it. *)
+   The top relations take two 12-bit lookups each. *)
 let[@inline] scan_shape (index : Live_index.t) s =
   if not index.on then -1
   else begin
-    let x = s - ((s lsr 1) land 0x555555) in
-    let x = (x land 0x333333) + ((x lsr 2) land 0x333333) in
-    let x = (x + (x lsr 4)) land 0x0f0f0f in
-    let k = ((x * 0x010101) lsr 16) land 0xff in
+    let k = rank s in
     let tops = Live_index.top_table in
     let t =
       if s < 4096 then Char.code (Bytes.unsafe_get tops s)
@@ -262,7 +298,7 @@ let[@inline never] scan_best_split (index : Live_index.t) (tbl : Dp_table.t)
         incr j
       done
     done;
-    if !best_lhs <> 0 then Array.unsafe_set cost s (!best_cost +. (2.0 *. out /. dk))
+    if !best_lhs <> 0 then Array.unsafe_set cost s (!best_cost +. dnl_k_prime ~k:dk out)
   | Cost_model.Opaque -> invalid_arg "Split_loop: no scan under an Opaque model");
   ctr.loop_iters <- ctr.loop_iters + !iters;
   ctr.operand_sums <- ctr.operand_sums + !sums;
@@ -273,46 +309,6 @@ let[@inline never] scan_best_split (index : Live_index.t) (tbl : Dp_table.t)
     Array.unsafe_set cost s Float.infinity
   end;
   Array.unsafe_set tbl.best_lhs s !best_lhs
-
-(* Section 6.4's skip test, decided here for every body and nowhere
-   else: kappa' alone reaches the threshold, or, under kappa_sm with
-   [completion], the completion term leaves nothing of it.  A kept
-   subset's split loop must come in under [threshold - kappa'] (the
-   completion-bounded threshold under kappa_sm); [seed] parks that bound
-   in the subset's own cost slot, which no operand reads and [split]'s
-   epilogue overwrites, so no float crosses a call.  [split] recomputes
-   kappa' for its epilogue from the same [card], which nothing writes in
-   between, so the epilogue adds the very kappa' the bound was cut by. *)
-let seed ~completion (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t) ~threshold s =
-  ctr.subsets <- ctr.subsets + 1;
-  match model.kind with
-  | Cost_model.Paper_sort_merge when completion ->
-    let bound = completion_threshold tbl ~threshold s in
-    if 0.0 >= bound then begin
-      skip_subset tbl ctr s;
-      false
-    end
-    else begin
-      Array.unsafe_set tbl.cost s bound;
-      true
-    end
-  | _ ->
-    let out = Array.unsafe_get tbl.card s in
-    let kp =
-      match model.kind with
-      | Cost_model.Paper_naive -> out
-      | Cost_model.Paper_sort_merge -> 0.0
-      | Cost_model.Paper_dnl { k; _ } -> 2.0 *. out /. k
-      | Cost_model.Opaque -> model.k_prime out
-    in
-    if kp >= threshold then begin
-      skip_subset tbl ctr s;
-      false
-    end
-    else begin
-      Array.unsafe_set tbl.cost s (threshold -. kp);
-      true
-    end
 
 let split ~index (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t) s =
   let out = Array.unsafe_get tbl.card s in
@@ -378,7 +374,7 @@ let split ~index (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t) s 
     in
     if shape >= 0 then scan_best_split index tbl model ctr s shape
     else begin
-      let kp = match model.kind with Cost_model.Paper_naive -> out | _ -> model.k_prime out in
+      let kp = k_prime_of model out in
       let cost = tbl.cost in
       let best_cost = ref (Array.unsafe_get cost s) in
       let best_lhs = ref 0 in
@@ -470,7 +466,7 @@ let split ~index (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t) s 
     let shape = scan_shape index s in
     if shape >= 0 then scan_best_split index tbl model ctr s shape
     else begin
-      let kp = 2.0 *. out /. k in
+      let kp = dnl_k_prime ~k out in
       let cost = tbl.cost and card = tbl.card in
       let best_cost = ref (Array.unsafe_get cost s) in
       let best_lhs = ref 0 in
@@ -518,9 +514,18 @@ let split ~index (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t) s 
       end
     end
 
-let find_best_split tbl model ctr ~threshold s =
-  if seed ~completion:false tbl model ctr ~threshold s then
-    split ~index:Live_index.off tbl model ctr s
+(* [out] and [kp] get lets of their own: a float let stays unboxed
+   although one branch of [k_prime_of] calls a closure, where an
+   argument inlined into [seed_bound] would be boxed. *)
+let find_best_split (tbl : Dp_table.t) model (ctr : Counters.t) ~threshold s =
+  ctr.subsets <- ctr.subsets + 1;
+  let out = Array.unsafe_get tbl.card s in
+  let kp = k_prime_of model out in
+  if seed_bound tbl s ~kp ~threshold then split ~index:Live_index.off tbl model ctr s
+  else begin
+    ctr.threshold_skips <- ctr.threshold_skips + 1;
+    ctr.infeasible <- ctr.infeasible + 1
+  end
 
 let scan_applies (model : Cost_model.t) ~threshold =
   match model.kind with
@@ -535,27 +540,33 @@ let variant (model : Cost_model.t) =
   | Cost_model.Paper_sort_merge -> "sum-aux"
   | Cost_model.Paper_dnl _ -> "dnl"
 
-(* The property pass allocates nothing per subset under the paper
-   models, for the same reason the split loop does not: no float crosses
-   a function boundary.  [aux_of] is the model's [aux], dispatched on
-   [Cost_model.kind] as [find_best_split] is: the identity under kappa_0
-   and kappa_dnl, and c(1 + log c) under kappa_sm, spelled as
-   [Cost_model.sort_merge]'s closure spells it so the memo holds the same
-   bits.  Only [Opaque] calls the closure, which boxes.  Inputs read
-   through another module (a relation's cardinality, a doubleton's
-   selectivity) are stored straight into the table by that module, since
-   a returned float would be boxed. *)
-let[@inline] aux_of (model : Cost_model.t) c =
-  match model.kind with
-  | Cost_model.Paper_naive | Cost_model.Paper_dnl _ -> c
-  | Cost_model.Paper_sort_merge -> if c <= 1.0 then c else c *. (1.0 +. log c)
-  | Cost_model.Opaque -> model.aux c
+(* The property computations allocate nothing per subset under the
+   paper models, for the same reason the split loop does not: no float
+   crosses a function boundary.  Each helper below is [@inline], so its
+   float result stays unboxed in every caller.  Inputs read through
+   another module (a relation's cardinality, a doubleton's selectivity)
+   are stored straight into the table by that module, since a returned
+   float would be boxed.
 
-(* compute_properties for join optimization (Section 5.4): the fan
-   recurrence Pi_fan(S) = Pi_fan(U+W) * Pi_fan(U+Z), seeded with raw
-   predicate selectivities on doubletons, then
-   card(S) = card(U) * card(V) * Pi_fan(S)  (Equation 11). *)
-let compute_properties_join (tbl : Dp_table.t) (model : Cost_model.t) graph s =
+   The [aux] memo is written only where a kernel reads it: under
+   kappa_sm, c(1 + log c), spelled as [Cost_model.sort_merge]'s closure
+   spells it so the memo holds the same bits, and under an [Opaque]
+   model, whose closure boxes.  kappa_0 and kappa_dnl have the identity
+   for [aux], and their kernels read [card]. *)
+let[@inline] sm_aux c = if c <= 1.0 then c else c *. (1.0 +. log c)
+
+let[@inline] store_aux (tbl : Dp_table.t) (model : Cost_model.t) s c =
+  match model.kind with
+  | Cost_model.Paper_naive | Cost_model.Paper_dnl _ -> ()
+  | Cost_model.Paper_sort_merge -> Array.unsafe_set tbl.aux s (sm_aux c)
+  | Cost_model.Opaque -> Array.unsafe_set tbl.aux s (model.aux c)
+
+(* The fan recurrence of Section 5.4, Pi_fan(S) = Pi_fan(U+W) *
+   Pi_fan(U+Z) with U the lowest relation of S and W the lowest of
+   V = S \ U = W + Z, seeded with raw predicate selectivities on
+   doubletons; then card(S) = card(U) * card(V) * Pi_fan(S)
+   (Equation 11).  Writes both and returns the cardinality. *)
+let[@inline] join_card (tbl : Dp_table.t) graph s =
   let pi_fan = tbl.pi_fan and card = tbl.card in
   let u = s land (-s) in
   let v = s lxor u in
@@ -569,18 +580,19 @@ let compute_properties_join (tbl : Dp_table.t) (model : Cost_model.t) graph s =
   end;
   let c = Array.unsafe_get card u *. Array.unsafe_get card v *. Array.unsafe_get pi_fan s in
   Array.unsafe_set card s c;
-  Array.unsafe_set tbl.aux s (aux_of model c)
+  c
 
-(* compute_properties for Cartesian products (Figure 1): just the
-   cardinality product.  Never touches [pi_fan] (which the product path
-   leaves unallocated). *)
-let compute_properties_product (tbl : Dp_table.t) (model : Cost_model.t) s =
+(* The Cartesian-product form (Figure 1): the cardinality product alone,
+   [pi_fan] untouched. *)
+let[@inline] product_card (tbl : Dp_table.t) s =
   let card = tbl.card in
   let u = s land (-s) in
-  let v = s lxor u in
-  let c = Array.unsafe_get card u *. Array.unsafe_get card v in
+  let c = Array.unsafe_get card u *. Array.unsafe_get card (s lxor u) in
   Array.unsafe_set card s c;
-  Array.unsafe_set tbl.aux s (aux_of model c)
+  c
+
+let compute_properties_join (tbl : Dp_table.t) (model : Cost_model.t) graph s =
+  store_aux tbl model s (join_card tbl graph s)
 
 let init_singletons (tbl : Dp_table.t) (model : Cost_model.t) catalog =
   let n = Catalog.n catalog in
@@ -591,5 +603,108 @@ let init_singletons (tbl : Dp_table.t) (model : Cost_model.t) catalog =
     tbl.cost.(s) <- 0.0;
     tbl.best_lhs.(s) <- 0;
     if fan then tbl.pi_fan.(s) <- 1.0;
-    tbl.aux.(s) <- aux_of model tbl.card.(s)
+    store_aux tbl model s tbl.card.(s)
   done
+
+exception Interrupted
+
+(* How often the cancellation probe fires: every [probe_mask + 1]
+   subsets of a sweep, on every domain.  Subsets near the top of the
+   lattice carry split loops of up to [2^(n-1)] iterations each, so a
+   64-subset stride keeps the worst-case overshoot past a deadline small
+   while the probe itself stays invisible next to the [O(3^n)] loop. *)
+let probe_mask = 63
+
+let add_sweep_counts (ctr : Counters.t) ~subsets ~skips =
+  ctr.subsets <- ctr.subsets + subsets;
+  ctr.threshold_skips <- ctr.threshold_skips + skips;
+  ctr.infeasible <- ctr.infeasible + skips
+
+let interrupted ctr subsets skips =
+  add_sweep_counts ctr ~subsets ~skips;
+  raise Interrupted
+
+(* Sweep 1 of a pass as one loop per cost model and per join or product
+   pass, dispatched once: each arm computes a subset's properties, runs
+   the skip test and appends a kept subset to its rank's list, with the
+   model's arithmetic inlined through the helpers above.  The subset and
+   skip counts live in local refs, added to [ctr] at the end of the
+   sweep or before [Interrupted] leaves it, so no [ctr] field is
+   reloaded per subset. *)
+let sweep ~graph ~interrupt (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t)
+    ~threshold (lists : Live_index.t) =
+  let last = (1 lsl tbl.n) - 1 in
+  let polling = Option.is_some interrupt in
+  let probe = match interrupt with Some p -> p | None -> fun () -> false in
+  let completion = completion_applies model ~threshold in
+  let aux = tbl.aux in
+  let subsets = ref 0 and skips = ref 0 in
+  (match (model.kind, graph) with
+  | Cost_model.Paper_naive, Some g ->
+    for s = 3 to last do
+      if polling && s land probe_mask = 0 && probe () then interrupted ctr !subsets !skips;
+      if s land (s - 1) <> 0 then begin
+        incr subsets;
+        let c = join_card tbl g s in
+        if seed_bound tbl s ~kp:c ~threshold then keep lists s else incr skips
+      end
+    done
+  | Cost_model.Paper_naive, None ->
+    for s = 3 to last do
+      if polling && s land probe_mask = 0 && probe () then interrupted ctr !subsets !skips;
+      if s land (s - 1) <> 0 then begin
+        incr subsets;
+        let c = product_card tbl s in
+        if seed_bound tbl s ~kp:c ~threshold then keep lists s else incr skips
+      end
+    done
+  | Cost_model.Paper_sort_merge, Some g ->
+    for s = 3 to last do
+      if polling && s land probe_mask = 0 && probe () then interrupted ctr !subsets !skips;
+      if s land (s - 1) <> 0 then begin
+        incr subsets;
+        Array.unsafe_set aux s (sm_aux (join_card tbl g s));
+        let bound = if completion then completion_threshold tbl ~threshold s else threshold in
+        if seed_bound tbl s ~kp:0.0 ~threshold:bound then keep lists s else incr skips
+      end
+    done
+  | Cost_model.Paper_sort_merge, None ->
+    for s = 3 to last do
+      if polling && s land probe_mask = 0 && probe () then interrupted ctr !subsets !skips;
+      if s land (s - 1) <> 0 then begin
+        incr subsets;
+        Array.unsafe_set aux s (sm_aux (product_card tbl s));
+        let bound = if completion then completion_threshold tbl ~threshold s else threshold in
+        if seed_bound tbl s ~kp:0.0 ~threshold:bound then keep lists s else incr skips
+      end
+    done
+  | Cost_model.Paper_dnl { k; _ }, Some g ->
+    for s = 3 to last do
+      if polling && s land probe_mask = 0 && probe () then interrupted ctr !subsets !skips;
+      if s land (s - 1) <> 0 then begin
+        incr subsets;
+        let kp = dnl_k_prime ~k (join_card tbl g s) in
+        if seed_bound tbl s ~kp ~threshold then keep lists s else incr skips
+      end
+    done
+  | Cost_model.Paper_dnl { k; _ }, None ->
+    for s = 3 to last do
+      if polling && s land probe_mask = 0 && probe () then interrupted ctr !subsets !skips;
+      if s land (s - 1) <> 0 then begin
+        incr subsets;
+        let kp = dnl_k_prime ~k (product_card tbl s) in
+        if seed_bound tbl s ~kp ~threshold then keep lists s else incr skips
+      end
+    done
+  | Cost_model.Opaque, _ ->
+    (* The closures box per subset anyway: one arm serves both passes. *)
+    for s = 3 to last do
+      if polling && s land probe_mask = 0 && probe () then interrupted ctr !subsets !skips;
+      if s land (s - 1) <> 0 then begin
+        incr subsets;
+        let c = match graph with Some g -> join_card tbl g s | None -> product_card tbl s in
+        Array.unsafe_set aux s (model.aux c);
+        if seed_bound tbl s ~kp:(model.k_prime c) ~threshold then keep lists s else incr skips
+      end
+    done);
+  add_sweep_counts ctr ~subsets:!subsets ~skips:!skips

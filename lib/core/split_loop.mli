@@ -1,6 +1,6 @@
-(** The per-subset kernels of Algorithm blitzsplit: the property
-    computations, §6.4's skip test ({!seed}) and the split loop
-    ({!split}), which {!Blitzsplit}'s two sweeps call on one domain or
+(** The per-subset kernels of Algorithm blitzsplit: sweep 1's property
+    computations and §6.4's skip test ({!sweep}) and the split loop
+    ({!split}), which {!Blitzsplit}'s two sweeps run on one domain or
     many.  The split loop — the [O(3^n)] part realized with the
     successor trick and nested-[if] pruning (Sections 4.2, 6.2) — writes
     only its own subset's slots and reads only proper subsets, so the
@@ -27,9 +27,49 @@
     live instead of walking every left operand, with the walk's cost
     bits and [best_lhs]; see {!split}.
 
+    The [aux] column is written only under kappa_sm and [Opaque] models,
+    the ones whose kernels read it.  kappa_0 and kappa_dnl have the
+    identity for [aux] and read [card], so their passes leave [aux] as
+    they found it.
+
     All kernels use unchecked array accesses internally: callers must
     pass subset indices in [(0, 2^n)] against a table created for [n]
     relations (the enumeration loops guarantee this by construction). *)
+
+exception Interrupted
+(** Raised by {!sweep} when its probe fires; {!Blitzsplit.Interrupted}
+    is the same exception. *)
+
+val probe_mask : int
+(** A pass polls its probe every [probe_mask + 1] (64) subsets of each
+    sweep. *)
+
+val sweep :
+  graph:Blitz_graph.Join_graph.t option ->
+  interrupt:(unit -> bool) option ->
+  Dp_table.t ->
+  Blitz_cost.Cost_model.t ->
+  Counters.t ->
+  threshold:float ->
+  Live_index.t ->
+  unit
+(** Sweep 1 of a pass over a table whose singleton rows are filled
+    ({!init_singletons}): for every non-singleton subset in increasing
+    order, its properties — [pi_fan] and [card] by the fan recurrence of
+    Section 5.4 with [graph], [card] as a plain product (Figure 1)
+    without, and [aux] under kappa_sm and [Opaque] models — then Section
+    6.4's skip test.  A subset whose [kappa'] reaches [threshold] (under
+    kappa_sm at a finite threshold, whose {!completion_threshold} is
+    [<= 0]) is settled: cost [infinity], best_lhs 0, counted as skipped
+    and infeasible.  Every other subset is kept: its split bound,
+    [threshold - kappa'] or the completion-bounded threshold, is parked
+    in its [cost] slot, and it is appended to its rank's list in
+    [lists]; {!split} must run on it before any subset holding it reads
+    its cost.  Adds the subsets it visited to [subsets].  With
+    [interrupt], polls it every 64 subsets; when it fires, adds the
+    counts so far and raises {!Interrupted}.  One loop per model and
+    per join or product pass, dispatched once: under the paper models no
+    float crosses a call, so the sweep allocates nothing. *)
 
 val find_best_split :
   Dp_table.t -> Blitz_cost.Cost_model.t -> Counters.t -> threshold:float -> int -> unit
@@ -37,33 +77,12 @@ val find_best_split :
     the already-computed [card], [cost] and [aux] columns of its proper
     subsets.  With a finite [threshold], marks the entry infeasible
     (cost [infinity], best_lhs 0) when no split stays below it.  Writes
-    only to this subset's own slots.  It is {!seed} then, for a kept
-    subset, {!split} without the index. *)
-
-val seed :
-  completion:bool ->
-  Dp_table.t ->
-  Blitz_cost.Cost_model.t ->
-  Counters.t ->
-  threshold:float ->
-  int ->
-  bool
-(** Section 6.4's skip test for the (non-singleton) subset, whose
-    [card] and [aux] are computed: the one place a pass decides it.
-    Counts the subset.  When kappa' alone reaches [threshold] — under
-    kappa_sm with [~completion:true], when {!completion_threshold}[ tbl
-    ~threshold s] is [<= 0] — settles it (cost [infinity], best_lhs 0,
-    counted as skipped and infeasible) and returns [false].  Otherwise
-    parks the bound its split loop must come in under, [threshold -
-    kappa'] or the completion-bounded threshold, in its [cost] slot and
-    returns [true]: the subset is kept, and {!split} must run on it
-    before any subset holding it reads its cost.  [~completion] is
-    ignored by the other models; the driver passes
-    {!completion_applies}. *)
+    only to this subset's own slots.  It is {!sweep}'s skip test for
+    one subset then, for a kept subset, {!split} without the index. *)
 
 val split :
   index:Live_index.t -> Dp_table.t -> Blitz_cost.Cost_model.t -> Counters.t -> int -> unit
-(** The split loop of a subset {!seed} kept, from the bound it parked:
+(** The split loop of a subset {!sweep} kept, from the bound it parked:
     fills [cost] and [best_lhs], or marks the subset infeasible when no
     split comes in under the bound.
 
@@ -111,15 +130,12 @@ val variant : Blitz_cost.Cost_model.t -> string
 
 val compute_properties_join :
   Dp_table.t -> Blitz_cost.Cost_model.t -> Blitz_graph.Join_graph.t -> int -> unit
-(** Fill [pi_fan], [card] and [aux] for a non-singleton subset via the
-    fan recurrence of Section 5.4 (Equation 11).  Requires a table with
-    the fan column allocated.  Reads only strictly smaller subsets. *)
-
-val compute_properties_product : Dp_table.t -> Blitz_cost.Cost_model.t -> int -> unit
-(** Fill [card] and [aux] for a non-singleton subset as a plain
-    cardinality product (Figure 1); [pi_fan] is never touched and may be
-    unallocated. *)
+(** {!sweep}'s properties for one non-singleton subset of a join pass:
+    [pi_fan] and [card] via the fan recurrence of Section 5.4
+    (Equation 11), and [aux] under kappa_sm and [Opaque] models.
+    Requires a table with the fan column allocated.  Reads only strictly
+    smaller subsets. *)
 
 val init_singletons : Dp_table.t -> Blitz_cost.Cost_model.t -> Blitz_catalog.Catalog.t -> unit
-(** Fill the singleton rows: cardinality from the catalog, cost 0, aux
-    memo from the model. *)
+(** Fill the singleton rows: cardinality from the catalog, cost 0, and
+    the [aux] memo under kappa_sm and [Opaque] models. *)

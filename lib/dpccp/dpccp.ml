@@ -61,8 +61,14 @@ let reached best_lhs s = s land (s - 1) = 0 || Array.unsafe_get best_lhs s <> 0
 let fold_dense tbl (model : Cost_model.t) (ctr : Counters.t) ~probe graph =
   let cost = tbl.Dp_table.cost
   and card = tbl.Dp_table.card
-  and aux = tbl.Dp_table.aux
   and best_lhs = tbl.Dp_table.best_lhs in
+  (* kappa_0 and kappa_dnl leave [aux] unwritten: their aux is the
+     identity, so [card] holds its bits. *)
+  let aux =
+    match model.Cost_model.kind with
+    | Cost_model.Paper_naive | Cost_model.Paper_dnl _ -> card
+    | Cost_model.Paper_sort_merge | Cost_model.Opaque -> tbl.Dp_table.aux
+  in
   let k_prime = model.Cost_model.k_prime
   and k_dprime = model.Cost_model.k_dprime
   and dprime_is_zero = model.Cost_model.dprime_is_zero in
@@ -138,7 +144,8 @@ let optimize_dense ?arena ~ctr ~probe model catalog graph =
      blitzsplit runs, in the same increasing-subset order: the recurrence
      for a connected set reads fans of subsets that need not be connected,
      and running it over the whole lattice is what makes every card (and
-     aux memo) bitwise identical to the exact optimizer's. *)
+     aux memo, where the model has one) bitwise identical to the exact
+     optimizer's. *)
   let last = (1 lsl n) - 1 in
   for s = 3 to last do
     if s land (s - 1) <> 0 then begin

@@ -38,10 +38,9 @@ let chain_edges n =
   let order = chain_order n in
   List.init (n - 1) (fun pos -> (order.(pos), order.(pos + 1)))
 
-let edge_list topo ~n =
+let check topo ~n =
   if n < 2 then invalid_arg "Topology.edge_list: need at least two relations";
   match topo with
-  | Chain -> chain_edges n
   | Cycle_plus k ->
     if k < 0 then invalid_arg "Topology.edge_list: negative cross-edge count";
     (* The closing edge joins the chain's two endpoints; cross-edge i
@@ -49,7 +48,18 @@ let edge_list topo ~n =
        cross-edges distinct from each other and from the cycle. *)
     if n < (2 * k) + 3 then
       invalid_arg
-        (Printf.sprintf "Topology.edge_list: cycle+%d needs at least %d relations" k ((2 * k) + 3));
+        (Printf.sprintf "Topology.edge_list: cycle+%d needs at least %d relations" k ((2 * k) + 3))
+  | Grid (r, c) ->
+    if r * c <> n then
+      invalid_arg
+        (Printf.sprintf "Topology.edge_list: grid %dx%d does not cover %d relations" r c n)
+  | Chain | Star | Clique -> ()
+
+let edge_list topo ~n =
+  check topo ~n;
+  match topo with
+  | Chain -> chain_edges n
+  | Cycle_plus k ->
     let order = chain_order n in
     let cross = List.init k (fun i -> (order.(i + 1), order.(n - 2 - i))) in
     ((order.(0), order.(n - 1)) :: cross) @ chain_edges n
@@ -57,8 +67,6 @@ let edge_list topo ~n =
   | Clique ->
     List.concat (List.init n (fun i -> List.init (n - 1 - i) (fun d -> (i, i + 1 + d))))
   | Grid (r, c) ->
-    if r * c <> n then
-      invalid_arg (Printf.sprintf "Topology.edge_list: grid %dx%d does not cover %d relations" r c n);
     let at row col = (row * c) + col in
     let horiz =
       List.concat (List.init r (fun row -> List.init (c - 1) (fun col -> (at row col, at row (col + 1)))))

@@ -40,11 +40,15 @@ val chain_order : int -> int array
     exactly [R0-R8-R1-R9-...-R14-R7]; in general relations
     [0..ceil(n/2)-1] alternate with [ceil(n/2)..n-1]. *)
 
+val check : t -> n:int -> unit
+(** Raises [Invalid_argument] when the topology is infeasible at size
+    [n]: fewer than two relations, [Cycle_plus k] below [n = 2k + 3],
+    [Grid (r, c)] with [r*c <> n]. *)
+
 val edge_list : t -> n:int -> (int * int) list
 (** Unweighted edges of the topology at size [n], endpoints with
-    [i <> j], no duplicates.  Raises [Invalid_argument] when the topology
-    is infeasible at that size (e.g. [Cycle_plus k] needs
-    [n >= 2k + 3]; [Grid (r, c)] needs [r*c = n]). *)
+    [i <> j], no duplicates.  Raises {!check}'s [Invalid_argument] when
+    the topology is infeasible at that size. *)
 
 val grid : n:int -> t
 (** [grid ~n] is [Grid (r, c)] with [r * c = n] and [r] the largest

@@ -13,12 +13,12 @@ let ns_buckets =
 
 let split_loop_ns_per_subset =
   Metrics.histogram ~buckets:ns_buckets
-    ~help:"Wall-clock nanoseconds per subset processed by the blitzsplit DP loop"
+    ~help:"Wall-clock nanoseconds per subset of a blitzsplit pass's property and skip-test sweep"
     "blitz_split_loop_ns_per_subset"
 
 let split_loop_ns_per_iter =
   Metrics.histogram ~buckets:ns_buckets
-    ~help:"Wall-clock nanoseconds per split-loop iteration of the blitzsplit DP loop"
+    ~help:"Wall-clock nanoseconds per split-loop iteration of a blitzsplit pass's split sweep"
     "blitz_split_loop_ns_per_iter"
 
 let dpccp_ns_per_pair =

@@ -10,29 +10,21 @@
     process pays one branch per optimizer call, no clock reads. *)
 
 val split_loop_ns_per_subset : Metrics.histogram
-(** Wall-clock ns per subset processed by a blitzsplit DP pass
-    ([blitz_split_loop_ns_per_subset]). *)
+(** Wall-clock ns per subset of a blitzsplit pass's sweep 1, the
+    property computations and §6.4's skip test, timed over that sweep
+    alone ([blitz_split_loop_ns_per_subset]). *)
 
 val split_loop_ns_per_iter : Metrics.histogram
-(** Wall-clock ns per split-loop iteration (the [O(3^n)] unit; finer
-    than per-subset) of a blitzsplit DP pass
-    ([blitz_split_loop_ns_per_iter]).  The per-iteration rate is what
-    `bench split` gates, so production runs and the benchmark read the
-    same unit. *)
+(** Wall-clock ns per split-loop iteration (the [O(3^n)] unit) of a
+    blitzsplit pass's sweep 2, the split loops of the subsets sweep 1
+    kept, timed over that sweep alone ([blitz_split_loop_ns_per_iter]).
+    One observation per pass that ran a split; the per-iteration rate is
+    what `bench split` gates, so production runs and the benchmark read
+    the same unit. *)
 
 val dpccp_ns_per_pair : Metrics.histogram
 (** Wall-clock ns per csg-cmp pair folded by the dpccp driver
     ([blitz_dpccp_ns_per_pair]). *)
-
-val now_s : unit -> float
-(** {!Blitz_util.Clock.now_s} — the monotonic clock every rate
-    observation uses.
-    Exported so drivers that feed two instruments from one timed region
-    (per-subset and per-iteration) read it once. *)
-
-val observe_rate : Metrics.histogram -> elapsed_s:float -> events:int -> unit
-(** Observe [elapsed_s / events] in nanoseconds; no-op when [events] is
-    zero or metrics are disabled. *)
 
 val timed_rate : Metrics.histogram -> events:(unit -> int) -> (unit -> 'a) -> 'a
 (** [timed_rate hist ~events f] runs [f], then observes elapsed wall

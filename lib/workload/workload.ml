@@ -17,6 +17,7 @@ let spec ~n ~topology ~model ~mean_card ~variability =
     invalid_arg "Workload.spec: mean_card must be positive";
   if variability < 0.0 || variability > 1.0 then
     invalid_arg "Workload.spec: variability must lie in [0, 1]";
+  Topology.check topology ~n;
   { n; topology; model; mean_card; variability }
 
 let catalog t =

@@ -31,7 +31,8 @@ type spec = {
 val spec :
   n:int -> topology:Topology.t -> model:Cost_model.t -> mean_card:float -> variability:float -> spec
 (** Validating constructor.  Raises [Invalid_argument] on [n < 2],
-    non-positive [mean_card], or [variability] outside [\[0, 1\]]. *)
+    non-positive [mean_card], [variability] outside [\[0, 1\]], or a
+    topology infeasible at size [n] ({!Topology.check}). *)
 
 val catalog : spec -> Catalog.t
 (** The appendix cardinality ladder: [|R_i| = mu^(1 - v + 2vi/(n-1))],

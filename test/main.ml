@@ -11,6 +11,7 @@ let () =
       ("orders", Test_orders.suite);
       ("differential", Test_differential.suite);
       ("split-kernel", Test_split_kernel.suite);
+      ("sweep", Test_sweep.suite);
       ("core-misc", Test_core_misc.suite);
       ("threshold", Test_threshold.suite);
       ("parallel", Test_parallel.suite);

@@ -427,6 +427,22 @@ let test_malformed_line_keeps_connection () =
           expect_bool "healthy afterwards" [ "ok" ] r2 true;
           Alcotest.(check string) "status ok" "ok" (expect_string [ "result"; "status" ] r2)))
 
+(* A generated query the topology cannot cover at its size (cycle+2
+   needs seven relations) is refused with a typed invalid_request, not
+   an internal error, and the connection keeps serving. *)
+let test_infeasible_workload_refused () =
+  with_server (Server.config ~port:0 ()) (fun port ->
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> close_client c) (fun () ->
+          let r =
+            rpc c {|{"blitz":1,"id":1,"method":"optimize","params":{"n":6,"topology":"cycle+2"}}|}
+          in
+          expect_bool "refused" [ "ok" ] r false;
+          Alcotest.(check string) "invalid_request" "invalid_request"
+            (expect_string [ "error"; "code" ] r);
+          let h = rpc c {|{"blitz":1,"id":2,"method":"health"}|} in
+          expect_bool "healthy afterwards" [ "ok" ] h true))
+
 (* [Unix.select] cannot watch a descriptor at or above FD_SETSIZE
    (1024): a connection accepted there is answered with a typed
    [overloaded] error and closed, and the loop keeps serving.  Holding
@@ -545,6 +561,8 @@ let suite =
     Alcotest.test_case "server: malformed line keeps the connection" `Quick
       test_malformed_line_keeps_connection;
     Alcotest.test_case "server: interleaved partial lines" `Quick test_interleaved_partial_lines;
+    Alcotest.test_case "server: an infeasible generated query is a typed error" `Quick
+      test_infeasible_workload_refused;
     Alcotest.test_case "server: a connection select cannot watch gets a typed refusal" `Quick
       test_unwatchable_connection_refused;
   ]

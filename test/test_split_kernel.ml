@@ -370,11 +370,14 @@ let test_variant_names () =
    under the paper models, so a warm [optimize_join] through an arena
    allocates the same minor words at every n: its result record and the
    per-call bookkeeping, nothing that grows with the lattice.  The
-   property pass computes the paper models' aux inline; the memo must
-   hold the bits the model's own [aux] closure gives.  A kappa_sm pass at
-   a finite threshold computes each subset's completion term inside the
-   kernel, so it must not allocate per subset either: a float computed
-   per subset and passed across a call would be boxed every time. *)
+   property pass computes kappa_sm's aux inline; the memo must hold the
+   bits the model's own [aux] closure gives.  kappa_0 and kappa_dnl read
+   [card] where a kernel would read their identity aux, so their passes
+   must leave a NaN-filled [aux] column as they found it.  A kappa_sm
+   pass at a finite threshold computes each subset's completion term
+   inside the kernel, so it must not allocate per subset either: a float
+   computed per subset and passed across a call would be boxed every
+   time. *)
 let test_warm_dp_allocation_flat () =
   let arena = Blitz_core.Arena.create () and ctr = Counters.create () in
   let words ?(topology = Topology.Clique) ?threshold_factor model n =
@@ -388,17 +391,22 @@ let test_warm_dp_allocation_flat () =
     let threshold =
       Option.map (fun f -> f *. Blitzsplit.best_cost (run ())) threshold_factor
     in
-    ignore (run ?threshold ());
+    let warm = (run ?threshold ()).Blitzsplit.table.Dp_table.aux in
+    Array.fill warm 0 (Array.length warm) Float.nan;
     Counters.reset ctr;
     let w0 = Gc.minor_words () in
     let r = run ?threshold () in
     let words = Gc.minor_words () -. w0 in
     let tbl = r.Blitzsplit.table in
+    let bits = Int64.bits_of_float in
     for s = 1 to Dp_table.size tbl - 1 do
-      if
-        Int64.bits_of_float tbl.Dp_table.aux.(s)
-        <> Int64.bits_of_float (model.Cost_model.aux tbl.Dp_table.card.(s))
-      then Alcotest.failf "%s n=%d: aux memo of subset %d is not model.aux" model.name n s
+      match model.Cost_model.kind with
+      | Cost_model.Paper_sort_merge | Cost_model.Opaque ->
+        if bits tbl.Dp_table.aux.(s) <> bits (model.Cost_model.aux tbl.Dp_table.card.(s)) then
+          Alcotest.failf "%s n=%d: aux memo of subset %d is not model.aux" model.name n s
+      | Cost_model.Paper_naive | Cost_model.Paper_dnl _ ->
+        if bits tbl.Dp_table.aux.(s) <> bits Float.nan then
+          Alcotest.failf "%s n=%d: the pass wrote the aux slot of subset %d" model.name n s
     done;
     if threshold <> None && (ctr.Counters.threshold_skips = 0 || not (Blitzsplit.feasible r)) then
       Alcotest.failf "%s n=%d: the thresholded pass skipped nothing or found no plan" model.name n;
