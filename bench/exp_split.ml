@@ -47,8 +47,13 @@
    A third section times sweep 1 alone, seeded at the upper bound as
    the exact tier runs it: ns per subset on chains under kappa_dnl,
    cliques under kappa_0 and stars (hub last) under kappa_sm, best-of-R,
-   with the subsets the pass skipped.  Its warm passes join the
-   zero-allocation gate.
+   with the subsets the pass skipped, at two sizes, in one block on the
+   calling domain and in four blocks on a 2-domain pool (wall-clock, so
+   every cell is marked advisory on a host with fewer than two cores).
+   Its warm passes join the zero-allocation gate: none may allocate on
+   the calling domain, and a pool's must allocate the same words at
+   both sizes (what [Pool.run] and the block dispatch cost, nothing per
+   subset).
 
    `bench split --json BENCH_split.json` commits the measured
    trajectory; the "gates" record carries the pass/fail verdicts. *)
@@ -64,6 +69,7 @@ module Blitzsplit = Blitz_core.Blitzsplit
 module Arena = Blitz_core.Arena
 module Live_index = Blitz_core.Live_index
 module Join_graph = Blitz_graph.Join_graph
+module Pool = Blitz_parallel.Pool
 module Registry = Blitz_engine.Registry
 module Json = Blitz_util.Json
 
@@ -85,7 +91,7 @@ let fill_properties tbl model graph =
 let prepared_table spec =
   let catalog, graph = Workload.problem spec in
   let tbl = Dp_table.create ~with_pi_fan:true spec.Workload.n in
-  Split_loop.init_singletons tbl spec.Workload.model catalog;
+  Split_loop.init_singletons ~graph:(Some graph) tbl spec.Workload.model catalog;
   fill_properties tbl spec.Workload.model graph;
   tbl
 
@@ -124,10 +130,11 @@ let upper_bound model catalog graph =
   | None -> Float.infinity
 
 (* One sweep 1 over [tbl], a join pass with [graph] or a product pass
-   without, its rank lists started as [Blitzsplit] starts them. *)
-let sweep1 ~graph tbl lists model ctr ~threshold =
+   without, its rank lists started as [Blitzsplit] starts them: in four
+   blocks on [pool], or in one on the calling domain. *)
+let sweep1 ?pool ~graph tbl lists model ctr ~threshold =
   Live_index.start lists ~n:tbl.Dp_table.n ~index:(Split_loop.scan_applies model ~threshold);
-  Split_loop.sweep ~graph ~interrupt:None tbl model ctr ~threshold lists
+  Blitzsplit.sweep ~pool ~graph ~interrupt:None tbl model ctr ~threshold lists
 
 (* Sweep 1 plain and seeded at [bound], the join form on [tbl] (whose
    pi_fan column it needs) with [graph] (allocated by the caller) and
@@ -207,9 +214,9 @@ let measure_cell ~rounds spec =
     let bound = upper_bound model catalog graph in
     let tbl = Dp_table.create ~with_pi_fan:true n and ptbl = Dp_table.create ~with_pi_fan:false n in
     let lists = Live_index.create () in
-    Split_loop.init_singletons tbl model catalog;
-    Split_loop.init_singletons ptbl model catalog;
     let graph = Some graph in
+    Split_loop.init_singletons ~graph tbl model catalog;
+    Split_loop.init_singletons ~graph:None ptbl model catalog;
     property_sweeps tbl ptbl lists model graph scratch ~bound;
     minor_delta (fun () -> property_sweeps tbl ptbl lists model graph scratch ~bound)
     -. noop_baseline
@@ -355,6 +362,7 @@ type sweep1_cell = {
   w_shape : string;
   w_model : Cost_model.t;
   w_n : int;
+  w_domains : int;  (* 1: one block on the calling domain; else four on a pool *)
   w_subsets : int;
   w_skips : int;
   w_ns_per_subset : float;
@@ -369,17 +377,18 @@ let sweep1_shapes =
   ]
 
 (* Sweep 1 of a join pass seeded at the upper bound, on a table whose
-   singleton rows are filled, as [Blitzsplit] runs it: ns per subset of
-   the best of [rounds] warm passes. *)
-let measure_sweep1 ~rounds (shape, topology, model) n =
+   singleton and doubleton rows are filled, as [Blitzsplit] runs it on
+   [pool] or without: ns per subset of the best of [rounds] warm
+   passes, wall-clock at the pass's width. *)
+let measure_sweep1 ~rounds ?pool (shape, topology, model) n =
   let spec = Workload.spec ~n ~topology ~model ~mean_card:150.0 ~variability:(1.0 /. 3.0) in
   let catalog, graph = Workload.problem spec in
   let threshold = upper_bound model catalog graph in
   let tbl = Dp_table.create ~with_pi_fan:true n and lists = Live_index.create () in
   let ctr = Counters.create () in
-  Split_loop.init_singletons tbl model catalog;
   let graph = Some graph in
-  let pass () = sweep1 ~graph tbl lists model ctr ~threshold in
+  Split_loop.init_singletons ~graph tbl model catalog;
+  let pass () = sweep1 ?pool ~graph tbl lists model ctr ~threshold in
   pass ();
   Counters.reset ctr;
   let words = minor_delta pass -. noop_baseline in
@@ -394,37 +403,59 @@ let measure_sweep1 ~rounds (shape, topology, model) n =
     w_shape = shape;
     w_model = model;
     w_n = n;
+    w_domains = (match pool with Some p -> Pool.num_domains p | None -> 1);
     w_subsets = subsets;
     w_skips = skips;
     w_ns_per_subset = !best *. 1e9 /. float_of_int subsets;
     w_words = words;
   }
 
-(* The sweep-1 cells; true when no warm pass allocated. *)
+(* The sweep-1 cells at two sizes, on the calling domain and on a
+   2-domain pool; true when no warm pass on the calling domain allocated
+   and a warm pool pass allocated the same words at both sizes (what
+   [Pool.run] and the block dispatch cost, nothing per subset). *)
 let run_sweep1 ~fast =
   Bench_config.header "Split: sweep 1 alone (properties and §6.4's skip test, seeded)";
-  let n = if fast then 12 else 18 and rounds = if fast then 5 else 15 in
+  let ns = if fast then [ 10; 12 ] else [ 16; 18 ] and rounds = if fast then 5 else 15 in
+  let cores = Blitz_engine.Engine.recommended_domains () in
+  let advisory = cores < 2 in
+  if advisory then
+    Printf.printf "note: single-core host: the 2-domain cells are ADVISORY, not scaling\n";
+  let pool = Pool.create ~num_domains:2 in
   let cells =
-    List.map
-      (fun shape ->
-        let c = measure_sweep1 ~rounds shape n in
-        Bench_json.emit ~experiment:"split"
-          [
-            ("record", Json.String "sweep1");
-            ("shape", Json.String c.w_shape);
-            ("model", Json.String c.w_model.Cost_model.name);
-            ("n", Json.Int n);
-            ("subsets", Json.Int c.w_subsets);
-            ("threshold_skips", Json.Int c.w_skips);
-            ("ns_per_subset", Json.Float c.w_ns_per_subset);
-            ("rounds", Json.Int rounds);
-            ("warm_minor_words", Json.Float c.w_words);
-          ];
-        c)
-      sweep1_shapes
+    Fun.protect
+      ~finally:(fun () -> Pool.shutdown pool)
+      (fun () ->
+        List.concat_map
+          (fun n ->
+            List.concat_map
+              (fun shape ->
+                List.map
+                  (fun pool ->
+                    let c = measure_sweep1 ~rounds ?pool shape n in
+                    Bench_json.emit ~experiment:"split"
+                      [
+                        ("record", Json.String "sweep1");
+                        ("shape", Json.String c.w_shape);
+                        ("model", Json.String c.w_model.Cost_model.name);
+                        ("n", Json.Int n);
+                        ("domains", Json.Int c.w_domains);
+                        ("subsets", Json.Int c.w_subsets);
+                        ("threshold_skips", Json.Int c.w_skips);
+                        ("ns_per_subset", Json.Float c.w_ns_per_subset);
+                        ("rounds", Json.Int rounds);
+                        ("warm_minor_words", Json.Float c.w_words);
+                        ("cores_available", Json.Int cores);
+                        ("advisory", Json.Bool advisory);
+                      ];
+                    c)
+                  [ None; Some pool ])
+              sweep1_shapes)
+          ns)
   in
   Blitz_util.Ascii_table.print
-    ~header:[| "shape"; "model"; "n"; "subsets"; "skipped"; "ns/subset"; "warm minor words" |]
+    ~header:
+      [| "shape"; "model"; "n"; "domains"; "subsets"; "skipped"; "ns/subset"; "warm minor words" |]
     (Array.of_list
        (List.map
           (fun c ->
@@ -432,17 +463,29 @@ let run_sweep1 ~fast =
               c.w_shape;
               c.w_model.Cost_model.name;
               string_of_int c.w_n;
+              string_of_int c.w_domains;
               string_of_int c.w_subsets;
               string_of_int c.w_skips;
               Printf.sprintf "%.2f" c.w_ns_per_subset;
               Printf.sprintf "%.0f" c.w_words;
             |])
           cells));
-  let leaks = List.filter (fun c -> c.w_words <> 0.0) cells in
+  let leaks =
+    List.filter
+      (fun c ->
+        if c.w_domains = 1 then c.w_words <> 0.0
+        else
+          List.exists
+            (fun d ->
+              d.w_domains = c.w_domains && d.w_shape = c.w_shape && d.w_words <> c.w_words)
+            cells)
+      cells
+  in
   List.iter
     (fun c ->
-      Printf.printf "ALLOCATION: sweep 1 %s %s n=%d: %.0f minor words per warm pass\n" c.w_shape
-        c.w_model.Cost_model.name c.w_n c.w_words)
+      Printf.printf
+        "ALLOCATION: sweep 1 %s %s n=%d on %d domain(s): %.0f minor words per warm pass\n" c.w_shape
+        c.w_model.Cost_model.name c.w_n c.w_domains c.w_words)
     leaks;
   leaks = []
 
@@ -547,8 +590,8 @@ let run () =
   end;
   Printf.printf
     "zero-allocation gate: PASS (Gc.minor_words delta = 0 across warm kernel sweeps and warm \
-     sweep-1 passes, plain and seeded; warm seeded passes allocate the same words at both \
-     sizes)\n";
+     sweep-1 passes, plain and seeded; warm seeded passes and warm sweep-1 passes on a pool \
+     allocate the same words at both sizes)\n";
   (* Speedup gate on the densest common cell: clique, kappa_0 at the
      largest n <= 15 in the grid (n=15 full, n=12 fast). *)
   let gated =

@@ -99,13 +99,16 @@ type problem = {
   required_order : int option;  (** From the SQL ORDER BY, when present. *)
 }
 
+(* The query to optimize.  [`Usage] is a command line that names no
+   single query source, cmdliner's usage error (exit 124); [`Workload]
+   is a source that holds no query the optimizer can take (exit 1). *)
 let acquire_problem sql n topology mean_card variability model =
   match (sql, n) with
-  | Some _, Some _ -> Error "--sql and -n are mutually exclusive"
+  | Some _, Some _ -> Error (`Usage "--sql and -n are mutually exclusive")
   | Some path, None -> (
     match Binder.parse_and_bind (read_file path) with
-    | Error e -> Error e
-    | Ok [] -> Error "the script contains no SELECT statement"
+    | Error e -> Error (`Workload e)
+    | Ok [] -> Error (`Workload "the script contains no SELECT statement")
     | Ok (q :: rest) ->
       if rest <> [] then
         Printf.eprintf "note: script has %d queries; optimizing the first\n" (List.length rest + 1);
@@ -123,14 +126,17 @@ let acquire_problem sql n topology mean_card variability model =
     | spec ->
       let catalog, graph = Workload.problem spec in
       Ok { catalog; graph; label = Workload.describe spec; required_order = None }
-    | exception Invalid_argument msg -> Error msg)
-  | None, None -> Error "provide either --sql FILE or -n N (see --help)"
+    | exception Invalid_argument msg -> Error (`Workload msg))
+  | None, None -> Error (`Usage "provide either --sql FILE or -n N (see --help)")
 
 let problem_term =
   let combine sql n topology mean_card variability model =
     match acquire_problem sql n topology mean_card variability model with
     | Ok p -> `Ok p
-    | Error msg -> `Error (false, msg)
+    | Error (`Usage msg) -> `Error (false, msg)
+    | Error (`Workload msg) ->
+      Printf.eprintf "blitz: %s\n" msg;
+      exit 1
   in
   Term.(
     ret

@@ -31,13 +31,26 @@ let chunk_factor = 4
 
 (* The pass in two sweeps.
 
-   Sweep 1 ([Split_loop.sweep]) runs on the calling domain in increasing
-   subset order, which puts every proper subset first (Section 4.2).  It
-   computes each subset's properties and decides §6.4's skip test, which
-   reads only those: a skipped subset is settled on the spot, a kept one
-   goes on its rank's list with its split bound parked in its cost slot.
-   So the subsets that need the O(3^n) work are known before any split
-   runs.
+   Sweep 1 ([sweep]) computes each subset's properties and decides
+   §6.4's skip test, which reads only those: a skipped subset is settled
+   on the spot, a kept one goes on its rank's list with its split bound
+   parked in its cost slot.  So the subsets that need the O(3^n) work are
+   known before any split runs.  Each subset reads its fan recurrence's
+   inputs, so it needs them first (Section 4.2): without a pool the sweep
+   visits the lattice in increasing order, as one block.  On a pool it
+   runs four blocks, the contiguous quarters [b 2^(n-2), (b+1) 2^(n-2)),
+   block b holding the subsets whose members among relations n - 2 and
+   n - 1 are b's two bits, each block in increasing order.  A subset S
+   of block b reads S minus its lowest member and S minus its
+   second-lowest, both in b when S has two members below n - 2 and
+   otherwise b's own first subset or a doubleton, the doubleton of its
+   two lowest members, and singleton rows.  [init_singletons] stores
+   every doubleton's [pi_fan], so nothing one block writes is read by
+   another, and the blocks need no lock.  Each block appends to its own
+   segment of each rank's region, and after the barrier the segments are
+   joined in block order: every list is the one-block sweep's, entry for
+   entry.  (A split by three relations would not do: {u, n-3, n-2, n-1}
+   reads {u, n-2, n-1} from another block.)
 
    Sweep 2 runs the kept subsets' split loops rank by rank.  A subset of
    rank k reads only subsets of lower rank, all finished when rank k
@@ -46,18 +59,55 @@ let chunk_factor = 4
    contiguous chunks of its list, balanced dynamically, with a barrier
    after it.  Every slot therefore holds the same bits at every width,
    and the per-domain counters, sums of per-subset events, add up to the
-   same totals.
+   same totals, merged into the pass's counters when each sweep ends or
+   [Interrupted] leaves it.
 
    Interruption: the probe is polled before the table is touched, then
-   every 64 subsets of sweep 1, every 64 kept subsets each domain runs,
-   and at every rank barrier.  In sweep 2 a [true] return trips a shared
-   stop flag, the remaining chunks bail at their next check, and
-   [Interrupted] is raised after the barrier; the probe must therefore
-   tolerate calls from any domain ([Budget.interrupt] does).
+   every 64 subsets of each block of sweep 1, every 64 kept subsets each
+   domain runs, and at every rank barrier.  In sweep 2 a [true] return
+   trips a shared stop flag, the remaining chunks bail at their next
+   check, and [Interrupted] is raised after the barrier, as [Pool.run]
+   re-raises a block's; the probe must therefore tolerate calls from any
+   domain ([Budget.interrupt] does).
 
    Each sweep feeds its own rate instrument: ns per subset over sweep 1
-   (with the singleton rows), ns per split iteration over sweep 2.  An
-   escaping exception skips the observation. *)
+   (with the singleton and doubleton rows), ns per split iteration over
+   sweep 2, both wall-clock at the pass's width.  An escaping exception
+   skips the observation. *)
+
+(* [f] given the counters of each of [workers] pool workers: worker 0 is
+   the calling domain and counts into [ctr], the other workers allocate
+   their own on first touch, merged into [ctr] once [f] returns or
+   raises. *)
+let on_workers workers ctr f =
+  let per_domain = Array.make workers None in
+  let counters worker =
+    if worker = 0 then ctr
+    else
+      match per_domain.(worker) with
+      | Some c -> c
+      | None ->
+        let c = Counters.create () in
+        per_domain.(worker) <- Some c;
+        c
+  in
+  let merge () =
+    Array.iter (function Some c -> Counters.merge_into ~from:c ~into:ctr | None -> ()) per_domain
+  in
+  Fun.protect ~finally:merge (fun () -> f counters)
+
+let sweep ~pool ~graph ~interrupt (tbl : Dp_table.t) model ctr ~threshold lists =
+  match pool with
+  | Some p when tbl.n >= 2 ->
+    Live_index.cut_blocks lists;
+    on_workers (Pool.num_domains p) ctr (fun counters ->
+        Obs.span "parallel.sweep" (fun () ->
+            Pool.run p ~chunks:lists.Live_index.blocks (fun ~worker block ->
+                Split_loop.sweep ~graph ~interrupt tbl model (counters worker) ~threshold lists
+                  ~block)));
+    Live_index.join_blocks lists
+  | Some _ | None -> Split_loop.sweep ~graph ~interrupt tbl model ctr ~threshold lists ~block:0
+
 let run ~graph_opt ?pool ?arena ?counters ?(threshold = Float.infinity) ?interrupt model
     catalog =
   if threshold <= 0.0 then invalid_arg "Blitzsplit: threshold must be positive";
@@ -104,22 +154,8 @@ let run ~graph_opt ?pool ?arena ?counters ?(threshold = Float.infinity) ?interru
       end
     done
   in
-  (* Worker 0 is the calling domain and counts into [ctr]; the other
-     workers allocate their own counters on first touch, merged after
-     the last barrier. *)
   let workers = match pool with Some p -> Pool.num_domains p | None -> 1 in
-  let per_domain = Array.make workers None in
-  let domain_counters worker =
-    if worker = 0 then ctr
-    else
-      match per_domain.(worker) with
-      | Some c -> c
-      | None ->
-        let c = Counters.create () in
-        per_domain.(worker) <- Some c;
-        c
-  in
-  let sweep2 () =
+  let sweep2 counters =
     for k = 2 to n do
       let count = Live_index.length lists k in
       (match pool with
@@ -130,7 +166,7 @@ let run ~graph_opt ?pool ?arena ?counters ?(threshold = Float.infinity) ?interru
         Obs.span "parallel.rank" ~attrs:[ ("k", string_of_int k) ] (fun () ->
             Pool.run p ~chunks (fun ~worker c ->
                 if not (Atomic.get stop) then
-                  split_range (domain_counters worker) ~k
+                  split_range (counters worker) ~k
                     ~start:((c * base) + min c rem)
                     ~len:(base + if c < rem then 1 else 0)))
       | Some _ | None -> split_range ctr ~k ~start:0 ~len:count);
@@ -138,17 +174,14 @@ let run ~graph_opt ?pool ?arena ?counters ?(threshold = Float.infinity) ?interru
       if polling && (Atomic.get stop || probe ()) then raise Interrupted
     done
   in
-  let merge () =
-    Array.iter (function Some c -> Counters.merge_into ~from:c ~into:ctr | None -> ()) per_domain
-  in
   Perf.timed_rate Perf.split_loop_ns_per_subset
     ~events:(fun () -> ctr.subsets)
     (fun () ->
-      Split_loop.init_singletons tbl model catalog;
-      Split_loop.sweep ~graph:graph_opt ~interrupt tbl model ctr ~threshold lists);
+      Split_loop.init_singletons ~graph:graph_opt tbl model catalog;
+      sweep ~pool ~graph:graph_opt ~interrupt tbl model ctr ~threshold lists);
   Perf.timed_rate Perf.split_loop_ns_per_iter
     ~events:(fun () -> ctr.loop_iters)
-    (fun () -> Fun.protect ~finally:merge sweep2);
+    (fun () -> on_workers workers ctr sweep2);
   { table = tbl; counters = ctr; catalog; graph; model; threshold }
 
 let optimize_join ?pool ?arena ?counters ?threshold ?interrupt model catalog graph =

@@ -19,10 +19,13 @@
     Section 6.4's skip test, which reads nothing else: a subset whose
     [kappa'] alone reaches the threshold is settled on the spot, and
     every other subset is kept on its rank's list ({!Live_index}).  The
-    second runs the kept subsets' split loops rank by rank, on a domain
-    pool when the caller hands one over and on the calling domain
-    otherwise.  A subset of rank [k] reads only subsets of lower rank,
-    so every slot, and every counter, comes out the same at every width.
+    second runs the kept subsets' split loops rank by rank.  On a domain
+    pool, when the caller hands one over, the first sweep runs in four
+    blocks split by the top two relations ({!sweep}) and the second cuts
+    each rank into chunks; otherwise both run on the calling domain.  A
+    block reads nothing another block writes, and a subset of rank [k]
+    reads only subsets of lower rank, so every slot, and every counter,
+    comes out the same at every width.
 
     Time [O(3^n)]; space [O(2^n)] (the table, plus 4 B per subset for
     the lists).  An optional plan-cost threshold (Section 6.4) prunes:
@@ -67,9 +70,9 @@ val optimize_join :
   Join_graph.t ->
   t
 (** Optimize the join of all catalog relations under the graph's
-    predicates.  [pool] runs the split loops of each rank on its domains
-    (any width, one included; the answer and every counter are the
-    same as without it).  [arena] makes the DP table and the subset lists
+    predicates.  [pool] runs sweep 1's four blocks and the split loops of
+    each rank on its domains (any width, one included; the answer and
+    every counter are the same as without it).  [arena] makes the DP table and the subset lists
     come out of a session workspace instead of a fresh allocation
     (bit-identical results — see {!Arena}); the returned [table] is a
     view of the arena's buffer, valid until the arena's next acquire.
@@ -95,6 +98,26 @@ val optimize_product :
 (** Section 3: pure Cartesian-product optimization — the specialized
     variant without the fan computation; the table's fan column is
     neither allocated nor read. *)
+
+val sweep :
+  pool:Blitz_parallel.Pool.t option ->
+  graph:Join_graph.t option ->
+  interrupt:(unit -> bool) option ->
+  Dp_table.t ->
+  Cost_model.t ->
+  Counters.t ->
+  threshold:float ->
+  Live_index.t ->
+  unit
+(** Sweep 1 of a pass, {!Split_loop.sweep} over the whole lattice, on a
+    table whose singleton and doubleton rows are filled and [lists] as
+    {!Live_index.start} left them.  With [pool] (and two relations or
+    more) it runs four blocks as the chunks of one [Pool.run], each
+    counting into the counters of the domain that ran it, merged into
+    [ctr] when the sweep ends or raises, and then joins the blocks'
+    segments; without, one block on the calling domain.  Every slot,
+    list and counter is the same either way.  The passes above run it;
+    it is exposed for the width tests and [bench split]. *)
 
 (** {1 Inspecting results} *)
 

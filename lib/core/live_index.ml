@@ -5,11 +5,15 @@ type t = {
   mutable n : int;
   mutable ids : buf;
   region : int array;
+  mutable blocks : int;
+  seg : int array;
   len : int array;
   cum : int array;
 }
 
 let stride = Dp_table.max_relations + 1
+
+let max_blocks = 4
 
 let empty_buf () = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout 0
 
@@ -20,7 +24,9 @@ let create () =
     ids = empty_buf ();
     (* Ranks 1 .. n have regions; [region.(n + 1)] ends the last one. *)
     region = Array.make (Dp_table.max_relations + 2) 0;
-    len = Array.make (Dp_table.max_relations + 1) 0;
+    blocks = 1;
+    seg = Array.make (max_blocks * stride) 0;
+    len = Array.make (max_blocks * stride) 0;
     cum = Array.make (Dp_table.max_relations * stride) 0;
   }
 
@@ -56,6 +62,8 @@ let start t ~n ~index =
     c := !c * (n - r + 1) / r;
     t.region.(r + 1) <- t.region.(r) + !c
   done;
+  t.blocks <- 1;
+  Array.blit t.region 1 t.seg 1 n;
   Array.fill t.len 0 (Array.length t.len) 0;
   if index then begin
     (* Rank 1 is every singleton below relation n - 1, all live: b + 1
@@ -69,6 +77,39 @@ let start t ~n ~index =
       t.cum.((b * stride) + 2) <- b + 1
     done
   end
+
+let rec binomial m j =
+  if j < 0 || j > m then 0 else if j = 0 then 1 else binomial m (j - 1) * (m - j + 1) / j
+
+(* Block b holds the subsets whose members among relations n - 2 and
+   n - 1 are b's two bits: C(n - 2, r - popcount b) of rank r, which sum
+   to C(n, r) over the four blocks (Vandermonde's identity). *)
+let cut_blocks t =
+  if t.n < 2 then invalid_arg "Live_index.cut_blocks: fewer than two relations";
+  t.blocks <- max_blocks;
+  for r = 2 to t.n do
+    for b = 1 to max_blocks - 1 do
+      let prev = b - 1 in
+      t.seg.((b * stride) + r) <-
+        t.seg.((prev * stride) + r) + binomial (t.n - 2) (r - (prev land 1) - (prev lsr 1))
+    done
+  done
+
+(* Block b's segments follow block b - 1's kept entries; a segment moves
+   only down, so a forward copy never overwrites an entry still to move. *)
+let join_blocks t =
+  for r = 2 to t.n do
+    let at = ref (t.region.(r) + t.len.(r)) in
+    for b = 1 to t.blocks - 1 do
+      let from = t.seg.((b * stride) + r) and l = t.len.((b * stride) + r) in
+      if from <> !at then
+        for i = 0 to l - 1 do
+          set t.ids (!at + i) (get_slot t.ids (from + i))
+        done;
+      at := !at + l
+    done;
+    t.len.(r) <- !at - t.region.(r)
+  done
 
 let length t k = t.len.(k)
 

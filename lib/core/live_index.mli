@@ -2,12 +2,20 @@
     of a seeded (§6.4) pass, in one buffer.
 
     {!Blitzsplit} fills its table in two sweeps.  The first
-    ({!Split_loop.sweep}) computes every subset's properties in numeric
-    order and settles the subsets §6.4 skips; it appends every other
-    subset, one whose split loop must run, to its rank's list: the
-    entry at [region.(k) + len.(k)], then [len.(k)] grows by one.  So
-    each list is in increasing order.  The second runs the split loops
-    of the kept subsets rank by rank, reading the lists ({!length},
+    ({!Split_loop.sweep}) computes every subset's properties and settles
+    the subsets §6.4 skips, in one block of the lattice or, on a pool,
+    in four ({!cut_blocks}).  It appends every other subset, one whose
+    split loop must run, to its block's segment of its rank's region:
+    the entry at [seg.(b * stride + k) + len.(b * stride + k)] for block
+    [b], then that [len] grows by one.  Block [b] of four holds the
+    subsets whose members among relations [n - 2] and [n - 1] are [b]'s
+    two bits, so its segment of rank [k] holds at most [C(n - 2, k -
+    popcount b)] entries; block 0's starts the region, and one block's
+    segment is the whole region.  Each block visits its subsets in
+    increasing order, so {!join_blocks}, moving the segments together in
+    block order, leaves each list in increasing order, the one-block
+    sweep's entry for entry.  The second sweep runs the split loops of
+    the kept subsets rank by rank, reading the lists ({!length},
     {!get}).
 
     At a finite threshold most subsets finish dead (cost [infinity]),
@@ -40,9 +48,15 @@ type t = private {
   mutable n : int;  (** Relations of the current pass. *)
   mutable ids : buf;  (** The entries, region by region. *)
   region : int array;  (** [region.(r)]: where rank [r]'s region starts. *)
+  mutable blocks : int;  (** Blocks of the current sweep 1: 1 or 4. *)
+  seg : int array;
+      (** [seg.(b * stride + r)]: where block [b]'s segment of rank [r]
+          starts. *)
   len : int array;
-      (** [len.(r)]: entries in rank [r]'s list: the kept subsets until
-          the rank is done, then, with the index on, its live ones. *)
+      (** [len.(b * stride + r)]: entries in block [b]'s segment of rank
+          [r].  Row 0, once the blocks are joined, is rank [r]'s list:
+          the kept subsets until the rank is done, then, with the index
+          on, its live ones. *)
   cum : int array;
       (** [cum.(b * stride + k)]: index entries of ranks [1 .. k-1]
           below [2^(b+1)], once every subset of rank [< k] has
@@ -60,11 +74,20 @@ val create : unit -> t
 (** Fresh lists holding no buffer; {!start} sizes them. *)
 
 val start : t -> n:int -> index:bool -> unit
-(** Empty every list for a pass over [n] relations, growing the buffer
-    to [2^n] slots if needed.  [~index:true] turns the live-operand
-    index on: rank 1 then lists every singleton but relation [n - 1],
-    and the counts below rank 2 are closed.  Raises [Invalid_argument]
+(** Empty every list for a pass over [n] relations, as one block,
+    growing the buffer to [2^n] slots if needed.  [~index:true] turns
+    the live-operand index on: rank 1 then lists every singleton but
+    relation [n - 1], and the counts below rank 2 are closed.  Raises [Invalid_argument]
     on {!off} or when [n] is outside [\[1, Dp_table.max_relations\]]. *)
+
+val cut_blocks : t -> unit
+(** Right after {!start}: cut each region of rank [>= 2] into the four
+    block segments.  Raises [Invalid_argument] below two relations. *)
+
+val join_blocks : t -> unit
+(** After every block of sweep 1 is done: move each rank's segments
+    together in block order and set its length.  Rank 1 is left as
+    {!start} filled it. *)
 
 val length : t -> int -> int
 (** [length t k]: the subsets of rank [k] kept so far. *)

@@ -1,4 +1,3 @@
-module Relset = Blitz_bitset.Relset
 module Catalog = Blitz_catalog.Catalog
 module Join_graph = Blitz_graph.Join_graph
 module Cost_model = Blitz_cost.Cost_model
@@ -136,13 +135,14 @@ let[@inline] rank s =
   let x = (x + (x lsr 4)) land 0x0f0f0f in
   ((x * 0x010101) lsr 16) land 0xff
 
-(* Sweep 1's append of a kept subset to its rank's list: subsets come in
-   increasing order, so every list is in increasing order. *)
-let[@inline] keep (lists : Live_index.t) s =
-  let k = rank s in
-  let m = Array.unsafe_get lists.len k in
-  Bigarray.Array1.unsafe_set lists.ids (Array.unsafe_get lists.region k + m) (Int32.of_int s);
-  Array.unsafe_set lists.len k (m + 1)
+(* Sweep 1's append of a kept subset to its block's segment of its
+   rank's region, [row] the block's row of [seg] and [len]: subsets come
+   in increasing order, so every segment is in increasing order. *)
+let[@inline] keep (lists : Live_index.t) row s =
+  let i = row + rank s in
+  let m = Array.unsafe_get lists.len i in
+  Bigarray.Array1.unsafe_set lists.ids (Array.unsafe_get lists.seg i + m) (Int32.of_int s);
+  Array.unsafe_set lists.len i (m + 1)
 
 (* Which loop a subset runs under [index]: -1 for the walk, or the
    scan's shape k lor (b lsl 5), k the rank of s and b the top relation
@@ -563,16 +563,15 @@ let[@inline] store_aux (tbl : Dp_table.t) (model : Cost_model.t) s c =
 
 (* The fan recurrence of Section 5.4, Pi_fan(S) = Pi_fan(U+W) *
    Pi_fan(U+Z) with U the lowest relation of S and W the lowest of
-   V = S \ U = W + Z, seeded with raw predicate selectivities on
-   doubletons; then card(S) = card(U) * card(V) * Pi_fan(S)
-   (Equation 11).  Writes both and returns the cardinality. *)
-let[@inline] join_card (tbl : Dp_table.t) graph s =
+   V = S \ U = W + Z, seeded with the raw predicate selectivities
+   [init_singletons] stores on doubletons; then card(S) = card(U) *
+   card(V) * Pi_fan(S) (Equation 11).  Writes both (a doubleton's
+   [pi_fan] only reads) and returns the cardinality. *)
+let[@inline] join_card (tbl : Dp_table.t) s =
   let pi_fan = tbl.pi_fan and card = tbl.card in
   let u = s land (-s) in
   let v = s lxor u in
-  if v land (v - 1) = 0 then
-    Join_graph.selectivity_into graph (Relset.min_elt u) (Relset.min_elt v) pi_fan s
-  else begin
+  if v land (v - 1) <> 0 then begin
     let w = v land (-v) in
     let z = v lxor w in
     Array.unsafe_set pi_fan s
@@ -591,10 +590,10 @@ let[@inline] product_card (tbl : Dp_table.t) s =
   Array.unsafe_set card s c;
   c
 
-let compute_properties_join (tbl : Dp_table.t) (model : Cost_model.t) graph s =
-  store_aux tbl model s (join_card tbl graph s)
+let compute_properties_join (tbl : Dp_table.t) (model : Cost_model.t) (_ : Join_graph.t) s =
+  store_aux tbl model s (join_card tbl s)
 
-let init_singletons (tbl : Dp_table.t) (model : Cost_model.t) catalog =
+let init_singletons ~graph (tbl : Dp_table.t) (model : Cost_model.t) catalog =
   let n = Catalog.n catalog in
   let fan = Dp_table.has_pi_fan tbl in
   for i = 0 to n - 1 do
@@ -604,7 +603,15 @@ let init_singletons (tbl : Dp_table.t) (model : Cost_model.t) catalog =
     tbl.best_lhs.(s) <- 0;
     if fan then tbl.pi_fan.(s) <- 1.0;
     store_aux tbl model s tbl.card.(s)
-  done
+  done;
+  Option.iter
+    (fun g ->
+      for i = 0 to n - 2 do
+        for j = i + 1 to n - 1 do
+          Join_graph.selectivity_into g i j tbl.pi_fan ((1 lsl i) lor (1 lsl j))
+        done
+      done)
+    graph
 
 exception Interrupted
 
@@ -624,87 +631,89 @@ let interrupted ctr subsets skips =
   add_sweep_counts ctr ~subsets ~skips;
   raise Interrupted
 
-(* Sweep 1 of a pass as one loop per cost model and per join or product
-   pass, dispatched once: each arm computes a subset's properties, runs
-   the skip test and appends a kept subset to its rank's list, with the
-   model's arithmetic inlined through the helpers above.  The subset and
-   skip counts live in local refs, added to [ctr] at the end of the
-   sweep or before [Interrupted] leaves it, so no [ctr] field is
-   reloaded per subset. *)
+(* Sweep 1 over one block of the lattice as one loop per cost model and
+   per join or product pass, dispatched once: each arm computes a
+   subset's properties, runs the skip test and appends a kept subset to
+   its block's segment of its rank's list, with the model's arithmetic
+   inlined through the helpers above.  The subset and skip counts live
+   in local refs, added to [ctr] at the end of the block or before
+   [Interrupted] leaves it, so no [ctr] field is reloaded per subset. *)
 let sweep ~graph ~interrupt (tbl : Dp_table.t) (model : Cost_model.t) (ctr : Counters.t)
-    ~threshold (lists : Live_index.t) =
-  let last = (1 lsl tbl.n) - 1 in
+    ~threshold (lists : Live_index.t) ~block =
+  let width = (1 lsl tbl.n) / lists.blocks in
+  let first = max 3 (block * width) and last = ((block + 1) * width) - 1 in
+  let row = block * Live_index.stride in
   let polling = Option.is_some interrupt in
   let probe = match interrupt with Some p -> p | None -> fun () -> false in
   let completion = completion_applies model ~threshold in
   let aux = tbl.aux in
   let subsets = ref 0 and skips = ref 0 in
   (match (model.kind, graph) with
-  | Cost_model.Paper_naive, Some g ->
-    for s = 3 to last do
+  | Cost_model.Paper_naive, Some _ ->
+    for s = first to last do
       if polling && s land probe_mask = 0 && probe () then interrupted ctr !subsets !skips;
       if s land (s - 1) <> 0 then begin
         incr subsets;
-        let c = join_card tbl g s in
-        if seed_bound tbl s ~kp:c ~threshold then keep lists s else incr skips
+        let c = join_card tbl s in
+        if seed_bound tbl s ~kp:c ~threshold then keep lists row s else incr skips
       end
     done
   | Cost_model.Paper_naive, None ->
-    for s = 3 to last do
+    for s = first to last do
       if polling && s land probe_mask = 0 && probe () then interrupted ctr !subsets !skips;
       if s land (s - 1) <> 0 then begin
         incr subsets;
         let c = product_card tbl s in
-        if seed_bound tbl s ~kp:c ~threshold then keep lists s else incr skips
+        if seed_bound tbl s ~kp:c ~threshold then keep lists row s else incr skips
       end
     done
-  | Cost_model.Paper_sort_merge, Some g ->
-    for s = 3 to last do
+  | Cost_model.Paper_sort_merge, Some _ ->
+    for s = first to last do
       if polling && s land probe_mask = 0 && probe () then interrupted ctr !subsets !skips;
       if s land (s - 1) <> 0 then begin
         incr subsets;
-        Array.unsafe_set aux s (sm_aux (join_card tbl g s));
+        Array.unsafe_set aux s (sm_aux (join_card tbl s));
         let bound = if completion then completion_threshold tbl ~threshold s else threshold in
-        if seed_bound tbl s ~kp:0.0 ~threshold:bound then keep lists s else incr skips
+        if seed_bound tbl s ~kp:0.0 ~threshold:bound then keep lists row s else incr skips
       end
     done
   | Cost_model.Paper_sort_merge, None ->
-    for s = 3 to last do
+    for s = first to last do
       if polling && s land probe_mask = 0 && probe () then interrupted ctr !subsets !skips;
       if s land (s - 1) <> 0 then begin
         incr subsets;
         Array.unsafe_set aux s (sm_aux (product_card tbl s));
         let bound = if completion then completion_threshold tbl ~threshold s else threshold in
-        if seed_bound tbl s ~kp:0.0 ~threshold:bound then keep lists s else incr skips
+        if seed_bound tbl s ~kp:0.0 ~threshold:bound then keep lists row s else incr skips
       end
     done
-  | Cost_model.Paper_dnl { k; _ }, Some g ->
-    for s = 3 to last do
+  | Cost_model.Paper_dnl { k; _ }, Some _ ->
+    for s = first to last do
       if polling && s land probe_mask = 0 && probe () then interrupted ctr !subsets !skips;
       if s land (s - 1) <> 0 then begin
         incr subsets;
-        let kp = dnl_k_prime ~k (join_card tbl g s) in
-        if seed_bound tbl s ~kp ~threshold then keep lists s else incr skips
+        let kp = dnl_k_prime ~k (join_card tbl s) in
+        if seed_bound tbl s ~kp ~threshold then keep lists row s else incr skips
       end
     done
   | Cost_model.Paper_dnl { k; _ }, None ->
-    for s = 3 to last do
+    for s = first to last do
       if polling && s land probe_mask = 0 && probe () then interrupted ctr !subsets !skips;
       if s land (s - 1) <> 0 then begin
         incr subsets;
         let kp = dnl_k_prime ~k (product_card tbl s) in
-        if seed_bound tbl s ~kp ~threshold then keep lists s else incr skips
+        if seed_bound tbl s ~kp ~threshold then keep lists row s else incr skips
       end
     done
   | Cost_model.Opaque, _ ->
     (* The closures box per subset anyway: one arm serves both passes. *)
-    for s = 3 to last do
+    for s = first to last do
       if polling && s land probe_mask = 0 && probe () then interrupted ctr !subsets !skips;
       if s land (s - 1) <> 0 then begin
         incr subsets;
-        let c = match graph with Some g -> join_card tbl g s | None -> product_card tbl s in
+        let c = match graph with Some _ -> join_card tbl s | None -> product_card tbl s in
         Array.unsafe_set aux s (model.aux c);
-        if seed_bound tbl s ~kp:(model.k_prime c) ~threshold then keep lists s else incr skips
+        if seed_bound tbl s ~kp:(model.k_prime c) ~threshold then keep lists row s else incr skips
       end
     done);
   add_sweep_counts ctr ~subsets:!subsets ~skips:!skips

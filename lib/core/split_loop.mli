@@ -52,23 +52,30 @@ val sweep :
   Counters.t ->
   threshold:float ->
   Live_index.t ->
+  block:int ->
   unit
-(** Sweep 1 of a pass over a table whose singleton rows are filled
-    ({!init_singletons}): for every non-singleton subset in increasing
-    order, its properties — [pi_fan] and [card] by the fan recurrence of
-    Section 5.4 with [graph], [card] as a plain product (Figure 1)
-    without, and [aux] under kappa_sm and [Opaque] models — then Section
-    6.4's skip test.  A subset whose [kappa'] reaches [threshold] (under
-    kappa_sm at a finite threshold, whose {!completion_threshold} is
-    [<= 0]) is settled: cost [infinity], best_lhs 0, counted as skipped
-    and infeasible.  Every other subset is kept: its split bound,
+(** Sweep 1 of a pass over block [block] of [lists]'s blocks, the
+    subsets [\[block 2^n / blocks, (block + 1) 2^n / blocks)], on a table
+    whose singleton and doubleton rows are filled ({!init_singletons}):
+    for every non-singleton subset of the block in increasing order, its
+    properties — [pi_fan] and [card] by the fan recurrence of Section
+    5.4 with [graph], [card] as a plain product (Figure 1) without, and
+    [aux] under kappa_sm and [Opaque] models — then Section 6.4's skip
+    test.  A subset whose [kappa'] reaches [threshold] (under kappa_sm
+    at a finite threshold, whose {!completion_threshold} is [<= 0]) is
+    settled: cost [infinity], best_lhs 0, counted as skipped and
+    infeasible.  Every other subset is kept: its split bound,
     [threshold - kappa'] or the completion-bounded threshold, is parked
-    in its [cost] slot, and it is appended to its rank's list in
-    [lists]; {!split} must run on it before any subset holding it reads
-    its cost.  Adds the subsets it visited to [subsets].  With
-    [interrupt], polls it every 64 subsets; when it fires, adds the
-    counts so far and raises {!Interrupted}.  One loop per model and
-    per join or product pass, dispatched once: under the paper models no
+    in its [cost] slot, and it is appended to the block's segment of its
+    rank's list in [lists]; {!split} must run on it before any subset
+    holding it reads its cost.  One block ([lists] as {!Live_index.start}
+    left it, [block] 0) is the whole lattice.  Of four
+    ({!Live_index.cut_blocks}), a block reads nothing another writes,
+    so the four may run at once on different domains, each with its own
+    [ctr]; see {!Blitzsplit}.  Adds the subsets it visited to [subsets].
+    With [interrupt], polls it every 64 subsets; when it fires, adds the
+    counts so far and raises {!Interrupted}.  One loop per model and per
+    join or product pass, dispatched once: under the paper models no
     float crosses a call, so the sweep allocates nothing. *)
 
 val find_best_split :
@@ -133,9 +140,17 @@ val compute_properties_join :
 (** {!sweep}'s properties for one non-singleton subset of a join pass:
     [pi_fan] and [card] via the fan recurrence of Section 5.4
     (Equation 11), and [aux] under kappa_sm and [Opaque] models.
-    Requires a table with the fan column allocated.  Reads only strictly
-    smaller subsets. *)
+    Requires a table with the fan column allocated and its doubletons'
+    [pi_fan] stored by {!init_singletons} from the same graph; reads
+    only the table, and only strictly smaller subsets. *)
 
-val init_singletons : Dp_table.t -> Blitz_cost.Cost_model.t -> Blitz_catalog.Catalog.t -> unit
+val init_singletons :
+  graph:Blitz_graph.Join_graph.t option ->
+  Dp_table.t ->
+  Blitz_cost.Cost_model.t ->
+  Blitz_catalog.Catalog.t ->
+  unit
 (** Fill the singleton rows: cardinality from the catalog, cost 0, and
-    the [aux] memo under kappa_sm and [Opaque] models. *)
+    the [aux] memo under kappa_sm and [Opaque] models; with [graph], also
+    every doubleton's [pi_fan], its predicate's raw selectivity, the fan
+    recurrence's seed. *)

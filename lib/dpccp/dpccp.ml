@@ -139,7 +139,7 @@ let optimize_dense ?arena ~ctr ~probe model catalog graph =
       tbl
     | None -> Dp_table.create ~with_pi_fan:true n
   in
-  Split_loop.init_singletons tbl model catalog;
+  Split_loop.init_singletons ~graph:(Some graph) tbl model catalog;
   (* Full-lattice cardinality sweep through the very same fan recurrence
      blitzsplit runs, in the same increasing-subset order: the recurrence
      for a connected set reads fans of subsets that need not be connected,

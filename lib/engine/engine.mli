@@ -8,9 +8,9 @@
     sessions, one lazily spawned {!Blitz_parallel.Pool}, and runs any
     registered optimizer through them.  Sessions are multi-domain by
     default: exact queries at or above {!default_crossover_n}
-    relations run their split loops rank by rank on the machine's
-    cores.  Results
-    are bit-identical to fresh-allocation runs for every optimizer and
+    relations run on the machine's cores, sweep 1 (properties and
+    §6.4's skip test) in four blocks and sweep 2 (the split loops) rank
+    by rank.  Results are bit-identical to fresh-allocation runs for every optimizer and
     domain count (tested property).
 
     A session may also carry a {!Blitz_cache.Plan_cache}: any optimizer

@@ -12,7 +12,11 @@
 val split_loop_ns_per_subset : Metrics.histogram
 (** Wall-clock ns per subset of a blitzsplit pass's sweep 1, the
     property computations and §6.4's skip test, timed over that sweep
-    alone ([blitz_split_loop_ns_per_subset]). *)
+    alone ([blitz_split_loop_ns_per_subset]).  The time is the pass's
+    at its width: on a pool the sweep runs in four blocks at once, so
+    the rate is elapsed time over all subsets, not one domain's cost per
+    subset, and a prediction of a tier's time from it holds for the
+    width it was observed at. *)
 
 val split_loop_ns_per_iter : Metrics.histogram
 (** Wall-clock ns per split-loop iteration (the [O(3^n)] unit) of a

@@ -176,7 +176,7 @@ let reference_pass model catalog graph ~threshold =
   let ctr = Counters.create () in
   let priced = Array.make (1 lsl n) false in
   let completion = Split_loop.completion_applies model ~threshold in
-  Split_loop.init_singletons tbl model catalog;
+  Split_loop.init_singletons ~graph:(Some graph) tbl model catalog;
   for s = 3 to (1 lsl n) - 1 do
     if s land (s - 1) <> 0 then begin
       Split_loop.compute_properties_join tbl model graph s;
