@@ -81,9 +81,9 @@ module Json = Blitz_util.Json
 let speedup_gate = 1.25
 let speedup_gate_fast = 1.05
 
-let fill_properties tbl model graph =
+let fill_properties tbl model =
   for s = 3 to Dp_table.size tbl - 1 do
-    if s land (s - 1) <> 0 then Split_loop.compute_properties_join tbl model graph s
+    if s land (s - 1) <> 0 then Split_loop.compute_properties_join tbl model s
   done
 
 (* A table with every subset's cardinality and aux filled in and the
@@ -92,7 +92,7 @@ let prepared_table spec =
   let catalog, graph = Workload.problem spec in
   let tbl = Dp_table.create ~with_pi_fan:true spec.Workload.n in
   Split_loop.init_singletons ~graph:(Some graph) tbl spec.Workload.model catalog;
-  fill_properties tbl spec.Workload.model graph;
+  fill_properties tbl spec.Workload.model;
   tbl
 
 (* One full kernel sweep over the non-singleton subsets in increasing

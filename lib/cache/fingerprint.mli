@@ -10,21 +10,24 @@
     {e canonical index space} and rebase them to whatever numbering the
     next caller uses.
 
-    Canonical labeling: relations are sorted by a refined key seeded
-    with (cardinality, degree) and sharpened by Weisfeiler–Leman-style
-    rounds that fold each relation's (selectivity, neighbor-key)
-    multiset back into its own key.  Ties that survive refinement are
-    broken by original index; such residual ties arise only in
-    symmetric problems where either the tied relations are
-    interchangeable (the canonical form is unchanged — uniform stars,
-    cliques, products) or a renamed resubmission conservatively misses.
-    Equality of canonical forms always certifies isomorphism, so a hit
-    can never pair a query with another query's plan.
+    Canonical labeling: relations are sorted by (cardinality, degree,
+    index).  When two relations tie on (cardinality, degree), the sort
+    is redone with a key sharpened by [n] Weisfeiler–Leman-style rounds
+    that fold each relation's (selectivity, neighbor-key) multiset back
+    into its own key, placed before the index.  Without such a tie the
+    rounds could not reorder anything, and the hash never reads a key,
+    so they are skipped.  Ties that survive refinement are broken by
+    original index; such residual ties arise only in symmetric problems
+    where either the tied relations are interchangeable (the canonical
+    form is unchanged — uniform stars, cliques, products) or a renamed
+    resubmission conservatively misses.  Equality of canonical forms
+    always certifies isomorphism, so a hit can never pair a query with
+    another query's plan.
 
     All computation runs inside a caller-owned {!scratch} (one per
-    engine session), so fingerprinting a query in a hot
-    [optimize_many] batch allocates nothing; {!freeze} copies the
-    canonical form out only when the cache actually stores an entry. *)
+    engine session), so a warm {!compute} allocates nothing; {!freeze}
+    copies the canonical form out only when the cache actually stores an
+    entry. *)
 
 module Catalog = Blitz_catalog.Catalog
 module Join_graph = Blitz_graph.Join_graph
@@ -32,8 +35,9 @@ module Cost_model = Blitz_cost.Cost_model
 module Plan = Blitz_plan.Plan
 
 type scratch
-(** Preallocated workspace: key/permutation/edge buffers grown to the
-    session's high-water-mark [n] and reused across queries. *)
+(** Preallocated workspace: key, adjacency, permutation and edge buffers
+    grown to the session's high-water-mark [n] and reused across
+    queries. *)
 
 val create_scratch : unit -> scratch
 (** A fresh empty workspace; one per session is the intended
@@ -50,7 +54,16 @@ val compute : scratch -> model_digest:int -> Catalog.t -> Join_graph.t option ->
 (** Canonicalize the problem into the scratch, replacing whatever the
     scratch held.  A [None] graph is fingerprinted exactly like a
     predicate-free graph (the two produce bit-identical plans).  Raises
-    [Invalid_argument] if the graph size differs from the catalog's. *)
+    [Invalid_argument] if the graph size differs from the catalog's.
+
+    Cost, for [n] relations and [m] predicates, when no two relations
+    tie on (cardinality, degree): an insertion sort of the relations, a
+    test of the neighbour-mask bit of each of the [n(n-1)/2] canonical
+    pairs (no [Join_graph] call), and O(n + m) reads and hashing.  With
+    a tie, also [n] refinement rounds of O(n + m) integer work each,
+    over adjacency lists laid out in the scratch (each edge's
+    selectivity read and digested once), and a second sort.  Once the
+    scratch has grown to [n], a call allocates nothing. *)
 
 (** {1 Reading the scratch (valid until the next {!compute})} *)
 
@@ -58,11 +71,6 @@ val hash : scratch -> int
 (** Hash of the canonical form (cards, edges, model digest).  Collisions
     are resolved by {!matches}' full structural equality, never by
     trusting the hash. *)
-
-val residual_ties : scratch -> bool
-(** Whether refinement left indistinguishable relations (tie-break fell
-    back to original index): renamed resubmissions of such problems may
-    miss; identical resubmissions always hit. *)
 
 type frozen
 (** A heap copy of a scratch's canonical form, safe to store. *)

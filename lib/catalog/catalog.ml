@@ -48,8 +48,14 @@ let of_list_result entries =
 
 let of_list entries = Blitz_util.Err.get_with ~to_message:error_message (of_list_result entries)
 
+(* The appendix's names, built once: a generated problem names every
+   relation. *)
+let default_names = Array.init max_relations (Printf.sprintf "R%d")
+
 let of_cards_result cards =
-  of_list_result (Array.to_list (Array.mapi (fun i c -> (Printf.sprintf "R%d" i, c)) cards))
+  let len = Array.length cards in
+  if len > max_relations then Error (Too_many_relations len)
+  else of_list_result (List.init len (fun i -> (default_names.(i), cards.(i))))
 
 let of_cards cards = Blitz_util.Err.get_with ~to_message:error_message (of_cards_result cards)
 

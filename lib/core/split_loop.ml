@@ -590,7 +590,7 @@ let[@inline] product_card (tbl : Dp_table.t) s =
   Array.unsafe_set card s c;
   c
 
-let compute_properties_join (tbl : Dp_table.t) (model : Cost_model.t) (_ : Join_graph.t) s =
+let compute_properties_join (tbl : Dp_table.t) (model : Cost_model.t) s =
   store_aux tbl model s (join_card tbl s)
 
 let init_singletons ~graph (tbl : Dp_table.t) (model : Cost_model.t) catalog =

@@ -135,8 +135,7 @@ val variant : Blitz_cost.Cost_model.t -> string
     ["zero"], ["sum-aux"], ["dnl"] or ["general"].  Diagnostic
     (e.g. the [blitz explain] kernel summary line). *)
 
-val compute_properties_join :
-  Dp_table.t -> Blitz_cost.Cost_model.t -> Blitz_graph.Join_graph.t -> int -> unit
+val compute_properties_join : Dp_table.t -> Blitz_cost.Cost_model.t -> int -> unit
 (** {!sweep}'s properties for one non-singleton subset of a join pass:
     [pi_fan] and [card] via the fan recurrence of Section 5.4
     (Equation 11), and [aux] under kappa_sm and [Opaque] models.

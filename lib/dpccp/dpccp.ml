@@ -150,7 +150,7 @@ let optimize_dense ?arena ~ctr ~probe model catalog graph =
   for s = 3 to last do
     if s land (s - 1) <> 0 then begin
       if s land 4095 = 0 then probe s;
-      Split_loop.compute_properties_join tbl model graph s
+      Split_loop.compute_properties_join tbl model s
     end
   done;
   let sets =

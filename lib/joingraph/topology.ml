@@ -102,10 +102,15 @@ let assign_selectivities catalog unweighted ~result_card =
         deg.(i) <- deg.(i) + 1;
         deg.(j) <- deg.(j) + 1)
       unweighted;
-    let endpoint_factor i = C.card catalog i ** (-1.0 /. float_of_int deg.(i)) in
+    (* Each relation's |R_i|^(-1/k_i), once; relations on no edge are
+       never read. *)
+    let factor =
+      Array.init n (fun i ->
+          if deg.(i) = 0 then 1.0 else C.card catalog i ** (-1.0 /. float_of_int deg.(i)))
+    in
     let mu_factor = result_card ** (1.0 /. float_of_int k) in
     let weighted =
-      List.map (fun (i, j) -> (i, j, mu_factor *. endpoint_factor i *. endpoint_factor j)) unweighted
+      List.map (fun (i, j) -> (i, j, mu_factor *. factor.(i) *. factor.(j))) unweighted
     in
     (* The appendix formula can overshoot 1 for small cardinalities with a
        large target result; clamp rather than reject — the workload stays

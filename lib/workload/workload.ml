@@ -27,13 +27,10 @@ let catalog t =
   let exponent i = 1.0 -. v +. (2.0 *. v *. float_of_int i /. float_of_int (t.n - 1)) in
   Catalog.of_cards (Array.init t.n (fun i -> mu ** exponent i))
 
-let graph t =
+let problem t =
   let cat = catalog t in
-  Topology.assign_selectivities cat
-    (Topology.edge_list t.topology ~n:t.n)
-    ~result_card:t.mean_card
-
-let problem t = (catalog t, graph t)
+  let edges = Topology.edge_list t.topology ~n:t.n in
+  (cat, Topology.assign_selectivities cat edges ~result_card:t.mean_card)
 
 let describe t =
   Printf.sprintf "n=%d %s %s mu=%g v=%.2f" t.n (Topology.name t.topology)

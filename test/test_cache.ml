@@ -132,6 +132,141 @@ let test_canonize_rebase_roundtrip =
          in
          Plan.equal plan (Fingerprint.rebase_plan s (Fingerprint.canonize_plan s plan))))
 
+(* {1 The fingerprint against its oracle}
+
+   Fingerprint_reference is the labeling as it was computed with its
+   refinement rounds run on every call.  The inputs are built to tie on
+   (cardinality, degree), where the rounds decide the order: v = 0
+   workloads, cards from {10, 100}, uniform stars, cycles and cliques,
+   random graphs with isolated relations, and no graph at all. *)
+
+module Workload = Blitz_workload.Workload
+module Topology = Blitz_graph.Topology
+
+type tied = {
+  label : string;
+  tied_catalog : Catalog.t;
+  tied_graph : Join_graph.t option;
+  tseed : int;
+}
+
+let tied_print t = Printf.sprintf "%s n=%d seed=%d" t.label (Catalog.n t.tied_catalog) t.tseed
+
+let ten_or_hundred rng n = Array.init n (fun _ -> if Rng.bool rng then 10.0 else 100.0)
+
+let tied_problem seed =
+  let rng = Rng.create ~seed in
+  let n = 1 + Rng.int rng 20 in
+  let make label cards graph =
+    { label; tied_catalog = Catalog.of_cards cards; tied_graph = graph; tseed = seed }
+  in
+  let uniform_edges topology =
+    let sel = Rng.pick rng [| 0.1; 0.5; 1.0 |] in
+    let edges = List.map (fun (i, j) -> (i, j, sel)) (Topology.edge_list topology ~n) in
+    Some (Join_graph.of_edges ~n edges)
+  in
+  match Rng.int rng 5 with
+  | 0 when n >= 2 ->
+    let topology =
+      Rng.pick rng
+        (Array.of_list
+           ([ Topology.Chain; Topology.Star; Topology.Clique; Topology.grid ~n ]
+           @ List.filter_map
+               (fun k -> if n >= (2 * k) + 3 then Some (Topology.Cycle_plus k) else None)
+               [ 0; 1; 3 ]))
+    in
+    let spec =
+      Workload.spec ~n ~topology ~model:Cost_model.kdnl
+        ~mean_card:(Rng.pick rng (Workload.mean_card_axis ()))
+        ~variability:0.0
+    in
+    let catalog, graph = Workload.problem spec in
+    let label = "v=0 " ^ Topology.name topology in
+    { label; tied_catalog = catalog; tied_graph = Some graph; tseed = seed }
+  | 1 when n >= 3 ->
+    let topology = Rng.pick rng [| Topology.Star; Topology.Cycle_plus 0; Topology.Clique |] in
+    make ("uniform " ^ Topology.name topology) (Array.make n 100.0) (uniform_edges topology)
+  | 2 ->
+    (* Random edges among the relations that are not isolated. *)
+    let isolated = Array.init n (fun _ -> Rng.int rng 3 = 0) in
+    let edges = ref [] in
+    for i = 0 to n - 1 do
+      for j = i + 1 to n - 1 do
+        if (not isolated.(i)) && (not isolated.(j)) && Rng.bool rng then
+          edges := (i, j, Rng.pick rng [| 0.1; 0.01; 0.5 |]) :: !edges
+      done
+    done;
+    make "random with isolated" (ten_or_hundred rng n) (Some (Join_graph.of_edges ~n !edges))
+  | 3 -> make "no graph" (ten_or_hundred rng n) None
+  | _ -> make "predicate-free" (ten_or_hundred rng n) (Some (Join_graph.no_predicates ~n))
+
+let left_deep n =
+  let rec build acc i = if i = n then acc else build (Plan.Join (acc, Plan.Leaf i)) (i + 1) in
+  build (Plan.Leaf 0) 1
+
+let test_fingerprint_matches_oracle =
+  QCheck_alcotest.to_alcotest
+    (QCheck2.Test.make ~count:400 ~name:"fingerprint = its oracle on tied problems, relabelled"
+       ~print:tied_print
+       QCheck2.Gen.(map tied_problem (int_bound 1_000_000))
+       (fun t ->
+         let n = Catalog.n t.tied_catalog in
+         let prob = Registry.problem ?graph:t.tied_graph t.tied_catalog in
+         let prob' = permute_problem (random_perm (Rng.create ~seed:(t.tseed + 5)) n) prob in
+         let digest = Fingerprint.model_digest Cost_model.kdnl in
+         let plan = left_deep n in
+         let both (p : Registry.problem) =
+           let s = Fingerprint.create_scratch () in
+           Fingerprint.compute s ~model_digest:digest p.Registry.catalog p.Registry.graph;
+           let r =
+             Fingerprint_reference.compute ~model_digest:digest p.Registry.catalog p.Registry.graph
+           in
+           if Fingerprint.hash s <> Fingerprint_reference.hash r then
+             QCheck2.Test.fail_report "hash differs from the oracle's";
+           if
+             not
+               (Plan.equal (Fingerprint.canonize_plan s plan)
+                  (Fingerprint_reference.canonize_plan r plan))
+           then QCheck2.Test.fail_report "canonical permutation differs from the oracle's";
+           (s, r)
+         in
+         let s0, r0 = both prob and s1, r1 = both prob' in
+         (* A relabelling hits exactly when the oracle's canonical forms
+            agree: always where tied relations are interchangeable, not
+            always where a tie is broken by index (mirror-image ends of
+            a chain). *)
+         Fingerprint.matches s1 (Fingerprint.freeze s0) = Fingerprint_reference.same_form r1 r0
+         && Fingerprint.matches s0 (Fingerprint.freeze s1) = Fingerprint_reference.same_form r0 r1
+         && Fingerprint.matches s0 (Fingerprint.freeze s0)))
+
+let test_fingerprint_no_allocation () =
+  (* Warm: the scratch has grown to n = 14 on the first call. *)
+  let cells =
+    List.concat_map
+      (fun topology ->
+        List.map
+          (fun variability ->
+            Workload.spec ~n:14 ~topology ~model:Cost_model.kdnl ~mean_card:100.0 ~variability)
+          [ 0.0; 1.0 /. 3.0 ])
+      [ Topology.Chain; Topology.Clique ]
+  in
+  List.iter
+    (fun spec ->
+      let catalog, graph = Workload.problem spec in
+      let graph = Some graph in
+      let s = Fingerprint.create_scratch () in
+      let digest = Fingerprint.model_digest spec.Workload.model in
+      Fingerprint.compute s ~model_digest:digest catalog graph;
+      let w0 = Gc.minor_words () in
+      let w1 = Gc.minor_words () in
+      Fingerprint.compute s ~model_digest:digest catalog graph;
+      let w2 = Gc.minor_words () in
+      (* [w1 - w0] is what a reading itself costs. *)
+      let words = w2 -. w1 -. (w1 -. w0) in
+      if words <> 0.0 then
+        Alcotest.failf "%s: a warm compute allocated %.0f words" (Workload.describe spec) words)
+    cells
+
 (* {1 The tentpole property: cached hits under renaming, across
    optimizers and domain counts} *)
 
@@ -469,6 +604,8 @@ let suite =
     Alcotest.test_case "fingerprint sensitivity" `Quick test_fingerprint_sensitivity;
     test_fingerprint_qcheck_invariance;
     test_canonize_rebase_roundtrip;
+    test_fingerprint_matches_oracle;
+    Alcotest.test_case "warm fingerprint allocates nothing" `Quick test_fingerprint_no_allocation;
     test_rebased_hits_bit_identical;
     Alcotest.test_case "cache shared across sessions" `Quick test_shared_cache_across_sessions;
     Alcotest.test_case "inexact optimizers bypass" `Quick test_inexact_optimizers_bypass;

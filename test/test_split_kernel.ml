@@ -179,7 +179,7 @@ let reference_pass model catalog graph ~threshold =
   Split_loop.init_singletons ~graph:(Some graph) tbl model catalog;
   for s = 3 to (1 lsl n) - 1 do
     if s land (s - 1) <> 0 then begin
-      Split_loop.compute_properties_join tbl model graph s;
+      Split_loop.compute_properties_join tbl model s;
       let threshold =
         if completion then Split_loop.completion_threshold tbl ~threshold s else threshold
       in

@@ -95,6 +95,40 @@ let prop_variability_recovered =
       Blitz_util.Float_more.approx_equal ~rel:1e-6 ~abs:1e-9 variability
         (Catalog.variability catalog))
 
+(* The appendix formulas as written, the selectivity factor evaluated
+   per edge endpoint: Workload.problem must store exactly these bits. *)
+let test_problem_bits_match_formula () =
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun n ->
+      Workload.grid ~n ~models:[ Cost_model.naive ] ~topologies:Topology.all_paper
+        ~mean_cards:(Workload.mean_card_axis ()) ~variabilities:(Workload.variability_axis ())
+      |> List.iter (fun spec ->
+             let catalog, graph = Workload.problem spec in
+             let mu = spec.Workload.mean_card and v = spec.Workload.variability in
+             let card i =
+               mu ** (1.0 -. v +. (2.0 *. v *. float_of_int i /. float_of_int (n - 1)))
+             in
+             let edges = Topology.edge_list spec.Workload.topology ~n in
+             let deg = Array.make n 0 in
+             List.iter (fun (i, j) -> deg.(i) <- deg.(i) + 1; deg.(j) <- deg.(j) + 1) edges;
+             let endpoint i = card i ** (-1.0 /. float_of_int deg.(i)) in
+             let mu_factor = mu ** (1.0 /. float_of_int (List.length edges)) in
+             let where = Workload.describe spec in
+             for i = 0 to n - 1 do
+               if bits (Catalog.card catalog i) <> bits (card i) then
+                 Alcotest.failf "%s: card of R%d" where i
+             done;
+             Alcotest.(check int) (where ^ ": edge count") (List.length edges)
+               (Join_graph.edge_count graph);
+             List.iter
+               (fun (i, j) ->
+                 let want = Float.min (mu_factor *. endpoint i *. endpoint j) 1.0 in
+                 if bits (Join_graph.selectivity graph i j) <> bits want then
+                   Alcotest.failf "%s: selectivity of (%d, %d)" where i j)
+               edges))
+    [ 9; 12; 15 ]
+
 let suite =
   [
     Alcotest.test_case "cardinality ladder" `Quick test_catalog_ladder;
@@ -102,6 +136,8 @@ let suite =
     Alcotest.test_case "grid axes (paper sample points)" `Quick test_axes;
     Alcotest.test_case "grid size and order" `Quick test_grid_size_and_order;
     Alcotest.test_case "spec validation" `Quick test_validation;
+    Alcotest.test_case "problem bits = the per-endpoint formula" `Quick
+      test_problem_bits_match_formula;
     QCheck_alcotest.to_alcotest prop_geomean_is_mu;
     QCheck_alcotest.to_alcotest prop_result_card_is_mu;
     QCheck_alcotest.to_alcotest prop_variability_recovered;
