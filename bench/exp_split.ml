@@ -125,7 +125,7 @@ let noop_baseline = minor_delta (fun () -> ())
 
 (* The upper bound the exact tier seeds a §6.4 pass with. *)
 let upper_bound model catalog graph =
-  match Registry.upper_bound model (Registry.problem ~graph catalog) with
+  match Registry.upper_bound (Registry.heuristics model (Registry.problem ~graph catalog)) with
   | Some b -> b.Registry.value
   | None -> Float.infinity
 

@@ -350,7 +350,7 @@ let optimize_cmd =
       value & flag
       & info [ "degrade" ]
           ~doc:"Use the resilient driver: try exact search first, degrade through DPccp, \
-                hybrid, greedy and estimate-free tiers as budgets bite, and report the \
+                hybrid and the cheaper of the greedy and estimate-free plans, and report the \
                 provenance of the winning plan.  Implied by --deadline-ms and --max-table-mb.")
   in
   let deadline_ms_arg =
@@ -996,15 +996,15 @@ let optimizers_cmd =
   let run () =
     let entries = Registry.all () in
     let yn b = if b then "yes" else "-" in
-    let row = Printf.printf "%-22s %-5s %-5s %-5s %-4s %-4s %s\n" in
-    row "name" "max_n" "exact" "tree" "conn" "par" "dexempt";
+    let row = Printf.printf "%-22s %-5s %-5s %-5s %-4s %s\n" in
+    row "name" "max_n" "exact" "tree" "conn" "par";
     List.iter
       (fun (e : Registry.entry) ->
         let c = e.Registry.caps in
         row e.Registry.name
           (match c.Registry.max_n with Some n -> string_of_int n | None -> "-")
           (yn c.Registry.exact) (yn c.Registry.tree_only) (yn c.Registry.connected_only)
-          (yn c.Registry.parallelizable) (yn c.Registry.deadline_exempt))
+          (yn c.Registry.parallelizable))
       entries;
     Printf.printf "\n%d optimizers registered\n" (List.length entries)
   in

@@ -4,10 +4,10 @@
     repeatedly merges the pair with the smallest output cardinality
     until one tree remains: [O(n^3)] work, no optimality guarantee.  Serves as the cheap
     heuristic endpoint of the method-comparison experiment, as the
-    starting point for the stochastic searches, as the degradation
-    cascade's terminal tier, and, through its cost, as the upper bound
-    the cascade's exact tier prunes at — so it runs on
-    every guarded request and allocates little: a candidate pair costs
+    starting point for the stochastic searches, and as one of the
+    degradation cascade's two heuristic plans, the exact tier's bound and
+    the answer when no tier above it answers — so it runs once on
+    every guarded cache miss and allocates little: a candidate pair costs
     one boxed span, nothing else. *)
 
 module Catalog = Blitz_catalog.Catalog

@@ -50,7 +50,6 @@ type caps = {
   table_bytes : (n:int -> int) option;
   parallelizable : bool;
   exact : bool;
-  deadline_exempt : bool;
   connected_only : bool;
 }
 
@@ -91,7 +90,6 @@ let dp_caps =
     table_bytes = Some (fun ~n -> Dp_table.estimate_bytes ~n ());
     parallelizable = true;
     exact = true;
-    deadline_exempt = false;
     connected_only = false;
   }
 
@@ -114,38 +112,38 @@ let tablefree_caps =
     table_bytes = None;
     parallelizable = false;
     exact = false;
-    deadline_exempt = false;
     connected_only = false;
   }
 
-(* ---- the upper bound ---- *)
+(* ---- the heuristic plans and the upper bound ---- *)
 
 type bound = { value : float; source : string }
 
-(* Any plan's cost bounds the optimum from above, so a §6.4 pass at a
-   threshold a whisker above the cheaper of two heuristic plans prunes
-   hard yet cannot fail for numeric reasons: the 1e-9 margin is orders
-   of magnitude wider than the DP's rounding, including the few ulps by
-   which the DP's costing of either plan may differ from the
-   heuristic's own.  Greedy is the tighter bound on chains and cycles,
-   Simpli-Squared's structural order (re-costed under the model) on
-   cliques, where greedy's plan can be many orders of magnitude above
-   the optimum; neither is tighter everywhere, so take the minimum.
-   Ties go to greedy.  [None] when neither cost is positive and finite
-   (overflow, or a lone relation). *)
-let upper_bound model p =
+type heuristic = string * Plan.t * float
+
+let usable c = Float.is_finite c && c > 0.0
+
+(* Greedy's plan is the cheaper on chains and cycles, Simpli-Squared's
+   structural order (re-costed under the model) on cliques, where
+   greedy's can be many orders of magnitude above the optimum.  Both are
+   called directly, so they count as no registry dispatch. *)
+let heuristics model p =
   let graph = graph_of p in
-  let _, greedy = B.Greedy.optimize model p.catalog graph in
-  let simpli = Plan.cost model p.catalog graph (B.Simpli.optimize graph) in
-  let usable c = Float.is_finite c && c > 0.0 in
-  let best =
-    match (usable greedy, usable simpli) with
-    | true, true when simpli < greedy -> Some (simpli, "simpli-squared")
-    | true, _ -> Some (greedy, "greedy")
-    | false, true -> Some (simpli, "simpli-squared")
-    | false, false -> None
-  in
-  Option.map (fun (cost, source) -> { value = cost *. (1.0 +. 1e-9); source }) best
+  let greedy_plan, greedy = B.Greedy.optimize model p.catalog graph in
+  let simpli_plan = B.Simpli.optimize graph in
+  let simpli = Plan.cost model p.catalog graph simpli_plan in
+  let g = ("greedy", greedy_plan, greedy) and s = ("simpli-squared", simpli_plan, simpli) in
+  if usable simpli && not (usable greedy && greedy <= simpli) then [ s; g ] else [ g; s ]
+
+(* Any plan's cost bounds the optimum from above, so a §6.4 pass at a
+   threshold a whisker above it prunes hard yet cannot fail for numeric
+   reasons: the 1e-9 margin is orders of magnitude wider than the DP's
+   rounding, including the few ulps by which the DP's costing of the
+   plan may differ from the heuristic's own.  [None] when the leading
+   cost is not positive and finite (overflow, or a lone relation). *)
+let upper_bound = function
+  | (source, _, cost) :: _ when usable cost -> Some { value = cost *. (1.0 +. 1e-9); source }
+  | _ -> None
 
 (* ---- the blitzsplit entry: one pass, on the ctx's pool if any ---- *)
 
@@ -382,14 +380,14 @@ let () =
       };
       {
         name = "greedy";
-        summary = "greedy min-cardinality pairing (the terminal fallback)";
-        caps = { tablefree_caps with deadline_exempt = true };
+        summary = "greedy min-cardinality pairing";
+        caps = tablefree_caps;
         optimize = run_greedy;
       };
       {
         name = "simpli-squared";
         summary = "estimate-free structural left-deep order (reads no statistics)";
-        caps = { tablefree_caps with deadline_exempt = true };
+        caps = tablefree_caps;
         optimize = run_simpli;
       };
       {

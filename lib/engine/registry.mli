@@ -106,9 +106,6 @@ type caps = {
           plan is replayed under the same fingerprint whichever exact
           entry later serves the query, so product-free or left-deep
           optima do not qualify. *)
-  deadline_exempt : bool;
-      (** Cheap enough to run even on an expired budget (greedy — the
-          cascade's terminal guarantee). *)
   connected_only : bool;
       (** Searches the product-free plan space only: on a disconnected
           join graph the method cannot produce a complete plan at all
@@ -155,15 +152,21 @@ type bound = {
 }
 (** An upper bound on the optimum, for a Section 6.4 pass. *)
 
-val upper_bound : Cost_model.t -> problem -> bound option
-(** The cheaper of greedy's plan and Simpli-Squared's plan (re-costed
-    with [Plan.cost]) under the model, times [1 + 1e-9]: an upper bound
-    on the optimum with a margin far wider than the DP's rounding, so a
-    threshold there skips no subset of the optimal plan.  Greedy is
-    the tighter bound on chains and cycles, Simpli-Squared on cliques;
-    ties go to greedy.  [None] when neither cost is positive and
-    finite.  The cascade's exact tier passes it as [ctx.threshold], so
-    its first pass succeeds. *)
+type heuristic = string * Plan.t * float
+(** A plan, named by the registry entry that builds it, with its cost. *)
+
+val heuristics : Cost_model.t -> problem -> heuristic list
+(** Greedy's plan at its own accumulated cost and Simpli-Squared's
+    re-costed with [Plan.cost], neither dispatched through the registry.
+    The cheaper positive finite cost leads, ties to greedy; greedy leads
+    when neither cost is positive and finite.  The cascade computes this
+    once per request: the leading plan bounds its exact tier and answers
+    when no tier above it does. *)
+
+val upper_bound : heuristic list -> bound option
+(** The leading plan's cost times [1 + 1e-9], a margin far wider than
+    the DP's rounding, so a threshold there skips no subset of the
+    optimal plan; [None] when that cost is not positive and finite. *)
 
 val optimize : ?optimizer:string -> ctx -> problem -> outcome
 (** [optimize ~optimizer ctx p] = [(find_exn optimizer).optimize ctx p];

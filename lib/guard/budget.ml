@@ -40,8 +40,6 @@ let start t =
   t.armed_at <- now_ms ();
   Atomic.set t.tripped false
 
-let deadline_ms t = t.deadline_ms
-
 let max_table_bytes t = t.max_table_bytes
 
 let elapsed_ms t = now_ms () -. t.armed_at

@@ -28,7 +28,6 @@ val start : t -> unit
 (** (Re-)arm the deadline clock at the current time and clear the
     expiry latch. *)
 
-val deadline_ms : t -> float option
 val max_table_bytes : t -> int option
 
 val elapsed_ms : t -> float

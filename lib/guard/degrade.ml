@@ -11,8 +11,8 @@ module Obs = Blitz_obs.Obs
 
 type tier = Exact | Dpccp | Hybrid_windows | Greedy | Estimate_free
 
-(* Tier names double as registry keys: the cascade no longer owns any
-   algorithm invocation code, it sequences registry entries. *)
+(* Tier names double as registry keys, and [Registry.heuristics] names
+   each heuristic plan by its entry. *)
 let tier_name = function
   | Exact -> "exact"
   | Dpccp -> "dpccp"
@@ -22,32 +22,15 @@ let tier_name = function
 
 let tier_entry tier = Registry.find_exn (tier_name tier)
 
+let heuristic_tier (name, _, _) = List.find (fun t -> tier_name t = name) [ Greedy; Estimate_free ]
+
 (* Dpccp slots between the exact DP and the hybrid: when the 2^n table
    (or the deadline) rules the full-space DP out, the
    connectivity-pruned search still finds the product-free optimum at
    polynomial cost on sparse graphs — strictly stronger than dropping
    straight to randomized search.  Its eligibility check refuses
-   disconnected graphs, where its plan space is empty.
-
-   No Section 6.4 thresholded tier sits behind [Exact]: it has exact's
-   caps, so size and memory ceilings skip both, a deadline that aborts
-   exact has latched and skips it too, and when exact finds no finite
-   plan its last pass was the plain DP, whose plan space every
-   thresholded pass searches a subset of.
-
-   No IKKBZ tier sits behind the hybrid either: the hybrid has no size,
-   memory or shape cap, so it answers whenever the deadline leaves it
-   room (unless its cost is NaN), and once the deadline has latched it
-   would skip IKKBZ for the same reason. *)
-let default_cascade = [ Exact; Dpccp; Hybrid_windows; Greedy; Estimate_free ]
-
-(* When Sanitize had to fabricate cardinalities the cost-based tiers
-   would optimize placeholder numbers — garbage in, garbage out, at
-   full exponential price.  Structure is all that genuinely survived
-   the corruption, so the estimate-free tier leads; greedy remains as
-   the (deadline-exempt) second opinion should the registry entry ever
-   be displaced. *)
-let fabricated_cascade = [ Estimate_free; Greedy ]
+   disconnected graphs, where its plan space is empty. *)
+let cost_based = [ Exact; Dpccp; Hybrid_windows ]
 
 type skip_reason =
   | Too_large of { n : int; limit : int }
@@ -106,21 +89,20 @@ let pp_provenance ppf p =
     p.attempts;
   Format.fprintf ppf "@]"
 
-(* A tier is skipped — never attempted — when its registry metadata
-   already rules it out: the [2^n] table cannot exist (size cap or
-   memory ceiling), the algorithm does not apply (dpccp needs a
-   connected graph), or the deadline is already gone.  [Greedy] is the
-   terminal guarantee: its entry is deadline-exempt — [O(n^3)], no
-   table — so the cascade always ends with a plan.  With a [session]
-   the memory check charges its arena's would-be resident high-water
-   mark ([Arena.bytes_after]) for the tiers that draw their table from
-   it, and the entry's own estimate for the rest. *)
+(* A cost-based tier is skipped — never attempted — when its registry
+   metadata already rules it out: the [2^n] table cannot exist (size cap
+   or memory ceiling), the algorithm does not apply (dpccp needs a
+   connected graph), or the deadline is already gone.  A heuristic tier
+   never is: its plan is [O(n^3)] at most, with no table.  With a
+   [session] the memory check charges its arena's would-be resident
+   high-water mark ([Arena.bytes_after]) for the tiers that draw their
+   table from it, and the entry's own estimate for the rest. *)
 let eligibility ?session ~budget tier catalog graph =
-  let n = Catalog.n catalog in
-  let caps = (tier_entry tier).Registry.caps in
-  if caps.Registry.deadline_exempt then None
+  if not (List.mem tier cost_based) then None
   else if Budget.expired budget then Some Deadline_expired
   else
+    let n = Catalog.n catalog in
+    let caps = (tier_entry tier).Registry.caps in
     match caps.Registry.max_n with
     | Some limit when n > limit -> Some (Too_large { n; limit })
     | Some _ | None -> (
@@ -164,8 +146,8 @@ let eligibility ?session ~budget tier catalog graph =
           Some (Not_applicable "join graph is disconnected")
         else None)
 
-let run_tier ?session ~budget ~seed tier model catalog graph =
-  let interrupt = Budget.interrupt budget in
+(* [heuristics] is the request's lazy [Registry.heuristics]. *)
+let run ?session ~budget ~seed ~heuristics tier model catalog graph =
   (* A plan with an overflowed (infinite) cost estimate is still a valid
      join order and better than nothing; only NaN — or no plan at all —
      counts as failure. *)
@@ -173,32 +155,43 @@ let run_tier ?session ~budget ~seed tier model catalog graph =
     | Some plan, cost when not (Float.is_nan cost) -> Ok (plan, cost)
     | _ -> Error No_finite_plan
   in
-  (* A session lends its arena and, for a query large enough to run
-     rank-parallel, its pool.  On a pool the exact tier runs
-     rank-parallel; the result — cost and plan — is bit-identical to the
-     sequential search, so the tier keeps its meaning (Budget.interrupt
-     is domain-safe).
-     The exact tier prunes at the upper bound (Section 6.4): one pass
-     with the optimum's cost and plan bits (see [Registry.run_exact]),
-     or one plain pass when there is no finite bound.  Its counters are
-     this call's own, so the skip count is read even when the deadline
-     interrupts the pass. *)
-  let problem = Registry.problem ~graph catalog in
-  let upper = match tier with Exact -> Registry.upper_bound model problem | _ -> None in
-  let counters = Counters.create () in
-  let arena = Option.map Engine.arena session in
-  let pool = Option.bind session (fun s -> Engine.pool s ~n:(Catalog.n catalog)) in
-  let ctx =
-    Registry.ctx ?arena ?pool ~interrupt
-      ?threshold:(Option.map (fun (b : Registry.bound) -> b.Registry.value) upper)
-      ~counters ~seed model
-  in
-  let result =
-    match (tier_entry tier).Registry.optimize ctx problem with
-    | o -> finish (o.Registry.plan, o.Registry.cost)
-    | exception Blitzsplit.Interrupted -> Error Deadline
-  in
-  (result, Option.map (fun upper -> { upper; threshold_skips = counters.threshold_skips }) upper)
+  match tier with
+  | Greedy | Estimate_free ->
+    let _, plan, cost = List.find (fun h -> heuristic_tier h = tier) (Lazy.force heuristics) in
+    (finish (Some plan, cost), None)
+  | Exact | Dpccp | Hybrid_windows ->
+    let interrupt = Budget.interrupt budget in
+    (* A session lends its arena and, for a query large enough to run
+       rank-parallel, its pool.  On a pool the exact tier runs
+       rank-parallel; the result — cost and plan — is bit-identical to
+       the sequential search, so the tier keeps its meaning
+       (Budget.interrupt is domain-safe).
+       The exact tier prunes at the upper bound (Section 6.4): one pass
+       with the optimum's cost and plan bits (see [Registry.run_exact]),
+       or one plain pass when there is no finite bound.  Its counters
+       are this call's own, so the skip count is read even when the
+       deadline interrupts the pass. *)
+    let upper =
+      match tier with Exact -> Registry.upper_bound (Lazy.force heuristics) | _ -> None
+    in
+    let counters = Counters.create () in
+    let arena = Option.map Engine.arena session in
+    let pool = Option.bind session (fun s -> Engine.pool s ~n:(Catalog.n catalog)) in
+    let ctx =
+      Registry.ctx ?arena ?pool ~interrupt
+        ?threshold:(Option.map (fun (b : Registry.bound) -> b.Registry.value) upper)
+        ~counters ~seed model
+    in
+    let result =
+      match (tier_entry tier).Registry.optimize ctx (Registry.problem ~graph catalog) with
+      | o -> finish (o.Registry.plan, o.Registry.cost)
+      | exception Blitzsplit.Interrupted -> Error Deadline
+    in
+    (result, Option.map (fun upper -> { upper; threshold_skips = counters.threshold_skips }) upper)
+
+let run_tier ?session ~budget ~seed tier model catalog graph =
+  let heuristics = lazy (Registry.heuristics model (Registry.problem ~graph catalog)) in
+  run ?session ~budget ~seed ~heuristics tier model catalog graph
 
 (* Cascade decisions, labelled by tier and what happened — the
    provenance trail as time series.  Counter lookup per attempt (a
@@ -235,11 +228,13 @@ let record_win tier =
          ~labels:[ ("tier", tier_name tier) ]
          "blitz_degrade_wins_total")
 
-let optimize ?(cascade = default_cascade) ?(seed = 1) ?session ~budget model catalog graph =
+let optimize ?(seed = 1) ?session ~budget ~fabricated model catalog graph =
   let t_start = Budget.elapsed_ms budget in
-  let rec go attempts = function
-    | [] -> Error (List.rev attempts)
-    | tier :: rest -> (
+  let heuristics = lazy (Registry.heuristics model (Registry.problem ~graph catalog)) in
+  let rec go attempts tiers =
+    match tiers () with
+    | Seq.Nil -> Error (List.rev attempts)
+    | Seq.Cons (tier, rest) -> (
       match eligibility ?session ~budget tier catalog graph with
       | Some reason ->
         record_attempt tier "skipped" (skip_message reason);
@@ -248,7 +243,7 @@ let optimize ?(cascade = default_cascade) ?(seed = 1) ?session ~budget model cat
         let t0 = Budget.elapsed_ms budget in
         let result, bound =
           Obs.span ("degrade." ^ tier_name tier) (fun () ->
-              run_tier ?session ~budget ~seed tier model catalog graph)
+              run ?session ~budget ~seed ~heuristics tier model catalog graph)
         in
         Option.iter (record_bound tier) bound;
         match result with
@@ -272,4 +267,15 @@ let optimize ?(cascade = default_cascade) ?(seed = 1) ?session ~budget model cat
           let elapsed_ms = Budget.elapsed_ms budget -. t0 in
           go ({ tier; status = Aborted failure; elapsed_ms; bound } :: attempts) rest))
   in
-  go [] cascade
+  (* The heuristic tiers follow, cheaper plan first.  Their order is read
+     off the plans' costs, so it is asked for only once the cost-based
+     tiers are exhausted: the plans are computed at most once, and only
+     if the exact tier runs or no cost-based tier answers. *)
+  let heuristic_tiers : tier Seq.t =
+   fun () ->
+    List.to_seq
+      (if fabricated then [ Estimate_free; Greedy ]
+       else List.map heuristic_tier (Lazy.force heuristics))
+      ()
+  in
+  go [] (Seq.append (List.to_seq (if fabricated then [] else cost_based)) heuristic_tiers)

@@ -6,19 +6,18 @@
     module generalizes that stance to the whole optimizer portfolio.
     Tiers are tried in order — exact blitzsplit pruned at an upper
     bound, connectivity-pruned DPccp, the Section 7 hybrid (DP windows
-    inside randomized search), the greedy heuristic, and finally the
+    inside randomized search), then the cheaper of greedy's plan and the
     estimate-free Simpli-Squared structural order — and the first to
-    produce a plan wins.  Every decision is
-    recorded as {e provenance}: which tier produced the plan, why each
-    earlier tier was skipped (table too large for the memory ceiling,
-    algorithm not applicable, deadline already gone) or aborted
-    (deadline fired mid-search), and how much wall clock each consumed.
+    produce a plan wins.  Every decision is recorded as {e provenance}:
+    which tier produced the plan, why each earlier tier was skipped
+    (table too large for the memory ceiling, algorithm not applicable,
+    deadline already gone) or aborted (deadline fired mid-search), and
+    how much wall clock each consumed.
 
-    Greedy is [O(n^3)] with no [2^n] table and runs even with an
-    expired deadline, so a sanitized input always yields a plan; the
-    estimate-free tier below it reads no statistics at all, covering
-    the one failure mode greedy shares with every cost-based method —
-    a catalog whose numbers are fabricated. *)
+    The two heuristic plans are computed once per request, bound the
+    exact tier and are never skipped, so a sanitized input yields a plan
+    unless both cost NaN; on fabricated statistics no cost-based tier
+    runs and the estimate-free plan, which reads none, leads. *)
 
 module Catalog = Blitz_catalog.Catalog
 module Join_graph = Blitz_graph.Join_graph
@@ -32,9 +31,8 @@ type tier =
           6.4 pass at [Registry.upper_bound], the cheaper of greedy's
           and Simpli-Squared's plan costs times [1 + 1e-9].  Under
           kappa_sm the pass also charges each subset what every
-          completion of it must pay ([Split_loop.completion_threshold]),
-          except when planning n-ary nodes.  Neither skips a subset of
-          the plain DP's plan, so cost and plan are the unthresholded
+          completion of it must pay ([Split_loop.completion_threshold]).
+          Neither skips a subset of the plain DP's plan, so cost and plan are the unthresholded
           DP's bit for bit.  The bound is a plan-cost threshold like any
           other ([Registry.ctx]'s [threshold]); being above the optimum,
           its first pass succeeds.  Without a finite bound, one
@@ -47,25 +45,15 @@ type tier =
           that skip the full-space DP tiers; skipped on disconnected
           graphs (its plan space is empty there). *)
   | Hybrid_windows  (** Section 7 hybrid: anytime, any [n]. *)
-  | Greedy  (** Terminal guarantee; always runs. *)
+  | Greedy  (** Greedy's plan, when it is the cheaper heuristic. *)
   | Estimate_free
-      (** Simpli-Squared structural order: reads no statistics, so it
-          works even when the catalog's numbers are fabricated.
-          Deadline-exempt, like greedy. *)
+      (** Simpli-Squared's structural order, when it is the cheaper
+          heuristic or the statistics are fabricated: it reads none. *)
 
 val tier_name : tier -> string
 (** Stable lowercase identifier ([{!Estimate_free} ↦ "simpli-squared"])
     — the name provenance rendering, serve responses and the CLI all
-    print, and the registry dispatches on. *)
-
-val default_cascade : tier list
-(** [Exact; Dpccp; Hybrid_windows; Greedy; Estimate_free]. *)
-
-val fabricated_cascade : tier list
-(** [Estimate_free; Greedy] — the cascade for catalogs whose
-    cardinalities {!Sanitize} had to fabricate: cost-based tiers would
-    optimize placeholder numbers at exponential price, so structure-only
-    planning leads (see {!Sanitize.fabricated_stats}). *)
+    print, and the registry names the tier's entry by. *)
 
 type skip_reason =
   | Too_large of { n : int; limit : int }  (** Beyond [Dp_table.max_relations]. *)
@@ -131,9 +119,8 @@ val eligibility :
 (** [None] when the tier may be attempted under the budget's current
     state; otherwise why it must be skipped.  The checks are read off
     the tier's registry-entry capability metadata ([Blitz_engine]) —
-    size cap, table footprint, connectivity, deadline exemption — not
-    duplicated here.  {!Greedy} and {!Estimate_free} are always
-    eligible (deadline-exempt).
+    size cap, table footprint, connectivity — not duplicated here, and
+    a passed deadline.  {!Greedy} and {!Estimate_free} always are.
     With a [session] the memory ceiling charges a tier that draws its
     table from the session's arena the arena's would-be resident
     high-water mark ({!Blitz_core.Arena.bytes_after}) rather than the
@@ -154,27 +141,31 @@ val run_tier :
 (** Run one tier in isolation (eligibility is the caller's business —
     see {!eligibility}), with the bound its pass pruned at ([None] but
     for an {!Exact} attempt with a finite bound).  [seed] feeds the
-    hybrid tier's generator.  Tiers are dispatched through the
-    [Blitz_engine] registry.  A [session] lends its arena to the DP
-    tiers and, from {!Engine.default_crossover_n} relations up, the
-    pool {!Engine.pool} hands out, on which the {!Exact} tier runs
-    rank-parallel: bit-identical results either way, so tier semantics
-    are unchanged.  Exposed so tests can compare every tier's plan
-    against the exact optimum. *)
+    hybrid tier's generator.  Cost-based tiers are dispatched through
+    the [Blitz_engine] registry; {!Greedy} and {!Estimate_free} return
+    their [Registry.heuristics] plan, computed here with the bound.  A
+    [session] lends its arena to the DP tiers and, from
+    {!Engine.default_crossover_n} relations up, the pool {!Engine.pool}
+    hands out, on which the {!Exact} tier runs rank-parallel:
+    bit-identical results either way, so tier semantics are unchanged.
+    Exposed so tests can compare every tier's plan against the exact
+    optimum. *)
 
 val optimize :
-  ?cascade:tier list ->
   ?seed:int ->
   ?session:Engine.t ->
   budget:Budget.t ->
+  fabricated:bool ->
   Cost_model.t ->
   Catalog.t ->
   Join_graph.t ->
   (Plan.t * provenance, attempt list) result
-(** Walk the cascade under the (already armed) budget.  [Error attempts]
-    — possible only with a custom [cascade] that omits {!Greedy} — still
-    reports why every tier declined.  [session] is forwarded to every
-    tier (see {!run_tier}) and to {!eligibility}.  The cascade never
-    uses the session's cache
-    functions, so a caller may run it inside
+(** Walk the cascade under the (already armed) budget: the cost-based
+    tiers, then the heuristic ones in [Registry.heuristics]' order,
+    computed at most once.  [fabricated] ({!Sanitize.fabricated_stats})
+    runs no cost-based tier and puts {!Estimate_free} first.
+    [Error attempts] — both heuristic plans cost NaN — still reports why
+    every tier declined.  [session] is forwarded to every tier (see
+    {!run_tier}) and to {!eligibility}.  The cascade never uses the
+    session's cache functions, so a caller may run it inside
     {!Engine.cache_around}. *)

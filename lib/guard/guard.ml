@@ -72,18 +72,12 @@ let with_cache ~session ~repairs ?cache_tag model catalog graph ~hit run =
    catch-all converts any escaped exception — there should be none, but
    a resilient driver does not get to assume that — into a typed error
    rather than unwinding through the caller. *)
-let drive ~budget ?cascade ?seed ?session ?cache_tag model catalog graph repairs =
+let drive ~budget ?seed ?session ?cache_tag model catalog graph repairs =
   Budget.start budget;
   (* Fabricated cardinalities (Sanitize defaulted them) mean every
-     cost-based tier would optimize placeholder numbers; unless the
-     caller pinned a cascade explicitly, go straight to the
-     estimate-free tiers. *)
-  let cascade =
-    match cascade with
-    | Some _ -> cascade
-    | None when Sanitize.fabricated_stats repairs -> Some Degrade.fabricated_cascade
-    | None -> None
-  in
+     cost-based tier would optimize placeholder numbers; the cascade
+     goes straight to the estimate-free plan. *)
+  let fabricated = Sanitize.fabricated_stats repairs in
   let served tier (hit : Engine.Plan_cache.hit) =
     let cost = hit.Engine.Plan_cache.cost in
     let provenance =
@@ -117,7 +111,7 @@ let drive ~budget ?cascade ?seed ?session ?cache_tag model catalog graph repairs
     (* A session plugs its pooled DP table into the cascade and, for a
        query large enough to run rank-parallel, its domain pool.  Plans
        and costs are bit-identical with or without it. *)
-    match Degrade.optimize ?cascade ?seed ?session ~budget model catalog graph with
+    match Degrade.optimize ?seed ?session ~budget ~fabricated model catalog graph with
     | Ok (plan, provenance) ->
       Ok
         {
@@ -137,14 +131,14 @@ let drive ~budget ?cascade ?seed ?session ?cache_tag model catalog graph repairs
 (* [multiway] stays only because the benchmark ladder still forwards the
    wire's flag, which the decoder pins to [false]; [true] is refused
    before any tier runs. *)
-let optimize ?budget ?session ?cascade ?seed ?(multiway = false) ?cache_tag model catalog graph =
+let optimize ?budget ?session ?seed ?(multiway = false) ?cache_tag model catalog graph =
   if multiway then Error Multiway_retired
   else
     let budget = match budget with Some b -> b | None -> Budget.unlimited () in
     match Sanitize.check_pair catalog graph with
     | Error issues -> Error (Invalid_input issues)
     | Ok clean ->
-      drive ~budget ?cascade ?seed ?session ?cache_tag model clean.Sanitize.catalog
+      drive ~budget ?seed ?session ?cache_tag model clean.Sanitize.catalog
         clean.Sanitize.graph clean.Sanitize.repairs
 
 let optimize_input ?budget ?session ?seed ?cache_tag model ~relations ~edges () =

@@ -8,14 +8,14 @@
     The pipeline is: {!Sanitize} validates (and under a lenient policy
     repairs) the raw statistics; {!Budget} arms the wall-clock deadline
     and checks the DP-table memory ceiling before allocation; {!Degrade}
-    walks the tier cascade — exact, DPccp, hybrid, greedy,
-    estimate-free — returning the first plan produced together with
-    full provenance.  When the sanitizer had to {e fabricate}
-    cardinalities ({!Sanitize.fabricated_stats}) and the caller pinned
-    no cascade, the cost-based tiers are bypassed entirely in favour of
-    {!Degrade.fabricated_cascade} — structure-only planning is the only
-    honest option on made-up numbers.  {!Chaos} exists to attack this
-    contract in tests. *)
+    walks the tier cascade — exact, DPccp, hybrid, then the cheaper of
+    greedy's and the estimate-free Simpli-Squared plan — returning the
+    first plan produced together with full provenance.  When the
+    sanitizer had to {e fabricate} cardinalities
+    ({!Sanitize.fabricated_stats}), the cost-based tiers are bypassed
+    entirely and the estimate-free plan answers — structure-only
+    planning is the only honest option on made-up numbers.  {!Chaos}
+    exists to attack this contract in tests. *)
 
 module Catalog = Blitz_catalog.Catalog
 module Join_graph = Blitz_graph.Join_graph
@@ -41,8 +41,8 @@ type outcome = {
 type error =
   | Invalid_input of Sanitize.issue list  (** Every irreparable defect, not just the first. *)
   | No_tier_produced of Degrade.attempt list
-      (** Possible only with a custom cascade omitting the
-          deadline-exempt tiers (greedy, estimate-free). *)
+      (** No cost-based tier answered and both heuristic plans cost NaN
+          (overflowed cardinalities times underflowed selectivities). *)
   | Multiway_retired
       (** [~multiway:true] was passed to {!optimize}: n-ary planning is
           gone, so no tier ran. *)
@@ -53,7 +53,6 @@ val error_message : error -> string
 val optimize :
   ?budget:Budget.t ->
   ?session:Blitz_engine.Engine.t ->
-  ?cascade:Degrade.tier list ->
   ?seed:int ->
   ?multiway:bool ->
   ?cache_tag:string ->
@@ -63,7 +62,7 @@ val optimize :
   (outcome, error) result
 (** Optimize already-constructed inputs under [budget] (default:
     unlimited).  The budget is re-armed on entry, so one [Budget.t] can
-    be reused across calls.  With no deadline and default cascade the
+    be reused across calls.  With no deadline or memory ceiling the
     result matches [Blitzsplit.optimize_join] exactly.  Without a
     [session] every tier runs on the calling domain.  [session] plugs a
     [Blitz_engine.Engine] session in — the way to run many guarded
@@ -96,7 +95,7 @@ val optimize_input :
   unit ->
   (outcome, error) result
 (** Optimize raw, untrusted statistics: sanitize under
-    {!Sanitize.lenient}, then proceed as {!optimize} with the default
-    cascade (or {!Degrade.fabricated_cascade} when the sanitizer had to
+    {!Sanitize.lenient}, then proceed as {!optimize} (with the
+    estimate-free plan and no cost-based tier when the sanitizer had to
     fabricate cardinalities).  This is the entry point the server and
     the chaos property suite drive. *)

@@ -266,8 +266,8 @@ let worker t () =
           Mutex.unlock t.lock;
           Metrics.set t.g_queue (float_of_int depth);
           (* Shed when the queue behind this job is already deep: clamp
-             the deadline so the cascade lands on its deadline-exempt
-             tiers and the backlog drains instead of compounding. *)
+             the deadline so the cascade lands on its heuristic plans
+             and the backlog drains instead of compounding. *)
           let shed = depth >= t.cfg.shed_queue in
           let line = run_job_safe t session job ~shed in
           (match Hashtbl.find_opt t.tmetrics job.tenant.Tenant.name with

@@ -14,11 +14,11 @@
     {b Overload sheds through the cascade, not the floor.}  When a
     worker dequeues a job and finds [shed_queue] or more requests still
     waiting behind it, the request's deadline is clamped to
-    [shed_deadline_ms]: the Degrade cascade then lands on its cheap
-    deadline-exempt tiers (greedy, estimate-free) in microseconds, the
-    queue drains, and {e every} response still carries a plan plus full
-    provenance — [shed: true] and the winning tier — rather than an
-    error or a dropped connection.  Only a hard bound of 4,096 queued
+    [shed_deadline_ms]: the Degrade cascade then answers with the
+    cheaper of its heuristic plans (greedy, estimate-free) in
+    microseconds, the queue drains, and {e every} response still carries
+    a plan plus full provenance — [shed: true] and the winning tier —
+    rather than an error or a dropped connection.  Only a hard bound of 4,096 queued
     requests (memory protection, a constant) answers [overloaded]
     without optimizing.
 

@@ -90,7 +90,9 @@ let detach (o : Registry.outcome) =
 
 (* The threshold the cascade's exact tier passes: [Registry.upper_bound]. *)
 let upper_threshold model p =
-  Option.map (fun (b : Registry.bound) -> b.Registry.value) (Registry.upper_bound model p)
+  Option.map
+    (fun (b : Registry.bound) -> b.Registry.value)
+    (Registry.upper_bound (Registry.heuristics model p))
 
 (* The exact entry plain, through a batch, and seeded at the upper
    bound, one query at a time. *)
@@ -218,7 +220,7 @@ let test_warm_pass_reads_no_stale_slot () =
           let bound =
             Option.map
               (fun b -> b.Registry.value)
-              (Registry.upper_bound model (Registry.problem ~graph catalog))
+              (Registry.upper_bound (Registry.heuristics model (Registry.problem ~graph catalog)))
           in
           List.iter
             (fun (product, threshold) ->
@@ -274,7 +276,7 @@ let test_interrupt_polls_before_writing () =
   let threshold =
     Option.map
       (fun b -> b.Registry.value)
-      (Registry.upper_bound Cost_model.kdnl (Registry.problem ~graph catalog))
+      (Registry.upper_bound (Registry.heuristics Cost_model.kdnl (Registry.problem ~graph catalog)))
   in
   ignore (Blitzsplit.optimize_join ~arena ?threshold Cost_model.kdnl catalog graph);
   List.iter
@@ -530,7 +532,6 @@ let test_registry_metadata () =
       Alcotest.(check bool) (name ^ " registered") true (Option.is_some (Registry.find name)))
     [ "exact"; "hybrid"; "ikkbz"; "greedy"; "bruteforce" ];
   let caps name = (Registry.find_exn name).Registry.caps in
-  Alcotest.(check bool) "greedy is deadline-exempt" true (caps "greedy").Registry.deadline_exempt;
   Alcotest.(check bool) "ikkbz is tree-only" true (caps "ikkbz").Registry.tree_only;
   Alcotest.(check bool) "exact is exact" true (caps "exact").Registry.exact;
   Alcotest.(check (option int))

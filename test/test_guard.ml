@@ -117,19 +117,25 @@ let test_sanitize_defaults_cardinalities () =
 
 (* ---- the degradation cascade ---- *)
 
+(* Recording on for [f], as it was after. *)
+let with_metrics f =
+  let was = Obs.Metrics.enabled () in
+  Obs.Metrics.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) f
+
 (* The headline acceptance scenario: an 18-relation clique under a 1 ms
    deadline.  Exact search is interrupted mid-table; the remaining
-   budgeted tiers are skipped; greedy (the terminal, deadline-exempt
-   tier) supplies a valid plan, and the provenance names the aborted
-   tier. *)
-let test_deadline_degrades_to_greedy () =
+   budgeted tiers are skipped; the cheaper heuristic plan, the one the
+   exact tier pruned at, answers, and the provenance names the aborted
+   tier.  On a clique under kappa_dnl that is Simpli-Squared's plan. *)
+let test_deadline_answers_cheaper_heuristic () =
   let catalog, graph = topology_problem ~n:18 Topology.Clique in
   let budget = Budget.create ~deadline_ms:1.0 () in
   match Guard.optimize ~budget Cost_model.kdnl catalog graph with
   | Error e -> Alcotest.failf "guard failed: %s" (Guard.error_message e)
   | Ok o ->
     Alcotest.(check bool) "plan is valid" true (validate_against catalog o.Guard.plan);
-    Alcotest.(check string) "greedy wins" "greedy"
+    Alcotest.(check string) "simpli-squared wins" "simpli-squared"
       (Degrade.tier_name o.Guard.provenance.Degrade.winner);
     let exact_attempt =
       List.find (fun a -> a.Degrade.tier = Degrade.Exact) o.Guard.provenance.Degrade.attempts
@@ -137,8 +143,66 @@ let test_deadline_degrades_to_greedy () =
     (match exact_attempt.Degrade.status with
     | Degrade.Aborted Degrade.Deadline -> ()
     | _ -> Alcotest.fail "provenance must record the exact tier aborting on the deadline");
+    (match exact_attempt.Degrade.bound with
+    | Some b ->
+      Alcotest.(check string) "the bound's source answers" "simpli-squared"
+        b.Degrade.upper.Registry.source
+    | None -> Alcotest.fail "the exact attempt names no bound");
     check_float ~rel:1e-9 "outcome cost is the plan's cost" o.Guard.cost
       (Plan.cost Cost_model.kdnl catalog graph o.Guard.plan)
+
+let registry_calls name =
+  Obs.Metrics.value
+    (Obs.Metrics.counter ~labels:[ ("optimizer", name) ] "blitz_registry_calls_total")
+
+(* Under a deadline that has passed before the first tier, every
+   cost-based tier is skipped and the answer is the cheaper of greedy's
+   plan, at the cost its pairing accumulated, and Simpli-Squared's,
+   re-costed with [Plan.cost]; ties go to greedy.  Both plans are
+   computed once, outside the registry: neither entry is dispatched. *)
+let deadline_case_gen =
+  QCheck2.Gen.(
+    map
+      (fun seed ->
+        let rng = Rng.create ~seed in
+        let n = 4 + Rng.int rng 9 in
+        let topology =
+          match Rng.int rng 4 with
+          | 0 -> Topology.Chain
+          | 1 -> Topology.Star
+          | 2 when n >= 7 -> Topology.Cycle_plus 2
+          | _ -> Topology.Clique
+        in
+        let model =
+          [| Cost_model.naive; Cost_model.sort_merge; Cost_model.kdnl |].(Rng.int rng 3)
+        in
+        let mean_card = [| 10.0; 100.0; 2000.0 |].(Rng.int rng 3)
+        and variability = [| 0.0; 1.0 /. 3.0; 0.8 |].(Rng.int rng 3) in
+        (Workload.spec ~n ~topology ~model ~mean_card ~variability, model))
+      (int_bound 1_000_000))
+
+let prop_deadline_answers_cheaper_heuristic =
+  QCheck2.Test.make ~count:100 ~name:"expired deadline answers the cheaper heuristic plan"
+    ~print:(fun (spec, _) -> Workload.describe spec)
+    deadline_case_gen
+    (fun (spec, model) ->
+      let catalog, graph = Workload.problem spec in
+      let _, greedy = Blitz_baselines.Greedy.optimize model catalog graph in
+      let simpli = Plan.cost model catalog graph (Blitz_baselines.Simpli.optimize graph) in
+      let tier, cost = if simpli < greedy then ("simpli-squared", simpli) else ("greedy", greedy) in
+      with_metrics (fun () ->
+          let calls = (registry_calls "greedy", registry_calls "simpli-squared") in
+          let budget = Budget.create ~deadline_ms:1e-6 () in
+          (match Guard.optimize ~budget model catalog graph with
+          | Error e -> QCheck2.Test.fail_reportf "guard failed: %s" (Guard.error_message e)
+          | Ok o ->
+            let winner = Degrade.tier_name o.Guard.provenance.Degrade.winner in
+            if winner <> tier then QCheck2.Test.fail_reportf "%s won, expected %s" winner tier;
+            if Int64.bits_of_float o.Guard.cost <> Int64.bits_of_float cost then
+              QCheck2.Test.fail_reportf "cost %.17g, expected %.17g" o.Guard.cost cost);
+          if (registry_calls "greedy", registry_calls "simpli-squared") <> calls then
+            QCheck2.Test.fail_reportf "a heuristic was dispatched through the registry";
+          true))
 
 let test_memory_cap_skips_to_hybrid () =
   let catalog, graph = topology_problem ~n:12 Topology.Chain in
@@ -225,12 +289,6 @@ let test_unbudgeted_matches_exact () =
 (* ---- the exact tier's upper bound ---- *)
 
 let rescue_passes () = Obs.Metrics.value (Obs.Metrics.counter "blitz_threshold_rescue_passes_total")
-
-(* Recording on for [f], as it was after. *)
-let with_metrics f =
-  let was = Obs.Metrics.enabled () in
-  Obs.Metrics.set_enabled true;
-  Fun.protect ~finally:(fun () -> Obs.Metrics.set_enabled was) f
 
 type seeded_case = {
   spec : Workload.spec;
@@ -322,7 +380,10 @@ let prop_seeded_exact_tier =
                        plain.Registry.plan)
                     plain.Registry.cost)
             answers;
-          if Registry.upper_bound c.model problem <> None && rescue_passes () <> rescues then
+          if
+            Registry.upper_bound (Registry.heuristics c.model problem) <> None
+            && rescue_passes () <> rescues
+          then
             QCheck2.Test.fail_reportf "a rescue pass ran although the upper bound is finite";
           true))
 
@@ -341,7 +402,9 @@ let test_overflowing_greedy_takes_plain_pass () =
   let problem = Registry.problem ~graph catalog in
   let _, greedy_cost = Blitz_baselines.Greedy.optimize model catalog graph in
   check_float "greedy cost overflows" Float.infinity greedy_cost;
-  Alcotest.(check bool) "no upper bound" true (Registry.upper_bound model problem = None);
+  Alcotest.(check bool)
+    "no upper bound" true
+    (Registry.upper_bound (Registry.heuristics model problem) = None);
   let plain =
     Engine.with_session ~model ~num_domains:1 (fun s ->
         Engine.optimize ~optimizer:"exact" s problem)
@@ -381,7 +444,7 @@ let test_upper_bound_sources () =
       (Workload.spec ~n:14 ~topology ~model ~mean_card:150.0 ~variability:(1.0 /. 3.0))
   in
   let bound_of (catalog, graph) =
-    match Registry.upper_bound model (Registry.problem ~graph catalog) with
+    match Registry.upper_bound (Registry.heuristics model (Registry.problem ~graph catalog)) with
     | Some b -> b
     | None -> Alcotest.fail "no upper bound"
   in
@@ -494,19 +557,46 @@ let test_every_tier_valid_and_bounded () =
           (Printf.sprintf "%s cost %g >= optimum %g" name cost optimum)
           true
           (cost >= optimum *. (1.0 -. 1e-9)))
-    Degrade.default_cascade
+    [ Degrade.Exact; Degrade.Dpccp; Degrade.Hybrid_windows; Degrade.Greedy; Degrade.Estimate_free ]
 
-let test_cascade_without_terminal_tier () =
-  (* A custom cascade with no greedy terminal can fail; the failure still
-     carries the full attempt log. *)
-  let catalog, graph = topology_problem ~n:12 Topology.Chain in
-  let budget = Budget.create ~max_table_bytes:1 () in
-  match Guard.optimize ~budget ~cascade:[ Degrade.Exact; Degrade.Dpccp ] Cost_model.kdnl catalog
-          graph
-  with
-  | Ok _ -> Alcotest.fail "expected failure: both tiers are memory-skipped"
+(* Valid statistics whose heuristic plans both cost NaN under kappa_0.
+   Every cardinality is 1e300, so every product of two overflows; d's
+   two predicates, 1e-200 each, underflow to selectivity 0 together.
+   Greedy merges a and b (all pairs tie at infinity), then b, c and d in
+   turn, and its last join multiplies infinity by 0; Simpli-Squared
+   starts at the hub a, then b, then d, the relation with the most
+   predicates into the prefix, and does the same.  Under a deadline
+   that skips every cost-based tier no tier produces a plan, and the
+   typed error lists every attempt. *)
+let test_nan_heuristics_no_tier_produced () =
+  let relations = [ ("a", 1e300); ("b", 1e300); ("c", 1e300); ("d", 1e300) ] in
+  let edges = [ (0, 1, 1.0); (0, 2, 1.0); (0, 3, 1e-200); (1, 3, 1e-200) ] in
+  let budget = Budget.create ~deadline_ms:1e-6 () in
+  match Guard.optimize_input ~budget Cost_model.naive ~relations ~edges () with
+  | Ok o ->
+    Alcotest.failf "%s answered at cost %g"
+      (Degrade.tier_name o.Guard.provenance.Degrade.winner)
+      o.Guard.cost
   | Error (Guard.No_tier_produced attempts) ->
-    Alcotest.(check int) "both attempts logged" 2 (List.length attempts)
+    Alcotest.(check (list string))
+      "every tier declined"
+      [
+        "exact: skipped (deadline expired)";
+        "dpccp: skipped (deadline expired)";
+        "hybrid: skipped (deadline expired)";
+        "greedy: aborted (no finite-cost plan)";
+        "simpli-squared: aborted (no finite-cost plan)";
+      ]
+      (List.map
+         (fun (a : Degrade.attempt) ->
+           Degrade.tier_name a.Degrade.tier
+           ^ ": "
+           ^
+           match a.Degrade.status with
+           | Degrade.Skipped r -> "skipped (" ^ Degrade.skip_message r ^ ")"
+           | Degrade.Aborted f -> "aborted (" ^ Degrade.failure_message f ^ ")"
+           | Degrade.Produced cost -> Printf.sprintf "produced (cost %g)" cost)
+         attempts)
   | Error e -> Alcotest.failf "unexpected error: %s" (Guard.error_message e)
 
 (* ---- chaos ---- *)
@@ -607,8 +697,9 @@ let suite =
     Alcotest.test_case "all input defects reported" `Quick test_sanitize_collects_all_errors;
     Alcotest.test_case "lenient defaulting fabricates cardinalities" `Quick
       test_sanitize_defaults_cardinalities;
-    Alcotest.test_case "deadline degrades to greedy with provenance" `Quick
-      test_deadline_degrades_to_greedy;
+    Alcotest.test_case "deadline answers the cheaper heuristic with provenance" `Quick
+      test_deadline_answers_cheaper_heuristic;
+    QCheck_alcotest.to_alcotest prop_deadline_answers_cheaper_heuristic;
     Alcotest.test_case "memory ceiling skips DP tiers" `Quick test_memory_cap_skips_to_hybrid;
     Alcotest.test_case "a session charges each DP tier what it draws" `Quick
       test_session_charges_what_tiers_draw;
@@ -620,8 +711,8 @@ let suite =
       test_overflowing_stats_degrade_past_dpccp;
     Alcotest.test_case "every tier valid and bounded by the optimum" `Quick
       test_every_tier_valid_and_bounded;
-    Alcotest.test_case "cascade without terminal tier fails loudly" `Quick
-      test_cascade_without_terminal_tier;
+    Alcotest.test_case "both heuristic plans NaN: no tier produced, typed" `Quick
+      test_nan_heuristics_no_tier_produced;
     Alcotest.test_case "chaos is deterministic per seed" `Quick test_chaos_deterministic;
     Alcotest.test_case "scrambled catalog degrades to the estimate-free tier" `Quick
       test_scrambled_catalog_degrades_to_estimate_free;

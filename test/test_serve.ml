@@ -427,6 +427,54 @@ let test_malformed_line_keeps_connection () =
           expect_bool "healthy afterwards" [ "ok" ] r2 true;
           Alcotest.(check string) "status ok" "ok" (expect_string [ "result"; "status" ] r2)))
 
+(* A request line one byte over [Protocol.max_line_bytes] is refused
+   with a typed parse_error, whether or not its newline has arrived: the
+   event loop refuses a buffer past the limit that holds no newline yet
+   and closes the connection, and the decoder refuses a complete line
+   past it.  The server answers a new connection afterwards.  A line of
+   exactly [max_line_bytes + 1] bytes is read whole before the refusal,
+   so the close leaves no unread bytes that would reset the connection
+   before the error arrives. *)
+let oversized_line_refused ~newline () =
+  let line = String.make (Protocol.max_line_bytes + 1) 'x' ^ if newline then "\n" else "" in
+  with_server (Server.config ~port:0 ()) (fun port ->
+      let ((ic, oc) as c) = connect port in
+      Fun.protect ~finally:(fun () -> close_client c) (fun () ->
+          output_string oc line;
+          flush oc;
+          match input_line ic with
+          | exception End_of_file -> Alcotest.fail "closed without an answer"
+          | reply ->
+            let v = Blitz_util.Err.get (Json.of_string reply) in
+            expect_bool "refused" [ "ok" ] v false;
+            Alcotest.(check string)
+              "parse_error" "parse_error"
+              (expect_string [ "error"; "code" ] v));
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> close_client c) (fun () ->
+          let h = rpc c {|{"blitz":1,"id":1,"method":"health"}|} in
+          expect_bool "healthy afterwards" [ "ok" ] h true))
+
+(* A client that sends an optimize request and hangs up before its
+   answer (an n = 16 clique, about 0.2 s on one core) leaves the server
+   serving: the worker finishes the query, the write to the dead
+   connection fails quietly, and a new connection gets answers from the
+   event loop and from the worker. *)
+let test_client_gone_before_answer () =
+  with_server (Server.config ~port:0 ~workers:1 ()) (fun port ->
+      let ((_, oc) as gone) = connect port in
+      output_string oc
+        {|{"blitz":1,"id":1,"method":"optimize","params":{"n":16,"topology":"clique"}}|};
+      output_char oc '\n';
+      flush oc;
+      close_client gone;
+      let c = connect port in
+      Fun.protect ~finally:(fun () -> close_client c) (fun () ->
+          let h = rpc c {|{"blitz":1,"id":2,"method":"health"}|} in
+          expect_bool "health answered" [ "ok" ] h true;
+          let r = rpc c (inline_query ~id:3 ~tenant:"default") in
+          expect_bool "optimize answered" [ "ok" ] r true))
+
 (* A generated query the topology cannot cover at its size (cycle+2
    needs seven relations) is refused with a typed invalid_request, not
    an internal error, and the connection keeps serving. *)
@@ -561,6 +609,12 @@ let suite =
     Alcotest.test_case "server: malformed line keeps the connection" `Quick
       test_malformed_line_keeps_connection;
     Alcotest.test_case "server: interleaved partial lines" `Quick test_interleaved_partial_lines;
+    Alcotest.test_case "server: an oversized partial line is a typed parse_error" `Quick
+      (oversized_line_refused ~newline:false);
+    Alcotest.test_case "server: an oversized whole line is a typed parse_error" `Quick
+      (oversized_line_refused ~newline:true);
+    Alcotest.test_case "server: a client gone before its answer leaves it serving" `Quick
+      test_client_gone_before_answer;
     Alcotest.test_case "server: an infeasible generated query is a typed error" `Quick
       test_infeasible_workload_refused;
     Alcotest.test_case "server: a connection select cannot watch gets a typed refusal" `Quick

@@ -296,7 +296,8 @@ let prop_kernels_bit_identical =
           let best = unconstrained.table.Dp_table.cost.(Dp_table.size unconstrained.table - 1) in
           Float.max (f *. best) Float.min_float
         | Upper_bound -> (
-          match Registry.upper_bound p.model (Registry.problem ~graph:p.graph p.catalog) with
+          let problem = Registry.problem ~graph:p.graph p.catalog in
+          match Registry.upper_bound (Registry.heuristics p.model problem) with
           | Some b -> b.Registry.value
           | None -> Float.infinity)
       in

@@ -100,7 +100,8 @@ let threshold c =
   match c.bound with
   | Infinite -> Float.infinity
   | Upper_bound -> (
-    match Registry.upper_bound c.model (Registry.problem ?graph:c.graph c.catalog) with
+    let problem = Registry.problem ?graph:c.graph c.catalog in
+    match Registry.upper_bound (Registry.heuristics c.model problem) with
     | Some b -> b.Registry.value
     | None -> Float.infinity)
   | Log_uniform f | Below_optimum f -> Float.max (f *. optimum c) Float.min_float
@@ -184,7 +185,7 @@ let test_interrupted_sweep_keeps_counts () =
   let catalog, graph = Blitz_workload.Workload.problem spec in
   let model = Cost_model.kdnl in
   let threshold =
-    match Registry.upper_bound model (Registry.problem ~graph catalog) with
+    match Registry.upper_bound (Registry.heuristics model (Registry.problem ~graph catalog)) with
     | Some b -> b.Registry.value
     | None -> Alcotest.fail "no upper bound"
   in
@@ -236,7 +237,7 @@ let test_interrupted_pool_sweep_keeps_counts () =
   in
   let catalog, graph = Blitz_workload.Workload.problem spec in
   let threshold =
-    match Registry.upper_bound model (Registry.problem ~graph catalog) with
+    match Registry.upper_bound (Registry.heuristics model (Registry.problem ~graph catalog)) with
     | Some b -> b.Registry.value
     | None -> Alcotest.fail "no upper bound"
   in

@@ -224,7 +224,7 @@ let prop_upper_bound_pass_bit_identical =
           QCheck2.Test.fail_reportf "%s: %.17g, plain pass %.17g" what (Blitzsplit.best_cost pass)
             (Blitzsplit.best_cost plain)
       in
-      (match Registry.upper_bound model (Registry.problem ~graph catalog) with
+      (match Registry.upper_bound (Registry.heuristics model (Registry.problem ~graph catalog)) with
       | None -> QCheck2.Test.fail_reportf "no upper bound"
       | Some { Registry.value = threshold; _ } ->
         let plain = Blitzsplit.optimize_join model catalog graph in
