@@ -3,7 +3,7 @@
    Usage:  dune exec bench/main.exe [--] [--json FILE] [experiment ...]
    Experiments: table1 fig2 fig4 fig5 fig6 counts compare ablation
    models parallel split dpconv throughput obs cache robust serve
-   bechamel all (default: all).  [--json FILE] arms the
+   all (default: all).  [--json FILE] arms the
    shared Bench_json collector: experiments that emit records get them
    written to FILE as one blitz-bench/1 document at exit.  Environment:
    BLITZ_BENCH_N, BLITZ_BENCH_FAST (see bench_config.ml).
@@ -28,7 +28,6 @@ let experiments =
     ("cache", Exp_cache.run);
     ("robust", Exp_robust.run);
     ("serve", Exp_serve.run);
-    ("bechamel", Bechamel_suite.run);
   ]
 
 let usage () =

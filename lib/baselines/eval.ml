@@ -2,16 +2,11 @@ module Catalog = Blitz_catalog.Catalog
 module Join_graph = Blitz_graph.Join_graph
 module Cost_model = Blitz_cost.Cost_model
 module Plan = Blitz_plan.Plan
-module Relset = Blitz_bitset.Relset
 
 type t = { n : int; model : Cost_model.t; card : float array }
 
 let make model catalog graph =
   { n = Catalog.n catalog; model; card = Blitz_core.Card_table.compute catalog graph }
-
-let cardinality t s =
-  if s <= 0 || s >= Array.length t.card then invalid_arg "Eval.cardinality: set out of range";
-  t.card.(s)
 
 let cost t plan =
   let card = t.card and model = t.model in

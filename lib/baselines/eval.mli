@@ -11,14 +11,10 @@ module Catalog = Blitz_catalog.Catalog
 module Join_graph = Blitz_graph.Join_graph
 module Cost_model = Blitz_cost.Cost_model
 module Plan = Blitz_plan.Plan
-module Relset = Blitz_bitset.Relset
 
 type t
 
 val make : Blitz_cost.Cost_model.t -> Catalog.t -> Join_graph.t -> t
-
-val cardinality : t -> Relset.t -> float
-(** Estimated join cardinality of a relation subset. *)
 
 val cost : t -> Plan.t -> float
 (** Cost of the plan under the evaluator's model (Equations (1)-(2)). *)

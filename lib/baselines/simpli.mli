@@ -16,11 +16,8 @@
 module Join_graph = Blitz_graph.Join_graph
 module Plan = Blitz_plan.Plan
 
-val order : Join_graph.t -> int array
-(** The structural join order: a permutation of [0 .. n-1].  Raises
-    [Invalid_argument] on an empty graph. *)
-
 val optimize : Join_graph.t -> Plan.t
-(** Left-deep plan over {!order}.  Deterministic in the graph's shape;
-    cost it under whatever catalog the caller trusts (e.g.
-    {!Plan.cost}). *)
+(** Left-deep plan over the structural join order.  Deterministic in
+    the graph's shape; cost it under whatever catalog the caller trusts
+    (e.g. {!Plan.cost}).  Raises [Invalid_argument] on an empty
+    graph. *)

@@ -43,11 +43,6 @@ let internal_paths plan =
   go [] plan;
   List.rev !acc
 
-let neighbors plan =
-  List.concat_map
-    (fun path -> List.filter_map (fun rule -> apply_at plan ~path rule) all_rules)
-    (internal_paths plan)
-
 let random_neighbor rng plan =
   let paths = Array.of_list (internal_paths plan) in
   if Array.length paths = 0 then invalid_arg "Transform.random_neighbor: plan has no joins";

@@ -28,10 +28,6 @@ val apply_at : Plan.t -> path:int list -> rule -> Plan.t option
 val internal_paths : Plan.t -> int list list
 (** Paths to every [Join] node (root first). *)
 
-val neighbors : Plan.t -> Plan.t list
-(** All plans one rule application away (may contain duplicates up to
-    [Plan.equal]). *)
-
 val random_neighbor : Rng.t -> Plan.t -> Plan.t
 (** Uniformly random internal node, uniformly random applicable rule.
     Raises [Invalid_argument] on a bare leaf. *)

@@ -18,14 +18,11 @@ let full n =
   if n = 0 then 0 else (1 lsl n) - 1
 
 let add s i = s lor singleton i
-let remove s i = s land lnot (singleton i)
 let of_list l = List.fold_left add empty l
 
 let is_empty s = s = 0
 let mem s i = i >= 0 && i < max_width && s land (1 lsl i) <> 0
 let equal (a : t) (b : t) = a = b
-let subset a b = a land lnot b = 0
-let proper_subset a b = subset a b && a <> b
 let disjoint a b = a land b = 0
 
 (* Kernighan's bit-clearing loop; set cardinalities here are small
@@ -50,17 +47,6 @@ let min_elt s =
   if !x land 0x1 = 0 then i := !i + 1;
   !i
 
-let max_elt s =
-  if s = 0 then invalid_arg "Relset.max_elt: empty set";
-  let x = ref s and i = ref 0 in
-  if !x lsr 32 <> 0 then begin i := !i + 32; x := !x lsr 32 end;
-  if !x lsr 16 <> 0 then begin i := !i + 16; x := !x lsr 16 end;
-  if !x lsr 8 <> 0 then begin i := !i + 8; x := !x lsr 8 end;
-  if !x lsr 4 <> 0 then begin i := !i + 4; x := !x lsr 4 end;
-  if !x lsr 2 <> 0 then begin i := !i + 2; x := !x lsr 2 end;
-  if !x lsr 1 <> 0 then i := !i + 1;
-  !i
-
 let union a b = a lor b
 let inter a b = a land b
 let diff a b = a land lnot b
@@ -82,29 +68,11 @@ let fold f init s =
 
 let to_list s = List.rev (fold (fun acc i -> i :: acc) [] s)
 
-let for_all p s = fold (fun acc i -> acc && p i) true s
 let exists p s = fold (fun acc i -> acc || p i) false s
 
-let dilate ~mask i =
-  (* Spread the low bits of [i] into the positions of [mask], low to
-     high: bit j of [i] lands on the j-th lowest set bit of [mask]. *)
-  let rec go acc i mask =
-    if mask = 0 then acc
-    else
-      let bit = lowest_bit mask in
-      let acc = if i land 1 <> 0 then acc lor bit else acc in
-      go acc (i lsr 1) (mask lxor bit)
-  in
-  go 0 i mask
-
+(* Section 4.2's successor trick: the next subset of [within] after [l]
+   in dilated counting order, in constant time. *)
 let succ_subset ~within l = within land (l - within)
-
-let succ_subset_stride ~within ~stride l =
-  if stride land 1 = 0 then invalid_arg "Relset.succ_subset_stride: stride must be odd";
-  (* delta(i + k) = within land (delta i - delta (-k)), and
-     delta (-k) = within land (- delta k)  (Section 4.2, footnote 3). *)
-  let delta_minus_k = within land (-(dilate ~mask:within stride)) in
-  within land (l - delta_minus_k)
 
 let iter_proper_subsets f s =
   let l = ref (lowest_bit s) in
@@ -112,16 +80,6 @@ let iter_proper_subsets f s =
     f !l;
     l := succ_subset ~within:s !l
   done
-
-let fold_proper_subsets f init s =
-  let acc = ref init and l = ref (lowest_bit s) in
-  while !l <> s do
-    acc := f !acc !l;
-    l := succ_subset ~within:s !l
-  done;
-  !acc
-
-let iter_subset_pairs f s = iter_proper_subsets (fun l -> f l (s lxor l)) s
 
 let next_same_cardinality v =
   if v = 0 then invalid_arg "Relset.next_same_cardinality: zero has no successor";

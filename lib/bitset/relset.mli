@@ -40,17 +40,12 @@ val full : int -> t
 
 val of_list : int list -> t
 val add : t -> int -> t
-val remove : t -> int -> t
 
 (** {1 Queries} *)
 
 val is_empty : t -> bool
 val mem : t -> int -> bool
 val equal : t -> t -> bool
-val subset : t -> t -> bool
-(** [subset a b] holds when every member of [a] is in [b]. *)
-
-val proper_subset : t -> t -> bool
 val disjoint : t -> t -> bool
 val cardinal : t -> int
 (** Population count, by the classic parallel bit-summing network. *)
@@ -60,9 +55,6 @@ val is_singleton : t -> bool
 val min_elt : t -> int
 (** Index of the lowest set bit.  Raises [Invalid_argument] on [empty].
     This is the [min S] of the paper's fan definition (Section 5.3). *)
-
-val max_elt : t -> int
-(** Index of the highest set bit.  Raises [Invalid_argument] on [empty]. *)
 
 val lowest_bit : t -> t
 (** [lowest_bit s] is [s land (-s)]: the singleton containing [min_elt s],
@@ -82,25 +74,7 @@ val iter : (int -> unit) -> t -> unit
 
 val fold : ('a -> int -> 'a) -> 'a -> t -> 'a
 val to_list : t -> int list
-val for_all : (int -> bool) -> t -> bool
 val exists : (int -> bool) -> t -> bool
-
-(** {1 Split enumeration (Section 4.2)} *)
-
-val succ_subset : within:t -> t -> t
-(** [succ_subset ~within l] is the next subset of [within] after [l] in
-    dilated counting order: [within land (l - within)].  Starting from
-    [lowest_bit within] and stopping upon reaching [within] enumerates
-    every nonempty proper subset exactly once. *)
-
-val succ_subset_stride : within:t -> stride:int -> t -> t
-(** Footnote 3 of the paper: stepping by an arbitrary odd [stride]
-    instead of 1 visits the same subsets in a different order (useful to
-    approximate the random-order assumption of the complexity analysis).
-    [succ_subset_stride ~within ~stride l = within land (l - delta within stride)]
-    up to wraparound; the cycle covers all [2^|within|] patterns, so callers
-    must skip [empty] and [within] themselves.  Raises [Invalid_argument]
-    on even strides. *)
 
 (** {1 Subset enumeration} *)
 
@@ -109,13 +83,6 @@ val iter_proper_subsets : (t -> unit) -> t -> unit
     of [s], in dilated counting order — [2^(cardinal s) - 2] calls.
     This is the paper's split loop over ordered splits (Figure 1);
     [find_best_split] stops halfway, visiting each unordered split once. *)
-
-val fold_proper_subsets : ('a -> t -> 'a) -> 'a -> t -> 'a
-
-val iter_subset_pairs : (t -> t -> unit) -> t -> unit
-(** [iter_subset_pairs f s] applies [f lhs rhs] for every split of [s]
-    into nonempty [lhs], [rhs] with [lhs union rhs = s]; each unordered
-    pair is seen twice (once per orientation), as in the paper's loop. *)
 
 val next_same_cardinality : t -> t
 (** Gosper's hack: the next larger integer with the same population

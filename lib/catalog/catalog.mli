@@ -34,10 +34,6 @@ val of_list_result : (string * float) list -> (t, error) result
 (** [of_list_result [(name, card); ...]] builds a catalog; indexes follow
     list order.  Reports the first problem found as a typed error. *)
 
-val of_cards_result : float array -> (t, error) result
-(** Like {!of_list_result}, naming relations ["R0"], ["R1"], ... like
-    the paper's appendix. *)
-
 val of_list : (string * float) list -> t
 (** [of_list [(name, card); ...]] builds a catalog; indexes follow list
     order.  Raises [Invalid_argument] on duplicate names, empty input,

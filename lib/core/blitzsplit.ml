@@ -202,5 +202,3 @@ let best_plan_exn t =
   match best_plan t with
   | Some plan -> plan
   | None -> failwith "Blitzsplit.best_plan_exn: no plan under the given threshold"
-
-let subplan t s = Dp_table.extract_plan t.table s

@@ -132,7 +132,3 @@ val best_plan : t -> Plan.t option
 
 val best_plan_exn : t -> Plan.t
 (** Like {!best_plan}; raises [Failure] when infeasible. *)
-
-val subplan : t -> Relset.t -> Plan.t option
-(** Optimal plan for any subset of the relations (the table holds them
-    all). *)

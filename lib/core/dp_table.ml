@@ -62,9 +62,6 @@ let check_set t s =
 let card t s = check_set t s; t.card.(s)
 let cost t s = check_set t s; t.cost.(s)
 let best_lhs t s = check_set t s; t.best_lhs.(s)
-let pi_fan t s = check_set t s; if has_pi_fan t then t.pi_fan.(s) else 1.0
-
-let is_feasible t s = Float.is_finite (cost t s)
 
 let extract_plan t s =
   check_set t s;

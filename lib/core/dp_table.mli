@@ -86,10 +86,6 @@ val full_set : t -> Relset.t
 val card : t -> Relset.t -> float
 val cost : t -> Relset.t -> float
 val best_lhs : t -> Relset.t -> Relset.t
-val pi_fan : t -> Relset.t -> float
-
-val is_feasible : t -> Relset.t -> bool
-(** Whether a plan was recorded for the subset (its cost is finite). *)
 
 val extract_plan : t -> Relset.t -> Plan.t option
 (** Walk [best_lhs] links recursively (the table-consultation procedure

@@ -18,8 +18,6 @@ let neighborhood_masks nb s x =
   done;
   !acc land lnot (s lor x)
 
-let neighborhood graph s x = neighborhood_masks (neighbor_masks graph) s x
-
 (* EnumerateCsgRec (Moerkotte & Neumann 2006): grow the connected set
    [s] by every nonempty subset of its free neighborhood, emitting each
    enlargement, then recurse into each enlargement with the whole
@@ -56,12 +54,6 @@ let iter_csg_from nb i emit =
   let s = 1 lsl i in
   emit s;
   csg_rec nb emit s ((1 lsl (i + 1)) - 1)
-
-let iter_csg graph emit =
-  let nb = neighbor_masks graph in
-  for i = Array.length nb - 1 downto 0 do
-    iter_csg_from nb i emit
-  done
 
 (* EnumerateCmp: connected subgraphs of the complement adjacent to
    [s1], canonically those whose minimum element exceeds [min s1]. *)

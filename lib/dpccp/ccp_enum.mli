@@ -19,15 +19,7 @@
 module Relset = Blitz_bitset.Relset
 module Join_graph = Blitz_graph.Join_graph
 
-val iter_csg : Join_graph.t -> (Relset.t -> unit) -> unit
-(** Every connected subgraph of the join graph, each exactly once. *)
-
 val iter_ccp : Join_graph.t -> (Relset.t -> Relset.t -> unit) -> unit
 (** Every csg-cmp pair [(S1, S2)]: disjoint, individually connected,
     joined by at least one predicate, with [min S1 < min S2]; each
     unordered pair exactly once. *)
-
-val neighborhood : Join_graph.t -> Relset.t -> Relset.t -> Relset.t
-(** [neighborhood g s x]: all relations adjacent to some member of [s]
-    that are in neither [s] nor the forbidden set [x].  Exposed for
-    tests. *)

@@ -45,7 +45,7 @@ type t = {
   connected_sets : int;
       (** Connected sets materialized (singletons included) — the
           [O(2^n)]-vs-polynomial space story, equal to the number of
-          sets {!Ccp_enum.iter_csg} emits. *)
+          connected subgraphs of the join graph. *)
   ccp_pairs : int;
       (** Csg-cmp pairs folded — the work metric to compare against
           blitzsplit's [3^n]-ish split-loop iterations. *)

@@ -115,6 +115,10 @@ let tablefree_caps =
     connected_only = false;
   }
 
+(* The stochastic searches price plans through [Eval]'s cardinality
+   table, which stops at the DP table's relation cap. *)
+let stochastic_caps = { tablefree_caps with max_n = Some Dp_table.max_relations }
+
 (* ---- the heuristic plans and the upper bound ---- *)
 
 type bound = { value : float; source : string }
@@ -322,13 +326,9 @@ let run_bruteforce ctx p =
 
 (* ---- the registry itself ---- *)
 
-(* Builtins are registered here rather than by side effect elsewhere so
-   linking the library is enough to see them. *)
-let entries : entry list ref = ref []
-
 (* Every dispatch — by name through [optimize], or directly through a
    held [entry] (the cascade, [Engine.optimize_many]) — is metered,
-   because the meter is baked into the entry at registration.  The
+   because the meter is baked into the entry when the list is built.  The
    wrapper changes no computation: same ctx, same problem, same result
    or exception. *)
 let instrument e =
@@ -352,13 +352,10 @@ let instrument e =
   in
   { e with optimize }
 
-let register e =
-  if List.exists (fun e' -> e'.name = e.name) !entries then
-    invalid_arg (Printf.sprintf "Registry.register: duplicate optimizer %S" e.name);
-  entries := !entries @ [ instrument e ]
-
-let () =
-  List.iter register
+(* The built-in optimizers, a fixed list built at module initialization
+   so linking the library is enough to see them. *)
+let entries =
+  List.map instrument
     [
       {
         name = "exact";
@@ -423,19 +420,19 @@ let () =
       {
         name = "iterative-improvement";
         summary = "random restarts + downhill transformation moves";
-        caps = tablefree_caps;
+        caps = stochastic_caps;
         optimize = run_iterative_improvement;
       };
       {
         name = "simulated-annealing";
         summary = "annealed transformation search over bushy plans";
-        caps = tablefree_caps;
+        caps = stochastic_caps;
         optimize = run_simulated_annealing;
       };
       {
         name = "random-probe";
         summary = "best of 200n independent random bushy plans";
-        caps = tablefree_caps;
+        caps = stochastic_caps;
         optimize = run_random_probe;
       };
       {
@@ -482,9 +479,9 @@ let () =
       };
     ]
 
-let all () = !entries
+let all () = entries
 
-let find name = List.find_opt (fun e -> e.name = name) !entries
+let find name = List.find_opt (fun e -> e.name = name) entries
 
 let find_exn name =
   match find name with
@@ -492,9 +489,9 @@ let find_exn name =
   | None ->
     invalid_arg
       (Printf.sprintf "Registry: unknown optimizer %S (known: %s)" name
-         (String.concat ", " (List.map (fun e -> e.name) !entries)))
+         (String.concat ", " (List.map (fun e -> e.name) entries)))
 
-let names () = List.map (fun e -> e.name) !entries
+let names () = List.map (fun e -> e.name) entries
 
 let optimize ?(optimizer = "exact") ctx p = (find_exn optimizer).optimize ctx p
 

@@ -4,14 +4,14 @@
     Each algorithm — the exact blitzsplit DP (one pass, whose split
     loops run rank by rank on a ctx's pool when it has one, or Section
     6.4's threshold driver over that pass), the Section 7 hybrid, and the
-    [lib/baselines] family — registers under one
+    [lib/baselines] family — is an entry under one
     [optimize : ctx -> problem -> outcome] signature together with
     capability metadata.  Callers (the degradation cascade, the CLI,
     the bench harness, {!Engine}) dispatch by name and read eligibility
     off the metadata instead of hand-wiring per-algorithm match arms
     and duplicating [Dp_table.max_relations] / table-size logic.
 
-    Registration instruments each entry: every dispatch — by name or
+    Each entry is instrumented: every dispatch — by name or
     through a held {!entry} — bumps [blitz_registry_calls_total] (and
     [blitz_registry_errors_total] on raise) labelled with the optimizer
     name, and runs inside a [registry.optimize] trace span, so the
@@ -123,23 +123,19 @@ type entry = {
     fires) or [Invalid_argument] (caps violated); anything else is a
     bug. *)
 
-val register : entry -> unit
-(** Add an optimizer.  Raises [Invalid_argument] on a duplicate name.
-    The built-in entries are registered at module initialization:
-    [exact], [hybrid], [ikkbz], [greedy],
-    [simpli-squared], [dpsize], [dpsize-no-products], [leftdeep],
-    [leftdeep-deferred], [iterative-improvement], [simulated-annealing],
-    [random-probe], [volcano], [dpccp], [dpconv], [bruteforce]. *)
-
 val all : unit -> entry list
-(** In registration order. *)
+(** The built-in entries, a fixed list: [exact], [hybrid], [ikkbz],
+    [greedy], [simpli-squared], [dpsize], [dpsize-no-products],
+    [leftdeep], [leftdeep-deferred], [iterative-improvement],
+    [simulated-annealing], [random-probe], [volcano], [dpccp],
+    [dpconv], [bruteforce]. *)
 
 val names : unit -> string list
-(** Registered optimizer names, in registration order — the list
-    [find] accepts and the CLI's [blitz optimizers] dump prints. *)
+(** Optimizer names, in {!all}'s order — the list [find] accepts and
+    the CLI's [blitz optimizers] dump prints. *)
 
 val find : string -> entry option
-(** Look an entry up by name; [None] for unregistered names. *)
+(** Look an entry up by name; [None] for unknown names. *)
 
 val find_exn : string -> entry
 (** Raises [Invalid_argument] with the list of known names. *)

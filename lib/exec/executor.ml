@@ -5,17 +5,6 @@ module Relset = Blitz_bitset.Relset
 
 type algorithm = Nested_loop | Hash | Sort_merge
 
-let algorithm_name = function
-  | Nested_loop -> "nested-loop"
-  | Hash -> "hash"
-  | Sort_merge -> "sort-merge"
-
-let algorithm_of_name = function
-  | "nested-loop" | "kdnl" -> Some Nested_loop
-  | "hash" -> Some Hash
-  | "sort-merge" | "ksm" -> Some Sort_merge
-  | _ -> None
-
 type trace_entry = { set : Relset.t; actual_rows : int; cartesian : bool }
 type result = { rows : int; trace : trace_entry list }
 

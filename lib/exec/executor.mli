@@ -17,11 +17,6 @@ module Relset = Blitz_bitset.Relset
 
 type algorithm = Nested_loop | Hash | Sort_merge
 
-val algorithm_name : algorithm -> string
-val algorithm_of_name : string -> algorithm option
-(** Recognizes the {!algorithm_name} strings and the cost-model names
-    ["kdnl"] / ["ksm"] (Section 6.5's model-to-operator mapping). *)
-
 type trace_entry = {
   set : Relset.t;  (** Relations joined so far at this node. *)
   actual_rows : int;  (** Cardinality the operator actually produced. *)

@@ -93,12 +93,3 @@ let sort_merge_join ~left ~right ~keys =
   let rows = Array.of_list (List.rev !acc) in
   emitted (Array.length rows);
   rows
-
-let same_multiset a b =
-  if Array.length a <> Array.length b then false
-  else begin
-    let sa = Array.copy a and sb = Array.copy b in
-    Array.sort compare sa;
-    Array.sort compare sb;
-    sa = sb
-  end

@@ -37,7 +37,3 @@ val hash_join : left:int array array -> right:int array array -> keys:key list -
 
 val sort_merge_join : left:int array array -> right:int array array -> keys:key list -> int array array
 (** Sorts both inputs on the key columns and merges duplicate groups. *)
-
-val same_multiset : int array array -> int array array -> bool
-(** Order-insensitive row-multiset equality — the operators'
-    cross-checking predicate used by the tests. *)

@@ -5,7 +5,6 @@ module Plan = Blitz_plan.Plan
 module Relset = Blitz_bitset.Relset
 module Rng = Blitz_util.Rng
 module Transform = Blitz_baselines.Transform
-module Eval = Blitz_baselines.Eval
 module Greedy = Blitz_baselines.Greedy
 module Blitzsplit = Blitz_core.Blitzsplit
 module Dp_table = Blitz_core.Dp_table
@@ -137,16 +136,11 @@ let optimize ~rng ?arena ?window ?kicks ?start ?(interrupt = fun () -> false) mo
   in
   let kick_budget = match kicks with Some k -> max 0 k | None -> 4 * n in
   let evaluations = ref 0 and reopts = ref 0 and improved = ref 0 and kicks_done = ref 0 in
-  let measure =
-    if n <= Dp_table.max_relations then begin
-      let eval = Eval.make model catalog graph in
-      fun plan ->
-        incr evaluations;
-        Eval.cost eval plan
-    end
-    else fun plan ->
-      incr evaluations;
-      Plan.cost model catalog graph plan
+  (* The reference costing at every n: no [2^n] cardinality table, so
+     the hybrid stays table-free as its registry caps declare. *)
+  let measure plan =
+    incr evaluations;
+    Plan.cost model catalog graph plan
   in
   let start_plan =
     match start with

@@ -57,6 +57,6 @@ val optimize :
     the search stops gracefully and the chain's best plan so far is
     returned (never an exception — an anytime algorithm has a valid
     answer from the first measurement on).  Unlike blitzsplit itself,
-    this works for arbitrarily many relations; cost is evaluated with
-    the full reference costing (no [2^n] table) when [n] exceeds the
-    DP-table cap. *)
+    this works for arbitrarily many relations: plans are priced with
+    {!Plan.cost}, the reference costing, at every [n], so no [2^n]
+    table is built outside the windows' own small DP tables. *)

@@ -37,8 +37,6 @@ let error_message =
   | Invalid_selectivity { i; j; sel } -> fmt "invalid selectivity %g on (%d, %d)" sel i j
   | Selectivity_above_one { i; j; sel } -> fmt "selectivity %g outside (0, 1] on (%d, %d)" sel i j
 
-let pp_error ppf e = Format.pp_print_string ppf (error_message e)
-
 let no_predicates_result ~n =
   if n < 1 then Error (Too_few_relations n)
   else if n > Relset.max_width then Error (Too_many_relations n)

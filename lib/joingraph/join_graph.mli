@@ -35,7 +35,6 @@ type error =
       (** Outside [(0, 1]] under the [`Reject] policy. *)
 
 val error_message : error -> string
-val pp_error : Format.formatter -> error -> unit
 
 val of_edges_result :
   ?above_one:[ `Reject | `Clamp ] -> n:int -> (int * int * float) list -> (t, error) result

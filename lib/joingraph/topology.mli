@@ -14,7 +14,10 @@
     the selectivity formula. *)
 
 type t =
-  | Chain  (** Path through all relations in the paper's interleaved order. *)
+  | Chain
+      (** Path through all relations in the appendix's interleaved
+          order: for n = 15 exactly [R0-R8-R1-R9-...-R14-R7]; in general
+          relations [0..ceil(n/2)-1] alternate with [ceil(n/2)..n-1]. *)
   | Cycle_plus of int
       (** Cycle (chain plus closing edge) augmented with the given number
           of cross-edges; [Cycle_plus 3] is the paper's "cycle+3". *)
@@ -34,11 +37,6 @@ val of_string : string -> (t, string) result
 val all_paper : t list
 (** The four topologies used in Figures 4-6: chain, cycle+3, star,
     clique. *)
-
-val chain_order : int -> int array
-(** The appendix's interleaved chain ordering.  For n = 15 this is
-    exactly [R0-R8-R1-R9-...-R14-R7]; in general relations
-    [0..ceil(n/2)-1] alternate with [ceil(n/2)..n-1]. *)
 
 val check : t -> n:int -> unit
 (** Raises [Invalid_argument] when the topology is infeasible at size

@@ -146,35 +146,8 @@ let time h f =
 (* ---- reading ---- *)
 
 let value c = Atomic.get c.c_cell
-let gauge_value g = Atomic.get g.g_cell
 let histogram_count h = Atomic.get h.h_count
 let histogram_sum h = Atomic.get h.h_sum
-
-let quantile h q =
-  if not (q >= 0.0 && q <= 1.0) then invalid_arg "Metrics.quantile: q outside [0, 1]";
-  let count = Atomic.get h.h_count in
-  if count = 0 then Float.nan
-  else begin
-    let target = q *. float_of_int count in
-    let rec go i cumulative =
-      if i >= Array.length h.cells then h.bounds.(Array.length h.bounds - 1)
-      else
-        let in_bucket = Atomic.get h.cells.(i) in
-        let cumulative' = cumulative + in_bucket in
-        if float_of_int cumulative' >= target && in_bucket > 0 then
-          if i >= Array.length h.bounds then
-            (* +Inf bucket: no finite upper bound to interpolate toward. *)
-            h.bounds.(Array.length h.bounds - 1)
-          else begin
-            let hi = h.bounds.(i) in
-            let lo = if i = 0 then Float.min 0.0 hi else h.bounds.(i - 1) in
-            let pos = (target -. float_of_int cumulative) /. float_of_int in_bucket in
-            lo +. ((hi -. lo) *. Float.max 0.0 (Float.min 1.0 pos))
-          end
-        else go (i + 1) cumulative'
-    in
-    go 0 0
-  end
 
 (* ---- exposition ---- *)
 

@@ -73,15 +73,8 @@ val time : histogram -> (unit -> 'a) -> 'a
 (** {1 Reading} *)
 
 val value : counter -> int
-val gauge_value : gauge -> float
 val histogram_count : histogram -> int
 val histogram_sum : histogram -> float
-
-val quantile : histogram -> float -> float
-(** [quantile h q] for [q] in [\[0, 1\]]: the Prometheus-style estimate
-    — find the cumulative bucket containing the [q]-th observation and
-    interpolate linearly inside it.  [nan] on an empty histogram.
-    Raises [Invalid_argument] outside [\[0, 1\]]. *)
 
 (** {1 Exposition} *)
 

@@ -4,11 +4,3 @@ module Trace = Trace
 let span = Trace.span
 let instant = Trace.instant
 let enabled () = Metrics.enabled () || Trace.enabled ()
-
-let enable_all () =
-  Metrics.set_enabled true;
-  Trace.set_enabled true
-
-let disable_all () =
-  Metrics.set_enabled false;
-  Trace.set_enabled false

@@ -20,9 +20,3 @@ val instant : ?attrs:(string * string) list -> string -> unit
 
 val enabled : unit -> bool
 (** True when metrics {e or} tracing is recording. *)
-
-val enable_all : unit -> unit
-(** Turn both metrics and tracing on. *)
-
-val disable_all : unit -> unit
-(** Turn both off (the startup state). *)

@@ -59,10 +59,6 @@ let instant ?(attrs = []) name =
   if Atomic.get enabled_flag then
     record { name; ts_us = now_s () *. 1e6; dur_us = 0.0; tid = tid (); attrs }
 
-let dropped () =
-  let r = Atomic.get ring in
-  max 0 (Atomic.get r.cursor - Array.length r.slots)
-
 let events () =
   let r = Atomic.get ring in
   let total = Atomic.get r.cursor in

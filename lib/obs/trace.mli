@@ -63,17 +63,12 @@ val set_capacity : int -> unit
 (** Resize the buffer (clearing it).  Default 4096 events.  Raises
     [Invalid_argument] on a non-positive capacity. *)
 
-val capacity : unit -> int
-
 val clear : unit -> unit
-(** Drop buffered events and reset the {!dropped} count. *)
+(** Drop buffered events. *)
 
 val events : unit -> event list
-(** Retained events, oldest first.  At most {!capacity} events; once
-    the buffer wraps, the oldest are gone (see {!dropped}). *)
-
-val dropped : unit -> int
-(** Events overwritten by wraparound since the last {!clear}. *)
+(** Retained events, oldest first.  At most the ring's capacity; once
+    the buffer wraps, the oldest are gone. *)
 
 (** {1 Export} *)
 

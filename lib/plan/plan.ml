@@ -20,14 +20,6 @@ let rec leaf_count = function
   | Leaf _ -> 1
   | Join (l, r) -> leaf_count l + leaf_count r
 
-let rec join_count = function
-  | Leaf _ -> 0
-  | Join (l, r) -> 1 + join_count l + join_count r
-
-let rec depth = function
-  | Leaf _ -> 0
-  | Join (l, r) -> 1 + max (depth l) (depth r)
-
 let rec is_left_deep = function
   | Leaf _ -> true
   | Join (l, Leaf _) -> is_left_deep l
@@ -88,17 +80,6 @@ let enumerate s =
     end
   in
   go s
-
-let count_plans n =
-  if n < 1 then invalid_arg "Plan.count_plans: n must be positive";
-  (* (2n-3)!! unordered binary trees with n labeled leaves. *)
-  let acc = ref 1.0 in
-  let odd = ref 3 in
-  for _ = 3 to n do
-    acc := !acc *. float_of_int !odd;
-    odd := !odd + 2
-  done;
-  !acc
 
 let cardinality catalog graph plan = Join_graph.join_cardinality catalog graph (relations plan)
 
@@ -172,10 +153,6 @@ let annotate ~algorithms catalog graph plan =
   in
   let node, _, _, _ = go plan in
   node
-
-let annotated_cost = function
-  | Ann_leaf _ -> 0.0
-  | Ann_join j -> j.subtree_cost
 
 let leaf_name names i =
   if i < Array.length names then names.(i) else string_of_int i

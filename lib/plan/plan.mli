@@ -24,9 +24,6 @@ val relations : t -> Relset.t
     relation occurs twice (such a tree is not a join plan). *)
 
 val leaf_count : t -> int
-val join_count : t -> int
-val depth : t -> int
-(** Leaves have depth 0. *)
 
 val is_left_deep : t -> bool
 (** True when every [Join]'s right operand is a [Leaf] (a "left-deep
@@ -54,10 +51,6 @@ val enumerate : Relset.t -> t list
 (** All bushy plans over exactly the given relation set (both operand
     orders counted once: plans are produced in {!normalize}d form).
     Exponential; intended for oracle tests at small sizes. *)
-
-val count_plans : int -> float
-(** Number of distinct unordered bushy plans over [n] relations:
-    [n! * Catalan(n-1) / 2^(n-1)] — the value {!enumerate} produces. *)
 
 (** {1 Semantics} *)
 
@@ -94,9 +87,6 @@ val annotate :
     algorithm whose model costs it least ("there is no need to keep track
     of which algorithm yields the minimum" during search).  Raises
     [Invalid_argument] on an empty algorithm list. *)
-
-val annotated_cost : annotated -> float
-(** Root subtree cost ([0] for a bare leaf). *)
 
 (** {1 Printing and parsing} *)
 

@@ -101,11 +101,6 @@ let bind_select_exn ~tables (select : Ast.select) =
   in
   { catalog; graph; predicates; required_order }
 
-let bind_select ~tables select =
-  match bind_select_exn ~tables select with
-  | q -> Ok q
-  | exception Bind_error e -> Error e
-
 let bind_script statements =
   let schema = Hashtbl.create 16 in
   let bind_all () =

@@ -26,16 +26,9 @@ type bound_query = {
           attribute of some predicate. *)
 }
 
-type error = { message : string; error_pos : Ast.position }
-
-val bind_select : tables:(string * float) list -> Ast.select -> (bound_query, error) result
-(** [tables] maps table names to cardinalities.  Self-joins are
-    supported through aliases; binding names must be unique. *)
-
-val bind_script : Ast.statement list -> (bound_query list, error) result
-(** Processes statements in order: CREATE TABLE populates the schema
-    (redefinition is an error), each SELECT binds against the schema so
-    far.  Returns the bound queries in order. *)
-
 val parse_and_bind : string -> (bound_query list, string) result
-(** Convenience: lex + parse + bind, rendering any error to a string. *)
+(** Lex, parse and bind a script, rendering any error to a string.
+    Statements bind in order: CREATE TABLE populates the schema
+    (redefinition is an error), each SELECT binds against the schema so
+    far; self-joins are supported through aliases, and binding names
+    must be unique.  Returns the bound queries in order. *)

@@ -132,19 +132,3 @@ let parse_script text =
         match peek st with None -> List.rev acc | Some _ -> go (parse_statement st :: acc)
       in
       go [])
-
-let parse_select text =
-  with_tokens text (fun st ->
-      let spanned = next st in
-      (match spanned.Lexer.token with
-      | Lexer.Kw_select -> ()
-      | other -> fail spanned.Lexer.pos "expected SELECT but found %s" (Lexer.token_name other));
-      let select = parse_select_body st spanned.Lexer.pos in
-      (match peek st with
-      | Some { Lexer.token = Lexer.Semicolon; _ } -> ignore (next st)
-      | Some _ | None -> ());
-      (match peek st with
-      | Some extra ->
-        fail extra.Lexer.pos "trailing input after SELECT: %s" (Lexer.token_name extra.Lexer.token)
-      | None -> ());
-      select)

@@ -21,6 +21,3 @@ val pp_error : Format.formatter -> error -> unit
 val parse_script : string -> (Ast.statement list, error) result
 (** Lex and parse a whole script.  Lexer errors are reported through the
     same [error] type. *)
-
-val parse_select : string -> (Ast.select, error) result
-(** Parse a single SELECT statement (trailing semicolon optional). *)

@@ -28,8 +28,6 @@ let within_ulps ?(ulps = 8) x y =
   | None -> false
   | Some d -> Int64.compare d (Int64.of_int ulps) <= 0
 
-let log2 x = log x /. log 2.0
-
 let pow_int x k =
   if k < 0 then invalid_arg "Float_more.pow_int: negative exponent";
   let rec go acc base k =

@@ -12,9 +12,6 @@ val within_ulps : ?ulps:int -> float -> float -> bool
     [infinity] vs [max_float] is 1) — the separation test backing the
     dpccp-vs-blitzsplit bit-identity gate.  False when either is NaN. *)
 
-val log2 : float -> float
-(** Base-2 logarithm. *)
-
 val pow_int : float -> int -> float
 (** [pow_int x k] is [x] raised to the non-negative integer power [k] by
     repeated squaring (exact for small integral inputs, unlike [( ** )]). *)

@@ -16,40 +16,12 @@ let geometric_mean a =
   in
   exp (sum_logs /. float_of_int (Array.length a))
 
-let variance a =
-  check_nonempty "variance" a;
-  let m = mean a in
-  Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 a
-  /. float_of_int (Array.length a)
-
-let stddev a = sqrt (variance a)
-
 let min_max a =
   check_nonempty "min_max" a;
   Array.fold_left
     (fun (lo, hi) x -> (Float.min lo x, Float.max hi x))
     (a.(0), a.(0))
     a
-
-let sorted_copy a =
-  let b = Array.copy a in
-  Array.sort compare b;
-  b
-
-let percentile a p =
-  check_nonempty "percentile" a;
-  if p < 0.0 || p > 100.0 then invalid_arg "Stats.percentile: p out of range";
-  let b = sorted_copy a in
-  let n = Array.length b in
-  let rank = p /. 100.0 *. float_of_int (n - 1) in
-  let lo = int_of_float (floor rank) in
-  let hi = int_of_float (ceil rank) in
-  if lo = hi then b.(lo)
-  else
-    let frac = rank -. float_of_int lo in
-    (b.(lo) *. (1.0 -. frac)) +. (b.(hi) *. frac)
-
-let median a = percentile a 50.0
 
 let ranks a =
   let n = Array.length a in

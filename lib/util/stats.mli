@@ -13,23 +13,9 @@ val geometric_mean : float array -> float
     overflow.  Raises [Invalid_argument] on empty input or non-positive
     samples. *)
 
-val variance : float array -> float
-(** Population variance.  Raises [Invalid_argument] on empty input. *)
-
-val stddev : float array -> float
-(** Population standard deviation. *)
-
 val min_max : float array -> float * float
 (** Smallest and largest sample.  Raises [Invalid_argument] on empty
     input. *)
-
-val median : float array -> float
-(** Median (averaging the two central elements for even sizes); the input
-    array is not modified. *)
-
-val percentile : float array -> float -> float
-(** [percentile samples p] for [p] in [\[0, 100\]], by linear
-    interpolation between order statistics. *)
 
 val spearman : float array -> float array -> float
 (** Spearman rank correlation of two paired samples (average ranks for

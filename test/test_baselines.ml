@@ -173,7 +173,13 @@ let test_transform_rules () =
 let test_internal_paths_and_neighbors () =
   let p = Plan.(Join (Join (Leaf 0, Leaf 1), Join (Leaf 2, Leaf 3))) in
   Alcotest.(check int) "3 internal nodes" 3 (List.length (B.Transform.internal_paths p));
-  let neighbors = B.Transform.neighbors p in
+  let neighbors =
+    List.concat_map
+      (fun path ->
+        List.filter_map (B.Transform.apply_at p ~path)
+          B.Transform.[ Commute; Assoc_left; Assoc_right; Exchange_left; Exchange_right ])
+      (B.Transform.internal_paths p)
+  in
   Alcotest.(check bool) "has neighbors" true (List.length neighbors > 5);
   List.iter
     (fun q ->

@@ -214,7 +214,7 @@ let prop_every_subset_feasible_without_threshold =
       let n = Catalog.n p.catalog in
       let ok = ref true in
       for s = 1 to (1 lsl n) - 1 do
-        if not (Dp_table.is_feasible r.Blitzsplit.table s) then ok := false;
+        if not (Float.is_finite (Dp_table.cost r.Blitzsplit.table s)) then ok := false;
         match Dp_table.extract_plan r.Blitzsplit.table s with
         | None -> ok := false
         | Some plan -> if not (Relset.equal (Plan.relations plan) s) then ok := false

@@ -212,18 +212,6 @@ let test_enum_closed_forms () =
 let path n =
   Join_graph.of_edges ~n (List.init (n - 1) (fun i -> (i, i + 1, 0.1)))
 
-let test_neighborhood () =
-  let g = path 5 in
-  let set l = List.fold_left (fun acc i -> acc lor (1 lsl i)) 0 l in
-  Alcotest.(check int) "chain nbh of {2}" (set [ 1; 3 ]) (Ccp_enum.neighborhood g (set [ 2 ]) 0);
-  Alcotest.(check int) "chain nbh minus forbidden" (set [ 3 ])
-    (Ccp_enum.neighborhood g (set [ 2 ]) (set [ 1 ]));
-  Alcotest.(check int) "chain nbh of {1,2,3}" (set [ 0; 4 ])
-    (Ccp_enum.neighborhood g (set [ 1; 2; 3 ]) 0);
-  let star = Join_graph.of_edges ~n:5 (List.init 4 (fun i -> (0, i + 1, 0.1))) in
-  Alcotest.(check int) "star nbh of hub" (set [ 1; 2; 3; 4 ])
-    (Ccp_enum.neighborhood star (set [ 0 ]) 0)
-
 (* Satellite coverage: the Join_graph connectivity helpers the
    enumerator and the registry eligibility check lean on. *)
 let test_connectivity_helpers () =
@@ -346,12 +334,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_components_emitted_first;
     Alcotest.test_case "enumerator matches baseline counts" `Quick test_enum_matches_baseline;
     Alcotest.test_case "enumerator closed forms" `Quick test_enum_closed_forms;
-    Alcotest.test_case "neighborhood helper" `Quick test_neighborhood;
     Alcotest.test_case "join-graph connectivity helpers" `Quick test_connectivity_helpers;
     Alcotest.test_case "result counts and table exposure" `Quick test_dpccp_counts_and_table;
     Alcotest.test_case "dpconv handles disconnected graphs" `Quick test_dpconv_disconnected;
-    QCheck_alcotest.to_alcotest prop_bit_identity_vs_blitzsplit;
     QCheck_alcotest.to_alcotest prop_sparse_matches_dense;
+    QCheck_alcotest.to_alcotest prop_bit_identity_vs_blitzsplit;
     Alcotest.test_case "overflowing statistics have no plan" `Quick test_overflowing_statistics;
     QCheck_alcotest.to_alcotest prop_dpconv_bottleneck_optimal;
   ]

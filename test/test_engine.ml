@@ -557,11 +557,33 @@ let test_registry_metadata () =
        ignore (Registry.find_exn "no-such-optimizer");
        false
      with Invalid_argument _ -> true);
-  Alcotest.(check bool) "register rejects duplicates" true
-    (try
-       Registry.register (Registry.find_exn "exact");
-       false
-     with Invalid_argument _ -> true)
+  let names = Registry.names () in
+  Alcotest.(check int) "names are distinct" (List.length names)
+    (List.length (List.sort_uniq String.compare names))
+
+(* Past the DP table's relation cap, every entry eligibility admits
+   answers; one that builds a table there must be refused upfront. *)
+let test_eligible_past_the_table_cap () =
+  let n = Dp_table.max_relations + 1 in
+  let catalog, graph =
+    Workload.problem
+      (Workload.spec ~n ~topology:Topology.Chain ~model:Cost_model.kdnl ~mean_card:100.0
+         ~variability:0.5)
+  in
+  let prob = Registry.problem ~graph catalog in
+  Engine.with_session ~num_domains:1 (fun s ->
+      List.iter
+        (fun (e : Registry.entry) ->
+          match
+            Registry.eligible e ~connected:(Join_graph.is_connected graph) ~n
+              ~is_tree:(B.Ikkbz.is_tree graph)
+          with
+          | Error _ -> ()
+          | Ok () ->
+            let o = Engine.optimize ~optimizer:e.Registry.name s prob in
+            Alcotest.(check bool) (e.Registry.name ^ " returns a plan") true
+              (Option.is_some o.Registry.plan))
+        (Registry.all ()))
 
 let suite =
   [
@@ -577,6 +599,8 @@ let suite =
       test_optimize_many_interrupt_prefix;
     Alcotest.test_case "closed session rejects queries" `Quick test_session_close;
     Alcotest.test_case "registry metadata" `Quick test_registry_metadata;
+    Alcotest.test_case "eligible entries answer past the table cap" `Quick
+      test_eligible_past_the_table_cap;
     Alcotest.test_case "default session width" `Quick test_default_width;
     Alcotest.test_case "session pool spawns at the crossover" `Quick
       test_pool_spawns_at_crossover;

@@ -28,6 +28,9 @@ let test_table_validation () =
 
 (* ---- Operators ---- *)
 
+(* Order-insensitive row-multiset equality: the operators' cross-check. *)
+let same_multiset a b = List.sort compare (Array.to_list a) = List.sort compare (Array.to_list b)
+
 let join_fixture () =
   let left = [| [| 1; 10 |]; [| 2; 20 |]; [| 2; 21 |]; [| 3; 30 |] |] in
   let right = [| [| 2; 200 |]; [| 3; 300 |]; [| 3; 301 |]; [| 4; 400 |] |] in
@@ -40,8 +43,8 @@ let test_operators_agree () =
   let h = Operators.hash_join ~left ~right ~keys in
   let sm = Operators.sort_merge_join ~left ~right ~keys in
   Alcotest.(check int) "match count" 4 (Array.length nl);
-  Alcotest.(check bool) "hash = nested loop" true (Operators.same_multiset nl h);
-  Alcotest.(check bool) "sort-merge = nested loop" true (Operators.same_multiset nl sm)
+  Alcotest.(check bool) "hash = nested loop" true (same_multiset nl h);
+  Alcotest.(check bool) "sort-merge = nested loop" true (same_multiset nl sm)
 
 let test_cartesian_product_operator () =
   let left = [| [| 1 |]; [| 2 |] |] and right = [| [| 10 |]; [| 20 |]; [| 30 |] |] in
@@ -71,8 +74,8 @@ let prop_operators_agree_random =
           [ { Operators.left_col = 0; right_col = 0 }; { Operators.left_col = 1; right_col = 1 } ]
       in
       let nl = Operators.nested_loop_join ~left ~right ~keys in
-      Operators.same_multiset nl (Operators.hash_join ~left ~right ~keys)
-      && Operators.same_multiset nl (Operators.sort_merge_join ~left ~right ~keys))
+      same_multiset nl (Operators.hash_join ~left ~right ~keys)
+      && same_multiset nl (Operators.sort_merge_join ~left ~right ~keys))
 
 (* ---- Datagen ---- *)
 
@@ -215,14 +218,6 @@ let test_run_with_work () =
   Alcotest.(check bool) "sort-merge compares less" true
     (sm_work.Operators.comparisons < work.Operators.comparisons)
 
-let test_algorithm_names () =
-  Alcotest.(check string) "hash" "hash" (Executor.algorithm_name Executor.Hash);
-  Alcotest.(check bool) "kdnl maps to nested loop" true
-    (Executor.algorithm_of_name "kdnl" = Some Executor.Nested_loop);
-  Alcotest.(check bool) "ksm maps to sort-merge" true
-    (Executor.algorithm_of_name "ksm" = Some Executor.Sort_merge);
-  Alcotest.(check bool) "unknown" true (Executor.algorithm_of_name "quantum" = None)
-
 let prop_executor_agrees_across_plans_and_algorithms =
   QCheck2.Test.make ~count:25
     ~name:"any two plans and algorithms for one query agree on the result size"
@@ -262,7 +257,6 @@ let suite =
     Alcotest.test_case "estimates track actuals" `Quick test_estimates_track_actuals;
     Alcotest.test_case "operator work accounting" `Quick test_operator_work_accounting;
     Alcotest.test_case "run_with_work" `Quick test_run_with_work;
-    Alcotest.test_case "algorithm names" `Quick test_algorithm_names;
     QCheck_alcotest.to_alcotest prop_operators_agree_random;
     QCheck_alcotest.to_alcotest prop_executor_agrees_across_plans_and_algorithms;
   ]

@@ -64,9 +64,11 @@ let test_fan_recurrence_equation10 () =
 
 let test_chain_order_paper () =
   (* Appendix: R0-R8-R1-R9-R2-R10-R3-R11-R4-R12-R5-R13-R6-R14-R7. *)
-  Alcotest.(check (array int))
-    "n=15 interleave" [| 0; 8; 1; 9; 2; 10; 3; 11; 4; 12; 5; 13; 6; 14; 7 |]
-    (Blitz_graph.Topology.chain_order 15)
+  let order = [| 0; 8; 1; 9; 2; 10; 3; 11; 4; 12; 5; 13; 6; 14; 7 |] in
+  Alcotest.(check (list (pair int int)))
+    "n=15 interleave"
+    (List.init 14 (fun i -> (order.(i), order.(i + 1))))
+    Blitz_graph.Topology.(edge_list Chain ~n:15)
 
 let norm_edges l = List.sort compare (List.map (fun (i, j) -> (min i j, max i j)) l)
 

@@ -50,6 +50,17 @@ let prop_hybrid_sound =
       && Blitz_util.Float_more.approx_equal ~rel:1e-6 cost
            (Plan.cost p.model p.catalog p.graph plan))
 
+let prop_cost_is_reference_cost =
+  (* The hybrid prices every plan with [Plan.cost], so the cost it
+     reports is that of the plan it returns, to the bit. *)
+  QCheck2.Test.make ~count:60 ~name:"hybrid's cost is Plan.cost of its plan, bit for bit"
+    ~print:problem_print (problem_gen ~max_n:10)
+    (fun p ->
+      let rng = Rng.create ~seed:(p.seed + 53) in
+      let (plan, cost), _ = Hybrid.optimize ~rng ~kicks:4 p.model p.catalog p.graph in
+      Int64.equal (Int64.bits_of_float cost)
+        (Int64.bits_of_float (Plan.cost p.model p.catalog p.graph plan)))
+
 let prop_hybrid_never_worse_than_greedy =
   QCheck2.Test.make ~count:30 ~name:"hybrid never ends worse than its greedy start"
     ~print:problem_print (problem_gen ~max_n:9)
@@ -78,6 +89,7 @@ let suite =
     Alcotest.test_case "stats accounting" `Quick test_stats_accounting;
     Alcotest.test_case "argument validation" `Quick test_invalid_arguments;
     QCheck_alcotest.to_alcotest prop_hybrid_sound;
+    QCheck_alcotest.to_alcotest prop_cost_is_reference_cost;
     QCheck_alcotest.to_alcotest prop_hybrid_never_worse_than_greedy;
     QCheck_alcotest.to_alcotest prop_window_reopt_is_monotone;
   ]

@@ -22,17 +22,28 @@ module Plan = Blitz_plan.Plan
 module Counters = Blitz_core.Counters
 module Registry = Blitz_engine.Registry
 
+let set_obs on =
+  Metrics.set_enabled on;
+  Trace.set_enabled on
+
 let with_obs_off f =
   (* Every test leaves the process as it found it: switches off, real
      clock, default ring. *)
   Fun.protect
     ~finally:(fun () ->
-      Obs.disable_all ();
+      set_obs false;
       Trace.set_clock_for_testing None;
       Trace.set_capacity 4096)
     f
 
 (* {1 Metrics: switches, registration, exactness} *)
+
+(* A gauge's level as the exposition reads it. *)
+let gauge_level name =
+  List.find_map
+    (function Metrics.Gauge g when g.name = name -> Some g.value | _ -> None)
+    (Metrics.snapshot ())
+  |> Option.get
 
 let test_disabled_is_inert () =
   with_obs_off (fun () ->
@@ -45,7 +56,7 @@ let test_disabled_is_inert () =
       Metrics.set g 3.0;
       Metrics.observe h 0.5;
       Alcotest.(check int) "disabled incr/add ignored" 0 (Metrics.value c);
-      Alcotest.(check (float 0.0)) "disabled set ignored" 0.0 (Metrics.gauge_value g);
+      Alcotest.(check (float 0.0)) "disabled set ignored" 0.0 (gauge_level "obs_test_inert_level");
       Alcotest.(check int) "disabled observe ignored" 0 (Metrics.histogram_count h);
       Alcotest.(check int) "time runs f without observing" 7 (Metrics.time h (fun () -> 7));
       Alcotest.(check int) "still no observation" 0 (Metrics.histogram_count h);
@@ -60,7 +71,7 @@ let test_disabled_is_inert () =
       Metrics.set g 3.0;
       Metrics.observe h 0.5;
       Alcotest.(check int) "enabled counter records" 42 (Metrics.value c);
-      Alcotest.(check (float 0.0)) "enabled gauge records" 3.0 (Metrics.gauge_value g);
+      Alcotest.(check (float 0.0)) "enabled gauge records" 3.0 (gauge_level "obs_test_inert_level");
       Alcotest.(check int) "enabled histogram records" 1 (Metrics.histogram_count h))
 
 let test_registration () =
@@ -109,25 +120,6 @@ let test_concurrent_increments_exact () =
         (float_of_int (per_domain * num_domains) *. 0.625)
         (Metrics.histogram_sum h))
 
-let test_quantile () =
-  with_obs_off (fun () ->
-      Metrics.set_enabled true;
-      let h = Metrics.histogram ~buckets:[| 1.0; 2.0; 3.0; 4.0 |] "obs_test_quantile" in
-      Alcotest.(check bool) "empty histogram has no quantile" true
-        (Float.is_nan (Metrics.quantile h 0.5));
-      List.iter (Metrics.observe h) [ 0.5; 1.5; 2.5; 3.5 ];
-      Alcotest.(check (float 1e-9)) "median interpolates to bucket edge" 2.0
-        (Metrics.quantile h 0.5);
-      Alcotest.(check (float 1e-9)) "q=0.25" 1.0 (Metrics.quantile h 0.25);
-      Alcotest.(check (float 1e-9)) "q=1" 4.0 (Metrics.quantile h 1.0);
-      Alcotest.(check (float 1e-9)) "q=0" 0.0 (Metrics.quantile h 0.0);
-      Metrics.observe h 100.0;
-      Alcotest.(check (float 1e-9)) "+Inf bucket clamps to the top finite bound" 4.0
-        (Metrics.quantile h 1.0);
-      Alcotest.check_raises "q outside [0, 1]"
-        (Invalid_argument "Metrics.quantile: q outside [0, 1]") (fun () ->
-          ignore (Metrics.quantile h 1.5)))
-
 (* {1 Tracing: spans, the ring, wraparound} *)
 
 (* A deterministic clock ticking whole seconds: 1.0, 2.0, 3.0, ...
@@ -174,14 +166,11 @@ let test_ring_wraparound () =
       install_ticking_clock ();
       Trace.set_capacity 3;
       Trace.set_enabled true;
-      Alcotest.(check int) "capacity took" 3 (Trace.capacity ());
       List.iter (fun i -> Obs.instant (Printf.sprintf "e%d" i)) [ 1; 2; 3; 4; 5 ];
       Alcotest.(check (list string)) "ring keeps the newest, oldest first" [ "e3"; "e4"; "e5" ]
         (List.map (fun e -> e.Trace.name) (Trace.events ()));
-      Alcotest.(check int) "overwritten events counted" 2 (Trace.dropped ());
       Trace.clear ();
       Alcotest.(check int) "clear empties the ring" 0 (List.length (Trace.events ()));
-      Alcotest.(check int) "clear resets dropped" 0 (Trace.dropped ());
       Alcotest.check_raises "non-positive capacity rejected"
         (Invalid_argument "Trace.set_capacity: capacity must be positive") (fun () ->
           Trace.set_capacity 0))
@@ -311,9 +300,9 @@ let problem_of_seed seed =
     Registry.problem ~graph catalog
 
 let run_with ?threshold ~obs ~optimizer ~num_domains model p =
-  if obs then Obs.enable_all () else Obs.disable_all ();
+  set_obs obs;
   Fun.protect
-    ~finally:(fun () -> Obs.disable_all ())
+    ~finally:(fun () -> set_obs false)
     (fun () ->
       with_pool ~num_domains (fun pool ->
           let o =
@@ -351,7 +340,6 @@ let suite =
       test_registration;
     Alcotest.test_case "concurrent increments sum exactly" `Quick
       test_concurrent_increments_exact;
-    Alcotest.test_case "histogram quantiles" `Quick test_quantile;
     Alcotest.test_case "span nesting and raise-safety" `Quick test_span_nesting;
     Alcotest.test_case "ring wraparound and clear" `Quick test_ring_wraparound;
     Alcotest.test_case "prometheus exposition golden" `Quick test_prometheus_golden;

@@ -86,11 +86,6 @@ let test_parse_errors () =
   expect_error "SELECT * FROM a" "unexpected end of input";
   expect_error "DROP TABLE t;" "expected CREATE or SELECT"
 
-let test_parse_select_convenience () =
-  match Parser.parse_select "SELECT * FROM a, b WHERE a.x = b.x" with
-  | Error e -> Alcotest.failf "parse error: %s" e.Parser.message
-  | Ok select -> Alcotest.(check int) "2 tables" 2 (List.length select.Ast.from)
-
 let test_bind_script () =
   match Binder.parse_and_bind script with
   | Error e -> Alcotest.fail e
@@ -244,7 +239,6 @@ let suite =
     Alcotest.test_case "lexer errors" `Quick test_lexer_errors;
     Alcotest.test_case "parse a script" `Quick test_parse_script;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
-    Alcotest.test_case "parse_select" `Quick test_parse_select_convenience;
     Alcotest.test_case "bind a script" `Quick test_bind_script;
     Alcotest.test_case "self-join via alias" `Quick test_bind_self_join_via_alias;
     Alcotest.test_case "conjoined predicates multiply" `Quick test_bind_conjoined_predicates;

@@ -62,15 +62,9 @@ let test_shuffle_permutes () =
 let test_stats () =
   check_float "mean" 2.5 (Stats.mean [| 1.0; 2.0; 3.0; 4.0 |]);
   check_float "geomean" 10.0 (Stats.geometric_mean [| 1.0; 10.0; 100.0 |]);
-  check_float "variance" 1.25 (Stats.variance [| 1.0; 2.0; 3.0; 4.0 |]);
-  check_float "stddev" (sqrt 1.25) (Stats.stddev [| 1.0; 2.0; 3.0; 4.0 |]);
   let lo, hi = Stats.min_max [| 3.0; 1.0; 2.0 |] in
   check_float "min" 1.0 lo;
   check_float "max" 3.0 hi;
-  check_float "median odd" 2.0 (Stats.median [| 3.0; 1.0; 2.0 |]);
-  check_float "median even" 2.5 (Stats.median [| 1.0; 2.0; 3.0; 4.0 |]);
-  check_float "p0" 1.0 (Stats.percentile [| 1.0; 2.0; 3.0 |] 0.0);
-  check_float "p100" 3.0 (Stats.percentile [| 1.0; 2.0; 3.0 |] 100.0);
   Alcotest.check_raises "empty mean" (Invalid_argument "Stats.mean: empty input") (fun () ->
       ignore (Stats.mean [||]));
   Alcotest.check_raises "non-positive geomean"
@@ -84,7 +78,6 @@ let test_float_more () =
   Alcotest.(check bool) "nan unequal" false (Float_more.approx_equal Float.nan Float.nan);
   check_float "pow_int" 1024.0 (Float_more.pow_int 2.0 10);
   check_float "pow_int zero" 1.0 (Float_more.pow_int 5.0 0);
-  check_float "log2" 10.0 (Float_more.log2 1024.0);
   Alcotest.(check string) "compact int" "240000" (Float_more.to_compact_string 240000.0);
   Alcotest.(check string) "compact inf" "inf" (Float_more.to_compact_string Float.infinity)
 
